@@ -11,11 +11,13 @@ complete graph's classifies a graph as borderenergetic or hyperenergetic.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
 
 from .closedform import (
+    _check_alpha,
     alpha_energy_from_values,
     build_alpha_matrix,
     complete_energy,
@@ -77,16 +79,16 @@ class ObservedBound:
     satisfied: bool
 
 
-def _check_alpha_closed(alpha: float) -> float:
-    alpha = float(alpha)
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
-    return alpha
-
-
 def _check_odd(n: int) -> None:
     if n < 3 or n % 2 == 0:
         raise ValueError(f"the circulant-plus-diagonal split needs odd n >= 3, got {n}")
+
+
+def _check_tol(tol: float) -> float:
+    tol = float(tol)
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise ValueError(f"tol must be positive and finite, got {tol}")
+    return tol
 
 
 def _coprime_symbol(n: int, weight: float, complement: bool) -> np.ndarray:
@@ -107,7 +109,7 @@ def odd_uacg_eigen_bounds(n: int, alpha: float) -> tuple[IndexBound, ...]:
     circulant eigenvalue plus those two diagonal extremes.
     """
     _check_odd(n)
-    alpha = _check_alpha_closed(alpha)
+    alpha = _check_alpha(alpha, allow_one=True)
     phi = euler_phi(n)
     beta = left_circulant_eigenvalues(_coprime_symbol(n, 1.0 - alpha, False))
     hi = alpha * phi
@@ -125,7 +127,7 @@ def odd_complement_eigen_bounds(n: int, alpha: float) -> tuple[IndexBound, ...]:
     non-units.
     """
     _check_odd(n)
-    alpha = _check_alpha_closed(alpha)
+    alpha = _check_alpha(alpha, allow_one=True)
     phi = euler_phi(n)
     beta = left_circulant_eigenvalues(_coprime_symbol(n, 1.0 - alpha, True))
     hi = alpha * (n - phi)
@@ -169,9 +171,7 @@ def _energy_bounds(
     zeta is the sum of squared degrees; the squared Frobenius mass of the
     alpha matrix is alpha^2*zeta + (1-alpha)^2*2m and its trace is 2*alpha*m.
     """
-    alpha = float(alpha)
-    if not 0.0 <= alpha < 1.0:
-        raise ValueError(f"energy bounds need alpha in [0, 1), got {alpha}")
+    alpha = _check_alpha(alpha, allow_one=False)
     mass = alpha * alpha * zeta + (1.0 - alpha) * (1.0 - alpha) * 2.0 * m
     mean_shift = 2.0 * alpha * m / n
     star = alpha * alpha * (max_degree + 1.0) ** 2 + 4.0 * max_degree * (1.0 - 2.0 * alpha)
@@ -222,7 +222,7 @@ def bound_report(spec: GraphSpec, alpha: float) -> BoundReport:
     if spec.family != FAMILY_UACG:
         raise ValueError(f"bounds are defined for the unit-sum family, not {spec.family!r}")
     _check_odd(spec.n)
-    alpha = _check_alpha_closed(alpha)
+    alpha = _check_alpha(alpha, allow_one=True)
     intervals = eigenvalue_intervals(spec, alpha)
     g = build_graph(spec)
     observed = symmetric_eigenvalues(build_alpha_matrix(g, alpha))
@@ -279,8 +279,7 @@ def classify(spec: GraphSpec, alpha: float, tol: float = 1e-6) -> Classification
     Equality within tol is borderenergetic; exceeding by more than tol is
     hyperenergetic; anything else is neither.
     """
-    if tol <= 0.0:
-        raise ValueError(f"tol must be positive, got {tol}")
+    tol = _check_tol(tol)
     energy = energy_report(spec, alpha).energy
     reference = complete_energy(spec.n, alpha)
     diff = energy - reference
@@ -304,59 +303,113 @@ def classify(spec: GraphSpec, alpha: float, tol: float = 1e-6) -> Classification
 # ---------------------------------------------------------------------------
 # Roots of energy(alpha) = 2*(1-alpha)*(n-1).
 
-_ROOT_GRID_STEP = 0.001
-_ROOT_DEDUPE = 1e-6
+# Coarse samples of the gap: the sixteenths of [0, 1) plus a point just under
+# 1, where the energy is still defined.
+_COARSE_ALPHAS = tuple(i / 16 for i in range(16)) + (1.0 - 1e-9,)
+
+
+def _secant_floor(xs: list[float], vs: list[float], i: int) -> float:
+    """Lower bound of a convex function on [xs[i], xs[i+1]] from its samples.
+
+    A convex function lies above each secant extended past its ends, so on
+    this interval it lies above the secant of the interval to its left and
+    the secant of the interval to its right.  The larger of those two lines
+    is least at an end of the interval or where the lines cross.
+    """
+    lines = [
+        (xs[j], vs[j], (vs[j + 1] - vs[j]) / (xs[j + 1] - xs[j]))
+        for j in (i - 1, i + 1)
+        if 0 <= j < len(xs) - 1
+    ]
+    if not lines:
+        return -math.inf
+    points = [xs[i], xs[i + 1]]
+    if len(lines) == 2 and lines[0][2] != lines[1][2]:
+        (xa, va, sa), (xb, vb, sb) = lines
+        cross = (vb - va + sa * xa - sb * xb) / (sa - sb)
+        points.append(min(max(cross, xs[i]), xs[i + 1]))
+    return min(max(v + s * (x - x0) for x0, v, s in lines) for x in points)
+
+
+def _bisect(
+    gap: Callable[[float], float], pos: float, neg: float, touch: float, tol: float
+) -> float:
+    """Root between pos (gap > touch) and neg (gap < -touch), to width tol."""
+    while abs(neg - pos) > tol:
+        mid = 0.5 * (pos + neg)
+        if mid in (pos, neg):  # tol is below the float spacing here
+            break
+        val = gap(mid)
+        if abs(val) <= touch:
+            return mid
+        if val > 0.0:
+            pos = mid
+        else:
+            neg = mid
+    return 0.5 * (pos + neg)
+
+
+def _convex_roots(gap: Callable[[float], float], touch: float, tol: float) -> list[float]:
+    """Roots in [0, 1) of a convex gap, ascending; see find_borderenergetic_alphas.
+
+    A value within touch of zero counts as zero, and roots are bracketed to
+    width tol.
+    """
+    samples = {a: gap(a) for a in _COARSE_ALPHAS}
+    if all(abs(v) <= touch for v in samples.values()):
+        return []
+    while True:
+        xs = sorted(samples)
+        vs = [samples[a] for a in xs]
+        if min(vs) <= touch:
+            break
+        mids = [
+            0.5 * (xs[i] + xs[i + 1])
+            for i in range(len(xs) - 1)
+            if xs[i + 1] - xs[i] > tol and _secant_floor(xs, vs, i) <= touch
+        ]
+        mids = [a for a in mids if a not in samples]
+        if not mids:
+            return []
+        for a in mids:
+            samples[a] = gap(a)
+    # The samples at or below touch form one run; a root closes each end.
+    low = [i for i, v in enumerate(vs) if v <= touch]
+    roots = set()
+    for k, outside in ((low[0], low[0] - 1), (low[-1], low[-1] + 1)):
+        if vs[k] >= -touch:
+            roots.add(xs[k])
+        elif 0 <= outside < len(xs):
+            roots.add(_bisect(gap, xs[outside], xs[k], touch, tol))
+    return sorted(roots)
 
 
 def find_borderenergetic_alphas(spec: GraphSpec, tol: float = 1e-12) -> list[float]:
     """All alpha in [0, 1) where the graph's energy equals the complete graph's.
 
-    Scans a 0.001-step grid (plus a point just under 1), keeps grid points
-    where the gap already vanishes to machine scale, and bisects every strict
-    sign change down to an interval of width tol.  Family members whose energy
-    matches the complete graph identically (the complete family itself, or
-    orders where the graph is complete) return an empty list rather than a
-    continuum.  Roots narrower than the grid step cannot be bracketed and are
-    out of scope.  Results are deduplicated and ascending.
+    The alpha energy is the trace norm of A_alpha - (2*alpha*m/n)*I, a matrix
+    affine in alpha, so it is convex in alpha; the complete graph's energy is
+    linear, so the gap between them is convex.  A convex gap has at most two
+    roots, or vanishes on a whole interval.
+
+    The gap counts as zero within machine scale, 1e-12 times the complete
+    graph's energy at alpha = 0.  It is sampled at the sixteenths of [0, 1)
+    and just under 1.  If every sample is zero the energies match identically
+    (the complete family itself, or orders where the graph is complete) and
+    the result is an empty list rather than a continuum.  While every sample
+    is positive, the secants of neighbouring samples bound the gap from below
+    on each interval between samples: if every bound is positive there is no
+    root, and otherwise the intervals whose bound fails are halved and
+    sampled again.  This resolves tangent roots and two roots closer together
+    than any sample step, down to intervals of width tol.  Once a sample is
+    zero or negative, a zero sample is a root and each strict sign change is
+    bisected down to an interval of width tol.  Results are ascending.
     """
-    if tol <= 0.0:
-        raise ValueError(f"tol must be positive, got {tol}")
+    tol = _check_tol(tol)
     n = spec.n
     touch = 1e-12 * max(1.0, 2.0 * (n - 1.0))
 
     def gap(a: float) -> float:
         return energy_report(spec, a).energy - complete_energy(n, a)
 
-    grid = [i * _ROOT_GRID_STEP for i in range(1000)]
-    grid.append(1.0 - 1e-9)
-    vals = [gap(a) for a in grid]
-
-    if all(abs(v) <= touch for v in vals):
-        return []
-
-    roots = [a for a, v in zip(grid, vals) if abs(v) <= touch]
-    for i in range(len(grid) - 1):
-        v0, v1 = vals[i], vals[i + 1]
-        if abs(v0) <= touch or abs(v1) <= touch:
-            continue
-        if (v0 > 0.0) == (v1 > 0.0):
-            continue
-        lo, hi, lo_val = grid[i], grid[i + 1], v0
-        while hi - lo > tol:
-            mid = 0.5 * (lo + hi)
-            mid_val = gap(mid)
-            if abs(mid_val) <= touch:
-                lo = hi = mid
-                break
-            if (mid_val > 0.0) == (lo_val > 0.0):
-                lo, lo_val = mid, mid_val
-            else:
-                hi = mid
-        roots.append(0.5 * (lo + hi))
-
-    roots.sort()
-    deduped: list[float] = []
-    for r in roots:
-        if not deduped or r - deduped[-1] > _ROOT_DEDUPE:
-            deduped.append(r)
-    return deduped
+    return _convex_roots(gap, touch, tol)

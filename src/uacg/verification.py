@@ -75,11 +75,6 @@ def odd_prime_powers(nmax: int) -> list[int]:
     return [q for q in range(3, nmax + 1, 2) if prime_power(q) is not None]
 
 
-def _numeric_values(spec: GraphSpec, alpha: float) -> np.ndarray:
-    g = build_graph(spec)
-    return symmetric_eigenvalues(build_alpha_matrix(g, alpha))
-
-
 def _result(name: str, worst: float, tol: float, cases: int, detail: str) -> CheckResult:
     return CheckResult(name=name, passed=worst <= tol, worst=worst, cases=cases, detail=detail)
 
@@ -312,7 +307,7 @@ def check_energy_sandwich(nmax: int, alphas=SANDWICH_ALPHAS, slack: float = 1e-8
 
 
 def check_roots(nmax: int, tol: float = 1e-8) -> CheckResult:
-    """Re-evaluate every root the scanner returns on odd prime-power orders.
+    """Re-evaluate every root the root finder returns on odd prime-power orders.
 
     At each root the energy gap to the complete graph must vanish within tol
     and classification at tolerance 1e-6 must come back borderenergetic.

@@ -13,7 +13,9 @@ import math
 import numpy as np
 import pytest
 
+import uacg.analysis
 from uacg.analysis import (
+    _convex_roots,
     BOUND_SLACK,
     ENERGY_BOUND_NAMES,
     VERDICT_BORDER,
@@ -42,6 +44,7 @@ from uacg.graphs import (
     build_graph,
 )
 from uacg.linalg import symmetric_eigenvalues
+from uacg.numtheory import prime_power
 
 
 def observed_values(spec: GraphSpec, alpha: float) -> np.ndarray:
@@ -216,6 +219,12 @@ class TestClassify:
         with pytest.raises(ValueError):
             classify(GraphSpec(FAMILY_UACG, 9), 0.0, tol=0.0)
 
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_tolerance(self, tol):
+        # a NaN tolerance used to fall through every comparison to "neither"
+        with pytest.raises(ValueError):
+            classify(GraphSpec(FAMILY_UACG, 15), 0.3, tol=tol)
+
     def test_complete_graph_is_always_borderenergetic(self):
         rep = classify(GraphSpec(FAMILY_COMPLETE, 9), 0.4)
         assert rep.verdict == VERDICT_BORDER
@@ -259,3 +268,137 @@ class TestRootFinder:
     def test_rejects_bad_tolerance(self):
         with pytest.raises(ValueError):
             find_borderenergetic_alphas(GraphSpec(FAMILY_UACG, 9), tol=0.0)
+
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_tolerance(self, tol):
+        # an infinite tolerance used to stop bisection at once, far from the root
+        with pytest.raises(ValueError):
+            find_borderenergetic_alphas(GraphSpec(FAMILY_UACG, 27), tol=tol)
+
+    def test_numeric_order_needs_few_gap_evaluations(self, monkeypatch):
+        calls = []
+        real = uacg.analysis.energy_report
+
+        def counting(spec, alpha):
+            calls.append(alpha)
+            return real(spec, alpha)
+
+        monkeypatch.setattr(uacg.analysis, "energy_report", counting)
+        assert find_borderenergetic_alphas(GraphSpec(FAMILY_UACG, 105)) == []
+        assert 0 < len(calls) < 50
+
+
+class TestConvexRoots:
+    """The search on synthetic convex gaps, at touch = tol = 1e-12."""
+
+    def roots(self, gap):
+        return _convex_roots(gap, 1e-12, 1e-12)
+
+    def test_two_roots_inside_one_coarse_interval(self):
+        # both roots lie in [1/4, 5/16] and every coarse sample is positive
+        roots = self.roots(lambda a: 1e4 * (a - 0.3) * (a - 0.3001))
+        assert len(roots) == 2
+        assert roots[0] == pytest.approx(0.3, abs=1e-9)
+        assert roots[1] == pytest.approx(0.3001, abs=1e-9)
+
+    def test_tangent_root(self):
+        # |gap| <= touch only within 1e-6 of the root
+        roots = self.roots(lambda a: (a - 0.3) ** 2)
+        assert len(roots) == 1
+        assert roots[0] == pytest.approx(0.3, abs=1e-6)
+
+    def test_identically_zero_gap(self):
+        assert self.roots(lambda a: 0.0) == []
+        assert self.roots(lambda a: 1e-13 * a) == []
+
+    def test_minimum_just_above_touch(self):
+        assert self.roots(lambda a: (a - 0.3) ** 2 + 2e-12) == []
+
+    def test_kinked_minimum_is_certified_from_the_coarse_samples(self):
+        calls = []
+
+        def gap(a):
+            calls.append(a)
+            return abs(a - 0.3) + 2e-12
+
+        assert self.roots(gap) == []
+        assert len(calls) == 17
+
+    def test_root_at_zero(self):
+        roots = self.roots(lambda a: a * (a - 0.3))
+        assert roots[0] == 0.0
+        assert roots[1] == pytest.approx(0.3, abs=1e-9)
+        assert len(roots) == 2
+
+    def test_root_below_zero_is_not_reported(self):
+        roots = self.roots(lambda a: (a + 0.1) * (a - 0.3))
+        assert len(roots) == 1
+        assert roots[0] == pytest.approx(0.3, abs=1e-9)
+
+    def test_tolerance_below_float_spacing_terminates(self):
+        roots = _convex_roots(lambda a: a - 0.3, 0.0, 1e-300)
+        assert len(roots) == 1
+        assert roots[0] == pytest.approx(0.3, abs=1e-15)
+
+
+# A plain scan of the gap on a 0.001 grid plus bisection of each sign change,
+# kept here as a reference that shares no code with the convex search.
+def scan_roots(spec: GraphSpec, tol: float = 1e-12) -> list[float]:
+    n = spec.n
+    touch = 1e-12 * max(1.0, 2.0 * (n - 1.0))
+
+    def gap(a):
+        return energy_report(spec, a).energy - complete_energy(n, a)
+
+    grid = [i / 1000 for i in range(1000)] + [1.0 - 1e-9]
+    vals = [gap(a) for a in grid]
+    if all(abs(v) <= touch for v in vals):
+        return []
+    roots = [a for a, v in zip(grid, vals) if abs(v) <= touch]
+    for lo, hi, lo_val, hi_val in zip(grid, grid[1:], vals, vals[1:]):
+        if abs(lo_val) <= touch or abs(hi_val) <= touch or (lo_val > 0) == (hi_val > 0):
+            continue
+        while hi - lo > tol:
+            mid = 0.5 * (lo + hi)
+            mid_val = gap(mid)
+            if abs(mid_val) <= touch:
+                lo = hi = mid
+            elif (mid_val > 0) == (lo_val > 0):
+                lo = mid
+            else:
+                hi = mid
+        roots.append(0.5 * (lo + hi))
+    roots.sort()
+    return [r for i, r in enumerate(roots) if i == 0 or r - roots[i - 1] > 1e-6]
+
+
+class TestRootFinderCrossCheck:
+    def test_matches_plain_scan(self):
+        orders = sorted(
+            set(range(3, 46, 2)) | {q for q in range(3, 244, 2) if prime_power(q) is not None}
+        )
+        for n in orders:
+            for complement_flag in (False, True):
+                spec = GraphSpec(FAMILY_UACG, n, complement=complement_flag)
+                got = find_borderenergetic_alphas(spec)
+                want = scan_roots(spec)
+                assert len(got) == len(want) <= 2, (spec, got, want)
+                assert all(abs(g - w) <= 1e-9 for g, w in zip(got, want)), (spec, got, want)
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            GraphSpec(FAMILY_UACG, 45),  # numeric
+            GraphSpec(FAMILY_UACG, 27),  # closed form
+            GraphSpec(FAMILY_UACG, 25, complement=True),  # tabulated, piecewise linear
+            GraphSpec(FAMILY_UNITARY_CAYLEY, 12),  # regular shortcut
+        ],
+        ids=lambda spec: f"{spec.label()}-{spec.n}",
+    )
+    def test_gap_is_convex(self, spec):
+        # the search relies on convexity of the gap in alpha
+        alphas = [i / 201 for i in range(201)]
+        gap = np.array(
+            [energy_report(spec, a).energy - complete_energy(spec.n, a) for a in alphas]
+        )
+        assert np.diff(gap, 2).min() >= -1e-10
