@@ -24,7 +24,7 @@ from .closedform import (
     energy_report,
 )
 from .graphs import FAMILY_UACG, GraphSpec, build_graph
-from .linalg import left_circulant_eigenvalues, symmetric_eigenvalues
+from .linalg import _check_tol, left_circulant_eigenvalues, symmetric_eigenvalues
 from .numtheory import euler_phi
 
 __all__ = [
@@ -84,19 +84,22 @@ def _check_odd(n: int) -> None:
         raise ValueError(f"the circulant-plus-diagonal split needs odd n >= 3, got {n}")
 
 
-def _check_tol(tol: float) -> float:
-    tol = float(tol)
-    if not (math.isfinite(tol) and tol > 0.0):
-        raise ValueError(f"tol must be positive and finite, got {tol}")
-    return tol
-
-
-def _coprime_symbol(n: int, weight: float, complement: bool) -> np.ndarray:
-    if complement:
-        gen = (weight if math.gcd(j, n) != 1 else 0.0 for j in range(n))
-    else:
-        gen = (weight if math.gcd(j, n) == 1 else 0.0 for j in range(n))
-    return np.fromiter(gen, dtype=float, count=n)
+def _odd_eigen_bounds(n: int, alpha: float, complement: bool) -> tuple[IndexBound, ...]:
+    _check_odd(n)
+    alpha = _check_alpha(alpha, allow_one=True)
+    phi = euler_phi(n)
+    weight = 1.0 - alpha
+    symbol = np.fromiter(
+        (weight if (math.gcd(j, n) == 1) != complement else 0.0 for j in range(n)),
+        dtype=float,
+        count=n,
+    )
+    beta = left_circulant_eigenvalues(symbol)
+    hi = alpha * (n - phi) if complement else alpha * phi
+    return tuple(
+        IndexBound(index=k + 1, lower=float(beta[k] + hi - 1.0), upper=float(beta[k] + hi))
+        for k in range(n)
+    )
 
 
 def odd_uacg_eigen_bounds(n: int, alpha: float) -> tuple[IndexBound, ...]:
@@ -108,15 +111,7 @@ def odd_uacg_eigen_bounds(n: int, alpha: float) -> tuple[IndexBound, ...]:
     matrix sums then pin the k-th sorted eigenvalue between the k-th sorted
     circulant eigenvalue plus those two diagonal extremes.
     """
-    _check_odd(n)
-    alpha = _check_alpha(alpha, allow_one=True)
-    phi = euler_phi(n)
-    beta = left_circulant_eigenvalues(_coprime_symbol(n, 1.0 - alpha, False))
-    hi = alpha * phi
-    return tuple(
-        IndexBound(index=k + 1, lower=float(beta[k] + hi - 1.0), upper=float(beta[k] + hi))
-        for k in range(n)
-    )
+    return _odd_eigen_bounds(n, alpha, False)
 
 
 def odd_complement_eigen_bounds(n: int, alpha: float) -> tuple[IndexBound, ...]:
@@ -126,15 +121,7 @@ def odd_complement_eigen_bounds(n: int, alpha: float) -> tuple[IndexBound, ...]:
     and the diagonal entries are alpha*(n - phi(n)) on units and one less on
     non-units.
     """
-    _check_odd(n)
-    alpha = _check_alpha(alpha, allow_one=True)
-    phi = euler_phi(n)
-    beta = left_circulant_eigenvalues(_coprime_symbol(n, 1.0 - alpha, True))
-    hi = alpha * (n - phi)
-    return tuple(
-        IndexBound(index=k + 1, lower=float(beta[k] + hi - 1.0), upper=float(beta[k] + hi))
-        for k in range(n)
-    )
+    return _odd_eigen_bounds(n, alpha, True)
 
 
 def eigenvalue_intervals(spec: GraphSpec, alpha: float) -> tuple[IndexBound, ...]:
@@ -143,9 +130,7 @@ def eigenvalue_intervals(spec: GraphSpec, alpha: float) -> tuple[IndexBound, ...
         raise ValueError(
             f"eigenvalue intervals are defined for the unit-sum family, not {spec.family!r}"
         )
-    if spec.complement:
-        return odd_complement_eigen_bounds(spec.n, alpha)
-    return odd_uacg_eigen_bounds(spec.n, alpha)
+    return _odd_eigen_bounds(spec.n, alpha, spec.complement)
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass
 from typing import Any
@@ -22,7 +23,7 @@ from .closedform import (
     energy_report,
     spectrum_for,
 )
-from .graphs import GraphSpec, parse_spec_label
+from .graphs import parse_spec_label
 from .linalg import DEFAULT_GROUP_TOL
 from .verification import SCOPES, run_suite
 
@@ -95,16 +96,12 @@ def _emit(text: str) -> None:
         sys.stdout.write("\n")
 
 
-def _parse_family(family: str, n: int) -> GraphSpec:
-    return parse_spec_label(family, n)
-
-
 # ---------------------------------------------------------------------------
 # Subcommand implementations.
 
 
 def _cmd_spectrum(args: argparse.Namespace) -> int:
-    spec = _parse_family(args.family, args.n)
+    spec = parse_spec_label(args.family, args.n)
     spectrum, used = spectrum_for(spec, args.alpha, method=args.method, group_tol=args.group_tol)
     if args.format == "csv":
         lines = ["value,multiplicity"]
@@ -132,7 +129,7 @@ def _cmd_spectrum(args: argparse.Namespace) -> int:
 
 
 def _cmd_energy(args: argparse.Namespace) -> int:
-    spec = _parse_family(args.family, args.n)
+    spec = parse_spec_label(args.family, args.n)
     report = energy_report(spec, args.alpha)
     if args.format == "csv":
         lines = [
@@ -261,9 +258,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     start, end, step = args.alpha_start, args.alpha_end, args.step
     if not 0.0 <= start < end < 1.0:
         raise ValueError(f"need 0 <= alpha-start < alpha-end < 1, got [{start}, {end}]")
-    if step <= 0.0:
-        raise ValueError(f"step must be positive, got {step}")
-    spec = _parse_family(args.family, args.n)
+    if not (math.isfinite(step) and step > 0.0):
+        raise ValueError(f"step must be positive and finite, got {step}")
+    spec = parse_spec_label(args.family, args.n)
     alphas = []
     k = 0
     while True:

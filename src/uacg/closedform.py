@@ -11,20 +11,20 @@ adjacency eigenvalues); everything else falls back to the dense eigensolver.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
 
 from .graphs import (
     FAMILY_COMPLETE,
-    FAMILY_UACG,
     FAMILY_UNITARY_CAYLEY,
     Graph,
     GraphSpec,
     build_graph,
     edge_count,
 )
-from .linalg import DEFAULT_GROUP_TOL, Spectrum, group_spectrum, symmetric_eigenvalues
+from .linalg import DEFAULT_GROUP_TOL, Spectrum, _check_tol, group_spectrum, symmetric_eigenvalues
 from .numtheory import (
     euler_phi,
     factorize,
@@ -318,40 +318,45 @@ def complete_energy(n: int, alpha: float) -> float:
 # Dispatch over GraphSpec.
 
 
-def has_closed_spectrum(spec: GraphSpec) -> bool:
-    """True when an exact spectrum formula covers the requested graph.
+def _route(
+    spec: GraphSpec,
+) -> tuple[str, Callable[[float], Spectrum] | None, Callable[[float], float] | None]:
+    """(method, spectrum(alpha), energy(alpha)) for the route that covers spec.
 
-    Complete and unitary Cayley families always have one (they are regular
-    with known eigenvalues); the unit-sum family needs an even order or an
-    odd prime-power order.
+    This is the one place that splits specs into routes.  Complete and
+    unitary Cayley graphs are regular with known eigenvalues, and even-order
+    unit-sum graphs coincide with unitary Cayley graphs, so all of them take
+    the (1-alpha)-scaling shortcut on a known adjacency energy.  Odd
+    prime-power unit-sum graphs and complements have exact formulas.  Every
+    other spec is numeric, and both callables are None.
     """
-    if spec.family in (FAMILY_COMPLETE, FAMILY_UNITARY_CAYLEY):
-        return True
-    return spec.n % 2 == 0 or prime_power(spec.n) is not None
-
-
-def _closed_spectrum(spec: GraphSpec, alpha: float) -> Spectrum:
     n = spec.n
     if spec.family == FAMILY_COMPLETE:
-        if spec.complement:
-            return Spectrum(pairs=((0.0, n),), n=n)  # edgeless
-        return complete_spectrum(n, alpha)
-    if spec.family == FAMILY_UNITARY_CAYLEY:
-        if spec.complement:
-            return complement_unitary_cayley_spectrum(n, alpha)
-        return unitary_cayley_spectrum(n, alpha)
-    # unit-sum family
-    if n % 2 == 0:
-        return complement_even_spectrum(n, alpha) if spec.complement else uacg_even_spectrum(n, alpha)
+        if spec.complement:  # edgeless
+            return METHOD_REGULAR, lambda a: Spectrum(pairs=((0.0, n),), n=n), lambda a: 0.0
+        return METHOD_REGULAR, lambda a: complete_spectrum(n, a), lambda a: complete_energy(n, a)
+    if spec.family == FAMILY_UNITARY_CAYLEY or n % 2 == 0:
+        spectrum, eps0 = (
+            (complement_unitary_cayley_spectrum, complement_unitary_cayley_adjacency_energy)
+            if spec.complement
+            else (unitary_cayley_spectrum, unitary_cayley_adjacency_energy)
+        )
+        return METHOD_REGULAR, lambda a: spectrum(n, a), lambda a: regular_alpha_energy(eps0(n), a)
     pp = prime_power(n)
     if pp is None:
-        raise ClosedFormUnavailable(
-            f"no exact spectrum for {spec.label()} with n={n} (odd, not a prime power)"
-        )
+        return METHOD_NUMERIC, None, None
     p, m = pp
-    if spec.complement:
-        return complement_prime_power_spectrum(p, m, alpha)
-    return uacg_prime_power_spectrum(p, m, alpha)
+    spectrum, energy = (
+        (complement_prime_power_spectrum, complement_prime_power_energy)
+        if spec.complement
+        else (uacg_prime_power_spectrum, uacg_prime_power_energy)
+    )
+    return METHOD_CLOSED, lambda a: spectrum(p, m, a), lambda a: energy(p, m, a)
+
+
+def has_closed_spectrum(spec: GraphSpec) -> bool:
+    """True when an exact spectrum formula covers the requested graph."""
+    return _route(spec)[0] != METHOD_NUMERIC
 
 
 def numeric_spectrum(
@@ -377,10 +382,14 @@ def spectrum_for(
     alpha = _check_alpha(alpha, allow_one=True)
     if method not in ("auto", "closed", "numeric"):
         raise ValueError(f"unknown method {method!r}")
-    if method == "numeric":
-        return numeric_spectrum(spec, alpha, group_tol), "numeric"
-    if method == "closed" or has_closed_spectrum(spec):
-        return _closed_spectrum(spec, alpha), "closed"
+    group_tol = _check_tol(group_tol)
+    closed_spectrum = None if method == "numeric" else _route(spec)[1]
+    if closed_spectrum is not None:
+        return closed_spectrum(alpha), "closed"
+    if method == "closed":
+        raise ClosedFormUnavailable(
+            f"no exact spectrum for {spec.label()} with n={spec.n} (odd, not a prime power)"
+        )
     return numeric_spectrum(spec, alpha, group_tol), "numeric"
 
 
@@ -408,42 +417,13 @@ def energy_report(spec: GraphSpec, alpha: float) -> EnergyReport:
     n = spec.n
     m = edge_count(spec)
     shift = 2.0 * alpha * m / n
-
-    if spec.family == FAMILY_COMPLETE:
-        energy = 0.0 if spec.complement else complete_energy(n, alpha)
-        method = METHOD_REGULAR
-    elif spec.family == FAMILY_UNITARY_CAYLEY:
-        eps0 = (
-            complement_unitary_cayley_adjacency_energy(n)
-            if spec.complement
-            else unitary_cayley_adjacency_energy(n)
-        )
-        energy = regular_alpha_energy(eps0, alpha)
-        method = METHOD_REGULAR
-    elif n % 2 == 0:
-        # even unit-sum graphs coincide with unitary Cayley graphs
-        eps0 = (
-            complement_unitary_cayley_adjacency_energy(n)
-            if spec.complement
-            else unitary_cayley_adjacency_energy(n)
-        )
-        energy = regular_alpha_energy(eps0, alpha)
-        method = METHOD_REGULAR
+    method, _, closed_energy = _route(spec)
+    if closed_energy is not None:
+        energy = closed_energy(alpha)
     else:
-        pp = prime_power(n)
-        if pp is not None:
-            p, mm = pp
-            if spec.complement:
-                energy = complement_prime_power_energy(p, mm, alpha)
-            else:
-                energy = uacg_prime_power_energy(p, mm, alpha)
-            method = METHOD_CLOSED
-        else:
-            g = build_graph(spec)
-            vals = symmetric_eigenvalues(build_alpha_matrix(g, alpha))
-            energy = alpha_energy_from_values(vals, n, g.m, alpha)
-            method = METHOD_NUMERIC
-
+        g = build_graph(spec)
+        vals = symmetric_eigenvalues(build_alpha_matrix(g, alpha))
+        energy = alpha_energy_from_values(vals, n, g.m, alpha)
     return EnergyReport(
         spec=spec, alpha=alpha, n=n, m=m, shift=shift, energy=float(energy), method=method
     )

@@ -7,6 +7,7 @@ circulant paths are exact formulas evaluated with the FFT.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,6 +42,13 @@ class Spectrum:
 
     def multiplicities(self) -> tuple[int, ...]:
         return tuple(m for _, m in self.pairs)
+
+
+def _check_tol(tol: float) -> float:
+    tol = float(tol)
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise ValueError(f"tol must be positive and finite, got {tol}")
+    return tol
 
 
 def symmetric_eigenvalues(a: np.ndarray) -> np.ndarray:
@@ -100,11 +108,13 @@ def group_spectrum(values: np.ndarray, tol: float = DEFAULT_GROUP_TOL) -> Spectr
     """Collapse a descending eigenvalue list into (value, multiplicity) pairs.
 
     Adjacent values whose gap is at most tol are merged into one pair whose
-    value is the mean of the merged cluster.  Rejects unsorted input.
+    value is the mean of the merged cluster.  Rejects unsorted or non-finite
+    input.
     """
-    if tol <= 0:
-        raise ValueError(f"grouping tolerance must be positive, got {tol}")
+    tol = _check_tol(tol)
     vals = np.asarray(values, dtype=float).ravel()
+    if not np.all(np.isfinite(vals)):
+        raise ValueError("values must be finite")
     if vals.size and np.any(np.diff(vals) > 0):
         raise ValueError("values must be sorted in descending order")
     pairs: list[tuple[float, int]] = []

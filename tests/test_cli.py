@@ -97,6 +97,17 @@ class TestSpectrumCommand:
         )
         assert code == EXIT_BAD_ARGS
 
+    @pytest.mark.parametrize("n", ["9", "15"])
+    @pytest.mark.parametrize("tol", ["-1", "nan"])
+    def test_bad_group_tol_exits_2_on_every_route(self, n, tol):
+        # n=9 takes the closed form, which never groups; n=15 is numeric
+        code, out, err = run_cli(
+            ["spectrum", "--family", "uacg", "--n", n, "--alpha", "0", "--group-tol", tol]
+        )
+        assert code == EXIT_BAD_ARGS
+        assert out == ""
+        assert "tol must be positive and finite" in err
+
     def test_rejects_bad_order(self):
         code, _, err = run_cli(
             ["spectrum", "--family", "uacg", "--n", "1", "--alpha", "0"]
@@ -287,6 +298,16 @@ class TestSweepCommand:
         assert code == EXIT_BAD_ARGS
         assert "error:" in err
 
+    @pytest.mark.parametrize("step", ["nan", "inf"])
+    def test_non_finite_step_exits_2(self, step):
+        code, out, err = run_cli(
+            ["sweep", "--family", "uacg", "--n", "9", "--alpha-start", "0",
+             "--alpha-end", "0.5", "--step", step]
+        )
+        assert code == EXIT_BAD_ARGS
+        assert out == ""
+        assert "step must be positive and finite" in err
+
     def test_end_at_one_rejected(self):
         code, _, _ = run_cli(
             ["sweep", "--family", "uacg", "--n", "9", "--alpha-start", "0",
@@ -306,6 +327,24 @@ class TestDeterminism:
             first = run_cli(args)
             second = run_cli(args)
             assert first == second
+
+
+class TestGoldenOutput:
+    def test_closed_and_regular_routes_byte_identical(self):
+        """Replay the calls in fixtures/cli_golden.txt and compare byte for byte.
+
+        Each block is a '>>> ' line with the arguments, the expected stdout,
+        and a '<<< exit N' line.  Only closed-form and regular-shortcut
+        outputs are stored: numeric-route digits depend on the BLAS build.
+        """
+        text = (FIXTURES / "cli_golden.txt").read_text()
+        blocks = text.split(">>> ")[1:]
+        assert len(blocks) >= 30
+        for block in blocks:
+            call, rest = block.split("\n", 1)
+            expected_out, exit_line = rest.rsplit("<<< exit ", 1)
+            code, out, _ = run_cli(call.split())
+            assert (code, out) == (int(exit_line), expected_out), call
 
 
 class TestVersionFlag:

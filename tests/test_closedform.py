@@ -43,6 +43,7 @@ from uacg.closedform import (
     unitary_cayley_adjacency_energy,
     unitary_cayley_spectrum,
 )
+from uacg.cli import FAMILY_CHOICES
 from uacg.graphs import (
     FAMILY_COMPLETE,
     FAMILY_UACG,
@@ -52,9 +53,10 @@ from uacg.graphs import (
     build_uacg,
     complement,
     complete,
+    parse_spec_label,
 )
 from uacg.linalg import symmetric_eigenvalues
-from uacg.numtheory import euler_phi, factorize, largest_squarefree_divisor
+from uacg.numtheory import euler_phi, factorize, largest_squarefree_divisor, prime_power
 
 ODD_PRIME_POWERS = [3, 5, 7, 9, 11, 13, 25, 27, 49, 81, 121, 125]
 
@@ -360,6 +362,13 @@ class TestDispatch:
         assert has_closed_spectrum(GraphSpec(FAMILY_UNITARY_CAYLEY, 15, complement=True))
         assert has_closed_spectrum(GraphSpec(FAMILY_COMPLETE, 15))
 
+    def test_has_closed_spectrum_matches_energy_route(self):
+        for label in FAMILY_CHOICES:
+            for n in range(2, 65):
+                gspec = parse_spec_label(label, n)
+                numeric = energy_report(gspec, 0.3).method == METHOD_NUMERIC
+                assert has_closed_spectrum(gspec) == (not numeric), gspec
+
     def test_spectrum_for_auto_falls_back(self):
         spec, method = spectrum_for(GraphSpec(FAMILY_UACG, 15), 0.3)
         assert method == "numeric"
@@ -419,19 +428,23 @@ class TestEnergyReport:
             energy_report(GraphSpec(FAMILY_UACG, 9), 1.0)
 
     def test_all_methods_agree_with_dense_route(self):
-        cases = [
-            GraphSpec(FAMILY_UACG, 9),
-            GraphSpec(FAMILY_UACG, 10),
-            GraphSpec(FAMILY_UACG, 15),
-            GraphSpec(FAMILY_UACG, 10, complement=True),
-            GraphSpec(FAMILY_UNITARY_CAYLEY, 15),
-            GraphSpec(FAMILY_UNITARY_CAYLEY, 15, complement=True),
-            GraphSpec(FAMILY_COMPLETE, 8),
-        ]
-        for gspec in cases:
-            for alpha in (0.0, 0.3, 0.7, 0.9999):
-                rep = energy_report(gspec, alpha)
-                assert rep.energy == pytest.approx(dense_energy(gspec, alpha), abs=1e-8)
+        # The complement's energy at odd prime-power orders follows the
+        # tabulated formula, which matches its spectrum only at alpha = 0
+        # (TestComplementPrimePowerEnergy); its spectrum is checked here.
+        # Numeric spectra are grouped at DEFAULT_GROUP_TOL, so a merged
+        # cluster's mean sits within a few multiples of it of each value.
+        for label in FAMILY_CHOICES:
+            for n in (2, 3, 9, 10, 15, 25, 21):
+                gspec = parse_spec_label(label, n)
+                odd_prime_power = n % 2 == 1 and prime_power(n) is not None
+                tabulated = label == "complement-uacg" and odd_prime_power
+                for alpha in (0.0, 0.3, 0.7, 0.9999):
+                    spectrum, _ = spectrum_for(gspec, alpha)
+                    dense = dense_values(gspec, alpha)
+                    assert np.max(np.abs(spectrum.values() - dense)) <= 1e-6
+                    if alpha == 0.0 or not tabulated:
+                        rep = energy_report(gspec, alpha)
+                        assert rep.energy == pytest.approx(dense_energy(gspec, alpha), abs=1e-8)
 
 
 @given(

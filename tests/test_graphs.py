@@ -258,6 +258,17 @@ class TestSpecLabels:
         with pytest.raises(ValueError):
             GraphSpec(FAMILY_UACG, 1)
 
+    def test_rejects_non_integer_order(self):
+        # 9.0 used to give a float edge count, 15.0 a TypeError from math.gcd
+        for n in (9.0, 15.0, True, "9", None):
+            with pytest.raises(ValueError, match="integer"):
+                GraphSpec(FAMILY_UACG, n)
+
+    def test_accepts_numpy_integer_order(self):
+        spec = GraphSpec(FAMILY_UACG, np.int64(9))
+        assert spec == GraphSpec(FAMILY_UACG, 9)
+        assert edge_count(spec) == 24
+
 
 @given(n=st.integers(min_value=2, max_value=120))
 @settings(max_examples=60, deadline=None)

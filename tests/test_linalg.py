@@ -261,8 +261,16 @@ class TestGroupSpectrum:
             group_spectrum(np.array([1.0, 2.0]))
 
     def test_rejects_bad_tol(self):
-        with pytest.raises(ValueError):
-            group_spectrum(np.array([1.0]), tol=0.0)
+        for tol in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(ValueError):
+                group_spectrum(np.array([1.0]), tol=tol)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_values(self, bad):
+        # a NaN fails every comparison, so it used to pass the sort check
+        # and merge its neighbours into one NaN cluster
+        with pytest.raises(ValueError, match="finite"):
+            group_spectrum(np.array([3.0, bad, 1.0]))
 
     @given(
         data=st.lists(
