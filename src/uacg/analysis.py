@@ -17,14 +17,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .closedform import (
-    _check_alpha,
     alpha_energy_from_values,
     build_alpha_matrix,
     complete_energy,
     energy_report,
 )
-from .graphs import FAMILY_UACG, GraphSpec, build_graph
-from .linalg import _check_tol, left_circulant_eigenvalues, symmetric_eigenvalues
+from .graphs import FAMILY_UACG, GraphSpec, build_graph, edge_count
+from .linalg import _check_alpha, _check_tol, left_circulant_eigenvalues, symmetric_eigenvalues
 from .numtheory import euler_phi
 
 __all__ = [
@@ -143,9 +142,8 @@ def _degree_params(n: int, complement: bool) -> tuple[int, int, int]:
     counts = {phi - 1: phi, phi: n - phi}
     if complement:
         counts = {n - 1 - d: c for d, c in counts.items()}
-    m = sum(d * c for d, c in counts.items()) // 2
     zeta = sum(d * d * c for d, c in counts.items())
-    return m, zeta, max(counts)
+    return edge_count(GraphSpec(FAMILY_UACG, n, complement)), zeta, max(counts)
 
 
 def _energy_bounds(

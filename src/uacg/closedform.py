@@ -5,7 +5,8 @@ A_alpha = alpha*D + (1-alpha)*A and the alpha energy is
 sum_i |lambda_i(A_alpha) - 2*alpha*m/n| for 0 <= alpha < 1.  Unit-sum Cayley
 graphs admit exact spectra on prime-power orders and on even orders (where
 they coincide with unitary Cayley graphs and the Ramanujan sums give the
-adjacency eigenvalues); everything else falls back to the dense eigensolver.
+adjacency eigenvalues); the other odd orders split into small exact blocks
+(see blocks.py).  The dense eigensolver is the oracle for all of them.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .blocks import block_eigenvalues
 from .graphs import (
     FAMILY_COMPLETE,
     FAMILY_UNITARY_CAYLEY,
@@ -24,7 +26,14 @@ from .graphs import (
     build_graph,
     edge_count,
 )
-from .linalg import DEFAULT_GROUP_TOL, Spectrum, _check_tol, group_spectrum, symmetric_eigenvalues
+from .linalg import (
+    DEFAULT_GROUP_TOL,
+    Spectrum,
+    _check_alpha,
+    _check_tol,
+    group_spectrum,
+    symmetric_eigenvalues,
+)
 from .numtheory import (
     euler_phi,
     factorize,
@@ -74,15 +83,6 @@ METHOD_REGULAR = "regular-shortcut"
 
 class ClosedFormUnavailable(RuntimeError):
     """No exact spectrum or energy formula covers the requested graph."""
-
-
-def _check_alpha(alpha: float, *, allow_one: bool) -> float:
-    alpha = float(alpha)
-    hi_ok = alpha <= 1.0 if allow_one else alpha < 1.0
-    if not (0.0 <= alpha and hi_ok):
-        bound = "[0, 1]" if allow_one else "[0, 1)"
-        raise ValueError(f"alpha must lie in {bound}, got {alpha}")
-    return alpha
 
 
 def _check_odd_prime_power(p: int, m: int) -> None:
@@ -220,8 +220,14 @@ def complement_prime_power_energy(p: int, m: int, alpha: float) -> float:
 # Regular cases: even-order unit-sum graphs and unitary Cayley graphs.
 
 
-def _ramanujan_values(n: int) -> list[int]:
-    return [ramanujan_sum(k, n) for k in range(n)]
+def _ramanujan_values(n: int) -> np.ndarray:
+    """c(k, n) for k = 0..n-1 as floats, one ramanujan_sum call per divisor gcd(k, n).
+
+    The sums are integers far below 2**53, so the floats are exact.
+    """
+    divisors, index = np.unique(np.gcd(np.arange(n), n), return_inverse=True)
+    # c(k, n) depends on k only through gcd(k, n); the divisor n stands for k = 0.
+    return np.array([ramanujan_sum(int(d) % n, n) for d in divisors], dtype=float)[index]
 
 
 def unitary_cayley_spectrum(n: int, alpha: float) -> Spectrum:
@@ -230,8 +236,8 @@ def unitary_cayley_spectrum(n: int, alpha: float) -> Spectrum:
         raise ValueError(f"need n >= 2, got {n}")
     alpha = _check_alpha(alpha, allow_one=True)
     phi = euler_phi(n)
-    vals = sorted((alpha * phi + (1.0 - alpha) * c for c in _ramanujan_values(n)), reverse=True)
-    return group_spectrum(np.asarray(vals), _CLOSED_GROUP_TOL)
+    vals = np.sort(alpha * phi + (1.0 - alpha) * _ramanujan_values(n))[::-1]
+    return group_spectrum(vals, _CLOSED_GROUP_TOL)
 
 
 def uacg_even_spectrum(n: int, alpha: float) -> Spectrum:
@@ -257,11 +263,9 @@ def complement_unitary_cayley_spectrum(n: int, alpha: float) -> Spectrum:
         raise ValueError(f"need n >= 2, got {n}")
     alpha = _check_alpha(alpha, allow_one=True)
     phi = euler_phi(n)
-    ram = _ramanujan_values(n)
-    vals = [n - 1.0 - phi]
-    vals.extend(alpha * (n - phi) - (1.0 - alpha) * c - 1.0 for c in ram[1:])
-    vals.sort(reverse=True)
-    return group_spectrum(np.asarray(vals), _CLOSED_GROUP_TOL)
+    rest = alpha * (n - phi) - (1.0 - alpha) * _ramanujan_values(n)[1:] - 1.0
+    vals = np.sort(np.append(rest, n - 1.0 - phi))[::-1]
+    return group_spectrum(vals, _CLOSED_GROUP_TOL)
 
 
 def complement_even_spectrum(n: int, alpha: float) -> Spectrum:
@@ -328,7 +332,10 @@ def _route(
     unit-sum graphs coincide with unitary Cayley graphs, so all of them take
     the (1-alpha)-scaling shortcut on a known adjacency energy.  Odd
     prime-power unit-sum graphs and complements have exact formulas.  Every
-    other spec is numeric, and both callables are None.
+    other spec is an odd-order unit-sum spec on the numeric route, solved by
+    the block eigensolver: its spectrum callable returns all n eigenvalues,
+    descending, for the caller to group, and its energy sums
+    multiplicity * |value - 2*alpha*m/n| over the blocks.
     """
     n = spec.n
     if spec.family == FAMILY_COMPLETE:
@@ -344,7 +351,17 @@ def _route(
         return METHOD_REGULAR, lambda a: spectrum(n, a), lambda a: regular_alpha_energy(eps0(n), a)
     pp = prime_power(n)
     if pp is None:
-        return METHOD_NUMERIC, None, None
+        edges = edge_count(spec)
+
+        def values(a: float) -> np.ndarray:
+            vals, mults = block_eigenvalues(spec, a)
+            return np.sort(np.repeat(vals, mults))[::-1]
+
+        def block_energy(a: float) -> float:
+            vals, mults = block_eigenvalues(spec, a)
+            return float(mults @ np.abs(vals - 2.0 * a * edges / n))
+
+        return METHOD_NUMERIC, values, block_energy
     p, m = pp
     spectrum, energy = (
         (complement_prime_power_spectrum, complement_prime_power_energy)
@@ -376,21 +393,25 @@ def spectrum_for(
 ) -> tuple[Spectrum, str]:
     """Spectrum of A_alpha plus the method actually used ("closed" or "numeric").
 
-    method "auto" prefers the exact formulas and falls back to the dense
-    eigensolver; "closed" raises ClosedFormUnavailable when no formula applies.
+    method "auto" prefers the exact formulas and otherwise uses the block
+    eigensolver; "closed" raises ClosedFormUnavailable when no formula
+    applies; "numeric" is the dense eigensolver, the oracle for both.
+    Numeric spectra are grouped at group_tol.
     """
     alpha = _check_alpha(alpha, allow_one=True)
     if method not in ("auto", "closed", "numeric"):
         raise ValueError(f"unknown method {method!r}")
     group_tol = _check_tol(group_tol)
-    closed_spectrum = None if method == "numeric" else _route(spec)[1]
-    if closed_spectrum is not None:
-        return closed_spectrum(alpha), "closed"
+    if method == "numeric":
+        return numeric_spectrum(spec, alpha, group_tol), "numeric"
+    route, spectrum, _ = _route(spec)
+    if route != METHOD_NUMERIC:
+        return spectrum(alpha), "closed"
     if method == "closed":
         raise ClosedFormUnavailable(
             f"no exact spectrum for {spec.label()} with n={spec.n} (odd, not a prime power)"
         )
-    return numeric_spectrum(spec, alpha, group_tol), "numeric"
+    return group_spectrum(spectrum(alpha), group_tol), "numeric"
 
 
 @dataclass(frozen=True)
@@ -411,19 +432,13 @@ def energy_report(spec: GraphSpec, alpha: float) -> EnergyReport:
 
     Regular families use the (1-alpha)-scaling shortcut on their known
     adjacency energies; odd prime-power unit-sum graphs and complements use
-    their exact formulas; everything else is numeric.
+    their exact formulas; every other spec uses the block eigensolver.
     """
     alpha = _check_alpha(alpha, allow_one=False)
     n = spec.n
     m = edge_count(spec)
     shift = 2.0 * alpha * m / n
-    method, _, closed_energy = _route(spec)
-    if closed_energy is not None:
-        energy = closed_energy(alpha)
-    else:
-        g = build_graph(spec)
-        vals = symmetric_eigenvalues(build_alpha_matrix(g, alpha))
-        energy = alpha_energy_from_values(vals, n, g.m, alpha)
+    method, _, energy = _route(spec)
     return EnergyReport(
-        spec=spec, alpha=alpha, n=n, m=m, shift=shift, energy=float(energy), method=method
+        spec=spec, alpha=alpha, n=n, m=m, shift=shift, energy=float(energy(alpha)), method=method
     )

@@ -18,6 +18,7 @@ import numpy as np
 from .numtheory import euler_phi
 
 __all__ = [
+    "DENSE_ORDER_LIMIT",
     "FAMILIES",
     "FAMILY_COMPLETE",
     "FAMILY_UACG",
@@ -41,6 +42,11 @@ FAMILY_UACG = "uacg"
 FAMILY_UNITARY_CAYLEY = "unitary-cayley"
 FAMILY_COMPLETE = "complete"
 FAMILIES = (FAMILY_UACG, FAMILY_UNITARY_CAYLEY, FAMILY_COMPLETE)
+
+# Largest order a dense graph is built for: one n x n int64 adjacency takes
+# 8*n**2 bytes (128 MiB at this limit), and the dense eigensolver's float
+# copies take as much again.  Routes that need no dense matrix have no limit.
+DENSE_ORDER_LIMIT = 4096
 
 
 @dataclass(frozen=True)
@@ -153,6 +159,11 @@ _BUILDERS = {
 
 
 def build_graph(spec: GraphSpec) -> Graph:
+    """Dense graph for a spec; ValueError above DENSE_ORDER_LIMIT, before allocating."""
+    if spec.n > DENSE_ORDER_LIMIT:
+        raise ValueError(
+            f"n={spec.n} exceeds the dense limit DENSE_ORDER_LIMIT={DENSE_ORDER_LIMIT}"
+        )
     g = _BUILDERS[spec.family](spec.n)
     return complement(g) if spec.complement else g
 

@@ -51,6 +51,15 @@ def _check_tol(tol: float) -> float:
     return tol
 
 
+def _check_alpha(alpha: float, *, allow_one: bool) -> float:
+    alpha = float(alpha)
+    hi_ok = alpha <= 1.0 if allow_one else alpha < 1.0
+    if not (0.0 <= alpha and hi_ok):
+        bound = "[0, 1]" if allow_one else "[0, 1)"
+        raise ValueError(f"alpha must lie in {bound}, got {alpha}")
+    return alpha
+
+
 def symmetric_eigenvalues(a: np.ndarray) -> np.ndarray:
     """All eigenvalues of a real symmetric matrix, sorted descending.
 
@@ -117,11 +126,10 @@ def group_spectrum(values: np.ndarray, tol: float = DEFAULT_GROUP_TOL) -> Spectr
         raise ValueError("values must be finite")
     if vals.size and np.any(np.diff(vals) > 0):
         raise ValueError("values must be sorted in descending order")
-    pairs: list[tuple[float, int]] = []
-    start = 0
-    for i in range(1, vals.size + 1):
-        if i == vals.size or vals[i - 1] - vals[i] > tol:
-            cluster = vals[start:i]
-            pairs.append((float(cluster.mean()), i - start))
-            start = i
-    return Spectrum(pairs=tuple(pairs), n=int(vals.size))
+    if vals.size == 0:
+        return Spectrum(pairs=(), n=0)
+    cuts = [0, *(np.flatnonzero(vals[:-1] - vals[1:] > tol) + 1).tolist(), vals.size]
+    pairs = tuple(
+        (float(vals[start:stop].mean()), stop - start) for start, stop in zip(cuts, cuts[1:])
+    )
+    return Spectrum(pairs=pairs, n=int(vals.size))

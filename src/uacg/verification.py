@@ -20,6 +20,7 @@ from .analysis import (
     find_borderenergetic_alphas,
     uacg_energy_bounds,
 )
+from .blocks import block_eigenvalues
 from .closedform import (
     ALPHA_GRID,
     alpha_energy_from_values,
@@ -34,13 +35,21 @@ from .closedform import (
     uacg_prime_power_spectrum,
     unitary_cayley_adjacency_energy,
 )
-from .graphs import FAMILY_UACG, GraphSpec, build_graph, complement, zagreb_index
+from .graphs import (
+    DENSE_ORDER_LIMIT,
+    FAMILY_UACG,
+    GraphSpec,
+    build_graph,
+    complement,
+    zagreb_index,
+)
 from .linalg import symmetric_eigenvalues
 from .numtheory import prime_power
 
 __all__ = [
     "CheckResult",
     "SCOPES",
+    "check_block_route",
     "check_complement_even_energy",
     "check_complement_identity",
     "check_energy_consistency",
@@ -118,6 +127,31 @@ def check_even_spectra(nmax: int, alphas=EVEN_ALPHAS, tol: float = 1e-8) -> Chec
                 if resid > worst:
                     worst, where = resid, f"n={n} complement={complement_flag} alpha={alpha}"
     return _result("even-order spectra vs eigensolver", worst, tol, cases, where)
+
+
+def check_block_route(nmax: int, alphas=ALPHA_GRID, tol: float = 1e-9) -> CheckResult:
+    """Block-eigensolver spectra vs the eigensolver on every odd order, and
+    vs the closed-form spectra on odd prime powers."""
+    worst, cases, where = 0.0, 0, ""
+    for n in range(3, nmax + 1, 2):
+        pp = prime_power(n)
+        for complement_flag in (False, True):
+            spec = GraphSpec(family=FAMILY_UACG, n=n, complement=complement_flag)
+            g = build_graph(spec)
+            closed = (
+                complement_prime_power_spectrum if complement_flag else uacg_prime_power_spectrum
+            )
+            for alpha in alphas:
+                vals, mults = block_eigenvalues(spec, alpha)
+                blocks = np.sort(np.repeat(vals, mults))[::-1]
+                refs = [symmetric_eigenvalues(build_alpha_matrix(g, alpha))]
+                if pp is not None:
+                    refs.append(closed(*pp, alpha).values())
+                resid = max(float(np.max(np.abs(blocks - ref))) for ref in refs)
+                cases += 1
+                if resid > worst:
+                    worst, where = resid, f"n={n} complement={complement_flag} alpha={alpha}"
+    return _result("block route vs eigensolver and closed forms", worst, tol, cases, where)
 
 
 def check_spectral_identities(
@@ -329,11 +363,16 @@ def check_roots(nmax: int, tol: float = 1e-8) -> CheckResult:
 
 
 def run_suite(scope: str, nmax: int) -> list[CheckResult]:
-    """All checks for a scope; raises ValueError on bad scope or nmax < 3."""
+    """All checks for a scope; ValueError on a bad scope or nmax outside
+    3..DENSE_ORDER_LIMIT, since every check builds dense graphs up to nmax."""
     if scope not in SCOPES:
         raise ValueError(f"scope must be one of {SCOPES}, got {scope!r}")
     if nmax < 3:
         raise ValueError(f"nmax must be >= 3, got {nmax}")
+    if nmax > DENSE_ORDER_LIMIT:
+        raise ValueError(
+            f"nmax={nmax} exceeds the dense limit DENSE_ORDER_LIMIT={DENSE_ORDER_LIMIT}"
+        )
     results: list[CheckResult] = []
     if scope in ("closedform", "all"):
         results.append(check_prime_power_spectra(nmax))
@@ -343,6 +382,7 @@ def run_suite(scope: str, nmax: int) -> list[CheckResult]:
         results.extend(check_energy_consistency(nmax))
         results.append(check_regular_shortcut(nmax))
         results.append(check_complement_even_energy(nmax))
+        results.append(check_block_route(nmax))
     if scope in ("bounds", "all"):
         results.append(check_interval_containment(nmax))
         results.append(check_energy_sandwich(nmax))

@@ -37,6 +37,7 @@ from uacg.closedform import (
     energy_report,
 )
 from uacg.graphs import (
+    DENSE_ORDER_LIMIT,
     FAMILY_COMPLETE,
     FAMILY_UACG,
     FAMILY_UNITARY_CAYLEY,
@@ -188,6 +189,10 @@ class TestBoundReport:
     def test_complement_report(self):
         rep = bound_report(GraphSpec(FAMILY_UACG, 15, complement=True), 0.25)
         assert all(b.satisfied for b in rep.per_index)
+
+    def test_rejects_order_above_dense_limit(self):
+        with pytest.raises(ValueError, match="DENSE_ORDER_LIMIT"):
+            bound_report(GraphSpec(FAMILY_UACG, DENSE_ORDER_LIMIT + 1), 0.25)
 
 
 class TestClassify:

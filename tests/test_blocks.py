@@ -1,0 +1,116 @@
+"""Tests for the exact block eigensolver on odd orders.
+
+Small orders are compared with the dense eigensolver by
+verification.check_block_route; here the orders are ones the dense
+oracle cannot reach, so the blocks are held to identities that need no
+n x n matrix: the multiplicities count every vertex, and the trace and
+second moment of A_alpha follow from the edge count and degrees.
+"""
+
+import numpy as np
+import pytest
+
+import uacg.closedform as closedform_mod
+import uacg.graphs as graphs_mod
+from uacg.blocks import block_eigenvalues, unit_sum_blocks
+from uacg.closedform import energy_report, spectrum_for
+from uacg.graphs import (
+    DENSE_ORDER_LIMIT,
+    FAMILY_UACG,
+    FAMILY_UNITARY_CAYLEY,
+    GraphSpec,
+    edge_count,
+)
+from uacg.numtheory import euler_phi, factorize, prime_power
+
+LARGE_ORDERS = (1155, 15015, 255255)
+ALPHAS = (0.0, 0.3, 0.7, 0.9999)
+
+
+def zagreb(n: int, complement: bool) -> int:
+    """Sum of squared degrees: phi - 1 on the phi units, phi elsewhere."""
+    phi = euler_phi(n)
+    degrees = {phi - 1: phi, phi: n - phi}
+    if complement:
+        degrees = {n - 1 - d: c for d, c in degrees.items()}
+    return sum(d * d * c for d, c in degrees.items())
+
+
+@pytest.mark.parametrize("n", LARGE_ORDERS)
+@pytest.mark.parametrize("comp", [False, True])
+class TestLargeOrders:
+    def test_multiplicities_sum_to_n(self, n, comp):
+        vals, mults = block_eigenvalues(GraphSpec(FAMILY_UACG, n, comp), 0.3)
+        assert vals.shape == mults.shape
+        assert np.all(mults > 0)
+        assert int(mults.sum()) == n
+
+    def test_trace_and_second_moment(self, n, comp):
+        spec = GraphSpec(FAMILY_UACG, n, comp)
+        m = edge_count(spec)
+        zeta = zagreb(n, comp)
+        for alpha in ALPHAS:
+            vals, mults = block_eigenvalues(spec, alpha)
+            trace = 2.0 * alpha * m
+            moment = alpha**2 * zeta + (1.0 - alpha) ** 2 * 2.0 * m
+            # At alpha = 0 the trace is 0, so its error is relative to the
+            # size of the terms that cancel.
+            scale = float(mults @ np.abs(vals))
+            assert float(mults @ vals) == pytest.approx(trace, rel=1e-10, abs=1e-10 * scale)
+            assert float(mults @ (vals * vals)) == pytest.approx(moment, rel=1e-10)
+
+    def test_energy_report_builds_no_dense_graph(self, n, comp, monkeypatch):
+        def refuse(spec):
+            raise AssertionError("dense graph built")
+
+        monkeypatch.setattr(closedform_mod, "build_graph", refuse)
+        monkeypatch.setattr(graphs_mod, "build_graph", refuse)
+        spec = GraphSpec(FAMILY_UACG, n, comp)
+        for alpha in ALPHAS:
+            rep = energy_report(spec, alpha)
+            assert rep.method == "numeric"
+            vals, mults = block_eigenvalues(spec, alpha)
+            assert rep.energy == pytest.approx(float(mults @ np.abs(vals - rep.shift)), rel=1e-12)
+
+
+class TestUnitSumBlocks:
+    def test_widths_and_count(self):
+        n = 15015
+        omega = factorize(n).num_distinct_primes
+        total = 0
+        for lsum, units, ones, mults in unit_sum_blocks(n):
+            width = lsum.shape[-1]
+            assert width <= 2**omega
+            assert lsum.shape == units.shape == ones.shape == (mults.size, width, width)
+            total += width * int(mults.sum())
+        assert total == n
+
+    def test_cached_arrays_are_read_only(self):
+        lsum, _, _, mults = unit_sum_blocks(1155)[0]
+        assert unit_sum_blocks(1155) is unit_sum_blocks(1155)
+        with pytest.raises(ValueError):
+            lsum[0, 0, 0] = 1.0
+        with pytest.raises(ValueError):
+            mults[0] = 1
+
+    @pytest.mark.parametrize("n", [1, 2, 1000])
+    def test_rejects_even_or_small_orders(self, n):
+        with pytest.raises(ValueError):
+            unit_sum_blocks(n)
+
+    def test_rejects_other_families(self):
+        with pytest.raises(ValueError):
+            block_eigenvalues(GraphSpec(FAMILY_UNITARY_CAYLEY, 15), 0.3)
+
+    @pytest.mark.parametrize("alpha", [-0.1, 1.5, float("nan")])
+    def test_rejects_bad_alpha(self, alpha):
+        with pytest.raises(ValueError):
+            block_eigenvalues(GraphSpec(FAMILY_UACG, 15), alpha)
+
+    def test_spectrum_above_dense_limit(self):
+        n = DENSE_ORDER_LIMIT + 1
+        assert n % 2 == 1 and prime_power(n) is None  # on the numeric route
+        spectrum, used = spectrum_for(GraphSpec(FAMILY_UACG, n), 0.5)
+        assert used == "numeric"
+        assert spectrum.n == n
+        assert sum(spectrum.multiplicities()) == n

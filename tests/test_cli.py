@@ -23,6 +23,7 @@ from uacg.cli import (
     EXIT_VERIFY_FAILED,
     main,
 )
+from uacg.graphs import DENSE_ORDER_LIMIT
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -115,6 +116,19 @@ class TestSpectrumCommand:
         assert code == EXIT_BAD_ARGS
         assert "error:" in err
 
+    def test_dense_method_above_limit_exits_2(self):
+        n = str(DENSE_ORDER_LIMIT + 1)
+        code, out, err = run_cli(
+            ["spectrum", "--family", "uacg", "--n", n, "--alpha", "0.5", "--method", "numeric"]
+        )
+        assert code == EXIT_BAD_ARGS
+        assert out == ""
+        assert "DENSE_ORDER_LIMIT" in err
+        # The block route builds no dense matrix, so auto has no limit.
+        code, out, _ = run_cli(["spectrum", "--family", "uacg", "--n", n, "--alpha", "0.5"])
+        assert code == EXIT_OK
+        assert json.loads(out)["results"]["method_used"] == "numeric"
+
 
 class TestEnergyCommand:
     def test_uacg_order_27(self):
@@ -176,6 +190,14 @@ class TestVerifyCommand:
         code, out, _ = run_cli(["verify", "--scope", "bounds", "--nmax", "21"])
         assert code == EXIT_OK
         assert "all checks passed" in out
+
+    def test_nmax_above_dense_limit_exits_2(self):
+        code, out, err = run_cli(
+            ["verify", "--scope", "closedform", "--nmax", str(DENSE_ORDER_LIMIT + 1)]
+        )
+        assert code == EXIT_BAD_ARGS
+        assert out == ""
+        assert "DENSE_ORDER_LIMIT" in err
 
     def test_nmax_too_small_exits_2(self):
         code, _, err = run_cli(["verify", "--scope", "all", "--nmax", "2"])

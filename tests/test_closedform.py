@@ -23,6 +23,7 @@ from uacg.closedform import (
     METHOD_CLOSED,
     METHOD_NUMERIC,
     METHOD_REGULAR,
+    _ramanujan_values,
     alpha_energy_from_values,
     build_alpha_matrix,
     complement_even_spectrum,
@@ -56,7 +57,13 @@ from uacg.graphs import (
     parse_spec_label,
 )
 from uacg.linalg import symmetric_eigenvalues
-from uacg.numtheory import euler_phi, factorize, largest_squarefree_divisor, prime_power
+from uacg.numtheory import (
+    euler_phi,
+    factorize,
+    largest_squarefree_divisor,
+    prime_power,
+    ramanujan_sum,
+)
 
 ODD_PRIME_POWERS = [3, 5, 7, 9, 11, 13, 25, 27, 49, 81, 121, 125]
 
@@ -224,6 +231,12 @@ class TestUnitaryCayleySpectrum:
                 closed = np.sort(unitary_cayley_spectrum(n, alpha).values())
                 dense = np.sort(dense_values(GraphSpec(FAMILY_UNITARY_CAYLEY, n), alpha))
                 assert np.max(np.abs(closed - dense)) <= 1e-8
+
+    def test_ramanujan_values_match_per_k_loop(self):
+        # One ramanujan_sum per divisor must give the per-k values exactly.
+        for n in [*range(1, 130), 1155, 4096]:
+            want = [ramanujan_sum(k, n) for k in range(n)]
+            assert _ramanujan_values(n).tolist() == want
 
     def test_adjacency_energy_closed_form(self):
         for n in (4, 6, 9, 12, 30, 105):
@@ -417,7 +430,7 @@ class TestEnergyReport:
         assert rep.energy == pytest.approx(8.438, abs=1e-3)
 
     def test_numeric_path_matches_dense(self):
-        for n in (14, 15, 21, 33):
+        for n in (14, 15, 21, 33, 1155):
             for comp in (False, True):
                 gspec = GraphSpec(FAMILY_UACG, n, complement=comp)
                 rep = energy_report(gspec, 0.4)

@@ -12,7 +12,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import uacg.graphs as graphs_mod
 from uacg.graphs import (
+    DENSE_ORDER_LIMIT,
     FAMILIES,
     FAMILY_COMPLETE,
     FAMILY_UACG,
@@ -176,6 +178,27 @@ class TestComplement:
     def test_structure(self):
         check_structure(complement(build_uacg(9)))
         check_structure(complement(build_unitary_cayley(10)))
+
+
+class TestDenseOrderLimit:
+    def test_limit_keeps_current_orders(self):
+        assert DENSE_ORDER_LIMIT >= 4096
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    @pytest.mark.parametrize("comp", [False, True])
+    def test_rejects_limit_plus_one_before_building(self, monkeypatch, family, comp):
+        def refuse(n):
+            raise AssertionError("builder reached")
+
+        monkeypatch.setitem(graphs_mod._BUILDERS, family, refuse)
+        with pytest.raises(ValueError, match="DENSE_ORDER_LIMIT"):
+            build_graph(GraphSpec(family, DENSE_ORDER_LIMIT + 1, comp))
+
+    def test_limit_itself_reaches_the_builder(self, monkeypatch):
+        built = []
+        monkeypatch.setitem(graphs_mod._BUILDERS, FAMILY_UACG, built.append)
+        build_graph(GraphSpec(FAMILY_UACG, DENSE_ORDER_LIMIT))
+        assert built == [DENSE_ORDER_LIMIT]
 
 
 class TestEdgeCount:

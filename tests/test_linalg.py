@@ -289,6 +289,25 @@ class TestGroupSpectrum:
         assert all(reps[i] - reps[i + 1] > tol for i in range(len(reps) - 1))
         assert spec.n == len(vals)
 
+    @given(
+        data=st.lists(
+            st.sampled_from([-2.0, -1.0, -1.0 + 1e-9, 0.0, 0.1, 0.3, 0.3 + 2e-8, 5.0]),
+            max_size=40,
+        ),
+        tol=st.sampled_from([1e-9, 1e-8, 1e-7, 0.25]),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_loop_reference(self, data, tol):
+        # The clustering loop group_spectrum replaced; results must be equal
+        # bit for bit, since the same slices are averaged.
+        vals = np.array(sorted(data, reverse=True), dtype=float)
+        pairs, start = [], 0
+        for i in range(1, vals.size + 1):
+            if i == vals.size or vals[i - 1] - vals[i] > tol:
+                pairs.append((float(vals[start:i].mean()), i - start))
+                start = i
+        assert group_spectrum(vals, tol=tol) == Spectrum(pairs=tuple(pairs), n=vals.size)
+
     def test_default_tolerance_constant(self):
         assert DEFAULT_GROUP_TOL == 1e-7
 

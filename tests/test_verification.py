@@ -8,9 +8,12 @@ over nothing.
 
 import pytest
 
+import uacg.verification as verification_mod
+from uacg.linalg import Spectrum
 from uacg.verification import (
     CheckResult,
     SCOPES,
+    check_block_route,
     check_complement_identity,
     check_energy_consistency,
     check_energy_sandwich,
@@ -83,6 +86,28 @@ class TestIndividualChecks:
         assert res.passed
         assert res.cases >= 9  # at least one root per odd prime power family
 
+    def test_block_route(self):
+        res = check_block_route(27, alphas=(0.0, 0.5))
+        # odd orders 3..27, 2 families, 2 alphas.
+        assert res.cases == 13 * 2 * 2
+        assert res.passed
+        assert res.worst <= 1e-9
+
+    def test_block_route_compares_closed_forms(self, monkeypatch):
+        # On odd prime powers the blocks are also held to the closed forms:
+        # a perturbed closed form must make the check fail.
+        real = verification_mod.uacg_prime_power_spectrum
+
+        def shifted(p, m, alpha):
+            s = real(p, m, alpha)
+            return Spectrum(pairs=tuple((v + 1e-6, k) for v, k in s.pairs), n=s.n)
+
+        monkeypatch.setattr(verification_mod, "uacg_prime_power_spectrum", shifted)
+        res = check_block_route(9, alphas=(0.3,))
+        assert not res.passed
+        assert res.worst == pytest.approx(1e-6, rel=1e-3)
+        assert "complement=False" in res.detail
+
     def test_tightened_tolerance_can_fail(self):
         # With an absurdly small tolerance the comparison must report
         # failure rather than silently passing; guards the plumbing.
@@ -94,11 +119,12 @@ class TestIndividualChecks:
 class TestRunSuite:
     def test_closedform_scope(self):
         results = run_suite("closedform", 25)
-        assert len(results) == 9
+        assert len(results) == 10
         assert all(r.passed for r in results)
         names = [r.name for r in results]
         assert "prime-power spectra vs eigensolver" in names
         assert "complement matrix identity" in names
+        assert "block route vs eigensolver and closed forms" in names
 
     def test_bounds_scope(self):
         results = run_suite("bounds", 15)
@@ -108,7 +134,7 @@ class TestRunSuite:
     def test_all_scope_adds_roots(self):
         results = run_suite("all", 15)
         names = [r.name for r in results]
-        assert len(results) == 12
+        assert len(results) == 13
         assert any("root" in name for name in names)
         assert all(r.passed for r in results)
 
