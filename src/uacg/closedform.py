@@ -31,6 +31,7 @@ from .linalg import (
     Spectrum,
     _check_alpha,
     _check_tol,
+    _group,
     group_spectrum,
     symmetric_eigenvalues,
 )
@@ -49,7 +50,6 @@ __all__ = [
     "EnergyReport",
     "alpha_energy_from_values",
     "build_alpha_matrix",
-    "complement_even_spectrum",
     "complement_prime_power_energy",
     "complement_prime_power_spectrum",
     "complement_unitary_cayley_adjacency_energy",
@@ -61,7 +61,6 @@ __all__ = [
     "numeric_spectrum",
     "regular_alpha_energy",
     "spectrum_for",
-    "uacg_even_spectrum",
     "uacg_prime_power_energy",
     "uacg_prime_power_spectrum",
     "unitary_cayley_adjacency_energy",
@@ -92,12 +91,20 @@ def _check_odd_prime_power(p: int, m: int) -> None:
         raise ValueError(f"m must be >= 1, got {m}")
 
 
+def _spectrum_from_pairs(
+    values: np.ndarray, counts: np.ndarray, tol: float = _CLOSED_GROUP_TOL
+) -> Spectrum:
+    """values[i] taken counts[i] times, grouped at tol without the repeats;
+    zero counts drop out."""
+    order = np.argsort(values)[::-1]
+    order = order[counts[order] > 0]
+    return _group(values[order], counts[order], tol)
+
+
 def _spectrum_from_families(families: list[tuple[float, int]], n: int) -> Spectrum:
-    values = np.concatenate(
-        [np.full(mult, val, dtype=float) for val, mult in families if mult > 0]
-    )
-    assert values.size == n
-    return group_spectrum(np.sort(values)[::-1], _CLOSED_GROUP_TOL)
+    values, counts = zip(*families)
+    assert sum(counts) == n
+    return _spectrum_from_pairs(np.array(values, dtype=float), np.array(counts, dtype=np.int64))
 
 
 def build_alpha_matrix(g: Graph, alpha: float) -> np.ndarray:
@@ -220,14 +227,19 @@ def complement_prime_power_energy(p: int, m: int, alpha: float) -> float:
 # Regular cases: even-order unit-sum graphs and unitary Cayley graphs.
 
 
-def _ramanujan_values(n: int) -> np.ndarray:
-    """c(k, n) for k = 0..n-1 as floats, one ramanujan_sum call per divisor gcd(k, n).
+def _ramanujan_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(c(d, n) as floats, phi(n/d)) over the divisors d of n, ascending.
 
-    The sums are integers far below 2**53, so the floats are exact.
+    c(k, n) depends on k only through d = gcd(k, n), which phi(n/d) of the k
+    in 0..n-1 share; the last divisor, n, stands for k = 0 alone.  The sums
+    are integers far below 2**53, so the floats are exact.
     """
-    divisors, index = np.unique(np.gcd(np.arange(n), n), return_inverse=True)
-    # c(k, n) depends on k only through gcd(k, n); the divisor n stands for k = 0.
-    return np.array([ramanujan_sum(int(d) % n, n) for d in divisors], dtype=float)[index]
+    divisors = [1]
+    for p, e in factorize(n).factors:
+        divisors = [d * p**i for d in divisors for i in range(e + 1)]
+    divisors.sort()
+    values = np.array([ramanujan_sum(d % n, n) for d in divisors], dtype=float)
+    return values, np.array([euler_phi(n // d) for d in divisors], dtype=np.int64)
 
 
 def unitary_cayley_spectrum(n: int, alpha: float) -> Spectrum:
@@ -235,20 +247,8 @@ def unitary_cayley_spectrum(n: int, alpha: float) -> Spectrum:
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
     alpha = _check_alpha(alpha, allow_one=True)
-    phi = euler_phi(n)
-    vals = np.sort(alpha * phi + (1.0 - alpha) * _ramanujan_values(n))[::-1]
-    return group_spectrum(vals, _CLOSED_GROUP_TOL)
-
-
-def uacg_even_spectrum(n: int, alpha: float) -> Spectrum:
-    """Alpha-matrix spectrum of the unit-sum Cayley graph for even n.
-
-    Even-order unit-sum and unitary Cayley graphs are isomorphic, so the
-    Ramanujan sums give the adjacency eigenvalues directly.
-    """
-    if n % 2 != 0:
-        raise ValueError(f"this closed form needs even n, got {n}")
-    return unitary_cayley_spectrum(n, alpha)
+    sums, counts = _ramanujan_pairs(n)
+    return _spectrum_from_pairs(alpha * euler_phi(n) + (1.0 - alpha) * sums, counts)
 
 
 def complement_unitary_cayley_spectrum(n: int, alpha: float) -> Spectrum:
@@ -263,16 +263,9 @@ def complement_unitary_cayley_spectrum(n: int, alpha: float) -> Spectrum:
         raise ValueError(f"need n >= 2, got {n}")
     alpha = _check_alpha(alpha, allow_one=True)
     phi = euler_phi(n)
-    rest = alpha * (n - phi) - (1.0 - alpha) * _ramanujan_values(n)[1:] - 1.0
-    vals = np.sort(np.append(rest, n - 1.0 - phi))[::-1]
-    return group_spectrum(vals, _CLOSED_GROUP_TOL)
-
-
-def complement_even_spectrum(n: int, alpha: float) -> Spectrum:
-    """Alpha-matrix spectrum of the complement of the unit-sum graph, even n."""
-    if n % 2 != 0:
-        raise ValueError(f"this closed form needs even n, got {n}")
-    return complement_unitary_cayley_spectrum(n, alpha)
+    sums, counts = _ramanujan_pairs(n)
+    rest = alpha * (n - phi) - (1.0 - alpha) * sums[:-1] - 1.0
+    return _spectrum_from_pairs(np.append(rest, n - 1.0 - phi), np.append(counts[:-1], 1))
 
 
 def unitary_cayley_adjacency_energy(n: int) -> int:
@@ -322,9 +315,7 @@ def complete_energy(n: int, alpha: float) -> float:
 # Dispatch over GraphSpec.
 
 
-def _route(
-    spec: GraphSpec,
-) -> tuple[str, Callable[[float], Spectrum] | None, Callable[[float], float] | None]:
+def _route(spec: GraphSpec) -> tuple[str, Callable, Callable[[float], float]]:
     """(method, spectrum(alpha), energy(alpha)) for the route that covers spec.
 
     This is the one place that splits specs into routes.  Complete and
@@ -333,8 +324,8 @@ def _route(
     the (1-alpha)-scaling shortcut on a known adjacency energy.  Odd
     prime-power unit-sum graphs and complements have exact formulas.  Every
     other spec is an odd-order unit-sum spec on the numeric route, solved by
-    the block eigensolver: its spectrum callable returns all n eigenvalues,
-    descending, for the caller to group, and its energy sums
+    the block eigensolver: its spectrum callable returns the blocks'
+    (values, multiplicities) for the caller to group, and its energy sums
     multiplicity * |value - 2*alpha*m/n| over the blocks.
     """
     n = spec.n
@@ -353,15 +344,11 @@ def _route(
     if pp is None:
         edges = edge_count(spec)
 
-        def values(a: float) -> np.ndarray:
-            vals, mults = block_eigenvalues(spec, a)
-            return np.sort(np.repeat(vals, mults))[::-1]
-
         def block_energy(a: float) -> float:
             vals, mults = block_eigenvalues(spec, a)
             return float(mults @ np.abs(vals - 2.0 * a * edges / n))
 
-        return METHOD_NUMERIC, values, block_energy
+        return METHOD_NUMERIC, lambda a: block_eigenvalues(spec, a), block_energy
     p, m = pp
     spectrum, energy = (
         (complement_prime_power_spectrum, complement_prime_power_energy)
@@ -411,7 +398,7 @@ def spectrum_for(
         raise ClosedFormUnavailable(
             f"no exact spectrum for {spec.label()} with n={spec.n} (odd, not a prime power)"
         )
-    return group_spectrum(spectrum(alpha), group_tol), "numeric"
+    return _spectrum_from_pairs(*spectrum(alpha), group_tol), "numeric"
 
 
 @dataclass(frozen=True)

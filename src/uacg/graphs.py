@@ -74,13 +74,11 @@ class GraphSpec:
 
 
 def parse_spec_label(label: str, n: int) -> GraphSpec:
-    """Inverse of GraphSpec.label for the names accepted on the command line."""
+    """Inverse of GraphSpec.label."""
     comp = label.startswith("complement-")
     family = label.removeprefix("complement-")
     if family not in FAMILIES:
         raise ValueError(f"unknown family label {label!r}")
-    if comp and family == FAMILY_COMPLETE:
-        raise ValueError("complement of the complete graph is out of scope (edgeless)")
     return GraphSpec(family, n, comp)
 
 

@@ -126,10 +126,47 @@ def group_spectrum(values: np.ndarray, tol: float = DEFAULT_GROUP_TOL) -> Spectr
         raise ValueError("values must be finite")
     if vals.size and np.any(np.diff(vals) > 0):
         raise ValueError("values must be sorted in descending order")
+    return _group(vals, np.ones(vals.size, dtype=np.int64), tol)
+
+
+def _group(vals: np.ndarray, counts: np.ndarray, tol: float) -> Spectrum:
+    """group_spectrum(np.repeat(vals, counts), tol) for descending vals and
+    positive counts, bit for bit, without the repeat."""
     if vals.size == 0:
         return Spectrum(pairs=(), n=0)
     cuts = [0, *(np.flatnonzero(vals[:-1] - vals[1:] > tol) + 1).tolist(), vals.size]
+    sizes = np.add.reduceat(counts, cuts[:-1]).tolist()
+    memo: dict[tuple[float, int], float] = {}
     pairs = tuple(
-        (float(vals[start:stop].mean()), stop - start) for start, stop in zip(cuts, cuts[1:])
+        (_repeat_sum(vals[start:stop], counts[start:stop], k, memo) / k, k)
+        for start, stop, k in zip(cuts, cuts[1:], sizes)
     )
-    return Spectrum(pairs=pairs, n=int(vals.size))
+    return Spectrum(pairs=pairs, n=sum(sizes))
+
+
+def _repeat_sum(vals: np.ndarray, counts: np.ndarray, k: int, memo: dict) -> float:
+    """np.repeat(vals, counts).sum() bit for bit, where k = counts.sum().
+
+    numpy sums float64 pairwise: more than 128 values are split at half their
+    number rounded down to a multiple of 8, and each part is summed the same
+    way.  Following those splits expands at most 128 values at a time, and k
+    copies of one value are summed once per (value, k) in memo.  Were numpy
+    to split differently, the result would still be the sum to rounding.
+    """
+    if k <= 128 or k == vals.size:
+        return float(np.repeat(vals, counts).sum())
+    key = (float(vals[0]), k)
+    if vals.size == 1 and key in memo:
+        return memo[key]
+    half = k // 2 - k // 2 % 8
+    ends = np.cumsum(counts)
+    i = int(np.searchsorted(ends, half))  # the entry holding the left part's last value
+    j = i + int(ends[i] == half)  # the entry holding the right part's first value
+    left, right = counts[: i + 1].copy(), counts[j:].copy()
+    left[-1] -= ends[i] - half
+    right[0] = ends[j] - half
+    left_sum = _repeat_sum(vals[: i + 1], left, half, memo)
+    total = left_sum + _repeat_sum(vals[j:], right, k - half, memo)
+    if vals.size == 1:
+        memo[key] = total
+    return total

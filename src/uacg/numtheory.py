@@ -16,7 +16,6 @@ __all__ = [
     "Factorization",
     "euler_phi",
     "factorize",
-    "gcd",
     "is_prime",
     "largest_squarefree_divisor",
     "mobius",
@@ -43,11 +42,6 @@ class Factorization:
     @property
     def num_distinct_primes(self) -> int:
         return len(self.factors)
-
-
-def gcd(a: int, b: int) -> int:
-    """Greatest common divisor with gcd(0, n) == n."""
-    return math.gcd(a, b)
 
 
 @lru_cache(maxsize=None)

@@ -8,6 +8,7 @@ line per check; the test suite asserts on the same results.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,12 +26,11 @@ from .closedform import (
     ALPHA_GRID,
     alpha_energy_from_values,
     build_alpha_matrix,
-    complement_even_spectrum,
     complement_prime_power_energy,
-    complement_prime_power_spectrum,
     complement_unitary_cayley_adjacency_energy,
     complete_energy,
-    uacg_even_spectrum,
+    has_closed_spectrum,
+    spectrum_for,
     uacg_prime_power_energy,
     uacg_prime_power_spectrum,
     unitary_cayley_adjacency_energy,
@@ -38,6 +38,7 @@ from .closedform import (
 from .graphs import (
     DENSE_ORDER_LIMIT,
     FAMILY_UACG,
+    Graph,
     GraphSpec,
     build_graph,
     complement,
@@ -84,74 +85,69 @@ def odd_prime_powers(nmax: int) -> list[int]:
     return [q for q in range(3, nmax + 1, 2) if prime_power(q) is not None]
 
 
-def _result(name: str, worst: float, tol: float, cases: int, detail: str) -> CheckResult:
-    return CheckResult(name=name, passed=worst <= tol, worst=worst, cases=cases, detail=detail)
+def _worst(name: str, tol: float, rows: Iterable[tuple[float, int, str]]) -> CheckResult:
+    """Reduce (residual, cases, location) rows to one result: the largest
+    residual with its first location ("" while every residual is 0), and the
+    total case count."""
+    worst, cases, where = 0.0, 0, ""
+    for resid, count, location in rows:
+        cases += count
+        if resid > worst:
+            worst, where = resid, location
+    return CheckResult(name=name, passed=worst <= tol, worst=worst, cases=cases, detail=where)
+
+
+def _dense(
+    ns: Iterable[int], alphas: Iterable[float], flags: Iterable[bool] = (False, True)
+) -> Iterator[tuple[GraphSpec, Graph, float, np.ndarray]]:
+    """(spec, graph, alpha, descending dense eigenvalues) for the unit-sum
+    spec at each order in ns and complement flag in flags: one graph per
+    spec and one dense eigensolve per alpha."""
+    for n in ns:
+        for flag in flags:
+            spec = GraphSpec(family=FAMILY_UACG, n=n, complement=flag)
+            g = build_graph(spec)
+            for alpha in alphas:
+                yield spec, g, alpha, symmetric_eigenvalues(build_alpha_matrix(g, alpha))
+
+
+def _at(spec: GraphSpec, alpha: float) -> str:
+    return f"n={spec.n} complement={spec.complement} alpha={alpha}"
+
+
+def _closed_rows(ns: Iterable[int], alphas: Iterable[float]) -> list[tuple[float, int, str]]:
+    """Rows comparing the route table's closed spectrum with the eigensolver."""
+    rows = []
+    for spec, _, alpha, vals in _dense(ns, alphas):
+        closed = spectrum_for(spec, alpha, method="closed")[0].values()
+        rows.append((float(np.max(np.abs(closed - vals))), 1, _at(spec, alpha)))
+    return rows
 
 
 def check_prime_power_spectra(nmax: int, alphas=ALPHA_GRID, tol: float = 1e-8) -> CheckResult:
     """Closed-form spectra vs the eigensolver on odd prime-power orders."""
-    worst, cases, where = 0.0, 0, ""
-    for q in odd_prime_powers(nmax):
-        p, m = prime_power(q)
-        for complement_flag in (False, True):
-            spec = GraphSpec(family=FAMILY_UACG, n=q, complement=complement_flag)
-            g = build_graph(spec)
-            for alpha in alphas:
-                if complement_flag:
-                    closed = complement_prime_power_spectrum(p, m, alpha)
-                else:
-                    closed = uacg_prime_power_spectrum(p, m, alpha)
-                numeric = symmetric_eigenvalues(build_alpha_matrix(g, alpha))
-                resid = float(np.max(np.abs(closed.values() - numeric)))
-                cases += 1
-                if resid > worst:
-                    worst, where = resid, f"n={q} complement={complement_flag} alpha={alpha}"
-    return _result("prime-power spectra vs eigensolver", worst, tol, cases, where)
+    rows = _closed_rows(odd_prime_powers(nmax), alphas)
+    return _worst("prime-power spectra vs eigensolver", tol, rows)
 
 
 def check_even_spectra(nmax: int, alphas=EVEN_ALPHAS, tol: float = 1e-8) -> CheckResult:
     """Character-sum spectra vs the eigensolver on even orders."""
-    worst, cases, where = 0.0, 0, ""
-    for n in range(2, nmax + 1, 2):
-        for complement_flag in (False, True):
-            spec = GraphSpec(family=FAMILY_UACG, n=n, complement=complement_flag)
-            g = build_graph(spec)
-            for alpha in alphas:
-                if complement_flag:
-                    closed = complement_even_spectrum(n, alpha)
-                else:
-                    closed = uacg_even_spectrum(n, alpha)
-                numeric = symmetric_eigenvalues(build_alpha_matrix(g, alpha))
-                resid = float(np.max(np.abs(closed.values() - numeric)))
-                cases += 1
-                if resid > worst:
-                    worst, where = resid, f"n={n} complement={complement_flag} alpha={alpha}"
-    return _result("even-order spectra vs eigensolver", worst, tol, cases, where)
+    rows = _closed_rows(range(2, nmax + 1, 2), alphas)
+    return _worst("even-order spectra vs eigensolver", tol, rows)
 
 
 def check_block_route(nmax: int, alphas=ALPHA_GRID, tol: float = 1e-9) -> CheckResult:
     """Block-eigensolver spectra vs the eigensolver on every odd order, and
     vs the closed-form spectra on odd prime powers."""
-    worst, cases, where = 0.0, 0, ""
-    for n in range(3, nmax + 1, 2):
-        pp = prime_power(n)
-        for complement_flag in (False, True):
-            spec = GraphSpec(family=FAMILY_UACG, n=n, complement=complement_flag)
-            g = build_graph(spec)
-            closed = (
-                complement_prime_power_spectrum if complement_flag else uacg_prime_power_spectrum
-            )
-            for alpha in alphas:
-                vals, mults = block_eigenvalues(spec, alpha)
-                blocks = np.sort(np.repeat(vals, mults))[::-1]
-                refs = [symmetric_eigenvalues(build_alpha_matrix(g, alpha))]
-                if pp is not None:
-                    refs.append(closed(*pp, alpha).values())
-                resid = max(float(np.max(np.abs(blocks - ref))) for ref in refs)
-                cases += 1
-                if resid > worst:
-                    worst, where = resid, f"n={n} complement={complement_flag} alpha={alpha}"
-    return _result("block route vs eigensolver and closed forms", worst, tol, cases, where)
+    rows = []
+    for spec, _, alpha, dense in _dense(range(3, nmax + 1, 2), alphas):
+        vals, mults = block_eigenvalues(spec, alpha)
+        blocks = np.sort(np.repeat(vals, mults))[::-1]
+        refs = [dense]
+        if has_closed_spectrum(spec):
+            refs.append(spectrum_for(spec, alpha, method="closed")[0].values())
+        rows.append((max(float(np.max(np.abs(blocks - ref))) for ref in refs), 1, _at(spec, alpha)))
+    return _worst("block route vs eigensolver and closed forms", tol, rows)
 
 
 def check_spectral_identities(
@@ -162,35 +158,26 @@ def check_spectral_identities(
     Sum of eigenvalues must equal 2*alpha*m and sum of squares must equal
     alpha^2*zeta + (1-alpha)^2*2m, relative to scale 1 + |target|.
     """
-    trace_worst, sq_worst, cases = 0.0, 0.0, 0
-    trace_where, sq_where = "", ""
-    for n in range(2, nmax + 1):
-        base = build_graph(GraphSpec(family=FAMILY_UACG, n=n))
-        for g in (base, complement(base)):
-            zeta = zagreb_index(g)
-            for alpha in alphas:
-                vals = symmetric_eigenvalues(build_alpha_matrix(g, alpha))
-                cases += 1
-                trace_target = 2.0 * alpha * g.m
-                resid = abs(float(vals.sum()) - trace_target) / (1.0 + abs(trace_target))
-                if resid > trace_worst:
-                    trace_worst = resid
-                    trace_where = f"n={n} complement={g.spec.complement} alpha={alpha}"
-                sq_target = alpha**2 * zeta + (1.0 - alpha) ** 2 * 2.0 * g.m
-                resid = abs(float((vals * vals).sum()) - sq_target) / (1.0 + sq_target)
-                if resid > sq_worst:
-                    sq_worst = resid
-                    sq_where = f"n={n} complement={g.spec.complement} alpha={alpha}"
+    trace_rows, sq_rows, zeta = [], [], {}
+    for spec, g, alpha, vals in _dense(range(2, nmax + 1), alphas):
+        trace_target = 2.0 * alpha * g.m
+        resid = abs(float(vals.sum()) - trace_target) / (1.0 + abs(trace_target))
+        trace_rows.append((resid, 1, _at(spec, alpha)))
+        if spec not in zeta:
+            zeta[spec] = zagreb_index(g)
+        sq_target = alpha**2 * zeta[spec] + (1.0 - alpha) ** 2 * 2.0 * g.m
+        resid = abs(float((vals * vals).sum()) - sq_target) / (1.0 + sq_target)
+        sq_rows.append((resid, 1, _at(spec, alpha)))
     return [
-        _result("trace identity", trace_worst, rtol, cases, trace_where),
-        _result("second-moment identity", sq_worst, rtol, cases, sq_where),
+        _worst("trace identity", rtol, trace_rows),
+        _worst("second-moment identity", rtol, sq_rows),
     ]
 
 
 def check_complement_identity(nmax: int, alphas=ALPHA_GRID, rtol: float = 1e-8) -> CheckResult:
     """A_alpha(G) + A_alpha(complement) must be alpha*(n-1) on the diagonal
     and (1-alpha) off it."""
-    worst, cases, where = 0.0, 0, ""
+    rows = []
     for n in range(2, nmax + 1):
         g = build_graph(GraphSpec(family=FAMILY_UACG, n=n))
         h = complement(g)
@@ -199,11 +186,8 @@ def check_complement_identity(nmax: int, alphas=ALPHA_GRID, rtol: float = 1e-8) 
             target = np.full((n, n), 1.0 - alpha)
             np.fill_diagonal(target, alpha * (n - 1.0))
             scale = 1.0 + max(alpha * (n - 1.0), 1.0 - alpha)
-            resid = float(np.max(np.abs(total - target))) / scale
-            cases += 1
-            if resid > worst:
-                worst, where = resid, f"n={n} alpha={alpha}"
-    return _result("complement matrix identity", worst, rtol, cases, where)
+            rows.append((float(np.max(np.abs(total - target))) / scale, 1, f"n={n} alpha={alpha}"))
+    return _worst("complement matrix identity", rtol, rows)
 
 
 def _tabulated_complement_values(p: int, m: int, alpha: float) -> np.ndarray:
@@ -229,115 +213,79 @@ def _tabulated_complement_values(p: int, m: int, alpha: float) -> np.ndarray:
 
 def check_energy_consistency(nmax: int, alphas=ALPHA_GRID, tol: float = 1e-9) -> list[CheckResult]:
     """Energy formulas vs energies recomputed from their value multisets."""
-    uacg_worst, comp_worst, cases = 0.0, 0.0, 0
-    uacg_where, comp_where = "", ""
+    uacg_rows, comp_rows = [], []
     for q in odd_prime_powers(nmax):
         p, m = prime_power(q)
         phi = q - q // p
         edges = (q - 1) * phi // 2
         comp_edges = q * (q - 1) // 2 - edges
         for alpha in alphas:
-            cases += 1
             spec_energy = alpha_energy_from_values(
                 uacg_prime_power_spectrum(p, m, alpha).values(), q, edges, alpha
             )
             resid = abs(uacg_prime_power_energy(p, m, alpha) - spec_energy)
-            if resid > uacg_worst:
-                uacg_worst, uacg_where = resid, f"n={q} alpha={alpha}"
+            uacg_rows.append((resid, 1, f"n={q} alpha={alpha}"))
             multiset_energy = alpha_energy_from_values(
                 _tabulated_complement_values(p, m, alpha), q, comp_edges, alpha
             )
             resid = abs(complement_prime_power_energy(p, m, alpha) - multiset_energy)
-            if resid > comp_worst:
-                comp_worst, comp_where = resid, f"n={q} alpha={alpha}"
+            comp_rows.append((resid, 1, f"n={q} alpha={alpha}"))
     return [
-        _result("prime-power energy vs spectrum", uacg_worst, tol, cases, uacg_where),
-        _result(
-            "complement energy formula vs generating multiset", comp_worst, tol, cases, comp_where
-        ),
+        _worst("prime-power energy vs spectrum", tol, uacg_rows),
+        _worst("complement energy formula vs generating multiset", tol, comp_rows),
     ]
 
 
 def check_regular_shortcut(nmax: int, alphas=(0.3, 0.7), tol: float = 1e-8) -> CheckResult:
     """Even orders are regular: energy must scale as (1-alpha) times the
     adjacency energy, and the adjacency energy must match its closed form."""
-    worst, cases, where = 0.0, 0, ""
-    for n in range(2, nmax + 1, 2):
-        g = build_graph(GraphSpec(family=FAMILY_UACG, n=n))
-        base_vals = symmetric_eigenvalues(build_alpha_matrix(g, 0.0))
-        base = alpha_energy_from_values(base_vals, n, g.m, 0.0)
-        resid = abs(base - unitary_cayley_adjacency_energy(n))
-        cases += 1
-        if resid > worst:
-            worst, where = resid, f"n={n} alpha=0"
-        for alpha in alphas:
-            vals = symmetric_eigenvalues(build_alpha_matrix(g, alpha))
-            energy = alpha_energy_from_values(vals, n, g.m, alpha)
-            resid = abs(energy - (1.0 - alpha) * base)
-            cases += 1
-            if resid > worst:
-                worst, where = resid, f"n={n} alpha={alpha}"
-    return _result("regular energy shortcut (even orders)", worst, tol, cases, where)
+    rows, base = [], {}
+    for spec, g, alpha, vals in _dense(range(2, nmax + 1, 2), (0.0, *alphas), (False,)):
+        n = spec.n
+        energy = alpha_energy_from_values(vals, n, g.m, alpha)
+        if n not in base:  # the first alpha of each order is 0
+            base[n] = energy
+            rows.append((abs(energy - unitary_cayley_adjacency_energy(n)), 1, f"n={n} alpha=0"))
+        else:
+            rows.append((abs(energy - (1.0 - alpha) * base[n]), 1, f"n={n} alpha={alpha}"))
+    return _worst("regular energy shortcut (even orders)", tol, rows)
 
 
 def check_complement_even_energy(nmax: int, tol: float = 1e-8) -> CheckResult:
     """Even-order complement adjacency energy vs its closed form."""
-    worst, cases, where = 0.0, 0, ""
-    for n in range(2, nmax + 1, 2):
-        g = build_graph(GraphSpec(family=FAMILY_UACG, n=n, complement=True))
-        vals = symmetric_eigenvalues(build_alpha_matrix(g, 0.0))
-        energy = alpha_energy_from_values(vals, n, g.m, 0.0)
-        resid = abs(energy - complement_unitary_cayley_adjacency_energy(n))
-        cases += 1
-        if resid > worst:
-            worst, where = resid, f"n={n}"
-    return _result("complement adjacency energy (even orders)", worst, tol, cases, where)
+    rows = []
+    for spec, g, _, vals in _dense(range(2, nmax + 1, 2), (0.0,), (True,)):
+        resid = abs(
+            alpha_energy_from_values(vals, spec.n, g.m, 0.0)
+            - complement_unitary_cayley_adjacency_energy(spec.n)
+        )
+        rows.append((resid, 1, f"n={spec.n}"))
+    return _worst("complement adjacency energy (even orders)", tol, rows)
 
 
 def check_interval_containment(
     nmax: int, alphas=BOUND_ALPHAS, slack: float = 1e-8
 ) -> CheckResult:
     """Every numeric eigenvalue must fall in its rank interval (odd orders)."""
-    worst, cases, where = 0.0, 0, ""
-    for n in range(3, nmax + 1, 2):
-        for complement_flag in (False, True):
-            spec = GraphSpec(family=FAMILY_UACG, n=n, complement=complement_flag)
-            g = build_graph(spec)
-            for alpha in alphas:
-                intervals = eigenvalue_intervals(spec, alpha)
-                observed = symmetric_eigenvalues(build_alpha_matrix(g, alpha))
-                lower = np.array([b.lower for b in intervals])
-                upper = np.array([b.upper for b in intervals])
-                violation = float(
-                    np.max(np.maximum(lower - observed, observed - upper))
-                )
-                cases += n
-                if violation > worst:
-                    worst = violation
-                    where = f"n={n} complement={complement_flag} alpha={alpha}"
-    return _result("eigenvalue interval containment", worst, slack, cases, where)
+    rows = []
+    for spec, _, alpha, observed in _dense(range(3, nmax + 1, 2), alphas):
+        intervals = eigenvalue_intervals(spec, alpha)
+        lower = np.array([b.lower for b in intervals])
+        upper = np.array([b.upper for b in intervals])
+        violation = float(np.max(np.maximum(lower - observed, observed - upper)))
+        rows.append((violation, spec.n, _at(spec, alpha)))
+    return _worst("eigenvalue interval containment", slack, rows)
 
 
 def check_energy_sandwich(nmax: int, alphas=SANDWICH_ALPHAS, slack: float = 1e-8) -> CheckResult:
     """All four lower bounds <= numeric energy <= upper bound (odd orders)."""
-    worst, cases, where = 0.0, 0, ""
-    for n in range(3, nmax + 1, 2):
-        for complement_flag in (False, True):
-            spec = GraphSpec(family=FAMILY_UACG, n=n, complement=complement_flag)
-            g = build_graph(spec)
-            for alpha in alphas:
-                vals = symmetric_eigenvalues(build_alpha_matrix(g, alpha))
-                energy = alpha_energy_from_values(vals, n, g.m, alpha)
-                if complement_flag:
-                    lowers, upper = complement_energy_bounds(n, alpha)
-                else:
-                    lowers, upper = uacg_energy_bounds(n, alpha)
-                violation = max(max(lowers.values()) - energy, energy - upper)
-                cases += 1
-                if violation > worst:
-                    worst = violation
-                    where = f"n={n} complement={complement_flag} alpha={alpha}"
-    return _result("energy bound sandwich", worst, slack, cases, where)
+    rows = []
+    for spec, g, alpha, vals in _dense(range(3, nmax + 1, 2), alphas):
+        energy = alpha_energy_from_values(vals, spec.n, g.m, alpha)
+        bounds = complement_energy_bounds if spec.complement else uacg_energy_bounds
+        lowers, upper = bounds(spec.n, alpha)
+        rows.append((max(max(lowers.values()) - energy, energy - upper), 1, _at(spec, alpha)))
+    return _worst("energy bound sandwich", slack, rows)
 
 
 def check_roots(nmax: int, tol: float = 1e-8) -> CheckResult:
@@ -346,7 +294,7 @@ def check_roots(nmax: int, tol: float = 1e-8) -> CheckResult:
     At each root the energy gap to the complete graph must vanish within tol
     and classification at tolerance 1e-6 must come back borderenergetic.
     """
-    worst, cases, where = 0.0, 0, ""
+    rows = []
     for q in odd_prime_powers(nmax):
         for complement_flag in (False, True):
             spec = GraphSpec(family=FAMILY_UACG, n=q, complement=complement_flag)
@@ -355,11 +303,8 @@ def check_roots(nmax: int, tol: float = 1e-8) -> CheckResult:
                 resid = abs(report.energy - complete_energy(q, root))
                 if report.verdict != VERDICT_BORDER:
                     resid = max(resid, 1.0)  # classification disagreement is a failure
-                cases += 1
-                if resid > worst:
-                    worst = resid
-                    where = f"n={q} complement={complement_flag} root={root}"
-    return _result("borderenergetic root re-evaluation", worst, tol, cases, where)
+                rows.append((resid, 1, f"n={q} complement={complement_flag} root={root}"))
+    return _worst("borderenergetic root re-evaluation", tol, rows)
 
 
 def run_suite(scope: str, nmax: int) -> list[CheckResult]:

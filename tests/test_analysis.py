@@ -35,6 +35,7 @@ from uacg.closedform import (
     build_alpha_matrix,
     complete_energy,
     energy_report,
+    spectrum_for,
 )
 from uacg.graphs import (
     DENSE_ORDER_LIMIT,
@@ -43,6 +44,7 @@ from uacg.graphs import (
     FAMILY_UNITARY_CAYLEY,
     GraphSpec,
     build_graph,
+    parse_spec_label,
 )
 from uacg.linalg import symmetric_eigenvalues
 from uacg.numtheory import prime_power
@@ -233,6 +235,22 @@ class TestClassify:
     def test_complete_graph_is_always_borderenergetic(self):
         rep = classify(GraphSpec(FAMILY_COMPLETE, 9), 0.4)
         assert rep.verdict == VERDICT_BORDER
+
+
+class TestEdgelessSpecs:
+    @pytest.mark.parametrize(
+        "label, n",
+        [("complement-complete", 5), ("complement-uacg", 2), ("complement-unitary-cayley", 2)],
+    )
+    def test_energy_spectrum_verdict_and_roots(self, label, n):
+        spec = parse_spec_label(label, n)
+        for alpha in (0.0, 0.3, 0.7):
+            assert energy_report(spec, alpha).energy == 0.0
+            spectrum, _ = spectrum_for(spec, alpha)
+            assert spectrum.pairs == ((0.0, n),)
+            assert spectrum == spectrum_for(spec, alpha, method="numeric")[0]
+            assert classify(spec, alpha).verdict == VERDICT_NEITHER
+        assert find_borderenergetic_alphas(spec) == []
 
 
 class TestRootFinder:

@@ -23,10 +23,9 @@ from uacg.closedform import (
     METHOD_CLOSED,
     METHOD_NUMERIC,
     METHOD_REGULAR,
-    _ramanujan_values,
+    _ramanujan_pairs,
     alpha_energy_from_values,
     build_alpha_matrix,
-    complement_even_spectrum,
     complement_prime_power_energy,
     complement_prime_power_spectrum,
     complement_unitary_cayley_adjacency_energy,
@@ -38,7 +37,6 @@ from uacg.closedform import (
     numeric_spectrum,
     regular_alpha_energy,
     spectrum_for,
-    uacg_even_spectrum,
     uacg_prime_power_energy,
     uacg_prime_power_spectrum,
     unitary_cayley_adjacency_energy,
@@ -71,6 +69,11 @@ ODD_PRIME_POWERS = [3, 5, 7, 9, 11, 13, 25, 27, 49, 81, 121, 125]
 def dense_values(spec: GraphSpec, alpha: float) -> np.ndarray:
     """Numeric route: eigensolve the explicitly assembled matrix."""
     return symmetric_eigenvalues(build_alpha_matrix(build_graph(spec), alpha))
+
+
+def even_spectrum(n: int, alpha: float, complement: bool = False):
+    """The route table's closed spectrum of the unit-sum family at order n."""
+    return spectrum_for(GraphSpec(FAMILY_UACG, n, complement), alpha, method="closed")[0]
 
 
 def dense_energy(spec: GraphSpec, alpha: float) -> float:
@@ -202,26 +205,27 @@ class TestPrimePowerEnergy:
 
 class TestEvenSpectrum:
     def test_order_4_adjacency(self):
-        assert uacg_even_spectrum(4, 0.0).pairs == ((2.0, 1), (0.0, 2), (-2.0, 1))
+        assert even_spectrum(4, 0.0).pairs == ((2.0, 1), (0.0, 2), (-2.0, 1))
 
     def test_order_4_degree_diagonal(self):
-        assert uacg_even_spectrum(4, 1.0).pairs == ((2.0, 4),)
+        assert even_spectrum(4, 1.0).pairs == ((2.0, 4),)
 
     def test_order_6_extremes(self):
-        vals = uacg_even_spectrum(6, 0.0).values()
+        vals = even_spectrum(6, 0.0).values()
         assert vals[0] == pytest.approx(2.0, abs=1e-12)
         assert vals[-1] == pytest.approx(-2.0, abs=1e-12)
 
     def test_matches_dense_route(self):
         for n in (4, 6, 8, 10, 12, 30, 60):
             for alpha in (0.0, 0.3, 0.7, 0.9999, 1.0):
-                closed = np.sort(uacg_even_spectrum(n, alpha).values())
+                closed = np.sort(even_spectrum(n, alpha).values())
                 dense = np.sort(dense_values(GraphSpec(FAMILY_UACG, n), alpha))
                 assert np.max(np.abs(closed - dense)) <= 1e-8
 
     def test_rejects_odd_order(self):
-        with pytest.raises(ValueError):
-            uacg_even_spectrum(9, 0.0)
+        # The even-order form does not reach odd orders: n = 15 has no closed form.
+        with pytest.raises(ClosedFormUnavailable):
+            even_spectrum(15, 0.0)
 
 
 class TestUnitaryCayleySpectrum:
@@ -233,10 +237,13 @@ class TestUnitaryCayleySpectrum:
                 assert np.max(np.abs(closed - dense)) <= 1e-8
 
     def test_ramanujan_values_match_per_k_loop(self):
-        # One ramanujan_sum per divisor must give the per-k values exactly.
+        # One ramanujan_sum per divisor d, taken phi(n/d) times, must give the
+        # per-k values exactly, with k = 0 alone in the last pair.
         for n in [*range(1, 130), 1155, 4096]:
-            want = [ramanujan_sum(k, n) for k in range(n)]
-            assert _ramanujan_values(n).tolist() == want
+            values, counts = _ramanujan_pairs(n)
+            want = sorted(ramanujan_sum(k, n) for k in range(n))
+            assert sorted(np.repeat(values, counts).tolist()) == want
+            assert (values[-1], counts[-1]) == (ramanujan_sum(0, n), 1)
 
     def test_adjacency_energy_closed_form(self):
         for n in (4, 6, 9, 12, 30, 105):
@@ -313,13 +320,13 @@ class TestComplementPrimePowerEnergy:
 
 class TestComplementEvenSpectrum:
     def test_order_4(self):
-        assert complement_even_spectrum(4, 0.0).pairs == ((1.0, 2), (-1.0, 2))
-        assert complement_even_spectrum(4, 1.0).pairs == ((1.0, 4),)
+        assert even_spectrum(4, 0.0, complement=True).pairs == ((1.0, 2), (-1.0, 2))
+        assert even_spectrum(4, 1.0, complement=True).pairs == ((1.0, 4),)
 
     def test_matches_dense_route(self):
         for n in (4, 6, 8, 12, 30):
             for alpha in (0.0, 0.3, 0.7, 1.0):
-                closed = np.sort(complement_even_spectrum(n, alpha).values())
+                closed = np.sort(even_spectrum(n, alpha, complement=True).values())
                 dense = np.sort(
                     dense_values(GraphSpec(FAMILY_UACG, n, complement=True), alpha)
                 )

@@ -258,8 +258,6 @@ class TestSpecLabels:
     def test_roundtrip(self):
         for family in FAMILIES:
             for comp in (False, True):
-                if family == FAMILY_COMPLETE and comp:
-                    continue
                 spec = GraphSpec(family, 9, complement=comp)
                 assert parse_spec_label(spec.label(), 9) == spec
 
@@ -269,9 +267,10 @@ class TestSpecLabels:
             FAMILY_UACG, 9, complement=True
         )
 
-    def test_rejects_complement_complete(self):
-        with pytest.raises(ValueError):
-            parse_spec_label("complement-complete", 5)
+    def test_accepts_complement_complete(self):
+        assert parse_spec_label("complement-complete", 5) == GraphSpec(
+            FAMILY_COMPLETE, 5, complement=True
+        )
 
     def test_rejects_unknown_family(self):
         with pytest.raises(ValueError):

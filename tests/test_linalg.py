@@ -18,6 +18,7 @@ from uacg.graphs import build_uacg, build_unitary_cayley
 from uacg.linalg import (
     DEFAULT_GROUP_TOL,
     Spectrum,
+    _group,
     group_spectrum,
     left_circulant_eigenvalues,
     right_circulant_eigenvalues,
@@ -307,6 +308,24 @@ class TestGroupSpectrum:
                 pairs.append((float(vals[start:i].mean()), i - start))
                 start = i
         assert group_spectrum(vals, tol=tol) == Spectrum(pairs=tuple(pairs), n=vals.size)
+
+    @given(
+        pairs=st.dictionaries(
+            st.floats(min_value=-50.0, max_value=50.0),
+            st.integers(min_value=1, max_value=3000),
+            min_size=1,
+            max_size=8,
+        ),
+        tol=st.sampled_from([1e-9, 1e-7, 0.5, 10.0]),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_counts_match_expanded_values(self, pairs, tol):
+        # Grouping (value, count) pairs must equal grouping the expanded
+        # list bit for bit, also for clusters of many values, where numpy
+        # sums pairwise.
+        vals = np.array(sorted(pairs, reverse=True))
+        counts = np.array([pairs[v] for v in vals], dtype=np.int64)
+        assert _group(vals, counts, tol) == group_spectrum(np.repeat(vals, counts), tol)
 
     def test_default_tolerance_constant(self):
         assert DEFAULT_GROUP_TOL == 1e-7

@@ -17,7 +17,6 @@ from hypothesis import strategies as st
 from uacg.numtheory import (
     euler_phi,
     factorize,
-    gcd,
     is_prime,
     largest_squarefree_divisor,
     mobius,
@@ -55,18 +54,6 @@ def brute_factorize(n: int) -> tuple[tuple[int, int], ...]:
     if n > 1:
         out.append((n, 1))
     return tuple(out)
-
-
-class TestGcd:
-    def test_examples(self):
-        assert gcd(0, 9) == 9
-        assert gcd(6, 9) == 3
-        assert gcd(7, 9) == 1
-
-    def test_matches_math_gcd(self):
-        for a in range(0, 40):
-            for b in range(1, 40):
-                assert gcd(a, b) == math.gcd(a, b)
 
 
 class TestEulerPhi:

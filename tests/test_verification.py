@@ -8,18 +8,21 @@ over nothing.
 
 import pytest
 
+import uacg.closedform as closedform_mod
 import uacg.verification as verification_mod
 from uacg.linalg import Spectrum
 from uacg.verification import (
     CheckResult,
     SCOPES,
     check_block_route,
+    check_complement_even_energy,
     check_complement_identity,
     check_energy_consistency,
     check_energy_sandwich,
     check_even_spectra,
     check_interval_containment,
     check_prime_power_spectra,
+    check_regular_shortcut,
     check_roots,
     check_spectral_identities,
     odd_prime_powers,
@@ -36,6 +39,16 @@ class TestOddPrimePowers:
         assert 2 not in values and 4 not in values
         assert 15 not in values and 45 not in values
         assert 121 in values and 125 in values and 169 in values
+
+
+class TestWorstReducer:
+    def test_keeps_first_location_of_largest_residual(self):
+        rows = [(0.0, 1, "a"), (2.0, 1, "b"), (2.0, 3, "c"), (1.0, 1, "d")]
+        assert verification_mod._worst("x", 1.0, rows) == CheckResult("x", False, 2.0, 6, "b")
+
+    def test_no_location_while_every_residual_is_zero(self):
+        rows = [(0.0, 2, "a"), (0.0, 1, "b")]
+        assert verification_mod._worst("x", 0.0, rows) == CheckResult("x", True, 0.0, 3, "")
 
 
 class TestIndividualChecks:
@@ -94,15 +107,16 @@ class TestIndividualChecks:
         assert res.worst <= 1e-9
 
     def test_block_route_compares_closed_forms(self, monkeypatch):
-        # On odd prime powers the blocks are also held to the closed forms:
-        # a perturbed closed form must make the check fail.
-        real = verification_mod.uacg_prime_power_spectrum
+        # On odd prime powers the blocks are also held to the closed forms,
+        # which come from the route table: a perturbed closed form must make
+        # the check fail.
+        real = closedform_mod.uacg_prime_power_spectrum
 
         def shifted(p, m, alpha):
             s = real(p, m, alpha)
             return Spectrum(pairs=tuple((v + 1e-6, k) for v, k in s.pairs), n=s.n)
 
-        monkeypatch.setattr(verification_mod, "uacg_prime_power_spectrum", shifted)
+        monkeypatch.setattr(closedform_mod, "uacg_prime_power_spectrum", shifted)
         res = check_block_route(9, alphas=(0.3,))
         assert not res.passed
         assert res.worst == pytest.approx(1e-6, rel=1e-3)
@@ -114,6 +128,44 @@ class TestIndividualChecks:
         res = check_prime_power_spectra(27, alphas=(0.5,), tol=1e-18)
         assert isinstance(res, CheckResult)
         assert not res.passed
+
+
+# One perturbation of the dense eigenvalues at one order per check, each
+# past that check's tolerance on any correct spectrum:
+#  - a 1e-6 shift against the 1e-8 and 1e-9 spectrum tolerances;
+#  - a 1e-3 shift moves the trace by 7e-3 at n = 7, alpha = 0 (target 0), and
+#    the second moment by 7e-6 there, against 1 + 2m <= 43 at rtol 1e-8;
+#  - scaling by 1 + 1e-6 scales a nonzero adjacency energy (n = 6, alpha = 0);
+#  - a shift of 2 leaves every unit-wide rank interval;
+#  - a shift of 1e6 lifts the energy of order 9 above its upper bound.
+PERTURBATIONS = [
+    (check_prime_power_spectra, 9, lambda v: v + 1e-6),
+    (check_even_spectra, 6, lambda v: v + 1e-6),
+    (check_block_route, 15, lambda v: v + 1e-6),
+    (check_spectral_identities, 7, lambda v: v + 1e-3),
+    (check_regular_shortcut, 6, lambda v: v * (1.0 + 1e-6)),
+    (check_complement_even_energy, 6, lambda v: v * (1.0 + 1e-6)),
+    (check_interval_containment, 9, lambda v: v + 2.0),
+    (check_energy_sandwich, 9, lambda v: v + 1e6),
+]
+
+
+class TestPerturbedEigensolver:
+    @pytest.mark.parametrize(
+        "check, order, perturb", PERTURBATIONS, ids=[c.__name__ for c, _, _ in PERTURBATIONS]
+    )
+    def test_check_fails_at_the_perturbed_order(self, monkeypatch, check, order, perturb):
+        real = verification_mod.symmetric_eigenvalues
+
+        def perturbed(a):
+            vals = real(a)
+            return perturb(vals) if vals.size == order else vals
+
+        monkeypatch.setattr(verification_mod, "symmetric_eigenvalues", perturbed)
+        results = check(15)
+        for res in results if isinstance(results, list) else [results]:
+            assert res.passed is False
+            assert res.detail.split()[0] == f"n={order}"
 
 
 class TestRunSuite:
