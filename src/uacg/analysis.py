@@ -22,7 +22,7 @@ from .closedform import (
     complete_energy,
     energy_report,
 )
-from .graphs import FAMILY_UACG, GraphSpec, build_graph, edge_count
+from .graphs import FAMILY_UACG, GraphSpec, _coprime_mask, build_graph, edge_count
 from .linalg import _check_alpha, _check_tol, left_circulant_eigenvalues, symmetric_eigenvalues
 from .numtheory import euler_phi
 
@@ -83,21 +83,21 @@ def _check_odd(n: int) -> None:
         raise ValueError(f"the circulant-plus-diagonal split needs odd n >= 3, got {n}")
 
 
-def _odd_eigen_bounds(n: int, alpha: float, complement: bool) -> tuple[IndexBound, ...]:
+def _odd_eigen_arrays(n: int, alpha: float, complement: bool) -> tuple[np.ndarray, np.ndarray]:
+    """(lower, upper) ends of the rank intervals of _odd_eigen_bounds, as arrays."""
     _check_odd(n)
     alpha = _check_alpha(alpha, allow_one=True)
     phi = euler_phi(n)
-    weight = 1.0 - alpha
-    symbol = np.fromiter(
-        (weight if (math.gcd(j, n) == 1) != complement else 0.0 for j in range(n)),
-        dtype=float,
-        count=n,
-    )
-    beta = left_circulant_eigenvalues(symbol)
-    hi = alpha * (n - phi) if complement else alpha * phi
+    symbol = np.where(_coprime_mask(n, n) != complement, 1.0 - alpha, 0.0)
+    upper = left_circulant_eigenvalues(symbol) + (alpha * (n - phi) if complement else alpha * phi)
+    return upper - 1.0, upper
+
+
+def _odd_eigen_bounds(n: int, alpha: float, complement: bool) -> tuple[IndexBound, ...]:
+    lower, upper = _odd_eigen_arrays(n, alpha, complement)
     return tuple(
-        IndexBound(index=k + 1, lower=float(beta[k] + hi - 1.0), upper=float(beta[k] + hi))
-        for k in range(n)
+        IndexBound(index=k, lower=lo, upper=up)
+        for k, (lo, up) in enumerate(zip(lower.tolist(), upper.tolist()), start=1)
     )
 
 

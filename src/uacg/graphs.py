@@ -9,7 +9,6 @@ arrays, symmetric with zero diagonal, and immutable after construction.
 
 from __future__ import annotations
 
-import math
 import numbers
 from dataclasses import dataclass, replace
 
@@ -110,7 +109,8 @@ def _finish(spec: GraphSpec, adjacency: np.ndarray) -> Graph:
 
 
 def _coprime_mask(n: int, length: int) -> np.ndarray:
-    return np.fromiter((math.gcd(k, n) == 1 for k in range(length)), dtype=bool, count=length)
+    """mask[k] is gcd(k, n) == 1 for 0 <= k < length."""
+    return np.gcd(np.arange(length), n) == 1
 
 
 def build_uacg(n: int) -> Graph:

@@ -15,9 +15,9 @@ import numpy as np
 
 from .analysis import (
     VERDICT_BORDER,
+    _odd_eigen_arrays,
     classify,
     complement_energy_bounds,
-    eigenvalue_intervals,
     find_borderenergetic_alphas,
     uacg_energy_bounds,
 )
@@ -269,9 +269,7 @@ def check_interval_containment(
     """Every numeric eigenvalue must fall in its rank interval (odd orders)."""
     rows = []
     for spec, _, alpha, observed in _dense(range(3, nmax + 1, 2), alphas):
-        intervals = eigenvalue_intervals(spec, alpha)
-        lower = np.array([b.lower for b in intervals])
-        upper = np.array([b.upper for b in intervals])
+        lower, upper = _odd_eigen_arrays(spec.n, alpha, spec.complement)
         violation = float(np.max(np.maximum(lower - observed, observed - upper)))
         rows.append((violation, spec.n, _at(spec, alpha)))
     return _worst("eigenvalue interval containment", slack, rows)

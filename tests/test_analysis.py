@@ -16,8 +16,10 @@ import pytest
 import uacg.analysis
 from uacg.analysis import (
     _convex_roots,
+    _odd_eigen_arrays,
     BOUND_SLACK,
     ENERGY_BOUND_NAMES,
+    IndexBound,
     VERDICT_BORDER,
     VERDICT_HYPER,
     VERDICT_NEITHER,
@@ -46,8 +48,8 @@ from uacg.graphs import (
     build_graph,
     parse_spec_label,
 )
-from uacg.linalg import symmetric_eigenvalues
-from uacg.numtheory import prime_power
+from uacg.linalg import left_circulant_eigenvalues, symmetric_eigenvalues
+from uacg.numtheory import euler_phi, prime_power
 
 
 def observed_values(spec: GraphSpec, alpha: float) -> np.ndarray:
@@ -117,6 +119,28 @@ class TestEigenvalueIntervals:
     def test_rejects_out_of_range_alpha(self):
         with pytest.raises(ValueError):
             odd_uacg_eigen_bounds(9, -0.2)
+
+    def test_matches_scalar_reference_bit_for_bit(self):
+        # The per-rank construction the array helper replaced: a symbol from
+        # math.gcd, then beta[k] + hi - 1.0 and beta[k] + hi one rank at a time.
+        for n in range(3, 130, 2):
+            phi = euler_phi(n)
+            for comp in (False, True):
+                for alpha in (0.0, 0.3, 0.5, 0.9999, 1.0):
+                    symbol = np.array(
+                        [(1.0 - alpha) if (math.gcd(j, n) == 1) != comp else 0.0 for j in range(n)]
+                    )
+                    beta = left_circulant_eigenvalues(symbol)
+                    hi = alpha * (n - phi) if comp else alpha * phi
+                    want = tuple(
+                        IndexBound(k + 1, float(beta[k] + hi - 1.0), float(beta[k] + hi))
+                        for k in range(n)
+                    )
+                    got = eigenvalue_intervals(GraphSpec(FAMILY_UACG, n, comp), alpha)
+                    assert got == want
+                    lower, upper = _odd_eigen_arrays(n, alpha, comp)
+                    assert lower.tolist() == [b.lower for b in want]
+                    assert upper.tolist() == [b.upper for b in want]
 
 
 class TestEnergyBounds:

@@ -120,6 +120,15 @@ class TestBuildUacg:
                     assert d == expected
 
 
+class TestCoprimeMask:
+    def test_matches_math_gcd_loop(self):
+        for n in range(1, 501):
+            want = [math.gcd(k, n) == 1 for k in range(2 * n - 1)]
+            mask = graphs_mod._coprime_mask(n, 2 * n - 1)
+            assert mask.dtype == bool
+            assert mask.tolist() == want
+
+
 class TestBuildUnitaryCayley:
     def test_order_4_is_a_cycle(self):
         g = build_unitary_cayley(4)

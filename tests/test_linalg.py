@@ -14,9 +14,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from uacg.graphs import build_uacg, build_unitary_cayley
+from uacg.closedform import build_alpha_matrix
+from uacg.graphs import FAMILIES, build_graph, build_uacg, build_unitary_cayley, parse_spec_label
 from uacg.linalg import (
     DEFAULT_GROUP_TOL,
+    _SPLIT_MIN_ORDER,
     Spectrum,
     _group,
     group_spectrum,
@@ -150,6 +152,87 @@ class TestSymmetricEigenvalues:
     def test_rejects_non_square(self):
         with pytest.raises(ValueError):
             symmetric_eigenvalues(np.zeros((2, 3)))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite(self, bad):
+        # checked before symmetry: a NaN is unequal to itself, and a
+        # symmetric infinity used to come back as NaN eigenvalues
+        for a in ([[bad, 1.0], [1.0, 0.0]], [[0.0, bad], [bad, 0.0]]):
+            with pytest.raises(ValueError, match="matrix must be finite"):
+                symmetric_eigenvalues(np.array(a))
+
+
+LABELS = [prefix + family for family in FAMILIES for prefix in ("", "complement-")]
+SPLIT_ORDERS = (
+    2,
+    3,
+    _SPLIT_MIN_ORDER - 2,
+    _SPLIT_MIN_ORDER - 1,
+    _SPLIT_MIN_ORDER,
+    _SPLIT_MIN_ORDER + 1,
+    64,
+    99,
+    128,
+    200,
+    201,
+)
+
+
+def alpha_matrix(label: str, n: int, alpha: float) -> np.ndarray:
+    return build_alpha_matrix(build_graph(parse_spec_label(label, n)), alpha)
+
+
+def eigvalsh_sizes(monkeypatch) -> list[int]:
+    """Record the order of every matrix np.linalg.eigvalsh is handed."""
+    real, sizes = np.linalg.eigvalsh, []
+
+    def spy(a, *args, **kwargs):
+        sizes.append(a.shape[0])
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+    return sizes
+
+
+class TestReflectionSplit:
+    @pytest.mark.parametrize("label", LABELS)
+    def test_matches_one_full_solve(self, label):
+        for n in SPLIT_ORDERS:
+            for alpha in (0.0, 0.3, 0.9999, 1.0):
+                a = alpha_matrix(label, n, alpha)
+                want = np.linalg.eigvalsh(a)[::-1]
+                got = symmetric_eigenvalues(a)
+                scale = max(1.0, float(np.max(np.abs(want))))
+                assert np.max(np.abs(got - want)) <= 1e-12 * scale, (label, n, alpha)
+                assert np.all(np.diff(got) <= 0.0)
+
+    @pytest.mark.parametrize("n", [_SPLIT_MIN_ORDER, _SPLIT_MIN_ORDER + 1])
+    @pytest.mark.parametrize("label", ["uacg", "complement-unitary-cayley"])
+    def test_against_sturm_oracle(self, label, n):
+        a = alpha_matrix(label, n, 0.3)
+        assert np.max(np.abs(symmetric_eigenvalues(a) - sturm_eigenvalues(a))) <= 1e-8
+
+    @pytest.mark.parametrize(
+        "n, solved",
+        [(201, [101, 100]), (200, [101, 99]), (_SPLIT_MIN_ORDER - 1, [_SPLIT_MIN_ORDER - 1])],
+    )
+    def test_solves_the_two_halves_above_the_crossover(self, monkeypatch, n, solved):
+        a = alpha_matrix("uacg", n, 0.3)
+        sizes = eigvalsh_sizes(monkeypatch)
+        assert symmetric_eigenvalues(a).size == n
+        assert sizes == solved
+
+    @pytest.mark.parametrize("i, j", [(1, 5), (0, 5)])
+    def test_broken_symmetry_takes_one_full_solve(self, monkeypatch, i, j):
+        n = 60
+        a = alpha_matrix("uacg", n, 0.3)
+        a[i, j] = a[j, i] = a[i, j] + 0.5  # a[-i % n, -j % n] keeps its value
+        want = np.linalg.eigvalsh(a)[::-1]
+        sizes = eigvalsh_sizes(monkeypatch)
+        got = symmetric_eigenvalues(a)
+        assert sizes == [n]
+        assert np.max(np.abs(got - want)) <= 1e-12 * float(np.max(np.abs(want)))
+        assert np.max(np.abs(got - sturm_eigenvalues(a))) <= 1e-8
 
 
 # ---------------------------------------------------------------------------
