@@ -3,8 +3,10 @@
 For odd orders the alpha matrix of a unit-sum Cayley graph splits exactly into
 a symmetric left-circulant part plus a diagonal whose entries take only two
 values, so every eigenvalue is trapped in a unit-width interval around a
-sorted circulant eigenvalue.  Degree statistics give computable lower and
-upper bounds on the alpha energy, and comparing the energy against the
+sorted circulant eigenvalue.  Those centres are Ramanujan sums c(d, n), one
+run per divisor d of n, so the intervals are read from the divisors without
+forming the circulant or its symbol.  Degree statistics give computable lower
+and upper bounds on the alpha energy, and comparing the energy against the
 complete graph's classifies a graph as borderenergetic or hyperenergetic.
 """
 
@@ -17,13 +19,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .closedform import (
+    _ramanujan_pairs,
     alpha_energy_from_values,
     build_alpha_matrix,
     complete_energy,
     energy_report,
 )
-from .graphs import FAMILY_UACG, GraphSpec, _coprime_mask, build_graph, edge_count
-from .linalg import _check_alpha, _check_tol, left_circulant_eigenvalues, symmetric_eigenvalues
+from .graphs import FAMILY_UACG, GraphSpec, build_graph, edge_count
+from .linalg import _check_alpha, _check_tol, symmetric_eigenvalues
 from .numtheory import euler_phi
 
 __all__ = [
@@ -37,12 +40,9 @@ __all__ = [
     "VERDICT_NEITHER",
     "bound_report",
     "classify",
-    "complement_energy_bounds",
     "eigenvalue_intervals",
+    "energy_bounds",
     "find_borderenergetic_alphas",
-    "odd_complement_eigen_bounds",
-    "odd_uacg_eigen_bounds",
-    "uacg_energy_bounds",
 ]
 
 VERDICT_BORDER = "borderenergetic"
@@ -78,83 +78,78 @@ class ObservedBound:
     satisfied: bool
 
 
-def _check_odd(n: int) -> None:
-    if n < 3 or n % 2 == 0:
-        raise ValueError(f"the circulant-plus-diagonal split needs odd n >= 3, got {n}")
+def _check_odd_unit_sum(spec: GraphSpec) -> None:
+    if spec.family != FAMILY_UACG:
+        raise ValueError(f"bounds are defined for the unit-sum family, not {spec.family!r}")
+    if spec.n % 2 == 0:
+        raise ValueError(f"the circulant-plus-diagonal split needs odd n >= 3, got {spec.n}")
 
 
-def _odd_eigen_arrays(n: int, alpha: float, complement: bool) -> tuple[np.ndarray, np.ndarray]:
-    """(lower, upper) ends of the rank intervals of _odd_eigen_bounds, as arrays."""
-    _check_odd(n)
+def _odd_eigen_arrays(spec: GraphSpec, alpha: float) -> tuple[np.ndarray, np.ndarray]:
+    """(lower, upper) ends of the rank intervals of eigenvalue_intervals, as arrays.
+
+    The circulant part has symbol (1-alpha)*[gcd(j, n) = 1], or its
+    complement, whose right-circulant eigenvalues are (1-alpha)*c(k, n), or
+    (1-alpha)*(n*[k = 0] - c(k, n)).  The symmetric left circulant keeps the
+    k = 0 value and turns each pair k, n-k into +-|value|, so its spectrum is
+    (1-alpha)*t, with t = phi(n) (n - phi(n) for the complement), plus
+    +-(1-alpha)*|c(d, n)| taken phi(n/d)/2 times each for every divisor d < n.
+    """
+    _check_odd_unit_sum(spec)
     alpha = _check_alpha(alpha, allow_one=True)
-    phi = euler_phi(n)
-    symbol = np.where(_coprime_mask(n, n) != complement, 1.0 - alpha, 0.0)
-    upper = left_circulant_eigenvalues(symbol) + (alpha * (n - phi) if complement else alpha * phi)
+    sums, counts = _ramanujan_pairs(spec.n)
+    top = spec.n - sums[-1] if spec.complement else sums[-1]  # sums[-1] = c(0, n) = phi(n)
+    mags = (1.0 - alpha) * np.abs(sums[:-1])
+    half = counts[:-1] // 2
+    circulant = np.repeat(
+        np.concatenate([mags, -mags, [(1.0 - alpha) * top]]), np.concatenate([half, half, [1]])
+    )
+    upper = np.sort(circulant)[::-1] + alpha * top
     return upper - 1.0, upper
 
 
-def _odd_eigen_bounds(n: int, alpha: float, complement: bool) -> tuple[IndexBound, ...]:
-    lower, upper = _odd_eigen_arrays(n, alpha, complement)
+def eigenvalue_intervals(spec: GraphSpec, alpha: float) -> tuple[IndexBound, ...]:
+    """Unit-width interval for each alpha-matrix eigenvalue of an odd unit-sum spec.
+
+    The alpha matrix equals (1-alpha) times the symmetric left circulant with
+    coprime-indicator symbol plus a diagonal whose entries are alpha*phi(n) on
+    non-units and alpha*phi(n) - 1 on units; eigenvalue inequalities for
+    matrix sums then pin the k-th sorted eigenvalue between the k-th sorted
+    circulant eigenvalue plus those two diagonal extremes.  For the
+    complement the symbol marks the non-coprime residues (including 0) and
+    the diagonal entries are alpha*(n - phi(n)) on units and one less on
+    non-units.
+    """
+    lower, upper = _odd_eigen_arrays(spec, alpha)
     return tuple(
         IndexBound(index=k, lower=lo, upper=up)
         for k, (lo, up) in enumerate(zip(lower.tolist(), upper.tolist()), start=1)
     )
 
 
-def odd_uacg_eigen_bounds(n: int, alpha: float) -> tuple[IndexBound, ...]:
-    """Unit-width interval for each alpha-matrix eigenvalue, odd unit-sum graph.
-
-    The alpha matrix equals (1-alpha) times the symmetric left circulant with
-    coprime-indicator symbol plus a diagonal whose entries are alpha*phi(n) on
-    non-units and alpha*phi(n) - 1 on units; eigenvalue inequalities for
-    matrix sums then pin the k-th sorted eigenvalue between the k-th sorted
-    circulant eigenvalue plus those two diagonal extremes.
-    """
-    return _odd_eigen_bounds(n, alpha, False)
-
-
-def odd_complement_eigen_bounds(n: int, alpha: float) -> tuple[IndexBound, ...]:
-    """Same localization for the complement of the odd unit-sum graph.
-
-    Here the circulant symbol marks the non-coprime residues (including 0)
-    and the diagonal entries are alpha*(n - phi(n)) on units and one less on
-    non-units.
-    """
-    return _odd_eigen_bounds(n, alpha, True)
-
-
-def eigenvalue_intervals(spec: GraphSpec, alpha: float) -> tuple[IndexBound, ...]:
-    """Dispatch the interval localization; only odd unit-sum specs have one."""
-    if spec.family != FAMILY_UACG:
-        raise ValueError(
-            f"eigenvalue intervals are defined for the unit-sum family, not {spec.family!r}"
-        )
-    return _odd_eigen_bounds(spec.n, alpha, spec.complement)
-
-
 # ---------------------------------------------------------------------------
 # Energy bounds from degree statistics.
 
 
-def _degree_params(n: int, complement: bool) -> tuple[int, int, int]:
-    """(edge count, sum of squared degrees, max degree) for odd unit-sum specs."""
+def energy_bounds(spec: GraphSpec, alpha: float) -> tuple[dict[str, float], float]:
+    """(lower bounds by name, upper bound) on an odd unit-sum spec's alpha energy.
+
+    The unit-sum graph has phi(n) vertices of degree phi(n) - 1 and n - phi(n)
+    of degree phi(n); the complement's degrees are n - 1 minus those.  With m
+    edges and zeta the sum of squared degrees, the squared Frobenius mass of
+    the alpha matrix is alpha^2*zeta + (1-alpha)^2*2m and its trace is
+    2*alpha*m.
+    """
+    _check_odd_unit_sum(spec)
+    alpha = _check_alpha(alpha, allow_one=False)
+    n = spec.n
     phi = euler_phi(n)
     counts = {phi - 1: phi, phi: n - phi}
-    if complement:
+    if spec.complement:
         counts = {n - 1 - d: c for d, c in counts.items()}
     zeta = sum(d * d * c for d, c in counts.items())
-    return edge_count(GraphSpec(FAMILY_UACG, n, complement)), zeta, max(counts)
-
-
-def _energy_bounds(
-    n: int, m: int, zeta: int, max_degree: int, alpha: float
-) -> tuple[dict[str, float], float]:
-    """Four lower bounds and one upper bound on the alpha energy.
-
-    zeta is the sum of squared degrees; the squared Frobenius mass of the
-    alpha matrix is alpha^2*zeta + (1-alpha)^2*2m and its trace is 2*alpha*m.
-    """
-    alpha = _check_alpha(alpha, allow_one=False)
+    max_degree = max(counts)
+    m = edge_count(spec)
     mass = alpha * alpha * zeta + (1.0 - alpha) * (1.0 - alpha) * 2.0 * m
     mean_shift = 2.0 * alpha * m / n
     star = alpha * alpha * (max_degree + 1.0) ** 2 + 4.0 * max_degree * (1.0 - 2.0 * alpha)
@@ -169,18 +164,6 @@ def _energy_bounds(
     }
     upper = math.sqrt(max(0.0, n * mass - 4.0 * alpha * alpha * m * m))
     return lowers, upper
-
-
-def uacg_energy_bounds(n: int, alpha: float) -> tuple[dict[str, float], float]:
-    """(lower bounds by name, upper bound) on the odd unit-sum graph's alpha energy."""
-    _check_odd(n)
-    return _energy_bounds(n, *_degree_params(n, False), alpha)
-
-
-def complement_energy_bounds(n: int, alpha: float) -> tuple[dict[str, float], float]:
-    """(lower bounds by name, upper bound) on the odd complement's alpha energy."""
-    _check_odd(n)
-    return _energy_bounds(n, *_degree_params(n, True), alpha)
 
 
 @dataclass(frozen=True)
@@ -202,11 +185,8 @@ class BoundReport:
 
 def bound_report(spec: GraphSpec, alpha: float) -> BoundReport:
     """Evaluate all bounds for an odd unit-sum spec against numeric truth."""
-    if spec.family != FAMILY_UACG:
-        raise ValueError(f"bounds are defined for the unit-sum family, not {spec.family!r}")
-    _check_odd(spec.n)
-    alpha = _check_alpha(alpha, allow_one=True)
     intervals = eigenvalue_intervals(spec, alpha)
+    alpha = float(alpha)
     g = build_graph(spec)
     observed = symmetric_eigenvalues(build_alpha_matrix(g, alpha))
     per_index = tuple(
@@ -220,7 +200,7 @@ def bound_report(spec: GraphSpec, alpha: float) -> BoundReport:
         for b in intervals
     )
     if alpha < 1.0:
-        lowers, upper = _energy_bounds(spec.n, *_degree_params(spec.n, spec.complement), alpha)
+        lowers, upper = energy_bounds(spec, alpha)
         energy = alpha_energy_from_values(observed, g.n, g.m, alpha)
     else:
         lowers, upper, energy = None, None, None

@@ -1,8 +1,10 @@
 """Dense symmetric eigenvalues, circulant eigenvalue formulas, spectrum grouping.
 
 This is the numeric oracle for every closed form and bound in the package.
-The dense path delegates to LAPACK through numpy.linalg.eigvalsh; the
-circulant paths are exact formulas evaluated with the FFT.
+The dense path delegates to LAPACK through numpy.linalg.eigvalsh.  The FFT
+circulant formulas have no caller in the package; they stay as the reference
+the interval tests compare against, and perfbench/tracer.py looks
+left_circulant_eigenvalues up by name.
 
 Every matrix the package builds is invariant under the reflection
 i -> -i (mod n), since gcd(-x, n) = gcd(x, n).  The dense path checks that

@@ -17,9 +17,8 @@ from .analysis import (
     VERDICT_BORDER,
     _odd_eigen_arrays,
     classify,
-    complement_energy_bounds,
+    energy_bounds,
     find_borderenergetic_alphas,
-    uacg_energy_bounds,
 )
 from .blocks import block_eigenvalues
 from .closedform import (
@@ -269,7 +268,7 @@ def check_interval_containment(
     """Every numeric eigenvalue must fall in its rank interval (odd orders)."""
     rows = []
     for spec, _, alpha, observed in _dense(range(3, nmax + 1, 2), alphas):
-        lower, upper = _odd_eigen_arrays(spec.n, alpha, spec.complement)
+        lower, upper = _odd_eigen_arrays(spec, alpha)
         violation = float(np.max(np.maximum(lower - observed, observed - upper)))
         rows.append((violation, spec.n, _at(spec, alpha)))
     return _worst("eigenvalue interval containment", slack, rows)
@@ -280,8 +279,7 @@ def check_energy_sandwich(nmax: int, alphas=SANDWICH_ALPHAS, slack: float = 1e-8
     rows = []
     for spec, g, alpha, vals in _dense(range(3, nmax + 1, 2), alphas):
         energy = alpha_energy_from_values(vals, spec.n, g.m, alpha)
-        bounds = complement_energy_bounds if spec.complement else uacg_energy_bounds
-        lowers, upper = bounds(spec.n, alpha)
+        lowers, upper = energy_bounds(spec, alpha)
         rows.append((max(max(lowers.values()) - energy, energy - upper), 1, _at(spec, alpha)))
     return _worst("energy bound sandwich", slack, rows)
 

@@ -25,13 +25,11 @@ from uacg.analysis import (
     VERDICT_NEITHER,
     bound_report,
     classify,
-    complement_energy_bounds,
     eigenvalue_intervals,
+    energy_bounds,
     find_borderenergetic_alphas,
-    odd_complement_eigen_bounds,
-    odd_uacg_eigen_bounds,
-    uacg_energy_bounds,
 )
+from uacg.blocks import block_eigenvalues
 from uacg.closedform import (
     alpha_energy_from_values,
     build_alpha_matrix,
@@ -46,10 +44,11 @@ from uacg.graphs import (
     FAMILY_UNITARY_CAYLEY,
     GraphSpec,
     build_graph,
+    edge_count,
     parse_spec_label,
 )
 from uacg.linalg import left_circulant_eigenvalues, symmetric_eigenvalues
-from uacg.numtheory import euler_phi, prime_power
+from uacg.numtheory import euler_phi, prime_power, ramanujan_sum
 
 
 def observed_values(spec: GraphSpec, alpha: float) -> np.ndarray:
@@ -58,7 +57,7 @@ def observed_values(spec: GraphSpec, alpha: float) -> np.ndarray:
 
 class TestEigenvalueIntervals:
     def test_order_9_adjacency_extremes(self):
-        bounds = odd_uacg_eigen_bounds(9, 0.0)
+        bounds = eigenvalue_intervals(GraphSpec(FAMILY_UACG, 9), 0.0)
         assert bounds[0].index == 1 and bounds[-1].index == 9
         assert (bounds[0].lower, bounds[0].upper) == (5.0, 6.0)
         assert (bounds[-1].lower, bounds[-1].upper) == (-4.0, -3.0)
@@ -69,7 +68,7 @@ class TestEigenvalueIntervals:
     def test_unit_interval_width(self):
         for n in (9, 15, 45):
             for alpha in (0.0, 0.5, 1.0):
-                for b in odd_uacg_eigen_bounds(n, alpha):
+                for b in eigenvalue_intervals(GraphSpec(FAMILY_UACG, n), alpha):
                     assert b.upper - b.lower == pytest.approx(1.0, abs=1e-12)
 
     def test_alpha_one_pins_degrees(self):
@@ -78,12 +77,12 @@ class TestEigenvalueIntervals:
 
         for n in (9, 15, 25):
             phi = euler_phi(n)
-            for b in odd_uacg_eigen_bounds(n, 1.0):
+            for b in eigenvalue_intervals(GraphSpec(FAMILY_UACG, n), 1.0):
                 assert b.lower == pytest.approx(phi - 1.0, abs=1e-12)
                 assert b.upper == pytest.approx(phi, abs=1e-12)
 
     def test_complement_order_9(self):
-        bounds = odd_complement_eigen_bounds(9, 0.0)
+        bounds = eigenvalue_intervals(GraphSpec(FAMILY_UACG, 9, complement=True), 0.0)
         assert (bounds[0].lower, bounds[0].upper) == (2.0, 3.0)
         assert (bounds[-1].lower, bounds[-1].upper) == (-4.0, -3.0)
         vals = observed_values(GraphSpec(FAMILY_UACG, 9, complement=True), 0.0)
@@ -101,14 +100,14 @@ class TestEigenvalueIntervals:
                 assert b.lower - BOUND_SLACK <= v <= b.upper + BOUND_SLACK
 
     def test_indices_run_from_one(self):
-        bounds = odd_uacg_eigen_bounds(9, 0.3)
+        bounds = eigenvalue_intervals(GraphSpec(FAMILY_UACG, 9), 0.3)
         assert [b.index for b in bounds] == list(range(1, 10))
 
     def test_rejects_even_order(self):
         with pytest.raises(ValueError):
-            odd_uacg_eigen_bounds(10, 0.0)
+            eigenvalue_intervals(GraphSpec(FAMILY_UACG, 10), 0.0)
         with pytest.raises(ValueError):
-            odd_complement_eigen_bounds(10, 0.0)
+            eigenvalue_intervals(GraphSpec(FAMILY_UACG, 10, complement=True), 0.0)
 
     def test_rejects_non_uacg_family(self):
         with pytest.raises(ValueError):
@@ -118,47 +117,76 @@ class TestEigenvalueIntervals:
 
     def test_rejects_out_of_range_alpha(self):
         with pytest.raises(ValueError):
-            odd_uacg_eigen_bounds(9, -0.2)
+            eigenvalue_intervals(GraphSpec(FAMILY_UACG, 9), -0.2)
 
     def test_matches_scalar_reference_bit_for_bit(self):
-        # The per-rank construction the array helper replaced: a symbol from
-        # math.gcd, then beta[k] + hi - 1.0 and beta[k] + hi one rank at a time.
+        # A per-rank reference from integer Ramanujan sums: the circulant
+        # spectrum is (1-alpha)*t plus +-(1-alpha)*|c(k, n)| for
+        # k = 1..(n-1)/2, with t = phi(n), or n - phi(n) for the complement.
         for n in range(3, 130, 2):
             phi = euler_phi(n)
             for comp in (False, True):
+                t = n - phi if comp else phi
                 for alpha in (0.0, 0.3, 0.5, 0.9999, 1.0):
+                    beta = [(1.0 - alpha) * t]
+                    for k in range(1, (n - 1) // 2 + 1):
+                        mag = (1.0 - alpha) * abs(ramanujan_sum(k, n))
+                        beta += [mag, -mag]
+                    beta.sort(reverse=True)
+                    want = tuple(
+                        IndexBound(k + 1, b + alpha * t - 1.0, b + alpha * t)
+                        for k, b in enumerate(beta)
+                    )
+                    spec = GraphSpec(FAMILY_UACG, n, comp)
+                    assert eigenvalue_intervals(spec, alpha) == want
+                    lower, upper = _odd_eigen_arrays(spec, alpha)
+                    assert lower.tolist() == [b.lower for b in want]
+                    assert upper.tolist() == [b.upper for b in want]
+                    # The same centres through the FFT of the circulant symbol.
                     symbol = np.array(
                         [(1.0 - alpha) if (math.gcd(j, n) == 1) != comp else 0.0 for j in range(n)]
                     )
-                    beta = left_circulant_eigenvalues(symbol)
-                    hi = alpha * (n - phi) if comp else alpha * phi
-                    want = tuple(
-                        IndexBound(k + 1, float(beta[k] + hi - 1.0), float(beta[k] + hi))
-                        for k in range(n)
-                    )
-                    got = eigenvalue_intervals(GraphSpec(FAMILY_UACG, n, comp), alpha)
-                    assert got == want
-                    lower, upper = _odd_eigen_arrays(n, alpha, comp)
-                    assert lower.tolist() == [b.lower for b in want]
-                    assert upper.tolist() == [b.upper for b in want]
+                    fft = left_circulant_eigenvalues(symbol) + alpha * t
+                    assert np.all(np.abs(upper - fft) <= 1e-12 * (1.0 + np.abs(fft)))
+
+    def test_beyond_dense_limit(self):
+        # Block-route eigenvalues stand in for the dense solver above its
+        # limit: containment and the energy sandwich at orders dense cannot
+        # build, including 15015 = 3*5*7*11*13 and 255255 = 15015*17.
+        for n in (DENSE_ORDER_LIMIT + 1, 15015, 255255):
+            for comp in (False, True):
+                spec = GraphSpec(FAMILY_UACG, n, complement=comp)
+                for alpha in (0.0, 0.3, 0.9999, 1.0):
+                    vals, mults = block_eigenvalues(spec, alpha)
+                    observed = np.sort(np.repeat(vals, mults))[::-1]
+                    lower, upper = _odd_eigen_arrays(spec, alpha)
+                    assert np.all(lower - BOUND_SLACK <= observed), (n, comp, alpha)
+                    assert np.all(observed <= upper + BOUND_SLACK), (n, comp, alpha)
+                    if alpha == 1.0:
+                        continue
+                    energy = alpha_energy_from_values(observed, n, edge_count(spec), alpha)
+                    lowers, upper_energy = energy_bounds(spec, alpha)
+                    for name, lo in lowers.items():
+                        assert lo <= energy + BOUND_SLACK, (n, comp, alpha, name)
+                    assert energy <= upper_energy + BOUND_SLACK, (n, comp, alpha)
 
 
 class TestEnergyBounds:
     def test_order_9_examples(self):
-        lowers, upper = uacg_energy_bounds(9, 0.0)
+        lowers, upper = energy_bounds(GraphSpec(FAMILY_UACG, 9), 0.0)
         assert set(lowers) == set(ENERGY_BOUND_NAMES)
         assert lowers["edge_count"] == pytest.approx(32.0 / 3.0, abs=1e-9)
         assert lowers["frobenius"] == pytest.approx(math.sqrt(96.0), abs=1e-9)
         assert upper == pytest.approx(math.sqrt(432.0), abs=1e-9)
 
     def test_complement_order_9_examples(self):
-        lowers, upper = complement_energy_bounds(9, 0.0)
+        lowers, upper = energy_bounds(GraphSpec(FAMILY_UACG, 9, complement=True), 0.0)
         assert lowers["edge_count"] == pytest.approx(16.0 / 3.0, abs=1e-9)
         assert upper == pytest.approx(math.sqrt(216.0), abs=1e-9)
 
     def test_complement_order_25_sandwich(self):
-        lowers, upper = complement_energy_bounds(25, 0.0)
         spec = GraphSpec(FAMILY_UACG, 25, complement=True)
+        lowers, upper = energy_bounds(spec, 0.0)
         g = build_graph(spec)
         energy = alpha_energy_from_values(observed_values(spec, 0.0), 25, g.m, 0.0)
         assert energy == pytest.approx(28.0, abs=1e-6)
@@ -172,11 +200,10 @@ class TestEnergyBounds:
         # so the observed side must come from the dense route.
         for n in range(3, 62, 2):
             for comp in (False, True):
-                fn = complement_energy_bounds if comp else uacg_energy_bounds
                 spec = GraphSpec(FAMILY_UACG, n, complement=comp)
                 g = build_graph(spec)
                 for alpha in (0.0, 0.25, 0.5, 0.75):
-                    lowers, upper = fn(n, alpha)
+                    lowers, upper = energy_bounds(spec, alpha)
                     vals = observed_values(spec, alpha)
                     energy = alpha_energy_from_values(vals, n, g.m, alpha)
                     for name, lo in lowers.items():
@@ -185,13 +212,13 @@ class TestEnergyBounds:
 
     def test_rejects_even_order(self):
         with pytest.raises(ValueError):
-            uacg_energy_bounds(10, 0.0)
+            energy_bounds(GraphSpec(FAMILY_UACG, 10), 0.0)
         with pytest.raises(ValueError):
-            complement_energy_bounds(10, 0.0)
+            energy_bounds(GraphSpec(FAMILY_UACG, 10, complement=True), 0.0)
 
     def test_rejects_alpha_one(self):
         with pytest.raises(ValueError):
-            uacg_energy_bounds(9, 1.0)
+            energy_bounds(GraphSpec(FAMILY_UACG, 9), 1.0)
 
 
 class TestBoundReport:
