@@ -16,15 +16,21 @@ the units,
     L = q [[0, r], [r, p - 2]],   P = diag(0, 1),   J = q [[1, r], [r, p - 1]],
 
 and four scalar types (L, P, J): (q, 1, 0) (p-1)/2 times, (-q, 1, 0)
-(p-3)/2 times, (0, 0, 0) q-1 times and (0, 1, 0) (p-1)(q-1) times.  So both
-alpha matrices are direct sums of blocks at most 2**omega(n) wide, one
-Kronecker product of factor types each, and no n x n matrix is formed.
+(p-3)/2 times, (0, 0, 0) q-1 times and (0, 1, 0) (p-1)(q-1) times.
+
+A block of A_alpha picks one type per factor.  If the factors outside the
+2x2 ones all pick L = +-q, the block is +-(prod q) times the 2x2 factors'
+Kronecker product, with one unit and J = 0 unless every factor is 2x2; of
+the prod (p - 2) sign choices, one more gives + than -.  Every other block
+has L = J = 0 and a diagonal P, so it is listed as width-1 units and
+non-units.  No block is wider than 2**omega(n); no n x n matrix is formed.
 """
 
 from __future__ import annotations
 
 import math
 from functools import lru_cache
+from itertools import combinations
 
 import numpy as np
 
@@ -34,32 +40,6 @@ from .numtheory import euler_phi, factorize
 
 __all__ = ["block_eigenvalues", "unit_sum_blocks"]
 
-Block = tuple[np.ndarray, np.ndarray, np.ndarray]
-
-
-def _factor_types(p: int, e: int) -> list[tuple[Block, int]]:
-    """((L, P, J), multiplicity) for each block type of Z_{p**e}."""
-    q = p ** (e - 1)
-    r = math.sqrt(p - 1.0)
-    pair = (
-        q * np.array([[0.0, r], [r, p - 2.0]]),
-        np.diag([0.0, 1.0]),
-        q * np.array([[1.0, r], [r, p - 1.0]]),
-    )
-    scalars = (
-        ((q, 1, 0), (p - 1) // 2),
-        ((-q, 1, 0), (p - 3) // 2),
-        ((0, 0, 0), q - 1),
-        ((0, 1, 0), (p - 1) * (q - 1)),
-    )
-    types = [(pair, 1)]
-    types.extend(
-        (tuple(np.full((1, 1), float(x)) for x in triple), mult)
-        for triple, mult in scalars
-        if mult > 0
-    )
-    return types
-
 
 @lru_cache(maxsize=64)
 def unit_sum_blocks(n: int) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray], ...]:
@@ -67,35 +47,48 @@ def unit_sum_blocks(n: int) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray, n
 
     One (L, P, J, multiplicities) entry per block width, ascending: L, P and
     J have shape (count, width, width) and multiplicities has shape (count,).
-    Equal blocks are merged, so sum(width * multiplicities) over the entries
-    is n.  The arrays are read-only because the result is cached.
+    One block per sign for each set of factors picking the 2x2 type, then the
+    leftover width-1 units and non-units; sum(width * multiplicities) is n.
+    The arrays are read-only because the result is cached.
     """
     if n < 3 or n % 2 == 0:
         raise ValueError(f"the block decomposition needs odd n >= 3, got {n}")
-    one = np.ones((1, 1))
-    blocks: dict[bytes, tuple[Block, int]] = {b"": ((one, one, one), 1)}
-    for p, e in factorize(n).factors:
-        merged: dict[bytes, tuple[Block, int]] = {}
-        for block, mult in blocks.values():
-            for factor, k in _factor_types(p, e):
-                # Adding 0.0 turns -0.0 into 0.0, so equal blocks get equal keys.
-                new = tuple(np.kron(a, b) + 0.0 for a, b in zip(block, factor))
-                key = b"".join(a.tobytes() for a in new)
-                prev = merged.get(key)
-                merged[key] = (new, mult * k + (prev[1] if prev else 0))
-        blocks = merged
-    by_width: dict[int, list[tuple[Block, int]]] = {}
-    for block, mult in blocks.values():
-        by_width.setdefault(block[0].shape[0], []).append((block, mult))
+    factors = factorize(n).factors
+    left_units = euler_phi(n)
+    left_others = n - left_units
+    zero, one = np.zeros((1, 1)), np.ones((1, 1))
     out = []
-    for width in sorted(by_width):
-        group = by_width[width]
-        arrays = [np.stack([block[i] for block, _ in group]) for i in range(3)]
-        arrays.append(np.array([mult for _, mult in group], dtype=np.int64))
+    # Widest first, so the leftovers are known when the width-1 entry is built.
+    for size in reversed(range(len(factors) + 1)):
+        group = []
+        for pairs in combinations(range(len(factors)), size):
+            lsum = units = ones = one
+            # Scaling by q in factor order keeps every entry bit-identical
+            # to the factor-by-factor Kronecker product.
+            for i, (p, e) in enumerate(factors):
+                q = p ** (e - 1)
+                if i in pairs:
+                    r = math.sqrt(p - 1.0)
+                    lsum = np.kron(lsum, q * np.array([[0.0, r], [r, p - 2.0]]))
+                    units = np.kron(units, np.diag([0.0, 1.0]))
+                    ones = np.kron(ones, q * np.array([[1.0, r], [r, p - 1.0]]))
+                else:
+                    lsum = lsum * q
+                    ones = ones * 0.0
+            choices = math.prod(p - 2 for i, (p, _) in enumerate(factors) if i not in pairs)
+            for sign, mult in ((1.0, (choices + 1) // 2), (-1.0, (choices - 1) // 2)):
+                if mult:
+                    group.append((sign * lsum, units, ones, mult))
+                    left_units -= mult
+                    left_others -= mult * (2**size - 1)
+        if size == 0:
+            group += [(zero, u, zero, k) for u, k in ((one, left_units), (zero, left_others)) if k]
+        *blocks, mults = zip(*group)
+        arrays = [np.stack(b) for b in blocks] + [np.array(mults, dtype=np.int64)]
         for a in arrays:
             a.setflags(write=False)
         out.append(tuple(arrays))
-    return tuple(out)
+    return tuple(reversed(out))
 
 
 def block_eigenvalues(spec: GraphSpec, alpha: float) -> tuple[np.ndarray, np.ndarray]:

@@ -48,6 +48,8 @@ EXIT_VERIFY_FAILED = 1
 EXIT_BAD_ARGS = 2
 EXIT_NO_CLOSED_FORM = 3
 
+MAX_SWEEP_POINTS = 10**6
+
 
 def _fmt12g(x: float) -> str:
     """Fixed 12-significant-digit float formatting for payloads."""
@@ -260,6 +262,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         raise ValueError(f"need 0 <= alpha-start < alpha-end < 1, got [{start}, {end}]")
     if not (math.isfinite(step) and step > 0.0):
         raise ValueError(f"step must be positive and finite, got {step}")
+    if (end - start) / step > MAX_SWEEP_POINTS:
+        raise ValueError(f"step {step} gives more than {MAX_SWEEP_POINTS} sweep steps")
     spec = parse_spec_label(args.family, args.n)
     alphas = []
     k = 0

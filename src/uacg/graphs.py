@@ -65,6 +65,7 @@ class GraphSpec:
             raise ValueError(f"unknown family {self.family!r}")
         if isinstance(self.n, bool) or not isinstance(self.n, numbers.Integral):
             raise ValueError(f"n must be an integer, got {self.n!r}")
+        object.__setattr__(self, "n", int(self.n))  # numpy integers overflow in degree sums
         if self.n < 2:
             raise ValueError(f"graphs need n >= 2, got n={self.n}")
 

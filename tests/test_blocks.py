@@ -7,9 +7,12 @@ n x n matrix: the multiplicities count every vertex, and the trace and
 second moment of A_alpha follow from the edge count and degrees.
 """
 
+import math
+
 import numpy as np
 import pytest
 
+import uacg.blocks as blocks_mod
 import uacg.closedform as closedform_mod
 import uacg.graphs as graphs_mod
 from uacg.blocks import block_eigenvalues, unit_sum_blocks
@@ -25,6 +28,55 @@ from uacg.numtheory import euler_phi, factorize, prime_power
 
 LARGE_ORDERS = (1155, 15015, 255255)
 ALPHAS = (0.0, 0.3, 0.7, 0.9999)
+
+
+def _reference_factor_types(p, e):
+    """Every (L, P, J) type of Z_{p**e}, the four scalar types as 1x1 arrays."""
+    q = p ** (e - 1)
+    r = math.sqrt(p - 1.0)
+    pair = (
+        q * np.array([[0.0, r], [r, p - 2.0]]),
+        np.diag([0.0, 1.0]),
+        q * np.array([[1.0, r], [r, p - 1.0]]),
+    )
+    scalars = (
+        ((q, 1, 0), (p - 1) // 2),
+        ((-q, 1, 0), (p - 3) // 2),
+        ((0, 0, 0), q - 1),
+        ((0, 1, 0), (p - 1) * (q - 1)),
+    )
+    types = [(pair, 1)]
+    types.extend(
+        (tuple(np.full((1, 1), float(x)) for x in triple), mult)
+        for triple, mult in scalars
+        if mult > 0
+    )
+    return types
+
+
+def reference_unit_sum_blocks(n):
+    """unit_sum_blocks by brute force: the Kronecker product of every choice
+    of one type per factor, equal blocks merged on their bytes."""
+    one = np.ones((1, 1))
+    blocks = {b"": ((one, one, one), 1)}
+    for p, e in factorize(n).factors:
+        merged = {}
+        for block, mult in blocks.values():
+            for factor, k in _reference_factor_types(p, e):
+                # Adding 0.0 turns -0.0 into 0.0, so equal blocks get equal keys.
+                new = tuple(np.kron(a, b) + 0.0 for a, b in zip(block, factor))
+                key = b"".join(a.tobytes() for a in new)
+                prev = merged.get(key)
+                merged[key] = (new, mult * k + (prev[1] if prev else 0))
+        blocks = merged
+    by_width = {}
+    for block, mult in blocks.values():
+        by_width.setdefault(block[0].shape[0], []).append((block, mult))
+    return tuple(
+        tuple(np.stack([block[i] for block, _ in group]) for i in range(3))
+        + (np.array([mult for _, mult in group], dtype=np.int64),)
+        for group in (by_width[w] for w in sorted(by_width))
+    )
 
 
 def zagreb(n: int, complement: bool) -> int:
@@ -74,16 +126,41 @@ class TestLargeOrders:
 
 
 class TestUnitSumBlocks:
+    # 225, 3375 and 4849845 = 3**2 * 5 * 7 * 11 * 13 * 17 * 19 are not
+    # squarefree, so they have leftover diagonal entries.
     def test_widths_and_count(self):
-        n = 15015
-        omega = factorize(n).num_distinct_primes
-        total = 0
-        for lsum, units, ones, mults in unit_sum_blocks(n):
-            width = lsum.shape[-1]
-            assert width <= 2**omega
-            assert lsum.shape == units.shape == ones.shape == (mults.size, width, width)
-            total += width * int(mults.sum())
-        assert total == n
+        for n in (225, 3375, 15015, 4849845):
+            omega = factorize(n).num_distinct_primes
+            total = units_total = 0
+            for lsum, units, ones, mults in unit_sum_blocks(n):
+                width = lsum.shape[-1]
+                assert width <= 2**omega
+                assert lsum.shape == units.shape == ones.shape == (mults.size, width, width)
+                assert np.all(mults > 0)
+                total += width * int(mults.sum())
+                units_total += int(mults @ np.trace(units, axis1=1, axis2=2))
+                flat = np.concatenate([lsum, units, ones], axis=1).reshape(mults.size, -1)
+                for i in range(mults.size):
+                    assert not np.any(np.all(flat[i] == flat[i + 1 :], axis=1))
+            assert total == n
+            assert units_total == euler_phi(n)
+
+    @pytest.mark.parametrize("n", [*range(3, 602, 2), 3375, 15015, 45045, 255255])
+    def test_matches_kronecker_reference(self, n, monkeypatch):
+        got = {}
+        for builder in (unit_sum_blocks, reference_unit_sum_blocks):
+            monkeypatch.setattr(blocks_mod, "unit_sum_blocks", builder)
+            for comp in (False, True):
+                spec = GraphSpec(FAMILY_UACG, n, comp)
+                for alpha in (0.0, 0.3, 0.9999, 1.0):
+                    vals, mults = block_eigenvalues(spec, alpha)
+                    shift = 2.0 * alpha * edge_count(spec) / n
+                    expanded = np.sort(np.repeat(vals, mults))
+                    energy = float(mults @ np.abs(vals - shift))
+                    got.setdefault((comp, alpha), []).append((expanded, energy))
+        for (new, new_energy), (ref, ref_energy) in got.values():
+            assert np.array_equal(new, ref)
+            assert abs(new_energy - ref_energy) <= 1e-15 * max(1.0, abs(ref_energy))
 
     def test_cached_arrays_are_read_only(self):
         lsum, _, _, mults = unit_sum_blocks(1155)[0]

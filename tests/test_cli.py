@@ -16,6 +16,7 @@ from pathlib import Path
 
 import pytest
 
+import uacg.cli as cli_mod
 from uacg.cli import (
     EXIT_BAD_ARGS,
     EXIT_NO_CLOSED_FORM,
@@ -329,6 +330,16 @@ class TestSweepCommand:
         assert code == EXIT_BAD_ARGS
         assert out == ""
         assert "step must be positive and finite" in err
+
+    def test_too_many_points_exits_2(self, monkeypatch):
+        monkeypatch.setattr(cli_mod, "MAX_SWEEP_POINTS", 5)
+        code, out, err = run_cli(
+            ["sweep", "--family", "uacg", "--n", "9", "--alpha-start", "0",
+             "--alpha-end", "0.9", "--step", "0.1"]
+        )
+        assert code == EXIT_BAD_ARGS
+        assert out == ""
+        assert "more than 5 sweep steps" in err
 
     def test_end_at_one_rejected(self):
         code, _, _ = run_cli(

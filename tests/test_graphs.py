@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import uacg.graphs as graphs_mod
+from uacg.analysis import energy_bounds
 from uacg.graphs import (
     DENSE_ORDER_LIMIT,
     FAMILIES,
@@ -298,7 +299,13 @@ class TestSpecLabels:
     def test_accepts_numpy_integer_order(self):
         spec = GraphSpec(FAMILY_UACG, np.int64(9))
         assert spec == GraphSpec(FAMILY_UACG, 9)
+        assert type(spec.n) is int
         assert edge_count(spec) == 24
+        # The Zagreb sum overflows int64 at this order unless n is a Python int.
+        n = 4849845
+        assert energy_bounds(GraphSpec(FAMILY_UACG, np.int64(n)), 0.3) == energy_bounds(
+            GraphSpec(FAMILY_UACG, n), 0.3
+        )
 
 
 @given(n=st.integers(min_value=2, max_value=120))
