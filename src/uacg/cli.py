@@ -8,6 +8,7 @@ exact method was requested but none covers the input.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -312,7 +313,14 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 # Parser assembly and entry point.
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and shared after it.
+
+    Building it costs about ten times what one parse does.  Reuse is safe:
+    every parse fills a fresh namespace, the defaults and choices are
+    immutable, and help and errors are formatted when printed.
+    """
     parser = argparse.ArgumentParser(
         prog="uacg",
         description="Spectra, energies and borderenergetic classification "

@@ -41,7 +41,6 @@ from .numtheory import (
     is_prime,
     largest_squarefree_divisor,
     prime_power,
-    ramanujan_sum,
 )
 
 __all__ = [
@@ -233,13 +232,22 @@ def _ramanujan_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
     c(k, n) depends on k only through d = gcd(k, n), which phi(n/d) of the k
     in 0..n-1 share; the last divisor, n, stands for k = 0 alone.  The sums
     are integers far below 2**53, so the floats are exact.
+
+    Both factors are multiplicative over the prime powers p**e of n, so the
+    rows are built from n's factorization alone.  Where d takes p**i, n/d
+    keeps t = p**(e - i), which multiplies c by mobius(t) phi(p**e) / phi(t)
+    (phi(p**e) at t = 1, -p**(e - 1) at t = p, 0 above) and the count by
+    phi(t).
     """
-    divisors = [1]
+    rows = [(1, 1, 1)]
     for p, e in factorize(n).factors:
-        divisors = [d * p**i for d in divisors for i in range(e + 1)]
-    divisors.sort()
-    values = np.array([ramanujan_sum(d % n, n) for d in divisors], dtype=float)
-    return values, np.array([euler_phi(n // d) for d in divisors], dtype=np.int64)
+        q = p ** (e - 1)
+        parts = [(p**e, q * (p - 1), 1), (q, -q, p - 1)]
+        parts += [(p**i, 0, p ** (e - i - 1) * (p - 1)) for i in range(e - 1)]
+        rows = [(d * dp, c * cp, m * mp) for d, c, m in rows for dp, cp, mp in parts]
+    rows.sort()
+    _, values, counts = zip(*rows)
+    return np.array(values, dtype=float), np.array(counts, dtype=np.int64)
 
 
 def unitary_cayley_spectrum(n: int, alpha: float) -> Spectrum:

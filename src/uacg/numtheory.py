@@ -27,6 +27,11 @@ __all__ = [
 # desk-scale by design.
 TRIAL_DIVISION_LIMIT = 10**9
 
+# Factorizations kept by `factorize`, least recently used dropped first: room
+# for every order up to DENSE_ORDER_LIMIT (4096), the largest `verify --nmax`,
+# at about 0.4 kB each, where an unbounded cache grows with every new order.
+_FACTORIZE_CACHE_SIZE = 4096
+
 
 @dataclass(frozen=True)
 class Factorization:
@@ -44,7 +49,7 @@ class Factorization:
         return len(self.factors)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_FACTORIZE_CACHE_SIZE)
 def factorize(n: int) -> Factorization:
     """Complete prime factorization of n by trial division.
 

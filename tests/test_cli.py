@@ -25,6 +25,7 @@ from uacg.cli import (
     main,
 )
 from uacg.graphs import DENSE_ORDER_LIMIT
+from uacg.verification import CheckResult
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -39,6 +40,25 @@ def run_cli(args: list[str]) -> tuple[int, str, str]:
 def read_fixture(name: str) -> list[dict[str, str]]:
     with open(FIXTURES / name, newline="") as fh:
         return list(csv.DictReader(fh))
+
+
+def failing_suite(scope, nmax):
+    """Stands in for run_suite: one check that fails."""
+    return [CheckResult(name="stub", passed=False, worst=1.0, cases=1, detail="forced failure")]
+
+
+def golden_calls() -> list[tuple[list[str], str, int]]:
+    """(argv, stdout, exit code) of each call in fixtures/cli_golden.txt.
+
+    Each block is a '>>> ' line with the arguments, the expected stdout, and
+    a '<<< exit N' line.
+    """
+    calls = []
+    for block in (FIXTURES / "cli_golden.txt").read_text().split(">>> ")[1:]:
+        call, rest = block.split("\n", 1)
+        expected_out, exit_line = rest.rsplit("<<< exit ", 1)
+        calls.append((call.split(), expected_out, int(exit_line)))
+    return calls
 
 
 class TestSpectrumCommand:
@@ -210,14 +230,7 @@ class TestVerifyCommand:
         assert code == EXIT_BAD_ARGS
 
     def test_failed_check_exits_1(self, monkeypatch):
-        from uacg.verification import CheckResult
-        import uacg.cli as cli_mod
-
-        def fake_suite(scope, nmax):
-            return [CheckResult(name="stub", passed=False, worst=1.0, cases=1,
-                                detail="forced failure")]
-
-        monkeypatch.setattr(cli_mod, "run_suite", fake_suite)
+        monkeypatch.setattr(cli_mod, "run_suite", failing_suite)
         code, out, _ = run_cli(["verify", "--scope", "all", "--nmax", "3"])
         assert code == EXIT_VERIFY_FAILED
         assert "FAIL stub" in out
@@ -366,18 +379,14 @@ class TestGoldenOutput:
     def test_closed_and_regular_routes_byte_identical(self):
         """Replay the calls in fixtures/cli_golden.txt and compare byte for byte.
 
-        Each block is a '>>> ' line with the arguments, the expected stdout,
-        and a '<<< exit N' line.  Only closed-form and regular-shortcut
-        outputs are stored: numeric-route digits depend on the BLAS build.
+        Only closed-form and regular-shortcut outputs are stored:
+        numeric-route digits depend on the BLAS build.
         """
-        text = (FIXTURES / "cli_golden.txt").read_text()
-        blocks = text.split(">>> ")[1:]
-        assert len(blocks) >= 30
-        for block in blocks:
-            call, rest = block.split("\n", 1)
-            expected_out, exit_line = rest.rsplit("<<< exit ", 1)
-            code, out, _ = run_cli(call.split())
-            assert (code, out) == (int(exit_line), expected_out), call
+        calls = golden_calls()
+        assert len(calls) >= 30
+        for argv, expected_out, expected_code in calls:
+            code, out, _ = run_cli(argv)
+            assert (code, out) == (expected_code, expected_out), argv
 
 
 class TestVersionFlag:
@@ -385,3 +394,38 @@ class TestVersionFlag:
         code, out, _ = run_cli(["--version"])
         assert code == EXIT_OK
         assert out.startswith("uacg ")
+
+
+class TestParserReuse:
+    def test_parser_built_once_across_calls(self):
+        cli_mod._build_parser.cache_clear()
+        for _ in range(20):
+            code, _, _ = run_cli(["energy", "--family", "uacg", "--n", "9", "--alpha", "0.3"])
+            assert code == EXIT_OK
+        info = cli_mod._build_parser.cache_info()
+        assert (info.misses, info.hits) == (1, 19)
+
+    def test_shared_parser_matches_fresh_parser(self, monkeypatch):
+        """An argument error, --version and a failed verify leave nothing behind
+        in the shared parser: every later call prints and exits as it does
+        with a parser built for it alone."""
+        monkeypatch.setattr(cli_mod, "run_suite", failing_suite)
+        calls = [
+            ["energy", "--family", "petersen", "--n", "9", "--alpha", "0"],
+            ["--version"],
+            ["verify", "--scope", "all", "--nmax", "3"],
+            *(argv for argv, _, _ in reversed(golden_calls())),
+            # Every option at its default, after calls that set them all.
+            ["energy", "--family", "uacg", "--n", "9", "--alpha", "0.3"],
+            ["sweep", "--family", "uacg", "--n", "9", "--alpha-start", "0",
+             "--alpha-end", "0.9", "--step", "0.3"],
+        ]
+        cli_mod._build_parser.cache_clear()
+        shared = [run_cli(argv) for argv in calls]
+        assert cli_mod._build_parser.cache_info().misses == 1
+        assert [code for code, _, _ in shared[:3]] == [
+            EXIT_BAD_ARGS, EXIT_OK, EXIT_VERIFY_FAILED,
+        ]
+        for argv, got in zip(calls, shared):
+            cli_mod._build_parser.cache_clear()
+            assert run_cli(argv) == got, argv

@@ -245,6 +245,23 @@ class TestUnitaryCayleySpectrum:
             assert sorted(np.repeat(values, counts).tolist()) == want
             assert (values[-1], counts[-1]) == (ramanujan_sum(0, n), 1)
 
+    def test_ramanujan_pairs_match_per_divisor_reference(self):
+        # Built prime by prime, the rows equal one ramanujan_sum and one
+        # euler_phi per divisor exactly, from a single factorization of n.
+        for n in [*range(1, 400), 15015, 60084, 99990, 255255, 4849845]:
+            divisors = [1]
+            for p, e in factorize(n).factors:
+                divisors = [d * p**i for d in divisors for i in range(e + 1)]
+            divisors.sort()
+            want_values = np.array([ramanujan_sum(d % n, n) for d in divisors], dtype=float)
+            want_counts = np.array([euler_phi(n // d) for d in divisors], dtype=np.int64)
+            factorize.cache_clear()
+            values, counts = _ramanujan_pairs(n)
+            assert factorize.cache_info().misses <= 1, n
+            assert values.dtype == want_values.dtype and counts.dtype == want_counts.dtype
+            assert np.array_equal(values, want_values), n
+            assert np.array_equal(counts, want_counts), n
+
     def test_adjacency_energy_closed_form(self):
         for n in (4, 6, 9, 12, 30, 105):
             distinct_primes = len(factorize(n).factors)

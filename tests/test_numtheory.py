@@ -153,6 +153,15 @@ class TestFactorize:
         for n in range(2, 3001):
             assert factorize(n).factors == brute_factorize(n)
 
+    def test_cache_is_bounded_and_eviction_keeps_results(self):
+        size = factorize.cache_info().maxsize
+        assert size is not None and 0 < size < 10**6
+        factorize.cache_clear()
+        # Fill past the bound, so the first orders are evicted, then ask again.
+        for n in [*range(1, size + 201), *range(1, 201)]:
+            assert factorize(n).factors == brute_factorize(n)
+        assert factorize.cache_info().currsize == size
+
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):
             factorize(0)
