@@ -13,13 +13,14 @@ complete graph's classifies a graph as borderenergetic or hyperenergetic.
 from __future__ import annotations
 
 import math
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
 from .closedform import (
     _ramanujan_pairs,
+    _route,
     alpha_energy_from_values,
     build_alpha_matrix,
     complete_energy,
@@ -295,14 +296,14 @@ def _secant_floor(xs: list[float], vs: list[float], i: int) -> float:
 
 
 def _bisect(
-    gap: Callable[[float], float], pos: float, neg: float, touch: float, tol: float
+    gaps: Callable[[Sequence[float]], list[float]], pos: float, neg: float, touch: float, tol: float
 ) -> float:
     """Root between pos (gap > touch) and neg (gap < -touch), to width tol."""
     while abs(neg - pos) > tol:
         mid = 0.5 * (pos + neg)
         if mid in (pos, neg):  # tol is below the float spacing here
             break
-        val = gap(mid)
+        (val,) = gaps((mid,))
         if abs(val) <= touch:
             return mid
         if val > 0.0:
@@ -312,13 +313,17 @@ def _bisect(
     return 0.5 * (pos + neg)
 
 
-def _convex_roots(gap: Callable[[float], float], touch: float, tol: float) -> list[float]:
+def _convex_roots(
+    gaps: Callable[[Sequence[float]], list[float]], touch: float, tol: float
+) -> list[float]:
     """Roots in [0, 1) of a convex gap, ascending; see find_borderenergetic_alphas.
 
-    A value within touch of zero counts as zero, and roots are bracketed to
-    width tol.
+    gaps evaluates the gap on a batch of alphas: one call for the coarse
+    samples, one per refinement round for all of its midpoints, and one per
+    bisection step.  A value within touch of zero counts as zero, and roots
+    are bracketed to width tol.
     """
-    samples = {a: gap(a) for a in _COARSE_ALPHAS}
+    samples = dict(zip(_COARSE_ALPHAS, gaps(_COARSE_ALPHAS)))
     if all(abs(v) <= touch for v in samples.values()):
         return []
     while True:
@@ -334,8 +339,7 @@ def _convex_roots(gap: Callable[[float], float], touch: float, tol: float) -> li
         mids = [a for a in mids if a not in samples]
         if not mids:
             return []
-        for a in mids:
-            samples[a] = gap(a)
+        samples.update(zip(mids, gaps(mids)))
     # The samples at or below touch form one run; a root closes each end.
     low = [i for i, v in enumerate(vs) if v <= touch]
     roots = set()
@@ -343,7 +347,7 @@ def _convex_roots(gap: Callable[[float], float], touch: float, tol: float) -> li
         if vs[k] >= -touch:
             roots.add(xs[k])
         elif 0 <= outside < len(xs):
-            roots.add(_bisect(gap, xs[outside], xs[k], touch, tol))
+            roots.add(_bisect(gaps, xs[outside], xs[k], touch, tol))
     return sorted(roots)
 
 
@@ -367,12 +371,18 @@ def find_borderenergetic_alphas(spec: GraphSpec, tol: float = 1e-12) -> list[flo
     than any sample step, down to intervals of width tol.  Once a sample is
     zero or negative, a zero sample is a root and each strict sign change is
     bisected down to an interval of width tol.  Results are ascending.
+
+    The gap is evaluated a batch of alphas at a time, on the route that
+    energy_report takes: the coarse samples are one batch and each round of
+    midpoints is one more, so on the numeric route each is one stacked block
+    solve.  Each energy equals energy_report's for that alpha.
     """
     tol = _check_tol(tol)
     n = spec.n
     touch = 1e-12 * max(1.0, 2.0 * (n - 1.0))
+    energies = _route(spec)[2]
 
-    def gap(a: float) -> float:
-        return energy_report(spec, a).energy - complete_energy(n, a)
+    def gaps(alphas: Sequence[float]) -> list[float]:
+        return [e - complete_energy(n, a) for e, a in zip(energies(alphas), alphas)]
 
-    return _convex_roots(gap, touch, tol)
+    return _convex_roots(gaps, touch, tol)

@@ -12,12 +12,12 @@ adjacency eigenvalues); the other odd orders split into small exact blocks
 from __future__ import annotations
 
 import math
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
-from .blocks import block_eigenvalues
+from .blocks import _stacked_eigenvalues, block_eigenvalues
 from .graphs import (
     FAMILY_COMPLETE,
     FAMILY_UNITARY_CAYLEY,
@@ -323,8 +323,13 @@ def complete_energy(n: int, alpha: float) -> float:
 # Dispatch over GraphSpec.
 
 
-def _route(spec: GraphSpec) -> tuple[str, Callable, Callable[[float], float]]:
-    """(method, spectrum(alpha), energy(alpha)) for the route that covers spec.
+def _each(energy: Callable[[float], float]) -> Callable[[Sequence[float]], list[float]]:
+    """A scalar energy formula, looped over a sequence of alphas."""
+    return lambda alphas: [float(energy(a)) for a in alphas]
+
+
+def _route(spec: GraphSpec) -> tuple[str, Callable, Callable[[Sequence[float]], list[float]]]:
+    """(method, spectrum(alpha), energies(alphas)) for the route that covers spec.
 
     This is the one place that splits specs into routes.  Complete and
     unitary Cayley graphs are regular with known eigenvalues, and even-order
@@ -333,37 +338,44 @@ def _route(spec: GraphSpec) -> tuple[str, Callable, Callable[[float], float]]:
     prime-power unit-sum graphs and complements have exact formulas.  Every
     other spec is an odd-order unit-sum spec on the numeric route, solved by
     the block eigensolver: its spectrum callable returns the blocks'
-    (values, multiplicities) for the caller to group, and its energy sums
-    multiplicity * |value - 2*alpha*m/n| over the blocks.
+    (values, multiplicities) for the caller to group.
+
+    The energies callable maps a sequence of alphas to a list of energies.
+    The formula routes loop their scalar formula; the numeric route solves
+    the blocks for every alpha in one stacked call and sums
+    multiplicity * |value - 2*alpha*m/n| over the blocks row by row, so each
+    energy equals the one computed for that alpha alone.
     """
     n = spec.n
     if spec.family == FAMILY_COMPLETE:
         if spec.complement:  # edgeless
-            return METHOD_REGULAR, lambda a: Spectrum(pairs=((0.0, n),), n=n), lambda a: 0.0
-        return METHOD_REGULAR, lambda a: complete_spectrum(n, a), lambda a: complete_energy(n, a)
+            return METHOD_REGULAR, lambda a: Spectrum(pairs=((0.0, n),), n=n), _each(lambda a: 0.0)
+        energies = _each(lambda a: complete_energy(n, a))
+        return METHOD_REGULAR, lambda a: complete_spectrum(n, a), energies
     if spec.family == FAMILY_UNITARY_CAYLEY or n % 2 == 0:
         spectrum, eps0 = (
             (complement_unitary_cayley_spectrum, complement_unitary_cayley_adjacency_energy)
             if spec.complement
             else (unitary_cayley_spectrum, unitary_cayley_adjacency_energy)
         )
-        return METHOD_REGULAR, lambda a: spectrum(n, a), lambda a: regular_alpha_energy(eps0(n), a)
+        energies = _each(lambda a: regular_alpha_energy(eps0(n), a))
+        return METHOD_REGULAR, lambda a: spectrum(n, a), energies
     pp = prime_power(n)
     if pp is None:
         edges = edge_count(spec)
 
-        def block_energy(a: float) -> float:
-            vals, mults = block_eigenvalues(spec, a)
-            return float(mults @ np.abs(vals - 2.0 * a * edges / n))
+        def block_energies(alphas: Sequence[float]) -> list[float]:
+            vals, mults = _stacked_eigenvalues(spec, alphas)
+            return [float(mults @ np.abs(v - 2.0 * a * edges / n)) for v, a in zip(vals, alphas)]
 
-        return METHOD_NUMERIC, lambda a: block_eigenvalues(spec, a), block_energy
+        return METHOD_NUMERIC, lambda a: block_eigenvalues(spec, a), block_energies
     p, m = pp
     spectrum, energy = (
         (complement_prime_power_spectrum, complement_prime_power_energy)
         if spec.complement
         else (uacg_prime_power_spectrum, uacg_prime_power_energy)
     )
-    return METHOD_CLOSED, lambda a: spectrum(p, m, a), lambda a: energy(p, m, a)
+    return METHOD_CLOSED, lambda a: spectrum(p, m, a), _each(lambda a: energy(p, m, a))
 
 
 def has_closed_spectrum(spec: GraphSpec) -> bool:
@@ -433,7 +445,7 @@ def energy_report(spec: GraphSpec, alpha: float) -> EnergyReport:
     n = spec.n
     m = edge_count(spec)
     shift = 2.0 * alpha * m / n
-    method, _, energy = _route(spec)
+    method, _, energies = _route(spec)
     return EnergyReport(
-        spec=spec, alpha=alpha, n=n, m=m, shift=shift, energy=float(energy(alpha)), method=method
+        spec=spec, alpha=alpha, n=n, m=m, shift=shift, energy=energies((alpha,))[0], method=method
     )

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 import uacg.analysis
+import uacg.closedform
 from uacg.analysis import (
     _convex_roots,
     _odd_eigen_arrays,
@@ -350,23 +351,24 @@ class TestRootFinder:
             find_borderenergetic_alphas(GraphSpec(FAMILY_UACG, 27), tol=tol)
 
     def test_numeric_order_needs_few_gap_evaluations(self, monkeypatch):
-        calls = []
-        real = uacg.analysis.energy_report
+        batches = []
+        real = uacg.closedform._stacked_eigenvalues
 
-        def counting(spec, alpha):
-            calls.append(alpha)
-            return real(spec, alpha)
+        def counting(spec, alphas):
+            batches.append(list(alphas))
+            return real(spec, alphas)
 
-        monkeypatch.setattr(uacg.analysis, "energy_report", counting)
+        monkeypatch.setattr(uacg.closedform, "_stacked_eigenvalues", counting)
         assert find_borderenergetic_alphas(GraphSpec(FAMILY_UACG, 105)) == []
-        assert 0 < len(calls) < 50
+        assert 0 < sum(map(len, batches)) < 50
+        assert len(batches) <= 4
 
 
 class TestConvexRoots:
     """The search on synthetic convex gaps, at touch = tol = 1e-12."""
 
     def roots(self, gap):
-        return _convex_roots(gap, 1e-12, 1e-12)
+        return _convex_roots(lambda xs: [gap(a) for a in xs], 1e-12, 1e-12)
 
     def test_two_roots_inside_one_coarse_interval(self):
         # both roots lie in [1/4, 5/16] and every coarse sample is positive
@@ -374,6 +376,18 @@ class TestConvexRoots:
         assert len(roots) == 2
         assert roots[0] == pytest.approx(0.3, abs=1e-9)
         assert roots[1] == pytest.approx(0.3001, abs=1e-9)
+
+    def test_each_round_of_midpoints_is_one_batch(self):
+        batches = []
+
+        def gaps(alphas):
+            batches.append(list(alphas))
+            return [1e4 * (a - 0.3) * (a - 0.3001) for a in alphas]
+
+        assert len(_convex_roots(gaps, 1e-12, 1e-12)) == 2
+        assert batches[0] == list(uacg.analysis._COARSE_ALPHAS)
+        # the first round halves both coarse intervals next to the roots
+        assert batches[1] == [0.28125, 0.34375]
 
     def test_tangent_root(self):
         # |gap| <= touch only within 1e-6 of the root
@@ -410,7 +424,7 @@ class TestConvexRoots:
         assert roots[0] == pytest.approx(0.3, abs=1e-9)
 
     def test_tolerance_below_float_spacing_terminates(self):
-        roots = _convex_roots(lambda a: a - 0.3, 0.0, 1e-300)
+        roots = _convex_roots(lambda xs: [a - 0.3 for a in xs], 0.0, 1e-300)
         assert len(roots) == 1
         assert roots[0] == pytest.approx(0.3, abs=1e-15)
 
@@ -458,6 +472,30 @@ class TestRootFinderCrossCheck:
                 want = scan_roots(spec)
                 assert len(got) == len(want) <= 2, (spec, got, want)
                 assert all(abs(g - w) <= 1e-9 for g, w in zip(got, want)), (spec, got, want)
+
+    def test_batched_gap_matches_scalar_reference(self):
+        # _convex_roots fed one energy_report per alpha makes the same
+        # decisions, so the roots agree bit for bit.
+        specs = [
+            GraphSpec(family, n, complement_flag)
+            for family in (FAMILY_UACG, FAMILY_UNITARY_CAYLEY, FAMILY_COMPLETE)
+            for n in range(2, 141)
+            for complement_flag in (False, True)
+        ]
+        specs += [
+            GraphSpec(FAMILY_UACG, q, complement_flag)
+            for q in range(141, 260, 2)
+            if prime_power(q) is not None
+            for complement_flag in (False, True)
+        ]
+        for spec in specs:
+            n = spec.n
+
+            def scalar_gaps(alphas):
+                return [energy_report(spec, a).energy - complete_energy(n, a) for a in alphas]
+
+            want = _convex_roots(scalar_gaps, 1e-12 * max(1.0, 2.0 * (n - 1.0)), 1e-12)
+            assert find_borderenergetic_alphas(spec) == want, spec
 
     @pytest.mark.parametrize(
         "spec",

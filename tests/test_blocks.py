@@ -15,8 +15,9 @@ import pytest
 import uacg.blocks as blocks_mod
 import uacg.closedform as closedform_mod
 import uacg.graphs as graphs_mod
-from uacg.blocks import block_eigenvalues, unit_sum_blocks
-from uacg.closedform import energy_report, spectrum_for
+from uacg.analysis import _COARSE_ALPHAS, find_borderenergetic_alphas
+from uacg.blocks import _BATCH_ELEMENTS, _stacked_eigenvalues, block_eigenvalues, unit_sum_blocks
+from uacg.closedform import _route, energy_report, spectrum_for
 from uacg.graphs import (
     DENSE_ORDER_LIMIT,
     FAMILY_UACG,
@@ -77,6 +78,22 @@ def reference_unit_sum_blocks(n):
         + (np.array([mult for _, mult in group], dtype=np.int64),)
         for group in (by_width[w] for w in sorted(by_width))
     )
+
+
+def reference_block_eigenvalues(spec, alpha):
+    """block_eigenvalues one alpha at a time, with alpha a Python float: the
+    per-alpha solve the stacked one must reproduce bit for bit."""
+    n = spec.n
+    phi = euler_phi(n)
+    values, mults = [], []
+    for lsum, units, ones, mult in unit_sum_blocks(n):
+        eye = np.eye(lsum.shape[-1])
+        a = (1.0 - alpha) * lsum + alpha * phi * eye - units
+        if spec.complement:
+            a = (alpha * n - 1.0) * eye + (1.0 - alpha) * ones - a
+        values.append(np.linalg.eigvalsh(a).ravel())
+        mults.append(np.repeat(mult, lsum.shape[-1]))
+    return np.concatenate(values), np.concatenate(mults)
 
 
 def zagreb(n: int, complement: bool) -> int:
@@ -191,3 +208,63 @@ class TestUnitSumBlocks:
         assert used == "numeric"
         assert spectrum.n == n
         assert sum(spectrum.multiplicities()) == n
+
+
+# Odd orders up to 2001 every 20th, and two whose widest blocks are cut into
+# chunks of alphas.
+STACKED_ORDERS = (*range(3, 2002, 40), 2001, 15015, 255255)
+STACKED_ALPHAS = (*_COARSE_ALPHAS, 0.3001, 1.0, 0.0)
+
+
+class TestStackedEigenvalues:
+    @pytest.mark.parametrize("n", STACKED_ORDERS)
+    @pytest.mark.parametrize("comp", [False, True])
+    def test_rows_match_one_alpha_at_a_time(self, n, comp):
+        spec = GraphSpec(FAMILY_UACG, n, comp)
+        vals, mults = _stacked_eigenvalues(spec, STACKED_ALPHAS)
+        assert vals.shape == (len(STACKED_ALPHAS), mults.size)
+        for row, alpha in zip(vals, STACKED_ALPHAS):
+            for one_vals, one_mults in (
+                block_eigenvalues(spec, alpha),
+                reference_block_eigenvalues(spec, alpha),
+            ):
+                assert np.array_equal(row, one_vals)
+                assert np.array_equal(mults, one_mults)
+
+    @pytest.mark.parametrize("n", [15, 105, 15015])
+    @pytest.mark.parametrize("comp", [False, True])
+    def test_numeric_energies_sum_each_alpha_blocks(self, n, comp):
+        spec = GraphSpec(FAMILY_UACG, n, comp)
+        alphas = STACKED_ALPHAS[:-2]
+        m = edge_count(spec)
+        want = []
+        for alpha in alphas:
+            vals, mults = block_eigenvalues(spec, alpha)
+            want.append(float(mults @ np.abs(vals - 2.0 * alpha * m / n)))
+        assert _route(spec)[2](alphas) == want
+
+    @pytest.mark.parametrize("bad", [float("nan"), -0.1, 1.5])
+    @pytest.mark.parametrize("where", [0, 5, 17])
+    def test_rejects_any_bad_alpha(self, bad, where):
+        alphas = list(_COARSE_ALPHAS)
+        alphas.insert(where, bad)
+        with pytest.raises(ValueError):
+            _stacked_eigenvalues(GraphSpec(FAMILY_UACG, 105), alphas)
+
+    @pytest.mark.parametrize("comp", [False, True])
+    def test_root_scan_keeps_each_stack_small(self, comp, monkeypatch):
+        # 111546435 = 3 * 5 * ... * 23 has blocks up to 256 wide.
+        shapes = []
+        real = np.linalg.eigvalsh
+
+        def spy(a):
+            shapes.append(a.shape)
+            return real(a)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+        find_borderenergetic_alphas(GraphSpec(FAMILY_UACG, 111_546_435, comp))
+        for shape in shapes:
+            one_alpha = math.prod(shape[1:])
+            assert math.prod(shape) <= max(_BATCH_ELEMENTS, one_alpha), shape
+        assert any(shape[0] > 1 for shape in shapes)
+        assert any(math.prod(shape[1:]) > _BATCH_ELEMENTS for shape in shapes)
