@@ -96,11 +96,31 @@ def unit_sum_blocks(n: int) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray, n
 # batch go through each block width in chunks of at most this many entries,
 # or one alpha at a time where one alpha's blocks hold more.  Root scans of
 # both unit-sum families at n = 111,546,435 (blocks up to 256 wide), 1 BLAS
-# thread, numpy 2.4.6 with OpenBLAS on a 2-core Xeon VM: peak RSS 55.7, 55.2
-# and 56.7 MB at 2**14, 2**16 and 2**18 (53.4 MB one alpha at a time), and
-# 169.6 MB with every alpha in one stack, at 0.74-0.87 s each.  Scanning
-# every odd n <= 2001 took 0.52-0.54 s at every bound from 2**10 to 2**18.
+# thread, numpy 2.4.6 with OpenBLAS on a 2-core Xeon VM: peak RSS 56.2, 56.2
+# and 56.7 MB at 2**14, 2**16 and 2**18 (56.1 MB one alpha at a time), and
+# 170.5 MB with every alpha in one stack, at 0.72-0.79 s each.  Scanning
+# every odd n <= 2001 took 0.51-0.53 s at every bound from 2**10 to 2**18.
 _BATCH_ELEMENTS = 2**16
+
+
+@lru_cache(maxsize=64)
+def _stack_layout(n: int) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
+    """The identity matrix of each block width of unit_sum_blocks(n), and the
+    multiplicity of each value _stacked_eigenvalues lists; read-only.
+
+    Cached beside the blocks because building them per call cost as much as
+    the alpha axis adds to a one-alpha call: block_eigenvalues at n = 105
+    (graph, complement) took 50.0, 59.8 us building them per call and 41.1,
+    50.9 us cached, against 40.3, 47.9 us for a solve with alpha as a Python
+    float (best of 7 x 3 x 400 calls, machine and settings as for
+    _BATCH_ELEMENTS).
+    """
+    blocks = unit_sum_blocks(n)
+    eyes = tuple(np.eye(lsum.shape[-1]) for lsum, *_ in blocks)
+    mults = np.concatenate([np.repeat(mult, lsum.shape[-1]) for lsum, _, _, mult in blocks])
+    for a in (*eyes, mults):
+        a.setflags(write=False)
+    return eyes, mults
 
 
 def _stacked_eigenvalues(
@@ -109,39 +129,38 @@ def _stacked_eigenvalues(
     """block_eigenvalues for a sequence of alphas at once.
 
     Returns (values, multiplicities): values has one row per alpha and the
-    multiplicities are shared.  One stacked eigvalsh per block width above 1
-    and chunk of alphas.  Each matrix is built by the same float operations
-    as for one alpha and solved on its own, so each row is bit-identical to
-    the values of that alpha alone.
+    read-only multiplicities are shared.  One stacked eigvalsh per block
+    width and chunk of alphas.  Each matrix is built by the same float
+    operations as for one alpha and solved on its own, so each row is
+    bit-identical to the values of that alpha alone.
     """
     if spec.family != FAMILY_UACG:
         raise ValueError(f"the block decomposition covers the unit-sum family, not {spec.family!r}")
     alphas = np.array([_check_alpha(a, allow_one=True) for a in alphas]).reshape(-1, 1, 1, 1)
     n = spec.n
     keep, diag, top = 1.0 - alphas, alphas * euler_phi(n), alphas * n - 1.0
-    values, mults = [], []
-    for lsum, units, ones, mult in unit_sum_blocks(n):
-        width = lsum.shape[-1]
-        eye = np.eye(width)
-        out = np.empty((len(alphas), *lsum.shape[:-1]))
+    eyes, mults = _stack_layout(n)
+    values = np.empty((len(alphas), mults.size))
+    col = 0
+    for (lsum, units, ones, _), eye in zip(unit_sum_blocks(n), eyes):
+        count, width, _ = lsum.shape
         step = max(1, _BATCH_ELEMENTS // lsum.size)
         for start in range(0, len(alphas), step):
             at = slice(start, start + step)
-            a = keep[at] * lsum + diag[at] * eye - units
+            kept = keep[at]
+            a = kept * lsum + diag[at] * eye - units
             if spec.complement:
-                a = top[at] * eye + keep[at] * ones - a
-            # LAPACK returns a 1x1 matrix's entry as its eigenvalue, unchanged.
-            out[at] = np.linalg.eigvalsh(a) if width > 1 else a[..., 0]
-        values.append(out.reshape(len(alphas), -1))
-        mults.append(np.repeat(mult, width))
-    return np.concatenate(values, axis=1), np.concatenate(mults)
+                a = top[at] * eye + kept * ones - a
+            values[at, col : col + count * width] = np.linalg.eigvalsh(a).reshape(-1, count * width)
+        col += count * width
+    return values, mults
 
 
 def block_eigenvalues(spec: GraphSpec, alpha: float) -> tuple[np.ndarray, np.ndarray]:
     """(eigenvalues, multiplicities) of A_alpha for an odd-order unit-sum spec.
 
-    One stacked eigvalsh per block width above 1.  The values are unsorted
-    and may repeat; the multiplicities sum to n.
+    One stacked eigvalsh per block width.  The values are unsorted and may
+    repeat; the multiplicities sum to n.
     """
     values, mults = _stacked_eigenvalues(spec, (alpha,))
-    return values[0], mults
+    return values[0], mults.copy()

@@ -323,11 +323,6 @@ def complete_energy(n: int, alpha: float) -> float:
 # Dispatch over GraphSpec.
 
 
-def _each(energy: Callable[[float], float]) -> Callable[[Sequence[float]], list[float]]:
-    """A scalar energy formula, looped over a sequence of alphas."""
-    return lambda alphas: [float(energy(a)) for a in alphas]
-
-
 def _route(spec: GraphSpec) -> tuple[str, Callable, Callable[[Sequence[float]], list[float]]]:
     """(method, spectrum(alpha), energies(alphas)) for the route that covers spec.
 
@@ -349,17 +344,27 @@ def _route(spec: GraphSpec) -> tuple[str, Callable, Callable[[Sequence[float]], 
     n = spec.n
     if spec.family == FAMILY_COMPLETE:
         if spec.complement:  # edgeless
-            return METHOD_REGULAR, lambda a: Spectrum(pairs=((0.0, n),), n=n), _each(lambda a: 0.0)
-        energies = _each(lambda a: complete_energy(n, a))
-        return METHOD_REGULAR, lambda a: complete_spectrum(n, a), energies
+            return (
+                METHOD_REGULAR,
+                lambda a: Spectrum(pairs=((0.0, n),), n=n),
+                lambda xs: [0.0] * len(xs),
+            )
+        return (
+            METHOD_REGULAR,
+            lambda a: complete_spectrum(n, a),
+            lambda xs: [float(complete_energy(n, a)) for a in xs],
+        )
     if spec.family == FAMILY_UNITARY_CAYLEY or n % 2 == 0:
         spectrum, eps0 = (
             (complement_unitary_cayley_spectrum, complement_unitary_cayley_adjacency_energy)
             if spec.complement
             else (unitary_cayley_spectrum, unitary_cayley_adjacency_energy)
         )
-        energies = _each(lambda a: regular_alpha_energy(eps0(n), a))
-        return METHOD_REGULAR, lambda a: spectrum(n, a), energies
+        return (
+            METHOD_REGULAR,
+            lambda a: spectrum(n, a),
+            lambda xs: [float(regular_alpha_energy(eps0(n), a)) for a in xs],
+        )
     pp = prime_power(n)
     if pp is None:
         edges = edge_count(spec)
@@ -375,7 +380,11 @@ def _route(spec: GraphSpec) -> tuple[str, Callable, Callable[[Sequence[float]], 
         if spec.complement
         else (uacg_prime_power_spectrum, uacg_prime_power_energy)
     )
-    return METHOD_CLOSED, lambda a: spectrum(p, m, a), _each(lambda a: energy(p, m, a))
+    return (
+        METHOD_CLOSED,
+        lambda a: spectrum(p, m, a),
+        lambda xs: [float(energy(p, m, a)) for a in xs],
+    )
 
 
 def has_closed_spectrum(spec: GraphSpec) -> bool:

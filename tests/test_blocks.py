@@ -8,6 +8,7 @@ second moment of A_alpha follow from the edge count and degrees.
 """
 
 import math
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -167,6 +168,10 @@ class TestUnitSumBlocks:
         got = {}
         for builder in (unit_sum_blocks, reference_unit_sum_blocks):
             monkeypatch.setattr(blocks_mod, "unit_sum_blocks", builder)
+            # A fresh layout cache, so the identities and multiplicities
+            # follow the swapped-in blocks.
+            layout = lru_cache(maxsize=64)(blocks_mod._stack_layout.__wrapped__)
+            monkeypatch.setattr(blocks_mod, "_stack_layout", layout)
             for comp in (False, True):
                 spec = GraphSpec(FAMILY_UACG, n, comp)
                 for alpha in (0.0, 0.3, 0.9999, 1.0):
@@ -186,6 +191,17 @@ class TestUnitSumBlocks:
             lsum[0, 0, 0] = 1.0
         with pytest.raises(ValueError):
             mults[0] = 1
+
+    def test_block_eigenvalues_returns_its_own_multiplicities(self):
+        spec = GraphSpec(FAMILY_UACG, 1155)
+        _, shared = _stacked_eigenvalues(spec, (0.3,))
+        with pytest.raises(ValueError):
+            shared[0] = 1
+        _, mults = block_eigenvalues(spec, 0.3)
+        want = mults.copy()
+        mults[0] += 1
+        assert np.array_equal(block_eigenvalues(spec, 0.3)[1], want)
+        assert np.array_equal(_stacked_eigenvalues(spec, (0.3,))[1], want)
 
     @pytest.mark.parametrize("n", [1, 2, 1000])
     def test_rejects_even_or_small_orders(self, n):

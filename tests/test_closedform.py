@@ -9,6 +9,7 @@ below (14.717, 6.472, 30.367, ...) were computed from the dense route
 before the closed forms were written.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -24,6 +25,7 @@ from uacg.closedform import (
     METHOD_NUMERIC,
     METHOD_REGULAR,
     _ramanujan_pairs,
+    _route,
     alpha_energy_from_values,
     build_alpha_matrix,
     complement_prime_power_energy,
@@ -463,6 +465,16 @@ class TestEnergyReport:
     def test_rejects_alpha_one(self):
         with pytest.raises(ValueError):
             energy_report(GraphSpec(FAMILY_UACG, 9), 1.0)
+
+    def test_batched_energies_match_one_alpha_on_every_route(self):
+        alphas = (0.0, 0.3, 0.7, 0.9999, 0.3)
+        for family in (FAMILY_UACG, FAMILY_UNITARY_CAYLEY, FAMILY_COMPLETE):
+            for n, comp in itertools.product((2, 9, 10, 15, 25, 105), (False, True)):
+                gspec = GraphSpec(family, n, comp)
+                want = [energy_report(gspec, alpha).energy for alpha in alphas]
+                got = _route(gspec)[2](alphas)
+                assert got == want, gspec
+                assert all(type(e) is float for e in got), gspec
 
     def test_all_methods_agree_with_dense_route(self):
         # The complement's energy at odd prime-power orders follows the
