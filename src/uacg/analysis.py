@@ -19,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .closedform import (
+    METHOD_REGULAR,
     _ramanujan_pairs,
     _route,
     alpha_energy_from_values,
@@ -186,19 +187,14 @@ class BoundReport:
 
 def bound_report(spec: GraphSpec, alpha: float) -> BoundReport:
     """Evaluate all bounds for an odd unit-sum spec against numeric truth."""
-    intervals = eigenvalue_intervals(spec, alpha)
+    lower, upper = _odd_eigen_arrays(spec, alpha)
     alpha = float(alpha)
     g = build_graph(spec)
     observed = symmetric_eigenvalues(build_alpha_matrix(g, alpha))
+    satisfied = (lower - BOUND_SLACK <= observed) & (observed <= upper + BOUND_SLACK)
+    columns = (lower.tolist(), upper.tolist(), observed.tolist(), satisfied.tolist())
     per_index = tuple(
-        ObservedBound(
-            index=b.index,
-            lower=b.lower,
-            upper=b.upper,
-            observed=float(observed[b.index - 1]),
-            satisfied=b.lower - BOUND_SLACK <= observed[b.index - 1] <= b.upper + BOUND_SLACK,
-        )
-        for b in intervals
+        ObservedBound(k, lo, up, obs, ok) for k, (lo, up, obs, ok) in enumerate(zip(*columns), 1)
     )
     if alpha < 1.0:
         lowers, upper = energy_bounds(spec, alpha)
@@ -376,11 +372,17 @@ def find_borderenergetic_alphas(spec: GraphSpec, tol: float = 1e-12) -> list[flo
     energy_report takes: the coarse samples are one batch and each round of
     midpoints is one more, so on the numeric route each is one stacked block
     solve.  Each energy equals energy_report's for that alpha.
+
+    On the regular-shortcut route the gap is (1 - alpha)*(E_0 - 2*(n - 1)),
+    with E_0 the adjacency energy: zero on all of [0, 1) or nowhere, so the
+    result is [] unsampled (samples just under 1 fall within touch of zero).
     """
     tol = _check_tol(tol)
     n = spec.n
     touch = 1e-12 * max(1.0, 2.0 * (n - 1.0))
-    energies = _route(spec)[2]
+    method, _, energies = _route(spec)
+    if method == METHOD_REGULAR:
+        return []
 
     def gaps(alphas: Sequence[float]) -> list[float]:
         return [e - complete_energy(n, a) for e, a in zip(energies(alphas), alphas)]

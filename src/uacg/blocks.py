@@ -36,7 +36,7 @@ from itertools import combinations
 import numpy as np
 
 from .graphs import FAMILY_UACG, GraphSpec
-from .linalg import _check_alpha
+from .linalg import _BATCH_ELEMENTS, _check_alpha
 from .numtheory import euler_phi, factorize
 
 __all__ = ["block_eigenvalues", "unit_sum_blocks"]
@@ -92,17 +92,6 @@ def unit_sum_blocks(n: int) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray, n
     return tuple(reversed(out))
 
 
-# Most float64 entries one stacked eigvalsh input may hold: the alphas of a
-# batch go through each block width in chunks of at most this many entries,
-# or one alpha at a time where one alpha's blocks hold more.  Root scans of
-# both unit-sum families at n = 111,546,435 (blocks up to 256 wide), 1 BLAS
-# thread, numpy 2.4.6 with OpenBLAS on a 2-core Xeon VM: peak RSS 56.2, 56.2
-# and 56.7 MB at 2**14, 2**16 and 2**18 (56.1 MB one alpha at a time), and
-# 170.5 MB with every alpha in one stack, at 0.72-0.79 s each.  Scanning
-# every odd n <= 2001 took 0.51-0.53 s at every bound from 2**10 to 2**18.
-_BATCH_ELEMENTS = 2**16
-
-
 @lru_cache(maxsize=64)
 def _stack_layout(n: int) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
     """The identity matrix of each block width of unit_sum_blocks(n), and the
@@ -113,7 +102,7 @@ def _stack_layout(n: int) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
     (graph, complement) took 50.0, 59.8 us building them per call and 41.1,
     50.9 us cached, against 40.3, 47.9 us for a solve with alpha as a Python
     float (best of 7 x 3 x 400 calls, machine and settings as for
-    _BATCH_ELEMENTS).
+    linalg._BATCH_ELEMENTS).
     """
     blocks = unit_sum_blocks(n)
     eyes = tuple(np.eye(lsum.shape[-1]) for lsum, *_ in blocks)

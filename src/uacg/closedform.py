@@ -108,9 +108,15 @@ def _spectrum_from_families(families: list[tuple[float, int]], n: int) -> Spectr
 
 def build_alpha_matrix(g: Graph, alpha: float) -> np.ndarray:
     """Dense A_alpha = alpha*D + (1-alpha)*A, exactly symmetric by construction."""
-    alpha = _check_alpha(alpha, allow_one=True)
-    out = (1.0 - alpha) * g.adjacency.astype(float)
-    out[np.diag_indices(g.n)] = alpha * g.degrees.astype(float)
+    return _alpha_stack(g, (alpha,))[0]
+
+
+def _alpha_stack(g: Graph, alphas: Sequence[float]) -> np.ndarray:
+    """build_alpha_matrix for each alpha, as one (len(alphas), n, n) stack
+    whose entries take the same float operations as one alpha's."""
+    alphas = np.array([_check_alpha(a, allow_one=True) for a in alphas]).reshape(-1, 1, 1)
+    out = (1.0 - alphas) * g.adjacency.astype(float)
+    out.reshape(len(alphas), -1)[:, :: g.n + 1] = alphas[:, 0] * g.degrees.astype(float)
     return out
 
 

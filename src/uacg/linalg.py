@@ -1,18 +1,21 @@
 """Dense symmetric eigenvalues, circulant eigenvalue formulas, spectrum grouping.
 
 This is the numeric oracle for every closed form and bound in the package.
-The dense path delegates to LAPACK through numpy.linalg.eigvalsh.  The FFT
-circulant formulas have no caller in the package; they stay as the reference
-the interval tests compare against, and perfbench/tracer.py looks
+The dense path delegates to LAPACK through numpy.linalg.eigvalsh and takes
+one matrix or a (k, n, n) stack of them; each matrix of a stack is solved on
+its own by the same calls, so its row is bit-identical to solving it alone.
+The FFT circulant formulas have no caller in the package; they stay as the
+reference the interval tests compare against, and perfbench/tracer.py looks
 left_circulant_eigenvalues up by name.
 
 Every matrix the package builds is invariant under the reflection
 i -> -i (mod n), since gcd(-x, n) = gcd(x, n).  The dense path checks that
 exactly, entry by entry, and then solves the even and odd halves of the
 matrix, each about n/2 wide: an exact orthogonal similarity, so the values
-are those of the full matrix to rounding.  A matrix that fails the check, or
-is smaller than _SPLIT_MIN_ORDER, where two calls cost more than they save,
-takes one full solve.  The split reads the matrix alone and shares nothing
+are those of the full matrix to rounding.  The split is decided per stack:
+a stack holding any matrix that fails the check, or of order below
+_SPLIT_MIN_ORDER, where two calls cost more than they save, takes one full
+solve per matrix.  The split reads the matrix alone and shares nothing
 with the block route (blocks.py: no Chinese remainder theorem, no Kronecker
 factors), so the dense path stays an independent oracle for it; a graph
 built wrongly in a way that broke the symmetry would take the full solve.
@@ -81,39 +84,55 @@ def _check_alpha(alpha: float, *, allow_one: bool) -> float:
 # and won at every order from 45 to 80 (0.61-0.96) and at n = 201 (0.52).
 _SPLIT_MIN_ORDER = 45
 
+# Most float64 entries one stacked eigvalsh input may hold: callers that solve
+# many matrices at once (verification._dense, blocks._stacked_eigenvalues)
+# cut their stacks into chunks of at most this many entries, or one matrix at
+# a time where one matrix holds more.  perfbench verify (seeds 101, 102; 1 BLAS
+# thread, numpy 2.4.6 with OpenBLAS, 2-core Xeon VM): wall_s 3.50-3.53 s at
+# 2**16 (one matrix at a time above n = 181), 2.97-3.11 s at 2**17, 3.00-3.10 s
+# at 2**18 and 3.76-3.78 s with no stacks; peak RSS 43.3-44.3, 44.0-44.6, 45.8
+# and 43.4-44.5 MB.  Block root scans at n = 111,546,435 in both families peak
+# at 55.6, 55.4 and 56.2 MB at 2**16, 2**17 and 2**18.
+_BATCH_ELEMENTS = 2**17
+
 
 def symmetric_eigenvalues(a: np.ndarray) -> np.ndarray:
     """All eigenvalues of a real symmetric matrix, sorted descending.
 
-    The input must be finite and exactly symmetric (as constructed by this
-    package).  A matrix of order at least _SPLIT_MIN_ORDER that is exactly
-    invariant under the reflection i -> -i (mod n) is solved as its even and
-    odd halves (see _reflection_halves); any other takes one full solve.
-    Raises numpy.linalg.LinAlgError if the underlying iteration fails to
-    converge, which does not happen for the dense sizes used here.
+    a is one (n, n) matrix, giving n values, or a (k, n, n) stack, giving k
+    rows of n.  Every matrix must be finite and exactly symmetric (as
+    constructed by this package), else ValueError.  A stack of order at least
+    _SPLIT_MIN_ORDER whose matrices are all exactly invariant under the
+    reflection i -> -i (mod n) is solved as its even and odd halves (see
+    _reflection_halves), one stacked eigvalsh per half; any other takes one
+    full solve.  Raises numpy.linalg.LinAlgError if the underlying iteration
+    fails to converge, which does not happen for the dense sizes used here.
     """
     arr = np.asarray(a, dtype=float)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {arr.shape}")
+    if arr.ndim not in (2, 3) or arr.shape[-2] != arr.shape[-1]:
+        raise ValueError(f"expected a square matrix or a stack of them, got shape {arr.shape}")
     if not np.isfinite(arr).all():
         raise ValueError("matrix must be finite")
-    if not np.array_equal(arr, arr.T):
+    if not np.array_equal(arr, arr.swapaxes(-2, -1)):
         raise ValueError("matrix is not symmetric")
-    if arr.shape[0] >= _SPLIT_MIN_ORDER and _reflection_invariant(arr):
-        vals = np.concatenate([np.linalg.eigvalsh(b) for b in _reflection_halves(arr)])
+    if arr.shape[-1] >= _SPLIT_MIN_ORDER and _reflection_invariant(arr):
+        vals = np.concatenate([np.linalg.eigvalsh(b) for b in _reflection_halves(arr)], axis=-1)
         vals.sort()
     else:
         vals = np.linalg.eigvalsh(arr)
-    return vals[::-1].copy()
+    return vals[..., ::-1].copy()
 
 
 def _reflection_invariant(a: np.ndarray) -> bool:
-    """a[i, j] == a[-i % n, -j % n] for every entry, exactly."""
-    return bool((a[1:, 1:] == a[:0:-1, :0:-1]).all() and (a[0, 1:] == a[0, :0:-1]).all())
+    """a[..., i, j] == a[..., -i % n, -j % n] for every entry, exactly."""
+    return bool(
+        (a[..., 1:, 1:] == a[..., :0:-1, :0:-1]).all() and (a[..., 0, 1:] == a[..., 0, :0:-1]).all()
+    )
 
 
 def _reflection_halves(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(even, odd) blocks of a reflection-invariant symmetric matrix.
+    """(even, odd) blocks of a reflection-invariant symmetric matrix, or of
+    each matrix in a stack.
 
     With h = (n-1)//2 the residues 1..h pair with n-1..n-h, and 0 (and n/2
     for even n) are fixed.  In the orthonormal basis e_f for each fixed f,
@@ -122,17 +141,17 @@ def _reflection_halves(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     even block is a[i, j] + a[i, n-j] bordered by the fixed rows, whose
     entries against a pair are sqrt(2) * a[f, j].
     """
-    n = a.shape[0]
+    n = a.shape[-1]
     h = (n - 1) // 2
     f = n - 2 * h  # the number of fixed points
     fixed = slice(0, n // 2 + 1, n // 2) if f == 2 else slice(0, 1)
-    top = a[1 : h + 1, 1 : h + 1]
-    mirror = a[1 : h + 1, n - 1 : n - h - 1 : -1]
-    even = np.empty((f + h, f + h))
-    even[:f, :f] = a[fixed, fixed]
-    np.multiply(a[fixed, 1 : h + 1], math.sqrt(2.0), out=even[:f, f:])
-    even[f:, :f] = even[:f, f:].T
-    np.add(top, mirror, out=even[f:, f:])
+    top = a[..., 1 : h + 1, 1 : h + 1]
+    mirror = a[..., 1 : h + 1, n - 1 : n - h - 1 : -1]
+    even = np.empty((*a.shape[:-2], f + h, f + h))
+    even[..., :f, :f] = a[..., fixed, fixed]
+    np.multiply(a[..., fixed, 1 : h + 1], math.sqrt(2.0), out=even[..., :f, f:])
+    even[..., f:, :f] = even[..., :f, f:].swapaxes(-2, -1)
+    np.add(top, mirror, out=even[..., f:, f:])
     return even, top - mirror
 
 

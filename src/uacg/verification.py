@@ -23,6 +23,7 @@ from .analysis import (
 from .blocks import block_eigenvalues
 from .closedform import (
     ALPHA_GRID,
+    _alpha_stack,
     alpha_energy_from_values,
     build_alpha_matrix,
     complement_prime_power_energy,
@@ -43,7 +44,7 @@ from .graphs import (
     complement,
     zagreb_index,
 )
-from .linalg import symmetric_eigenvalues
+from .linalg import _BATCH_ELEMENTS, symmetric_eigenvalues
 from .numtheory import prime_power
 
 __all__ = [
@@ -101,13 +102,18 @@ def _dense(
 ) -> Iterator[tuple[GraphSpec, Graph, float, np.ndarray]]:
     """(spec, graph, alpha, descending dense eigenvalues) for the unit-sum
     spec at each order in ns and complement flag in flags: one graph per
-    spec and one dense eigensolve per alpha."""
+    spec, and its alpha matrices solved as stacks of at most _BATCH_ELEMENTS
+    entries, each row as that alpha's matrix alone would give."""
+    alphas = tuple(alphas)
     for n in ns:
+        step = max(1, _BATCH_ELEMENTS // (n * n))
         for flag in flags:
             spec = GraphSpec(family=FAMILY_UACG, n=n, complement=flag)
             g = build_graph(spec)
-            for alpha in alphas:
-                yield spec, g, alpha, symmetric_eigenvalues(build_alpha_matrix(g, alpha))
+            for start in range(0, len(alphas), step):
+                chunk = alphas[start : start + step]
+                for alpha, vals in zip(chunk, symmetric_eigenvalues(_alpha_stack(g, chunk))):
+                    yield spec, g, alpha, vals
 
 
 def _at(spec: GraphSpec, alpha: float) -> str:

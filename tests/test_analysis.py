@@ -32,6 +32,7 @@ from uacg.analysis import (
 )
 from uacg.blocks import block_eigenvalues
 from uacg.closedform import (
+    METHOD_REGULAR,
     alpha_energy_from_values,
     build_alpha_matrix,
     complete_energy,
@@ -248,6 +249,31 @@ class TestBoundReport:
         with pytest.raises(ValueError, match="DENSE_ORDER_LIMIT"):
             bound_report(GraphSpec(FAMILY_UACG, DENSE_ORDER_LIMIT + 1), 0.25)
 
+    def test_matches_the_intervals_and_the_dense_values(self):
+        for n in (3, 9, 15, 45, 105):
+            for complement_flag in (False, True):
+                spec = GraphSpec(FAMILY_UACG, n, complement=complement_flag)
+                for alpha in (0.0, 0.37, 1.0):
+                    observed = observed_values(spec, alpha)
+                    want = tuple(
+                        (b.index, b.lower, b.upper, float(observed[b.index - 1]),
+                         b.lower - BOUND_SLACK <= observed[b.index - 1] <= b.upper + BOUND_SLACK)
+                        for b in eigenvalue_intervals(spec, alpha)
+                    )
+                    got = bound_report(spec, alpha).per_index
+                    assert [(b.index, b.lower, b.upper, b.observed, b.satisfied)
+                            for b in got] == list(want)
+                    assert all(type(b.satisfied) is bool and type(b.observed) is float
+                               for b in got)
+
+    def test_unsatisfied_interval_is_reported(self, monkeypatch):
+        spec = GraphSpec(FAMILY_UACG, 15)
+        real = uacg.analysis.symmetric_eigenvalues
+        monkeypatch.setattr(uacg.analysis, "symmetric_eigenvalues",
+                            lambda a: real(a) + np.where(np.arange(15) == 4, 2.0, 0.0))
+        rep = bound_report(spec, 0.3)
+        assert [b.index for b in rep.per_index if not b.satisfied] == [5]
+
 
 class TestClassify:
     def test_border_point_order_9(self):
@@ -324,6 +350,20 @@ class TestRootFinder:
 
     def test_order_two(self):
         assert find_borderenergetic_alphas(GraphSpec(FAMILY_UACG, 2)) == []
+
+    def test_regular_route_has_no_roots(self):
+        # The gap there is (1 - alpha)*(E_0 - 2(n - 1)): never an isolated root.
+        # Sampling it found one just under 1 on 943 of these specs, for
+        # example the unit-sum graph at n = 1006.
+        specs = [
+            parse_spec_label(label, n)
+            for label in ("uacg", "complement-uacg", "unitary-cayley",
+                          "complement-unitary-cayley", "complete", "complement-complete")
+            for n in range(2, 4097)
+        ]
+        specs = [spec for spec in specs if uacg.closedform._route(spec)[0] == METHOD_REGULAR]
+        assert len(specs) == 20_476
+        assert [spec for spec in specs if find_borderenergetic_alphas(spec)] == []
 
     def test_roots_classify_as_borderenergetic(self):
         for spec in (

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from uacg.closedform import build_alpha_matrix
+from uacg.closedform import ALPHA_GRID, build_alpha_matrix
 from uacg.graphs import FAMILIES, build_graph, build_uacg, build_unitary_cayley, parse_spec_label
 from uacg.linalg import (
     DEFAULT_GROUP_TOL,
@@ -233,6 +233,72 @@ class TestReflectionSplit:
         assert sizes == [n]
         assert np.max(np.abs(got - want)) <= 1e-12 * float(np.max(np.abs(want)))
         assert np.max(np.abs(got - sturm_eigenvalues(a))) <= 1e-8
+
+
+def eigvalsh_shapes(monkeypatch) -> list[tuple[int, ...]]:
+    """Record the shape of every input np.linalg.eigvalsh is handed."""
+    real, shapes = np.linalg.eigvalsh, []
+
+    def spy(a, *args, **kwargs):
+        shapes.append(a.shape)
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+    return shapes
+
+
+def alpha_stack(label: str, n: int) -> np.ndarray:
+    return np.stack([alpha_matrix(label, n, alpha) for alpha in ALPHA_GRID])
+
+
+class TestStackedSolve:
+    @pytest.mark.parametrize("label", LABELS)
+    def test_rows_match_one_matrix_at_a_time(self, label):
+        for n in SPLIT_ORDERS:
+            stack = alpha_stack(label, n)
+            got = symmetric_eigenvalues(stack)
+            assert got.shape == (len(ALPHA_GRID), n)
+            for row, a, alpha in zip(got, stack, ALPHA_GRID):
+                assert np.array_equal(row, symmetric_eigenvalues(a)), (label, n, alpha)
+
+    @pytest.mark.parametrize(
+        "n, solved",
+        [(201, [101, 100]), (200, [101, 99]), (_SPLIT_MIN_ORDER - 1, [_SPLIT_MIN_ORDER - 1])],
+    )
+    def test_one_stacked_solve_per_half(self, monkeypatch, n, solved):
+        stack = alpha_stack("complement-uacg", n)
+        shapes = eigvalsh_shapes(monkeypatch)
+        symmetric_eigenvalues(stack)
+        assert shapes == [(len(ALPHA_GRID), w, w) for w in solved]
+
+    @pytest.mark.parametrize("n", [7, 60])
+    @pytest.mark.parametrize("where", [0, 5, len(ALPHA_GRID) - 1])
+    def test_one_bad_matrix_anywhere_raises(self, n, where):
+        for bad, match in ((math.nan, "finite"), (math.inf, "finite"), (None, "not symmetric")):
+            stack = alpha_stack("uacg", n)
+            if bad is None:
+                stack[where, 1, 2] += 0.5
+            else:
+                stack[where, 1, 2] = stack[where, 2, 1] = bad
+            with pytest.raises(ValueError, match=match):
+                symmetric_eigenvalues(stack)
+
+    @pytest.mark.parametrize("shape", [(2, 3, 3, 3), (3, 2, 3), (3,)])
+    def test_rejects_other_shapes(self, shape):
+        with pytest.raises(ValueError, match="square matrix"):
+            symmetric_eigenvalues(np.zeros(shape))
+
+    @pytest.mark.parametrize("i, j", [(1, 5), (0, 5)])
+    def test_mixed_stack_takes_the_full_solve(self, monkeypatch, i, j):
+        n = 60
+        stack = alpha_stack("uacg", n)
+        stack[3, i, j] = stack[3, j, i] = stack[3, i, j] + 0.5  # breaks matrix 3's reflection
+        want = [np.linalg.eigvalsh(a)[::-1] for a in stack]
+        shapes = eigvalsh_shapes(monkeypatch)
+        got = symmetric_eigenvalues(stack)
+        assert shapes == [stack.shape]
+        for row, w in zip(got, want):
+            assert np.array_equal(row, w)
 
 
 # ---------------------------------------------------------------------------

@@ -6,11 +6,14 @@ alongside pass flags to guard against checks that silently iterate
 over nothing.
 """
 
+import numpy as np
 import pytest
 
 import uacg.closedform as closedform_mod
 import uacg.verification as verification_mod
-from uacg.linalg import Spectrum
+from uacg.closedform import ALPHA_GRID
+from uacg.graphs import FAMILY_UACG, GraphSpec
+from uacg.linalg import _BATCH_ELEMENTS, Spectrum, symmetric_eigenvalues
 from uacg.verification import (
     CheckResult,
     SCOPES,
@@ -159,13 +162,68 @@ class TestPerturbedEigensolver:
 
         def perturbed(a):
             vals = real(a)
-            return perturb(vals) if vals.size == order else vals
+            return perturb(vals) if vals.shape[-1] == order else vals
 
         monkeypatch.setattr(verification_mod, "symmetric_eigenvalues", perturbed)
         results = check(15)
         for res in results if isinstance(results, list) else [results]:
             assert res.passed is False
             assert res.detail.split()[0] == f"n={order}"
+
+
+ALL_CHECKS = [
+    check_prime_power_spectra,
+    check_even_spectra,
+    check_block_route,
+    check_spectral_identities,
+    check_complement_identity,
+    check_energy_consistency,
+    check_regular_shortcut,
+    check_complement_even_energy,
+    check_interval_containment,
+    check_energy_sandwich,
+    check_roots,
+]
+
+
+class TestStackedDenseSolves:
+    def test_rows_and_order_match_one_solve_per_alpha(self, monkeypatch):
+        real, shapes = verification_mod.symmetric_eigenvalues, []
+
+        def spy(a):
+            shapes.append(a.shape)
+            return real(a)
+
+        monkeypatch.setattr(verification_mod, "symmetric_eigenvalues", spy)
+        ns = (5, 60, 201)
+        rows = list(verification_mod._dense(ns, ALPHA_GRID))
+        want = [
+            (GraphSpec(FAMILY_UACG, n, flag), alpha)
+            for n in ns
+            for flag in (False, True)
+            for alpha in ALPHA_GRID
+        ]
+        assert [(spec, alpha) for spec, _, alpha, _ in rows] == want
+        for spec, g, alpha, vals in rows:
+            assert g.spec == spec
+            want_vals = symmetric_eigenvalues(closedform_mod.build_alpha_matrix(g, alpha))
+            assert np.array_equal(vals, want_vals), (spec, alpha)
+        # n = 5 and 60 take all eleven alphas in one stack; n = 201 is cut
+        # into stacks of at most _BATCH_ELEMENTS entries.
+        step = _BATCH_ELEMENTS // 201**2
+        chunks = [min(step, len(ALPHA_GRID) - i) for i in range(0, len(ALPHA_GRID), step)]
+        assert len(chunks) > 1
+        assert shapes == [(11, 5, 5)] * 2 + [(11, 60, 60)] * 2 + [(k, 201, 201) for k in chunks] * 2
+
+    def test_checks_match_one_matrix_at_a_time(self, monkeypatch):
+        stacked = [check(61) for check in ALL_CHECKS]
+        real = verification_mod.symmetric_eigenvalues
+
+        def one_at_a_time(a):
+            return np.stack([real(m) for m in a]) if a.ndim == 3 else real(a)
+
+        monkeypatch.setattr(verification_mod, "symmetric_eigenvalues", one_at_a_time)
+        assert [check(61) for check in ALL_CHECKS] == stacked
 
 
 class TestRunSuite:
