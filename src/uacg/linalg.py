@@ -3,28 +3,32 @@
 This is the numeric oracle for every closed form and bound in the package.
 The dense path delegates to LAPACK through numpy.linalg.eigvalsh and takes
 one matrix or a (k, n, n) stack of them; each matrix of a stack is solved on
-its own by the same calls, so its row is bit-identical to solving it alone.
-The FFT circulant formulas have no caller in the package; they stay as the
-reference the interval tests compare against, and perfbench/tracer.py looks
-left_circulant_eigenvalues up by name.
+its own by the same calls, so its row is bit-identical to solving it alone
+by the same split.  The FFT circulant formulas have no caller in the
+package; they stay as the reference the interval tests compare against, and
+perfbench/tracer.py looks left_circulant_eigenvalues up by name.
 
-Every matrix the package builds is invariant under the reflection
-i -> -i (mod n), since gcd(-x, n) = gcd(x, n).  The dense path checks that
-exactly, entry by entry, and then solves the even and odd halves of the
-matrix, each about n/2 wide: an exact orthogonal similarity, so the values
-are those of the full matrix to rounding.  The split is decided per stack:
-a stack holding any matrix that fails the check, or of order below
-_SPLIT_MIN_ORDER, where two calls cost more than they save, takes one full
-solve per matrix.  The split reads the matrix alone and shares nothing
-with the block route (blocks.py: no Chinese remainder theorem, no Kronecker
-factors), so the dense path stays an independent oracle for it; a graph
-built wrongly in a way that broke the symmetry would take the full solve.
+Every matrix the package builds lives on Z_n, and its entries depend only on
+gcd(i + j, n) or gcd(i - j, n), so x -> u*x (mod n) maps it to itself for
+every unit u.  The involutions H = {u : u*u % n == 1} form a group of order
+2**r, and the dense path solves a matrix as one block per character of H,
+each about n/|H| wide: an exact orthogonal similarity, so the values are
+those of the full matrix to rounding.  It checks the invariance exactly,
+entry by entry, for each generator of H and splits by the group of those
+that pass, so a matrix broken under one involution takes the smaller group.
+A stack of fewer than _SPLIT_MIN_ENTRIES entries, where the split costs more
+than it saves, takes one full solve.  The split reads the matrix alone and
+shares nothing with the block route (blocks.py: no Chinese remainder
+theorem, no Kronecker factors): it finds the involutions by trying every
+residue, so the dense path stays an independent oracle for it.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -76,23 +80,24 @@ def _check_alpha(alpha: float, *, allow_one: bool) -> float:
     return alpha
 
 
-# Smallest order solved as two halves.  Mean time per call over the unit-sum
-# alpha matrices and their complements at alpha in {0, 0.25, 0.5, 0.75, 1},
-# 1 BLAS thread, numpy 2.4.6 with OpenBLAS 0.3.31 on a 2-core Xeon VM: the
-# split (check, halves and two eigvalsh) took 0.031 vs 0.018 ms at n = 26 and
-# 0.028 vs 0.020 ms at n = 32, took 0.81-1.06 of one eigvalsh from n = 33 to 44,
-# and won at every order from 45 to 80 (0.61-0.96) and at n = 201 (0.52).
-_SPLIT_MIN_ORDER = 45
+# Fewest entries, k * n**2 for k matrices of order n (or k alphas of one
+# graph), that are split: its checks and fold are paid once per stack.  Time
+# of the split over one full solve, both unit-sum families at even orders 14
+# to 120, 1 BLAS thread, numpy 2.4.6 with OpenBLAS 0.3.31 on a 2-core Xeon
+# VM: 0.82-1.38 up to n = 22 and 0.22-0.90 from 26 for 11 alphas; 0.71-2.29
+# up to 42 and 0.40-1.06 from 44 for 3; one matrix 0.89-3.2 up to 78 and
+# 0.72-1.29 from 80 to 120.
+_SPLIT_MIN_ENTRIES = 6144
 
 # Most float64 entries one stacked eigvalsh input may hold: callers that solve
-# many matrices at once (verification._dense, blocks._stacked_eigenvalues)
-# cut their stacks into chunks of at most this many entries, or one matrix at
-# a time where one matrix holds more.  perfbench verify (seeds 101, 102; 1 BLAS
-# thread, numpy 2.4.6 with OpenBLAS, 2-core Xeon VM): wall_s 3.50-3.53 s at
-# 2**16 (one matrix at a time above n = 181), 2.97-3.11 s at 2**17, 3.00-3.10 s
-# at 2**18 and 3.76-3.78 s with no stacks; peak RSS 43.3-44.3, 44.0-44.6, 45.8
-# and 43.4-44.5 MB.  Block root scans at n = 111,546,435 in both families peak
-# at 55.6, 55.4 and 56.2 MB at 2**16, 2**17 and 2**18.
+# many matrices at once (_alpha_eigenvalues, blocks._stacked_eigenvalues) cut
+# their stacks into chunks of at most this many entries, or one matrix at a
+# time where one matrix holds more.  perfbench verify (seeds 101, 102; 1 BLAS
+# thread, numpy 2.4.6 with OpenBLAS, 2-core Xeon VM), with verify's blocks at
+# most 20,000 entries per alpha: wall_s 2.51-2.65 s at 2**16, 2.54-2.62 s at
+# 2**17 and 2.40-2.43 s at 2**18; peak RSS 44.3-44.9, 44.8-45.5 and 45.4-45.6
+# MB.  Block root scans at n = 111,546,435 in both families peak at 55.6, 55.4
+# and 56.2 MB at 2**16, 2**17 and 2**18.
 _BATCH_ELEMENTS = 2**17
 
 
@@ -101,58 +106,147 @@ def symmetric_eigenvalues(a: np.ndarray) -> np.ndarray:
 
     a is one (n, n) matrix, giving n values, or a (k, n, n) stack, giving k
     rows of n.  Every matrix must be finite and exactly symmetric (as
-    constructed by this package), else ValueError.  A stack of order at least
-    _SPLIT_MIN_ORDER whose matrices are all exactly invariant under the
-    reflection i -> -i (mod n) is solved as its even and odd halves (see
-    _reflection_halves), one stacked eigvalsh per half; any other takes one
-    full solve.  Raises numpy.linalg.LinAlgError if the underlying iteration
+    constructed by this package), else ValueError.  A stack of at least
+    _SPLIT_MIN_ENTRIES entries is solved as the blocks of the involutions
+    all its matrices are exactly invariant under (see _invariant_split),
+    one stacked eigvalsh per block width; a smaller one takes one full
+    solve.  Raises numpy.linalg.LinAlgError if the underlying iteration
     fails to converge, which does not happen for the dense sizes used here.
     """
     arr = np.asarray(a, dtype=float)
     if arr.ndim not in (2, 3) or arr.shape[-2] != arr.shape[-1]:
         raise ValueError(f"expected a square matrix or a stack of them, got shape {arr.shape}")
-    if not np.isfinite(arr).all():
-        raise ValueError("matrix must be finite")
-    if not np.array_equal(arr, arr.swapaxes(-2, -1)):
-        raise ValueError("matrix is not symmetric")
-    if arr.shape[-1] >= _SPLIT_MIN_ORDER and _reflection_invariant(arr):
-        vals = np.concatenate([np.linalg.eigvalsh(b) for b in _reflection_halves(arr)], axis=-1)
-        vals.sort()
-    else:
-        vals = np.linalg.eigvalsh(arr)
-    return vals[..., ::-1].copy()
+    _check_symmetric(arr)
+    return _solve(_fold(arr, _invariant_split(arr, math.prod(arr.shape[:-2]))))
 
 
-def _reflection_invariant(a: np.ndarray) -> bool:
-    """a[..., i, j] == a[..., -i % n, -j % n] for every entry, exactly."""
-    return bool(
-        (a[..., 1:, 1:] == a[..., :0:-1, :0:-1]).all() and (a[..., 0, 1:] == a[..., 0, :0:-1]).all()
-    )
-
-
-def _reflection_halves(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(even, odd) blocks of a reflection-invariant symmetric matrix, or of
-    each matrix in a stack.
-
-    With h = (n-1)//2 the residues 1..h pair with n-1..n-h, and 0 (and n/2
-    for even n) are fixed.  In the orthonormal basis e_f for each fixed f,
-    (e_i + e_{n-i})/sqrt(2) and (e_i - e_{n-i})/sqrt(2) for 1 <= i <= h, the
-    matrix is block diagonal: the odd block is a[i, j] - a[i, n-j], and the
-    even block is a[i, j] + a[i, n-j] bordered by the fixed rows, whose
-    entries against a pair are sqrt(2) * a[f, j].
+def _alpha_eigenvalues(
+    adjacency: np.ndarray, degrees: np.ndarray, alphas: Sequence[float]
+) -> np.ndarray:
+    """symmetric_eigenvalues of (1 - alpha)*adjacency + alpha*diag(degrees)
+    for each alpha, as one stack would be split, from one check and fold of
+    the graph: the degrees fold to those of each block's residues, so an
+    alpha's blocks are (1 - alpha)*A_chi + alpha*diag(d_chi).  Alphas are
+    solved in chunks of at most _BATCH_ELEMENTS block entries, each block
+    on its own, so a row does not depend on the other alphas of its chunk.
     """
-    n = a.shape[-1]
-    h = (n - 1) // 2
-    f = n - 2 * h  # the number of fixed points
-    fixed = slice(0, n // 2 + 1, n // 2) if f == 2 else slice(0, 1)
-    top = a[..., 1 : h + 1, 1 : h + 1]
-    mirror = a[..., 1 : h + 1, n - 1 : n - h - 1 : -1]
-    even = np.empty((*a.shape[:-2], f + h, f + h))
-    even[..., :f, :f] = a[..., fixed, fixed]
-    np.multiply(a[..., fixed, 1 : h + 1], math.sqrt(2.0), out=even[..., :f, f:])
-    even[..., f:, :f] = even[..., :f, f:].swapaxes(-2, -1)
-    np.add(top, mirror, out=even[..., f:, f:])
-    return even, top - mirror
+    alphas = np.array([_check_alpha(x, allow_one=True) for x in alphas]).reshape(-1, 1, 1, 1)
+    a, d = np.asarray(adjacency), np.asarray(degrees)
+    _check_symmetric(a, d)
+    split = _invariant_split(a, len(alphas), d)
+    reps, *_, blocks = split
+    folded = [(b, d[reps[cols]]) for b, (_, cols) in zip(_fold(a, split), blocks)]
+    step = max(1, _BATCH_ELEMENTS // sum(b.size for b, _ in folded))
+    rows = []
+    for start in range(0, len(alphas), step):
+        chunk, stacks = alphas[start : start + step], []
+        for b, diag in folded:
+            stacks.append((1.0 - chunk) * b)
+            on_diagonal = stacks[-1].reshape(*stacks[-1].shape[:-2], -1)[..., :: b.shape[-1] + 1]
+            on_diagonal += chunk[..., 0] * diag
+        rows.append(_solve(stacks))
+    return np.concatenate(rows)
+
+
+def _check_symmetric(m: np.ndarray, *also: np.ndarray) -> None:
+    if not all(np.isfinite(x).all() for x in (m, *also)):
+        raise ValueError("matrix must be finite")
+    if not _symmetric(m):
+        raise ValueError("matrix is not symmetric")
+
+
+def _symmetric(m: np.ndarray) -> bool:
+    return bool((m == m.swapaxes(-2, -1)).all())
+
+
+def _invariant_split(m: np.ndarray, count: int, d: np.ndarray | None = None) -> tuple:
+    """The _split by those generators of H = {u : u*u % n == 1}, found by
+    trying every residue, largest (-1) first, that the symmetric stack m of
+    count matrices, and d if given, are exactly invariant under; the trivial
+    group below _SPLIT_MIN_ENTRIES entries.  m is invariant under an
+    involution p iff m[p] is symmetric: m[p][x, y] = m[p*x, y] = m[x, p*y].
+    """
+    n = m.shape[-1]
+    kept, group = [], {1}
+    if count * n * n >= _SPLIT_MIN_ENTRIES:
+        for u in np.flatnonzero(np.arange(n) ** 2 % n == 1)[::-1].tolist():
+            if u not in group:
+                group |= {u * h % n for h in group}
+                p = np.arange(n) * u % n
+                if _symmetric(np.take(m, p, axis=-2)) and (d is None or np.array_equal(d[p], d)):
+                    kept.append(u)
+    return _split(n, tuple(kept))
+
+
+@lru_cache(maxsize=32)
+def _split(n: int, gens: tuple[int, ...]) -> tuple:
+    """(reps, images, chars, root, blocks) for the group H generated by the
+    involutions gens, its elements h_b indexed by bits b picking generators.
+
+    reps are the least residues of the orbits; images[b, y] = h_b*reps[y] % n;
+    chars[c, b] = chi_c(h_b) = (-1)**popcount(b & c); root[y] =
+    1/sqrt(|S_y|) for the stabilizer S_y of reps[y].  blocks holds, per
+    block width, two (count, width) arrays: each block's row offsets
+    (c*r + y)*r in the flattened (|H|, r, r) character sums, and its y.
+    """
+    if not gens:  # the trivial group: one block, the whole matrix
+        ys = np.arange(n)[None]
+        return _read_only(ys[0], ys, np.ones((1, 1)), np.ones(n), ((ys * n, ys),))
+    elems = [1]
+    for g in gens:
+        elems += [g * h % n for h in elems]
+    h = len(elems)
+    images = np.outer(np.arange(n), elems) % n
+    reps = np.flatnonzero(images.min(axis=1) == np.arange(n))
+    r = reps.size
+    fixes = (images[reps] == reps[:, None]).astype(np.int64)  # fixes[y, b]: h_b fixes reps[y]
+    bits, odd = np.arange(h), np.zeros((h, h), dtype=np.int64)  # odd[c, b]: chi_c(h_b) = -1
+    for i in range(len(gens)):
+        odd ^= (bits[:, None] & bits) >> i & 1
+    kept = (fixes @ odd == 0).T  # kept[c, y]: chi_c is 1 on S_y
+    widths, blocks = kept.sum(axis=1), []
+    for w in sorted(set(widths.tolist())):
+        cs = np.flatnonzero(widths == w)  # the characters with w representatives
+        ys = np.nonzero(kept[cs])[1].reshape(-1, w)
+        blocks.append(((cs[:, None] * r + ys) * r, ys))
+    root = 1.0 / np.sqrt(fixes.sum(axis=1))
+    return _read_only(reps, images[reps].T.copy(), 1.0 - 2.0 * odd, root, tuple(blocks))
+
+
+def _read_only(*split):
+    """split, its arrays made read-only: the cache hands them to every caller."""
+    for arr in (*split[:4], *(x for b in split[4] for x in b)):
+        arr.setflags(write=False)
+    return split
+
+
+def _fold(m: np.ndarray, split: tuple) -> list[np.ndarray]:
+    """The blocks of a matrix, or of each matrix in a stack, invariant under
+    the split's group H: per block width, a (..., count, width, width) stack.
+
+    Block chi is B[x, y] = sum_h chi(h) * m[x, h*y] / sqrt(|S_x| * |S_y|) over
+    the x, y whose stabilizers chi is 1 on: m in the orthonormal basis
+    sum_h chi(h) e_{h*x} / sqrt(|S_x| * |H|), so its values are those of m to
+    rounding.  The character sums are one matrix product per matrix.
+    """
+    reps, images, chars, root, blocks = split
+    h, r = images.shape
+    if h == 1:
+        return [m[..., None, :, :]]
+    # t[b, y, x] = m[h_b * reps[y], reps[x]] * root[y] * root[x]
+    t = np.take(np.take(m, reps, axis=-1), images, axis=-2) * (root[:, None] * root)
+    t = np.matmul(chars, t.reshape(*t.shape[:-2], r * r)).reshape(*t.shape[:-3], -1)
+    return [np.take(t, rows[:, :, None] + cols[:, None, :], axis=-1) for rows, cols in blocks]
+
+
+def _solve(stacks: list[np.ndarray]) -> np.ndarray:
+    """Descending eigenvalues from blocks: one eigvalsh per (..., count,
+    width, width) stack, each matrix's values concatenated and sorted."""
+    vals = np.concatenate(
+        [np.linalg.eigvalsh(s).reshape(*s.shape[:-3], -1) for s in stacks], axis=-1
+    )
+    vals.sort(axis=-1)
+    return vals[..., ::-1].copy()
 
 
 def right_circulant_eigenvalues(s: np.ndarray) -> np.ndarray:

@@ -8,6 +8,7 @@ line per check; the test suite asserts on the same results.
 
 from __future__ import annotations
 
+import numbers
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
@@ -23,7 +24,6 @@ from .analysis import (
 from .blocks import block_eigenvalues
 from .closedform import (
     ALPHA_GRID,
-    _alpha_stack,
     alpha_energy_from_values,
     build_alpha_matrix,
     complement_prime_power_energy,
@@ -44,7 +44,9 @@ from .graphs import (
     complement,
     zagreb_index,
 )
-from .linalg import _BATCH_ELEMENTS, symmetric_eigenvalues
+# symmetric_eigenvalues has no caller here; perfbench's tracer test looks it
+# up in this namespace.
+from .linalg import _alpha_eigenvalues, symmetric_eigenvalues  # noqa: F401
 from .numtheory import prime_power
 
 __all__ = [
@@ -102,18 +104,17 @@ def _dense(
 ) -> Iterator[tuple[GraphSpec, Graph, float, np.ndarray]]:
     """(spec, graph, alpha, descending dense eigenvalues) for the unit-sum
     spec at each order in ns and complement flag in flags: one graph per
-    spec, and its alpha matrices solved as stacks of at most _BATCH_ELEMENTS
-    entries, each row as that alpha's matrix alone would give."""
+    spec, checked and folded once into the blocks of its involutions, and
+    each alpha's blocks built from those and solved (see
+    linalg._alpha_eigenvalues), with the values of one full solve of that
+    alpha's matrix to rounding."""
     alphas = tuple(alphas)
     for n in ns:
-        step = max(1, _BATCH_ELEMENTS // (n * n))
         for flag in flags:
             spec = GraphSpec(family=FAMILY_UACG, n=n, complement=flag)
             g = build_graph(spec)
-            for start in range(0, len(alphas), step):
-                chunk = alphas[start : start + step]
-                for alpha, vals in zip(chunk, symmetric_eigenvalues(_alpha_stack(g, chunk))):
-                    yield spec, g, alpha, vals
+            for alpha, vals in zip(alphas, _alpha_eigenvalues(g.adjacency, g.degrees, alphas)):
+                yield spec, g, alpha, vals
 
 
 def _at(spec: GraphSpec, alpha: float) -> str:
@@ -310,10 +311,13 @@ def check_roots(nmax: int, tol: float = 1e-8) -> CheckResult:
 
 
 def run_suite(scope: str, nmax: int) -> list[CheckResult]:
-    """All checks for a scope; ValueError on a bad scope or nmax outside
-    3..DENSE_ORDER_LIMIT, since every check builds dense graphs up to nmax."""
+    """All checks for a scope; ValueError on a bad scope or an nmax that is
+    not an integer in 3..DENSE_ORDER_LIMIT, before any check runs, since
+    every check builds dense graphs up to nmax."""
     if scope not in SCOPES:
         raise ValueError(f"scope must be one of {SCOPES}, got {scope!r}")
+    if isinstance(nmax, bool) or not isinstance(nmax, numbers.Integral):
+        raise ValueError(f"nmax must be an integer, got {nmax!r}")
     if nmax < 3:
         raise ValueError(f"nmax must be >= 3, got {nmax}")
     if nmax > DENSE_ORDER_LIMIT:

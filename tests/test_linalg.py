@@ -17,10 +17,15 @@ from hypothesis import strategies as st
 from uacg.closedform import ALPHA_GRID, build_alpha_matrix
 from uacg.graphs import FAMILIES, build_graph, build_uacg, build_unitary_cayley, parse_spec_label
 from uacg.linalg import (
+    _BATCH_ELEMENTS,
+    _SPLIT_MIN_ENTRIES,
     DEFAULT_GROUP_TOL,
-    _SPLIT_MIN_ORDER,
     Spectrum,
+    _alpha_eigenvalues,
+    _fold,
     _group,
+    _invariant_split,
+    _solve,
     group_spectrum,
     left_circulant_eigenvalues,
     right_circulant_eigenvalues,
@@ -163,18 +168,22 @@ class TestSymmetricEigenvalues:
 
 
 LABELS = [prefix + family for family in FAMILIES for prefix in ("", "complement-")]
+# The smallest order one matrix is split at: its n**2 entries reach _SPLIT_MIN_ENTRIES.
+ONE_MATRIX_SPLIT = math.isqrt(_SPLIT_MIN_ENTRIES - 1) + 1
 SPLIT_ORDERS = (
     2,
     3,
-    _SPLIT_MIN_ORDER - 2,
-    _SPLIT_MIN_ORDER - 1,
-    _SPLIT_MIN_ORDER,
-    _SPLIT_MIN_ORDER + 1,
-    64,
+    23,
+    24,
+    ONE_MATRIX_SPLIT - 1,
+    ONE_MATRIX_SPLIT,
     99,
+    105,
+    120,
     128,
     200,
     201,
+    243,
 )
 
 
@@ -182,57 +191,8 @@ def alpha_matrix(label: str, n: int, alpha: float) -> np.ndarray:
     return build_alpha_matrix(build_graph(parse_spec_label(label, n)), alpha)
 
 
-def eigvalsh_sizes(monkeypatch) -> list[int]:
-    """Record the order of every matrix np.linalg.eigvalsh is handed."""
-    real, sizes = np.linalg.eigvalsh, []
-
-    def spy(a, *args, **kwargs):
-        sizes.append(a.shape[0])
-        return real(a, *args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "eigvalsh", spy)
-    return sizes
-
-
-class TestReflectionSplit:
-    @pytest.mark.parametrize("label", LABELS)
-    def test_matches_one_full_solve(self, label):
-        for n in SPLIT_ORDERS:
-            for alpha in (0.0, 0.3, 0.9999, 1.0):
-                a = alpha_matrix(label, n, alpha)
-                want = np.linalg.eigvalsh(a)[::-1]
-                got = symmetric_eigenvalues(a)
-                scale = max(1.0, float(np.max(np.abs(want))))
-                assert np.max(np.abs(got - want)) <= 1e-12 * scale, (label, n, alpha)
-                assert np.all(np.diff(got) <= 0.0)
-
-    @pytest.mark.parametrize("n", [_SPLIT_MIN_ORDER, _SPLIT_MIN_ORDER + 1])
-    @pytest.mark.parametrize("label", ["uacg", "complement-unitary-cayley"])
-    def test_against_sturm_oracle(self, label, n):
-        a = alpha_matrix(label, n, 0.3)
-        assert np.max(np.abs(symmetric_eigenvalues(a) - sturm_eigenvalues(a))) <= 1e-8
-
-    @pytest.mark.parametrize(
-        "n, solved",
-        [(201, [101, 100]), (200, [101, 99]), (_SPLIT_MIN_ORDER - 1, [_SPLIT_MIN_ORDER - 1])],
-    )
-    def test_solves_the_two_halves_above_the_crossover(self, monkeypatch, n, solved):
-        a = alpha_matrix("uacg", n, 0.3)
-        sizes = eigvalsh_sizes(monkeypatch)
-        assert symmetric_eigenvalues(a).size == n
-        assert sizes == solved
-
-    @pytest.mark.parametrize("i, j", [(1, 5), (0, 5)])
-    def test_broken_symmetry_takes_one_full_solve(self, monkeypatch, i, j):
-        n = 60
-        a = alpha_matrix("uacg", n, 0.3)
-        a[i, j] = a[j, i] = a[i, j] + 0.5  # a[-i % n, -j % n] keeps its value
-        want = np.linalg.eigvalsh(a)[::-1]
-        sizes = eigvalsh_sizes(monkeypatch)
-        got = symmetric_eigenvalues(a)
-        assert sizes == [n]
-        assert np.max(np.abs(got - want)) <= 1e-12 * float(np.max(np.abs(want)))
-        assert np.max(np.abs(got - sturm_eigenvalues(a))) <= 1e-8
+def involutions(n: int) -> list[int]:
+    return [u for u in range(1, n) if u * u % n == 1]
 
 
 def eigvalsh_shapes(monkeypatch) -> list[tuple[int, ...]]:
@@ -247,6 +207,135 @@ def eigvalsh_shapes(monkeypatch) -> list[tuple[int, ...]]:
     return shapes
 
 
+def assert_close(got: np.ndarray, want: np.ndarray, what) -> None:
+    """got within 1e-12 of the largest |value| (at least 1) of want, row by row."""
+    scale = np.maximum(1.0, np.max(np.abs(want), axis=-1, keepdims=True))
+    assert np.all(np.abs(got - want) <= 1e-12 * scale), what
+
+
+def halves(n: int, u: int) -> list[int]:
+    """The two block widths of the group {1, u}: its fixed points join the
+    trivial character's block."""
+    fixed = sum(1 for x in range(n) if u * x % n == x)
+    return [(n - fixed) // 2, (n + fixed) // 2]
+
+
+def broken(a: np.ndarray, keep: int, bump=0.5, i: int = 1, j: int = 5) -> np.ndarray:
+    """a with the entries at (i, j), (keep*i, keep*j) and their transposes
+    raised by bump: still invariant under the involution keep, broken under
+    any other map that does not fix that orbit."""
+    n, out = a.shape[-1], a.copy()
+    for x, y in {(i, j), (keep * i % n, keep * j % n)}:
+        out[..., x, y] += bump
+        if x != y:
+            out[..., y, x] += bump
+    return out
+
+
+class TestReflectionSplit:
+    """The split over every involution u*u % n == 1 (the reflection -1 is
+    one) against one full solve."""
+
+    @pytest.mark.parametrize("label", LABELS)
+    def test_matches_one_full_solve(self, label):
+        for n in SPLIT_ORDERS:
+            for alpha in (0.0, 0.3, 0.9999, 1.0):
+                a = alpha_matrix(label, n, alpha)
+                got = symmetric_eigenvalues(a)
+                assert_close(got, np.linalg.eigvalsh(a)[::-1], (label, n, alpha))
+                assert np.all(np.diff(got) <= 0.0)
+
+    @pytest.mark.parametrize("n", [45, 46])
+    @pytest.mark.parametrize("label", ["uacg", "complement-unitary-cayley"])
+    def test_against_sturm_oracle(self, label, n):
+        # four matrices hold enough entries to be split at these orders
+        stack = np.stack([alpha_matrix(label, n, alpha) for alpha in (0.0, 0.3, 0.7, 1.0)])
+        assert len(stack) * n * n >= _SPLIT_MIN_ENTRIES
+        for row, a in zip(symmetric_eigenvalues(stack), stack):
+            assert np.max(np.abs(row - sturm_eigenvalues(a))) <= 1e-8
+
+    @pytest.mark.parametrize(
+        "n, solved", [(201, [100, 101]), (200, [99, 101]), (44, [44])]
+    )
+    def test_solves_the_two_halves_above_the_crossover(self, monkeypatch, n, solved):
+        # broken under every involution but -1, which fixes 0 (and n/2);
+        # one matrix of order 44 holds too few entries to be split
+        a = broken(alpha_matrix("uacg", n, 0.3), keep=n - 1)
+        shapes = eigvalsh_shapes(monkeypatch)
+        got = symmetric_eigenvalues(a)
+        assert shapes == [(1, w, w) for w in solved]
+        assert_close(got, np.linalg.eigvalsh(a)[::-1], n)
+
+    @pytest.mark.parametrize("i, j", [(1, 5), (0, 5)])
+    def test_broken_symmetry_takes_one_full_solve(self, monkeypatch, i, j):
+        n = 201
+        a = alpha_matrix("uacg", n, 0.3)
+        a[i, j] = a[j, i] = a[i, j] + 0.5  # no involution but 1 maps (i, j) to (i, j) or (j, i)
+        shapes = eigvalsh_shapes(monkeypatch)
+        got = symmetric_eigenvalues(a)
+        assert shapes == [(1, n, n)]
+        assert np.array_equal(got, np.linalg.eigvalsh(a)[::-1])
+
+
+class TestInvolutionSplit:
+    @pytest.mark.parametrize("n, order", [(105, 8), (120, 16), (195, 8), (201, 4), (243, 2)])
+    def test_group_order(self, n, order):
+        assert len(involutions(n)) == order
+        reps, images, *_ = _invariant_split(np.zeros((n, n)), 1)  # invariant under every map
+        assert images.shape[0] == order
+        assert sorted(images[:, reps.tolist().index(1)].tolist()) == involutions(n)
+
+    @pytest.mark.parametrize("n", [2, 8, 12, 15, 24, 60, 105, 120, 195, 200, 201, 243])
+    def test_each_orbit_in_one_block_per_character_its_stabilizer_kills(self, n):
+        # A residue x lies in the blocks of exactly |H| / |S_x| characters of
+        # H, S_x = {u in H : u*x = x}: 0 and n/2 in one, the units in every
+        # one, and a non-unit that some u fixes in fewer.
+        group = involutions(n)
+        reps, *_, blocks = _invariant_split(np.zeros((n, n)), _SPLIT_MIN_ENTRIES)
+        residues = np.concatenate([reps[cols].ravel() for _, cols in blocks]).tolist()
+        assert len(residues) == n
+        orbit_mins = {min(u * x % n for u in group) for x in range(n)}
+        assert set(reps.tolist()) == orbit_mins
+        for x in orbit_mins:
+            stabilizer = [u for u in group if u * x % n == x]
+            assert residues.count(x) == len(group) // len(stabilizer), x
+        assert residues.count(0) == 1
+        if n % 2 == 0:
+            assert residues.count(n // 2) == 1
+        if n == 15:
+            assert 4 * 5 % 15 == 5 and residues.count(5) == 2
+
+    @pytest.mark.parametrize(
+        "n, widths",
+        [
+            # 201 = 3 * 67: H = {1, 68, 133, 200}; 33 orbits of units, 33 of
+            # nonzero multiples of 3, {67, 134} and {0}.
+            (201, [33, 34, 66, 68]),
+            (200, [12, 12, 13, 13, 24, 26, 48, 52]),
+            (ONE_MATRIX_SPLIT - 1, [ONE_MATRIX_SPLIT - 1]),
+        ],
+    )
+    def test_solves_the_blocks_above_the_crossover(self, monkeypatch, n, widths):
+        a = alpha_matrix("uacg", n, 0.3)
+        shapes = eigvalsh_shapes(monkeypatch)
+        assert symmetric_eigenvalues(a).size == n
+        assert all(shape[-1] == shape[-2] for shape in shapes)
+        assert sorted(w for shape in shapes for w in [shape[-1]] * shape[0]) == widths
+
+    @pytest.mark.parametrize("keep", [200, 133])
+    def test_broken_involution_takes_the_smaller_group(self, monkeypatch, keep):
+        # At n = 201 the generators are 200 and 133; a matrix broken under
+        # one is split by {1, keep} into halves that differ by the fixed
+        # points of keep (0; and 0, 67, 134 for keep = 133).
+        n = 201
+        a = broken(alpha_matrix("uacg", n, 0.3), keep)
+        want = np.linalg.eigvalsh(a)[::-1]
+        shapes = eigvalsh_shapes(monkeypatch)
+        got = symmetric_eigenvalues(a)
+        assert shapes == [(1, w, w) for w in halves(n, keep)]
+        assert_close(got, want, keep)
+
+
 def alpha_stack(label: str, n: int) -> np.ndarray:
     return np.stack([alpha_matrix(label, n, alpha) for alpha in ALPHA_GRID])
 
@@ -254,22 +343,42 @@ def alpha_stack(label: str, n: int) -> np.ndarray:
 class TestStackedSolve:
     @pytest.mark.parametrize("label", LABELS)
     def test_rows_match_one_matrix_at_a_time(self, label):
+        # A row is that matrix's values by the split the stack takes: the
+        # same float operations, so the same bits.
         for n in SPLIT_ORDERS:
             stack = alpha_stack(label, n)
             got = symmetric_eigenvalues(stack)
             assert got.shape == (len(ALPHA_GRID), n)
+            split = _invariant_split(stack, len(stack))
             for row, a, alpha in zip(got, stack, ALPHA_GRID):
-                assert np.array_equal(row, symmetric_eigenvalues(a)), (label, n, alpha)
+                assert np.array_equal(row, _solve(_fold(a, split))), (label, n, alpha)
+            assert_close(got, np.linalg.eigvalsh(stack)[:, ::-1], (label, n))
 
     @pytest.mark.parametrize(
-        "n, solved",
-        [(201, [101, 100]), (200, [101, 99]), (_SPLIT_MIN_ORDER - 1, [_SPLIT_MIN_ORDER - 1])],
+        "n, widths",
+        [
+            (201, [33, 34, 66, 68]),
+            (200, [12, 12, 13, 13, 24, 26, 48, 52]),
+            (23, [23]),  # eleven matrices of order 23 are too few entries to split
+        ],
     )
-    def test_one_stacked_solve_per_half(self, monkeypatch, n, solved):
+    def test_one_stacked_solve_per_block_width(self, monkeypatch, n, widths):
         stack = alpha_stack("complement-uacg", n)
         shapes = eigvalsh_shapes(monkeypatch)
         symmetric_eigenvalues(stack)
-        assert shapes == [(len(ALPHA_GRID), w, w) for w in solved]
+        assert all(shape[0] == len(ALPHA_GRID) for shape in shapes)
+        assert len({shape[-1] for shape in shapes}) == len(shapes)
+        assert sorted(w for shape in shapes for w in [shape[-1]] * shape[1]) == widths
+
+    @pytest.mark.parametrize(
+        "n, solved", [(201, [100, 101]), (200, [99, 101]), (44, [21, 23])]
+    )
+    def test_one_stacked_solve_per_half(self, monkeypatch, n, solved):
+        stack = broken(alpha_stack("complement-uacg", n), keep=n - 1)
+        shapes = eigvalsh_shapes(monkeypatch)
+        got = symmetric_eigenvalues(stack)
+        assert shapes == [(len(ALPHA_GRID), 1, w, w) for w in solved]
+        assert_close(got, np.linalg.eigvalsh(stack)[:, ::-1], n)
 
     @pytest.mark.parametrize("n", [7, 60])
     @pytest.mark.parametrize("where", [0, 5, len(ALPHA_GRID) - 1])
@@ -290,15 +399,81 @@ class TestStackedSolve:
 
     @pytest.mark.parametrize("i, j", [(1, 5), (0, 5)])
     def test_mixed_stack_takes_the_full_solve(self, monkeypatch, i, j):
-        n = 60
+        n = 201
         stack = alpha_stack("uacg", n)
-        stack[3, i, j] = stack[3, j, i] = stack[3, i, j] + 0.5  # breaks matrix 3's reflection
+        stack[3, i, j] = stack[3, j, i] = stack[3, i, j] + 0.5  # breaks every involution
         want = [np.linalg.eigvalsh(a)[::-1] for a in stack]
         shapes = eigvalsh_shapes(monkeypatch)
         got = symmetric_eigenvalues(stack)
-        assert shapes == [stack.shape]
+        assert shapes == [(len(stack), 1, n, n)]
         for row, w in zip(got, want):
             assert np.array_equal(row, w)
+
+    @pytest.mark.parametrize("keep", [200, 133])
+    def test_mixed_stack_takes_the_smaller_group(self, monkeypatch, keep):
+        n = 201
+        stack = alpha_stack("uacg", n)
+        stack[3] = broken(stack[3], keep)
+        shapes = eigvalsh_shapes(monkeypatch)
+        got = symmetric_eigenvalues(stack)
+        assert shapes == [(len(stack), 1, w, w) for w in halves(n, keep)]
+        assert np.array_equal(got[3], symmetric_eigenvalues(stack[3]))  # alone, the same group
+        assert_close(got, np.linalg.eigvalsh(stack)[:, ::-1], keep)
+
+
+class TestAlphaEigenvalues:
+    @pytest.mark.parametrize("label", LABELS)
+    def test_split_matches_one_full_solve_up_to_260(self, label):
+        alphas = (0.0, 0.3, 0.9999, 1.0)
+        for n in range(2, 261):
+            g = build_graph(parse_spec_label(label, n))
+            stack = np.stack([build_alpha_matrix(g, alpha) for alpha in alphas])
+            want = np.linalg.eigvalsh(stack)[:, ::-1]
+            assert_close(_alpha_eigenvalues(g.adjacency, g.degrees, alphas), want, (label, n))
+            assert_close(symmetric_eigenvalues(stack), want, (label, n))
+
+    def test_rows_do_not_depend_on_their_chunk(self, monkeypatch):
+        # at n = 199 one alpha's halves hold more than a twelfth of a chunk
+        g = build_graph(parse_spec_label("complement-uacg", 199))
+        shapes = eigvalsh_shapes(monkeypatch)
+        rows = _alpha_eigenvalues(g.adjacency, g.degrees, ALPHA_GRID)
+        assert sorted({shape[0] for shape in shapes}) == [5, 6]
+        assert all(math.prod(shape) <= _BATCH_ELEMENTS for shape in shapes)
+        for row, alpha in zip(rows, ALPHA_GRID):
+            assert np.array_equal(row, _alpha_eigenvalues(g.adjacency, g.degrees, (alpha,))[0])
+
+    @pytest.mark.parametrize("keep", [200, 133])
+    def test_broken_graph_takes_the_smaller_group(self, monkeypatch, keep):
+        n = 201
+        g = build_graph(parse_spec_label("uacg", n))
+        a = broken(g.adjacency, keep, bump=1)
+        shapes = eigvalsh_shapes(monkeypatch)
+        got = _alpha_eigenvalues(a, a.sum(axis=1), (0.3,))
+        assert shapes == [(1, 1, w, w) for w in halves(n, keep)]
+        want = np.linalg.eigvalsh(0.7 * a + np.diag(0.3 * a.sum(axis=1)))[::-1]
+        assert_close(got[0], want, keep)
+
+    def test_degrees_are_checked_too(self, monkeypatch):
+        g = build_graph(parse_spec_label("uacg", 201))
+        degrees = g.degrees.copy()
+        degrees[0] += 1  # 0 is fixed by the whole group: every involution still holds
+        degrees[1] += 1  # breaks every one
+        shapes = eigvalsh_shapes(monkeypatch)
+        got = _alpha_eigenvalues(g.adjacency, degrees, (0.3,))
+        assert shapes == [(1, 1, 201, 201)]
+        want = np.linalg.eigvalsh(0.7 * g.adjacency + np.diag(0.3 * degrees))[::-1]
+        assert_close(got[0], want, "degrees")
+
+    def test_rejects_bad_input(self):
+        g = build_graph(parse_spec_label("uacg", 9))
+        a = g.adjacency.copy()
+        a[1, 2] += 1
+        with pytest.raises(ValueError, match="not symmetric"):
+            _alpha_eigenvalues(a, g.degrees, (0.3,))
+        with pytest.raises(ValueError, match="finite"):
+            _alpha_eigenvalues(g.adjacency, np.full(9, math.inf), (0.3,))
+        with pytest.raises(ValueError, match="alpha"):
+            _alpha_eigenvalues(g.adjacency, g.degrees, (1.5,))
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,8 @@ alongside pass flags to guard against checks that silently iterate
 over nothing.
 """
 
+import math
+
 import numpy as np
 import pytest
 
@@ -13,7 +15,7 @@ import uacg.closedform as closedform_mod
 import uacg.verification as verification_mod
 from uacg.closedform import ALPHA_GRID
 from uacg.graphs import FAMILY_UACG, GraphSpec
-from uacg.linalg import _BATCH_ELEMENTS, Spectrum, symmetric_eigenvalues
+from uacg.linalg import _BATCH_ELEMENTS, _SPLIT_MIN_ENTRIES, Spectrum, _alpha_eigenvalues
 from uacg.verification import (
     CheckResult,
     SCOPES,
@@ -158,13 +160,13 @@ class TestPerturbedEigensolver:
         "check, order, perturb", PERTURBATIONS, ids=[c.__name__ for c, _, _ in PERTURBATIONS]
     )
     def test_check_fails_at_the_perturbed_order(self, monkeypatch, check, order, perturb):
-        real = verification_mod.symmetric_eigenvalues
+        real = verification_mod._alpha_eigenvalues
 
-        def perturbed(a):
-            vals = real(a)
+        def perturbed(adjacency, degrees, alphas):
+            vals = real(adjacency, degrees, alphas)
             return perturb(vals) if vals.shape[-1] == order else vals
 
-        monkeypatch.setattr(verification_mod, "symmetric_eigenvalues", perturbed)
+        monkeypatch.setattr(verification_mod, "_alpha_eigenvalues", perturbed)
         results = check(15)
         for res in results if isinstance(results, list) else [results]:
             assert res.passed is False
@@ -186,17 +188,25 @@ ALL_CHECKS = [
 ]
 
 
+def full_solve(adjacency, degrees, alphas):
+    """One np.linalg.eigvalsh per alpha matrix, as built by build_alpha_matrix."""
+    return np.stack(
+        [np.linalg.eigvalsh((1.0 - x) * adjacency + np.diag(x * degrees))[::-1] for x in alphas]
+    )
+
+
 class TestStackedDenseSolves:
     def test_rows_and_order_match_one_solve_per_alpha(self, monkeypatch):
-        real, shapes = verification_mod.symmetric_eigenvalues, []
+        real, shapes = np.linalg.eigvalsh, []
 
         def spy(a):
             shapes.append(a.shape)
             return real(a)
 
-        monkeypatch.setattr(verification_mod, "symmetric_eigenvalues", spy)
-        ns = (5, 60, 201)
+        monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+        ns = (5, 60, 199)
         rows = list(verification_mod._dense(ns, ALPHA_GRID))
+        monkeypatch.setattr(np.linalg, "eigvalsh", real)
         want = [
             (GraphSpec(FAMILY_UACG, n, flag), alpha)
             for n in ns
@@ -206,24 +216,29 @@ class TestStackedDenseSolves:
         assert [(spec, alpha) for spec, _, alpha, _ in rows] == want
         for spec, g, alpha, vals in rows:
             assert g.spec == spec
-            want_vals = symmetric_eigenvalues(closedform_mod.build_alpha_matrix(g, alpha))
-            assert np.array_equal(vals, want_vals), (spec, alpha)
-        # n = 5 and 60 take all eleven alphas in one stack; n = 201 is cut
-        # into stacks of at most _BATCH_ELEMENTS entries.
-        step = _BATCH_ELEMENTS // 201**2
-        chunks = [min(step, len(ALPHA_GRID) - i) for i in range(0, len(ALPHA_GRID), step)]
-        assert len(chunks) > 1
-        assert shapes == [(11, 5, 5)] * 2 + [(11, 60, 60)] * 2 + [(k, 201, 201) for k in chunks] * 2
+            entries = spec.n * spec.n
+            if (entries >= _SPLIT_MIN_ENTRIES) == (len(ALPHA_GRID) * entries >= _SPLIT_MIN_ENTRIES):
+                # one alpha alone is split as the eleven are
+                alone = _alpha_eigenvalues(g.adjacency, g.degrees, (alpha,))[0]
+                assert np.array_equal(vals, alone), (spec, alpha)
+            full = full_solve(g.adjacency, g.degrees, (alpha,))[0]
+            assert np.max(np.abs(vals - full)) <= 1e-12 * max(1.0, np.max(np.abs(full)))
+        # n = 5 solves the eleven alphas in one full stack, n = 60 in one
+        # stack per block width of its eight involutions, and n = 199 in
+        # chunks of at most _BATCH_ELEMENTS block entries.
+        assert shapes[:2] == [(11, 1, 5, 5)] * 2
+        assert all(shape[0] == 11 for shape in shapes if shape[-1] < 60)
+        assert {shape[0] for shape in shapes if shape[-1] > 60} == {5, 6}
+        assert all(math.prod(shape) <= _BATCH_ELEMENTS for shape in shapes)
 
     def test_checks_match_one_matrix_at_a_time(self, monkeypatch):
-        stacked = [check(61) for check in ALL_CHECKS]
-        real = verification_mod.symmetric_eigenvalues
-
-        def one_at_a_time(a):
-            return np.stack([real(m) for m in a]) if a.ndim == 3 else real(a)
-
-        monkeypatch.setattr(verification_mod, "symmetric_eigenvalues", one_at_a_time)
-        assert [check(61) for check in ALL_CHECKS] == stacked
+        split = [check(61) for check in ALL_CHECKS]
+        monkeypatch.setattr(verification_mod, "_alpha_eigenvalues", full_solve)
+        full = [check(61) for check in ALL_CHECKS]
+        for got, want in zip(split, full):
+            for a, b in zip(*(r if isinstance(r, list) else [r] for r in (got, want))):
+                assert (a.name, a.passed, a.cases) == (b.name, b.passed, b.cases)
+                assert abs(a.worst - b.worst) <= 1e-9, (a, b)
 
 
 class TestRunSuite:
@@ -258,3 +273,17 @@ class TestRunSuite:
     def test_rejects_tiny_nmax(self):
         with pytest.raises(ValueError):
             run_suite("all", 2)
+
+    @pytest.mark.parametrize("nmax", [50.0, True, "50"])
+    def test_rejects_a_non_integer_nmax_before_any_check(self, monkeypatch, nmax):
+        def fail(*args, **kwargs):
+            raise AssertionError("a check ran")
+
+        monkeypatch.setattr(verification_mod, "check_prime_power_spectra", fail)
+        monkeypatch.setattr(verification_mod, "check_interval_containment", fail)
+        for scope in SCOPES:
+            with pytest.raises(ValueError, match="nmax must be an integer"):
+                run_suite(scope, nmax)
+
+    def test_accepts_a_numpy_integer_nmax(self):
+        assert len(run_suite("bounds", np.int64(9))) == 2
