@@ -21,7 +21,7 @@ from .analysis import (
     energy_bounds,
     find_borderenergetic_alphas,
 )
-from .blocks import block_eigenvalues
+from .blocks import _stacked_eigenvalues
 from .closedform import (
     ALPHA_GRID,
     alpha_energy_from_values,
@@ -46,7 +46,7 @@ from .graphs import (
 )
 # symmetric_eigenvalues has no caller here; perfbench's tracer test looks it
 # up in this namespace.
-from .linalg import _alpha_eigenvalues, symmetric_eigenvalues  # noqa: F401
+from .linalg import _alpha_eigenvalues, _check_tol, symmetric_eigenvalues  # noqa: F401
 from .numtheory import prime_power
 
 __all__ = [
@@ -87,6 +87,20 @@ def odd_prime_powers(nmax: int) -> list[int]:
     return [q for q in range(3, nmax + 1, 2) if prime_power(q) is not None]
 
 
+def _check_nmax(nmax: int) -> int:
+    """nmax as an int; ValueError unless it is an integer in
+    3..DENSE_ORDER_LIMIT, since every check builds dense graphs up to nmax."""
+    if isinstance(nmax, bool) or not isinstance(nmax, numbers.Integral):
+        raise ValueError(f"nmax must be an integer, got {nmax!r}")
+    if nmax < 3:
+        raise ValueError(f"nmax must be >= 3, got {nmax}")
+    if nmax > DENSE_ORDER_LIMIT:
+        raise ValueError(
+            f"nmax={nmax} exceeds the dense limit DENSE_ORDER_LIMIT={DENSE_ORDER_LIMIT}"
+        )
+    return int(nmax)
+
+
 def _worst(name: str, tol: float, rows: Iterable[tuple[float, int, str]]) -> CheckResult:
     """Reduce (residual, cases, location) rows to one result: the largest
     residual with its first location ("" while every residual is 0), and the
@@ -104,10 +118,11 @@ def _dense(
 ) -> Iterator[tuple[GraphSpec, Graph, float, np.ndarray]]:
     """(spec, graph, alpha, descending dense eigenvalues) for the unit-sum
     spec at each order in ns and complement flag in flags: one graph per
-    spec, checked and folded once into the blocks of its involutions, and
-    each alpha's blocks built from those and solved (see
-    linalg._alpha_eigenvalues), with the values of one full solve of that
-    alpha's matrix to rounding."""
+    spec, checked and folded once into the blocks of the group G = <g> x H'
+    it is invariant under (g a unit of largest multiplicative order, H' the
+    involutions outside <g>), and each alpha's blocks built from those and
+    solved (see linalg._alpha_eigenvalues), with the values of one full
+    solve of that alpha's matrix to rounding."""
     alphas = tuple(alphas)
     for n in ns:
         for flag in flags:
@@ -132,12 +147,14 @@ def _closed_rows(ns: Iterable[int], alphas: Iterable[float]) -> list[tuple[float
 
 def check_prime_power_spectra(nmax: int, alphas=ALPHA_GRID, tol: float = 1e-8) -> CheckResult:
     """Closed-form spectra vs the eigensolver on odd prime-power orders."""
+    nmax, tol = _check_nmax(nmax), _check_tol(tol)
     rows = _closed_rows(odd_prime_powers(nmax), alphas)
     return _worst("prime-power spectra vs eigensolver", tol, rows)
 
 
 def check_even_spectra(nmax: int, alphas=EVEN_ALPHAS, tol: float = 1e-8) -> CheckResult:
     """Character-sum spectra vs the eigensolver on even orders."""
+    nmax, tol = _check_nmax(nmax), _check_tol(tol)
     rows = _closed_rows(range(2, nmax + 1, 2), alphas)
     return _worst("even-order spectra vs eigensolver", tol, rows)
 
@@ -145,10 +162,13 @@ def check_even_spectra(nmax: int, alphas=EVEN_ALPHAS, tol: float = 1e-8) -> Chec
 def check_block_route(nmax: int, alphas=ALPHA_GRID, tol: float = 1e-9) -> CheckResult:
     """Block-eigensolver spectra vs the eigensolver on every odd order, and
     vs the closed-form spectra on odd prime powers."""
-    rows = []
-    for spec, _, alpha, dense in _dense(range(3, nmax + 1, 2), alphas):
-        vals, mults = block_eigenvalues(spec, alpha)
-        blocks = np.sort(np.repeat(vals, mults))[::-1]
+    nmax, tol = _check_nmax(nmax), _check_tol(tol)
+    rows, alphas = [], tuple(alphas)
+    for i, (spec, _, alpha, dense) in enumerate(_dense(range(3, nmax + 1, 2), alphas)):
+        k = i % len(alphas)
+        if k == 0:  # every alpha of the spec in one stacked block solve
+            values, mults = _stacked_eigenvalues(spec, alphas)
+        blocks = np.sort(np.repeat(values[k], mults))[::-1]
         refs = [dense]
         if has_closed_spectrum(spec):
             refs.append(spectrum_for(spec, alpha, method="closed")[0].values())
@@ -164,6 +184,7 @@ def check_spectral_identities(
     Sum of eigenvalues must equal 2*alpha*m and sum of squares must equal
     alpha^2*zeta + (1-alpha)^2*2m, relative to scale 1 + |target|.
     """
+    nmax, rtol = _check_nmax(nmax), _check_tol(rtol)
     trace_rows, sq_rows, zeta = [], [], {}
     for spec, g, alpha, vals in _dense(range(2, nmax + 1), alphas):
         trace_target = 2.0 * alpha * g.m
@@ -183,6 +204,7 @@ def check_spectral_identities(
 def check_complement_identity(nmax: int, alphas=ALPHA_GRID, rtol: float = 1e-8) -> CheckResult:
     """A_alpha(G) + A_alpha(complement) must be alpha*(n-1) on the diagonal
     and (1-alpha) off it."""
+    nmax, rtol = _check_nmax(nmax), _check_tol(rtol)
     rows = []
     for n in range(2, nmax + 1):
         g = build_graph(GraphSpec(family=FAMILY_UACG, n=n))
@@ -219,6 +241,7 @@ def _tabulated_complement_values(p: int, m: int, alpha: float) -> np.ndarray:
 
 def check_energy_consistency(nmax: int, alphas=ALPHA_GRID, tol: float = 1e-9) -> list[CheckResult]:
     """Energy formulas vs energies recomputed from their value multisets."""
+    nmax, tol = _check_nmax(nmax), _check_tol(tol)
     uacg_rows, comp_rows = [], []
     for q in odd_prime_powers(nmax):
         p, m = prime_power(q)
@@ -245,6 +268,7 @@ def check_energy_consistency(nmax: int, alphas=ALPHA_GRID, tol: float = 1e-9) ->
 def check_regular_shortcut(nmax: int, alphas=(0.3, 0.7), tol: float = 1e-8) -> CheckResult:
     """Even orders are regular: energy must scale as (1-alpha) times the
     adjacency energy, and the adjacency energy must match its closed form."""
+    nmax, tol = _check_nmax(nmax), _check_tol(tol)
     rows, base = [], {}
     for spec, g, alpha, vals in _dense(range(2, nmax + 1, 2), (0.0, *alphas), (False,)):
         n = spec.n
@@ -259,6 +283,7 @@ def check_regular_shortcut(nmax: int, alphas=(0.3, 0.7), tol: float = 1e-8) -> C
 
 def check_complement_even_energy(nmax: int, tol: float = 1e-8) -> CheckResult:
     """Even-order complement adjacency energy vs its closed form."""
+    nmax, tol = _check_nmax(nmax), _check_tol(tol)
     rows = []
     for spec, g, _, vals in _dense(range(2, nmax + 1, 2), (0.0,), (True,)):
         resid = abs(
@@ -273,6 +298,7 @@ def check_interval_containment(
     nmax: int, alphas=BOUND_ALPHAS, slack: float = 1e-8
 ) -> CheckResult:
     """Every numeric eigenvalue must fall in its rank interval (odd orders)."""
+    nmax, slack = _check_nmax(nmax), _check_tol(slack)
     rows = []
     for spec, _, alpha, observed in _dense(range(3, nmax + 1, 2), alphas):
         lower, upper = _odd_eigen_arrays(spec, alpha)
@@ -283,6 +309,7 @@ def check_interval_containment(
 
 def check_energy_sandwich(nmax: int, alphas=SANDWICH_ALPHAS, slack: float = 1e-8) -> CheckResult:
     """All four lower bounds <= numeric energy <= upper bound (odd orders)."""
+    nmax, slack = _check_nmax(nmax), _check_tol(slack)
     rows = []
     for spec, g, alpha, vals in _dense(range(3, nmax + 1, 2), alphas):
         energy = alpha_energy_from_values(vals, spec.n, g.m, alpha)
@@ -297,6 +324,7 @@ def check_roots(nmax: int, tol: float = 1e-8) -> CheckResult:
     At each root the energy gap to the complete graph must vanish within tol
     and classification at tolerance 1e-6 must come back borderenergetic.
     """
+    nmax, tol = _check_nmax(nmax), _check_tol(tol)
     rows = []
     for q in odd_prime_powers(nmax):
         for complement_flag in (False, True):
@@ -311,19 +339,11 @@ def check_roots(nmax: int, tol: float = 1e-8) -> CheckResult:
 
 
 def run_suite(scope: str, nmax: int) -> list[CheckResult]:
-    """All checks for a scope; ValueError on a bad scope or an nmax that is
-    not an integer in 3..DENSE_ORDER_LIMIT, before any check runs, since
-    every check builds dense graphs up to nmax."""
+    """All checks for a scope; ValueError on a bad scope or nmax (see
+    _check_nmax) before any check runs."""
     if scope not in SCOPES:
         raise ValueError(f"scope must be one of {SCOPES}, got {scope!r}")
-    if isinstance(nmax, bool) or not isinstance(nmax, numbers.Integral):
-        raise ValueError(f"nmax must be an integer, got {nmax!r}")
-    if nmax < 3:
-        raise ValueError(f"nmax must be >= 3, got {nmax}")
-    if nmax > DENSE_ORDER_LIMIT:
-        raise ValueError(
-            f"nmax={nmax} exceeds the dense limit DENSE_ORDER_LIMIT={DENSE_ORDER_LIMIT}"
-        )
+    nmax = _check_nmax(nmax)
     results: list[CheckResult] = []
     if scope in ("closedform", "all"):
         results.append(check_prime_power_spectra(nmax))

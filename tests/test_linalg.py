@@ -7,7 +7,11 @@ minors of T - x*I).  The circulant routines are checked against
 explicitly assembled matrices fed to the dense solver.
 """
 
+import ast
 import math
+import tracemalloc
+from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,6 +27,7 @@ from uacg.linalg import (
     Spectrum,
     _alpha_eigenvalues,
     _fold,
+    _generators,
     _group,
     _invariant_split,
     _solve,
@@ -195,6 +200,60 @@ def involutions(n: int) -> list[int]:
     return [u for u in range(1, n) if u * u % n == 1]
 
 
+def order_of(u: int, n: int) -> int:
+    """The multiplicative order of the unit u mod n, by brute force."""
+    x, k = u % n, 1
+    while x != 1 % n:
+        x, k = x * u % n, k + 1
+    return k
+
+
+def largest_order(n: int) -> int:
+    """lambda(n), the largest multiplicative order of a unit mod n."""
+    return max([order_of(u, n) for u in range(1, n) if math.gcd(u, n) == 1], default=1)
+
+
+def span(gens, n: int) -> set[int]:
+    """The group of units mod n generated by gens."""
+    group = {1 % n}
+    for u in gens:
+        group = {pow(u, k, n) * h % n for k in range(order_of(u, n)) for h in group}
+    return group
+
+
+def group_of(split) -> list[int]:
+    """The elements of the split's group."""
+    return [int(u) for u in split[1]]
+
+
+def block_rows(split) -> list[tuple[np.ndarray, int]]:
+    """Per block width, each block's indices into reps, (count, width), and
+    how many leading blocks stand for a conjugate pair."""
+    *_, blocks, index = split
+    out, at = [], 0
+    for w, count, twins in blocks:
+        out.append((index[at + count * w : at + 2 * count * w].reshape(count, w), twins))
+        at += 2 * count * w
+    return out
+
+
+def block_widths(split, twins: bool = True) -> dict[int, int]:
+    """{width: count} of the split's blocks; with twins, the left-out block
+    of each conjugate pair is counted too."""
+    counts = Counter()
+    for w, count, paired in split[-2]:
+        counts[w] += count + (paired if twins else 0)
+    return dict(counts)
+
+
+def solved_widths(shapes, axis: int = 0) -> dict[int, int]:
+    """{width: count} of the blocks handed to eigvalsh, counted along axis."""
+    counts = Counter()
+    for shape in shapes:
+        counts[shape[-1]] += shape[axis]
+    return dict(counts)
+
+
 def eigvalsh_shapes(monkeypatch) -> list[tuple[int, ...]]:
     """Record the shape of every input np.linalg.eigvalsh is handed."""
     real, shapes = np.linalg.eigvalsh, []
@@ -223,7 +282,8 @@ def halves(n: int, u: int) -> list[int]:
 def broken(a: np.ndarray, keep: int, bump=0.5, i: int = 1, j: int = 5) -> np.ndarray:
     """a with the entries at (i, j), (keep*i, keep*j) and their transposes
     raised by bump: still invariant under the involution keep, broken under
-    any other map that does not fix that orbit."""
+    any other map that does not fix that orbit (a unit of order above 2
+    cannot)."""
     n, out = a.shape[-1], a.copy()
     for x, y in {(i, j), (keep * i % n, keep * j % n)}:
         out[..., x, y] += bump
@@ -233,8 +293,8 @@ def broken(a: np.ndarray, keep: int, bump=0.5, i: int = 1, j: int = 5) -> np.nda
 
 
 class TestReflectionSplit:
-    """The split over every involution u*u % n == 1 (the reflection -1 is
-    one) against one full solve."""
+    """The split over G = <g> x H' (see TestInvolutionSplit), the reflection
+    -1 among its elements, against one full solve."""
 
     @pytest.mark.parametrize("label", LABELS)
     def test_matches_one_full_solve(self, label):
@@ -258,7 +318,7 @@ class TestReflectionSplit:
         "n, solved", [(201, [100, 101]), (200, [99, 101]), (44, [44])]
     )
     def test_solves_the_two_halves_above_the_crossover(self, monkeypatch, n, solved):
-        # broken under every involution but -1, which fixes 0 (and n/2);
+        # broken under g and every involution but -1, which fixes 0 (and n/2);
         # one matrix of order 44 holds too few entries to be split
         a = broken(alpha_matrix("uacg", n, 0.3), keep=n - 1)
         shapes = eigvalsh_shapes(monkeypatch)
@@ -270,7 +330,7 @@ class TestReflectionSplit:
     def test_broken_symmetry_takes_one_full_solve(self, monkeypatch, i, j):
         n = 201
         a = alpha_matrix("uacg", n, 0.3)
-        a[i, j] = a[j, i] = a[i, j] + 0.5  # no involution but 1 maps (i, j) to (i, j) or (j, i)
+        a[i, j] = a[j, i] = a[i, j] + 0.5  # no unit but 1 maps (i, j) to (i, j) or (j, i)
         shapes = eigvalsh_shapes(monkeypatch)
         got = symmetric_eigenvalues(a)
         assert shapes == [(1, n, n)]
@@ -278,21 +338,32 @@ class TestReflectionSplit:
 
 
 class TestInvolutionSplit:
+    """The split over G = <g> x H': g a unit of largest order lambda(n), H'
+    the involutions u*u % n == 1 outside <g>."""
+
     @pytest.mark.parametrize("n, order", [(105, 8), (120, 16), (195, 8), (201, 4), (243, 2)])
     def test_group_order(self, n, order):
+        # <g> holds one involution besides 1, so G holds all `order` of
+        # them and |G| = lambda(n) * order / 2.
         assert len(involutions(n)) == order
-        reps, images, *_ = _invariant_split(np.zeros((n, n)), 1)  # invariant under every map
-        assert images.shape[0] == order
-        assert sorted(images[:, reps.tolist().index(1)].tolist()) == involutions(n)
+        split = _invariant_split(np.zeros((n, n)), 1)  # invariant under every map
+        group = group_of(split)
+        assert len(set(group)) == len(group) == largest_order(n) * order // 2
+        assert set(involutions(n)) <= set(group)
+        assert all(math.gcd(u, n) == 1 for u in group)
 
     @pytest.mark.parametrize("n", [2, 8, 12, 15, 24, 60, 105, 120, 195, 200, 201, 243])
     def test_each_orbit_in_one_block_per_character_its_stabilizer_kills(self, n):
-        # A residue x lies in the blocks of exactly |H| / |S_x| characters of
-        # H, S_x = {u in H : u*x = x}: 0 and n/2 in one, the units in every
-        # one, and a non-unit that some u fixes in fewer.
-        group = involutions(n)
-        reps, *_, blocks = _invariant_split(np.zeros((n, n)), _SPLIT_MIN_ENTRIES)
-        residues = np.concatenate([reps[cols].ravel() for _, cols in blocks]).tolist()
+        # A residue x lies in the blocks of exactly |G| / |S_x| characters of
+        # G, S_x = {u in G : u*x = x}, the left-out block of each conjugate
+        # pair counted: 0 and n/2 in one, the units in every one, and a
+        # non-unit that some u fixes in fewer.
+        split = _invariant_split(np.zeros((n, n)), _SPLIT_MIN_ENTRIES)
+        reps = split[0]
+        group = group_of(split)
+        residues = []
+        for cols, paired in block_rows(split):
+            residues += reps[cols].ravel().tolist() + reps[cols[:paired]].ravel().tolist()
         assert len(residues) == n
         orbit_mins = {min(u * x % n for u in group) for x in range(n)}
         assert set(reps.tolist()) == orbit_mins
@@ -308,11 +379,17 @@ class TestInvolutionSplit:
     @pytest.mark.parametrize(
         "n, widths",
         [
-            # 201 = 3 * 67: H = {1, 68, 133, 200}; 33 orbits of units, 33 of
-            # nonzero multiples of 3, {67, 134} and {0}.
-            (201, [33, 34, 66, 68]),
-            (200, [12, 12, 13, 13, 24, 26, 48, 52]),
-            (ONE_MATRIX_SPLIT - 1, [ONE_MATRIX_SPLIT - 1]),
+            # 201 = 3 * 67: G is all 132 units.  Orbits: the units, the
+            # nonzero multiples of 3 (S = {1, 68}), {67, 134} (S = the 66
+            # units = 1 mod 3) and {0}.  The trivial character keeps all
+            # four; one more is 1 on the units = 1 mod 3 (units and
+            # {67, 134}), 65 more on {1, 68} (units and multiples of 3), and
+            # the other 65 keep the units alone.
+            (201, {1: 65, 2: 66, 4: 1}),
+            (200, {1: 32, 2: 22, 3: 2, 4: 19, 6: 1, 8: 3, 12: 1}),
+            (ONE_MATRIX_SPLIT - 1, {ONE_MATRIX_SPLIT - 1: 1}),
+            # 199 is prime: G is all 198 units, with orbits {0} and the units
+            (199, {1: 197, 2: 1}),
         ],
     )
     def test_solves_the_blocks_above_the_crossover(self, monkeypatch, n, widths):
@@ -320,13 +397,17 @@ class TestInvolutionSplit:
         shapes = eigvalsh_shapes(monkeypatch)
         assert symmetric_eigenvalues(a).size == n
         assert all(shape[-1] == shape[-2] for shape in shapes)
-        assert sorted(w for shape in shapes for w in [shape[-1]] * shape[0]) == widths
+        split = _invariant_split(a, 1)
+        assert block_widths(split) == widths
+        # one eigvalsh per width, one block of each conjugate pair
+        assert len({shape[-1] for shape in shapes}) == len(shapes) == len(widths)
+        assert solved_widths(shapes) == block_widths(split, twins=False)
 
     @pytest.mark.parametrize("keep", [200, 133])
     def test_broken_involution_takes_the_smaller_group(self, monkeypatch, keep):
-        # At n = 201 the generators are 200 and 133; a matrix broken under
-        # one is split by {1, keep} into halves that differ by the fixed
-        # points of keep (0; and 0, 67, 134 for keep = 133).
+        # At n = 201 g = 2 and H' = {1, 133}; a matrix broken under g and
+        # under one involution is split by {1, keep} into halves that differ
+        # by the fixed points of keep (0; and 0, 67, 134 for keep = 133).
         n = 201
         a = broken(alpha_matrix("uacg", n, 0.3), keep)
         want = np.linalg.eigvalsh(a)[::-1]
@@ -334,6 +415,65 @@ class TestInvolutionSplit:
         got = symmetric_eigenvalues(a)
         assert shapes == [(1, w, w) for w in halves(n, keep)]
         assert_close(got, want, keep)
+
+    def test_broken_under_g_takes_the_involutions(self, monkeypatch):
+        # Raised on the orbit of (1, 5) under every involution, the matrix
+        # keeps them all but not g = 2, which maps (1, 5) off that orbit: it
+        # is split by the four involutions into real blocks.
+        n = 201
+        a = alpha_matrix("uacg", n, 0.3)
+        assert _generators(n)[0][0] == 2
+        for u in involutions(n):
+            a[u, 5 * u % n] += 0.5
+            a[5 * u % n, u] += 0.5
+        real, seen = np.linalg.eigvalsh, []
+
+        def spy(x):
+            seen.append((x.shape, x.dtype))
+            return real(x)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+        got = symmetric_eigenvalues(a)
+        monkeypatch.setattr(np.linalg, "eigvalsh", real)
+        assert sorted(group_of(_invariant_split(a, 1))) == involutions(n)
+        assert seen == [((1, w, w), np.float64) for w in (33, 34, 66, 68)]
+        assert_close(got, np.linalg.eigvalsh(a)[::-1], "broken under g")
+
+    @pytest.mark.parametrize("n", [*range(1, 130), 199, 200, 201, 243, 256])
+    def test_generators_checked_by_brute_force(self, n):
+        with_g, alone = _generators(n)
+        invs = involutions(n)
+        assert set(alone) <= set(invs) and len(span(alone, n)) == max(1, len(invs))
+        lam = largest_order(n)
+        if lam <= 2:
+            assert with_g == ()
+            return
+        g, *rest = with_g
+        assert order_of(g, n) == lam
+        assert all(order_of(u, n) < lam for u in range(1, g) if math.gcd(u, n) == 1)
+        assert set(rest) <= set(invs)
+        group = span(with_g, n)
+        assert len(group) == lam * 2 ** len(rest) and set(invs) <= group
+
+    def test_no_n_by_group_table_at_4096(self):
+        # G is all 2048 units of Z_4096; an n x |G| table of 2-byte entries
+        # would take 16.8 MB.
+        n = 4096
+        m = np.zeros((n, n), dtype=np.int8)
+        _generators.cache_clear()
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            split = _invariant_split(m, 1)
+            blocks = _fold(m, split)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert len(group_of(split)) == 2048
+        assert sum(b.shape[-3] * b.shape[-1] for b, _ in blocks) + sum(
+            w * twins for w, _, twins in split[-2]
+        ) == n
+        assert peak < n * 2048 * 2
 
 
 def alpha_stack(label: str, n: int) -> np.ndarray:
@@ -351,15 +491,16 @@ class TestStackedSolve:
             assert got.shape == (len(ALPHA_GRID), n)
             split = _invariant_split(stack, len(stack))
             for row, a, alpha in zip(got, stack, ALPHA_GRID):
-                assert np.array_equal(row, _solve(_fold(a, split))), (label, n, alpha)
+                alone = _solve([b for b, _ in _fold(a, split)], split[-2])
+                assert np.array_equal(row, alone), (label, n, alpha)
             assert_close(got, np.linalg.eigvalsh(stack)[:, ::-1], (label, n))
 
     @pytest.mark.parametrize(
         "n, widths",
         [
-            (201, [33, 34, 66, 68]),
-            (200, [12, 12, 13, 13, 24, 26, 48, 52]),
-            (23, [23]),  # eleven matrices of order 23 are too few entries to split
+            (201, {1: 65, 2: 66, 4: 1}),
+            (200, {1: 32, 2: 22, 3: 2, 4: 19, 6: 1, 8: 3, 12: 1}),
+            (23, {23: 1}),  # eleven matrices of order 23 are too few entries to split
         ],
     )
     def test_one_stacked_solve_per_block_width(self, monkeypatch, n, widths):
@@ -368,7 +509,9 @@ class TestStackedSolve:
         symmetric_eigenvalues(stack)
         assert all(shape[0] == len(ALPHA_GRID) for shape in shapes)
         assert len({shape[-1] for shape in shapes}) == len(shapes)
-        assert sorted(w for shape in shapes for w in [shape[-1]] * shape[1]) == widths
+        split = _invariant_split(stack, len(stack))
+        assert block_widths(split) == widths
+        assert solved_widths(shapes, axis=1) == block_widths(split, twins=False)
 
     @pytest.mark.parametrize(
         "n, solved", [(201, [100, 101]), (200, [99, 101]), (44, [21, 23])]
@@ -401,7 +544,7 @@ class TestStackedSolve:
     def test_mixed_stack_takes_the_full_solve(self, monkeypatch, i, j):
         n = 201
         stack = alpha_stack("uacg", n)
-        stack[3, i, j] = stack[3, j, i] = stack[3, i, j] + 0.5  # breaks every involution
+        stack[3, i, j] = stack[3, j, i] = stack[3, i, j] + 0.5  # breaks every unit but 1
         want = [np.linalg.eigvalsh(a)[::-1] for a in stack]
         shapes = eigvalsh_shapes(monkeypatch)
         got = symmetric_eigenvalues(stack)
@@ -433,14 +576,18 @@ class TestAlphaEigenvalues:
             assert_close(symmetric_eigenvalues(stack), want, (label, n))
 
     def test_rows_do_not_depend_on_their_chunk(self, monkeypatch):
-        # at n = 199 one alpha's halves hold more than a twelfth of a chunk
+        # Broken under every map but -1, a graph of order 199 is split into
+        # halves 99 and 100 wide, and one alpha's halves hold more than a
+        # twelfth of a chunk.
         g = build_graph(parse_spec_label("complement-uacg", 199))
+        a = broken(g.adjacency, keep=198, bump=1)
         shapes = eigvalsh_shapes(monkeypatch)
-        rows = _alpha_eigenvalues(g.adjacency, g.degrees, ALPHA_GRID)
+        rows = _alpha_eigenvalues(a, a.sum(axis=1), ALPHA_GRID)
         assert sorted({shape[0] for shape in shapes}) == [5, 6]
+        assert {shape[-1] for shape in shapes} == {99, 100}
         assert all(math.prod(shape) <= _BATCH_ELEMENTS for shape in shapes)
         for row, alpha in zip(rows, ALPHA_GRID):
-            assert np.array_equal(row, _alpha_eigenvalues(g.adjacency, g.degrees, (alpha,))[0])
+            assert np.array_equal(row, _alpha_eigenvalues(a, a.sum(axis=1), (alpha,))[0])
 
     @pytest.mark.parametrize("keep", [200, 133])
     def test_broken_graph_takes_the_smaller_group(self, monkeypatch, keep):
@@ -456,7 +603,7 @@ class TestAlphaEigenvalues:
     def test_degrees_are_checked_too(self, monkeypatch):
         g = build_graph(parse_spec_label("uacg", 201))
         degrees = g.degrees.copy()
-        degrees[0] += 1  # 0 is fixed by the whole group: every involution still holds
+        degrees[0] += 1  # 0 is fixed by the whole group: g and every involution still hold
         degrees[1] += 1  # breaks every one
         shapes = eigvalsh_shapes(monkeypatch)
         got = _alpha_eigenvalues(g.adjacency, degrees, (0.3,))
@@ -474,6 +621,40 @@ class TestAlphaEigenvalues:
             _alpha_eigenvalues(g.adjacency, np.full(9, math.inf), (0.3,))
         with pytest.raises(ValueError, match="alpha"):
             _alpha_eigenvalues(g.adjacency, g.degrees, (1.5,))
+
+
+ORACLE_SOURCE = Path(__file__).resolve().parents[1] / "src" / "uacg" / "linalg.py"
+CHECKED_ROUTES = {"blocks", "numtheory", "closedform"}
+
+
+def imported_modules(source: str) -> set[str]:
+    """Every module name an import statement in source names, in any scope:
+    "from .blocks import x" gives "blocks", "from . import blocks" gives
+    "blocks", "import uacg.numtheory" gives "uacg" and "numtheory"."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names |= {part for alias in node.names for part in alias.name.split(".")}
+        elif isinstance(node, ast.ImportFrom):
+            names |= set((node.module or "").split(".")) | {alias.name for alias in node.names}
+    return names
+
+
+class TestOracleIndependence:
+    def test_dense_oracle_imports_none_of_the_routes_it_checks(self):
+        assert not imported_modules(ORACLE_SOURCE.read_text()) & CHECKED_ROUTES
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "from .blocks import unit_sum_blocks",
+            "from . import numtheory",
+            "import uacg.closedform",
+            "def f():\n    from uacg.numtheory import factorize",
+        ],
+    )
+    def test_guard_sees_each_import_form(self, line):
+        assert imported_modules(line) & CHECKED_ROUTES
 
 
 # ---------------------------------------------------------------------------

@@ -13,9 +13,17 @@ import pytest
 
 import uacg.closedform as closedform_mod
 import uacg.verification as verification_mod
+from uacg.blocks import block_eigenvalues
 from uacg.closedform import ALPHA_GRID
-from uacg.graphs import FAMILY_UACG, GraphSpec
-from uacg.linalg import _BATCH_ELEMENTS, _SPLIT_MIN_ENTRIES, Spectrum, _alpha_eigenvalues
+from uacg.graphs import DENSE_ORDER_LIMIT, FAMILY_UACG, GraphSpec
+from uacg.linalg import (
+    _BATCH_ELEMENTS,
+    _SPLIT_MIN_ENTRIES,
+    Spectrum,
+    _alpha_eigenvalues,
+    _generators,
+    _split,
+)
 from uacg.verification import (
     CheckResult,
     SCOPES,
@@ -111,6 +119,25 @@ class TestIndividualChecks:
         assert res.passed
         assert res.worst <= 1e-9
 
+    def test_block_route_solves_each_spec_once(self, monkeypatch):
+        # One stacked block solve per spec; its rows are bit-identical to
+        # one solve per alpha, so the result is too.
+        real, calls = verification_mod._stacked_eigenvalues, []
+
+        def counting(spec, alphas):
+            calls.append(spec)
+            return real(spec, alphas)
+
+        def one_at_a_time(spec, alphas):
+            rows = [block_eigenvalues(spec, alpha) for alpha in alphas]
+            return np.stack([vals for vals, _ in rows]), rows[0][1]
+
+        monkeypatch.setattr(verification_mod, "_stacked_eigenvalues", counting)
+        got = check_block_route(27)
+        assert len(calls) == len(set(calls)) == 13 * 2
+        monkeypatch.setattr(verification_mod, "_stacked_eigenvalues", one_at_a_time)
+        assert check_block_route(27) == got
+
     def test_block_route_compares_closed_forms(self, monkeypatch):
         # On odd prime powers the blocks are also held to the closed forms,
         # which come from the route table: a perturbed closed form must make
@@ -195,6 +222,50 @@ def full_solve(adjacency, degrees, alphas):
     )
 
 
+# The tolerance keyword of each check that is not called tol.
+TOLERANCE_NAMES = {
+    check_spectral_identities: "rtol",
+    check_complement_identity: "rtol",
+    check_interval_containment: "slack",
+    check_energy_sandwich: "slack",
+}
+
+
+class TestCheckInputs:
+    """Every public check validates nmax and its tolerance where it is
+    entered, before any graph is built."""
+
+    @pytest.mark.parametrize("check", ALL_CHECKS, ids=[c.__name__ for c in ALL_CHECKS])
+    @pytest.mark.parametrize(
+        "nmax, match",
+        [
+            (True, "integer"),
+            (15.5, "integer"),
+            ("15", "integer"),
+            (2, ">= 3"),
+            (DENSE_ORDER_LIMIT + 1, "dense limit"),
+        ],
+    )
+    def test_rejects_a_bad_nmax(self, monkeypatch, check, nmax, match):
+        def fail(*args, **kwargs):
+            raise AssertionError("the check started work")
+
+        # every check reaches one of these before its first result
+        monkeypatch.setattr(verification_mod, "build_graph", fail)
+        monkeypatch.setattr(verification_mod, "prime_power", fail)
+        with pytest.raises(ValueError, match=match):
+            check(nmax)
+
+    @pytest.mark.parametrize("check", ALL_CHECKS, ids=[c.__name__ for c in ALL_CHECKS])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0, -1e-8])
+    def test_rejects_a_bad_tolerance(self, check, bad):
+        with pytest.raises(ValueError, match="must be positive and finite"):
+            check(15, **{TOLERANCE_NAMES.get(check, "tol"): bad})
+
+    def test_accepts_a_numpy_integer_nmax(self):
+        assert check_block_route(np.int64(9), alphas=(0.3,)).cases == 4 * 2
+
+
 class TestStackedDenseSolves:
     def test_rows_and_order_match_one_solve_per_alpha(self, monkeypatch):
         real, shapes = np.linalg.eigvalsh, []
@@ -223,12 +294,13 @@ class TestStackedDenseSolves:
                 assert np.array_equal(vals, alone), (spec, alpha)
             full = full_solve(g.adjacency, g.degrees, (alpha,))[0]
             assert np.max(np.abs(vals - full)) <= 1e-12 * max(1.0, np.max(np.abs(full)))
-        # n = 5 solves the eleven alphas in one full stack, n = 60 in one
-        # stack per block width of its eight involutions, and n = 199 in
-        # chunks of at most _BATCH_ELEMENTS block entries.
+        # n = 5 solves the eleven alphas in one full stack; n = 60 and 199
+        # in one stack per block width of their groups <g> x H', the blocks
+        # at most 12 (n = 60) and 2 (n = 199) wide, so each holds all eleven
+        # alphas within _BATCH_ELEMENTS block entries.
         assert shapes[:2] == [(11, 1, 5, 5)] * 2
-        assert all(shape[0] == 11 for shape in shapes if shape[-1] < 60)
-        assert {shape[0] for shape in shapes if shape[-1] > 60} == {5, 6}
+        assert all(shape[0] == 11 for shape in shapes)
+        assert max(shape[-1] for shape in shapes[2:]) == 12
         assert all(math.prod(shape) <= _BATCH_ELEMENTS for shape in shapes)
 
     def test_checks_match_one_matrix_at_a_time(self, monkeypatch):
@@ -287,3 +359,10 @@ class TestRunSuite:
 
     def test_accepts_a_numpy_integer_nmax(self):
         assert len(run_suite("bounds", np.int64(9))) == 2
+
+    def test_second_pass_has_no_layout_cache_misses(self):
+        # The dense oracle's layout caches hold every order one pass walks.
+        run_suite("all", 201)
+        before = _split.cache_info().misses, _generators.cache_info().misses
+        run_suite("all", 201)
+        assert (_split.cache_info().misses, _generators.cache_info().misses) == before
