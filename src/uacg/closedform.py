@@ -36,6 +36,7 @@ from .linalg import (
     symmetric_eigenvalues,
 )
 from .numtheory import (
+    _check_int,
     euler_phi,
     factorize,
     is_prime,
@@ -83,11 +84,12 @@ class ClosedFormUnavailable(RuntimeError):
     """No exact spectrum or energy formula covers the requested graph."""
 
 
-def _check_odd_prime_power(p: int, m: int) -> None:
-    if p < 3 or not is_prime(p):
+def _check_odd_prime_power(p: int, m: int) -> tuple[int, int]:
+    """(p, m) as ints; ValueError unless p is an odd prime and m >= 1."""
+    p, m = _check_int(p, "p", 3), _check_int(m, "m", 1)
+    if not is_prime(p):
         raise ValueError(f"p must be an odd prime, got {p}")
-    if m < 1:
-        raise ValueError(f"m must be >= 1, got {m}")
+    return p, m
 
 
 def _spectrum_from_pairs(
@@ -108,15 +110,9 @@ def _spectrum_from_families(families: list[tuple[float, int]], n: int) -> Spectr
 
 def build_alpha_matrix(g: Graph, alpha: float) -> np.ndarray:
     """Dense A_alpha = alpha*D + (1-alpha)*A, exactly symmetric by construction."""
-    return _alpha_stack(g, (alpha,))[0]
-
-
-def _alpha_stack(g: Graph, alphas: Sequence[float]) -> np.ndarray:
-    """build_alpha_matrix for each alpha, as one (len(alphas), n, n) stack
-    whose entries take the same float operations as one alpha's."""
-    alphas = np.array([_check_alpha(a, allow_one=True) for a in alphas]).reshape(-1, 1, 1)
-    out = (1.0 - alphas) * g.adjacency.astype(float)
-    out.reshape(len(alphas), -1)[:, :: g.n + 1] = alphas[:, 0] * g.degrees.astype(float)
+    alpha = _check_alpha(alpha, allow_one=True)
+    out = (1.0 - alpha) * g.adjacency.astype(float)
+    np.fill_diagonal(out, alpha * g.degrees.astype(float))
     return out
 
 
@@ -124,6 +120,7 @@ def alpha_energy_from_values(
     values: np.ndarray, n: int, m: int, alpha: float
 ) -> float:
     """Energy sum |lambda_i - 2*alpha*m/n| from a full eigenvalue list."""
+    n, m = _check_int(n, "n", 1), _check_int(m, "m", 0)
     alpha = _check_alpha(alpha, allow_one=False)
     vals = np.asarray(values, dtype=float).ravel()
     if vals.size != n:
@@ -160,7 +157,7 @@ def uacg_prime_power_spectrum(p: int, m: int, alpha: float) -> Spectrum:
     Six eigenvalue families; two of them are the simple roots (x -+ y)/2 of
     the quadratic coming from the non-regular part of the graph.
     """
-    _check_odd_prime_power(p, m)
+    p, m = _check_odd_prime_power(p, m)
     alpha = _check_alpha(alpha, allow_one=True)
     n = p**m
     q = p ** (m - 1)
@@ -178,7 +175,7 @@ def uacg_prime_power_spectrum(p: int, m: int, alpha: float) -> Spectrum:
 
 def uacg_prime_power_energy(p: int, m: int, alpha: float) -> float:
     """Exact alpha energy of the unit-sum Cayley graph on p**m vertices."""
-    _check_odd_prime_power(p, m)
+    p, m = _check_odd_prime_power(p, m)
     alpha = _check_alpha(alpha, allow_one=False)
     n = p**m
     q = p ** (m - 1)
@@ -197,7 +194,7 @@ def complement_prime_power_spectrum(p: int, m: int, alpha: float) -> Spectrum:
     multiplicity (p-1)/2 are alpha*q -+ (1-alpha)*q with q = p**(m-1): the
     lower one is alpha-dependent and collapses to -q only at alpha = 0.
     """
-    _check_odd_prime_power(p, m)
+    p, m = _check_odd_prime_power(p, m)
     alpha = _check_alpha(alpha, allow_one=True)
     n = p**m
     q = p ** (m - 1)
@@ -218,7 +215,7 @@ def complement_prime_power_energy(p: int, m: int, alpha: float) -> float:
     two branches agree there.  This is the formula the bundled reference
     tables are generated from; see the energy notes in the README.
     """
-    _check_odd_prime_power(p, m)
+    p, m = _check_odd_prime_power(p, m)
     alpha = _check_alpha(alpha, allow_one=False)
     n = p**m
     q = p ** (m - 1)
@@ -258,8 +255,7 @@ def _ramanujan_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 def unitary_cayley_spectrum(n: int, alpha: float) -> Spectrum:
     """Alpha-matrix spectrum of the unitary Cayley graph: alpha*phi + (1-alpha)*c(k, n)."""
-    if n < 2:
-        raise ValueError(f"need n >= 2, got {n}")
+    n = _check_int(n, "n", 2)
     alpha = _check_alpha(alpha, allow_one=True)
     sums, counts = _ramanujan_pairs(n)
     return _spectrum_from_pairs(alpha * euler_phi(n) + (1.0 - alpha) * sums, counts)
@@ -273,8 +269,7 @@ def complement_unitary_cayley_spectrum(n: int, alpha: float) -> Spectrum:
     alpha*(n - phi) - (1 - alpha)*c(k, n) - 1 for k = 1..n-1 (the k = 0
     Ramanujan value belongs to the excluded top eigenvector).
     """
-    if n < 2:
-        raise ValueError(f"need n >= 2, got {n}")
+    n = _check_int(n, "n", 2)
     alpha = _check_alpha(alpha, allow_one=True)
     phi = euler_phi(n)
     sums, counts = _ramanujan_pairs(n)
@@ -284,8 +279,7 @@ def complement_unitary_cayley_spectrum(n: int, alpha: float) -> Spectrum:
 
 def unitary_cayley_adjacency_energy(n: int) -> int:
     """Adjacency energy of the unitary Cayley graph: 2**k * phi(n), k = distinct primes."""
-    if n < 2:
-        raise ValueError(f"need n >= 2, got {n}")
+    n = _check_int(n, "n", 2)
     return 2 ** factorize(n).num_distinct_primes * euler_phi(n)
 
 
@@ -295,8 +289,7 @@ def complement_unitary_cayley_adjacency_energy(n: int) -> int:
     2*(n-1) + (2**k - 2)*phi(n) - r + prod(2 - p) where r is the largest
     squarefree divisor of n and the product runs over the distinct primes.
     """
-    if n < 2:
-        raise ValueError(f"need n >= 2, got {n}")
+    n = _check_int(n, "n", 2)
     fac = factorize(n)
     prod_two_minus = 1
     for p in fac.primes:
@@ -310,8 +303,7 @@ def complement_unitary_cayley_adjacency_energy(n: int) -> int:
 
 
 def complete_spectrum(n: int, alpha: float) -> Spectrum:
-    if n < 2:
-        raise ValueError(f"need n >= 2, got {n}")
+    n = _check_int(n, "n", 2)
     alpha = _check_alpha(alpha, allow_one=True)
     families = [(float(n - 1), 1), (alpha * n - 1.0, n - 1)]
     return _spectrum_from_families(families, n)
@@ -319,8 +311,7 @@ def complete_spectrum(n: int, alpha: float) -> Spectrum:
 
 def complete_energy(n: int, alpha: float) -> float:
     """Alpha energy of the complete graph: 2*(1 - alpha)*(n - 1)."""
-    if n < 2:
-        raise ValueError(f"need n >= 2, got {n}")
+    n = _check_int(n, "n", 2)
     alpha = _check_alpha(alpha, allow_one=False)
     return 2.0 * (1.0 - alpha) * (n - 1.0)
 

@@ -9,12 +9,11 @@ arrays, symmetric with zero diagonal, and immutable after construction.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .numtheory import euler_phi
+from .numtheory import _check_int, euler_phi
 
 __all__ = [
     "DENSE_ORDER_LIMIT",
@@ -63,11 +62,7 @@ class GraphSpec:
     def __post_init__(self) -> None:
         if self.family not in FAMILIES:
             raise ValueError(f"unknown family {self.family!r}")
-        if isinstance(self.n, bool) or not isinstance(self.n, numbers.Integral):
-            raise ValueError(f"n must be an integer, got {self.n!r}")
-        object.__setattr__(self, "n", int(self.n))  # numpy integers overflow in degree sums
-        if self.n < 2:
-            raise ValueError(f"graphs need n >= 2, got n={self.n}")
+        object.__setattr__(self, "n", _check_int(self.n, "n", 2))
 
     def label(self) -> str:
         return ("complement-" if self.complement else "") + self.family

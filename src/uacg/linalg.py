@@ -2,31 +2,27 @@
 
 This is the numeric oracle for every closed form and bound in the package.
 The dense path delegates to LAPACK through numpy.linalg.eigvalsh and takes
-one matrix or a (k, n, n) stack of them; each matrix of a stack is solved on
-its own by the same calls, so its row is bit-identical to solving it alone
-by the same split.  The FFT circulant formulas have no caller in the
-package; they stay as the reference the interval tests compare against, and
-perfbench/tracer.py looks left_circulant_eigenvalues up by name.
+one (n, n) matrix.  The FFT circulant formulas are the reference the
+interval tests compare against.
 
 Every matrix the package builds lives on Z_n, and its entries depend only on
 gcd(i + j, n) or gcd(i - j, n), so x -> u*x (mod n) maps it to itself for
 every unit u.  The dense path splits a matrix by the group G = <g> x H', g a
 unit of the largest multiplicative order lambda(n) and H' generated by the
-involutions u*u % n == 1 outside <g>: one block per character of G, over
-the orbits of G whose stabilizer the character is 1 on (n/|G| units and a
-few non-units each), an exact unitary similarity, so the values are those
-of the full matrix to rounding.  A character and its conjugate give
-conjugate blocks, so one of the two is solved and its values counted twice.
-At n = 201 the blocks are 1, 2 and 4 wide; at a prime, 1 wide but for one
-of width 2.  The invariance is checked exactly, entry by entry, for g and
-each generator of H'; a matrix broken under g is split by the involutions
-alone, and one broken under an involution by the group of those that hold.
-A stack of fewer than _SPLIT_MIN_ENTRIES entries, where the split costs more
-than it saves, takes one full solve.  The split reads the matrix alone and
-shares nothing with the block route (blocks.py: no Chinese remainder
-theorem, no Kronecker factors, nothing from numtheory): it finds g and the
-involutions by trying every residue, so the dense path stays an independent
-oracle for it.
+involutions u*u % n == 1 outside <g> (the involutions alone when lambda(n)
+<= 2): one block per character of G, over the orbits of G whose stabilizer
+the character is 1 on (n/|G| units and a few non-units each), an exact
+unitary similarity, so the values are those of the full matrix to rounding.
+A character and its conjugate give conjugate blocks, so one of the two is
+solved and its values counted twice.  At n = 201 the blocks are 1, 2 and 4
+wide; at a prime, 1 wide but for one of width 2.  The invariance is checked
+exactly, entry by entry, for each generator of G; a matrix broken under any
+of them, or one of fewer than _SPLIT_MIN_ENTRIES entries, where the split
+costs more than it saves, takes one full solve.  The split reads the matrix
+alone and shares nothing with the block route (blocks.py: no Chinese
+remainder theorem, no Kronecker factors, nothing from numtheory): it finds
+g and the involutions by trying every residue, so the dense path stays an
+independent oracle for it.
 """
 
 from __future__ import annotations
@@ -86,18 +82,15 @@ def _check_alpha(alpha: float, *, allow_one: bool) -> float:
     return alpha
 
 
-# Fewest entries, k * n**2 for k matrices of order n (or k alphas of one
-# graph), that are split: its checks and fold are paid once per stack.  Time
-# of the split over one full solve, symmetric_eigenvalues and
-# _alpha_eigenvalues on both unit-sum families at n = 10, 15, ..., 200 and
-# at each odd n near the crossover, 1 BLAS thread, numpy 2.4.6 with
-# OpenBLAS 0.3.31 on a 2-core Xeon VM: one matrix 0.59-4.5 up to n = 78,
-# then 0.27-1.12 at odd n and 0.29-1.9 at even n (above 1 at 80, 90, 100,
-# 120 and 160); 3 alphas 0.55-3.2 up to 45, then 0.11-1.20 (above 1 at 60);
-# 11 alphas 0.59-2.9 up to 23, then 0.04-1.14 at odd n and 0.06-2.1 at even
-# n (above 1 at 24-30, and for an 11-matrix stack at 120-180).  One matrix
-# of odd order 79-135 (bound_report) takes 0.37-0.96 of the time of the
-# involution split this one replaced, and even orders 80-160 1.0-1.6.
+# Fewest entries, k * n**2 for k alphas of one graph of order n, that are
+# split: its checks and fold are paid once per graph.  Time of the split
+# over one full solve, symmetric_eigenvalues and _alpha_eigenvalues on both
+# unit-sum families at n = 10, 15, ..., 200 and at each odd n near the
+# crossover, 1 BLAS thread, numpy 2.4.6 with OpenBLAS 0.3.31 on a 2-core
+# Xeon VM: one matrix 0.59-4.5 up to n = 78, then 0.27-1.12 at odd n and
+# 0.29-1.9 at even n (above 1 at 80, 90, 100, 120 and 160); 3 alphas
+# 0.55-3.2 up to 45, then 0.11-1.20 (above 1 at 60); 11 alphas 0.59-2.9 up
+# to 23, then 0.04-1.14 at odd n and 0.06-2.1 at even n (above 1 at 24-30).
 _SPLIT_MIN_ENTRIES = 6144
 
 # Most float64 entries one stacked eigvalsh input may hold: callers that solve
@@ -119,22 +112,21 @@ _LAYOUTS = 512
 
 
 def symmetric_eigenvalues(a: np.ndarray) -> np.ndarray:
-    """All eigenvalues of a real symmetric matrix, sorted descending.
+    """All n eigenvalues of a real symmetric (n, n) matrix, sorted descending.
 
-    a is one (n, n) matrix, giving n values, or a (k, n, n) stack, giving k
-    rows of n.  Every matrix must be finite and exactly symmetric (as
-    constructed by this package), else ValueError.  A stack of at least
-    _SPLIT_MIN_ENTRIES entries is solved as the blocks of the group of units
-    all its matrices are exactly invariant under (see _invariant_split),
-    one stacked eigvalsh per block width; a smaller one takes one full
-    solve.  Raises numpy.linalg.LinAlgError if the underlying iteration
-    fails to converge, which does not happen for the dense sizes used here.
+    The matrix must be finite and exactly symmetric (as constructed by this
+    package), else ValueError.  One of at least _SPLIT_MIN_ENTRIES entries
+    that is exactly invariant under each generator of G is solved as the
+    blocks of G (see _invariant_split), one stacked eigvalsh per block
+    width; any other takes one full solve.  Raises numpy.linalg.LinAlgError
+    if the underlying iteration fails to converge, which does not happen for
+    the dense sizes used here.
     """
     arr = np.asarray(a, dtype=float)
-    if arr.ndim not in (2, 3) or arr.shape[-2] != arr.shape[-1]:
-        raise ValueError(f"expected a square matrix or a stack of them, got shape {arr.shape}")
+    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {arr.shape}")
     _check_symmetric(arr)
-    split = _invariant_split(arr, math.prod(arr.shape[:-2]))
+    split = _invariant_split(arr, 1)
     return _solve([b for b, _ in _fold(arr, split)], split[-2])
 
 
@@ -142,11 +134,12 @@ def _alpha_eigenvalues(
     adjacency: np.ndarray, degrees: np.ndarray, alphas: Sequence[float]
 ) -> np.ndarray:
     """symmetric_eigenvalues of (1 - alpha)*adjacency + alpha*diag(degrees)
-    for each alpha, as one stack would be split, from one check and fold of
-    the graph: the degrees fold to those of each block's residues, so an
-    alpha's blocks are (1 - alpha)*A_chi + alpha*diag(d_chi).  Alphas are
-    solved in chunks of at most _BATCH_ELEMENTS block entries, each block
-    on its own, so a row does not depend on the other alphas of its chunk.
+    for each alpha, one row each, from one check and fold of the graph
+    (len(alphas) * n**2 entries count towards _SPLIT_MIN_ENTRIES): the
+    degrees fold to those of each block's residues, so an alpha's blocks
+    are (1 - alpha)*A_chi + alpha*diag(d_chi).  Alphas are solved in
+    chunks of at most _BATCH_ELEMENTS block entries, each block on its own,
+    so a row does not depend on the other alphas of its chunk.
     """
     alphas = np.array([_check_alpha(x, allow_one=True) for x in alphas]).reshape(-1, 1, 1, 1)
     a, d = np.asarray(adjacency), np.asarray(degrees)
@@ -174,18 +167,13 @@ def _check_symmetric(m: np.ndarray, *also: np.ndarray) -> None:
 
 
 def _invariant_split(m: np.ndarray, count: int, d: np.ndarray | None = None) -> tuple:
-    """The _split by those of _generators(n) that the symmetric stack m of
-    count matrices, and d if given, are exactly invariant under: g and then
-    H', or the involutions alone if m or d is broken under g; the trivial
-    group below _SPLIT_MIN_ENTRIES entries."""
+    """The _split by all of _generators(n) if count copies of the symmetric
+    (n, n) m hold at least _SPLIT_MIN_ENTRIES entries and m, and d if given,
+    are exactly invariant under each generator; else by the trivial group,
+    one full solve."""
     n = m.shape[-1]
-    kept = []
-    if count * n * n >= _SPLIT_MIN_ENTRIES:
-        with_g, alone = _generators(n)
-        if with_g and _invariant(m, d, with_g[0]):
-            kept, alone = [with_g[0]], with_g[1:]
-        kept += [u for u in alone if _invariant(m, d, u)]
-    return _split(n, tuple(kept))
+    gens = _generators(n) if count * n * n >= _SPLIT_MIN_ENTRIES else ()
+    return _split(n, gens if all(_invariant(m, d, u) for u in gens) else ())
 
 
 def _invariant(m: np.ndarray, d: np.ndarray | None, u: int) -> bool:
@@ -210,13 +198,14 @@ def _invariant(m: np.ndarray, d: np.ndarray | None, u: int) -> bool:
 
 
 @lru_cache(maxsize=_LAYOUTS)
-def _generators(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """(g, *H') and the involutions alone, found by trying every residue.
+def _generators(n: int) -> tuple[int, ...]:
+    """(g, *H'), found by trying every residue; the involutions alone if
+    lambda <= 2.
 
     g is the least unit of the largest multiplicative order lambda, the
-    first power at which every unit is 1 (() if lambda <= 2); H' the
-    involutions u*u % n == 1 outside <g>.  Involutions are taken largest
-    (-1) first, each unless it lies in the group of those before it.
+    first power at which every unit is 1; H' the involutions u*u % n == 1
+    outside <g>.  Involutions are taken largest (-1) first, each unless it
+    lies in the group of those before it.
     """
     involutions = np.flatnonzero(np.arange(n) ** 2 % n == 1)[::-1].tolist()
     units = np.flatnonzero(np.gcd(np.arange(n), n) == 1)
@@ -225,17 +214,14 @@ def _generators(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
         early |= ones
         power, lam = power * units % n, lam + 1
     g = int(units[np.argmin(early)])
-
-    def independent(group: set[int]) -> list[int]:
-        out = []
-        for u in involutions:
-            if u not in group:
-                group |= {u * h % n for h in group}
-                out.append(u)
-        return out
-
-    with_g = (g, *independent({1, pow(g, lam // 2, n)})) if lam > 2 else ()
-    return with_g, tuple(independent({1}))
+    group, gens = {1}, []
+    if lam > 2:
+        group, gens = {1, pow(g, lam // 2, n)}, [g]
+    for u in involutions:
+        if u not in group:
+            group |= {u * h % n for h in group}
+            gens.append(u)
+    return tuple(gens)
 
 
 @lru_cache(maxsize=_LAYOUTS)
@@ -301,20 +287,20 @@ def _read_only(reps, elems, lam, chars, root, blocks, index):
 
 
 def _character_sums(t: np.ndarray, lam: int, chars: np.ndarray) -> np.ndarray:
-    """sum_h chi_k(h) * t[..., h, :] for _split's characters chi_k, one of
-    each conjugate pair, for a real t: one product with chars, then a real
-    FFT along the cyclic axis (so no complex product is needed)."""
-    t = np.matmul(chars, t.reshape(*t.shape[:-2], lam, chars.shape[0], t.shape[-1]))
+    """sum_h chi_k(h) * t[h, :] for _split's characters chi_k, one of each
+    conjugate pair, for a real (|G|, c) t: one product with chars, then a
+    real FFT along the cyclic axis (so no complex product is needed)."""
+    t = np.matmul(chars, t.reshape(lam, chars.shape[0], t.shape[-1]))
     if lam > 1:
-        t = np.fft.rfft(t, axis=-3)
-    return t.reshape(*t.shape[:-3], -1, t.shape[-1])
+        t = np.fft.rfft(t, axis=0)
+    return t.reshape(-1, t.shape[-1])
 
 
 def _fold(m: np.ndarray, split: tuple) -> list[tuple[np.ndarray, np.ndarray]]:
-    """The blocks of a matrix, or of each matrix in a stack, invariant under
-    the split's group G: per block width, a (..., count, width, width) stack,
-    complex Hermitian if lam > 1, else real, and the (count, width) indices
-    into reps of its rows.
+    """The blocks of the (n, n) matrix m invariant under the split's group
+    G: per block width, a (count, width, width) stack, complex Hermitian if
+    lam > 1, else real, and the (count, width) indices into reps of its
+    rows.
 
     Block chi is B[x, y] = sum_h chi(h) * m[x, h*y] / sqrt(|S_x| * |S_y|)
     over the x, y whose stabilizers chi is 1 on: m in the orthonormal basis
@@ -323,16 +309,15 @@ def _fold(m: np.ndarray, split: tuple) -> list[tuple[np.ndarray, np.ndarray]]:
     """
     reps, elems, lam, chars, root, blocks, index = split
     if elems.size == 1:
-        return [(m[..., None, :, :], reps[None])]
+        return [(m[None], reps[None])]
     # t[h, y, x] = m[h * reps[y], reps[x]] * root[y] * root[x]
     images = np.outer(elems, reps) % m.shape[-1]
-    t = np.take(np.take(m, reps, axis=-1), images, axis=-2) * (root[:, None] * root)
-    t = _character_sums(t.reshape(*t.shape[:-2], -1), lam, chars)
-    t = t.reshape(*t.shape[:-2], -1)
+    t = np.take(m[:, reps], images, axis=0) * (root[:, None] * root)
+    t = _character_sums(t.reshape(elems.size, -1), lam, chars).ravel()
     out, at = [], 0
     for w, count, _ in blocks:
         rows, cols = index[at : at + 2 * count * w].reshape(2, count, w)
-        out.append((np.take(t, rows[:, :, None] + cols[:, None, :], axis=-1), cols))
+        out.append((t[rows[:, :, None] + cols[:, None, :]], cols))
         at += 2 * count * w
     return out
 

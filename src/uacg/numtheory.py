@@ -8,6 +8,7 @@ point enters here.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -33,6 +34,20 @@ TRIAL_DIVISION_LIMIT = 10**9
 _FACTORIZE_CACHE_SIZE = 4096
 
 
+def _check_int(value: int, name: str, low: int, high: int | None = None) -> int:
+    """value as an int; ValueError for a bool, a non-integer (6.0 included)
+    or one outside low..high."""
+    if type(value) is not int:  # exact ints skip the slow Integral check; bools do not
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+        value = int(value)  # numpy integers overflow where ints grow
+    if value < low:
+        raise ValueError(f"{name} must be >= {low}, got {value}")
+    if high is not None and value > high:
+        raise ValueError(f"{name} must be <= {high}, got {value}")
+    return value
+
+
 @dataclass(frozen=True)
 class Factorization:
     """n = prod(p**e) with primes strictly increasing and every exponent >= 1."""
@@ -49,17 +64,15 @@ class Factorization:
         return len(self.factors)
 
 
-@lru_cache(maxsize=_FACTORIZE_CACHE_SIZE)
+# typed: 12.0 and True must miss the entries of 12 and 1 and be rejected.
+@lru_cache(maxsize=_FACTORIZE_CACHE_SIZE, typed=True)
 def factorize(n: int) -> Factorization:
     """Complete prime factorization of n by trial division.
 
-    factorize(1) has an empty factor list.  Raises ValueError outside
-    1 <= n <= TRIAL_DIVISION_LIMIT.
+    factorize(1) has an empty factor list.  Raises ValueError unless n is an
+    integer in 1..TRIAL_DIVISION_LIMIT.
     """
-    if n < 1:
-        raise ValueError(f"factorize requires n >= 1, got {n}")
-    if n > TRIAL_DIVISION_LIMIT:
-        raise ValueError(f"n={n} exceeds the supported range {TRIAL_DIVISION_LIMIT}")
+    n = _check_int(n, "n", 1, TRIAL_DIVISION_LIMIT)
     factors: list[tuple[int, int]] = []
     rest = n
     d = 2
@@ -78,18 +91,15 @@ def factorize(n: int) -> Factorization:
 
 def euler_phi(n: int) -> int:
     """Count of 1 <= j <= n with gcd(j, n) == 1, via the product formula."""
-    if n < 1:
-        raise ValueError(f"euler_phi requires n >= 1, got {n}")
-    phi = n
-    for p, _ in factorize(n).factors:
+    fac = factorize(n)
+    phi = fac.n
+    for p, _ in fac.factors:
         phi = phi // p * (p - 1)
     return phi
 
 
 def mobius(n: int) -> int:
     """Moebius function: 0 on non-squarefree n, else (-1)**(number of primes)."""
-    if n < 1:
-        raise ValueError(f"mobius requires n >= 1, got {n}")
     fac = factorize(n)
     if any(e > 1 for _, e in fac.factors):
         return 0
@@ -102,10 +112,8 @@ def ramanujan_sum(k: int, n: int) -> int:
     This equals the sum of e^(2*pi*i*k*j/n) over the units j mod n, which is
     always an integer.  k must satisfy 0 <= k < n.
     """
-    if n < 1:
-        raise ValueError(f"ramanujan_sum requires n >= 1, got {n}")
-    if k < 0 or k >= n:
-        raise ValueError(f"ramanujan_sum requires 0 <= k < n, got k={k}, n={n}")
+    n = _check_int(n, "n", 1)
+    k = _check_int(k, "k", 0, n - 1)
     t = n // math.gcd(k, n)
     mu = mobius(t)
     if mu == 0:
@@ -114,13 +122,9 @@ def ramanujan_sum(k: int, n: int) -> int:
 
 
 def prime_power(n: int) -> tuple[int, int] | None:
-    """(p, m) with n == p**m if n is a prime power, else None."""
-    if n < 2:
-        return None
+    """(p, m) with n == p**m if n is a prime power, else None (n = 1)."""
     fac = factorize(n)
-    if fac.num_distinct_primes != 1:
-        return None
-    return fac.factors[0]
+    return fac.factors[0] if fac.num_distinct_primes == 1 else None
 
 
 def is_prime(n: int) -> bool:
@@ -130,8 +134,6 @@ def is_prime(n: int) -> bool:
 
 def largest_squarefree_divisor(n: int) -> int:
     """Product of the distinct primes of n (1 for n = 1)."""
-    if n < 1:
-        raise ValueError(f"largest_squarefree_divisor requires n >= 1, got {n}")
     out = 1
     for p in factorize(n).primes:
         out *= p

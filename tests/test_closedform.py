@@ -24,7 +24,6 @@ from uacg.closedform import (
     METHOD_CLOSED,
     METHOD_NUMERIC,
     METHOD_REGULAR,
-    _alpha_stack,
     _ramanujan_pairs,
     _route,
     alpha_energy_from_values,
@@ -102,30 +101,18 @@ class TestBuildAlphaMatrix:
 
     def test_rejects_out_of_range_alpha(self):
         g = build_uacg(5)
-        with pytest.raises(ValueError):
-            build_alpha_matrix(g, -0.1)
-        with pytest.raises(ValueError):
-            build_alpha_matrix(g, 1.1)
+        for bad in (-0.1, 1.1, math.nan):
+            with pytest.raises(ValueError, match="alpha must lie in"):
+                build_alpha_matrix(g, bad)
 
     @pytest.mark.parametrize("label", ["uacg", "complement-uacg", "unitary-cayley", "complete"])
-    def test_stack_matches_one_alpha_reference_bit_for_bit(self, label):
+    def test_matches_the_reference_bit_for_bit(self, label):
         for n in (2, 9, 46, 201):
             g = build_graph(parse_spec_label(label, n))
-            stack = _alpha_stack(g, ALPHA_GRID + (1.0,))
-            assert stack.shape == (len(ALPHA_GRID) + 1, n, n)
-            for a, alpha in zip(stack, ALPHA_GRID + (1.0,)):
+            for alpha in ALPHA_GRID + (1.0,):
                 want = (1.0 - alpha) * g.adjacency.astype(float)
                 want[np.diag_indices(n)] = alpha * g.degrees.astype(float)
-                assert np.array_equal(a, want), (label, n, alpha)
-                assert np.array_equal(build_alpha_matrix(g, alpha), want)
-
-    @pytest.mark.parametrize("bad", [math.nan, -0.1, 1.1])
-    @pytest.mark.parametrize("where", [0, 5, 10])
-    def test_stack_rejects_a_bad_alpha_anywhere(self, bad, where):
-        alphas = list(ALPHA_GRID)
-        alphas[where] = bad
-        with pytest.raises(ValueError, match="alpha must lie in"):
-            _alpha_stack(build_uacg(9), alphas)
+                assert np.array_equal(build_alpha_matrix(g, alpha), want), (label, n, alpha)
 
 
 class TestEnergyFromValues:

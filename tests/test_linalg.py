@@ -29,8 +29,8 @@ from uacg.linalg import (
     _fold,
     _generators,
     _group,
+    _invariant,
     _invariant_split,
-    _solve,
     group_spectrum,
     left_circulant_eigenvalues,
     right_circulant_eigenvalues,
@@ -163,6 +163,12 @@ class TestSymmetricEigenvalues:
         with pytest.raises(ValueError):
             symmetric_eigenvalues(np.zeros((2, 3)))
 
+    # the last is a (k, n, n) stack: one matrix at a time only
+    @pytest.mark.parametrize("shape", [(2, 3, 3, 3), (3, 2, 3), (3,), (11, 9, 9)])
+    def test_rejects_other_shapes(self, shape):
+        with pytest.raises(ValueError, match="square matrix"):
+            symmetric_eigenvalues(np.zeros(shape))
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_rejects_non_finite(self, bad):
         # checked before symmetry: a NaN is unequal to itself, and a
@@ -272,26 +278,6 @@ def assert_close(got: np.ndarray, want: np.ndarray, what) -> None:
     assert np.all(np.abs(got - want) <= 1e-12 * scale), what
 
 
-def halves(n: int, u: int) -> list[int]:
-    """The two block widths of the group {1, u}: its fixed points join the
-    trivial character's block."""
-    fixed = sum(1 for x in range(n) if u * x % n == x)
-    return [(n - fixed) // 2, (n + fixed) // 2]
-
-
-def broken(a: np.ndarray, keep: int, bump=0.5, i: int = 1, j: int = 5) -> np.ndarray:
-    """a with the entries at (i, j), (keep*i, keep*j) and their transposes
-    raised by bump: still invariant under the involution keep, broken under
-    any other map that does not fix that orbit (a unit of order above 2
-    cannot)."""
-    n, out = a.shape[-1], a.copy()
-    for x, y in {(i, j), (keep * i % n, keep * j % n)}:
-        out[..., x, y] += bump
-        if x != y:
-            out[..., y, x] += bump
-    return out
-
-
 class TestReflectionSplit:
     """The split over G = <g> x H' (see TestInvolutionSplit), the reflection
     -1 among its elements, against one full solve."""
@@ -305,26 +291,14 @@ class TestReflectionSplit:
                 assert_close(got, np.linalg.eigvalsh(a)[::-1], (label, n, alpha))
                 assert np.all(np.diff(got) <= 0.0)
 
-    @pytest.mark.parametrize("n", [45, 46])
+    @pytest.mark.parametrize("n", [ONE_MATRIX_SPLIT, ONE_MATRIX_SPLIT + 1])
     @pytest.mark.parametrize("label", ["uacg", "complement-unitary-cayley"])
     def test_against_sturm_oracle(self, label, n):
-        # four matrices hold enough entries to be split at these orders
-        stack = np.stack([alpha_matrix(label, n, alpha) for alpha in (0.0, 0.3, 0.7, 1.0)])
-        assert len(stack) * n * n >= _SPLIT_MIN_ENTRIES
-        for row, a in zip(symmetric_eigenvalues(stack), stack):
-            assert np.max(np.abs(row - sturm_eigenvalues(a))) <= 1e-8
-
-    @pytest.mark.parametrize(
-        "n, solved", [(201, [100, 101]), (200, [99, 101]), (44, [44])]
-    )
-    def test_solves_the_two_halves_above_the_crossover(self, monkeypatch, n, solved):
-        # broken under g and every involution but -1, which fixes 0 (and n/2);
-        # one matrix of order 44 holds too few entries to be split
-        a = broken(alpha_matrix("uacg", n, 0.3), keep=n - 1)
-        shapes = eigvalsh_shapes(monkeypatch)
-        got = symmetric_eigenvalues(a)
-        assert shapes == [(1, w, w) for w in solved]
-        assert_close(got, np.linalg.eigvalsh(a)[::-1], n)
+        # one matrix of these orders holds enough entries to be split
+        for alpha in (0.0, 0.3, 0.7, 1.0):
+            a = alpha_matrix(label, n, alpha)
+            assert group_of(_invariant_split(a, 1)) != [1]
+            assert np.max(np.abs(symmetric_eigenvalues(a) - sturm_eigenvalues(a))) <= 1e-8
 
     @pytest.mark.parametrize("i, j", [(1, 5), (0, 5)])
     def test_broken_symmetry_takes_one_full_solve(self, monkeypatch, i, j):
@@ -403,57 +377,19 @@ class TestInvolutionSplit:
         assert len({shape[-1] for shape in shapes}) == len(shapes) == len(widths)
         assert solved_widths(shapes) == block_widths(split, twins=False)
 
-    @pytest.mark.parametrize("keep", [200, 133])
-    def test_broken_involution_takes_the_smaller_group(self, monkeypatch, keep):
-        # At n = 201 g = 2 and H' = {1, 133}; a matrix broken under g and
-        # under one involution is split by {1, keep} into halves that differ
-        # by the fixed points of keep (0; and 0, 67, 134 for keep = 133).
-        n = 201
-        a = broken(alpha_matrix("uacg", n, 0.3), keep)
-        want = np.linalg.eigvalsh(a)[::-1]
-        shapes = eigvalsh_shapes(monkeypatch)
-        got = symmetric_eigenvalues(a)
-        assert shapes == [(1, w, w) for w in halves(n, keep)]
-        assert_close(got, want, keep)
-
-    def test_broken_under_g_takes_the_involutions(self, monkeypatch):
-        # Raised on the orbit of (1, 5) under every involution, the matrix
-        # keeps them all but not g = 2, which maps (1, 5) off that orbit: it
-        # is split by the four involutions into real blocks.
-        n = 201
-        a = alpha_matrix("uacg", n, 0.3)
-        assert _generators(n)[0][0] == 2
-        for u in involutions(n):
-            a[u, 5 * u % n] += 0.5
-            a[5 * u % n, u] += 0.5
-        real, seen = np.linalg.eigvalsh, []
-
-        def spy(x):
-            seen.append((x.shape, x.dtype))
-            return real(x)
-
-        monkeypatch.setattr(np.linalg, "eigvalsh", spy)
-        got = symmetric_eigenvalues(a)
-        monkeypatch.setattr(np.linalg, "eigvalsh", real)
-        assert sorted(group_of(_invariant_split(a, 1))) == involutions(n)
-        assert seen == [((1, w, w), np.float64) for w in (33, 34, 66, 68)]
-        assert_close(got, np.linalg.eigvalsh(a)[::-1], "broken under g")
-
     @pytest.mark.parametrize("n", [*range(1, 130), 199, 200, 201, 243, 256])
     def test_generators_checked_by_brute_force(self, n):
-        with_g, alone = _generators(n)
-        invs = involutions(n)
-        assert set(alone) <= set(invs) and len(span(alone, n)) == max(1, len(invs))
-        lam = largest_order(n)
-        if lam <= 2:
-            assert with_g == ()
+        gens, invs, lam = _generators(n), involutions(n), largest_order(n)
+        group = span(gens, n)
+        assert set(invs) <= group
+        if lam <= 2:  # every unit is an involution, and gens are independent ones
+            assert set(gens) <= set(invs) and len(group) == 2 ** len(gens) == max(1, len(invs))
             return
-        g, *rest = with_g
+        g, *rest = gens
         assert order_of(g, n) == lam
         assert all(order_of(u, n) < lam for u in range(1, g) if math.gcd(u, n) == 1)
         assert set(rest) <= set(invs)
-        group = span(with_g, n)
-        assert len(group) == lam * 2 ** len(rest) and set(invs) <= group
+        assert len(group) == lam * 2 ** len(rest)
 
     def test_no_n_by_group_table_at_4096(self):
         # G is all 2048 units of Z_4096; an n x |G| table of 2-byte entries
@@ -476,92 +412,39 @@ class TestInvolutionSplit:
         assert peak < n * 2048 * 2
 
 
-def alpha_stack(label: str, n: int) -> np.ndarray:
-    return np.stack([alpha_matrix(label, n, alpha) for alpha in ALPHA_GRID])
+class TestSplitContract:
+    """A matrix is split by all of G or takes one full solve."""
 
-
-class TestStackedSolve:
     @pytest.mark.parametrize("label", LABELS)
-    def test_rows_match_one_matrix_at_a_time(self, label):
-        # A row is that matrix's values by the split the stack takes: the
-        # same float operations, so the same bits.
-        for n in SPLIT_ORDERS:
-            stack = alpha_stack(label, n)
-            got = symmetric_eigenvalues(stack)
-            assert got.shape == (len(ALPHA_GRID), n)
-            split = _invariant_split(stack, len(stack))
-            for row, a, alpha in zip(got, stack, ALPHA_GRID):
-                alone = _solve([b for b, _ in _fold(a, split)], split[-2])
-                assert np.array_equal(row, alone), (label, n, alpha)
-            assert_close(got, np.linalg.eigvalsh(stack)[:, ::-1], (label, n))
+    def test_every_package_graph_is_split_by_all_of_g(self, label):
+        for n in range(2, 261):
+            g = build_graph(parse_spec_label(label, n))
+            whole = sorted(span(_generators(n), n))
+            for alpha in (0.0, 0.3, 1.0):
+                want = whole if n * n >= _SPLIT_MIN_ENTRIES else [1]
+                assert sorted(group_of(_invariant_split(build_alpha_matrix(g, alpha), 1))) == want
+            # _alpha_eigenvalues' check: three alphas, the degrees too
+            want = whole if 3 * n * n >= _SPLIT_MIN_ENTRIES else [1]
+            assert sorted(group_of(_invariant_split(g.adjacency, 3, g.degrees))) == want, n
 
-    @pytest.mark.parametrize(
-        "n, widths",
-        [
-            (201, {1: 65, 2: 66, 4: 1}),
-            (200, {1: 32, 2: 22, 3: 2, 4: 19, 6: 1, 8: 3, 12: 1}),
-            (23, {23: 1}),  # eleven matrices of order 23 are too few entries to split
-        ],
-    )
-    def test_one_stacked_solve_per_block_width(self, monkeypatch, n, widths):
-        stack = alpha_stack("complement-uacg", n)
-        shapes = eigvalsh_shapes(monkeypatch)
-        symmetric_eigenvalues(stack)
-        assert all(shape[0] == len(ALPHA_GRID) for shape in shapes)
-        assert len({shape[-1] for shape in shapes}) == len(shapes)
-        split = _invariant_split(stack, len(stack))
-        assert block_widths(split) == widths
-        assert solved_widths(shapes, axis=1) == block_widths(split, twins=False)
-
-    @pytest.mark.parametrize(
-        "n, solved", [(201, [100, 101]), (200, [99, 101]), (44, [21, 23])]
-    )
-    def test_one_stacked_solve_per_half(self, monkeypatch, n, solved):
-        stack = broken(alpha_stack("complement-uacg", n), keep=n - 1)
-        shapes = eigvalsh_shapes(monkeypatch)
-        got = symmetric_eigenvalues(stack)
-        assert shapes == [(len(ALPHA_GRID), 1, w, w) for w in solved]
-        assert_close(got, np.linalg.eigvalsh(stack)[:, ::-1], n)
-
-    @pytest.mark.parametrize("n", [7, 60])
-    @pytest.mark.parametrize("where", [0, 5, len(ALPHA_GRID) - 1])
-    def test_one_bad_matrix_anywhere_raises(self, n, where):
-        for bad, match in ((math.nan, "finite"), (math.inf, "finite"), (None, "not symmetric")):
-            stack = alpha_stack("uacg", n)
-            if bad is None:
-                stack[where, 1, 2] += 0.5
-            else:
-                stack[where, 1, 2] = stack[where, 2, 1] = bad
-            with pytest.raises(ValueError, match=match):
-                symmetric_eigenvalues(stack)
-
-    @pytest.mark.parametrize("shape", [(2, 3, 3, 3), (3, 2, 3), (3,)])
-    def test_rejects_other_shapes(self, shape):
-        with pytest.raises(ValueError, match="square matrix"):
-            symmetric_eigenvalues(np.zeros(shape))
-
-    @pytest.mark.parametrize("i, j", [(1, 5), (0, 5)])
-    def test_mixed_stack_takes_the_full_solve(self, monkeypatch, i, j):
-        n = 201
-        stack = alpha_stack("uacg", n)
-        stack[3, i, j] = stack[3, j, i] = stack[3, i, j] + 0.5  # breaks every unit but 1
-        want = [np.linalg.eigvalsh(a)[::-1] for a in stack]
-        shapes = eigvalsh_shapes(monkeypatch)
-        got = symmetric_eigenvalues(stack)
-        assert shapes == [(len(stack), 1, n, n)]
-        for row, w in zip(got, want):
-            assert np.array_equal(row, w)
-
-    @pytest.mark.parametrize("keep", [200, 133])
-    def test_mixed_stack_takes_the_smaller_group(self, monkeypatch, keep):
-        n = 201
-        stack = alpha_stack("uacg", n)
-        stack[3] = broken(stack[3], keep)
-        shapes = eigvalsh_shapes(monkeypatch)
-        got = symmetric_eigenvalues(stack)
-        assert shapes == [(len(stack), 1, w, w) for w in halves(n, keep)]
-        assert np.array_equal(got[3], symmetric_eigenvalues(stack[3]))  # alone, the same group
-        assert_close(got, np.linalg.eigvalsh(stack)[:, ::-1], keep)
+    @pytest.mark.parametrize("n", [120, 200, 201])
+    def test_broken_under_one_generator_takes_one_full_solve(self, monkeypatch, n):
+        # Raised on the orbit of (1, 5) under the group of the other
+        # generators, the matrix keeps them and breaks u alone: g, -1 (a
+        # generator at 120 and 200, in <g> at 201) or an involution of H'.
+        gens = _generators(n)
+        assert (n - 1 in gens) == (n != 201)
+        for u in gens:
+            a = alpha_matrix("uacg", n, 0.3)
+            for h in span([v for v in gens if v != u], n):
+                for x, y in ((h, 5 * h % n), (5 * h % n, h)):
+                    a[x, y] += 0.5
+            assert [_invariant(a, None, v) for v in gens] == [v != u for v in gens]
+            shapes = eigvalsh_shapes(monkeypatch)
+            got = symmetric_eigenvalues(a)
+            monkeypatch.undo()
+            assert shapes == [(1, n, n)]
+            assert np.array_equal(got, np.linalg.eigvalsh(a)[::-1]), (n, u)
 
 
 class TestAlphaEigenvalues:
@@ -573,32 +456,20 @@ class TestAlphaEigenvalues:
             stack = np.stack([build_alpha_matrix(g, alpha) for alpha in alphas])
             want = np.linalg.eigvalsh(stack)[:, ::-1]
             assert_close(_alpha_eigenvalues(g.adjacency, g.degrees, alphas), want, (label, n))
-            assert_close(symmetric_eigenvalues(stack), want, (label, n))
+            assert_close(np.stack([symmetric_eigenvalues(a) for a in stack]), want, (label, n))
 
     def test_rows_do_not_depend_on_their_chunk(self, monkeypatch):
-        # Broken under every map but -1, a graph of order 199 is split into
-        # halves 99 and 100 wide, and one alpha's halves hold more than a
-        # twelfth of a chunk.
-        g = build_graph(parse_spec_label("complement-uacg", 199))
-        a = broken(g.adjacency, keep=198, bump=1)
+        # Broken under every unit but 1, a graph of order 199 takes one full
+        # solve, and one alpha's matrix holds more than a twelfth of a chunk.
+        a = build_graph(parse_spec_label("complement-uacg", 199)).adjacency.copy()
+        a[1, 5] = a[5, 1] = a[1, 5] + 1
         shapes = eigvalsh_shapes(monkeypatch)
         rows = _alpha_eigenvalues(a, a.sum(axis=1), ALPHA_GRID)
-        assert sorted({shape[0] for shape in shapes}) == [5, 6]
-        assert {shape[-1] for shape in shapes} == {99, 100}
+        assert sorted({shape[0] for shape in shapes}) == [2, 3]
+        assert {shape[-1] for shape in shapes} == {199}
         assert all(math.prod(shape) <= _BATCH_ELEMENTS for shape in shapes)
         for row, alpha in zip(rows, ALPHA_GRID):
             assert np.array_equal(row, _alpha_eigenvalues(a, a.sum(axis=1), (alpha,))[0])
-
-    @pytest.mark.parametrize("keep", [200, 133])
-    def test_broken_graph_takes_the_smaller_group(self, monkeypatch, keep):
-        n = 201
-        g = build_graph(parse_spec_label("uacg", n))
-        a = broken(g.adjacency, keep, bump=1)
-        shapes = eigvalsh_shapes(monkeypatch)
-        got = _alpha_eigenvalues(a, a.sum(axis=1), (0.3,))
-        assert shapes == [(1, 1, w, w) for w in halves(n, keep)]
-        want = np.linalg.eigvalsh(0.7 * a + np.diag(0.3 * a.sum(axis=1)))[::-1]
-        assert_close(got[0], want, keep)
 
     def test_degrees_are_checked_too(self, monkeypatch):
         g = build_graph(parse_spec_label("uacg", 201))

@@ -10,11 +10,27 @@ implementation was run against them.
 import cmath
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from uacg.closedform import (
+    alpha_energy_from_values,
+    complement_prime_power_energy,
+    complement_prime_power_spectrum,
+    complement_unitary_cayley_adjacency_energy,
+    complement_unitary_cayley_spectrum,
+    complete_energy,
+    complete_spectrum,
+    uacg_prime_power_energy,
+    uacg_prime_power_spectrum,
+    unitary_cayley_adjacency_energy,
+    unitary_cayley_spectrum,
+)
+from uacg.graphs import FAMILY_UACG, GraphSpec
 from uacg.numtheory import (
+    _check_int,
     euler_phi,
     factorize,
     is_prime,
@@ -23,6 +39,7 @@ from uacg.numtheory import (
     prime_power,
     ramanujan_sum,
 )
+from uacg.verification import check_energy_consistency
 
 
 def brute_phi(n: int) -> int:
@@ -195,3 +212,58 @@ class TestLargestSquarefreeDivisor:
             assert mobius(rad) != 0
             expected = math.prod(p for p, _ in brute_factorize(n)) if n > 1 else 1
             assert rad == expected
+
+
+# Every public entry point that takes an integer, each reached with the
+# non-integer x in one integer slot.
+INTEGER_SLOTS = {
+    "factorize": lambda x: factorize(x),
+    "euler_phi": lambda x: euler_phi(x),
+    "mobius": lambda x: mobius(x),
+    "prime_power": lambda x: prime_power(x),
+    "is_prime": lambda x: is_prime(x),
+    "largest_squarefree_divisor": lambda x: largest_squarefree_divisor(x),
+    "ramanujan_sum-k": lambda x: ramanujan_sum(x, 9),
+    "ramanujan_sum-n": lambda x: ramanujan_sum(2, x),
+    "GraphSpec": lambda x: GraphSpec(FAMILY_UACG, x),
+    "verify-nmax": lambda x: check_energy_consistency(x),
+    "complete_energy": lambda x: complete_energy(x, 0.3),
+    "complete_spectrum": lambda x: complete_spectrum(x, 0.3),
+    "unitary_cayley_spectrum": lambda x: unitary_cayley_spectrum(x, 0.3),
+    "complement_unitary_cayley_spectrum": lambda x: complement_unitary_cayley_spectrum(x, 0.3),
+    "unitary_cayley_adjacency_energy": lambda x: unitary_cayley_adjacency_energy(x),
+    "complement_unitary_cayley_adjacency_energy": (
+        lambda x: complement_unitary_cayley_adjacency_energy(x)
+    ),
+    "uacg_prime_power_spectrum-p": lambda x: uacg_prime_power_spectrum(x, 2, 0.3),
+    "uacg_prime_power_spectrum-m": lambda x: uacg_prime_power_spectrum(3, x, 0.3),
+    "uacg_prime_power_energy-m": lambda x: uacg_prime_power_energy(3, x, 0.3),
+    "complement_prime_power_spectrum-p": lambda x: complement_prime_power_spectrum(x, 1, 0.3),
+    "complement_prime_power_energy-m": lambda x: complement_prime_power_energy(5, x, 0.3),
+    "alpha_energy_from_values-n": lambda x: alpha_energy_from_values([1.0, -1.0], x, 1, 0.3),
+    "alpha_energy_from_values-m": lambda x: alpha_energy_from_values([1.0, -1.0], 2, x, 0.3),
+}
+
+
+class TestIntegerInputs:
+    @pytest.mark.parametrize("value", [6.5, 6.0, True])
+    @pytest.mark.parametrize("slot", INTEGER_SLOTS)
+    def test_public_functions_reject_a_non_integer(self, slot, value):
+        with pytest.raises(ValueError, match="must be an integer"):
+            INTEGER_SLOTS[slot](value)
+
+    def test_rejects_even_after_the_integer_is_cached(self):
+        # factorize's cache keys 12 and 12.0 (and 1 and True) apart
+        assert factorize(12).n == 12 and euler_phi(1) == 1
+        for bad in (12.0, True):
+            with pytest.raises(ValueError, match="integer"):
+                factorize(bad)
+
+    def test_numpy_integers_come_back_as_ints(self):
+        assert type(euler_phi(np.int64(12))) is int and euler_phi(np.int64(12)) == 4
+        assert type(_check_int(np.int32(7), "n", 1)) is int
+
+    @pytest.mark.parametrize("value, match", [(0, ">= 1"), (11, "<= 10")])
+    def test_range(self, value, match):
+        with pytest.raises(ValueError, match=match):
+            _check_int(value, "n", 1, 10)
