@@ -20,6 +20,7 @@ import numpy as np
 
 from .closedform import (
     METHOD_REGULAR,
+    _complete_energy,
     _ramanujan_pairs,
     _route,
     alpha_energy_from_values,
@@ -385,6 +386,6 @@ def find_borderenergetic_alphas(spec: GraphSpec, tol: float = 1e-12) -> list[flo
         return []
 
     def gaps(alphas: Sequence[float]) -> list[float]:
-        return [e - complete_energy(n, a) for e, a in zip(energies(alphas), alphas)]
+        return [e - _complete_energy(n, a) for e, a in zip(energies(alphas), alphas)]
 
     return _convex_roots(gaps, touch, tol)

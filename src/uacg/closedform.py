@@ -111,7 +111,7 @@ def _spectrum_from_families(families: list[tuple[float, int]], n: int) -> Spectr
 def build_alpha_matrix(g: Graph, alpha: float) -> np.ndarray:
     """Dense A_alpha = alpha*D + (1-alpha)*A, exactly symmetric by construction."""
     alpha = _check_alpha(alpha, allow_one=True)
-    out = (1.0 - alpha) * g.adjacency.astype(float)
+    out = np.multiply(g.adjacency, 1.0 - alpha, dtype=float)
     np.fill_diagonal(out, alpha * g.degrees.astype(float))
     return out
 
@@ -176,7 +176,12 @@ def uacg_prime_power_spectrum(p: int, m: int, alpha: float) -> Spectrum:
 def uacg_prime_power_energy(p: int, m: int, alpha: float) -> float:
     """Exact alpha energy of the unit-sum Cayley graph on p**m vertices."""
     p, m = _check_odd_prime_power(p, m)
-    alpha = _check_alpha(alpha, allow_one=False)
+    return _uacg_prime_power_energy(p, m, _check_alpha(alpha, allow_one=False))
+
+
+def _uacg_prime_power_energy(p: int, m: int, alpha: float) -> float:
+    """uacg_prime_power_energy for an odd prime p, m >= 1 and a float alpha
+    in [0, 1), unchecked."""
     n = p**m
     q = p ** (m - 1)
     low_root, high_root = _radical_pair(p, m, alpha)
@@ -216,7 +221,12 @@ def complement_prime_power_energy(p: int, m: int, alpha: float) -> float:
     tables are generated from; see the energy notes in the README.
     """
     p, m = _check_odd_prime_power(p, m)
-    alpha = _check_alpha(alpha, allow_one=False)
+    return _complement_prime_power_energy(p, m, _check_alpha(alpha, allow_one=False))
+
+
+def _complement_prime_power_energy(p: int, m: int, alpha: float) -> float:
+    """complement_prime_power_energy for an odd prime p, m >= 1 and a float
+    alpha in [0, 1), unchecked."""
     n = p**m
     q = p ** (m - 1)
     threshold = (n - p) / (n - 1.0)
@@ -311,8 +321,11 @@ def complete_spectrum(n: int, alpha: float) -> Spectrum:
 
 def complete_energy(n: int, alpha: float) -> float:
     """Alpha energy of the complete graph: 2*(1 - alpha)*(n - 1)."""
-    n = _check_int(n, "n", 2)
-    alpha = _check_alpha(alpha, allow_one=False)
+    return _complete_energy(_check_int(n, "n", 2), _check_alpha(alpha, allow_one=False))
+
+
+def _complete_energy(n: int, alpha: float) -> float:
+    """complete_energy for an int n >= 2 and a float alpha in [0, 1), unchecked."""
     return 2.0 * (1.0 - alpha) * (n - 1.0)
 
 
@@ -333,8 +346,9 @@ def _route(spec: GraphSpec) -> tuple[str, Callable, Callable[[Sequence[float]], 
     (values, multiplicities) for the caller to group.
 
     The energies callable maps a sequence of alphas to a list of energies.
-    The formula routes loop their scalar formula; the numeric route solves
-    the blocks for every alpha in one stacked call and sums
+    The formula routes check their integers once and loop the unchecked
+    body of their scalar formula, checking only each alpha; the numeric
+    route solves the blocks for every alpha in one stacked call and sums
     multiplicity * |value - 2*alpha*m/n| over the blocks row by row, so each
     energy equals the one computed for that alpha alone.
     """
@@ -349,7 +363,7 @@ def _route(spec: GraphSpec) -> tuple[str, Callable, Callable[[Sequence[float]], 
         return (
             METHOD_REGULAR,
             lambda a: complete_spectrum(n, a),
-            lambda xs: [float(complete_energy(n, a)) for a in xs],
+            lambda xs: [_complete_energy(n, _check_alpha(a, allow_one=False)) for a in xs],
         )
     if spec.family == FAMILY_UNITARY_CAYLEY or n % 2 == 0:
         spectrum, eps0 = (
@@ -371,16 +385,16 @@ def _route(spec: GraphSpec) -> tuple[str, Callable, Callable[[Sequence[float]], 
             return [float(mults @ np.abs(v - 2.0 * a * edges / n)) for v, a in zip(vals, alphas)]
 
         return METHOD_NUMERIC, lambda a: block_eigenvalues(spec, a), block_energies
-    p, m = pp
+    p, m = _check_odd_prime_power(*pp)  # once, not per alpha
     spectrum, energy = (
-        (complement_prime_power_spectrum, complement_prime_power_energy)
+        (complement_prime_power_spectrum, _complement_prime_power_energy)
         if spec.complement
-        else (uacg_prime_power_spectrum, uacg_prime_power_energy)
+        else (uacg_prime_power_spectrum, _uacg_prime_power_energy)
     )
     return (
         METHOD_CLOSED,
         lambda a: spectrum(p, m, a),
-        lambda xs: [float(energy(p, m, a)) for a in xs],
+        lambda xs: [energy(p, m, _check_alpha(a, allow_one=False)) for a in xs],
     )
 
 

@@ -3,8 +3,9 @@
 Vertices are the residues 0..n-1.  In the unit-sum Cayley graph ("uacg")
 distinct i and j are adjacent iff gcd(i + j, n) == 1; in the unitary Cayley
 graph they are adjacent iff i - j is a unit mod n.  Complete graphs and
-complements round out the zoo.  Adjacency matrices are dense 0/1 integer
-arrays, symmetric with zero diagonal, and immutable after construction.
+complements round out the zoo.  Adjacency matrices are dense 0/1 int8
+arrays (one byte per entry), C-contiguous, symmetric with zero diagonal, and
+read-only after construction; degree sequences are int64.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .numtheory import _check_int, euler_phi
 
@@ -41,9 +43,9 @@ FAMILY_UNITARY_CAYLEY = "unitary-cayley"
 FAMILY_COMPLETE = "complete"
 FAMILIES = (FAMILY_UACG, FAMILY_UNITARY_CAYLEY, FAMILY_COMPLETE)
 
-# Largest order a dense graph is built for: one n x n int64 adjacency takes
-# 8*n**2 bytes (128 MiB at this limit), and the dense eigensolver's float
-# copies take as much again.  Routes that need no dense matrix have no limit.
+# Largest order a dense graph is built for: one n x n int8 adjacency takes
+# n**2 bytes (16 MiB at this limit), and each float64 alpha matrix built from
+# it 8*n**2 bytes (128 MiB).  Routes that need no dense matrix have no limit.
 DENSE_ORDER_LIMIT = 4096
 
 
@@ -92,13 +94,19 @@ class Graph:
 
 
 def _finish(spec: GraphSpec, adjacency: np.ndarray) -> Graph:
-    adjacency = np.ascontiguousarray(adjacency, dtype=np.int64)
+    """The Graph of a C-contiguous int8 adjacency, checked 0/1, symmetric and
+    with a zero diagonal; any other dtype is rejected rather than cast, so no
+    value can wrap."""
+    if adjacency.dtype != np.int8 or not adjacency.flags.c_contiguous:
+        raise ValueError(f"adjacency must be C-contiguous int8, got {adjacency.dtype}")
+    if adjacency.view(np.uint8).max() > 1:
+        raise ValueError("adjacency must be 0/1")
     if not np.array_equal(adjacency, adjacency.T):
         raise ValueError("adjacency must be symmetric")
     if np.any(np.diag(adjacency) != 0):
         raise ValueError("adjacency must have a zero diagonal")
-    degrees = adjacency.sum(axis=1)
-    m = int(adjacency.sum()) // 2
+    degrees = adjacency.sum(axis=1, dtype=np.int64)
+    m = int(degrees.sum()) // 2
     adjacency.setflags(write=False)
     degrees.setflags(write=False)
     return Graph(spec=spec, adjacency=adjacency, degrees=degrees, m=m)
@@ -112,9 +120,9 @@ def _coprime_mask(n: int, length: int) -> np.ndarray:
 def build_uacg(n: int) -> Graph:
     """Unit-sum Cayley graph: i ~ j iff i != j and gcd(i + j, n) == 1."""
     spec = GraphSpec(FAMILY_UACG, n)
-    idx = np.arange(n)
-    mask = _coprime_mask(n, 2 * n - 1)
-    adjacency = mask[np.add.outer(idx, idx)].astype(np.int64)
+    # the Hankel window of the mask: entry [i, j] is mask[i + j]
+    window = sliding_window_view(_coprime_mask(n, 2 * n - 1), n)
+    adjacency = np.ascontiguousarray(window, dtype=np.int8)
     np.fill_diagonal(adjacency, 0)
     return _finish(spec, adjacency)
 
@@ -122,24 +130,24 @@ def build_uacg(n: int) -> Graph:
 def build_unitary_cayley(n: int) -> Graph:
     """Unitary Cayley graph: i ~ j iff gcd(i - j mod n, n) == 1."""
     spec = GraphSpec(FAMILY_UNITARY_CAYLEY, n)
-    idx = np.arange(n)
-    mask = _coprime_mask(n, n)
-    diff = np.mod(np.subtract.outer(idx, idx), n)
-    adjacency = mask[diff].astype(np.int64)
-    # gcd(0, n) == n != 1 for n >= 2, so the diagonal is already zero.
+    # the Hankel window of mask[k] = gcd(k + 1, n) == 1, rows reversed: entry
+    # [i, j] is gcd(n + j - i, n) == 1.  gcd(n, n) = n != 1 for n >= 2, so
+    # the diagonal is already zero.
+    window = sliding_window_view(_coprime_mask(n, 2 * n)[1:], n)
+    adjacency = np.ascontiguousarray(window[::-1], dtype=np.int8)
     return _finish(spec, adjacency)
 
 
 def complete(n: int) -> Graph:
     spec = GraphSpec(FAMILY_COMPLETE, n)
-    adjacency = np.ones((n, n), dtype=np.int64)
+    adjacency = np.ones((n, n), dtype=np.int8)
     np.fill_diagonal(adjacency, 0)
     return _finish(spec, adjacency)
 
 
 def complement(g: Graph) -> Graph:
     """Complement on the same vertex set; complement(complement(g)) == g."""
-    adjacency = 1 - g.adjacency
+    adjacency = np.subtract(1, g.adjacency, dtype=np.int8)
     np.fill_diagonal(adjacency, 0)
     spec = replace(g.spec, complement=not g.spec.complement)
     return _finish(spec, adjacency)

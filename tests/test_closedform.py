@@ -17,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import uacg.closedform as closedform_mod
 from uacg.closedform import (
     ALPHA_GRID,
     ClosedFormUnavailable,
@@ -483,6 +484,23 @@ class TestEnergyReport:
                 got = _route(gspec)[2](alphas)
                 assert got == want, gspec
                 assert all(type(e) is float for e in got), gspec
+
+    @pytest.mark.parametrize("comp", [False, True])
+    def test_closed_form_energies_check_their_integers_once(self, monkeypatch, comp):
+        real, calls = closedform_mod._check_odd_prime_power, []
+
+        def counting(p, m):
+            calls.append((p, m))
+            return real(p, m)
+
+        monkeypatch.setattr(closedform_mod, "_check_odd_prime_power", counting)
+        alphas = [i / 64 for i in range(64)]
+        got = _route(GraphSpec(FAMILY_UACG, 125, comp))[2](alphas)
+        assert calls == [(5, 3)]
+        public = complement_prime_power_energy if comp else uacg_prime_power_energy
+        assert got == [public(5, 3, alpha) for alpha in alphas]
+        with pytest.raises(ValueError, match="alpha must lie in"):
+            _route(GraphSpec(FAMILY_UACG, 125, comp))[2]((0.5, 1.0))
 
     def test_all_methods_agree_with_dense_route(self):
         # The complement's energy at odd prime-power orders follows the

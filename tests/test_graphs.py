@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 import uacg.graphs as graphs_mod
 from uacg.analysis import energy_bounds
+from uacg.cli import FAMILY_CHOICES
 from uacg.graphs import (
     DENSE_ORDER_LIMIT,
     FAMILIES,
@@ -188,6 +189,51 @@ class TestComplement:
     def test_structure(self):
         check_structure(complement(build_uacg(9)))
         check_structure(complement(build_unitary_cayley(10)))
+
+
+def gcd_adjacency(label: str, n: int) -> np.ndarray:
+    """The 0/1 adjacency of a family label by its gcd definition."""
+    spec = parse_spec_label(label, n)
+    idx = np.arange(n)
+    if spec.family == FAMILY_UACG:
+        a = np.gcd(np.add.outer(idx, idx), n) == 1
+    elif spec.family == FAMILY_UNITARY_CAYLEY:
+        a = np.gcd(np.subtract.outer(idx, idx), n) == 1
+    else:
+        a = np.ones((n, n), dtype=bool)
+    if spec.complement:
+        a = ~a
+    a[idx, idx] = False
+    return a
+
+
+class TestAdjacencyContract:
+    @pytest.mark.parametrize("label", (*FAMILY_CHOICES, "complement-complete"))
+    def test_int8_read_only_contiguous_and_the_gcd_definition(self, label):
+        for n in range(2, 301):
+            spec = parse_spec_label(label, n)
+            g = build_graph(spec)
+            a = g.adjacency
+            assert a.dtype == np.int8 and a.shape == (n, n)
+            assert a.flags.c_contiguous and not a.flags.writeable
+            assert set(np.unique(a).tolist()) <= {0, 1}
+            assert np.array_equal(a, gcd_adjacency(label, n)), (label, n)
+            assert g.degrees.dtype == np.int64
+            assert g.m == edge_count(spec)
+
+    def test_finish_rejects_rather_than_casts(self):
+        spec = GraphSpec(FAMILY_COMPLETE, 3)
+        a = 1 - np.eye(3, dtype=np.int64)
+        with pytest.raises(ValueError, match="int8"):
+            graphs_mod._finish(spec, a)
+        strided = (1 - np.eye(4, dtype=np.int8))[::2, ::2]  # the path on 2 vertices
+        with pytest.raises(ValueError, match="C-contiguous"):
+            graphs_mod._finish(GraphSpec(FAMILY_COMPLETE, 2), strided)
+        wide = (1 - np.eye(3, dtype=np.int8)) * np.int8(2)
+        with pytest.raises(ValueError, match="0/1"):
+            graphs_mod._finish(spec, wide)
+        with pytest.raises(ValueError, match="0/1"):
+            graphs_mod._finish(spec, -(1 - np.eye(3, dtype=np.int8)))
 
 
 class TestDenseOrderLimit:

@@ -12,10 +12,11 @@ import numpy as np
 import pytest
 
 import uacg.closedform as closedform_mod
+import uacg.graphs as graphs_mod
 import uacg.verification as verification_mod
 from uacg.blocks import block_eigenvalues
-from uacg.closedform import ALPHA_GRID
-from uacg.graphs import DENSE_ORDER_LIMIT, FAMILY_UACG, GraphSpec
+from uacg.closedform import ALPHA_GRID, build_alpha_matrix
+from uacg.graphs import DENSE_ORDER_LIMIT, FAMILY_UACG, GraphSpec, build_graph, complement
 from uacg.linalg import (
     _BATCH_ELEMENTS,
     _SPLIT_MIN_ENTRIES,
@@ -200,6 +201,71 @@ class TestPerturbedEigensolver:
             assert res.detail.split()[0] == f"n={order}"
 
 
+def flipped_complement(orders, i, j):
+    """complement, with the symmetric pair (i, j) flipped at the given orders."""
+
+    def broken(g):
+        h = complement(g)
+        if g.n not in orders:
+            return h
+        a = h.adjacency.copy()
+        a[i, j] = a[j, i] = 1 - a[i, j]
+        return graphs_mod._finish(h.spec, a)
+
+    return broken
+
+
+def matrix_complement_identity(nmax, alphas, rtol=1e-8, complement=complement):
+    """check_complement_identity as one n x n sum of the two alpha matrices
+    per (n, alpha), compared entry by entry with its target."""
+    rows = []
+    for n in range(2, nmax + 1):
+        g = build_graph(GraphSpec(family=FAMILY_UACG, n=n))
+        h = complement(g)
+        for alpha in alphas:
+            total = build_alpha_matrix(g, alpha)
+            total += build_alpha_matrix(h, alpha)
+            on = float(np.max(np.abs(total.diagonal() - alpha * (n - 1.0))))
+            np.fill_diagonal(total, 1.0 - alpha)
+            total -= 1.0 - alpha
+            off = float(np.max(np.abs(total, out=total)))
+            scale = 1.0 + max(alpha * (n - 1.0), 1.0 - alpha)
+            rows.append((max(on, off) / scale, 1, f"n={n} alpha={alpha}"))
+    return verification_mod._worst("complement matrix identity", rtol, rows)
+
+
+class TestComplementIdentity:
+    """check_complement_identity reads each order's two adjacencies once, as
+    the distinct pairs of their off-diagonal entries."""
+
+    def test_equals_the_full_matrix_comparison(self):
+        assert check_complement_identity(61) == matrix_complement_identity(61, ALPHA_GRID)
+
+    # at n = 7, 0 is adjacent to every other vertex (the pair becomes
+    # (1, 1)), and 1 + 6 = 7 is no unit (the pair becomes (0, 0))
+    @pytest.mark.parametrize("i, j", [(0, 1), (1, 6)])
+    def test_a_flipped_pair_fails_at_its_order(self, monkeypatch, i, j):
+        broken = flipped_complement({7}, i, j)
+        monkeypatch.setattr(verification_mod, "complement", broken)
+        res = check_complement_identity(15)
+        assert res.passed is False
+        assert res.detail == "n=7 alpha=0.0"
+        assert res.worst == 0.5  # |1 - 0| off the diagonal, over 1 + max(0, 1)
+        assert res == matrix_complement_identity(15, ALPHA_GRID, complement=broken)
+
+    def test_equals_the_full_matrix_comparison_when_broken(self, monkeypatch):
+        broken = flipped_complement({10, 20, 30, 40}, 1, 2)
+        monkeypatch.setattr(verification_mod, "complement", broken)
+        alphas = (0.0, 0.25, 0.9999, 1.0)
+        got = check_complement_identity(40, alphas)
+        assert not got.passed
+        assert got == matrix_complement_identity(40, alphas, complement=broken)
+
+    def test_rejects_a_bad_alpha(self):
+        with pytest.raises(ValueError, match="alpha must lie in"):
+            check_complement_identity(9, alphas=(1.5,))
+
+
 ALL_CHECKS = [
     check_prime_power_spectra,
     check_even_spectra,
@@ -311,6 +377,66 @@ class TestStackedDenseSolves:
             for a, b in zip(*(r if isinstance(r, list) else [r] for r in (got, want))):
                 assert (a.name, a.passed, a.cases) == (b.name, b.passed, b.cases)
                 assert abs(a.worst - b.worst) <= 1e-9, (a, b)
+
+
+class TestOneBuildPerOrder:
+    @pytest.mark.parametrize("flags", [(False, True), (False,), (True,)])
+    def test_dense_graphs_equal_build_graph(self, monkeypatch, flags):
+        built = []
+
+        def counting(spec):
+            built.append(spec)
+            return build_graph(spec)
+
+        monkeypatch.setattr(verification_mod, "build_graph", counting)
+        rows = list(verification_mod._dense(range(2, 40), (0.3,), flags))
+        assert built == [GraphSpec(FAMILY_UACG, n) for n in range(2, 40)]
+        assert [spec for spec, *_ in rows] == [
+            GraphSpec(FAMILY_UACG, n, flag) for n in range(2, 40) for flag in flags
+        ]
+        for spec, g, _, _ in rows:
+            want = build_graph(spec)
+            assert g.spec == spec and g.m == want.m
+            assert np.array_equal(g.adjacency, want.adjacency), spec
+            assert np.array_equal(g.degrees, want.degrees), spec
+
+    @pytest.mark.parametrize("check", ALL_CHECKS, ids=[c.__name__ for c in ALL_CHECKS])
+    def test_a_second_call_does_the_same_work(self, monkeypatch, check):
+        # nothing (graph, fold or eigenvalues) is kept from one call to the next
+        counts = {"build_graph": 0, "_alpha_eigenvalues": 0}
+
+        def counting(name):
+            real = getattr(verification_mod, name)
+
+            def wrapper(*args):
+                counts[name] += 1
+                return real(*args)
+
+            return wrapper
+
+        for name in counts:
+            monkeypatch.setattr(verification_mod, name, counting(name))
+        first = check(25)
+        calls = dict(counts)
+        assert check(25) == first
+        assert {name: 2 * k for name, k in calls.items()} == counts
+        # one base graph per order each check walks
+        assert calls["build_graph"] == BUILDS_AT_25.get(check, 0)
+
+
+# Orders each check walks at nmax = 25: 10 odd prime powers, 12 even orders,
+# 12 odd orders, or 24 orders 2..25.
+BUILDS_AT_25 = {
+    check_prime_power_spectra: 10,
+    check_even_spectra: 12,
+    check_block_route: 12,
+    check_spectral_identities: 24,
+    check_complement_identity: 24,
+    check_regular_shortcut: 12,
+    check_complement_even_energy: 12,
+    check_interval_containment: 12,
+    check_energy_sandwich: 12,
+}
 
 
 class TestRunSuite:
