@@ -1,5 +1,6 @@
 """Command-line front end: spectra, energies, verification suites, and the
-bundled reference tables as CSV or JSON.
+bundled reference tables as CSV or JSON.  Every command with a --format
+option prints through the one writer, _write.
 
 Exit codes: 0 success, 1 verification failure, 2 argument error, 3 when an
 exact method was requested but none covers the input.
@@ -13,7 +14,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, Callable, Iterable
 
 from . import __version__
 from .analysis import classify, find_borderenergetic_alphas
@@ -93,10 +94,24 @@ class OutputRecord:
         return json.dumps(payload, indent=2)
 
 
-def _emit(text: str) -> None:
-    sys.stdout.write(text)
-    if not text.endswith("\n"):
-        sys.stdout.write("\n")
+def _write(
+    args: argparse.Namespace,
+    header: str,
+    lines: Iterable[str],
+    results: Callable[[], dict[str, Any]],
+) -> int:
+    """Print a command's output in its --format: the CSV header and lines, or
+    one OutputRecord whose inputs are the parsed arguments and whose results
+    are results().  Only the chosen format's half is built: lines is consumed
+    for CSV alone and results called for JSON alone.  Callers compute every
+    row first, so a failing call prints nothing."""
+    if args.format == "csv":
+        text = "\n".join([header, *lines])
+    else:
+        inputs = {k: v for k, v in vars(args).items() if k not in ("command", "format", "func")}
+        text = OutputRecord(command=args.command, inputs=inputs, results=results()).to_json()
+    print(text)
+    return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -106,55 +121,31 @@ def _emit(text: str) -> None:
 def _cmd_spectrum(args: argparse.Namespace) -> int:
     spec = parse_spec_label(args.family, args.n)
     spectrum, used = spectrum_for(spec, args.alpha, method=args.method, group_tol=args.group_tol)
-    if args.format == "csv":
-        lines = ["value,multiplicity"]
-        lines.extend(f"{_fmt12g(v)},{mult}" for v, mult in spectrum.pairs)
-        _emit("\n".join(lines) + "\n")
-        return EXIT_OK
-    record = OutputRecord(
-        command="spectrum",
-        inputs={
-            "family": args.family,
-            "n": args.n,
-            "alpha": args.alpha,
-            "method": args.method,
-            "group_tol": args.group_tol,
-        },
-        results={
-            "pairs": [[v, mult] for v, mult in spectrum.pairs],
+    return _write(
+        args,
+        "value,multiplicity",
+        (f"{_fmt12g(v)},{mult}" for v, mult in spectrum.pairs),
+        lambda: {
+            "pairs": spectrum.pairs,
             "distinct": len(spectrum.pairs),
             "n": spectrum.n,
             "method_used": used,
         },
     )
-    _emit(record.to_json())
-    return EXIT_OK
 
 
 def _cmd_energy(args: argparse.Namespace) -> int:
     spec = parse_spec_label(args.family, args.n)
     report = energy_report(spec, args.alpha)
-    if args.format == "csv":
-        lines = [
-            "family,n,alpha,m,shift,energy,method",
-            ",".join(
-                (
-                    args.family,
-                    str(report.n),
-                    _fmt12g(report.alpha),
-                    str(report.m),
-                    _fmt12g(report.shift),
-                    _fmt12g(report.energy),
-                    report.method,
-                )
-            ),
-        ]
-        _emit("\n".join(lines) + "\n")
-        return EXIT_OK
-    record = OutputRecord(
-        command="energy",
-        inputs={"family": args.family, "n": args.n, "alpha": args.alpha},
-        results={
+    return _write(
+        args,
+        "family,n,alpha,m,shift,energy,method",
+        (
+            f"{args.family},{r.n},{_fmt12g(r.alpha)},{r.m},{_fmt12g(r.shift)},"
+            f"{_fmt12g(r.energy)},{r.method}"
+            for r in (report,)
+        ),
+        lambda: {
             "n": report.n,
             "m": report.m,
             "shift": report.shift,
@@ -162,8 +153,6 @@ def _cmd_energy(args: argparse.Namespace) -> int:
             "method": report.method,
         },
     )
-    _emit(record.to_json())
-    return EXIT_OK
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
@@ -174,87 +163,52 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         line = f"{status} {r.name}: worst residual {r.worst:.3e} over {r.cases} cases"
         if not r.passed and r.detail:
             line += f" ({r.detail})"
-        _emit(line)
+        print(line)
         all_passed = all_passed and r.passed
-    _emit(f"{'all checks passed' if all_passed else 'CHECKS FAILED'} "
+    print(f"{'all checks passed' if all_passed else 'CHECKS FAILED'} "
           f"(scope={args.scope}, nmax={args.nmax})")
     return EXIT_OK if all_passed else EXIT_VERIFY_FAILED
 
 
-def _energy_table_rows() -> tuple[list[str], list[dict[str, Any]]]:
-    alpha_labels = [_fmt12g(a) for a in ALPHA_GRID]
-    rows: list[dict[str, Any]] = []
-    for n in TABLE1_NS:
-        for family in ("uacg", "complement-uacg", "complete"):
-            spec = parse_spec_label(family, n)
-            energies = [energy_report(spec, a).energy for a in ALPHA_GRID]
-            rows.append({"family": family, "n": n, "energies": energies})
-    return alpha_labels, rows
-
-
-def _root_table_rows(ns: tuple[int, ...], family: str) -> list[dict[str, float]]:
-    rows: list[dict[str, float]] = []
+def _cmd_table(args: argparse.Namespace) -> int:
+    if args.which == 1:
+        alpha_labels = [_fmt12g(a) for a in ALPHA_GRID]
+        rows = []  # (family, n, energies to 3 decimals)
+        for n in TABLE1_NS:
+            for family in ("uacg", "complement-uacg", "complete"):
+                spec = parse_spec_label(family, n)
+                cells = [f"{energy_report(spec, a).energy:.3f}" for a in ALPHA_GRID]
+                rows.append((family, n, cells))
+        return _write(
+            args,
+            "family,n," + ",".join(alpha_labels),
+            (f"{family},{n}," + ",".join(cells) for family, n, cells in rows),
+            lambda: {
+                "alphas": alpha_labels,
+                "rows": [
+                    {"family": family, "n": n, "energies": [float(c) for c in cells]}
+                    for family, n, cells in rows
+                ],
+            },
+        )
+    ns, family = (TABLE2_NS, "uacg") if args.which == 2 else (TABLE3_NS, "complement-uacg")
+    rows = []  # (n, alpha, energy, complete_energy), the last three to 12 decimals
     for n in ns:
         spec = parse_spec_label(family, n)
         for root in find_borderenergetic_alphas(spec):
-            rows.append(
-                {
-                    "n": n,
-                    "alpha": root,
-                    "energy": energy_report(spec, root).energy,
-                    "complete_energy": complete_energy(n, root),
-                }
-            )
-    return rows
-
-
-def _cmd_table(args: argparse.Namespace) -> int:
-    if args.which == 1:
-        alpha_labels, rows = _energy_table_rows()
-        if args.format == "csv":
-            lines = ["family,n," + ",".join(alpha_labels)]
-            for row in rows:
-                cells = [f"{e:.3f}" for e in row["energies"]]
-                lines.append(f"{row['family']},{row['n']}," + ",".join(cells))
-            _emit("\n".join(lines) + "\n")
-            return EXIT_OK
-        results = {
-            "alphas": alpha_labels,
+            values = (root, energy_report(spec, root).energy, complete_energy(n, root))
+            rows.append((n, *map(_fmt_dec12, values)))
+    return _write(
+        args,
+        "n,alpha,energy,complete_energy",
+        (",".join(map(str, row)) for row in rows),
+        lambda: {
             "rows": [
-                {
-                    "family": row["family"],
-                    "n": row["n"],
-                    "energies": [float(f"{e:.3f}") for e in row["energies"]],
-                }
-                for row in rows
-            ],
-        }
-    else:
-        ns, family = (TABLE2_NS, "uacg") if args.which == 2 else (TABLE3_NS, "complement-uacg")
-        rows = _root_table_rows(ns, family)
-        if args.format == "csv":
-            lines = ["n,alpha,energy,complete_energy"]
-            lines.extend(
-                f"{row['n']},{_fmt_dec12(row['alpha'])},{_fmt_dec12(row['energy'])},"
-                f"{_fmt_dec12(row['complete_energy'])}"
-                for row in rows
-            )
-            _emit("\n".join(lines) + "\n")
-            return EXIT_OK
-        results = {
-            "rows": [
-                {
-                    "n": row["n"],
-                    "alpha": float(_fmt_dec12(row["alpha"])),
-                    "energy": float(_fmt_dec12(row["energy"])),
-                    "complete_energy": float(_fmt_dec12(row["complete_energy"])),
-                }
-                for row in rows
+                {"n": n, "alpha": float(a), "energy": float(e), "complete_energy": float(c)}
+                for n, a, e, c in rows
             ]
-        }
-    record = OutputRecord(command="table", inputs={"which": args.which}, results=results)
-    _emit(record.to_json())
-    return EXIT_OK
+        },
+    )
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
@@ -266,47 +220,30 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     if (end - start) / step > MAX_SWEEP_POINTS:
         raise ValueError(f"step {step} gives more than {MAX_SWEEP_POINTS} sweep steps")
     spec = parse_spec_label(args.family, args.n)
-    alphas = []
+    reports = []
     k = 0
-    while True:
-        a = start + k * step
-        if a > end + 1e-12:
-            break
-        alphas.append(min(a, end))
+    while (a := start + k * step) <= end + 1e-12:
+        reports.append(classify(spec, min(a, end)))
         k += 1
-    rows = []
-    for a in alphas:
-        report = classify(spec, a)
-        rows.append(
-            {
-                "alpha": a,
-                "energy": report.energy,
-                "complete_energy": report.complete_energy,
-                "verdict": report.verdict,
-            }
-        )
-    if args.format == "csv":
-        lines = ["alpha,energy,complete_energy,verdict"]
-        lines.extend(
-            f"{_fmt12g(r['alpha'])},{_fmt12g(r['energy'])},"
-            f"{_fmt12g(r['complete_energy'])},{r['verdict']}"
-            for r in rows
-        )
-        _emit("\n".join(lines) + "\n")
-        return EXIT_OK
-    record = OutputRecord(
-        command="sweep",
-        inputs={
-            "family": args.family,
-            "n": args.n,
-            "alpha_start": start,
-            "alpha_end": end,
-            "step": step,
+    return _write(
+        args,
+        "alpha,energy,complete_energy,verdict",
+        (
+            f"{_fmt12g(r.alpha)},{_fmt12g(r.energy)},{_fmt12g(r.complete_energy)},{r.verdict}"
+            for r in reports
+        ),
+        lambda: {
+            "rows": [
+                {
+                    "alpha": r.alpha,
+                    "energy": r.energy,
+                    "complete_energy": r.complete_energy,
+                    "verdict": r.verdict,
+                }
+                for r in reports
+            ]
         },
-        results={"rows": rows},
     )
-    _emit(record.to_json())
-    return EXIT_OK
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .numtheory import _check_int, euler_phi
+from .numtheory import TRIAL_DIVISION_LIMIT, _check_int, euler_phi
 
 __all__ = [
     "DENSE_ORDER_LIMIT",
@@ -53,8 +53,9 @@ DENSE_ORDER_LIMIT = 4096
 class GraphSpec:
     """Which graph to build: a base family on n vertices, optionally complemented.
 
-    The complement flag nests at most one level by construction; complementing
-    twice returns to the base family.
+    n is an integer in 2..TRIAL_DIVISION_LIMIT for every family, the orders
+    factorize accepts.  The complement flag nests at most one level by
+    construction; complementing twice returns to the base family.
     """
 
     family: str
@@ -64,7 +65,7 @@ class GraphSpec:
     def __post_init__(self) -> None:
         if self.family not in FAMILIES:
             raise ValueError(f"unknown family {self.family!r}")
-        object.__setattr__(self, "n", _check_int(self.n, "n", 2))
+        object.__setattr__(self, "n", _check_int(self.n, "n", 2, TRIAL_DIVISION_LIMIT))
 
     def label(self) -> str:
         return ("complement-" if self.complement else "") + self.family

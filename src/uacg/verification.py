@@ -102,16 +102,20 @@ def _check_nmax(nmax: int) -> int:
     return nmax
 
 
-def _worst(name: str, tol: float, rows: Iterable[tuple[float, int, str]]) -> CheckResult:
+def _worst(
+    name: str, tol: float, rows: Iterable[tuple], keys=("n", "complement", "alpha")
+) -> CheckResult:
     """Reduce (residual, cases, location) rows to one result: the largest
-    residual with its first location ("" while every residual is 0), and the
-    total case count."""
-    worst, cases, where = 0.0, 0, ""
+    residual with its first location, and the total case count.  A location
+    is a tuple of the values of keys; only the kept one is formatted, as
+    "key=value" words ("" while every residual is 0)."""
+    worst, cases, where = 0.0, 0, ()
     for resid, count, location in rows:
         cases += count
         if resid > worst:
             worst, where = resid, location
-    return CheckResult(name=name, passed=worst <= tol, worst=worst, cases=cases, detail=where)
+    detail = " ".join(f"{key}={value}" for key, value in zip(keys, where))
+    return CheckResult(name=name, passed=worst <= tol, worst=worst, cases=cases, detail=detail)
 
 
 def _dense(
@@ -135,11 +139,12 @@ def _dense(
                 yield g.spec, g, alpha, vals
 
 
-def _at(spec: GraphSpec, alpha: float) -> str:
-    return f"n={spec.n} complement={spec.complement} alpha={alpha}"
+def _at(spec: GraphSpec, alpha: float) -> tuple[int, bool, float]:
+    """The location of a (spec, alpha) row, in _worst's default keys."""
+    return spec.n, spec.complement, alpha
 
 
-def _closed_rows(ns: Iterable[int], alphas: Iterable[float]) -> list[tuple[float, int, str]]:
+def _closed_rows(ns: Iterable[int], alphas: Iterable[float]) -> list[tuple[float, int, tuple]]:
     """Rows comparing the route table's closed spectrum with the eigensolver."""
     rows = []
     for spec, _, alpha, vals in _dense(ns, alphas):
@@ -171,9 +176,10 @@ def check_block_route(nmax: int, alphas=ALPHA_GRID, tol: float = 1e-9) -> CheckR
         k = i % len(alphas)
         if k == 0:  # every alpha of the spec in one stacked block solve
             values, mults = _stacked_eigenvalues(spec, alphas)
+            closed = has_closed_spectrum(spec)
         blocks = np.sort(np.repeat(values[k], mults))[::-1]
         refs = [dense]
-        if has_closed_spectrum(spec):
+        if closed:
             refs.append(spectrum_for(spec, alpha, method="closed")[0].values())
         rows.append((max(float(np.max(np.abs(blocks - ref))) for ref in refs), 1, _at(spec, alpha)))
     return _worst("block route vs eigensolver and closed forms", tol, rows)
@@ -230,8 +236,8 @@ def check_complement_identity(nmax: int, alphas=ALPHA_GRID, rtol: float = 1e-8) 
         off = np.abs((1.0 - x) * a + (1.0 - x) * b - (1.0 - x)).max(axis=1)
         scale = 1.0 + np.maximum(x * (n - 1.0), 1.0 - x)[:, 0]
         resid = (np.maximum(on, off) / scale).tolist()
-        rows += [(r, 1, f"n={n} alpha={alpha}") for r, alpha in zip(resid, alphas)]
-    return _worst("complement matrix identity", rtol, rows)
+        rows += [(r, 1, (n, alpha)) for r, alpha in zip(resid, alphas)]
+    return _worst("complement matrix identity", rtol, rows, ("n", "alpha"))
 
 
 def _tabulated_complement_values(p: int, m: int, alpha: float) -> np.ndarray:
@@ -268,15 +274,15 @@ def check_energy_consistency(nmax: int, alphas=ALPHA_GRID, tol: float = 1e-9) ->
                 uacg_prime_power_spectrum(p, m, alpha).values(), q, edges, alpha
             )
             resid = abs(uacg_prime_power_energy(p, m, alpha) - spec_energy)
-            uacg_rows.append((resid, 1, f"n={q} alpha={alpha}"))
+            uacg_rows.append((resid, 1, (q, alpha)))
             multiset_energy = alpha_energy_from_values(
                 _tabulated_complement_values(p, m, alpha), q, comp_edges, alpha
             )
             resid = abs(complement_prime_power_energy(p, m, alpha) - multiset_energy)
-            comp_rows.append((resid, 1, f"n={q} alpha={alpha}"))
+            comp_rows.append((resid, 1, (q, alpha)))
     return [
-        _worst("prime-power energy vs spectrum", tol, uacg_rows),
-        _worst("complement energy formula vs generating multiset", tol, comp_rows),
+        _worst("prime-power energy vs spectrum", tol, uacg_rows, ("n", "alpha")),
+        _worst("complement energy formula vs generating multiset", tol, comp_rows, ("n", "alpha")),
     ]
 
 
@@ -290,10 +296,10 @@ def check_regular_shortcut(nmax: int, alphas=(0.3, 0.7), tol: float = 1e-8) -> C
         energy = alpha_energy_from_values(vals, n, g.m, alpha)
         if n not in base:  # the first alpha of each order is 0
             base[n] = energy
-            rows.append((abs(energy - unitary_cayley_adjacency_energy(n)), 1, f"n={n} alpha=0"))
+            rows.append((abs(energy - unitary_cayley_adjacency_energy(n)), 1, (n, 0)))
         else:
-            rows.append((abs(energy - (1.0 - alpha) * base[n]), 1, f"n={n} alpha={alpha}"))
-    return _worst("regular energy shortcut (even orders)", tol, rows)
+            rows.append((abs(energy - (1.0 - alpha) * base[n]), 1, (n, alpha)))
+    return _worst("regular energy shortcut (even orders)", tol, rows, ("n", "alpha"))
 
 
 def check_complement_even_energy(nmax: int, tol: float = 1e-8) -> CheckResult:
@@ -305,8 +311,8 @@ def check_complement_even_energy(nmax: int, tol: float = 1e-8) -> CheckResult:
             alpha_energy_from_values(vals, spec.n, g.m, 0.0)
             - complement_unitary_cayley_adjacency_energy(spec.n)
         )
-        rows.append((resid, 1, f"n={spec.n}"))
-    return _worst("complement adjacency energy (even orders)", tol, rows)
+        rows.append((resid, 1, (spec.n,)))
+    return _worst("complement adjacency energy (even orders)", tol, rows, ("n",))
 
 
 def check_interval_containment(
@@ -349,8 +355,8 @@ def check_roots(nmax: int, tol: float = 1e-8) -> CheckResult:
                 resid = abs(report.energy - complete_energy(q, root))
                 if report.verdict != VERDICT_BORDER:
                     resid = max(resid, 1.0)  # classification disagreement is a failure
-                rows.append((resid, 1, f"n={q} complement={complement_flag} root={root}"))
-    return _worst("borderenergetic root re-evaluation", tol, rows)
+                rows.append((resid, 1, (q, complement_flag, root)))
+    return _worst("borderenergetic root re-evaluation", tol, rows, ("n", "complement", "root"))
 
 
 def run_suite(scope: str, nmax: int) -> list[CheckResult]:

@@ -137,6 +137,18 @@ class TestSpectrumCommand:
         assert code == EXIT_BAD_ARGS
         assert "error:" in err
 
+    @pytest.mark.parametrize("command", ["spectrum", "energy"])
+    @pytest.mark.parametrize("n", [10**9 + 1, 10**20])
+    def test_order_above_trial_division_limit_exits_2(self, command, n):
+        # complete graphs need no factorization, yet share every family's bound
+        argv = [command, "--family", "complete", "--alpha", "0.3", "--n"]
+        code, out, err = run_cli(argv + [str(n)])
+        assert (code, out) == (EXIT_BAD_ARGS, "")
+        assert err.startswith("error: n must be <= 1000000000")
+        code, out, _ = run_cli(argv + [str(10**9)])
+        assert code == EXIT_OK
+        assert out
+
     def test_dense_method_above_limit_exits_2(self):
         n = str(DENSE_ORDER_LIMIT + 1)
         code, out, err = run_cli(
@@ -387,6 +399,32 @@ class TestGoldenOutput:
         for argv, expected_out, expected_code in calls:
             code, out, _ = run_cli(argv)
             assert (code, out) == (expected_code, expected_out), argv
+
+
+class TestWriter:
+    """_write builds only the output of the format asked for."""
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_builds_only_the_chosen_format(self, fmt):
+        def lines():
+            assert fmt == "csv", "a JSON call formatted a CSV line"
+            yield "1,2"
+
+        def results():
+            assert fmt == "json", "a CSV call built the JSON results"
+            return {"x": 1.5}
+
+        args = cli_mod._build_parser().parse_args(["table", "--which", "2", "--format", fmt])
+        out = StringIO()
+        with redirect_stdout(out):
+            assert cli_mod._write(args, "a,b", lines(), results) == EXIT_OK
+        if fmt == "csv":
+            assert out.getvalue() == "a,b\n1,2\n"
+        else:
+            payload = json.loads(out.getvalue())
+            assert payload["command"] == "table"
+            assert payload["inputs"] == {"which": 2}
+            assert payload["results"] == {"x": 1.5}
 
 
 class TestVersionFlag:

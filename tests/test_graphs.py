@@ -34,7 +34,7 @@ from uacg.graphs import (
     parse_spec_label,
     zagreb_index,
 )
-from uacg.numtheory import euler_phi
+from uacg.numtheory import TRIAL_DIVISION_LIMIT, euler_phi
 
 # Frozen by hand: pairs {i, j} with i + j a unit mod 9.
 UACG9_EDGES = sorted(
@@ -335,6 +335,12 @@ class TestSpecLabels:
     def test_rejects_small_order(self):
         with pytest.raises(ValueError):
             GraphSpec(FAMILY_UACG, 1)
+
+    def test_order_bound_covers_every_family(self):
+        for family in FAMILIES:
+            assert GraphSpec(family, TRIAL_DIVISION_LIMIT).n == TRIAL_DIVISION_LIMIT
+            with pytest.raises(ValueError, match="n must be <= 1000000000"):
+                GraphSpec(family, TRIAL_DIVISION_LIMIT + 1)
 
     def test_rejects_non_integer_order(self):
         # 9.0 used to give a float edge count, 15.0 a TypeError from math.gcd

@@ -57,12 +57,14 @@ class TestOddPrimePowers:
 
 class TestWorstReducer:
     def test_keeps_first_location_of_largest_residual(self):
-        rows = [(0.0, 1, "a"), (2.0, 1, "b"), (2.0, 3, "c"), (1.0, 1, "d")]
-        assert verification_mod._worst("x", 1.0, rows) == CheckResult("x", False, 2.0, 6, "b")
+        rows = [(0.0, 1, ("a", 0)), (2.0, 1, ("b", 2)), (2.0, 3, ("c", 3)), (1.0, 1, ("d", 4))]
+        result = verification_mod._worst("x", 1.0, rows, ("at", "k"))
+        assert result == CheckResult("x", False, 2.0, 6, "at=b k=2")
 
     def test_no_location_while_every_residual_is_zero(self):
-        rows = [(0.0, 2, "a"), (0.0, 1, "b")]
-        assert verification_mod._worst("x", 0.0, rows) == CheckResult("x", True, 0.0, 3, "")
+        rows = [(0.0, 2, ("a",)), (0.0, 1, ("b",))]
+        result = verification_mod._worst("x", 0.0, rows, ("at",))
+        assert result == CheckResult("x", True, 0.0, 3, "")
 
 
 class TestIndividualChecks:
@@ -230,8 +232,8 @@ def matrix_complement_identity(nmax, alphas, rtol=1e-8, complement=complement):
             total -= 1.0 - alpha
             off = float(np.max(np.abs(total, out=total)))
             scale = 1.0 + max(alpha * (n - 1.0), 1.0 - alpha)
-            rows.append((max(on, off) / scale, 1, f"n={n} alpha={alpha}"))
-    return verification_mod._worst("complement matrix identity", rtol, rows)
+            rows.append((max(on, off) / scale, 1, (n, alpha)))
+    return verification_mod._worst("complement matrix identity", rtol, rows, ("n", "alpha"))
 
 
 class TestComplementIdentity:
