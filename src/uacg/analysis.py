@@ -21,12 +21,11 @@ import numpy as np
 from .closedform import (
     METHOD_REGULAR,
     _complete_energy,
+    _energy_reports,
     _ramanujan_pairs,
     _route,
     alpha_energy_from_values,
     build_alpha_matrix,
-    complete_energy,
-    energy_report,
 )
 from .graphs import FAMILY_UACG, GraphSpec, build_graph, edge_count
 from .linalg import _check_alpha, _check_tol, symmetric_eigenvalues
@@ -238,27 +237,28 @@ def classify(spec: GraphSpec, alpha: float, tol: float = 1e-6) -> Classification
     """Compare the graph's alpha energy against 2*(1-alpha)*(n-1).
 
     Equality within tol is borderenergetic; exceeding by more than tol is
-    hyperenergetic; anything else is neither.
+    hyperenergetic; anything else is neither.  This is _classify_all for one
+    alpha.
     """
+    return _classify_all(spec, (alpha,), tol)[0]
+
+
+def _classify_all(
+    spec: GraphSpec, alphas: Sequence[float], tol: float = 1e-6
+) -> list[ClassificationReport]:
+    """classify for each of alphas, in order, from one _energy_reports call;
+    each report equals the one for its alpha alone."""
     tol = _check_tol(tol)
-    energy = energy_report(spec, alpha).energy
-    reference = complete_energy(spec.n, alpha)
-    diff = energy - reference
-    if abs(diff) <= tol:
-        verdict = VERDICT_BORDER
-    elif diff > tol:
-        verdict = VERDICT_HYPER
-    else:
-        verdict = VERDICT_NEITHER
-    return ClassificationReport(
-        spec=spec,
-        alpha=float(alpha),
-        energy=energy,
-        complete_energy=reference,
-        verdict=verdict,
-        tolerance=tol,
-        meets_hyper_inequality=energy >= reference - tol,
-    )
+    out = []
+    for r in _energy_reports(spec, alphas):
+        reference = _complete_energy(spec.n, r.alpha)
+        diff = r.energy - reference
+        verdict = (
+            VERDICT_BORDER if abs(diff) <= tol else VERDICT_HYPER if diff > tol else VERDICT_NEITHER
+        )
+        meets = r.energy >= reference - tol
+        out.append(ClassificationReport(spec, r.alpha, r.energy, reference, verdict, tol, meets))
+    return out
 
 
 # ---------------------------------------------------------------------------

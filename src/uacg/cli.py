@@ -17,10 +17,11 @@ from dataclasses import dataclass
 from typing import Any, Callable, Iterable
 
 from . import __version__
-from .analysis import classify, find_borderenergetic_alphas
+from .analysis import _classify_all, find_borderenergetic_alphas
 from .closedform import (
     ALPHA_GRID,
     ClosedFormUnavailable,
+    _energy_reports,
     complete_energy,
     energy_report,
     spectrum_for,
@@ -177,7 +178,7 @@ def _cmd_table(args: argparse.Namespace) -> int:
         for n in TABLE1_NS:
             for family in ("uacg", "complement-uacg", "complete"):
                 spec = parse_spec_label(family, n)
-                cells = [f"{energy_report(spec, a).energy:.3f}" for a in ALPHA_GRID]
+                cells = [f"{r.energy:.3f}" for r in _energy_reports(spec, ALPHA_GRID)]
                 rows.append((family, n, cells))
         return _write(
             args,
@@ -195,8 +196,8 @@ def _cmd_table(args: argparse.Namespace) -> int:
     rows = []  # (n, alpha, energy, complete_energy), the last three to 12 decimals
     for n in ns:
         spec = parse_spec_label(family, n)
-        for root in find_borderenergetic_alphas(spec):
-            values = (root, energy_report(spec, root).energy, complete_energy(n, root))
+        for r in _energy_reports(spec, find_borderenergetic_alphas(spec)):
+            values = (r.alpha, r.energy, complete_energy(n, r.alpha))
             rows.append((n, *map(_fmt_dec12, values)))
     return _write(
         args,
@@ -220,11 +221,10 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     if (end - start) / step > MAX_SWEEP_POINTS:
         raise ValueError(f"step {step} gives more than {MAX_SWEEP_POINTS} sweep steps")
     spec = parse_spec_label(args.family, args.n)
-    reports = []
-    k = 0
-    while (a := start + k * step) <= end + 1e-12:
-        reports.append(classify(spec, min(a, end)))
-        k += 1
+    alphas = []
+    while (a := start + len(alphas) * step) <= end + 1e-12:
+        alphas.append(min(a, end))
+    reports = _classify_all(spec, alphas)
     return _write(
         args,
         "alpha,energy,complete_energy,verdict",

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blocks import _stacked_eigenvalues, block_eigenvalues
+from .blocks import _stack_layout, _stacked_eigenvalues, block_eigenvalues
 from .graphs import (
     FAMILY_COMPLETE,
     FAMILY_UNITARY_CAYLEY,
@@ -27,6 +27,7 @@ from .graphs import (
     edge_count,
 )
 from .linalg import (
+    _BATCH_ELEMENTS,
     DEFAULT_GROUP_TOL,
     Spectrum,
     _check_alpha,
@@ -347,10 +348,13 @@ def _route(spec: GraphSpec) -> tuple[str, Callable, Callable[[Sequence[float]], 
 
     The energies callable maps a sequence of alphas to a list of energies.
     The formula routes check their integers once and loop the unchecked
-    body of their scalar formula, checking only each alpha; the numeric
-    route solves the blocks for every alpha in one stacked call and sums
-    multiplicity * |value - 2*alpha*m/n| over the blocks row by row, so each
-    energy equals the one computed for that alpha alone.
+    body of their scalar formula, checking only each alpha.  The numeric
+    route walks the alphas in chunks of at most
+    max(1, _BATCH_ELEMENTS // values per alpha), one stacked block solve
+    each, so a long grid holds one chunk of block values at a time; it sums
+    multiplicity * |value - 2*alpha*m/n| over the blocks row by row.  Rows
+    do not depend on each other, so each energy equals the one computed for
+    that alpha alone.
     """
     n = spec.n
     if spec.family == FAMILY_COMPLETE:
@@ -374,15 +378,19 @@ def _route(spec: GraphSpec) -> tuple[str, Callable, Callable[[Sequence[float]], 
         return (
             METHOD_REGULAR,
             lambda a: spectrum(n, a),
-            lambda xs: [float(regular_alpha_energy(eps0(n), a)) for a in xs],
+            lambda xs: [float(regular_alpha_energy(e, a)) for e in (eps0(n),) for a in xs],
         )
     pp = prime_power(n)
     if pp is None:
         edges = edge_count(spec)
 
         def block_energies(alphas: Sequence[float]) -> list[float]:
-            vals, mults = _stacked_eigenvalues(spec, alphas)
-            return [float(mults @ np.abs(v - 2.0 * a * edges / n)) for v, a in zip(vals, alphas)]
+            step, out = max(1, _BATCH_ELEMENTS // _stack_layout(n)[1].size), []
+            for start in range(0, len(alphas), step):
+                chunk = alphas[start : start + step]
+                vals, mults = _stacked_eigenvalues(spec, chunk)
+                out += [float(mults @ np.abs(v - 2.0 * a * edges / n)) for v, a in zip(vals, chunk)]
+            return out
 
         return METHOD_NUMERIC, lambda a: block_eigenvalues(spec, a), block_energies
     p, m = _check_odd_prime_power(*pp)  # once, not per alpha
@@ -459,13 +467,20 @@ def energy_report(spec: GraphSpec, alpha: float) -> EnergyReport:
 
     Regular families use the (1-alpha)-scaling shortcut on their known
     adjacency energies; odd prime-power unit-sum graphs and complements use
-    their exact formulas; every other spec uses the block eigensolver.
+    their exact formulas; every other spec uses the block eigensolver.  This
+    is _energy_reports for one alpha.
     """
-    alpha = _check_alpha(alpha, allow_one=False)
-    n = spec.n
-    m = edge_count(spec)
-    shift = 2.0 * alpha * m / n
+    return _energy_reports(spec, (alpha,))[0]
+
+
+def _energy_reports(spec: GraphSpec, alphas: Sequence[float]) -> list[EnergyReport]:
+    """energy_report for each of alphas, in order, from one _route, one
+    edge_count and one call of the route's energies callable; each report
+    equals the one for its alpha alone."""
+    alphas = [_check_alpha(a, allow_one=False) for a in alphas]
+    n, m = spec.n, edge_count(spec)
     method, _, energies = _route(spec)
-    return EnergyReport(
-        spec=spec, alpha=alpha, n=n, m=m, shift=shift, energy=energies((alpha,))[0], method=method
-    )
+    return [
+        EnergyReport(spec=spec, alpha=a, n=n, m=m, shift=2.0 * a * m / n, energy=e, method=method)
+        for a, e in zip(alphas, energies(alphas))
+    ]

@@ -377,8 +377,9 @@ def group_spectrum(values: np.ndarray, tol: float = DEFAULT_GROUP_TOL) -> Spectr
     """Collapse a descending eigenvalue list into (value, multiplicity) pairs.
 
     Adjacent values whose gap is at most tol are merged into one pair whose
-    value is the mean of the merged cluster.  Rejects unsorted or non-finite
-    input.
+    value is the mean of the merged cluster: the value itself when every
+    member is equal, else their sum over their number k, to rounding (see
+    _group).  Rejects unsorted or non-finite input.
     """
     tol = _check_tol(tol)
     vals = np.asarray(values, dtype=float).ravel()
@@ -391,42 +392,20 @@ def group_spectrum(values: np.ndarray, tol: float = DEFAULT_GROUP_TOL) -> Spectr
 
 def _group(vals: np.ndarray, counts: np.ndarray, tol: float) -> Spectrum:
     """group_spectrum(np.repeat(vals, counts), tol) for descending vals and
-    positive counts, bit for bit, without the repeat."""
+    positive counts, without the repeat: the same cuts and multiplicities.
+
+    A cluster of one distinct value keeps that value exactly.  A wider one,
+    of w distinct values, takes its mean as one dot product, vals @ counts
+    / k, within w * eps * max|value| of the exact mean; the mean of the
+    expanded list may differ from it in the last bits.
+    """
     if vals.size == 0:
         return Spectrum(pairs=(), n=0)
     cuts = [0, *(np.flatnonzero(vals[:-1] - vals[1:] > tol) + 1).tolist(), vals.size]
     sizes = np.add.reduceat(counts, cuts[:-1]).tolist()
-    memo: dict[tuple[float, int], float] = {}
+    flat = vals.tolist()
     pairs = tuple(
-        (_repeat_sum(vals[start:stop], counts[start:stop], k, memo) / k, k)
-        for start, stop, k in zip(cuts, cuts[1:], sizes)
+        (flat[a] if flat[a] == flat[b - 1] else float(vals[a:b] @ counts[a:b]) / k, k)
+        for a, b, k in zip(cuts, cuts[1:], sizes)
     )
     return Spectrum(pairs=pairs, n=sum(sizes))
-
-
-def _repeat_sum(vals: np.ndarray, counts: np.ndarray, k: int, memo: dict) -> float:
-    """np.repeat(vals, counts).sum() bit for bit, where k = counts.sum().
-
-    numpy sums float64 pairwise: more than 128 values are split at half their
-    number rounded down to a multiple of 8, and each part is summed the same
-    way.  Following those splits expands at most 128 values at a time, and k
-    copies of one value are summed once per (value, k) in memo.  Were numpy
-    to split differently, the result would still be the sum to rounding.
-    """
-    if k <= 128 or k == vals.size:
-        return float(np.repeat(vals, counts).sum())
-    key = (float(vals[0]), k)
-    if vals.size == 1 and key in memo:
-        return memo[key]
-    half = k // 2 - k // 2 % 8
-    ends = np.cumsum(counts)
-    i = int(np.searchsorted(ends, half))  # the entry holding the left part's last value
-    j = i + int(ends[i] == half)  # the entry holding the right part's first value
-    left, right = counts[: i + 1].copy(), counts[j:].copy()
-    left[-1] -= ends[i] - half
-    right[0] = ends[j] - half
-    left_sum = _repeat_sum(vals[: i + 1], left, half, memo)
-    total = left_sum + _repeat_sum(vals[j:], right, k - half, memo)
-    if vals.size == 1:
-        memo[key] = total
-    return total

@@ -16,6 +16,7 @@ import pytest
 import uacg.analysis
 import uacg.closedform
 from uacg.analysis import (
+    _classify_all,
     _convex_roots,
     _odd_eigen_arrays,
     BOUND_SLACK,
@@ -313,6 +314,21 @@ class TestClassify:
     def test_complete_graph_is_always_borderenergetic(self):
         rep = classify(GraphSpec(FAMILY_COMPLETE, 9), 0.4)
         assert rep.verdict == VERDICT_BORDER
+
+    @pytest.mark.parametrize("comp", [False, True])
+    @pytest.mark.parametrize(
+        "family, n",
+        [(FAMILY_COMPLETE, 7), (FAMILY_UNITARY_CAYLEY, 30), (FAMILY_UACG, 10), (FAMILY_UACG, 27),
+         (FAMILY_UACG, 125), (FAMILY_UACG, 15), (FAMILY_UACG, 105), (FAMILY_UACG, 1155)],
+    )
+    def test_batched_verdicts_equal_one_alpha_verdicts(self, family, n, comp):
+        # every route: complete and edgeless, unitary Cayley and its
+        # complement, even unit-sum, odd prime powers, the numeric route
+        spec = GraphSpec(family, n, comp)
+        grid = tuple(i / 20 for i in range(20)) + (0.9999,)
+        for tol in (1e-6, 1e-3):
+            assert _classify_all(spec, grid, tol) == [classify(spec, a, tol) for a in grid]
+        assert _classify_all(spec, grid) == [classify(spec, a) for a in grid]
 
 
 class TestEdgelessSpecs:

@@ -24,7 +24,9 @@ from uacg.cli import (
     EXIT_VERIFY_FAILED,
     main,
 )
-from uacg.graphs import DENSE_ORDER_LIMIT
+from uacg.analysis import classify, find_borderenergetic_alphas
+from uacg.closedform import ALPHA_GRID, complete_energy, energy_report
+from uacg.graphs import DENSE_ORDER_LIMIT, parse_spec_label
 from uacg.verification import CheckResult
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -399,6 +401,89 @@ class TestGoldenOutput:
         for argv, expected_out, expected_code in calls:
             code, out, _ = run_cli(argv)
             assert (code, out) == (expected_code, expected_out), argv
+
+
+class TestBatchedGrids:
+    """sweep and table price each grid in one call; their stdout must equal
+    the text built from one classify or energy_report call per alpha, on the
+    numeric route too (whose digits depend on the BLAS build, so they are
+    compared in one process rather than stored in cli_golden.txt)."""
+
+    @staticmethod
+    def written(argv, header, lines, results):
+        out = StringIO()
+        with redirect_stdout(out):
+            cli_mod._write(cli_mod._build_parser().parse_args(argv), header, lines, results)
+        return out.getvalue()
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize(
+        "family, n", [("uacg", 15), ("complement-uacg", 105), ("uacg", 1155)]
+    )
+    def test_sweep_equals_one_classify_per_alpha(self, family, n, fmt):
+        argv = ["sweep", "--family", family, "--n", str(n), "--alpha-start", "0.05",
+                "--alpha-end", "0.95", "--step", "0.05", "--format", fmt]
+        spec = parse_spec_label(family, n)
+        reports = [classify(spec, min(0.05 + k * 0.05, 0.95)) for k in range(19)]
+        fmt12g = cli_mod._fmt12g
+        expected = self.written(
+            argv,
+            "alpha,energy,complete_energy,verdict",
+            (f"{fmt12g(r.alpha)},{fmt12g(r.energy)},{fmt12g(r.complete_energy)},{r.verdict}"
+             for r in reports),
+            lambda: {"rows": [
+                {"alpha": r.alpha, "energy": r.energy, "complete_energy": r.complete_energy,
+                 "verdict": r.verdict}
+                for r in reports
+            ]},
+        )
+        assert run_cli(argv) == (EXIT_OK, expected, "")
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_energy_table_equals_one_report_per_alpha(self, fmt):
+        labels = [cli_mod._fmt12g(a) for a in ALPHA_GRID]
+        rows = [
+            (family, n, [f"{energy_report(parse_spec_label(family, n), a).energy:.3f}"
+                         for a in ALPHA_GRID])
+            for n in cli_mod.TABLE1_NS
+            for family in ("uacg", "complement-uacg", "complete")
+        ]
+        argv = ["table", "--which", "1", "--format", fmt]
+        expected = self.written(
+            argv,
+            "family,n," + ",".join(labels),
+            (f"{family},{n}," + ",".join(cells) for family, n, cells in rows),
+            lambda: {"alphas": labels, "rows": [
+                {"family": family, "n": n, "energies": [float(c) for c in cells]}
+                for family, n, cells in rows
+            ]},
+        )
+        assert run_cli(argv) == (EXIT_OK, expected, "")
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("which", [2, 3])
+    def test_root_tables_equal_one_report_per_root(self, which, fmt):
+        ns, family = (
+            (cli_mod.TABLE2_NS, "uacg") if which == 2 else (cli_mod.TABLE3_NS, "complement-uacg")
+        )
+        rows = []
+        for n in ns:
+            spec = parse_spec_label(family, n)
+            for root in find_borderenergetic_alphas(spec):
+                values = (root, energy_report(spec, root).energy, complete_energy(n, root))
+                rows.append((n, *map(cli_mod._fmt_dec12, values)))
+        assert rows
+        argv = ["table", "--which", str(which), "--format", fmt]
+        expected = self.written(
+            argv,
+            "n,alpha,energy,complete_energy",
+            (",".join(map(str, row)) for row in rows),
+            lambda: {"rows": [
+                {"n": n, "alpha": float(a), "energy": float(e), "complete_energy": float(c)}
+                for n, a, e, c in rows
+            ]},
+        )
+        assert run_cli(argv) == (EXIT_OK, expected, "")
 
 
 class TestWriter:

@@ -11,6 +11,7 @@ before the closed forms were written.
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from uacg.closedform import (
     METHOD_CLOSED,
     METHOD_NUMERIC,
     METHOD_REGULAR,
+    _energy_reports,
     _ramanujan_pairs,
     _route,
     alpha_energy_from_values,
@@ -67,6 +69,19 @@ from uacg.numtheory import (
 )
 
 ODD_PRIME_POWERS = [3, 5, 7, 9, 11, 13, 25, 27, 49, 81, 121, 125]
+
+# One or two specs on every route, for the batched-equals-scalar tests:
+# complete, edgeless, unitary Cayley and its complement, even unit-sum, odd
+# prime powers, and the numeric route at two, three and four prime factors.
+GRID_SPECS = [
+    GraphSpec(FAMILY_COMPLETE, 7),
+    GraphSpec(FAMILY_COMPLETE, 7, complement=True),
+    *(GraphSpec(FAMILY_UNITARY_CAYLEY, 30, comp) for comp in (False, True)),
+    *(GraphSpec(FAMILY_UACG, 10, comp) for comp in (False, True)),
+    *(GraphSpec(FAMILY_UACG, n, comp) for n in (27, 125) for comp in (False, True)),
+    *(GraphSpec(FAMILY_UACG, n, comp) for n in (15, 105, 1155) for comp in (False, True)),
+]
+GRID = tuple(i / 20 for i in range(20)) + (0.9999,)
 
 
 def dense_values(spec: GraphSpec, alpha: float) -> np.ndarray:
@@ -484,6 +499,32 @@ class TestEnergyReport:
                 got = _route(gspec)[2](alphas)
                 assert got == want, gspec
                 assert all(type(e) is float for e in got), gspec
+
+    @pytest.mark.parametrize("spec", GRID_SPECS, ids=str)
+    def test_batched_reports_equal_one_alpha_reports(self, spec):
+        assert _energy_reports(spec, GRID) == [energy_report(spec, alpha) for alpha in GRID]
+        assert _energy_reports(spec, ()) == []
+
+    def test_batched_reports_reject_alpha_one(self):
+        with pytest.raises(ValueError, match="alpha must lie in"):
+            _energy_reports(GraphSpec(FAMILY_UACG, 15), (0.5, 1.0))
+
+    def test_long_block_grid_holds_one_chunk_of_values(self):
+        # 5,000 alphas at n = 255,255 (1,362 block values each): all of
+        # them at once would be a 54 MB values array alone.  The energies
+        # walk the grid in chunks of _BATCH_ELEMENTS // 1,362 = 96 alphas,
+        # about 1 MB of values each.
+        energies = _route(GraphSpec(FAMILY_UACG, 255255))[2]
+        alphas = [i / 5000 for i in range(5000)]
+        first = energies(alphas[:1])  # the cached block layout, outside the trace
+        tracemalloc.start()
+        try:
+            got = energies(alphas)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
+        assert len(got) == 5000 and got[0] == first[0]
 
     @pytest.mark.parametrize("comp", [False, True])
     def test_closed_form_energies_check_their_integers_once(self, monkeypatch, comp):

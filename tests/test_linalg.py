@@ -11,6 +11,7 @@ import ast
 import math
 import tracemalloc
 from collections import Counter
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -666,42 +667,75 @@ class TestGroupSpectrum:
         assert all(reps[i] - reps[i + 1] > tol for i in range(len(reps) - 1))
         assert spec.n == len(vals)
 
-    @given(
-        data=st.lists(
-            st.sampled_from([-2.0, -1.0, -1.0 + 1e-9, 0.0, 0.1, 0.3, 0.3 + 2e-8, 5.0]),
-            max_size=40,
-        ),
-        tol=st.sampled_from([1e-9, 1e-8, 1e-7, 0.25]),
+    # (value, count) pairs for _group: near repeats and spread values alike,
+    # with counts far above one, as the closed forms and the blocks give.
+    value_counts = st.dictionaries(
+        st.sampled_from([-2.0, -1.0, -1.0 + 1e-9, 0.0, 0.1, 0.3, 0.3 + 2e-8, 5.0])
+        | st.floats(min_value=-50.0, max_value=50.0),
+        st.integers(min_value=1, max_value=3000),
+        min_size=1,
+        max_size=8,
     )
+
+    @staticmethod
+    def sorted_pairs(pairs: dict[float, int]) -> tuple[np.ndarray, np.ndarray]:
+        vals = np.array(sorted(pairs, reverse=True))
+        return vals, np.array([pairs[v] for v in vals], dtype=np.int64)
+
+    @given(pairs=value_counts, tol=st.sampled_from([1e-9, 1e-8, 1e-7, 0.25, 0.5, 10.0]))
     @settings(max_examples=200, deadline=None)
-    def test_matches_loop_reference(self, data, tol):
-        # The clustering loop group_spectrum replaced; results must be equal
-        # bit for bit, since the same slices are averaged.
-        vals = np.array(sorted(data, reverse=True), dtype=float)
-        pairs, start = [], 0
-        for i in range(1, vals.size + 1):
-            if i == vals.size or vals[i - 1] - vals[i] > tol:
-                pairs.append((float(vals[start:i].mean()), i - start))
-                start = i
-        assert group_spectrum(vals, tol=tol) == Spectrum(pairs=tuple(pairs), n=vals.size)
+    def test_cuts_match_expanded_grouping(self, pairs, tol):
+        # Reference: walk the distinct values and cut wherever the gap to
+        # the next one exceeds tol (repeats have gap 0 and never cut).
+        vals, counts = self.sorted_pairs(pairs)
+        sizes = [int(counts[0])]
+        for i in range(1, vals.size):
+            if vals[i - 1] - vals[i] > tol:
+                sizes.append(0)
+            sizes[-1] += int(counts[i])
+        for spectrum in (_group(vals, counts, tol), group_spectrum(np.repeat(vals, counts), tol)):
+            assert spectrum.multiplicities() == tuple(sizes)
+            assert spectrum.n == int(counts.sum())
 
     @given(
-        pairs=st.dictionaries(
-            st.floats(min_value=-50.0, max_value=50.0),
-            st.integers(min_value=1, max_value=3000),
-            min_size=1,
-            max_size=8,
-        ),
-        tol=st.sampled_from([1e-9, 1e-7, 0.5, 10.0]),
+        value=st.floats(min_value=-50.0, max_value=50.0),
+        count=st.integers(min_value=1, max_value=3000),
+        tol=st.sampled_from([1e-9, 1e-7, 10.0]),
     )
     @settings(max_examples=200, deadline=None)
-    def test_counts_match_expanded_values(self, pairs, tol):
-        # Grouping (value, count) pairs must equal grouping the expanded
-        # list bit for bit, also for clusters of many values, where numpy
-        # sums pairwise.
-        vals = np.array(sorted(pairs, reverse=True))
-        counts = np.array([pairs[v] for v in vals], dtype=np.int64)
-        assert _group(vals, counts, tol) == group_spectrum(np.repeat(vals, counts), tol)
+    def test_one_value_cluster_is_exact(self, value, count, tol):
+        want = ((value, count),)
+        assert _group(np.array([value]), np.array([count]), tol).pairs == want
+        assert group_spectrum(np.full(count, value), tol).pairs == want
+
+    def test_one_value_cluster_is_exact_where_a_sum_is_not(self):
+        # Three copies of 0.1 sum to 0.30000000000000004, whose third is not
+        # 0.1; a cluster of one value keeps it anyway, beside a wider cluster.
+        assert np.full(3, 0.1).mean() != 0.1
+        spectrum = _group(np.array([5.0, 0.1, 0.1 - 1e-9]), np.array([2, 3, 1]), 1e-7)
+        assert spectrum.pairs[0] == (5.0, 2)
+        assert group_spectrum(np.array([5.0, 0.1, 0.1, 0.1]), 1e-7).pairs[1] == (0.1, 3)
+
+    @given(pairs=value_counts, tol=st.sampled_from([1e-8, 0.5, 10.0, 200.0]))
+    @settings(max_examples=200, deadline=None)
+    def test_wide_cluster_mean_within_rounding_bound(self, pairs, tol):
+        # A cluster of w distinct values and k members takes the dot product
+        # of w terms, off by at most gamma_w * k * max|v| (gamma_w about w
+        # units of rounding, eps / 2 each), then divides by k, one rounding
+        # more: so its mean is within w * eps * max|v| of the exact one, plus
+        # the smallest subnormal where a mean underflows.
+        vals, counts = self.sorted_pairs(pairs)
+        start = 0
+        for value, k in _group(vals, counts, tol).pairs:
+            stop = start + int(np.searchsorted(np.cumsum(counts[start:]), k)) + 1
+            members = list(zip(vals[start:stop].tolist(), counts[start:stop].tolist()))
+            assert sum(c for _, c in members) == k
+            exact = sum(Fraction(v) * c for v, c in members) / k
+            bound = len(members) * np.finfo(float).eps * max(abs(v) for v, _ in members)
+            bound += math.ulp(0.0)
+            assert abs(Fraction(value) - exact) <= Fraction(bound)
+            start = stop
+        assert start == vals.size
 
     def test_default_tolerance_constant(self):
         assert DEFAULT_GROUP_TOL == 1e-7
