@@ -161,12 +161,18 @@ _BUILDERS = {
 }
 
 
+def _check_dense_order(n: int, name: str = "n") -> int:
+    """n; ValueError when the order n (called name) is above DENSE_ORDER_LIMIT."""
+    if n > DENSE_ORDER_LIMIT:
+        raise ValueError(
+            f"{name}={n} exceeds the dense limit DENSE_ORDER_LIMIT={DENSE_ORDER_LIMIT}"
+        )
+    return n
+
+
 def build_graph(spec: GraphSpec) -> Graph:
     """Dense graph for a spec; ValueError above DENSE_ORDER_LIMIT, before allocating."""
-    if spec.n > DENSE_ORDER_LIMIT:
-        raise ValueError(
-            f"n={spec.n} exceeds the dense limit DENSE_ORDER_LIMIT={DENSE_ORDER_LIMIT}"
-        )
+    _check_dense_order(spec.n)
     g = _BUILDERS[spec.family](spec.n)
     return complement(g) if spec.complement else g
 

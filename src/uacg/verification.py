@@ -34,10 +34,10 @@ from .closedform import (
     unitary_cayley_adjacency_energy,
 )
 from .graphs import (
-    DENSE_ORDER_LIMIT,
     FAMILY_UACG,
     Graph,
     GraphSpec,
+    _check_dense_order,
     build_graph,
     complement,
     edge_count,
@@ -94,12 +94,7 @@ def odd_prime_powers(nmax: int) -> list[int]:
 def _check_nmax(nmax: int) -> int:
     """nmax as an int; ValueError unless it is an integer in
     3..DENSE_ORDER_LIMIT, since every check builds dense graphs up to nmax."""
-    nmax = _check_int(nmax, "nmax", 3)
-    if nmax > DENSE_ORDER_LIMIT:
-        raise ValueError(
-            f"nmax={nmax} exceeds the dense limit DENSE_ORDER_LIMIT={DENSE_ORDER_LIMIT}"
-        )
-    return nmax
+    return _check_dense_order(_check_int(nmax, "nmax", 3), "nmax")
 
 
 def _worst(

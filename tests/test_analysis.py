@@ -9,12 +9,15 @@ and frozen before the finder existed.
 """
 
 import math
+import sys
 
 import numpy as np
 import pytest
 
 import uacg.analysis
 import uacg.closedform
+import uacg.graphs
+import uacg.linalg
 from uacg.analysis import (
     _classify_all,
     _convex_roots,
@@ -246,16 +249,27 @@ class TestBoundReport:
         rep = bound_report(GraphSpec(FAMILY_UACG, 15, complement=True), 0.25)
         assert all(b.satisfied for b in rep.per_index)
 
-    def test_rejects_order_above_dense_limit(self):
-        with pytest.raises(ValueError, match="DENSE_ORDER_LIMIT"):
-            bound_report(GraphSpec(FAMILY_UACG, DENSE_ORDER_LIMIT + 1), 0.25)
+    def test_rejects_order_above_dense_limit(self, monkeypatch):
+        # per_index holds n entries, so the limit is checked before any
+        # interval or block is computed
+        def refuse(*args):
+            raise AssertionError("computed above the dense limit")
+
+        monkeypatch.setattr(uacg.analysis, "_odd_eigen_arrays", refuse)
+        monkeypatch.setattr(uacg.analysis, "block_eigenvalues", refuse)
+        for comp in (False, True):
+            with pytest.raises(ValueError, match="DENSE_ORDER_LIMIT"):
+                bound_report(GraphSpec(FAMILY_UACG, DENSE_ORDER_LIMIT + 1, comp), 0.25)
 
     def test_matches_the_intervals_and_the_dense_values(self):
-        for n in (3, 9, 15, 45, 105):
+        # Observed values are the block route's sorted expansion, exactly,
+        # and agree with the dense solve to rounding.
+        for n in range(3, 402, 2):
             for complement_flag in (False, True):
                 spec = GraphSpec(FAMILY_UACG, n, complement=complement_flag)
-                for alpha in (0.0, 0.37, 1.0):
-                    observed = observed_values(spec, alpha)
+                for alpha in (0.0, 0.37, 0.9999, 1.0):
+                    vals, mults = block_eigenvalues(spec, alpha)
+                    observed = np.sort(np.repeat(vals, mults))[::-1]
                     want = tuple(
                         (b.index, b.lower, b.upper, float(observed[b.index - 1]),
                          b.lower - BOUND_SLACK <= observed[b.index - 1] <= b.upper + BOUND_SLACK)
@@ -266,12 +280,50 @@ class TestBoundReport:
                             for b in got] == list(want)
                     assert all(type(b.satisfied) is bool and type(b.observed) is float
                                for b in got)
+                    dense = observed_values(spec, alpha)
+                    err = np.abs(observed - dense).max() / max(1.0, np.abs(dense).max())
+                    assert err <= 1e-12, (n, complement_flag, alpha)
+
+    def test_energy_equals_the_numeric_route(self):
+        # Off the prime powers both sum multiplicity * |value - shift| over
+        # the same blocks, so the energies agree bit for bit.
+        for n in range(15, 402, 2):
+            if prime_power(n) is not None:
+                continue
+            for comp in (False, True):
+                spec = GraphSpec(FAMILY_UACG, n, comp)
+                for alpha in (0.0, 0.37, 0.9999):
+                    got = bound_report(spec, alpha).energy_observed
+                    assert got == energy_report(spec, alpha).energy, (n, comp, alpha)
+
+    def test_builds_no_graph_and_solves_nothing_dense(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("dense path reached")
+
+        dense = (uacg.graphs.build_graph, uacg.linalg.symmetric_eigenvalues)
+        for name, module in list(sys.modules.items()):
+            if name == "uacg" or name.startswith("uacg."):
+                for attr, value in list(vars(module).items()):
+                    if any(value is f for f in dense):
+                        monkeypatch.setattr(module, attr, refuse)
+        for n in (105, 135):
+            for comp in (False, True):
+                rep = bound_report(GraphSpec(FAMILY_UACG, n, comp), 0.3)
+                assert len(rep.per_index) == n
+                assert all(b.satisfied for b in rep.per_index), (n, comp)
 
     def test_unsatisfied_interval_is_reported(self, monkeypatch):
         spec = GraphSpec(FAMILY_UACG, 15)
-        real = uacg.analysis.symmetric_eigenvalues
-        monkeypatch.setattr(uacg.analysis, "symmetric_eigenvalues",
-                            lambda a: real(a) + np.where(np.arange(15) == 4, 2.0, 0.0))
+        real = uacg.analysis.block_eigenvalues
+
+        def shifted(spec, alpha):
+            # The fifth largest value is simple at this order; 0.15 moves it
+            # past its interval's upper end but not past the fourth.
+            values, mults = real(spec, alpha)
+            fifth = np.sort(np.repeat(values, mults))[::-1][4]
+            return np.where(values == fifth, values + 0.15, values), mults
+
+        monkeypatch.setattr(uacg.analysis, "block_eigenvalues", shifted)
         rep = bound_report(spec, 0.3)
         assert [b.index for b in rep.per_index if not b.satisfied] == [5]
 
