@@ -15,11 +15,13 @@ from __future__ import annotations
 import math
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .blocks import block_eigenvalues
+from .blocks import _energy_floors, block_eigenvalues
 from .closedform import (
+    METHOD_NUMERIC,
     METHOD_REGULAR,
     _complete_energy,
     _energy_reports,
@@ -58,8 +60,7 @@ ENERGY_BOUND_NAMES = ("frobenius", "edge_count", "zagreb", "max_degree")
 BOUND_SLACK = 1e-8
 
 
-@dataclass(frozen=True)
-class IndexBound:
+class IndexBound(NamedTuple):
     """Closed interval guaranteed to contain the k-th largest eigenvalue.
 
     index is the rank k, counted from 1 for the largest eigenvalue.
@@ -70,8 +71,7 @@ class IndexBound:
     upper: float
 
 
-@dataclass(frozen=True)
-class ObservedBound:
+class ObservedBound(NamedTuple):
     """An IndexBound together with the numerically observed eigenvalue."""
 
     index: int
@@ -124,10 +124,7 @@ def eigenvalue_intervals(spec: GraphSpec, alpha: float) -> tuple[IndexBound, ...
     non-units.
     """
     lower, upper = _odd_eigen_arrays(spec, alpha)
-    return tuple(
-        IndexBound(index=k, lower=lo, upper=up)
-        for k, (lo, up) in enumerate(zip(lower.tolist(), upper.tolist()), start=1)
-    )
+    return tuple(map(IndexBound._make, zip(range(1, spec.n + 1), lower.tolist(), upper.tolist())))
 
 
 # ---------------------------------------------------------------------------
@@ -197,9 +194,7 @@ def bound_report(spec: GraphSpec, alpha: float) -> BoundReport:
     observed = np.sort(np.repeat(values, mults))[::-1]
     satisfied = (lower - BOUND_SLACK <= observed) & (observed <= upper + BOUND_SLACK)
     columns = (lower.tolist(), upper.tolist(), observed.tolist(), satisfied.tolist())
-    per_index = tuple(
-        ObservedBound(k, lo, up, obs, ok) for k, (lo, up, obs, ok) in enumerate(zip(*columns), 1)
-    )
+    per_index = tuple(map(ObservedBound._make, zip(range(1, spec.n + 1), *columns)))
     if alpha < 1.0:
         lowers, upper = energy_bounds(spec, alpha)
         energy = float(mults @ np.abs(values - 2.0 * alpha * edge_count(spec) / spec.n))
@@ -273,27 +268,29 @@ def _classify_all(
 _COARSE_ALPHAS = tuple(i / 16 for i in range(16)) + (1.0 - 1e-9,)
 
 
-def _secant_floor(xs: list[float], vs: list[float], i: int) -> float:
-    """Lower bound of a convex function on [xs[i], xs[i+1]] from its samples.
+def _secant_floors(xs: list[float], vs: list[float]) -> np.ndarray:
+    """Lower bound of a convex function on each [xs[i], xs[i+1]] from its samples.
 
     A convex function lies above each secant extended past its ends, so on
-    this interval it lies above the secant of the interval to its left and
+    an interval it lies above the secant of the interval to its left and
     the secant of the interval to its right.  The larger of those two lines
-    is least at an end of the interval or where the lines cross.
+    is least at an end of the interval or where the lines cross.  A missing
+    neighbour is a nan line, which fmax and fmin pass over; an interval with
+    neither neighbour gets -inf.
     """
-    lines = [
-        (xs[j], vs[j], (vs[j + 1] - vs[j]) / (xs[j + 1] - xs[j]))
-        for j in (i - 1, i + 1)
-        if 0 <= j < len(xs) - 1
-    ]
-    if not lines:
-        return -math.inf
-    points = [xs[i], xs[i + 1]]
-    if len(lines) == 2 and lines[0][2] != lines[1][2]:
-        (xa, va, sa), (xb, vb, sb) = lines
-        cross = (vb - va + sa * xa - sb * xb) / (sa - sb)
-        points.append(min(max(cross, xs[i]), xs[i + 1]))
-    return min(max(v + s * (x - x0) for x0, v, s in lines) for x in points)
+    x, v = np.array(xs), np.array(vs)
+    slope = np.diff(v) / np.diff(x)
+    k = len(slope)
+    lines = np.full((3, 2, k), np.nan)  # (x0, v0, slope) of the left and the right line
+    lines[:, 0, 1:] = x[: k - 1], v[: k - 1], slope[: k - 1]
+    lines[:, 1, :-1] = x[1:k], v[1:k], slope[1:k]
+    (xa, xb), (va, vb), (sa, sb) = lines
+    with np.errstate(divide="ignore", invalid="ignore"):  # parallel lines do not cross
+        cross = np.minimum(np.maximum((vb - va + sa * xa - sb * xb) / (sa - sb), x[:-1]), x[1:])
+    points = np.stack((x[:-1], x[1:], cross))[:, None]
+    heights = np.fmax.reduce(lines[1] + lines[2] * (points - lines[0]), axis=1)
+    floors = np.fmin.reduce(heights, axis=0)
+    return np.where(np.isnan(floors), -np.inf, floors)
 
 
 def _bisect(
@@ -314,33 +311,44 @@ def _bisect(
     return 0.5 * (pos + neg)
 
 
+def _refine(
+    gaps: Callable[[Sequence[float]], list[float]], touch: float, tol: float
+) -> tuple[list[float], list[float], bool]:
+    """(alphas, gaps, proven): samples of a convex gap on [0, 1), ascending.
+
+    gaps is called once for the coarse samples and once per round with all
+    of its midpoints.  While every sample is above touch, each interval
+    whose secant floor (_secant_floors) is at or below touch and wider than
+    tol is halved.  Stops once a sample is at or below touch, or when no
+    interval is left to halve; proven says that every secant floor is then
+    above touch, so the gap is above touch on all of [0, 1).
+    """
+    samples = dict(zip(_COARSE_ALPHAS, gaps(_COARSE_ALPHAS)))
+    while True:
+        xs = sorted(samples)
+        vs = [samples[a] for a in xs]
+        if min(vs) <= touch:
+            return xs, vs, False
+        dips = np.flatnonzero(_secant_floors(xs, vs) <= touch).tolist()
+        mids = [0.5 * (xs[i] + xs[i + 1]) for i in dips if xs[i + 1] - xs[i] > tol]
+        mids = [a for a in mids if a not in samples]
+        if not mids:
+            return xs, vs, not dips
+        samples.update(zip(mids, gaps(mids)))
+
+
 def _convex_roots(
     gaps: Callable[[Sequence[float]], list[float]], touch: float, tol: float
 ) -> list[float]:
     """Roots in [0, 1) of a convex gap, ascending; see find_borderenergetic_alphas.
 
-    gaps evaluates the gap on a batch of alphas: one call for the coarse
-    samples, one per refinement round for all of its midpoints, and one per
-    bisection step.  A value within touch of zero counts as zero, and roots
-    are bracketed to width tol.
+    gaps evaluates the gap on a batch of alphas: the samples of _refine,
+    then one alpha per bisection step.  A value within touch of zero counts
+    as zero, and roots are bracketed to width tol.
     """
-    samples = dict(zip(_COARSE_ALPHAS, gaps(_COARSE_ALPHAS)))
-    if all(abs(v) <= touch for v in samples.values()):
+    xs, vs, _ = _refine(gaps, touch, tol)
+    if min(vs) > touch or all(abs(v) <= touch for v in vs):
         return []
-    while True:
-        xs = sorted(samples)
-        vs = [samples[a] for a in xs]
-        if min(vs) <= touch:
-            break
-        mids = [
-            0.5 * (xs[i] + xs[i + 1])
-            for i in range(len(xs) - 1)
-            if xs[i + 1] - xs[i] > tol and _secant_floor(xs, vs, i) <= touch
-        ]
-        mids = [a for a in mids if a not in samples]
-        if not mids:
-            return []
-        samples.update(zip(mids, gaps(mids)))
     # The samples at or below touch form one run; a root closes each end.
     low = [i for i, v in enumerate(vs) if v <= touch]
     roots = set()
@@ -378,6 +386,14 @@ def find_borderenergetic_alphas(spec: GraphSpec, tol: float = 1e-12) -> list[flo
     midpoints is one more, so on the numeric route each is one stacked block
     solve.  Each energy equals energy_report's for that alpha.
 
+    On the numeric route the same search first runs, with no eigensolve, on
+    the gap of a convex lower bound of the energy (blocks._energy_floors),
+    lowered by a relative 1e-9: the floor's rounding is O(eps) relative to
+    the block entries, so this covers it many times over.  If that search
+    proves the gap above touch on all of [0, 1), so is the true gap and the
+    result is []; otherwise the search above runs unchanged.  The roots are
+    the same either way.
+
     On the regular-shortcut route the gap is (1 - alpha)*(E_0 - 2*(n - 1)),
     with E_0 the adjacency energy: zero on all of [0, 1) or nowhere, so the
     result is [] unsampled (samples just under 1 fall within touch of zero).
@@ -389,7 +405,11 @@ def find_borderenergetic_alphas(spec: GraphSpec, tol: float = 1e-12) -> list[flo
     if method == METHOD_REGULAR:
         return []
 
-    def gaps(alphas: Sequence[float]) -> list[float]:
-        return [e - _complete_energy(n, a) for e, a in zip(energies(alphas), alphas)]
+    def gap_of(energies: Callable[[Sequence[float]], list[float]]) -> Callable:
+        return lambda alphas: [e - _complete_energy(n, a) for e, a in zip(energies(alphas), alphas)]
 
-    return _convex_roots(gaps, touch, tol)
+    if method == METHOD_NUMERIC:
+        floors = gap_of(lambda xs: (_energy_floors(spec, xs) * (1.0 - 1e-9)).tolist())
+        if _refine(floors, touch, tol)[2]:
+            return []
+    return _convex_roots(gap_of(energies), touch, tol)

@@ -35,14 +35,24 @@ from itertools import combinations
 
 import numpy as np
 
-from .graphs import FAMILY_UACG, GraphSpec
+from .graphs import FAMILY_UACG, GraphSpec, edge_count
 from .linalg import _BATCH_ELEMENTS, _check_alpha
 from .numtheory import euler_phi, factorize
 
 __all__ = ["block_eigenvalues", "unit_sum_blocks"]
 
+# Most orders whose blocks are cached.  A verify pass at nmax = 201 walks its
+# 100 odd orders in two checks, which a 64-order cache missed every time;
+# their blocks hold about 0.5 MB, those of n = 111546435 alone 17 MB.
+_BLOCK_ORDERS = 128
 
-@lru_cache(maxsize=64)
+
+def _check_unit_sum(spec: GraphSpec) -> None:
+    if spec.family != FAMILY_UACG:
+        raise ValueError(f"the block decomposition covers the unit-sum family, not {spec.family!r}")
+
+
+@lru_cache(maxsize=_BLOCK_ORDERS)
 def unit_sum_blocks(n: int) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray], ...]:
     """The blocks of (L, P, J) for odd n >= 3, stacked by width.
 
@@ -92,7 +102,7 @@ def unit_sum_blocks(n: int) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray, n
     return tuple(reversed(out))
 
 
-@lru_cache(maxsize=64)
+@lru_cache(maxsize=_BLOCK_ORDERS)
 def _stack_layout(n: int) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
     """The identity matrix of each block width of unit_sum_blocks(n), and the
     multiplicity of each value _stacked_eigenvalues lists; read-only.
@@ -112,6 +122,72 @@ def _stack_layout(n: int) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
     return eyes, mults
 
 
+def _alpha_blocks(spec: GraphSpec, alphas: np.ndarray, block: tuple, eye: np.ndarray) -> np.ndarray:
+    """One width's stack of A_alpha blocks for alphas shaped (k, 1, 1, 1):
+    one float recipe for every caller, so their entries agree bit for bit."""
+    lsum, units, ones, _ = block
+    kept = 1.0 - alphas
+    a = kept * lsum + alphas * euler_phi(spec.n) * eye - units
+    if spec.complement:
+        a = (alphas * spec.n - 1.0) * eye + kept * ones - a
+    return a
+
+
+@lru_cache(maxsize=2 * _BLOCK_ORDERS)
+def _floor_terms(spec: GraphSpec) -> np.ndarray:
+    """Rows multiplicity, t0, t1, rest, curve, vertex of _energy_floors, one
+    column per block wider than 1; read-only.
+
+    On a block, C = A_alpha - (2*alpha*m/n) I = C0 + alpha C1 has trace
+    t0 + alpha t1, and u, the entries of C or (c11 - c22, 2 c12) at width 2,
+    has |u|**2 = rest + curve * (alpha - vertex)**2.  rest is summed from the
+    entries of u(vertex), so near its zero |u| is off by O(eps |C|), not the
+    O(sqrt(eps) |C|) of expanded polynomial coefficients.
+    """
+    shift, ends = 2.0 * edge_count(spec) / spec.n, np.array([0.0, 1.0]).reshape(-1, 1, 1, 1)
+    columns = []
+    for block, eye in zip(unit_sum_blocks(spec.n)[1:], _stack_layout(spec.n)[0][1:]):
+        c0, c1 = _alpha_blocks(spec, ends, block, eye)
+        c1 = c1 - c0 - shift * eye
+        if eye.shape[0] == 2:
+            u0, u1 = (np.stack((c[:, 0, 0] - c[:, 1, 1], 2.0 * c[:, 0, 1]), -1) for c in (c0, c1))
+        else:
+            u0, u1 = c0.reshape(len(c0), -1), c1.reshape(len(c1), -1)
+        curve, slope = (u1 * u1).sum(axis=1), (u0 * u1).sum(axis=1)
+        vertex = np.divide(-slope, curve, out=np.zeros_like(curve), where=curve > 0)
+        rest = ((u0 + vertex[:, None] * u1) ** 2).sum(axis=1)
+        trace = (np.trace(c, axis1=1, axis2=2) for c in (c0, c1))
+        columns.append((block[3], *trace, rest, curve, vertex))
+    terms = np.concatenate([np.array(c, dtype=float) for c in columns], axis=1)
+    terms.setflags(write=False)
+    return terms
+
+
+def _energy_floors(spec: GraphSpec, alphas: Sequence[float]) -> np.ndarray:
+    """A lower bound on the alpha energy of an odd-order unit-sum spec at
+    each of alphas (in [0, 1]): O(blocks) per alpha, no eigensolve.
+
+    The energy is sum c |C|_* over the blocks, C = B(alpha) - (2*alpha*m/n) I
+    and c the block's multiplicity.  A width-1 block adds c |c11|, each term
+    bit-identical to the numeric route's.  A wider block adds c max(|tr C|,
+    |u|), from cached coefficients: at width 2 that is exact, |mu1| + |mu2| =
+    max(|mu1 + mu2|, hypot(c11 - c22, 2 c12)), and at width >= 4 it is
+    max(|tr C|, |C|_F) <= |C|_*.  Each term is a norm of an affine function
+    of alpha, so the floor is convex in alpha.
+    """
+    _check_unit_sum(spec)
+    n = spec.n
+    a = np.asarray(alphas, dtype=float)
+    single = unit_sum_blocks(n)[0]
+    scalars = _alpha_blocks(spec, a.reshape(-1, 1, 1, 1), single, _stack_layout(n)[0][0])
+    shifts = 2.0 * a * edge_count(spec) / n
+    floors = np.abs(scalars.reshape(len(a), -1) - shifts[:, None]) @ single[3].astype(float)
+    mult, t0, t1, rest, curve, vertex = _floor_terms(spec)
+    a = a[:, None]
+    wide = np.maximum(np.abs(t0 + a * t1), np.sqrt(rest + curve * (a - vertex) ** 2))
+    return floors + wide @ mult
+
+
 def _stacked_eigenvalues(
     spec: GraphSpec, alphas: Sequence[float]
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -123,24 +199,20 @@ def _stacked_eigenvalues(
     operations as for one alpha and solved on its own, so each row is
     bit-identical to the values of that alpha alone.
     """
-    if spec.family != FAMILY_UACG:
-        raise ValueError(f"the block decomposition covers the unit-sum family, not {spec.family!r}")
+    _check_unit_sum(spec)
     alphas = np.array([_check_alpha(a, allow_one=True) for a in alphas]).reshape(-1, 1, 1, 1)
-    n = spec.n
-    keep, diag, top = 1.0 - alphas, alphas * euler_phi(n), alphas * n - 1.0
-    eyes, mults = _stack_layout(n)
+    eyes, mults = _stack_layout(spec.n)
     values = np.empty((len(alphas), mults.size))
     col = 0
-    for (lsum, units, ones, _), eye in zip(unit_sum_blocks(n), eyes):
-        count, width, _ = lsum.shape
-        step = max(1, _BATCH_ELEMENTS // lsum.size)
+    for block, eye in zip(unit_sum_blocks(spec.n), eyes):
+        count, width, _ = block[0].shape
+        step = max(1, _BATCH_ELEMENTS // block[0].size)
         for start in range(0, len(alphas), step):
             at = slice(start, start + step)
-            kept = keep[at]
-            a = kept * lsum + diag[at] * eye - units
-            if spec.complement:
-                a = top[at] * eye + kept * ones - a
-            values[at, col : col + count * width] = np.linalg.eigvalsh(a).reshape(-1, count * width)
+            a = _alpha_blocks(spec, alphas[at], block, eye)
+            # LAPACK returns the entry of a 1x1 matrix unchanged.
+            vals = a if width == 1 else np.linalg.eigvalsh(a)
+            values[at, col : col + count * width] = vals.reshape(-1, count * width)
         col += count * width
     return values, mults
 

@@ -385,11 +385,13 @@ def _route(spec: GraphSpec) -> tuple[str, Callable, Callable[[Sequence[float]], 
         edges = edge_count(spec)
 
         def block_energies(alphas: Sequence[float]) -> list[float]:
-            step, out = max(1, _BATCH_ELEMENTS // _stack_layout(n)[1].size), []
+            weights = _stack_layout(n)[1].astype(float)
+            step, out = max(1, _BATCH_ELEMENTS // weights.size), []
             for start in range(0, len(alphas), step):
                 chunk = alphas[start : start + step]
-                vals, mults = _stacked_eigenvalues(spec, chunk)
-                out += [float(mults @ np.abs(v - 2.0 * a * edges / n)) for v, a in zip(vals, chunk)]
+                vals, _ = _stacked_eigenvalues(spec, chunk)
+                shifts = 2.0 * np.array(chunk, dtype=float) * edges / n
+                out += [float(weights @ row) for row in np.abs(vals - shifts[:, None])]
             return out
 
         return METHOD_NUMERIC, lambda a: block_eigenvalues(spec, a), block_energies

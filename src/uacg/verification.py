@@ -20,7 +20,7 @@ from .analysis import (
     energy_bounds,
     find_borderenergetic_alphas,
 )
-from .blocks import _stacked_eigenvalues
+from .blocks import _energy_floors, _stacked_eigenvalues
 from .closedform import (
     ALPHA_GRID,
     alpha_energy_from_values,
@@ -324,13 +324,17 @@ def check_interval_containment(
 
 
 def check_energy_sandwich(nmax: int, alphas=SANDWICH_ALPHAS, slack: float = 1e-8) -> CheckResult:
-    """All four lower bounds <= numeric energy <= upper bound (odd orders)."""
-    nmax, slack = _check_nmax(nmax), _check_tol(slack)
-    rows = []
+    """All four lower bounds and the block energy floor <= numeric energy <=
+    upper bound (odd orders)."""
+    nmax, slack, alphas = _check_nmax(nmax), _check_tol(slack), tuple(alphas)
+    rows, floors = [], {}
     for spec, g, alpha, vals in _dense(range(3, nmax + 1, 2), alphas):
         energy = alpha_energy_from_values(vals, spec.n, g.m, alpha)
         lowers, upper = energy_bounds(spec, alpha)
-        rows.append((max(max(lowers.values()) - energy, energy - upper), 1, _at(spec, alpha)))
+        if spec not in floors:
+            floors[spec] = dict(zip(alphas, _energy_floors(spec, alphas).tolist()))
+        lower = max(*lowers.values(), floors[spec][alpha])
+        rows.append((max(lower - energy, energy - upper), 1, _at(spec, alpha)))
     return _worst("energy bound sandwich", slack, rows)
 
 

@@ -22,9 +22,12 @@ from uacg.analysis import (
     _classify_all,
     _convex_roots,
     _odd_eigen_arrays,
+    _refine,
+    _secant_floors,
     BOUND_SLACK,
     ENERGY_BOUND_NAMES,
     IndexBound,
+    ObservedBound,
     VERDICT_BORDER,
     VERDICT_HYPER,
     VERDICT_NEITHER,
@@ -37,6 +40,7 @@ from uacg.analysis import (
 from uacg.blocks import block_eigenvalues
 from uacg.closedform import (
     METHOD_REGULAR,
+    _route,
     alpha_energy_from_values,
     build_alpha_matrix,
     complete_energy,
@@ -237,6 +241,16 @@ class TestBoundReport:
         assert set(rep.energy_lowers) == set(ENERGY_BOUND_NAMES)
         assert rep.energy_observed is not None
         assert rep.energy_observed <= rep.energy_upper + BOUND_SLACK
+
+    def test_records_are_immutable_with_fixed_fields(self):
+        rep = bound_report(GraphSpec(FAMILY_UACG, 15), 0.3)
+        first = rep.per_index[0]
+        assert type(first) is ObservedBound
+        assert first._fields == ("index", "lower", "upper", "observed", "satisfied")
+        assert [b.index for b in rep.per_index] == list(range(1, 16))
+        assert type(eigenvalue_intervals(GraphSpec(FAMILY_UACG, 15), 0.3)[0]) is IndexBound
+        with pytest.raises(AttributeError):
+            first.observed = 0.0
 
     def test_alpha_one_has_no_energy_section(self):
         rep = bound_report(GraphSpec(FAMILY_UACG, 9), 1.0)
@@ -458,7 +472,8 @@ class TestRootFinder:
         with pytest.raises(ValueError):
             find_borderenergetic_alphas(GraphSpec(FAMILY_UACG, 27), tol=tol)
 
-    def test_numeric_order_needs_few_gap_evaluations(self, monkeypatch):
+    @staticmethod
+    def count_solves(monkeypatch):
         batches = []
         real = uacg.closedform._stacked_eigenvalues
 
@@ -467,9 +482,58 @@ class TestRootFinder:
             return real(spec, alphas)
 
         monkeypatch.setattr(uacg.closedform, "_stacked_eigenvalues", counting)
-        assert find_borderenergetic_alphas(GraphSpec(FAMILY_UACG, 105)) == []
+        return batches
+
+    def test_numeric_order_needs_few_gap_evaluations(self, monkeypatch):
+        # the energy floor proves n = 105 root-free without a block solve
+        batches = self.count_solves(monkeypatch)
+        for comp in (False, True):
+            assert find_borderenergetic_alphas(GraphSpec(FAMILY_UACG, 105, comp)) == []
+        assert batches == []
+
+    @pytest.mark.parametrize("n", [15, 21])
+    @pytest.mark.parametrize("comp", [False, True])
+    def test_uncertified_order_falls_back_to_few_solves(self, monkeypatch, n, comp):
+        batches = self.count_solves(monkeypatch)
+        assert find_borderenergetic_alphas(GraphSpec(FAMILY_UACG, n, comp)) == []
         assert 0 < sum(map(len, batches)) < 50
-        assert len(batches) <= 4
+        assert 1 <= len(batches) <= 4
+
+
+def secant_floor(xs, vs, i):
+    """_secant_floors for one interval, one line at a time: the reference."""
+    lines = [
+        (xs[j], vs[j], (vs[j + 1] - vs[j]) / (xs[j + 1] - xs[j]))
+        for j in (i - 1, i + 1)
+        if 0 <= j < len(xs) - 1
+    ]
+    if not lines:
+        return -math.inf
+    points = [xs[i], xs[i + 1]]
+    if len(lines) == 2 and lines[0][2] != lines[1][2]:
+        (xa, va, sa), (xb, vb, sb) = lines
+        cross = (vb - va + sa * xa - sb * xb) / (sa - sb)
+        points.append(min(max(cross, xs[i]), xs[i + 1]))
+    return min(max(v + s * (x - x0) for x0, v, s in lines) for x in points)
+
+
+class TestSecantFloors:
+    @pytest.mark.parametrize("size", [2, 3, 4, 17, 40])
+    @pytest.mark.parametrize("shape", ["quadratic", "kink", "linear", "noise"])
+    def test_equals_the_reference_bit_for_bit(self, size, shape):
+        rng = np.random.default_rng(size)
+        for _ in range(200):
+            xs = np.sort(rng.choice(np.linspace(0.0, 1.0, 1025), size, replace=False))
+            c, k = rng.random(), 10.0 ** rng.integers(-3, 4)
+            vs = {
+                "quadratic": k * (xs - c) ** 2,
+                "kink": k * np.abs(xs - c) + 1e-12,
+                "linear": k * xs + 0.1,  # parallel secants
+                "noise": rng.normal(size=size),
+            }[shape]
+            xs, vs = xs.tolist(), vs.tolist()
+            want = [secant_floor(xs, vs, i) for i in range(size - 1)]
+            assert _secant_floors(xs, vs).tolist() == want, (xs, vs)
 
 
 class TestConvexRoots:
@@ -535,6 +599,21 @@ class TestConvexRoots:
         roots = _convex_roots(lambda xs: [a - 0.3 for a in xs], 0.0, 1e-300)
         assert len(roots) == 1
         assert roots[0] == pytest.approx(0.3, abs=1e-15)
+
+    @pytest.mark.parametrize(
+        "gap, tol, proven",
+        [
+            (lambda a: (a - 0.3) ** 2 + 1e-3, 1e-12, True),
+            (lambda a: abs(a - 0.3) + 1e-3, 1e-12, True),
+            (lambda a: (a - 0.3) ** 2 + 2e-12, 1e-12, True),
+            (lambda a: (a - 0.3) ** 2 + 2e-12, 1e-3, False),  # stopped at width tol
+            (lambda a: a - 0.3, 1e-12, False),  # a sample at or below touch
+        ],
+    )
+    def test_refine_proves_only_a_gap_above_touch(self, gap, tol, proven):
+        xs, vs, got = _refine(lambda xs: [gap(a) for a in xs], 1e-12, tol)
+        assert got is proven
+        assert vs == [gap(a) for a in xs]
 
 
 # A plain scan of the gap on a 0.001 grid plus bisection of each sign change,
@@ -604,6 +683,22 @@ class TestRootFinderCrossCheck:
 
             want = _convex_roots(scalar_gaps, 1e-12 * max(1.0, 2.0 * (n - 1.0)), 1e-12)
             assert find_borderenergetic_alphas(spec) == want, spec
+
+    def test_floor_certificate_keeps_every_root_list(self):
+        # On every odd non-prime-power order the result equals the search on
+        # the exact gap, whether or not the energy floor certified it.
+        for n in range(15, 2002, 2):
+            if prime_power(n) is not None:
+                continue
+            for comp in (False, True):
+                spec = GraphSpec(FAMILY_UACG, n, comp)
+                energies = _route(spec)[2]
+
+                def gaps(alphas):
+                    return [e - complete_energy(n, a) for e, a in zip(energies(alphas), alphas)]
+
+                want = _convex_roots(gaps, 1e-12 * 2.0 * (n - 1.0), 1e-12)
+                assert find_borderenergetic_alphas(spec) == want, spec
 
     @pytest.mark.parametrize(
         "spec",

@@ -17,7 +17,13 @@ import uacg.blocks as blocks_mod
 import uacg.closedform as closedform_mod
 import uacg.graphs as graphs_mod
 from uacg.analysis import _COARSE_ALPHAS, find_borderenergetic_alphas
-from uacg.blocks import _BATCH_ELEMENTS, _stacked_eigenvalues, block_eigenvalues, unit_sum_blocks
+from uacg.blocks import (
+    _BATCH_ELEMENTS,
+    _energy_floors,
+    _stacked_eigenvalues,
+    block_eigenvalues,
+    unit_sum_blocks,
+)
 from uacg.closedform import _route, energy_report, spectrum_for
 from uacg.graphs import (
     DENSE_ORDER_LIMIT,
@@ -270,6 +276,7 @@ class TestStackedEigenvalues:
     @pytest.mark.parametrize("comp", [False, True])
     def test_root_scan_keeps_each_stack_small(self, comp, monkeypatch):
         # 111546435 = 3 * 5 * ... * 23 has blocks up to 256 wide.
+        spec = GraphSpec(FAMILY_UACG, 111_546_435, comp)
         shapes = []
         real = np.linalg.eigvalsh
 
@@ -278,9 +285,56 @@ class TestStackedEigenvalues:
             return real(a)
 
         monkeypatch.setattr(np.linalg, "eigvalsh", spy)
-        find_borderenergetic_alphas(GraphSpec(FAMILY_UACG, 111_546_435, comp))
+        # The energy floor certifies the order: the scan solves nothing.
+        assert find_borderenergetic_alphas(spec) == []
+        assert shapes == []
+        _route(spec)[2](_COARSE_ALPHAS)
         for shape in shapes:
             one_alpha = math.prod(shape[1:])
             assert math.prod(shape) <= max(_BATCH_ELEMENTS, one_alpha), shape
         assert any(shape[0] > 1 for shape in shapes)
         assert any(math.prod(shape[1:]) > _BATCH_ELEMENTS for shape in shapes)
+
+
+class TestWidthOneBlocks:
+    @pytest.mark.parametrize("comp", [False, True])
+    def test_values_equal_eigvalsh_of_each_entry(self, comp):
+        # _stacked_eigenvalues reads width-1 blocks without LAPACK, which
+        # returns a 1x1 matrix's entry unchanged.
+        for n in (*range(3, 1002, 2), 15015, 255255):
+            spec = GraphSpec(FAMILY_UACG, n, comp)
+            count = unit_sum_blocks(n)[0][0].shape[0]
+            vals, _ = _stacked_eigenvalues(spec, _COARSE_ALPHAS)
+            for row, alpha in zip(vals, _COARSE_ALPHAS):
+                want = reference_block_eigenvalues(spec, alpha)[0][:count]
+                assert np.array_equal(row[:count], want), (n, alpha)
+
+
+FLOOR_ALPHAS = tuple(i / 40 for i in range(41))
+
+
+def block_energies(spec, alphas):
+    """sum over the block values of multiplicity * |value - 2*alpha*m/n|,
+    rounded as the numeric route rounds it."""
+    vals, mults = _stacked_eigenvalues(spec, alphas)
+    m, n = edge_count(spec), spec.n
+    return np.array([mults @ np.abs(v - 2.0 * a * m / n) for v, a in zip(vals, alphas)])
+
+
+class TestEnergyFloors:
+    @pytest.mark.parametrize("comp", [False, True])
+    def test_floor_is_a_convex_lower_bound(self, comp):
+        for n in (*range(3, 2002, 2), 255255, 111_546_435):
+            spec = GraphSpec(FAMILY_UACG, n, comp)
+            floors = _energy_floors(spec, FLOOR_ALPHAS)
+            energies = block_energies(spec, FLOOR_ALPHAS)
+            assert np.all(floors <= energies * (1.0 + 1e-12)), n
+            # blocks no wider than 2 are summed exactly, up to rounding on
+            # the scale of the largest energy
+            if prime_power(n) is not None:
+                assert np.abs(floors - energies).max() <= 1e-12 * energies.max(), n
+            assert np.diff(floors, 2).min() >= -1e-12 * floors.max(), n
+
+    def test_rejects_other_families(self):
+        with pytest.raises(ValueError):
+            _energy_floors(GraphSpec(FAMILY_UNITARY_CAYLEY, 15), (0.3,))

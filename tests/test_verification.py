@@ -110,6 +110,16 @@ class TestIndividualChecks:
         assert res.cases == 10 * 2 * 4
         assert res.passed
 
+    def test_energy_sandwich_holds_the_block_floor(self, monkeypatch):
+        # at prime orders the floor is the energy, so lifting it fails the check
+        real = verification_mod._energy_floors
+        monkeypatch.setattr(
+            verification_mod, "_energy_floors", lambda spec, alphas: real(spec, alphas) + 1e-6
+        )
+        res = check_energy_sandwich(21)
+        assert res.cases == 10 * 2 * 4
+        assert not res.passed
+
     def test_roots(self):
         res = check_roots(27)
         assert res.passed
