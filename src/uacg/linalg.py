@@ -23,6 +23,12 @@ alone and shares nothing with the block route (blocks.py: no Chinese
 remainder theorem, no Kronecker factors, nothing from numtheory): it finds
 g and the involutions by trying every residue, so the dense path stays an
 independent oracle for it.
+
+A graph's complement J - I - A is invariant whenever A is, and the fold is
+linear: I folds to I in every block, and J to |G| * root[x] * root[y] in
+the block of the trivial character and to 0 in every other.  So
+_alpha_eigenvalues solves a graph and its complement from one check and
+one fold of the graph.
 """
 
 from __future__ import annotations
@@ -127,36 +133,46 @@ def symmetric_eigenvalues(a: np.ndarray) -> np.ndarray:
         raise ValueError(f"expected a square matrix, got shape {arr.shape}")
     _check_symmetric(arr)
     split = _invariant_split(arr, 1)
-    return _solve([b for b, _ in _fold(arr, split)], split[-2])
+    return _solve([b[0] for b, _ in _fold(arr, split)], split[-2])
 
 
 def _alpha_eigenvalues(
-    adjacency: np.ndarray, degrees: np.ndarray, alphas: Sequence[float]
+    adjacency: np.ndarray,
+    degrees: np.ndarray,
+    alphas: Sequence[float],
+    flags: Sequence[bool] = (False,),
 ) -> np.ndarray:
-    """symmetric_eigenvalues of (1 - alpha)*adjacency + alpha*diag(degrees)
-    for each alpha, one row each, from one check and fold of the graph
-    (len(alphas) * n**2 entries count towards _SPLIT_MIN_ENTRIES): the
+    """symmetric_eigenvalues of (1 - alpha)*A + alpha*diag(d) for each flag
+    in flags and each alpha, one row each, flag by flag: A and d are the
+    graph's adjacency and degrees for a false flag, and its complement's,
+    J - I - adjacency and n - 1 - degrees, for a true one.
+
+    One check and fold of the graph serves every row (len(alphas) * n**2
+    entries count towards _SPLIT_MIN_ENTRIES): J and I are invariant too,
+    and the complement's blocks come from the same fold (see _fold).  The
     degrees fold to those of each block's residues, so an alpha's blocks
-    are (1 - alpha)*A_chi + alpha*diag(d_chi).  Alphas are solved in
-    chunks of at most _BATCH_ELEMENTS block entries, each block on its own,
-    so a row does not depend on the other alphas of its chunk.
+    are (1 - alpha)*A_chi + alpha*diag(d_chi).  Alphas are solved in chunks
+    of at most _BATCH_ELEMENTS block entries, each block on its own, so a
+    row does not depend on the other rows of its chunk.
     """
     alphas = np.array([_check_alpha(x, allow_one=True) for x in alphas]).reshape(-1, 1, 1, 1)
     a, d = np.asarray(adjacency), np.asarray(degrees)
     _check_symmetric(a, d)
     split = _invariant_split(a, len(alphas), d)
     reps, *_, blocks, _ = split
-    folded = [(b, d[reps[cols]]) for b, cols in _fold(a, split)]
+    n = a.shape[-1]
+    ds = np.stack([n - 1 - d if flag else d for flag in flags])
+    folded = [(b, ds[:, reps[cols]]) for b, cols in _fold(a, split, flags)]
     step = max(1, _BATCH_ELEMENTS // sum(b.size for b, _ in folded))
     rows = []
     for start in range(0, len(alphas), step):
         chunk, stacks = alphas[start : start + step], []
-        for b, diag in folded:
-            stacks.append((1.0 - chunk) * b)
-            on_diagonal = stacks[-1].reshape(*stacks[-1].shape[:-2], -1)[..., :: b.shape[-1] + 1]
-            on_diagonal += chunk[..., 0] * diag
-        rows.append(_solve(stacks, blocks))
-    return np.concatenate(rows)
+        for b, diag in folded:  # (flag, alpha) pairs on one leading axis
+            s = (1.0 - chunk) * b[:, None]
+            s.reshape(*s.shape[:-2], -1)[..., :: b.shape[-1] + 1] += chunk[..., 0] * diag[:, None]
+            stacks.append(s.reshape(-1, *b.shape[-3:]))
+        rows.append(_solve(stacks, blocks).reshape(len(flags), len(chunk), n))
+    return np.concatenate(rows, axis=1).reshape(-1, n)
 
 
 def _check_symmetric(m: np.ndarray, *also: np.ndarray) -> None:
@@ -296,28 +312,40 @@ def _character_sums(t: np.ndarray, lam: int, chars: np.ndarray) -> np.ndarray:
     return t.reshape(-1, t.shape[-1])
 
 
-def _fold(m: np.ndarray, split: tuple) -> list[tuple[np.ndarray, np.ndarray]]:
+def _fold(
+    m: np.ndarray, split: tuple, flags: Sequence[bool] = (False,)
+) -> list[tuple[np.ndarray, np.ndarray]]:
     """The blocks of the (n, n) matrix m invariant under the split's group
-    G: per block width, a (count, width, width) stack, complex Hermitian if
-    lam > 1, else real, and the (count, width) indices into reps of its
-    rows.
+    G, and for a true flag those of J - I - m: per block width, a
+    (len(flags), count, width, width) stack, complex Hermitian if lam > 1,
+    else real, and the (count, width) indices into reps of its rows.
 
     Block chi is B[x, y] = sum_h chi(h) * m[x, h*y] / sqrt(|S_x| * |S_y|)
     over the x, y whose stabilizers chi is 1 on: m in the orthonormal basis
     sum_h chi(h) e_{h*x} / sqrt(|S_x| * |G|), so its values are those of m
-    to rounding.
+    to rounding.  The fold is linear, I folds to I in every block, and J to
+    |G| * root[x] * root[y] in the trivial character's block and to 0 in
+    every other, so J - I - m is folded from m's character sums.
     """
     reps, elems, lam, chars, root, blocks, index = split
-    if elems.size == 1:
-        return [(m[None], reps[None])]
+    if elems.size == 1:  # one block, m itself (a view, not a copy) or J - I - m, exact
+        out = [1.0 - np.eye(m.shape[-1]) - m if flag else m for flag in flags]
+        return [(np.stack(out)[:, None] if len(out) > 1 else out[0][None, None], reps[None])]
     # t[h, y, x] = m[h * reps[y], reps[x]] * root[y] * root[x]
     images = np.outer(elems, reps) % m.shape[-1]
     t = np.take(m[:, reps], images, axis=0) * (root[:, None] * root)
-    t = _character_sums(t.reshape(elems.size, -1), lam, chars).ravel()
+    t = _character_sums(t.reshape(elems.size, -1), lam, chars)
+    r = reps.size  # t[k, y*r + x] is block k's entry (y, x); k = 0 is trivial
+    if True in flags:
+        c = -t
+        c[0] += elems.size * np.outer(root, root).ravel()
+        c[:, :: r + 1] -= 1.0
+        t = np.stack([c if flag else t for flag in flags])
+    t = t.reshape(len(flags), -1)
     out, at = [], 0
     for w, count, _ in blocks:
         rows, cols = index[at : at + 2 * count * w].reshape(2, count, w)
-        out.append((t[rows[:, :, None] + cols[:, None, :]], cols))
+        out.append((np.take(t, rows[:, :, None] + cols[:, None, :], axis=1), cols))
         at += 2 * count * w
     return out
 

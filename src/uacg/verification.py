@@ -8,7 +8,7 @@ line per check; the test suite asserts on the same results.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,25 +23,23 @@ from .analysis import (
 from .blocks import _energy_floors, _stacked_eigenvalues
 from .closedform import (
     ALPHA_GRID,
+    _route,
     alpha_energy_from_values,
     complement_prime_power_energy,
     complement_unitary_cayley_adjacency_energy,
     complete_energy,
     has_closed_spectrum,
-    spectrum_for,
     uacg_prime_power_energy,
     uacg_prime_power_spectrum,
     unitary_cayley_adjacency_energy,
 )
 from .graphs import (
     FAMILY_UACG,
-    Graph,
     GraphSpec,
     _check_dense_order,
     build_graph,
     complement,
     edge_count,
-    zagreb_index,
 )
 # symmetric_eigenvalues has no caller here; perfbench's tracer test looks it
 # up in this namespace.
@@ -51,7 +49,7 @@ from .linalg import (  # noqa: F401
     _check_tol,
     symmetric_eigenvalues,
 )
-from .numtheory import _check_int, prime_power
+from .numtheory import _check_int, euler_phi, prime_power
 
 __all__ = [
     "CheckResult",
@@ -101,50 +99,73 @@ def _worst(
     name: str, tol: float, rows: Iterable[tuple], keys=("n", "complement", "alpha")
 ) -> CheckResult:
     """Reduce (residual, cases, location) rows to one result: the largest
-    residual with its first location, and the total case count.  A location
-    is a tuple of the values of keys; only the kept one is formatted, as
-    "key=value" words ("" while every residual is 0)."""
+    residual with its first location, and the total case count.  A NaN
+    residual counts as the largest: the first one is kept, and fails the
+    check.  A location is a tuple of the values of keys; only the kept one
+    is formatted, as "key=value" words ("" while every residual is 0)."""
     worst, cases, where = 0.0, 0, ()
     for resid, count, location in rows:
         cases += count
-        if resid > worst:
+        if worst == worst and not resid <= worst:  # larger, or the first NaN
             worst, where = resid, location
     detail = " ".join(f"{key}={value}" for key, value in zip(keys, where))
     return CheckResult(name=name, passed=worst <= tol, worst=worst, cases=cases, detail=detail)
 
 
+def _row(resids: np.ndarray, count: int, where: tuple, alphas: Sequence) -> tuple:
+    """One _worst row for the residuals of one graph at alphas, count cases
+    each: the largest (np.argmax finds the first, or the first NaN) at its
+    location (*where, alpha)."""
+    i = int(np.argmax(resids))
+    return float(resids[i]), count * len(alphas), (*where, alphas[i])
+
+
+def _alphas(alphas: Iterable[float], allow_one: bool = True) -> tuple[tuple, np.ndarray]:
+    """alphas as given, for locations, and as a checked float array."""
+    alphas = tuple(alphas)
+    return alphas, np.array([_check_alpha(x, allow_one=allow_one) for x in alphas])
+
+
 def _dense(
     ns: Iterable[int], alphas: Iterable[float], flags: Iterable[bool] = (False, True)
-) -> Iterator[tuple[GraphSpec, Graph, float, np.ndarray]]:
-    """(spec, graph, alpha, descending dense eigenvalues) for the unit-sum
-    spec at each order in ns and complement flag in flags.  Each order's
-    base graph is built once and each complement taken from it; each graph
-    is checked and folded once into the blocks of the group G = <g> x H' it
-    is invariant under (g a unit of largest multiplicative order, H' the
-    involutions outside <g>), and each alpha's blocks built from those and
-    solved (see linalg._alpha_eigenvalues), with the values of one full
-    solve of that alpha's matrix to rounding.  Nothing is kept from one
-    call to the next."""
+) -> Iterator[tuple[GraphSpec, int, np.ndarray, np.ndarray]]:
+    """(spec, m, degrees, rows) for the unit-sum spec at each order in ns and
+    complement flag in flags, rows[k] the descending dense eigenvalues at
+    alphas[k].  Each order's base graph is built once, checked once and
+    folded once into the blocks of the group G = <g> x H' it is invariant
+    under (g a unit of largest multiplicative order, H' the involutions
+    outside <g>); the complement's blocks are J_chi - I - A_chi, J nonzero
+    on the trivial character's block alone, and its degrees n - 1 - d (see
+    linalg._alpha_eigenvalues).  Each row has the values of one full solve
+    of that alpha's matrix to rounding.  Nothing is kept from one call to
+    the next."""
     alphas, flags = tuple(alphas), tuple(flags)
     for n in ns:
-        base = build_graph(GraphSpec(family=FAMILY_UACG, n=n))
-        for flag in flags:
-            g = complement(base) if flag else base
-            for alpha, vals in zip(alphas, _alpha_eigenvalues(g.adjacency, g.degrees, alphas)):
-                yield g.spec, g, alpha, vals
+        g = build_graph(GraphSpec(family=FAMILY_UACG, n=n))
+        rows = _alpha_eigenvalues(g.adjacency, g.degrees, alphas, flags)
+        for flag, vals in zip(flags, rows.reshape(len(flags), len(alphas), n)):
+            m, degrees = (n * (n - 1) // 2 - g.m, n - 1 - g.degrees) if flag else (g.m, g.degrees)
+            yield GraphSpec(FAMILY_UACG, n, flag), m, degrees, vals
 
 
-def _at(spec: GraphSpec, alpha: float) -> tuple[int, bool, float]:
-    """The location of a (spec, alpha) row, in _worst's default keys."""
-    return spec.n, spec.complement, alpha
+def _energies(vals: np.ndarray, n: int, m: int, x: np.ndarray) -> np.ndarray:
+    """alpha_energy_from_values of each row of vals, at its alpha in x."""
+    return np.abs(vals - (2.0 * x * m / n)[:, None]).sum(axis=1)
+
+
+def _closed_spectra(spec: GraphSpec, alphas: Sequence[float]) -> np.ndarray:
+    """The closed spectrum of spec at each alpha, one descending row each,
+    from one route lookup."""
+    spectrum = _route(spec)[1]
+    return np.stack([spectrum(alpha).values() for alpha in alphas])
 
 
 def _closed_rows(ns: Iterable[int], alphas: Iterable[float]) -> list[tuple[float, int, tuple]]:
     """Rows comparing the route table's closed spectrum with the eigensolver."""
-    rows = []
-    for spec, _, alpha, vals in _dense(ns, alphas):
-        closed = spectrum_for(spec, alpha, method="closed")[0].values()
-        rows.append((float(np.max(np.abs(closed - vals))), 1, _at(spec, alpha)))
+    rows, alphas = [], tuple(alphas)
+    for spec, _, _, vals in _dense(ns, alphas):
+        resid = np.abs(_closed_spectra(spec, alphas) - vals).max(axis=1)
+        rows.append(_row(resid, 1, (spec.n, spec.complement), alphas))
     return rows
 
 
@@ -167,16 +188,13 @@ def check_block_route(nmax: int, alphas=ALPHA_GRID, tol: float = 1e-9) -> CheckR
     vs the closed-form spectra on odd prime powers."""
     nmax, tol = _check_nmax(nmax), _check_tol(tol)
     rows, alphas = [], tuple(alphas)
-    for i, (spec, _, alpha, dense) in enumerate(_dense(range(3, nmax + 1, 2), alphas)):
-        k = i % len(alphas)
-        if k == 0:  # every alpha of the spec in one stacked block solve
-            values, mults = _stacked_eigenvalues(spec, alphas)
-            closed = has_closed_spectrum(spec)
-        blocks = np.sort(np.repeat(values[k], mults))[::-1]
-        refs = [dense]
-        if closed:
-            refs.append(spectrum_for(spec, alpha, method="closed")[0].values())
-        rows.append((max(float(np.max(np.abs(blocks - ref))) for ref in refs), 1, _at(spec, alpha)))
+    for spec, _, _, dense in _dense(range(3, nmax + 1, 2), alphas):
+        values, mults = _stacked_eigenvalues(spec, alphas)  # one stacked block solve
+        blocks = np.sort(np.repeat(values, mults, axis=1), axis=1)[:, ::-1]
+        resid = np.abs(blocks - dense).max(axis=1)
+        if has_closed_spectrum(spec):
+            resid = np.maximum(resid, np.abs(blocks - _closed_spectra(spec, alphas)).max(axis=1))
+        rows.append(_row(resid, 1, (spec.n, spec.complement), alphas))
     return _worst("block route vs eigensolver and closed forms", tol, rows)
 
 
@@ -189,16 +207,15 @@ def check_spectral_identities(
     alpha^2*zeta + (1-alpha)^2*2m, relative to scale 1 + |target|.
     """
     nmax, rtol = _check_nmax(nmax), _check_tol(rtol)
-    trace_rows, sq_rows, zeta = [], [], {}
-    for spec, g, alpha, vals in _dense(range(2, nmax + 1), alphas):
-        trace_target = 2.0 * alpha * g.m
-        resid = abs(float(vals.sum()) - trace_target) / (1.0 + abs(trace_target))
-        trace_rows.append((resid, 1, _at(spec, alpha)))
-        if spec not in zeta:
-            zeta[spec] = zagreb_index(g)
-        sq_target = alpha**2 * zeta[spec] + (1.0 - alpha) ** 2 * 2.0 * g.m
-        resid = abs(float((vals * vals).sum()) - sq_target) / (1.0 + sq_target)
-        sq_rows.append((resid, 1, _at(spec, alpha)))
+    (alphas, x), trace_rows, sq_rows = _alphas(alphas), [], []
+    for spec, m, degrees, vals in _dense(range(2, nmax + 1), alphas):
+        where = spec.n, spec.complement
+        trace = 2.0 * x * m
+        resid = np.abs(vals.sum(axis=1) - trace) / (1.0 + np.abs(trace))
+        trace_rows.append(_row(resid, 1, where, alphas))
+        sq = x**2 * int(degrees @ degrees) + (1.0 - x) ** 2 * 2.0 * m  # zeta = sum d**2
+        resid = np.abs((vals * vals).sum(axis=1) - sq) / (1.0 + sq)
+        sq_rows.append(_row(resid, 1, where, alphas))
     return [
         _worst("trace identity", rtol, trace_rows),
         _worst("second-moment identity", rtol, sq_rows),
@@ -216,9 +233,8 @@ def check_complement_identity(nmax: int, alphas=ALPHA_GRID, rtol: float = 1e-8) 
     float operations of the summed alpha matrices, so each residual is the
     one the full n x n sum gives, bit for bit."""
     nmax, rtol = _check_nmax(nmax), _check_tol(rtol)
-    alphas = tuple(alphas)
-    x = np.array([_check_alpha(alpha, allow_one=True) for alpha in alphas])[:, None]
-    rows = []
+    alphas, x = _alphas(alphas)
+    x, rows = x[:, None], []
     for n in range(2, nmax + 1):
         g = build_graph(GraphSpec(family=FAMILY_UACG, n=n))
         h = complement(g)
@@ -230,8 +246,7 @@ def check_complement_identity(nmax: int, alphas=ALPHA_GRID, rtol: float = 1e-8) 
         on = np.abs(x * dg + x * dh - x * (n - 1.0)).max(axis=1)
         off = np.abs((1.0 - x) * a + (1.0 - x) * b - (1.0 - x)).max(axis=1)
         scale = 1.0 + np.maximum(x * (n - 1.0), 1.0 - x)[:, 0]
-        resid = (np.maximum(on, off) / scale).tolist()
-        rows += [(r, 1, (n, alpha)) for r, alpha in zip(resid, alphas)]
+        rows.append(_row(np.maximum(on, off) / scale, 1, (n,), alphas))
     return _worst("complement matrix identity", rtol, rows, ("n", "alpha"))
 
 
@@ -285,15 +300,12 @@ def check_regular_shortcut(nmax: int, alphas=(0.3, 0.7), tol: float = 1e-8) -> C
     """Even orders are regular: energy must scale as (1-alpha) times the
     adjacency energy, and the adjacency energy must match its closed form."""
     nmax, tol = _check_nmax(nmax), _check_tol(tol)
-    rows, base = [], {}
-    for spec, g, alpha, vals in _dense(range(2, nmax + 1, 2), (0.0, *alphas), (False,)):
-        n = spec.n
-        energy = alpha_energy_from_values(vals, n, g.m, alpha)
-        if n not in base:  # the first alpha of each order is 0
-            base[n] = energy
-            rows.append((abs(energy - unitary_cayley_adjacency_energy(n)), 1, (n, 0)))
-        else:
-            rows.append((abs(energy - (1.0 - alpha) * base[n]), 1, (n, alpha)))
+    (alphas, x), rows = _alphas((0.0, *alphas), allow_one=False), []
+    for spec, m, _, vals in _dense(range(2, nmax + 1, 2), alphas, (False,)):
+        energy = _energies(vals, spec.n, m, x)
+        resid = np.abs(energy - (1.0 - x) * energy[0])
+        resid[0] = abs(energy[0] - unitary_cayley_adjacency_energy(spec.n))  # alpha = 0
+        rows.append(_row(resid, 1, (spec.n,), (0, *alphas[1:])))
     return _worst("regular energy shortcut (even orders)", tol, rows, ("n", "alpha"))
 
 
@@ -301,12 +313,9 @@ def check_complement_even_energy(nmax: int, tol: float = 1e-8) -> CheckResult:
     """Even-order complement adjacency energy vs its closed form."""
     nmax, tol = _check_nmax(nmax), _check_tol(tol)
     rows = []
-    for spec, g, _, vals in _dense(range(2, nmax + 1, 2), (0.0,), (True,)):
-        resid = abs(
-            alpha_energy_from_values(vals, spec.n, g.m, 0.0)
-            - complement_unitary_cayley_adjacency_energy(spec.n)
-        )
-        rows.append((resid, 1, (spec.n,)))
+    for spec, _, _, vals in _dense(range(2, nmax + 1, 2), (0.0,), (True,)):
+        energy = float(np.abs(vals[0]).sum())  # no shift at alpha = 0
+        rows.append((abs(energy - complement_unitary_cayley_adjacency_energy(spec.n)), 1, (spec.n,)))
     return _worst("complement adjacency energy (even orders)", tol, rows, ("n",))
 
 
@@ -315,26 +324,29 @@ def check_interval_containment(
 ) -> CheckResult:
     """Every numeric eigenvalue must fall in its rank interval (odd orders)."""
     nmax, slack = _check_nmax(nmax), _check_tol(slack)
-    rows = []
-    for spec, _, alpha, observed in _dense(range(3, nmax + 1, 2), alphas):
-        lower, upper = _odd_eigen_arrays(spec, alpha)
-        violation = float(np.max(np.maximum(lower - observed, observed - upper)))
-        rows.append((violation, spec.n, _at(spec, alpha)))
+    (alphas, x), rows = _alphas(alphas), []
+    for spec, _, _, observed in _dense(range(3, nmax + 1, 2), alphas):
+        # the circulant part's sorted order does not depend on alpha, so the
+        # upper ends are (1 - alpha)*U_0 + alpha*t, t = phi(n) (n - phi(n))
+        t = spec.n - euler_phi(spec.n) if spec.complement else euler_phi(spec.n)
+        upper = (1.0 - x)[:, None] * _odd_eigen_arrays(spec, 0.0)[1] + (x * t)[:, None]
+        violation = np.maximum(upper - 1.0 - observed, observed - upper).max(axis=1)
+        rows.append(_row(violation, spec.n, (spec.n, spec.complement), alphas))
     return _worst("eigenvalue interval containment", slack, rows)
 
 
 def check_energy_sandwich(nmax: int, alphas=SANDWICH_ALPHAS, slack: float = 1e-8) -> CheckResult:
     """All four lower bounds and the block energy floor <= numeric energy <=
     upper bound (odd orders)."""
-    nmax, slack, alphas = _check_nmax(nmax), _check_tol(slack), tuple(alphas)
-    rows, floors = [], {}
-    for spec, g, alpha, vals in _dense(range(3, nmax + 1, 2), alphas):
-        energy = alpha_energy_from_values(vals, spec.n, g.m, alpha)
-        lowers, upper = energy_bounds(spec, alpha)
-        if spec not in floors:
-            floors[spec] = dict(zip(alphas, _energy_floors(spec, alphas).tolist()))
-        lower = max(*lowers.values(), floors[spec][alpha])
-        rows.append((max(lower - energy, energy - upper), 1, _at(spec, alpha)))
+    nmax, slack = _check_nmax(nmax), _check_tol(slack)
+    (alphas, x), rows = _alphas(alphas, allow_one=False), []
+    for spec, m, _, vals in _dense(range(3, nmax + 1, 2), alphas):
+        energy = _energies(vals, spec.n, m, x)
+        bounds = [energy_bounds(spec, alpha) for alpha in alphas]
+        lower = np.maximum([max(lowers.values()) for lowers, _ in bounds], _energy_floors(spec, alphas))
+        upper = np.array([upper for _, upper in bounds])
+        resid = np.maximum(lower - energy, energy - upper)
+        rows.append(_row(resid, 1, (spec.n, spec.complement), alphas))
     return _worst("energy bound sandwich", slack, rows)
 
 

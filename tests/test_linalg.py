@@ -20,7 +20,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from uacg.closedform import ALPHA_GRID, build_alpha_matrix
-from uacg.graphs import FAMILIES, build_graph, build_uacg, build_unitary_cayley, parse_spec_label
+from uacg.graphs import (
+    FAMILIES,
+    build_graph,
+    build_uacg,
+    build_unitary_cayley,
+    complement,
+    parse_spec_label,
+)
 from uacg.linalg import (
     _BATCH_ELEMENTS,
     _SPLIT_MIN_ENTRIES,
@@ -493,6 +500,51 @@ class TestAlphaEigenvalues:
             _alpha_eigenvalues(g.adjacency, np.full(9, math.inf), (0.3,))
         with pytest.raises(ValueError, match="alpha"):
             _alpha_eigenvalues(g.adjacency, g.degrees, (1.5,))
+
+
+class TestComplementFromTheBaseFold:
+    """With a true flag, _alpha_eigenvalues solves the complement from the
+    base graph's one fold, as J_chi - I - A_chi and n - 1 - d."""
+
+    ALPHAS = ALPHA_GRID + (1.0,)
+
+    def test_both_families_up_to_301(self):
+        trivial = []
+        for n in range(2, 302):
+            g = build_uacg(n)
+            h = complement(g)
+            base, comp = _alpha_eigenvalues(
+                g.adjacency, g.degrees, self.ALPHAS, (False, True)
+            ).reshape(2, len(self.ALPHAS), n)
+            # the base rows are those of the base graph alone, bit for bit
+            assert np.array_equal(base, _alpha_eigenvalues(g.adjacency, g.degrees, self.ALPHAS)), n
+            direct = _alpha_eigenvalues(h.adjacency, h.degrees, self.ALPHAS)
+            assert_close(comp, direct, n)
+            plain = np.linalg.eigvalsh(np.stack([build_alpha_matrix(h, a) for a in self.ALPHAS]))
+            assert_close(comp, plain[:, ::-1], n)
+            if len(_invariant_split(g.adjacency, len(self.ALPHAS), g.degrees)[1]) == 1:
+                # under the trivial group the block is J - I - A in integers
+                trivial.append(n)
+                assert np.array_equal(comp, direct), n
+        # twelve alphas split from 12 * n**2 >= _SPLIT_MIN_ENTRIES on
+        assert trivial == list(range(2, 23))
+
+    @pytest.mark.parametrize("n", [9, 60, 105, 128, 201])
+    def test_rows_do_not_depend_on_the_other_family(self, n):
+        g = build_uacg(n)
+        pair = _alpha_eigenvalues(g.adjacency, g.degrees, self.ALPHAS, (False, True))
+        alone = _alpha_eigenvalues(g.adjacency, g.degrees, self.ALPHAS, (True,))
+        swapped = _alpha_eigenvalues(g.adjacency, g.degrees, self.ALPHAS, (True, False))
+        k = len(self.ALPHAS)
+        assert np.array_equal(pair[k:], alone)
+        assert np.array_equal(swapped, np.concatenate([pair[k:], pair[:k]]))
+
+    def test_one_eigvalsh_per_block_width_for_both_families(self, monkeypatch):
+        g = build_uacg(201)
+        widths = [w for w, *_ in _invariant_split(g.adjacency, 3, g.degrees)[-2]]
+        shapes = eigvalsh_shapes(monkeypatch)
+        _alpha_eigenvalues(g.adjacency, g.degrees, (0.0, 0.3, 1.0), (False, True))
+        assert [(shape[0], shape[-1]) for shape in shapes] == [(6, w) for w in widths]
 
 
 ORACLE_SOURCE = Path(__file__).resolve().parents[1] / "src" / "uacg" / "linalg.py"

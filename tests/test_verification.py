@@ -66,6 +66,26 @@ class TestWorstReducer:
         result = verification_mod._worst("x", 0.0, rows, ("at",))
         assert result == CheckResult("x", True, 0.0, 3, "")
 
+    @pytest.mark.parametrize("before", [[], [(1e-12, 1, ("b", 1))], [(2.0, 1, ("b", 1))]])
+    def test_a_nan_residual_is_the_worst_and_fails(self, before):
+        rows = [*before, (math.nan, 1, ("a", 0)), (1e-12, 1, ("c", 2)), (math.nan, 1, ("d", 3))]
+        result = verification_mod._worst("x", 1e-8, rows, ("at", "k"))
+        assert result.passed is False
+        assert math.isnan(result.worst)
+        assert (result.cases, result.detail) == (len(rows), "at=a k=0")
+
+    def test_an_infinite_residual_fails(self):
+        rows = [(1e-12, 1, ("a", 0)), (math.inf, 2, ("b", 1))]
+        result = verification_mod._worst("x", 1e-8, rows, ("at", "k"))
+        assert result == CheckResult("x", False, math.inf, 3, "at=b k=1")
+
+    def test_a_graph_row_keeps_the_first_nan_or_largest(self):
+        alphas = (0.0, 0.5, 1.0, 0.25)
+        row = verification_mod._row(np.array([1.0, 3.0, 3.0, 2.0]), 5, (9, True), alphas)
+        assert row == (3.0, 20, (9, True, 0.5))
+        row = verification_mod._row(np.array([1.0, 3.0, np.nan, np.nan]), 1, (9,), alphas)
+        assert math.isnan(row[0]) and row[1:] == (4, (9, 1.0))
+
 
 class TestIndividualChecks:
     def test_prime_power_spectra_counts_and_passes(self):
@@ -195,22 +215,81 @@ PERTURBATIONS = [
 ]
 
 
+def perturb_seam(monkeypatch, order, perturb, families=(False, True)):
+    """Replace the dense oracle seam so that the rows of the given order are
+    perturbed, for the families (complement flags) named."""
+    real = verification_mod._alpha_eigenvalues
+
+    def perturbed(adjacency, degrees, alphas, flags):
+        rows = real(adjacency, degrees, alphas, flags)
+        if rows.shape[-1] == order:
+            per_flag = rows.reshape(len(flags), -1, order)
+            for k, flag in enumerate(flags):
+                if flag in families:
+                    per_flag[k] = perturb(per_flag[k])
+        return rows
+
+    monkeypatch.setattr(verification_mod, "_alpha_eigenvalues", perturbed)
+
+
+def results_of(check, nmax):
+    results = check(nmax)
+    return results if isinstance(results, list) else [results]
+
+
+# The complement flags whose dense rows a check reads, where not both.
+READS = {check_regular_shortcut: (False,), check_complement_even_energy: (True,)}
+
+
 class TestPerturbedEigensolver:
     @pytest.mark.parametrize(
         "check, order, perturb", PERTURBATIONS, ids=[c.__name__ for c, _, _ in PERTURBATIONS]
     )
     def test_check_fails_at_the_perturbed_order(self, monkeypatch, check, order, perturb):
-        real = verification_mod._alpha_eigenvalues
-
-        def perturbed(adjacency, degrees, alphas):
-            vals = real(adjacency, degrees, alphas)
-            return perturb(vals) if vals.shape[-1] == order else vals
-
-        monkeypatch.setattr(verification_mod, "_alpha_eigenvalues", perturbed)
-        results = check(15)
-        for res in results if isinstance(results, list) else [results]:
+        perturb_seam(monkeypatch, order, perturb)
+        for res in results_of(check, 15):
             assert res.passed is False
             assert res.detail.split()[0] == f"n={order}"
+
+    COMPLEMENT_ONLY = [p for p in PERTURBATIONS if True in READS.get(p[0], (False, True))]
+
+    @pytest.mark.parametrize(
+        "check, order, perturb", COMPLEMENT_ONLY, ids=[c.__name__ for c, _, _ in COMPLEMENT_ONLY]
+    )
+    def test_a_complement_only_fault_is_found_on_the_complement(
+        self, monkeypatch, check, order, perturb
+    ):
+        perturb_seam(monkeypatch, order, perturb, families=(True,))
+        for res in results_of(check, 15):
+            assert res.passed is False
+            words = res.detail.split()
+            assert words[0] == f"n={order}"
+            # the even complement energy check is keyed by n alone
+            assert check is check_complement_even_energy or words[1] == "complement=True"
+
+    # (check, order, families): a NaN in the rows of families a check reads
+    NAN_CASES = [
+        (check, order, families)
+        for check, order, _ in PERTURBATIONS
+        for families in [(False, True), (False,), (True,)]
+        if set(families) & set(READS.get(check, (False, True)))
+    ]
+
+    @pytest.mark.parametrize(
+        "check, order, families",
+        NAN_CASES,
+        ids=[f"{c.__name__}-{'-'.join(map(str, f))}" for c, _, f in NAN_CASES],
+    )
+    def test_a_nan_eigenvalue_fails_at_its_order(self, monkeypatch, check, order, families):
+        def one_nan(rows):
+            rows = rows.copy()
+            rows[-1, order // 2] = math.nan  # one value of the last alpha's row
+            return rows
+
+        perturb_seam(monkeypatch, order, one_nan, families)
+        for res in results_of(check, 15):
+            assert res.passed is False and math.isnan(res.worst), res
+            assert res.detail.split()[0] == f"n={order}", res
 
 
 def flipped_complement(orders, i, j):
@@ -293,11 +372,14 @@ ALL_CHECKS = [
 ]
 
 
-def full_solve(adjacency, degrees, alphas):
-    """One np.linalg.eigvalsh per alpha matrix, as built by build_alpha_matrix."""
-    return np.stack(
-        [np.linalg.eigvalsh((1.0 - x) * adjacency + np.diag(x * degrees))[::-1] for x in alphas]
-    )
+def full_solve(adjacency, degrees, alphas, flags=(False,)):
+    """One np.linalg.eigvalsh per alpha matrix, as built by build_alpha_matrix,
+    of the graph (a false flag) or its complement (a true one), flag by flag."""
+    n, rows = len(degrees), []
+    for flag in flags:
+        a, d = (1 - np.eye(n, dtype=int) - adjacency, n - 1 - degrees) if flag else (adjacency, degrees)
+        rows += [np.linalg.eigvalsh((1.0 - x) * a + np.diag(x * d))[::-1] for x in alphas]
+    return np.stack(rows)
 
 
 # The tolerance keyword of each check that is not called tol.
@@ -356,29 +438,33 @@ class TestStackedDenseSolves:
         ns = (5, 60, 199)
         rows = list(verification_mod._dense(ns, ALPHA_GRID))
         monkeypatch.setattr(np.linalg, "eigvalsh", real)
-        want = [
-            (GraphSpec(FAMILY_UACG, n, flag), alpha)
-            for n in ns
-            for flag in (False, True)
-            for alpha in ALPHA_GRID
+        assert [spec for spec, *_ in rows] == [
+            GraphSpec(FAMILY_UACG, n, flag) for n in ns for flag in (False, True)
         ]
-        assert [(spec, alpha) for spec, _, alpha, _ in rows] == want
-        for spec, g, alpha, vals in rows:
-            assert g.spec == spec
+        for spec, _, _, vals in rows:
+            assert vals.shape == (len(ALPHA_GRID), spec.n)
+            base = build_graph(GraphSpec(FAMILY_UACG, spec.n))
             entries = spec.n * spec.n
-            if (entries >= _SPLIT_MIN_ENTRIES) == (len(ALPHA_GRID) * entries >= _SPLIT_MIN_ENTRIES):
-                # one alpha alone is split as the eleven are
-                alone = _alpha_eigenvalues(g.adjacency, g.degrees, (alpha,))[0]
-                assert np.array_equal(vals, alone), (spec, alpha)
-            full = full_solve(g.adjacency, g.degrees, (alpha,))[0]
-            assert np.max(np.abs(vals - full)) <= 1e-12 * max(1.0, np.max(np.abs(full)))
-        # n = 5 solves the eleven alphas in one full stack; n = 60 and 199
-        # in one stack per block width of their groups <g> x H', the blocks
-        # at most 12 (n = 60) and 2 (n = 199) wide, so each holds all eleven
-        # alphas within _BATCH_ELEMENTS block entries.
-        assert shapes[:2] == [(11, 1, 5, 5)] * 2
-        assert all(shape[0] == 11 for shape in shapes)
-        assert max(shape[-1] for shape in shapes[2:]) == 12
+            for alpha, row in zip(ALPHA_GRID, vals):
+                if (entries >= _SPLIT_MIN_ENTRIES) == (
+                    len(ALPHA_GRID) * entries >= _SPLIT_MIN_ENTRIES
+                ):
+                    # one alpha of one family alone is split as the pair of
+                    # families at eleven alphas is, through the same seam
+                    alone = _alpha_eigenvalues(
+                        base.adjacency, base.degrees, (alpha,), (spec.complement,)
+                    )[0]
+                    assert np.array_equal(row, alone), (spec, alpha)
+                full = full_solve(base.adjacency, base.degrees, (alpha,), (spec.complement,))[0]
+                assert np.max(np.abs(row - full)) <= 1e-12 * max(1.0, np.max(np.abs(full)))
+        # One order's two families and eleven alphas share one stack per
+        # block width: n = 5 one full stack of 2 x 11 matrices; n = 60 and 199
+        # one stack per block width of their groups <g> x H', the blocks at
+        # most 12 (n = 60) and 2 (n = 199) wide, so each holds every row
+        # within _BATCH_ELEMENTS block entries.
+        assert shapes[0] == (22, 1, 5, 5)
+        assert all(shape[0] == 22 for shape in shapes)
+        assert max(shape[-1] for shape in shapes[1:]) == 12
         assert all(math.prod(shape) <= _BATCH_ELEMENTS for shape in shapes)
 
     def test_checks_match_one_matrix_at_a_time(self, monkeypatch):
@@ -401,16 +487,18 @@ class TestOneBuildPerOrder:
             return build_graph(spec)
 
         monkeypatch.setattr(verification_mod, "build_graph", counting)
+        monkeypatch.setattr(verification_mod, "complement", None)  # never taken
         rows = list(verification_mod._dense(range(2, 40), (0.3,), flags))
         assert built == [GraphSpec(FAMILY_UACG, n) for n in range(2, 40)]
         assert [spec for spec, *_ in rows] == [
             GraphSpec(FAMILY_UACG, n, flag) for n in range(2, 40) for flag in flags
         ]
-        for spec, g, _, _ in rows:
+        for spec, m, degrees, vals in rows:
             want = build_graph(spec)
-            assert g.spec == spec and g.m == want.m
-            assert np.array_equal(g.adjacency, want.adjacency), spec
-            assert np.array_equal(g.degrees, want.degrees), spec
+            assert m == want.m and type(m) is int, spec
+            assert degrees.dtype == want.degrees.dtype, spec
+            assert np.array_equal(degrees, want.degrees), spec
+            assert vals.shape == (1, spec.n)
 
     @pytest.mark.parametrize("check", ALL_CHECKS, ids=[c.__name__ for c in ALL_CHECKS])
     def test_a_second_call_does_the_same_work(self, monkeypatch, check):
