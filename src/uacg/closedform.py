@@ -103,10 +103,11 @@ def _spectrum_from_pairs(
     return _group(values[order], counts[order], tol)
 
 
-def _spectrum_from_families(families: list[tuple[float, int]], n: int) -> Spectrum:
+def _pairs(families: list[tuple[float, int]], n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(values, counts) arrays of (value, count) families that count n."""
     values, counts = zip(*families)
     assert sum(counts) == n
-    return _spectrum_from_pairs(np.array(values, dtype=float), np.array(counts, dtype=np.int64))
+    return np.array(values, dtype=float), np.array(counts, dtype=np.int64)
 
 
 def build_alpha_matrix(g: Graph, alpha: float) -> np.ndarray:
@@ -159,7 +160,11 @@ def uacg_prime_power_spectrum(p: int, m: int, alpha: float) -> Spectrum:
     the quadratic coming from the non-regular part of the graph.
     """
     p, m = _check_odd_prime_power(p, m)
-    alpha = _check_alpha(alpha, allow_one=True)
+    return _spectrum_from_pairs(*_uacg_prime_power_pairs(p, m, _check_alpha(alpha, allow_one=True)))
+
+
+def _uacg_prime_power_pairs(p: int, m: int, alpha: float) -> tuple[np.ndarray, np.ndarray]:
+    """uacg_prime_power_spectrum's families as ungrouped (values, counts), unchecked."""
     n = p**m
     q = p ** (m - 1)
     low_root, high_root = _radical_pair(p, m, alpha)
@@ -171,7 +176,7 @@ def uacg_prime_power_spectrum(p: int, m: int, alpha: float) -> Spectrum:
         (q * ((p - 2.0) * alpha + 1.0) - 1.0, (p - 1) // 2),
         (high_root, 1),
     ]
-    return _spectrum_from_families(families, n)
+    return _pairs(families, n)
 
 
 def uacg_prime_power_energy(p: int, m: int, alpha: float) -> float:
@@ -202,7 +207,11 @@ def complement_prime_power_spectrum(p: int, m: int, alpha: float) -> Spectrum:
     """
     p, m = _check_odd_prime_power(p, m)
     alpha = _check_alpha(alpha, allow_one=True)
-    n = p**m
+    return _spectrum_from_pairs(*_complement_prime_power_pairs(p, m, alpha))
+
+
+def _complement_prime_power_pairs(p: int, m: int, alpha: float) -> tuple[np.ndarray, np.ndarray]:
+    """complement_prime_power_spectrum's families as (values, counts), unchecked."""
     q = p ** (m - 1)
     families = [
         ((2.0 * alpha - 1.0) * q, (p - 1) // 2),
@@ -211,7 +220,7 @@ def complement_prime_power_spectrum(p: int, m: int, alpha: float) -> Spectrum:
         (q - 1.0, 1),
         (float(q), (p - 1) // 2),
     ]
-    return _spectrum_from_families(families, n)
+    return _pairs(families, p**m)
 
 
 def complement_prime_power_energy(p: int, m: int, alpha: float) -> float:
@@ -267,9 +276,13 @@ def _ramanujan_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
 def unitary_cayley_spectrum(n: int, alpha: float) -> Spectrum:
     """Alpha-matrix spectrum of the unitary Cayley graph: alpha*phi + (1-alpha)*c(k, n)."""
     n = _check_int(n, "n", 2)
-    alpha = _check_alpha(alpha, allow_one=True)
+    return _spectrum_from_pairs(*_unitary_cayley_pairs(n, _check_alpha(alpha, allow_one=True)))
+
+
+def _unitary_cayley_pairs(n: int, alpha: float) -> tuple[np.ndarray, np.ndarray]:
+    """unitary_cayley_spectrum as ungrouped (values, counts), unchecked."""
     sums, counts = _ramanujan_pairs(n)
-    return _spectrum_from_pairs(alpha * euler_phi(n) + (1.0 - alpha) * sums, counts)
+    return alpha * euler_phi(n) + (1.0 - alpha) * sums, counts
 
 
 def complement_unitary_cayley_spectrum(n: int, alpha: float) -> Spectrum:
@@ -282,10 +295,15 @@ def complement_unitary_cayley_spectrum(n: int, alpha: float) -> Spectrum:
     """
     n = _check_int(n, "n", 2)
     alpha = _check_alpha(alpha, allow_one=True)
+    return _spectrum_from_pairs(*_complement_unitary_cayley_pairs(n, alpha))
+
+
+def _complement_unitary_cayley_pairs(n: int, alpha: float) -> tuple[np.ndarray, np.ndarray]:
+    """complement_unitary_cayley_spectrum as ungrouped (values, counts), unchecked."""
     phi = euler_phi(n)
     sums, counts = _ramanujan_pairs(n)
     rest = alpha * (n - phi) - (1.0 - alpha) * sums[:-1] - 1.0
-    return _spectrum_from_pairs(np.append(rest, n - 1.0 - phi), np.append(counts[:-1], 1))
+    return np.append(rest, n - 1.0 - phi), np.append(counts[:-1], 1)
 
 
 def unitary_cayley_adjacency_energy(n: int) -> int:
@@ -315,9 +333,12 @@ def complement_unitary_cayley_adjacency_energy(n: int) -> int:
 
 def complete_spectrum(n: int, alpha: float) -> Spectrum:
     n = _check_int(n, "n", 2)
-    alpha = _check_alpha(alpha, allow_one=True)
-    families = [(float(n - 1), 1), (alpha * n - 1.0, n - 1)]
-    return _spectrum_from_families(families, n)
+    return _spectrum_from_pairs(*_complete_pairs(n, _check_alpha(alpha, allow_one=True)))
+
+
+def _complete_pairs(n: int, alpha: float) -> tuple[np.ndarray, np.ndarray]:
+    """complete_spectrum as ungrouped (values, counts), unchecked."""
+    return _pairs([(float(n - 1), 1), (alpha * n - 1.0, n - 1)], n)
 
 
 def complete_energy(n: int, alpha: float) -> float:
@@ -343,8 +364,15 @@ def _route(spec: GraphSpec) -> tuple[str, Callable, Callable[[Sequence[float]], 
     the (1-alpha)-scaling shortcut on a known adjacency energy.  Odd
     prime-power unit-sum graphs and complements have exact formulas.  Every
     other spec is an odd-order unit-sum spec on the numeric route, solved by
-    the block eigensolver: its spectrum callable returns the blocks'
-    (values, multiplicities) for the caller to group.
+    the block eigensolver.
+
+    The spectrum callable takes a float alpha in [0, 1], checked by the
+    caller, and returns the eigenvalues ungrouped on every route: arrays
+    (values, counts), values[i] taken counts[i] times, in no set order,
+    zero counts allowed.  The formula routes give their families, the
+    numeric route its blocks' values and multiplicities.  spectrum_for and
+    the public *_spectrum functions group these pairs; verification expands
+    them.
 
     The energies callable maps a sequence of alphas to a list of energies.
     The formula routes check their integers once and loop the unchecked
@@ -361,19 +389,19 @@ def _route(spec: GraphSpec) -> tuple[str, Callable, Callable[[Sequence[float]], 
         if spec.complement:  # edgeless
             return (
                 METHOD_REGULAR,
-                lambda a: Spectrum(pairs=((0.0, n),), n=n),
+                lambda a: (np.zeros(1), np.array([n], dtype=np.int64)),
                 lambda xs: [0.0] * len(xs),
             )
         return (
             METHOD_REGULAR,
-            lambda a: complete_spectrum(n, a),
+            lambda a: _complete_pairs(n, a),
             lambda xs: [_complete_energy(n, _check_alpha(a, allow_one=False)) for a in xs],
         )
     if spec.family == FAMILY_UNITARY_CAYLEY or n % 2 == 0:
         spectrum, eps0 = (
-            (complement_unitary_cayley_spectrum, complement_unitary_cayley_adjacency_energy)
+            (_complement_unitary_cayley_pairs, complement_unitary_cayley_adjacency_energy)
             if spec.complement
-            else (unitary_cayley_spectrum, unitary_cayley_adjacency_energy)
+            else (_unitary_cayley_pairs, unitary_cayley_adjacency_energy)
         )
         return (
             METHOD_REGULAR,
@@ -397,9 +425,9 @@ def _route(spec: GraphSpec) -> tuple[str, Callable, Callable[[Sequence[float]], 
         return METHOD_NUMERIC, lambda a: block_eigenvalues(spec, a), block_energies
     p, m = _check_odd_prime_power(*pp)  # once, not per alpha
     spectrum, energy = (
-        (complement_prime_power_spectrum, _complement_prime_power_energy)
+        (_complement_prime_power_pairs, _complement_prime_power_energy)
         if spec.complement
-        else (uacg_prime_power_spectrum, _uacg_prime_power_energy)
+        else (_uacg_prime_power_pairs, _uacg_prime_power_energy)
     )
     return (
         METHOD_CLOSED,
@@ -433,7 +461,9 @@ def spectrum_for(
     method "auto" prefers the exact formulas and otherwise uses the block
     eigensolver; "closed" raises ClosedFormUnavailable when no formula
     applies; "numeric" is the dense eigensolver, the oracle for both.
-    Numeric spectra are grouped at group_tol.
+    The route's (values, counts) are grouped once: closed and regular
+    routes at _CLOSED_GROUP_TOL, the block eigensolver's and the dense
+    eigensolver's values at group_tol.
     """
     alpha = _check_alpha(alpha, allow_one=True)
     if method not in ("auto", "closed", "numeric"):
@@ -443,7 +473,7 @@ def spectrum_for(
         return numeric_spectrum(spec, alpha, group_tol), "numeric"
     route, spectrum, _ = _route(spec)
     if route != METHOD_NUMERIC:
-        return spectrum(alpha), "closed"
+        return _spectrum_from_pairs(*spectrum(alpha)), "closed"
     if method == "closed":
         raise ClosedFormUnavailable(
             f"no exact spectrum for {spec.label()} with n={spec.n} (odd, not a prime power)"

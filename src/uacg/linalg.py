@@ -1,9 +1,11 @@
 """Dense symmetric eigenvalues, circulant eigenvalue formulas, spectrum grouping.
 
 This is the numeric oracle for every closed form and bound in the package.
-The dense path delegates to LAPACK through numpy.linalg.eigvalsh and takes
-one (n, n) matrix.  The FFT circulant formulas are the reference the
-interval tests compare against.
+The dense path takes one (n, n) matrix, splits it into blocks (below) and
+hands each width of blocks above 2 to LAPACK through numpy.linalg.eigvalsh;
+1- and 2-wide blocks, most of them at the orders verify reaches, are solved
+in closed form (see _solve).  The FFT circulant formulas are the reference
+the interval tests compare against.
 
 Every matrix the package builds lives on Z_n, and its entries depend only on
 gcd(i + j, n) or gcd(i - j, n), so x -> u*x (mod n) maps it to itself for
@@ -34,6 +36,7 @@ one fold of the graph.
 from __future__ import annotations
 
 import math
+import numbers
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import lru_cache
@@ -72,15 +75,27 @@ class Spectrum:
         return tuple(m for _, m in self.pairs)
 
 
+def _real(value: float, name: str) -> float:
+    """A value that is not an exact float as a float; ValueError for a bool,
+    a string or any other value that is not a real number, as
+    numtheory._check_int does for integers.  Callers test type(value) is
+    float first, so exact floats skip the slow Real check."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    return float(value)
+
+
 def _check_tol(tol: float) -> float:
-    tol = float(tol)
+    if type(tol) is not float:
+        tol = _real(tol, "tol")
     if not (math.isfinite(tol) and tol > 0.0):
         raise ValueError(f"tol must be positive and finite, got {tol}")
     return tol
 
 
 def _check_alpha(alpha: float, *, allow_one: bool) -> float:
-    alpha = float(alpha)
+    if type(alpha) is not float:
+        alpha = _real(alpha, "alpha")
     hi_ok = alpha <= 1.0 if allow_one else alpha < 1.0
     if not (0.0 <= alpha and hi_ok):
         bound = "[0, 1]" if allow_one else "[0, 1)"
@@ -124,7 +139,8 @@ def symmetric_eigenvalues(a: np.ndarray) -> np.ndarray:
     package), else ValueError.  One of at least _SPLIT_MIN_ENTRIES entries
     that is exactly invariant under each generator of G is solved as the
     blocks of G (see _invariant_split), one stacked eigvalsh per block
-    width; any other takes one full solve.  Raises numpy.linalg.LinAlgError
+    width above 2 and the narrower blocks in closed form (see _solve); any
+    other takes one full solve.  Raises numpy.linalg.LinAlgError
     if the underlying iteration fails to converge, which does not happen for
     the dense sizes used here.
     """
@@ -133,7 +149,7 @@ def symmetric_eigenvalues(a: np.ndarray) -> np.ndarray:
         raise ValueError(f"expected a square matrix, got shape {arr.shape}")
     _check_symmetric(arr)
     split = _invariant_split(arr, 1)
-    return _solve([b[0] for b, _ in _fold(arr, split)], split[-2])
+    return _solve(_fold(arr, split)[0], split[-2])
 
 
 def _alpha_eigenvalues(
@@ -151,27 +167,27 @@ def _alpha_eigenvalues(
     entries count towards _SPLIT_MIN_ENTRIES): J and I are invariant too,
     and the complement's blocks come from the same fold (see _fold).  The
     degrees fold to those of each block's residues, so an alpha's blocks
-    are (1 - alpha)*A_chi + alpha*diag(d_chi).  Alphas are solved in chunks
-    of at most _BATCH_ELEMENTS block entries, each block on its own, so a
-    row does not depend on the other rows of its chunk.
+    are (1 - alpha)*A_chi + alpha*diag(d_chi), formed for every block at
+    once from the flat fold and the cached diagonal positions.  Alphas are
+    solved in chunks of at most _BATCH_ELEMENTS block entries, each block
+    on its own, so a row does not depend on the other rows of its chunk.
     """
-    alphas = np.array([_check_alpha(x, allow_one=True) for x in alphas]).reshape(-1, 1, 1, 1)
+    alphas = np.array([_check_alpha(x, allow_one=True) for x in alphas]).reshape(-1, 1)
     a, d = np.asarray(adjacency), np.asarray(degrees)
     _check_symmetric(a, d)
     split = _invariant_split(a, len(alphas), d)
-    reps, *_, blocks, _ = split
-    n = a.shape[-1]
-    ds = np.stack([n - 1 - d if flag else d for flag in flags])
-    folded = [(b, ds[:, reps[cols]]) for b, cols in _fold(a, split, flags)]
-    step = max(1, _BATCH_ELEMENTS // sum(b.size for b, _ in folded))
+    reps, *_, blocks, index = split
+    n, r = a.shape[-1], _rows(blocks)
+    ds = np.stack([n - 1 - d if flag else d for flag in flags])[:, None, reps[index[:r]]]
+    on_diagonal = index[r : 2 * r]
+    flat = _fold(a, split, flags)[:, None]
+    step = max(1, _BATCH_ELEMENTS // flat.size)
     rows = []
     for start in range(0, len(alphas), step):
-        chunk, stacks = alphas[start : start + step], []
-        for b, diag in folded:  # (flag, alpha) pairs on one leading axis
-            s = (1.0 - chunk) * b[:, None]
-            s.reshape(*s.shape[:-2], -1)[..., :: b.shape[-1] + 1] += chunk[..., 0] * diag[:, None]
-            stacks.append(s.reshape(-1, *b.shape[-3:]))
-        rows.append(_solve(stacks, blocks).reshape(len(flags), len(chunk), n))
+        chunk = alphas[start : start + step]
+        s = (1.0 - chunk) * flat  # (flag, alpha) pairs on the two leading axes
+        s[..., on_diagonal] += chunk * ds
+        rows.append(_solve(s.reshape(-1, s.shape[-1]), blocks).reshape(len(flags), len(chunk), n))
     return np.concatenate(rows, axis=1).reshape(-1, n)
 
 
@@ -253,13 +269,18 @@ def _split(n: int, gens: tuple[int, ...]) -> tuple:
     Those of G are exp(-2*pi*i*j*a/lam) * chars[c, b]; j and lam - j give
     conjugate blocks with the same values, so only j <= lam/2 are kept.
     blocks holds (width, count, twins) per width, twins the leading blocks
-    that stand for a conjugate pair; index, per width in turn, two int32
-    (count, width) arrays: each block's row offsets (k*r + y)*r into the
-    flattened _character_sums, and its y.
+    that stand for a conjugate pair; index, one int32 array of three
+    parts, the blocks taken width by width in each: the indices y into reps
+    of each block's rows (_rows(blocks) of them), the positions of the
+    blocks' diagonal entries in their flattened entries (as many), and the
+    offsets (k*r + y)*r + x of those entries in the flattened
+    _character_sums (none for the trivial group, whose one block is the
+    matrix itself).
     """
     if not gens:  # the trivial group: one block, the whole matrix
         ys = np.arange(n)
-        return _read_only(ys, np.ones(1), 1, np.ones((1, 1)), np.ones(n), ((n, 1, 0),), np.append(ys * n, ys))
+        index = np.append(ys, ys * (n + 1))
+        return _read_only(ys, np.ones(1), 1, np.ones((1, 1)), np.ones(n), ((n, 1, 0),), index)
     elems, label, lam, chars = np.ones(1, dtype=np.int64), np.arange(n), 1, np.ones((1, 1))
     for u in gens:
         powers = [1]
@@ -282,14 +303,17 @@ def _split(n: int, gens: tuple[int, ...]) -> tuple:
     kept = _character_sums((images == reps).astype(float), lam, chars).real > stab / 2
     j = np.arange(kept.shape[0]) // chars.shape[0]
     paired = (j > 0) & (2 * j != lam)
-    widths, blocks, index = kept.sum(axis=1), [], []
+    widths, blocks, rows, diagonal, entries, at = kept.sum(axis=1), [], [], [], [], 0
     for w in sorted(set(widths.tolist())):
         ks = np.flatnonzero(widths == w)  # the characters with w representatives
         ks = ks[np.argsort(~paired[ks], kind="stable")]  # pairs first
         ys = np.nonzero(kept[ks])[1].reshape(-1, w)
-        index += [((ks[:, None] * r + ys) * r).ravel(), ys.ravel()]
+        rows.append(ys.ravel())
+        diagonal.append(at + np.arange(ys.size) * w + np.arange(ys.size) % w)
+        entries.append((((ks[:, None] * r + ys) * r)[:, :, None] + ys[:, None, :]).ravel())
         blocks.append((w, len(ks), int(paired[ks].sum())))
-    index = np.concatenate(index)
+        at += ys.size * w
+    index = np.concatenate(rows + diagonal + entries)
     return _read_only(reps, elems, lam, chars, 1.0 / np.sqrt(stab), tuple(blocks), index)
 
 
@@ -312,13 +336,12 @@ def _character_sums(t: np.ndarray, lam: int, chars: np.ndarray) -> np.ndarray:
     return t.reshape(-1, t.shape[-1])
 
 
-def _fold(
-    m: np.ndarray, split: tuple, flags: Sequence[bool] = (False,)
-) -> list[tuple[np.ndarray, np.ndarray]]:
+def _fold(m: np.ndarray, split: tuple, flags: Sequence[bool] = (False,)) -> np.ndarray:
     """The blocks of the (n, n) matrix m invariant under the split's group
-    G, and for a true flag those of J - I - m: per block width, a
-    (len(flags), count, width, width) stack, complex Hermitian if lam > 1,
-    else real, and the (count, width) indices into reps of its rows.
+    G, and for a true flag those of J - I - m, flattened: a (len(flags),
+    entries) array holding each block's entries row by row, the blocks
+    width by width (as _solve reads them), complex Hermitian if lam > 1,
+    else real.  One gather of the cached offsets takes every block.
 
     Block chi is B[x, y] = sum_h chi(h) * m[x, h*y] / sqrt(|S_x| * |S_y|)
     over the x, y whose stabilizers chi is 1 on: m in the orthonormal basis
@@ -330,7 +353,7 @@ def _fold(
     reps, elems, lam, chars, root, blocks, index = split
     if elems.size == 1:  # one block, m itself (a view, not a copy) or J - I - m, exact
         out = [1.0 - np.eye(m.shape[-1]) - m if flag else m for flag in flags]
-        return [(np.stack(out)[:, None] if len(out) > 1 else out[0][None, None], reps[None])]
+        return (np.stack(out) if len(out) > 1 else out[0]).reshape(len(flags), -1)
     # t[h, y, x] = m[h * reps[y], reps[x]] * root[y] * root[x]
     images = np.outer(elems, reps) % m.shape[-1]
     t = np.take(m[:, reps], images, axis=0) * (root[:, None] * root)
@@ -341,24 +364,41 @@ def _fold(
         c[0] += elems.size * np.outer(root, root).ravel()
         c[:, :: r + 1] -= 1.0
         t = np.stack([c if flag else t for flag in flags])
-    t = t.reshape(len(flags), -1)
-    out, at = [], 0
-    for w, count, _ in blocks:
-        rows, cols = index[at : at + 2 * count * w].reshape(2, count, w)
-        out.append((np.take(t, rows[:, :, None] + cols[:, None, :], axis=1), cols))
-        at += 2 * count * w
-    return out
+    return np.take(t.reshape(len(flags), -1), index[2 * _rows(blocks) :], axis=1)
 
 
-def _solve(stacks: list[np.ndarray], blocks: tuple) -> np.ndarray:
-    """Descending eigenvalues from blocks: one eigvalsh per (..., count,
-    width, width) stack of the split's blocks, the values of its first
-    twins blocks counted twice, each matrix's values concatenated and
-    sorted."""
-    vals = []
-    for s, (*_, twins) in zip(stacks, blocks):
-        v = np.linalg.eigvalsh(s).reshape(*s.shape[:-3], -1)
-        vals += [v, v[..., : twins * s.shape[-1]]]
+def _rows(blocks: tuple) -> int:
+    """How many rows the split's blocks hold, all widths together."""
+    return sum(w * count for w, count, _ in blocks)
+
+
+def _solve(flat: np.ndarray, blocks: tuple) -> np.ndarray:
+    """Descending eigenvalues of each row of flat, the entries of the
+    split's blocks as _fold lays them out: the values of each (..., count,
+    width, width) stack, those of its first twins blocks counted twice, each
+    row's values concatenated and sorted.
+
+    A 1-wide block's value is its real diagonal entry, as LAPACK returns
+    it.  A 2-wide Hermitian block [[a, conj(b)], [b, d]] has the values
+    mean -+ hypot((a - d)/2, |b|), mean = (a + d)/2 (Parlett, The Symmetric
+    Eigenvalue Problem, SIAM 1998), within 2 eps * ||B||_F of the exact ones.
+    Wider stacks take one eigvalsh each: at n <= 201 about 80% of the blocks
+    are 1 or 2 wide, and a call costs far more than such a block.
+    """
+    vals, at = [], 0
+    for w, count, twins in blocks:
+        s = flat[..., at : at + count * w * w].reshape(*flat.shape[:-1], count, w, w)
+        at += count * w * w
+        if w == 1:
+            v = s[..., 0, 0].real
+        elif w == 2:
+            a, d = s[..., 0, 0].real, s[..., 1, 1].real
+            mean, r = (a + d) * 0.5, np.hypot((a - d) * 0.5, np.abs(s[..., 1, 0]))
+            v = np.stack([mean - r, mean + r], axis=-1)
+        else:
+            v = np.linalg.eigvalsh(s)
+        v = v.reshape(*s.shape[:-3], -1)
+        vals += [v, v[..., : twins * w]]
     vals = np.concatenate(vals, axis=-1)
     vals.sort(axis=-1)
     return vals[..., ::-1].copy()

@@ -24,13 +24,11 @@ from .blocks import _energy_floors, _stacked_eigenvalues
 from .closedform import (
     ALPHA_GRID,
     _route,
-    alpha_energy_from_values,
     complement_prime_power_energy,
     complement_unitary_cayley_adjacency_energy,
     complete_energy,
     has_closed_spectrum,
     uacg_prime_power_energy,
-    uacg_prime_power_spectrum,
     unitary_cayley_adjacency_energy,
 )
 from .graphs import (
@@ -153,18 +151,19 @@ def _energies(vals: np.ndarray, n: int, m: int, x: np.ndarray) -> np.ndarray:
     return np.abs(vals - (2.0 * x * m / n)[:, None]).sum(axis=1)
 
 
-def _closed_spectra(spec: GraphSpec, alphas: Sequence[float]) -> np.ndarray:
-    """The closed spectrum of spec at each alpha, one descending row each,
+def _closed_spectra(spec: GraphSpec, x: np.ndarray) -> np.ndarray:
+    """The closed spectrum of spec at each checked alpha in x, one
+    descending row each: the route's ungrouped (values, counts) expanded,
     from one route lookup."""
     spectrum = _route(spec)[1]
-    return np.stack([spectrum(alpha).values() for alpha in alphas])
+    return np.sort([np.repeat(*spectrum(alpha)) for alpha in x])[:, ::-1]
 
 
 def _closed_rows(ns: Iterable[int], alphas: Iterable[float]) -> list[tuple[float, int, tuple]]:
     """Rows comparing the route table's closed spectrum with the eigensolver."""
-    rows, alphas = [], tuple(alphas)
+    (alphas, x), rows = _alphas(alphas), []
     for spec, _, _, vals in _dense(ns, alphas):
-        resid = np.abs(_closed_spectra(spec, alphas) - vals).max(axis=1)
+        resid = np.abs(_closed_spectra(spec, x) - vals).max(axis=1)
         rows.append(_row(resid, 1, (spec.n, spec.complement), alphas))
     return rows
 
@@ -187,13 +186,13 @@ def check_block_route(nmax: int, alphas=ALPHA_GRID, tol: float = 1e-9) -> CheckR
     """Block-eigensolver spectra vs the eigensolver on every odd order, and
     vs the closed-form spectra on odd prime powers."""
     nmax, tol = _check_nmax(nmax), _check_tol(tol)
-    rows, alphas = [], tuple(alphas)
+    (alphas, x), rows = _alphas(alphas), []
     for spec, _, _, dense in _dense(range(3, nmax + 1, 2), alphas):
         values, mults = _stacked_eigenvalues(spec, alphas)  # one stacked block solve
         blocks = np.sort(np.repeat(values, mults, axis=1), axis=1)[:, ::-1]
         resid = np.abs(blocks - dense).max(axis=1)
         if has_closed_spectrum(spec):
-            resid = np.maximum(resid, np.abs(blocks - _closed_spectra(spec, alphas)).max(axis=1))
+            resid = np.maximum(resid, np.abs(blocks - _closed_spectra(spec, x)).max(axis=1))
         rows.append(_row(resid, 1, (spec.n, spec.complement), alphas))
     return _worst("block route vs eigensolver and closed forms", tol, rows)
 
@@ -250,46 +249,36 @@ def check_complement_identity(nmax: int, alphas=ALPHA_GRID, rtol: float = 1e-8) 
     return _worst("complement matrix identity", rtol, rows, ("n", "alpha"))
 
 
-def _tabulated_complement_values(p: int, m: int, alpha: float) -> np.ndarray:
+def _tabulated_complement_values(p: int, m: int, x: np.ndarray) -> np.ndarray:
     """The five-family value multiset the tabulated complement energy formula
-    was derived from.
+    was derived from, one descending row per alpha in x.
 
     Its first family is the alpha-independent -p**(m-1); the corrected
     spectrum (complement_prime_power_spectrum) replaces that family with
     (2*alpha - 1)*p**(m-1), so the two agree only at alpha = 0.  This multiset
     exists solely to cross-check the energy formula against its own source.
     """
-    q = p ** (m - 1)
-    families = [
-        (-float(q), (p - 1) // 2),
-        (alpha * q - 1.0, q - 1),
-        (alpha * q, (p - 1) * (q - 1)),
-        (q - 1.0, 1),
-        (float(q), (p - 1) // 2),
-    ]
-    values = np.concatenate([np.full(mult, val) for val, mult in families if mult > 0])
-    return np.sort(values)[::-1]
+    q, ones = p ** (m - 1), np.ones_like(x)
+    values = np.stack([-q * ones, x * q - 1.0, x * q, (q - 1.0) * ones, q * ones], axis=1)
+    counts = [(p - 1) // 2, q - 1, (p - 1) * (q - 1), 1, (p - 1) // 2]
+    return np.sort(np.repeat(values, counts, axis=1))[:, ::-1]
 
 
 def check_energy_consistency(nmax: int, alphas=ALPHA_GRID, tol: float = 1e-9) -> list[CheckResult]:
-    """Energy formulas vs energies recomputed from their value multisets."""
+    """Energy formulas vs energies recomputed from their value multisets:
+    the route's closed spectrum and the tabulated complement multiset, one
+    row per alpha, each order's rows reduced as one array."""
     nmax, tol = _check_nmax(nmax), _check_tol(tol)
-    uacg_rows, comp_rows = [], []
+    (alphas, x), uacg_rows, comp_rows = _alphas(alphas, allow_one=False), [], []
     for q in odd_prime_powers(nmax):
         p, m = prime_power(q)
-        edges = edge_count(GraphSpec(FAMILY_UACG, q))
-        comp_edges = edge_count(GraphSpec(FAMILY_UACG, q, complement=True))
-        for alpha in alphas:
-            spec_energy = alpha_energy_from_values(
-                uacg_prime_power_spectrum(p, m, alpha).values(), q, edges, alpha
-            )
-            resid = abs(uacg_prime_power_energy(p, m, alpha) - spec_energy)
-            uacg_rows.append((resid, 1, (q, alpha)))
-            multiset_energy = alpha_energy_from_values(
-                _tabulated_complement_values(p, m, alpha), q, comp_edges, alpha
-            )
-            resid = abs(complement_prime_power_energy(p, m, alpha) - multiset_energy)
-            comp_rows.append((resid, 1, (q, alpha)))
+        spec, comp = GraphSpec(FAMILY_UACG, q), GraphSpec(FAMILY_UACG, q, complement=True)
+        spectral = _energies(_closed_spectra(spec, x), q, edge_count(spec), x)
+        formula = [uacg_prime_power_energy(p, m, alpha) for alpha in x]
+        uacg_rows.append(_row(np.abs(formula - spectral), 1, (q,), alphas))
+        multiset = _energies(_tabulated_complement_values(p, m, x), q, edge_count(comp), x)
+        formula = [complement_prime_power_energy(p, m, alpha) for alpha in x]
+        comp_rows.append(_row(np.abs(formula - multiset), 1, (q,), alphas))
     return [
         _worst("prime-power energy vs spectrum", tol, uacg_rows, ("n", "alpha")),
         _worst("complement energy formula vs generating multiset", tol, comp_rows, ("n", "alpha")),

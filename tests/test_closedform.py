@@ -12,6 +12,8 @@ before the closed forms were written.
 import itertools
 import math
 import tracemalloc
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -49,6 +51,7 @@ from uacg.closedform import (
 )
 from uacg.cli import FAMILY_CHOICES
 from uacg.graphs import (
+    FAMILIES,
     FAMILY_COMPLETE,
     FAMILY_UACG,
     FAMILY_UNITARY_CAYLEY,
@@ -59,7 +62,7 @@ from uacg.graphs import (
     complete,
     parse_spec_label,
 )
-from uacg.linalg import symmetric_eigenvalues
+from uacg.linalg import Spectrum, symmetric_eigenvalues
 from uacg.numtheory import (
     euler_phi,
     factorize,
@@ -92,6 +95,18 @@ def dense_values(spec: GraphSpec, alpha: float) -> np.ndarray:
 def even_spectrum(n: int, alpha: float, complement: bool = False):
     """The route table's closed spectrum of the unit-sum family at order n."""
     return spectrum_for(GraphSpec(FAMILY_UACG, n, complement), alpha, method="closed")[0]
+
+
+def public_spectrum(spec: GraphSpec, alpha: float) -> Spectrum:
+    """The public closed spectrum function that covers spec."""
+    n, comp = spec.n, spec.complement
+    if spec.family == FAMILY_COMPLETE:
+        return Spectrum(pairs=((0.0, n),), n=n) if comp else complete_spectrum(n, alpha)
+    if spec.family == FAMILY_UNITARY_CAYLEY or n % 2 == 0:
+        return (complement_unitary_cayley_spectrum if comp else unitary_cayley_spectrum)(n, alpha)
+    return (complement_prime_power_spectrum if comp else uacg_prime_power_spectrum)(
+        *prime_power(n), alpha
+    )
 
 
 def dense_energy(spec: GraphSpec, alpha: float) -> float:
@@ -459,6 +474,68 @@ class TestDispatch:
     def test_numeric_spectrum_group_tol(self):
         spec = numeric_spectrum(GraphSpec(FAMILY_UACG, 9), 0.0, group_tol=1e-6)
         assert [mu for _, mu in spec.pairs] == [1, 1, 2, 4, 1]
+
+    def test_every_route_returns_ungrouped_pairs(self):
+        for spec in GRID_SPECS:
+            values, counts = _route(spec)[1](0.3)
+            assert values.dtype == float and counts.dtype.kind == "i", spec
+            assert values.shape == counts.shape and counts.ndim == 1, spec
+            assert counts.min() >= 0 and counts.sum() == spec.n, spec
+
+    def test_spectrum_for_groups_the_public_pairs_exactly(self):
+        # Each formula exists once: spectrum_for groups the route's pairs as
+        # the public *_spectrum function groups the same ones.
+        checked = set()
+        for n in range(2, 301):
+            for family in FAMILIES:
+                for comp in (False, True):
+                    spec = GraphSpec(family, n, comp)
+                    if not has_closed_spectrum(spec):
+                        continue
+                    for alpha in (0.0, 0.3, 0.9999, 1.0):
+                        got, method = spectrum_for(spec, alpha)
+                        assert method == "closed"
+                        assert got == public_spectrum(spec, alpha), (spec, alpha)
+                    checked.add((family, comp, n % 2 == 0))
+        assert len(checked) == 12  # every family and complement at odd and even n
+
+
+# One value of each type an alpha or tolerance must not be coerced from.
+NOT_REAL = [True, False, np.bool_(False), "0.5", b"0.5", 0.5 + 0j, Decimal("0.5"), None, [0.5]]
+
+
+class TestRealInputs:
+    """An alpha or a tolerance is a real number or a ValueError, as integers
+    are for _check_int: no bool, string or other type is coerced."""
+
+    @pytest.mark.parametrize("bad", NOT_REAL, ids=repr)
+    def test_alpha_rejects_each_non_real_type(self, bad):
+        spec = GraphSpec(FAMILY_UACG, 9)
+        for call in (
+            lambda: energy_report(spec, bad),
+            lambda: spectrum_for(spec, bad),
+            lambda: uacg_prime_power_spectrum(3, 2, bad),
+            lambda: build_alpha_matrix(build_graph(spec), bad),
+        ):
+            with pytest.raises(ValueError, match="alpha must be a real number"):
+                call()
+
+    @pytest.mark.parametrize("bad", NOT_REAL, ids=repr)
+    def test_tol_rejects_each_non_real_type(self, bad):
+        with pytest.raises(ValueError, match="tol must be a real number"):
+            spectrum_for(GraphSpec(FAMILY_UACG, 15), 0.3, group_tol=bad)
+        with pytest.raises(ValueError, match="tol must be a real number"):
+            numeric_spectrum(GraphSpec(FAMILY_UACG, 9), 0.3, group_tol=bad)
+
+    @pytest.mark.parametrize(
+        "alpha", [np.float64(0.5), np.float32(0.5), Fraction(1, 2), 0, np.int64(0)], ids=repr
+    )
+    def test_accepts_every_real_type(self, alpha):
+        spec = GraphSpec(FAMILY_UACG, 9)
+        assert energy_report(spec, alpha) == energy_report(spec, float(alpha))
+        assert spectrum_for(spec, alpha, group_tol=alpha or 1) == spectrum_for(
+            spec, float(alpha), group_tol=float(alpha or 1)
+        )
 
 
 class TestEnergyReport:

@@ -11,6 +11,7 @@ import ast
 import math
 import tracemalloc
 from collections import Counter
+from decimal import Decimal, getcontext
 from fractions import Fraction
 from pathlib import Path
 
@@ -39,6 +40,7 @@ from uacg.linalg import (
     _group,
     _invariant,
     _invariant_split,
+    _solve,
     group_spectrum,
     left_circulant_eigenvalues,
     right_circulant_eigenvalues,
@@ -246,8 +248,8 @@ def block_rows(split) -> list[tuple[np.ndarray, int]]:
     *_, blocks, index = split
     out, at = [], 0
     for w, count, twins in blocks:
-        out.append((index[at + count * w : at + 2 * count * w].reshape(count, w), twins))
-        at += 2 * count * w
+        out.append((index[at : at + count * w].reshape(count, w), twins))
+        at += count * w
     return out
 
 
@@ -376,14 +378,18 @@ class TestInvolutionSplit:
     )
     def test_solves_the_blocks_above_the_crossover(self, monkeypatch, n, widths):
         a = alpha_matrix("uacg", n, 0.3)
+        want = np.linalg.eigvalsh(a)[::-1]
         shapes = eigvalsh_shapes(monkeypatch)
-        assert symmetric_eigenvalues(a).size == n
+        got = symmetric_eigenvalues(a)
+        assert_close(got, want, n)
         assert all(shape[-1] == shape[-2] for shape in shapes)
         split = _invariant_split(a, 1)
         assert block_widths(split) == widths
-        # one eigvalsh per width, one block of each conjugate pair
-        assert len({shape[-1] for shape in shapes}) == len(shapes) == len(widths)
-        assert solved_widths(shapes) == block_widths(split, twins=False)
+        # one eigvalsh per width above 2, one block of each conjugate pair;
+        # no 1- or 2-wide block reaches it
+        wide = {w: k for w, k in block_widths(split, twins=False).items() if w > 2}
+        assert len({shape[-1] for shape in shapes}) == len(shapes) == len(wide)
+        assert solved_widths(shapes) == wide
 
     @pytest.mark.parametrize("n", [*range(1, 130), 199, 200, 201, 243, 256])
     def test_generators_checked_by_brute_force(self, n):
@@ -414,9 +420,9 @@ class TestInvolutionSplit:
         finally:
             tracemalloc.stop()
         assert len(group_of(split)) == 2048
-        assert sum(b.shape[-3] * b.shape[-1] for b, _ in blocks) + sum(
-            w * twins for w, _, twins in split[-2]
-        ) == n
+        # every block's entries, flattened; with twins, the blocks cover n rows
+        assert blocks.shape == (1, sum(count * w * w for w, count, _ in split[-2]))
+        assert sum((count + twins) * w for w, count, twins in split[-2]) == n
         assert peak < n * 2048 * 2
 
 
@@ -542,9 +548,87 @@ class TestComplementFromTheBaseFold:
     def test_one_eigvalsh_per_block_width_for_both_families(self, monkeypatch):
         g = build_uacg(201)
         widths = [w for w, *_ in _invariant_split(g.adjacency, 3, g.degrees)[-2]]
+        assert widths == [1, 2, 4]
         shapes = eigvalsh_shapes(monkeypatch)
         _alpha_eigenvalues(g.adjacency, g.degrees, (0.0, 0.3, 1.0), (False, True))
-        assert [(shape[0], shape[-1]) for shape in shapes] == [(6, w) for w in widths]
+        # the 1- and 2-wide stacks are solved without eigvalsh
+        assert [(shape[0], shape[-1]) for shape in shapes] == [(6, w) for w in widths if w > 2]
+
+
+EPS = np.finfo(float).eps
+
+
+def adversarial_blocks(phases: bool) -> np.ndarray:
+    """Seeded (k, 2, 2) Hermitian blocks [[a, conj(b)], [b, d]] at scales
+    1e-8, 1 and 1e8: b = 0, a = d, |b| >> |a - d|, a*d = |b|**2 (a zero
+    value), and with phases a complex b of every argument."""
+    rng, out = np.random.default_rng(2028), []
+    for scale in (1e-8, 1.0, 1e8):
+        a, d, b = rng.normal(size=(3, 200)) * scale
+        arg = rng.uniform(0.0, 2.0 * np.pi, 200)
+        for aa, dd, bb in (
+            (a, d, 0.0 * b),  # b = 0
+            (a, a, b),  # a = d
+            (a, a + b * 1e-9 * rng.normal(size=200), b),  # |b| >> |a - d|
+            (a, d, d * 1e-9),  # |b| << |a - d|
+            (a, b * b / a, b),  # singular
+        ):
+            bb = bb * np.exp(1j * arg) if phases else bb
+            out.append(np.stack([aa, np.conj(bb), bb, dd], axis=-1).reshape(-1, 2, 2))
+    return np.concatenate(out)
+
+
+def exact_pair(block: np.ndarray) -> list[float]:
+    """The two values of a 2-wide Hermitian block to 60 digits, ascending."""
+    getcontext().prec = 60
+    a, d = Decimal(block[0, 0].real), Decimal(block[1, 1].real)
+    b = complex(block[1, 0])
+    r = (((a - d) / 2) ** 2 + Decimal(b.real) ** 2 + Decimal(b.imag) ** 2).sqrt()
+    return [float((a + d) / 2 - r), float((a + d) / 2 + r)]
+
+
+class TestSmallBlocks:
+    """_solve takes 1-wide blocks as their diagonal and 2-wide blocks by the
+    closed quadratic, so no stack of width <= 2 reaches eigvalsh."""
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_one_wide_blocks_are_lapacks_bit_for_bit(self, monkeypatch, dtype):
+        s = np.random.default_rng(1).normal(size=(2, 3, 40, 1, 1)).astype(dtype)
+        want = np.linalg.eigvalsh(s).reshape(2, 3, -1)
+        want = np.sort(np.concatenate([want, want[..., :7]], axis=-1))[..., ::-1]
+        shapes = eigvalsh_shapes(monkeypatch)
+        assert np.array_equal(_solve(s.reshape(2, 3, 40), ((1, 40, 7),)), want)
+        assert shapes == []
+
+    @pytest.mark.parametrize("phases", [False, True])
+    def test_two_wide_blocks_match_eigvalsh(self, monkeypatch, phases):
+        blocks = adversarial_blocks(phases)
+        want = np.linalg.eigvalsh(blocks)
+        exact = np.array([exact_pair(b) for b in blocks])
+        shapes = eigvalsh_shapes(monkeypatch)
+        got = _solve(blocks.reshape(-1, 4), ((2, 1, 0),))[:, ::-1]
+        assert shapes == []
+        fro = np.sqrt((np.abs(blocks) ** 2).sum(axis=(1, 2)))[:, None]
+        # within 2 eps * ||B||_F of the exact values (1.0 eps here), and of
+        # eigvalsh to 4 eps for real blocks; LAPACK's complex path itself
+        # strays 4.2 eps * ||B||_F from the exact values on these blocks
+        assert np.all(np.abs(got - exact) <= 2 * EPS * fro)
+        assert np.all(np.abs(got - want) <= (8 if phases else 4) * EPS * fro)
+
+    def test_oracle_rows_up_to_301(self):
+        alphas = ALPHA_GRID + (1.0,)
+        x = np.array(alphas)[:, None, None]
+        for n in range(2, 302):
+            g = build_uacg(n)
+            rows = _alpha_eigenvalues(g.adjacency, g.degrees, alphas, (False, True))
+            h = 1 - np.eye(n, dtype=int) - g.adjacency
+            full = [
+                np.linalg.eigvalsh((1.0 - x) * a + x * np.eye(n) * d)[:, ::-1]
+                for a, d in ((g.adjacency, g.degrees), (h, n - 1 - g.degrees))
+            ]
+            want = np.concatenate(full)
+            scale = np.maximum(1.0, np.abs(want).max(axis=1, keepdims=True))
+            assert np.all(np.abs(rows - want) <= 1e-13 * scale), n
 
 
 ORACLE_SOURCE = Path(__file__).resolve().parents[1] / "src" / "uacg" / "linalg.py"

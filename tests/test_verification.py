@@ -20,7 +20,6 @@ from uacg.graphs import DENSE_ORDER_LIMIT, FAMILY_UACG, GraphSpec, build_graph, 
 from uacg.linalg import (
     _BATCH_ELEMENTS,
     _SPLIT_MIN_ENTRIES,
-    Spectrum,
     _alpha_eigenvalues,
     _generators,
     _split,
@@ -173,19 +172,22 @@ class TestIndividualChecks:
 
     def test_block_route_compares_closed_forms(self, monkeypatch):
         # On odd prime powers the blocks are also held to the closed forms,
-        # which come from the route table: a perturbed closed form must make
-        # the check fail.
-        real = closedform_mod.uacg_prime_power_spectrum
+        # which come from the route table's ungrouped pairs: perturbed pairs
+        # must make the check fail, and move the public spectrum with them.
+        real = closedform_mod._uacg_prime_power_pairs
 
         def shifted(p, m, alpha):
-            s = real(p, m, alpha)
-            return Spectrum(pairs=tuple((v + 1e-6, k) for v, k in s.pairs), n=s.n)
+            values, counts = real(p, m, alpha)
+            return values + 1e-6, counts
 
-        monkeypatch.setattr(closedform_mod, "uacg_prime_power_spectrum", shifted)
+        before = closedform_mod.uacg_prime_power_spectrum(3, 2, 0.3)
+        monkeypatch.setattr(closedform_mod, "_uacg_prime_power_pairs", shifted)
         res = check_block_route(9, alphas=(0.3,))
         assert not res.passed
         assert res.worst == pytest.approx(1e-6, rel=1e-3)
-        assert "complement=False" in res.detail
+        assert res.detail == "n=9 complement=False alpha=0.3"
+        after = closedform_mod.uacg_prime_power_spectrum(3, 2, 0.3)
+        assert [v for v, _ in after.pairs] == pytest.approx([v + 1e-6 for v, _ in before.pairs])
 
     def test_tightened_tolerance_can_fail(self):
         # With an absurdly small tolerance the comparison must report
@@ -420,6 +422,12 @@ class TestCheckInputs:
     @pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0, -1e-8])
     def test_rejects_a_bad_tolerance(self, check, bad):
         with pytest.raises(ValueError, match="must be positive and finite"):
+            check(15, **{TOLERANCE_NAMES.get(check, "tol"): bad})
+
+    @pytest.mark.parametrize("check", ALL_CHECKS, ids=[c.__name__ for c in ALL_CHECKS])
+    @pytest.mark.parametrize("bad", ["1e-8", True, None, 1e-8 + 0j], ids=repr)
+    def test_rejects_a_non_real_tolerance(self, check, bad):
+        with pytest.raises(ValueError, match="tol must be a real number"):
             check(15, **{TOLERANCE_NAMES.get(check, "tol"): bad})
 
     def test_accepts_a_numpy_integer_nmax(self):
