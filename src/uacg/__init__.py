@@ -34,7 +34,6 @@ from .closedform import (
     complete_spectrum,
     energy_report,
     has_closed_spectrum,
-    numeric_spectrum,
     regular_alpha_energy,
     spectrum_for,
     uacg_prime_power_energy,
@@ -46,23 +45,18 @@ from .graphs import (
     DENSE_ORDER_LIMIT,
     Graph,
     GraphSpec,
-    adjacency_frobenius_sq,
     build_graph,
     build_uacg,
     build_unitary_cayley,
     complement,
     complete,
     edge_count,
-    edge_list,
-    edges,
     parse_spec_label,
-    zagreb_index,
 )
 from .linalg import (
     Spectrum,
     group_spectrum,
     left_circulant_eigenvalues,
-    right_circulant_eigenvalues,
     symmetric_eigenvalues,
 )
 from .numtheory import (
@@ -70,7 +64,6 @@ from .numtheory import (
     factorize,
     is_prime,
     largest_squarefree_divisor,
-    mobius,
     prime_power,
     ramanujan_sum,
 )
@@ -92,7 +85,6 @@ __all__ = [
     "ObservedBound",
     "Spectrum",
     "__version__",
-    "adjacency_frobenius_sq",
     "alpha_energy_from_values",
     "block_eigenvalues",
     "bound_report",
@@ -110,8 +102,6 @@ __all__ = [
     "complete_energy",
     "complete_spectrum",
     "edge_count",
-    "edge_list",
-    "edges",
     "eigenvalue_intervals",
     "energy_bounds",
     "energy_report",
@@ -123,13 +113,10 @@ __all__ = [
     "is_prime",
     "largest_squarefree_divisor",
     "left_circulant_eigenvalues",
-    "mobius",
-    "numeric_spectrum",
     "parse_spec_label",
     "prime_power",
     "ramanujan_sum",
     "regular_alpha_energy",
-    "right_circulant_eigenvalues",
     "run_suite",
     "spectrum_for",
     "symmetric_eigenvalues",
@@ -137,5 +124,4 @@ __all__ = [
     "uacg_prime_power_spectrum",
     "unitary_cayley_adjacency_energy",
     "unitary_cayley_spectrum",
-    "zagreb_index",
 ]

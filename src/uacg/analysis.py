@@ -19,7 +19,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .blocks import _energy_floors, block_eigenvalues
+from .blocks import _check_unit_sum, _energy_floors, block_eigenvalues
 from .closedform import (
     METHOD_NUMERIC,
     METHOD_REGULAR,
@@ -28,7 +28,7 @@ from .closedform import (
     _ramanujan_pairs,
     _route,
 )
-from .graphs import FAMILY_UACG, GraphSpec, _check_dense_order, edge_count
+from .graphs import GraphSpec, _check_dense_order, edge_count
 # symmetric_eigenvalues has no caller here; perfbench's tracer test looks it
 # up in this namespace.
 from .linalg import _check_alpha, _check_tol, symmetric_eigenvalues  # noqa: F401
@@ -81,13 +81,6 @@ class ObservedBound(NamedTuple):
     satisfied: bool
 
 
-def _check_odd_unit_sum(spec: GraphSpec) -> None:
-    if spec.family != FAMILY_UACG:
-        raise ValueError(f"bounds are defined for the unit-sum family, not {spec.family!r}")
-    if spec.n % 2 == 0:
-        raise ValueError(f"the circulant-plus-diagonal split needs odd n >= 3, got {spec.n}")
-
-
 def _odd_eigen_arrays(spec: GraphSpec, alpha: float) -> tuple[np.ndarray, np.ndarray]:
     """(lower, upper) ends of the rank intervals of eigenvalue_intervals, as arrays.
 
@@ -98,7 +91,7 @@ def _odd_eigen_arrays(spec: GraphSpec, alpha: float) -> tuple[np.ndarray, np.nda
     (1-alpha)*t, with t = phi(n) (n - phi(n) for the complement), plus
     +-(1-alpha)*|c(d, n)| taken phi(n/d)/2 times each for every divisor d < n.
     """
-    _check_odd_unit_sum(spec)
+    _check_unit_sum(spec)
     alpha = _check_alpha(alpha, allow_one=True)
     sums, counts = _ramanujan_pairs(spec.n)
     top = spec.n - sums[-1] if spec.complement else sums[-1]  # sums[-1] = c(0, n) = phi(n)
@@ -122,7 +115,11 @@ def eigenvalue_intervals(spec: GraphSpec, alpha: float) -> tuple[IndexBound, ...
     complement the symbol marks the non-coprime residues (including 0) and
     the diagonal entries are alpha*(n - phi(n)) on units and one less on
     non-units.
+
+    One IndexBound per vertex, so ValueError above DENSE_ORDER_LIMIT, before
+    anything is allocated, as for bound_report.
     """
+    _check_dense_order(spec.n)
     lower, upper = _odd_eigen_arrays(spec, alpha)
     return tuple(map(IndexBound._make, zip(range(1, spec.n + 1), lower.tolist(), upper.tolist())))
 
@@ -140,7 +137,7 @@ def energy_bounds(spec: GraphSpec, alpha: float) -> tuple[dict[str, float], floa
     the alpha matrix is alpha^2*zeta + (1-alpha)^2*2m and its trace is
     2*alpha*m.
     """
-    _check_odd_unit_sum(spec)
+    _check_unit_sum(spec)
     alpha = _check_alpha(alpha, allow_one=False)
     n = spec.n
     phi = euler_phi(n)

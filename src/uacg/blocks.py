@@ -48,8 +48,12 @@ _BLOCK_ORDERS = 128
 
 
 def _check_unit_sum(spec: GraphSpec) -> None:
+    """ValueError unless spec is a unit-sum spec (or its complement) of odd
+    order, the specs the block decomposition and the rank intervals cover."""
     if spec.family != FAMILY_UACG:
         raise ValueError(f"the block decomposition covers the unit-sum family, not {spec.family!r}")
+    if spec.n % 2 == 0:
+        raise ValueError(f"the block decomposition needs odd n >= 3, got {spec.n}")
 
 
 @lru_cache(maxsize=_BLOCK_ORDERS)

@@ -59,7 +59,6 @@ __all__ = [
     "complete_spectrum",
     "energy_report",
     "has_closed_spectrum",
-    "numeric_spectrum",
     "regular_alpha_energy",
     "spectrum_for",
     "uacg_prime_power_energy",
@@ -374,9 +373,10 @@ def _route(spec: GraphSpec) -> tuple[str, Callable, Callable[[Sequence[float]], 
     the public *_spectrum functions group these pairs; verification expands
     them.
 
-    The energies callable maps a sequence of alphas to a list of energies.
-    The formula routes check their integers once and loop the unchecked
-    body of their scalar formula, checking only each alpha.  The numeric
+    The energies callable maps a sequence of float alphas in [0, 1) to a
+    list of energies and checks nothing: _energy_reports checks each alpha
+    once, and the root finder generates its own.  The formula routes loop
+    the unchecked body of their scalar formula.  The numeric
     route walks the alphas in chunks of at most
     max(1, _BATCH_ELEMENTS // values per alpha), one stacked block solve
     each, so a long grid holds one chunk of block values at a time; it sums
@@ -395,7 +395,7 @@ def _route(spec: GraphSpec) -> tuple[str, Callable, Callable[[Sequence[float]], 
         return (
             METHOD_REGULAR,
             lambda a: _complete_pairs(n, a),
-            lambda xs: [_complete_energy(n, _check_alpha(a, allow_one=False)) for a in xs],
+            lambda xs: [_complete_energy(n, a) for a in xs],
         )
     if spec.family == FAMILY_UNITARY_CAYLEY or n % 2 == 0:
         spectrum, eps0 = (
@@ -423,7 +423,7 @@ def _route(spec: GraphSpec) -> tuple[str, Callable, Callable[[Sequence[float]], 
             return out
 
         return METHOD_NUMERIC, lambda a: block_eigenvalues(spec, a), block_energies
-    p, m = _check_odd_prime_power(*pp)  # once, not per alpha
+    p, m = pp
     spectrum, energy = (
         (_complement_prime_power_pairs, _complement_prime_power_energy)
         if spec.complement
@@ -432,22 +432,13 @@ def _route(spec: GraphSpec) -> tuple[str, Callable, Callable[[Sequence[float]], 
     return (
         METHOD_CLOSED,
         lambda a: spectrum(p, m, a),
-        lambda xs: [energy(p, m, _check_alpha(a, allow_one=False)) for a in xs],
+        lambda xs: [energy(p, m, a) for a in xs],
     )
 
 
 def has_closed_spectrum(spec: GraphSpec) -> bool:
     """True when an exact spectrum formula covers the requested graph."""
     return _route(spec)[0] != METHOD_NUMERIC
-
-
-def numeric_spectrum(
-    spec: GraphSpec, alpha: float, group_tol: float = DEFAULT_GROUP_TOL
-) -> Spectrum:
-    """Dense-eigensolver spectrum of A_alpha for any spec."""
-    g = build_graph(spec)
-    vals = symmetric_eigenvalues(build_alpha_matrix(g, alpha))
-    return group_spectrum(vals, group_tol)
 
 
 def spectrum_for(
@@ -460,17 +451,20 @@ def spectrum_for(
 
     method "auto" prefers the exact formulas and otherwise uses the block
     eigensolver; "closed" raises ClosedFormUnavailable when no formula
-    applies; "numeric" is the dense eigensolver, the oracle for both.
-    The route's (values, counts) are grouped once: closed and regular
-    routes at _CLOSED_GROUP_TOL, the block eigensolver's and the dense
-    eigensolver's values at group_tol.
+    applies; "numeric" builds the dense graph (so ValueError above
+    DENSE_ORDER_LIMIT) and solves its alpha matrix with the dense
+    eigensolver, the oracle for both, for any spec.  The route's (values,
+    counts) are grouped once: closed and regular routes at
+    _CLOSED_GROUP_TOL, the block eigensolver's and the dense eigensolver's
+    values at group_tol.
     """
     alpha = _check_alpha(alpha, allow_one=True)
     if method not in ("auto", "closed", "numeric"):
         raise ValueError(f"unknown method {method!r}")
     group_tol = _check_tol(group_tol)
     if method == "numeric":
-        return numeric_spectrum(spec, alpha, group_tol), "numeric"
+        vals = symmetric_eigenvalues(build_alpha_matrix(build_graph(spec), alpha))
+        return group_spectrum(vals, group_tol), "numeric"
     route, spectrum, _ = _route(spec)
     if route != METHOD_NUMERIC:
         return _spectrum_from_pairs(*spectrum(alpha)), "closed"

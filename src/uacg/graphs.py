@@ -25,17 +25,13 @@ __all__ = [
     "FAMILY_UNITARY_CAYLEY",
     "Graph",
     "GraphSpec",
-    "adjacency_frobenius_sq",
     "build_graph",
     "build_uacg",
     "build_unitary_cayley",
     "complement",
     "complete",
     "edge_count",
-    "edge_list",
-    "edges",
     "parse_spec_label",
-    "zagreb_index",
 ]
 
 FAMILY_UACG = "uacg"
@@ -191,23 +187,3 @@ def edge_count(spec: GraphSpec) -> int:
         return n * (n - 1) // 2 - base
     return base
 
-
-def zagreb_index(g: Graph) -> int:
-    """Sum of squared vertex degrees, straight from the degree sequence."""
-    return int(np.sum(g.degrees.astype(object) ** 2))
-
-
-def adjacency_frobenius_sq(g: Graph) -> int:
-    """Squared Frobenius norm of the adjacency matrix; equals 2 * m."""
-    return int(np.count_nonzero(g.adjacency))
-
-
-def edges(g: Graph) -> list[tuple[int, int]]:
-    """Edge list as (i, j) with i < j, sorted lexicographically."""
-    ii, jj = np.nonzero(np.triu(g.adjacency))
-    return list(zip(ii.tolist(), jj.tolist()))
-
-
-def edge_list(g: Graph) -> str:
-    """Plain-text edge list, one 'i j' pair per line, for external cross-checks."""
-    return "".join(f"{i} {j}\n" for i, j in edges(g))

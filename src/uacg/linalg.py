@@ -4,8 +4,9 @@ This is the numeric oracle for every closed form and bound in the package.
 The dense path takes one (n, n) matrix, splits it into blocks (below) and
 hands each width of blocks above 2 to LAPACK through numpy.linalg.eigvalsh;
 1- and 2-wide blocks, most of them at the orders verify reaches, are solved
-in closed form (see _solve).  The FFT circulant formulas are the reference
-the interval tests compare against.
+in closed form (see _solve).  The FFT formula for the eigenvalues of a
+symmetric left circulant (left_circulant_eigenvalues) is the reference the
+interval tests compare against.
 
 Every matrix the package builds lives on Z_n, and its entries depend only on
 gcd(i + j, n) or gcd(i - j, n), so x -> u*x (mod n) maps it to itself for
@@ -48,7 +49,6 @@ __all__ = [
     "Spectrum",
     "group_spectrum",
     "left_circulant_eigenvalues",
-    "right_circulant_eigenvalues",
     "symmetric_eigenvalues",
 ]
 
@@ -404,41 +404,26 @@ def _solve(flat: np.ndarray, blocks: tuple) -> np.ndarray:
     return vals[..., ::-1].copy()
 
 
-def right_circulant_eigenvalues(s: np.ndarray) -> np.ndarray:
-    """Eigenvalues of the right circulant with first row s.
+def left_circulant_eigenvalues(s: np.ndarray) -> np.ndarray:
+    """Eigenvalues of the symmetric left circulant with first row s, descending.
 
-    lambda_j = sum_k s_k * omega**(k*j) with omega = exp(2*pi*i/n); returned
-    in that index order (not sorted), as complex numbers.
+    Row r of the matrix is s cyclically left-shifted by r.  With lambda_k =
+    sum_j s_j * omega**(j*k), omega = exp(2*pi*i/n), the eigenvalues of the
+    right circulant with first row s, the spectrum is {lambda_0} plus a
+    +/-|lambda_k| pair for 1 <= k <= (n-1)/2 when n is odd, and {lambda_0,
+    lambda_{n/2}} plus the pairs for 1 <= k <= (n-2)/2 when n is even.
     """
     arr = np.asarray(s, dtype=float)
     if arr.ndim != 1 or arr.size == 0:
         raise ValueError("expected a non-empty real sequence")
-    # numpy's fft uses the conjugate kernel exp(-2*pi*i*j*k/n); conjugating
-    # recovers the omega**(+kj) convention for real input.
-    return np.conj(np.fft.fft(arr))
-
-
-def left_circulant_eigenvalues(s: np.ndarray) -> np.ndarray:
-    """Eigenvalues of the symmetric left circulant with first row s, descending.
-
-    Row r of the matrix is s cyclically left-shifted by r.  With lambda_k the
-    right circulant eigenvalues, the spectrum is {lambda_0} plus a +/-|lambda_k|
-    pair for 1 <= k <= (n-1)/2 when n is odd, and {lambda_0, lambda_{n/2}} plus
-    the pairs for 1 <= k <= (n-2)/2 when n is even.
-    """
-    lam = right_circulant_eigenvalues(s)
+    # numpy's fft uses the conjugate kernel exp(-2*pi*i*j*k/n), which for
+    # real s conjugates each lambda_k: the real parts and moduli read below
+    # are the same.
+    lam = np.fft.fft(arr)
     n = lam.size
-    vals = [lam[0].real]
-    if n % 2 == 0:
-        vals.append(lam[n // 2].real)
-        half = (n - 2) // 2
-    else:
-        half = (n - 1) // 2
-    for k in range(1, half + 1):
-        mag = abs(lam[k])
-        vals.append(mag)
-        vals.append(-mag)
-    return np.sort(np.asarray(vals, dtype=float))[::-1].copy()
+    pairs = [(abs(z), -abs(z)) for z in lam[1 : (n + 1) // 2]]
+    ends = lam[[0, n // 2]] if n % 2 == 0 else lam[:1]
+    return np.sort(np.append(ends.real, pairs))[::-1].copy()
 
 
 def group_spectrum(values: np.ndarray, tol: float = DEFAULT_GROUP_TOL) -> Spectrum:

@@ -1,8 +1,8 @@
 """Exact integer arithmetic behind the closed-form spectra.
 
-Totients, the Moebius function, Ramanujan sums c(k, n) and trial-division
-factorizations.  Everything in this module is integer arithmetic; no floating
-point enters here.
+Totients, Ramanujan sums c(k, n) and trial-division factorizations.
+Everything in this module is integer arithmetic; no floating point enters
+here.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ __all__ = [
     "factorize",
     "is_prime",
     "largest_squarefree_divisor",
-    "mobius",
     "prime_power",
     "ramanujan_sum",
 ]
@@ -98,26 +97,20 @@ def euler_phi(n: int) -> int:
     return phi
 
 
-def mobius(n: int) -> int:
-    """Moebius function: 0 on non-squarefree n, else (-1)**(number of primes)."""
-    fac = factorize(n)
-    if any(e > 1 for _, e in fac.factors):
-        return 0
-    return -1 if fac.num_distinct_primes % 2 else 1
-
-
 def ramanujan_sum(k: int, n: int) -> int:
-    """Ramanujan sum c(k, n) = mobius(t) * phi(n) / phi(t) with t = n / gcd(k, n).
+    """Ramanujan sum c(k, n) = mu(t) * phi(n) / phi(t) with t = n / gcd(k, n).
 
-    This equals the sum of e^(2*pi*i*k*j/n) over the units j mod n, which is
-    always an integer.  k must satisfy 0 <= k < n.
+    mu is the Moebius function: 0 on non-squarefree t, else (-1)**(number of
+    primes of t).  This equals the sum of e^(2*pi*i*k*j/n) over the units j
+    mod n, which is always an integer.  k must satisfy 0 <= k < n.
     """
     n = _check_int(n, "n", 1)
     k = _check_int(k, "k", 0, n - 1)
     t = n // math.gcd(k, n)
-    mu = mobius(t)
-    if mu == 0:
+    fac = factorize(t)
+    if any(e > 1 for _, e in fac.factors):
         return 0
+    mu = -1 if fac.num_distinct_primes % 2 else 1
     return mu * (euler_phi(n) // euler_phi(t))
 
 

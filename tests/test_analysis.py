@@ -159,6 +159,25 @@ class TestEigenvalueIntervals:
                     fft = left_circulant_eigenvalues(symbol) + alpha * t
                     assert np.all(np.abs(upper - fft) <= 1e-12 * (1.0 + np.abs(fft)))
 
+    def test_rejects_order_above_dense_limit(self, monkeypatch):
+        # one IndexBound per vertex, about 200 B each: the limit is checked
+        # before any interval is computed
+        real = uacg.analysis._odd_eigen_arrays
+
+        def refuse(*args):
+            raise AssertionError("computed above the dense limit")
+
+        monkeypatch.setattr(uacg.analysis, "_odd_eigen_arrays", refuse)
+        for comp in (False, True):
+            with pytest.raises(ValueError, match="DENSE_ORDER_LIMIT"):
+                eigenvalue_intervals(GraphSpec(FAMILY_UACG, DENSE_ORDER_LIMIT + 1, comp), 0.25)
+        monkeypatch.setattr(uacg.analysis, "_odd_eigen_arrays", real)
+        for comp in (False, True):
+            spec = GraphSpec(FAMILY_UACG, DENSE_ORDER_LIMIT - 1, comp)
+            bounds = eigenvalue_intervals(spec, 0.25)
+            assert [b.index for b in bounds] == list(range(1, DENSE_ORDER_LIMIT))
+            assert [b.upper for b in bounds] == _odd_eigen_arrays(spec, 0.25)[1].tolist()
+
     def test_beyond_dense_limit(self):
         # Block-route eigenvalues stand in for the dense solver above its
         # limit: containment and the energy sandwich at orders dense cannot

@@ -21,6 +21,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import uacg.closedform as closedform_mod
+from uacg.analysis import (
+    bound_report,
+    classify,
+    eigenvalue_intervals,
+    energy_bounds,
+    find_borderenergetic_alphas,
+)
+from uacg.blocks import block_eigenvalues
 from uacg.closedform import (
     ALPHA_GRID,
     ClosedFormUnavailable,
@@ -41,7 +49,6 @@ from uacg.closedform import (
     complete_spectrum,
     energy_report,
     has_closed_spectrum,
-    numeric_spectrum,
     regular_alpha_energy,
     spectrum_for,
     uacg_prime_power_energy,
@@ -472,8 +479,9 @@ class TestDispatch:
             spectrum_for(GraphSpec(FAMILY_UACG, 9), 0.0, method="magic")
 
     def test_numeric_spectrum_group_tol(self):
-        spec = numeric_spectrum(GraphSpec(FAMILY_UACG, 9), 0.0, group_tol=1e-6)
+        spec, method = spectrum_for(GraphSpec(FAMILY_UACG, 9), 0.0, "numeric", group_tol=1e-6)
         assert [mu for _, mu in spec.pairs] == [1, 1, 2, 4, 1]
+        assert method == "numeric"
 
     def test_every_route_returns_ungrouped_pairs(self):
         for spec in GRID_SPECS:
@@ -503,6 +511,47 @@ class TestDispatch:
 # One value of each type an alpha or tolerance must not be coerced from.
 NOT_REAL = [True, False, np.bool_(False), "0.5", b"0.5", 0.5 + 0j, Decimal("0.5"), None, [0.5]]
 
+# A spec on each route of the route table.
+ROUTE_SPECS = {
+    "edgeless": GraphSpec(FAMILY_COMPLETE, 9, complement=True),
+    "complete": GraphSpec(FAMILY_COMPLETE, 9),
+    "regular": GraphSpec(FAMILY_UACG, 10, complement=True),
+    "closed": GraphSpec(FAMILY_UACG, 9, complement=True),
+    "numeric": GraphSpec(FAMILY_UACG, 15),
+}
+
+# Every public function that takes an alpha, reached with the bad value x;
+# the routed ones on every route.  The names in HALF_OPEN also reject 1.0.
+ALPHA_SLOTS = {
+    **{f"energy_report-{r}": lambda x, s=s: energy_report(s, x) for r, s in ROUTE_SPECS.items()},
+    **{f"classify-{r}": lambda x, s=s: classify(s, x) for r, s in ROUTE_SPECS.items()},
+    **{f"spectrum_for-{r}": lambda x, s=s: spectrum_for(s, x) for r, s in ROUTE_SPECS.items()},
+    "spectrum_for-dense": lambda x: spectrum_for(GraphSpec(FAMILY_UACG, 15), x, "numeric"),
+    "block_eigenvalues": lambda x: block_eigenvalues(GraphSpec(FAMILY_UACG, 15), x),
+    "energy_bounds": lambda x: energy_bounds(GraphSpec(FAMILY_UACG, 15), x),
+    "eigenvalue_intervals": lambda x: eigenvalue_intervals(GraphSpec(FAMILY_UACG, 15), x),
+    "bound_report": lambda x: bound_report(GraphSpec(FAMILY_UACG, 15), x),
+    "complete_energy": lambda x: complete_energy(9, x),
+    "uacg_prime_power_energy": lambda x: uacg_prime_power_energy(3, 2, x),
+    "complement_prime_power_energy": lambda x: complement_prime_power_energy(3, 2, x),
+}
+HALF_OPEN = [
+    name
+    for name in ALPHA_SLOTS
+    if name.startswith(("energy_report", "classify", "energy_bounds")) or name.endswith("_energy")
+]
+BAD_ALPHAS = [float("nan"), float("inf"), -float("inf"), -0.1, -1e-300, 1.5, True, "0.5"]
+
+# Every public function that takes a tol, on every route.
+TOL_SLOTS = {
+    **{f"classify-{r}": lambda x, s=s: classify(s, 0.3, x) for r, s in ROUTE_SPECS.items()},
+    **{
+        f"find_borderenergetic_alphas-{r}": lambda x, s=s: find_borderenergetic_alphas(s, x)
+        for r, s in ROUTE_SPECS.items()
+    },
+}
+BAD_TOLS = [float("nan"), float("inf"), -float("inf"), 0.0, -1e-3, True, "0.5"]
+
 
 class TestRealInputs:
     """An alpha or a tolerance is a real number or a ValueError, as integers
@@ -525,7 +574,45 @@ class TestRealInputs:
         with pytest.raises(ValueError, match="tol must be a real number"):
             spectrum_for(GraphSpec(FAMILY_UACG, 15), 0.3, group_tol=bad)
         with pytest.raises(ValueError, match="tol must be a real number"):
-            numeric_spectrum(GraphSpec(FAMILY_UACG, 9), 0.3, group_tol=bad)
+            spectrum_for(GraphSpec(FAMILY_UACG, 9), 0.3, method="numeric", group_tol=bad)
+
+    @pytest.mark.parametrize("bad", BAD_ALPHAS, ids=repr)
+    @pytest.mark.parametrize("slot", ALPHA_SLOTS)
+    def test_every_alpha_slot_rejects_a_bad_alpha(self, slot, bad):
+        with pytest.raises(ValueError, match="alpha must"):
+            ALPHA_SLOTS[slot](bad)
+
+    @pytest.mark.parametrize("slot", HALF_OPEN)
+    def test_energy_slots_reject_alpha_one(self, slot):
+        with pytest.raises(ValueError, match=r"alpha must lie in \[0, 1\)"):
+            ALPHA_SLOTS[slot](1.0)
+
+    @pytest.mark.parametrize("bad", BAD_TOLS, ids=repr)
+    @pytest.mark.parametrize("slot", TOL_SLOTS)
+    def test_every_tol_slot_rejects_a_bad_tol(self, slot, bad):
+        with pytest.raises(ValueError, match="tol must"):
+            TOL_SLOTS[slot](bad)
+
+    @pytest.mark.parametrize("route", ROUTE_SPECS)
+    @pytest.mark.parametrize("bad", [float("nan"), -0.1, 1.0, True])
+    @pytest.mark.parametrize("where", [0, 7, 21])
+    def test_a_bad_alpha_anywhere_in_a_batch_stops_it_before_any_energy(
+        self, monkeypatch, route, bad, where
+    ):
+        real, solved = closedform_mod._route, []
+
+        def spying(spec):
+            method, spectrum, energies = real(spec)
+            return method, spectrum, lambda xs: solved.append(xs) or energies(xs)
+
+        monkeypatch.setattr(closedform_mod, "_route", spying)
+        alphas = list(GRID)
+        alphas.insert(where, bad)
+        with pytest.raises(ValueError, match="alpha must"):
+            _energy_reports(ROUTE_SPECS[route], alphas)
+        assert solved == []
+        assert len(_energy_reports(ROUTE_SPECS[route], GRID)) == len(GRID)
+        assert len(solved) == 1
 
     @pytest.mark.parametrize(
         "alpha", [np.float64(0.5), np.float32(0.5), Fraction(1, 2), 0, np.int64(0)], ids=repr
@@ -604,21 +691,17 @@ class TestEnergyReport:
         assert len(got) == 5000 and got[0] == first[0]
 
     @pytest.mark.parametrize("comp", [False, True])
-    def test_closed_form_energies_check_their_integers_once(self, monkeypatch, comp):
-        real, calls = closedform_mod._check_odd_prime_power, []
-
-        def counting(p, m):
-            calls.append((p, m))
-            return real(p, m)
-
-        monkeypatch.setattr(closedform_mod, "_check_odd_prime_power", counting)
+    def test_closed_form_energies_check_nothing_again(self, monkeypatch, comp):
+        # (p, m) comes from prime_power(n), and _energy_reports has checked
+        # each alpha (TestRealInputs), so the energies callable checks neither
         alphas = [i / 64 for i in range(64)]
-        got = _route(GraphSpec(FAMILY_UACG, 125, comp))[2](alphas)
-        assert calls == [(5, 3)]
         public = complement_prime_power_energy if comp else uacg_prime_power_energy
-        assert got == [public(5, 3, alpha) for alpha in alphas]
-        with pytest.raises(ValueError, match="alpha must lie in"):
-            _route(GraphSpec(FAMILY_UACG, 125, comp))[2]((0.5, 1.0))
+        want = [public(5, 3, alpha) for alpha in alphas]
+        calls = []
+        for name in ("_check_odd_prime_power", "_check_alpha"):
+            monkeypatch.setattr(closedform_mod, name, lambda *a, name=name, **k: calls.append(name))
+        assert _route(GraphSpec(FAMILY_UACG, 125, comp))[2](alphas) == want
+        assert calls == []
 
     def test_all_methods_agree_with_dense_route(self):
         # The complement's energy at odd prime-power orders follows the

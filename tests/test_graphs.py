@@ -22,17 +22,13 @@ from uacg.graphs import (
     FAMILY_UACG,
     FAMILY_UNITARY_CAYLEY,
     GraphSpec,
-    adjacency_frobenius_sq,
     build_graph,
     build_uacg,
     build_unitary_cayley,
     complement,
     complete,
     edge_count,
-    edge_list,
-    edges,
     parse_spec_label,
-    zagreb_index,
 )
 from uacg.numtheory import TRIAL_DIVISION_LIMIT, euler_phi
 
@@ -50,22 +46,25 @@ UACG9_EDGES = sorted(
 )
 
 
-def brute_uacg_edges(n: int) -> list[tuple[int, int]]:
-    return [
-        (i, j)
-        for i in range(n)
-        for j in range(i + 1, n)
-        if math.gcd(i + j, n) == 1
-    ]
+def adjacency_of(n: int, pairs) -> np.ndarray:
+    """The 0/1 adjacency on n vertices with an edge for each (i, j) in pairs."""
+    a = np.zeros((n, n), dtype=np.int8)
+    for i, j in pairs:
+        a[i, j] = a[j, i] = 1
+    return a
 
 
-def brute_unitary_cayley_edges(n: int) -> list[tuple[int, int]]:
-    return [
-        (i, j)
-        for i in range(n)
-        for j in range(i + 1, n)
-        if math.gcd(j - i, n) == 1
-    ]
+def brute_uacg_adjacency(n: int) -> np.ndarray:
+    return np.array(
+        [[int(i != j and math.gcd(i + j, n) == 1) for j in range(n)] for i in range(n)],
+        dtype=np.int8,
+    )
+
+
+def brute_unitary_cayley_adjacency(n: int) -> np.ndarray:
+    return np.array(
+        [[int(math.gcd(j - i, n) == 1) for j in range(n)] for i in range(n)], dtype=np.int8
+    )
 
 
 def check_structure(g) -> None:
@@ -83,7 +82,7 @@ def check_structure(g) -> None:
 class TestBuildUacg:
     def test_order_9_matches_hand_fixture(self):
         g = build_uacg(9)
-        assert edges(g) == UACG9_EDGES
+        assert np.array_equal(g.adjacency, adjacency_of(9, UACG9_EDGES))
         assert g.m == 24
 
     def test_vertex_zero_neighbours_order_9(self):
@@ -94,11 +93,11 @@ class TestBuildUacg:
         g = build_uacg(4)
         assert list(g.degrees) == [2, 2, 2, 2]
         assert g.m == 4
-        assert edges(g) == [(0, 1), (0, 3), (1, 2), (2, 3)]
+        assert np.array_equal(g.adjacency, adjacency_of(4, [(0, 1), (0, 3), (1, 2), (2, 3)]))
 
     def test_matches_brute_rule(self):
         for n in range(2, 60):
-            assert edges(build_uacg(n)) == brute_uacg_edges(n)
+            assert np.array_equal(build_uacg(n).adjacency, brute_uacg_adjacency(n))
 
     def test_rejects_small_order(self):
         with pytest.raises(ValueError):
@@ -134,7 +133,7 @@ class TestCoprimeMask:
 class TestBuildUnitaryCayley:
     def test_order_4_is_a_cycle(self):
         g = build_unitary_cayley(4)
-        assert edges(g) == [(0, 1), (0, 3), (1, 2), (2, 3)]
+        assert np.array_equal(g.adjacency, adjacency_of(4, [(0, 1), (0, 3), (1, 2), (2, 3)]))
 
     def test_order_6_degrees(self):
         g = build_unitary_cayley(6)
@@ -142,7 +141,9 @@ class TestBuildUnitaryCayley:
 
     def test_matches_brute_rule(self):
         for n in range(2, 60):
-            assert edges(build_unitary_cayley(n)) == brute_unitary_cayley_edges(n)
+            assert np.array_equal(
+                build_unitary_cayley(n).adjacency, brute_unitary_cayley_adjacency(n)
+            )
 
     def test_regular_of_degree_phi(self):
         for n in range(2, 200):
@@ -273,41 +274,40 @@ class TestEdgeCount:
         assert edge_count(GraphSpec(FAMILY_COMPLETE, 7)) == 21
 
 
+def zagreb(g) -> int:
+    """Sum of squared vertex degrees."""
+    return int(g.degrees @ g.degrees)
+
+
 class TestZagrebIndex:
     def test_examples(self):
-        assert zagreb_index(build_uacg(9)) == 258
-        assert zagreb_index(complete(5)) == 80
+        assert zagreb(build_uacg(9)) == 258
+        assert zagreb(complete(5)) == 80
 
     def test_complement_order_9(self):
         # Sum of squared degrees of the complement, straight from the
         # degree sequence: units get degree 3, non-units degree 2, so
         # 6*9 + 3*4 = 66.
-        assert zagreb_index(complement(build_uacg(9))) == 66
+        assert zagreb(complement(build_uacg(9))) == 66
 
     def test_closed_form_odd_uacg(self):
         # phi^2*(n-2) + phi for odd n: phi vertices of degree phi-1 and
         # n-phi of degree phi.
         for n in range(3, 502, 2):
             phi = euler_phi(n)
-            assert zagreb_index(build_uacg(n)) == phi * phi * (n - 2) + phi
+            assert zagreb(build_uacg(n)) == phi * phi * (n - 2) + phi
 
 
 class TestAdjacencyFrobenius:
     def test_examples(self):
-        assert adjacency_frobenius_sq(build_uacg(9)) == 48
-        assert adjacency_frobenius_sq(complete(4)) == 12
-        assert adjacency_frobenius_sq(complement(build_uacg(9))) == 24
+        assert np.count_nonzero(build_uacg(9).adjacency) == 48
+        assert np.count_nonzero(complete(4).adjacency) == 12
+        assert np.count_nonzero(complement(build_uacg(9)).adjacency) == 24
 
     def test_equals_twice_edge_count(self):
         for n in (5, 8, 15, 30):
             g = build_uacg(n)
-            assert adjacency_frobenius_sq(g) == 2 * g.m
-
-
-class TestEdgeList:
-    def test_format(self):
-        text = edge_list(build_uacg(4))
-        assert text.splitlines() == ["0 1", "0 3", "1 2", "2 3"]
+            assert np.count_nonzero(g.adjacency) == 2 * g.m
 
 
 class TestSpecLabels:

@@ -43,7 +43,6 @@ from uacg.linalg import (
     _solve,
     group_spectrum,
     left_circulant_eigenvalues,
-    right_circulant_eigenvalues,
     symmetric_eigenvalues,
 )
 from uacg.numtheory import ramanujan_sum
@@ -669,44 +668,20 @@ class TestOracleIndependence:
 # Circulants.
 # ---------------------------------------------------------------------------
 
-class TestRightCirculant:
-    def test_identity_row(self):
-        vals = right_circulant_eigenvalues(np.array([1.0, 0.0, 0.0]))
-        assert np.allclose(vals, [1.0, 1.0, 1.0])
-
-    def test_shift_matrix(self):
-        vals = right_circulant_eigenvalues(np.array([0.0, 1.0, 0.0, 0.0]))
-        got = sorted(vals, key=lambda z: (round(z.real, 9), round(z.imag, 9)))
-        want = sorted([1, 1j, -1, -1j], key=lambda z: (round(z.real, 9), round(z.imag, 9)))
-        assert np.allclose(got, want, atol=1e-12)
-
-    def test_unit_indicator_gives_exponential_sums(self):
-        for n in (4, 9, 12, 30):
-            s = np.array([1.0 if math.gcd(j, n) == 1 else 0.0 for j in range(n)])
-            vals = right_circulant_eigenvalues(s)
-            assert np.max(np.abs(vals.imag)) <= 1e-9
-            want = [ramanujan_sum(k, n) for k in range(n)]
-            assert np.allclose(vals.real, want, atol=1e-9)
-
-    def test_matches_explicit_matrix(self):
-        # Round the sort key so conjugate pairs line up the same way in
-        # both lists despite 1e-16 noise in the real parts.
-        def key(z):
-            return (round(z.real, 6), round(z.imag, 6))
-
-        rng = np.random.default_rng(3)
-        for n in range(2, 20):
-            s = rng.normal(size=n)
-            c = np.array([[s[(j - r) % n] for j in range(n)] for r in range(n)])
-            got = sorted(right_circulant_eigenvalues(s), key=key)
-            want = sorted(np.linalg.eigvals(c), key=key)
-            assert max(abs(g - w) for g, w in zip(got, want)) <= 1e-8
-
-
 class TestLeftCirculant:
     def test_constant_symbol(self):
         vals = left_circulant_eigenvalues(np.full(5, 2.0))
         assert np.allclose(vals, [10.0, 0.0, 0.0, 0.0, 0.0], atol=1e-12)
+
+    def test_unit_indicator_gives_ramanujan_sums(self):
+        # the right circulant's eigenvalues are c(k, n); the left one keeps
+        # c(0, n) (and c(n/2, n) for even n) and pairs the rest as +-|c(k, n)|
+        for n in (4, 9, 12, 30):
+            s = np.array([1.0 if math.gcd(j, n) == 1 else 0.0 for j in range(n)])
+            want = [ramanujan_sum(k, n) for k in ([0, n // 2] if n % 2 == 0 else [0])]
+            for k in range(1, (n + 1) // 2):
+                want += [abs(ramanujan_sum(k, n)), -abs(ramanujan_sum(k, n))]
+            assert np.allclose(left_circulant_eigenvalues(s), sorted(want, reverse=True), atol=1e-9)
 
     def test_unit_indicator_order_9(self):
         s = np.array([1.0 if math.gcd(j, 9) == 1 else 0.0 for j in range(9)])

@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from uacg.closedform import (
@@ -35,7 +35,6 @@ from uacg.numtheory import (
     factorize,
     is_prime,
     largest_squarefree_divisor,
-    mobius,
     prime_power,
     ramanujan_sum,
 )
@@ -98,27 +97,6 @@ class TestEulerPhi:
             assert euler_phi(a * b) == euler_phi(a) * euler_phi(b)
 
 
-class TestMobius:
-    def test_examples(self):
-        assert mobius(1) == 1
-        assert mobius(4) == 0
-        assert mobius(6) == 1
-
-    def test_squarefree_characterisation(self):
-        for n in range(1, 2001):
-            fac = brute_factorize(n)
-            if any(e >= 2 for _, e in fac):
-                assert mobius(n) == 0
-            else:
-                assert mobius(n) == (-1) ** len(fac)
-
-    @given(n=st.integers(min_value=1, max_value=5000))
-    @settings(max_examples=200)
-    def test_divisor_sum_identity(self, n):
-        total = sum(mobius(d) for d in range(1, n + 1) if n % d == 0)
-        assert total == (1 if n == 1 else 0)
-
-
 class TestRamanujanSum:
     def test_examples(self):
         assert ramanujan_sum(0, 9) == 6
@@ -135,6 +113,14 @@ class TestRamanujanSum:
                 z = complex_ramanujan(k, n)
                 assert abs(z.imag) < 1e-9
                 assert abs(ramanujan_sum(k, n) - z.real) <= 1e-9
+
+    def test_k_one_gives_mobius(self):
+        # c(1, n) is the Moebius function: 0 unless n is squarefree, else
+        # (-1)**(number of primes)
+        for n in range(2, 2001):
+            fac = brute_factorize(n)
+            squarefree = all(e == 1 for _, e in fac)
+            assert ramanujan_sum(1, n) == ((-1) ** len(fac) if squarefree else 0)
 
     def test_row_sums_vanish(self):
         for n in range(2, 201):
@@ -209,7 +195,7 @@ class TestLargestSquarefreeDivisor:
         for n in range(1, 2001):
             rad = largest_squarefree_divisor(n)
             assert n % rad == 0
-            assert mobius(rad) != 0
+            assert all(e == 1 for _, e in brute_factorize(rad))
             expected = math.prod(p for p, _ in brute_factorize(n)) if n > 1 else 1
             assert rad == expected
 
@@ -219,7 +205,6 @@ class TestLargestSquarefreeDivisor:
 INTEGER_SLOTS = {
     "factorize": lambda x: factorize(x),
     "euler_phi": lambda x: euler_phi(x),
-    "mobius": lambda x: mobius(x),
     "prime_power": lambda x: prime_power(x),
     "is_prime": lambda x: is_prime(x),
     "largest_squarefree_divisor": lambda x: largest_squarefree_divisor(x),
