@@ -4,7 +4,7 @@ This is the numeric oracle for every closed form and bound in the package.
 The dense path takes one (n, n) matrix, splits it into blocks (below) and
 hands each width of blocks above 2 to LAPACK through numpy.linalg.eigvalsh;
 1- and 2-wide blocks, most of them at the orders verify reaches, are solved
-in closed form (see _solve).  The FFT formula for the eigenvalues of a
+in closed form (see _values).  The FFT formula for the eigenvalues of a
 symmetric left circulant (left_circulant_eigenvalues) is the reference the
 interval tests compare against.
 
@@ -29,18 +29,25 @@ independent oracle for it.
 
 A graph's complement J - I - A is invariant whenever A is, and the fold is
 linear: I folds to I in every block, and J to |G| * root[x] * root[y] in
-the block of the trivial character and to 0 in every other.  So
-_alpha_eigenvalues solves a graph and its complement from one check and
-one fold of the graph.
+the block of the trivial character and to 0 in every other.  So every
+other block of the complement's alpha matrix is c*I - B_chi, c = alpha*(n
+- 1) - (1 - alpha), B_chi the graph's own block, and its values are c -
+lambda for the graph's values lambda: _alpha_eigenvalues solves the
+graph's blocks and the complement's trivial block alone, from one check
+and one fold of the graph.  It takes many graphs at once and solves the
+blocks of consecutive graphs together, one call per block width and dtype
+(see _solve_stacks).
 """
 
 from __future__ import annotations
 
 import math
 import numbers
-from collections.abc import Sequence
+from collections import defaultdict, deque
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
+from itertools import starmap
 
 import numpy as np
 
@@ -105,19 +112,24 @@ def _check_alpha(alpha: float, *, allow_one: bool) -> float:
 
 # Fewest entries, k * n**2 for k alphas of one graph of order n, that are
 # split: its checks and fold are paid once per graph.  Time of the split
-# over one full solve, symmetric_eigenvalues and _alpha_eigenvalues on both
-# unit-sum families at n = 10, 15, ..., 200 and at each odd n near the
-# crossover, 1 BLAS thread, numpy 2.4.6 with OpenBLAS 0.3.31 on a 2-core
-# Xeon VM: one matrix 0.59-4.5 up to n = 78, then 0.27-1.12 at odd n and
-# 0.29-1.9 at even n (above 1 at 80, 90, 100, 120 and 160); 3 alphas
-# 0.55-3.2 up to 45, then 0.11-1.20 (above 1 at 60); 11 alphas 0.59-2.9 up
-# to 23, then 0.04-1.14 at odd n and 0.06-2.1 at even n (above 1 at 24-30).
+# over one full solve, 1 BLAS thread, numpy 2.4.6 with OpenBLAS on a 2-core
+# Xeon VM, best of 15.  symmetric_eigenvalues, one uacg matrix at alpha =
+# 0.3: 1.76, 1.11 and 1.42 at n = 40, 50 and 60, then 0.64-1.16 at n = 70,
+# 78, 80, 90, 100, 120 and 150 (above 1 at 80).  _alpha_eigenvalues inside a
+# chunk, four consecutive uacg orders from n at a time, the graph's family
+# alone / both families: 1 alpha 1.2-1.9 / 1.1-2.2 up to n = 34, then
+# 0.53-1.21 / 0.39-1.00 (above 1 up to 46 / at 38); 3 alphas 1.01-1.69 /
+# 1.03-1.83 up to 26 / 22, then below 1; 11 alphas 1.10-1.39 / 1.13-1.35 at
+# 6 and 10, then below 1 from 14 on.  So the batched solve would split from
+# about 2,000 entries, but this bound also gates symmetric_eigenvalues, and
+# a lower one would move rows that are now those of one full solve.
 _SPLIT_MIN_ENTRIES = 6144
 
 # Most float64 entries one stacked eigvalsh input may hold: callers that solve
 # many matrices at once (_alpha_eigenvalues, blocks._stacked_eigenvalues) cut
 # their stacks into chunks of at most this many entries, or one matrix at a
-# time where one matrix holds more.  _invariant's temporaries hold at most
+# time where one matrix holds more (_alpha_eigenvalues solves such a chunk
+# with less than _HELD_ENTRIES entries of the graphs before it).  _invariant's temporaries hold at most
 # this many entries too.  perfbench verify (seeds 101, 102; 1 BLAS
 # thread, numpy 2.4.6 with OpenBLAS, 2-core Xeon VM), with verify's blocks at
 # most 20,000 entries per alpha: wall_s 2.51-2.65 s at 2**16, 2.54-2.62 s at
@@ -125,6 +137,18 @@ _SPLIT_MIN_ENTRIES = 6144
 # MB.  Block root scans at n = 111,546,435 in both families peak at 55.6, 55.4
 # and 56.2 MB at 2**16, 2**17 and 2**18.
 _BATCH_ELEMENTS = 2**17
+
+# Block entries at which _alpha_eigenvalues solves the stacks it holds: the
+# formed stacks of consecutive graphs are held until they reach this many,
+# then solved together (a chunk of one graph's alphas holds at most
+# _BATCH_ELEMENTS, or one alpha).  verify's ten benchmark checks at nmax =
+# 201 (1 BLAS thread, numpy 2.4.6 with OpenBLAS, 2-core Xeon VM), same
+# process, best of 7: 317, 309, 303 and 296 ms at 2**12, 2**13, 2**14 and
+# 2**15; fresh-process peak RSS 34.0-34.2 MB at 2**13 (as before batching),
+# 34.3-34.5 at 2**14, 34.8-34.9 at 2**15 and 45.7-46.0 with every graph
+# held.  The largest traced peak of one check is 0.67 MB at 2**13 and 0.86
+# at 2**14, against 0.76 with each graph solved on its own.
+_HELD_ENTRIES = 2**13
 
 # Most orders whose layouts (_generators, _split) are cached.  A pass of
 # verify at nmax = 201 keeps 236 layouts and 178 generator sets; those of
@@ -139,7 +163,7 @@ def symmetric_eigenvalues(a: np.ndarray) -> np.ndarray:
     package), else ValueError.  One of at least _SPLIT_MIN_ENTRIES entries
     that is exactly invariant under each generator of G is solved as the
     blocks of G (see _invariant_split), one stacked eigvalsh per block
-    width above 2 and the narrower blocks in closed form (see _solve); any
+    width above 2 and the narrower blocks in closed form (see _values); any
     other takes one full solve.  Raises numpy.linalg.LinAlgError
     if the underlying iteration fails to converge, which does not happen for
     the dense sizes used here.
@@ -153,42 +177,113 @@ def symmetric_eigenvalues(a: np.ndarray) -> np.ndarray:
 
 
 def _alpha_eigenvalues(
-    adjacency: np.ndarray,
-    degrees: np.ndarray,
+    graphs: Iterable[tuple[np.ndarray, np.ndarray]],
     alphas: Sequence[float],
     flags: Sequence[bool] = (False,),
-) -> np.ndarray:
-    """symmetric_eigenvalues of (1 - alpha)*A + alpha*diag(d) for each flag
-    in flags and each alpha, one row each, flag by flag: A and d are the
+) -> Iterator[np.ndarray]:
+    """For each (adjacency, degrees) pair in graphs, in order, the
+    symmetric_eigenvalues of (1 - alpha)*A + alpha*diag(d) for each flag in
+    flags and each alpha, one row each, flag by flag: A and d are the
     graph's adjacency and degrees for a false flag, and its complement's,
     J - I - adjacency and n - 1 - degrees, for a true one.
 
-    One check and fold of the graph serves every row (len(alphas) * n**2
-    entries count towards _SPLIT_MIN_ENTRIES): J and I are invariant too,
-    and the complement's blocks come from the same fold (see _fold).  The
-    degrees fold to those of each block's residues, so an alpha's blocks
-    are (1 - alpha)*A_chi + alpha*diag(d_chi), formed for every block at
-    once from the flat fold and the cached diagonal positions.  Alphas are
-    solved in chunks of at most _BATCH_ELEMENTS block entries, each block
-    on its own, so a row does not depend on the other rows of its chunk.
+    Each graph is checked, split and folded once (len(alphas) * n**2
+    entries count towards _SPLIT_MIN_ENTRIES; see _prepare), and nothing of
+    it but its fold is held.  The formed stacks of consecutive graphs are
+    held up to _HELD_ENTRIES block entries and solved together, one _values
+    call per block width and dtype (see _solve_stacks): each block is
+    solved on its own, on the LAPACK routine its dtype takes alone, so a
+    row does not depend on the other graphs or alphas of its chunk.
     """
-    alphas = np.array([_check_alpha(x, allow_one=True) for x in alphas]).reshape(-1, 1)
+    x = np.array([_check_alpha(v, allow_one=True) for v in alphas]).reshape(-1, 1)
+    held, size, waiting = [], 0, deque()
+    for pieces, rows in starmap(partial(_prepare, x=x, flags=tuple(flags)), graphs):
+        solved = []
+        waiting.append((rows, solved))
+        for stacks in pieces():
+            held.append(stacks)
+            solved.append(stacks)
+            size += sum(s.size for s in stacks)
+            if size >= _HELD_ENTRIES:
+                _solve_stacks(held)
+                held, size = [], 0
+        while waiting and not held:  # every graph taken so far is solved
+            rows, solved = waiting.popleft()
+            yield rows(solved)
+    _solve_stacks(held)
+    for rows, solved in waiting:
+        yield rows(solved)
+
+
+def _prepare(adjacency: np.ndarray, degrees: np.ndarray, x: np.ndarray, flags: tuple) -> tuple:
+    """One graph of _alpha_eigenvalues checked, split and folded, as
+    (pieces, rows): pieces() yields the stacks to solve for each chunk of
+    the alphas in x (a (k, 1) array), at most _BATCH_ELEMENTS block entries
+    or one alpha; rows(values) takes the values of every chunk's stacks
+    (each stack's shape less its last axis) to the graph's rows.
+
+    A chunk's stacks are each block width's (families, chunk, count, w, w)
+    stack, an alpha's blocks (1 - alpha)*A_chi + alpha*diag(d_chi) formed
+    for every block at once from the flat fold and the cached diagonal
+    positions.  An unsplit graph folds each flag's matrix, the complement
+    as J - I - A in integers.  A split graph folds its own blocks alone;
+    for a true flag one more stack holds the complement's trivial block,
+    the one that holds the orbit of 0, J_0 - I - A_0, and every other
+    complement value is c - lambda, c = alpha*(n - 1) - (1 - alpha), for
+    the graph's values lambda outside that block.
+    """
     a, d = np.asarray(adjacency), np.asarray(degrees)
     _check_symmetric(a, d)
-    split = _invariant_split(a, len(alphas), d)
-    reps, *_, blocks, index = split
-    n, r = a.shape[-1], _rows(blocks)
-    ds = np.stack([n - 1 - d if flag else d for flag in flags])[:, None, reps[index[:r]]]
+    split = _invariant_split(a, len(x), d)
+    reps, elems, *_, (row, column, _), blocks, index = split
+    n, r, w = a.shape[-1], _rows(blocks), reps.size
+    reflect = elems.size > 1 and True in flags
+    if elems.size > 1:
+        families, flat = (False,), _fold(a, split)
+    else:  # one block, the matrix itself or J - I - A, exact
+        families = flags
+        flat = np.stack([1.0 - np.eye(n) - a if flag else a for flag in flags]).reshape(len(flags), -1)
+    ds = np.stack([n - 1 - d if flag else d for flag in families])[:, None, reps[index[:r]]]
     on_diagonal = index[r : 2 * r]
-    flat = _fold(a, split, flags)[:, None]
-    step = max(1, _BATCH_ELEMENTS // flat.size)
-    rows = []
-    for start in range(0, len(alphas), step):
-        chunk = alphas[start : start + step]
-        s = (1.0 - chunk) * flat  # (flag, alpha) pairs on the two leading axes
-        s[..., on_diagonal] += chunk * ds
-        rows.append(_solve(s.reshape(-1, s.shape[-1]), blocks).reshape(len(flags), len(chunk), n))
-    return np.concatenate(rows, axis=1).reshape(-1, n)
+    if reflect:
+        trivial = _complement_trivial(flat[0], split)
+        dt = (n - 1 - d)[reps[index[row : row + w]]]
+    flat = flat[:, None]
+    step = max(1, _BATCH_ELEMENTS // (flat.size + reflect * w * w))
+
+    def pieces() -> Iterator[list]:
+        for start in range(0, len(x), step):
+            chunk = x[start : start + step]
+            s = (1.0 - chunk) * flat  # (family, alpha) pairs on the two leading axes
+            s[..., on_diagonal] += chunk * ds
+            stacks = _stacks(s, blocks)
+            if reflect:
+                t = (1.0 - chunk) * trivial
+                t[:, :: w + 1] += chunk * dt
+                stacks.append(t.reshape(-1, 1, w, w))
+            yield stacks
+
+    def rows(solved: list) -> np.ndarray:
+        vals = np.concatenate([_unsorted(v[: len(blocks)], blocks) for v in solved], axis=1)
+        if reflect:
+            comp = (x * (n - 1.0) - (1.0 - x)) - vals[0]
+            comp[:, column : column + w] = np.concatenate([v[-1] for v in solved]).reshape(-1, w)
+            vals = np.stack([comp if flag else vals[0] for flag in flags])
+        return _descending(vals).reshape(-1, n)
+
+    return pieces, rows
+
+
+def _complement_trivial(flat: np.ndarray, split: tuple) -> np.ndarray:
+    """The complement's trivial block J_0 - I - A_0, its entries flattened,
+    from the graph's flat fold (see _fold): J folds to |G| * root[x] *
+    root[y] there, I to I."""
+    reps, elems, _, _, root, (row, _, entry), _, index = split
+    w = reps.size
+    ys = index[row : row + w]  # the trivial block's rows: every orbit
+    block = elems.size * np.outer(root[ys], root[ys]).ravel() - flat[entry : entry + w * w]
+    block[:: w + 1] -= 1.0
+    return block
 
 
 def _check_symmetric(m: np.ndarray, *also: np.ndarray) -> None:
@@ -258,8 +353,8 @@ def _generators(n: int) -> tuple[int, ...]:
 
 @lru_cache(maxsize=_LAYOUTS)
 def _split(n: int, gens: tuple[int, ...]) -> tuple:
-    """(reps, elems, lam, chars, root, blocks, index) for the group G of
-    units generated by gens: gens[0] of order lam (lam = 1 if it is an
+    """(reps, elems, lam, chars, root, trivial, blocks, index) for the group
+    G of units generated by gens: gens[0] of order lam (lam = 1 if it is an
     involution), the rest involutions generating H'.
 
     reps are the least residues of the orbits, found by taking least labels
@@ -275,7 +370,11 @@ def _split(n: int, gens: tuple[int, ...]) -> tuple:
     blocks' diagonal entries in their flattened entries (as many), and the
     offsets (k*r + y)*r + x of those entries in the flattened
     _character_sums (none for the trivial group, whose one block is the
-    matrix itself).
+    matrix itself).  trivial locates the trivial character's block, the one
+    whose rows hold the orbit of 0 (reps[0] = 0), as its first row's
+    positions (row, column, entry) among the rows of index, among the
+    values _unsorted lays out, and among the flattened entries (see
+    _trivial_block); its width is reps.size.
     """
     if not gens:  # the trivial group: one block, the whole matrix
         ys = np.arange(n)
@@ -318,12 +417,27 @@ def _split(n: int, gens: tuple[int, ...]) -> tuple:
 
 
 def _read_only(reps, elems, lam, chars, root, blocks, index):
-    """The split, its arrays made read-only: the cache hands them to every
-    caller."""
+    """The split, its trivial block located and its arrays made read-only:
+    the cache hands them to every caller."""
     index = index.astype(np.int32)
     for arr in (reps, elems, chars, root, index):
         arr.setflags(write=False)
-    return reps, elems, lam, chars, root, blocks, index
+    return reps, elems, lam, chars, root, _trivial_block(blocks, index), blocks, index
+
+
+def _trivial_block(blocks: tuple, index: np.ndarray) -> tuple[int, int, int]:
+    """(row, column, entry) of the one block whose rows hold the orbit of 0,
+    index 0 into reps: where its rows start among the rows of index, where
+    its values start among those _unsorted lays out (each width's twins
+    after its blocks), and where its entries start in the flat fold."""
+    p = int(np.flatnonzero(index[: _rows(blocks)] == 0)[0])
+    row = column = entry = 0
+    for w, count, twins in blocks:
+        if p < row + count * w:
+            break
+        row, column, entry = row + count * w, column + (count + twins) * w, entry + count * w * w
+    k = (p - row) // w
+    return row + k * w, column + k * w, entry + k * w * w
 
 
 def _character_sums(t: np.ndarray, lam: int, chars: np.ndarray) -> np.ndarray:
@@ -336,35 +450,26 @@ def _character_sums(t: np.ndarray, lam: int, chars: np.ndarray) -> np.ndarray:
     return t.reshape(-1, t.shape[-1])
 
 
-def _fold(m: np.ndarray, split: tuple, flags: Sequence[bool] = (False,)) -> np.ndarray:
+def _fold(m: np.ndarray, split: tuple) -> np.ndarray:
     """The blocks of the (n, n) matrix m invariant under the split's group
-    G, and for a true flag those of J - I - m, flattened: a (len(flags),
-    entries) array holding each block's entries row by row, the blocks
-    width by width (as _solve reads them), complex Hermitian if lam > 1,
-    else real.  One gather of the cached offsets takes every block.
+    G, flattened: a (1, entries) array holding each block's entries row by
+    row, the blocks width by width (as _stacks reads them), complex
+    Hermitian if lam > 1, else real.  One gather of the cached offsets
+    takes every block.
 
     Block chi is B[x, y] = sum_h chi(h) * m[x, h*y] / sqrt(|S_x| * |S_y|)
     over the x, y whose stabilizers chi is 1 on: m in the orthonormal basis
     sum_h chi(h) e_{h*x} / sqrt(|S_x| * |G|), so its values are those of m
-    to rounding.  The fold is linear, I folds to I in every block, and J to
-    |G| * root[x] * root[y] in the trivial character's block and to 0 in
-    every other, so J - I - m is folded from m's character sums.
+    to rounding.
     """
-    reps, elems, lam, chars, root, blocks, index = split
-    if elems.size == 1:  # one block, m itself (a view, not a copy) or J - I - m, exact
-        out = [1.0 - np.eye(m.shape[-1]) - m if flag else m for flag in flags]
-        return (np.stack(out) if len(out) > 1 else out[0]).reshape(len(flags), -1)
+    reps, elems, lam, chars, root, _, blocks, index = split
+    if elems.size == 1:  # one block, m itself (a view, not a copy)
+        return m.reshape(1, -1)
     # t[h, y, x] = m[h * reps[y], reps[x]] * root[y] * root[x]
     images = np.outer(elems, reps) % m.shape[-1]
     t = np.take(m[:, reps], images, axis=0) * (root[:, None] * root)
     t = _character_sums(t.reshape(elems.size, -1), lam, chars)
-    r = reps.size  # t[k, y*r + x] is block k's entry (y, x); k = 0 is trivial
-    if True in flags:
-        c = -t
-        c[0] += elems.size * np.outer(root, root).ravel()
-        c[:, :: r + 1] -= 1.0
-        t = np.stack([c if flag else t for flag in flags])
-    return np.take(t.reshape(len(flags), -1), index[2 * _rows(blocks) :], axis=1)
+    return np.take(t.reshape(1, -1), index[2 * _rows(blocks) :], axis=1)
 
 
 def _rows(blocks: tuple) -> int:
@@ -374,34 +479,75 @@ def _rows(blocks: tuple) -> int:
 
 def _solve(flat: np.ndarray, blocks: tuple) -> np.ndarray:
     """Descending eigenvalues of each row of flat, the entries of the
-    split's blocks as _fold lays them out: the values of each (..., count,
-    width, width) stack, those of its first twins blocks counted twice, each
-    row's values concatenated and sorted.
+    split's blocks as _fold lays them out: the _values of each block
+    width's stack, one call each."""
+    return _descending(_unsorted([_values(s) for s in _stacks(flat, blocks)], blocks))
 
-    A 1-wide block's value is its real diagonal entry, as LAPACK returns
-    it.  A 2-wide Hermitian block [[a, conj(b)], [b, d]] has the values
-    mean -+ hypot((a - d)/2, |b|), mean = (a + d)/2 (Parlett, The Symmetric
-    Eigenvalue Problem, SIAM 1998), within 2 eps * ||B||_F of the exact ones.
-    Wider stacks take one eigvalsh each: at n <= 201 about 80% of the blocks
-    are 1 or 2 wide, and a call costs far more than such a block.
-    """
-    vals, at = [], 0
-    for w, count, twins in blocks:
-        s = flat[..., at : at + count * w * w].reshape(*flat.shape[:-1], count, w, w)
+
+def _stacks(flat: np.ndarray, blocks: tuple) -> list[np.ndarray]:
+    """Each block width's (..., count, width, width) stack of the entries
+    in flat, laid out as _fold lays them out (views, not copies)."""
+    stacks, at = [], 0
+    for w, count, _ in blocks:
+        stacks.append(flat[..., at : at + count * w * w].reshape(*flat.shape[:-1], count, w, w))
         at += count * w * w
-        if w == 1:
-            v = s[..., 0, 0].real
-        elif w == 2:
-            a, d = s[..., 0, 0].real, s[..., 1, 1].real
-            mean, r = (a + d) * 0.5, np.hypot((a - d) * 0.5, np.abs(s[..., 1, 0]))
-            v = np.stack([mean - r, mean + r], axis=-1)
-        else:
-            v = np.linalg.eigvalsh(s)
-        v = v.reshape(*s.shape[:-3], -1)
+    return stacks
+
+
+def _unsorted(values: Sequence[np.ndarray], blocks: tuple) -> np.ndarray:
+    """Each row's values from those of each width's (..., count, width)
+    stack: width by width, each width's first twins blocks counted twice,
+    after its blocks."""
+    vals = []
+    for v, (w, _, twins) in zip(values, blocks):
+        v = v.reshape(*v.shape[:-2], -1)
         vals += [v, v[..., : twins * w]]
-    vals = np.concatenate(vals, axis=-1)
+    return np.concatenate(vals, axis=-1)
+
+
+def _descending(vals: np.ndarray) -> np.ndarray:
+    """vals sorted in place along the last axis, then a descending copy."""
     vals.sort(axis=-1)
     return vals[..., ::-1].copy()
+
+
+def _values(s: np.ndarray) -> np.ndarray:
+    """The ascending values of each Hermitian block of the (..., w, w)
+    stack s, as (..., w).
+
+    A 1-wide block's value is its real diagonal entry, as LAPACK returns
+    it.  A 2-wide block [[a, conj(b)], [b, d]] has the values mean -+
+    hypot((a - d)/2, |b|), mean = (a + d)/2 (Parlett, The Symmetric
+    Eigenvalue Problem, SIAM 1998), within 2 eps * ||B||_F of the exact ones.
+    Wider stacks take one eigvalsh each: at n <= 201 about 80% of the blocks
+    are 1 or 2 wide, and a call costs far more than such a block.  Each
+    block's values depend on it alone, so stacking blocks together moves
+    none of them.
+    """
+    if s.shape[-1] == 1:
+        return s[..., 0].real
+    if s.shape[-1] == 2:
+        a, d = s[..., 0, 0].real, s[..., 1, 1].real
+        mean, r = (a + d) * 0.5, np.hypot((a - d) * 0.5, np.abs(s[..., 1, 0]))
+        return np.stack([mean - r, mean + r], axis=-1)
+    return np.linalg.eigvalsh(s)
+
+
+def _solve_stacks(pieces: list[list[np.ndarray]]) -> None:
+    """Replace each stack of (..., w, w) Hermitian blocks in each list of
+    pieces by its _values, (..., w): the stacks of one width and dtype are
+    solved with one call, so each block stays on the routine its dtype
+    takes alone."""
+    groups = defaultdict(list)
+    for piece in pieces:
+        for i, s in enumerate(piece):
+            groups[s.shape[-1], s.dtype].append((piece, i))
+    for (w, _), members in groups.items():
+        stacks = [piece[i].reshape(-1, w, w) for piece, i in members]
+        values, at = _values(np.concatenate(stacks) if len(stacks) > 1 else stacks[0]), 0
+        for (piece, i), s in zip(members, stacks):
+            piece[i] = values[at : at + len(s)].reshape(piece[i].shape[:-1])
+            at += len(s)
 
 
 def left_circulant_eigenvalues(s: np.ndarray) -> np.ndarray:

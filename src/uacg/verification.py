@@ -8,6 +8,7 @@ line per check; the test suite asserts on the same results.
 
 from __future__ import annotations
 
+from collections import deque
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 
@@ -129,21 +130,28 @@ def _dense(
 ) -> Iterator[tuple[GraphSpec, int, np.ndarray, np.ndarray]]:
     """(spec, m, degrees, rows) for the unit-sum spec at each order in ns and
     complement flag in flags, rows[k] the descending dense eigenvalues at
-    alphas[k].  Each order's base graph is built once, checked once and
-    folded once into the blocks of the group G = <g> x H' it is invariant
-    under (g a unit of largest multiplicative order, H' the involutions
-    outside <g>); the complement's blocks are J_chi - I - A_chi, J nonzero
-    on the trivial character's block alone, and its degrees n - 1 - d (see
-    linalg._alpha_eigenvalues).  Each row has the values of one full solve
-    of that alpha's matrix to rounding.  Nothing is kept from one call to
-    the next."""
-    alphas, flags = tuple(alphas), tuple(flags)
-    for n in ns:
+    alphas[k].  Every order goes through one linalg._alpha_eigenvalues
+    call, which solves the blocks of consecutive orders together.  Each
+    order's base graph is built once, checked once and folded once into
+    the blocks of the group G = <g> x H' it is invariant under (g a unit of
+    largest multiplicative order, H' the involutions outside <g>), and its
+    adjacency is dropped after that fold.  J folds to zero outside the
+    trivial character's block, so the complement (degrees n - 1 - d) solves
+    that block alone and reflects the graph's other values.  Each row has
+    the values of one full solve of that alpha's matrix to rounding.
+    Nothing is kept from one call to the next."""
+    alphas, flags, built = tuple(alphas), tuple(flags), deque()
+
+    def graph(n: int) -> tuple[np.ndarray, np.ndarray]:
         g = build_graph(GraphSpec(family=FAMILY_UACG, n=n))
-        rows = _alpha_eigenvalues(g.adjacency, g.degrees, alphas, flags)
+        built.append((n, g.m, g.degrees))
+        return g.adjacency, g.degrees
+
+    for rows in _alpha_eigenvalues(map(graph, ns), alphas, flags):
+        n, m, degrees = built.popleft()
         for flag, vals in zip(flags, rows.reshape(len(flags), len(alphas), n)):
-            m, degrees = (n * (n - 1) // 2 - g.m, n - 1 - g.degrees) if flag else (g.m, g.degrees)
-            yield GraphSpec(FAMILY_UACG, n, flag), m, degrees, vals
+            pair = (n * (n - 1) // 2 - m, n - 1 - degrees) if flag else (m, degrees)
+            yield GraphSpec(FAMILY_UACG, n, flag), *pair, vals
 
 
 def _energies(vals: np.ndarray, n: int, m: int, x: np.ndarray) -> np.ndarray:
@@ -237,9 +245,10 @@ def check_complement_identity(nmax: int, alphas=ALPHA_GRID, rtol: float = 1e-8) 
     for n in range(2, nmax + 1):
         g = build_graph(GraphSpec(family=FAMILY_UACG, n=n))
         h = complement(g)
-        # entries are 0/1, so 2a + b numbers the pairs; the diagonal is n (0, 0)s
-        counts = np.bincount((2 * g.adjacency + h.adjacency).ravel(), minlength=4)
-        counts[0] -= n
+        # entries are 0/1 and the diagonal n (0, 0)s, so three counts give how
+        # many off-diagonal entries hold each pair (a, b), numbered 2a + b
+        both, ones_a, ones_b = map(np.count_nonzero, (g.adjacency & h.adjacency, g.adjacency, h.adjacency))
+        counts = np.array([n * n - n - ones_a - ones_b + both, ones_b - both, ones_a - both, both])
         a, b = np.divmod(np.flatnonzero(counts).astype(float), 2.0)
         dg, dh = g.degrees.astype(float), h.degrees.astype(float)
         on = np.abs(x * dg + x * dh - x * (n - 1.0)).max(axis=1)

@@ -20,6 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import uacg.linalg as linalg_mod
 from uacg.closedform import ALPHA_GRID, build_alpha_matrix
 from uacg.graphs import (
     FAMILIES,
@@ -41,6 +42,9 @@ from uacg.linalg import (
     _invariant,
     _invariant_split,
     _solve,
+    _stacks,
+    _unsorted,
+    _values,
     group_spectrum,
     left_circulant_eigenvalues,
     symmetric_eigenvalues,
@@ -281,6 +285,12 @@ def eigvalsh_shapes(monkeypatch) -> list[tuple[int, ...]]:
     return shapes
 
 
+def one_graph(adjacency, degrees, alphas, flags=(False,)) -> np.ndarray:
+    """_alpha_eigenvalues of one graph: its rows, flag by flag."""
+    (rows,) = _alpha_eigenvalues([(adjacency, degrees)], alphas, flags)
+    return rows
+
+
 def assert_close(got: np.ndarray, want: np.ndarray, what) -> None:
     """got within 1e-12 of the largest |value| (at least 1) of want, row by row."""
     scale = np.maximum(1.0, np.max(np.abs(want), axis=-1, keepdims=True))
@@ -468,7 +478,7 @@ class TestAlphaEigenvalues:
             g = build_graph(parse_spec_label(label, n))
             stack = np.stack([build_alpha_matrix(g, alpha) for alpha in alphas])
             want = np.linalg.eigvalsh(stack)[:, ::-1]
-            assert_close(_alpha_eigenvalues(g.adjacency, g.degrees, alphas), want, (label, n))
+            assert_close(one_graph(g.adjacency, g.degrees, alphas), want, (label, n))
             assert_close(np.stack([symmetric_eigenvalues(a) for a in stack]), want, (label, n))
 
     def test_rows_do_not_depend_on_their_chunk(self, monkeypatch):
@@ -477,12 +487,12 @@ class TestAlphaEigenvalues:
         a = build_graph(parse_spec_label("complement-uacg", 199)).adjacency.copy()
         a[1, 5] = a[5, 1] = a[1, 5] + 1
         shapes = eigvalsh_shapes(monkeypatch)
-        rows = _alpha_eigenvalues(a, a.sum(axis=1), ALPHA_GRID)
+        rows = one_graph(a, a.sum(axis=1), ALPHA_GRID)
         assert sorted({shape[0] for shape in shapes}) == [2, 3]
         assert {shape[-1] for shape in shapes} == {199}
         assert all(math.prod(shape) <= _BATCH_ELEMENTS for shape in shapes)
         for row, alpha in zip(rows, ALPHA_GRID):
-            assert np.array_equal(row, _alpha_eigenvalues(a, a.sum(axis=1), (alpha,))[0])
+            assert np.array_equal(row, one_graph(a, a.sum(axis=1), (alpha,))[0])
 
     def test_degrees_are_checked_too(self, monkeypatch):
         g = build_graph(parse_spec_label("uacg", 201))
@@ -490,8 +500,8 @@ class TestAlphaEigenvalues:
         degrees[0] += 1  # 0 is fixed by the whole group: g and every involution still hold
         degrees[1] += 1  # breaks every one
         shapes = eigvalsh_shapes(monkeypatch)
-        got = _alpha_eigenvalues(g.adjacency, degrees, (0.3,))
-        assert shapes == [(1, 1, 201, 201)]
+        got = one_graph(g.adjacency, degrees, (0.3,))
+        assert shapes == [(1, 201, 201)]
         want = np.linalg.eigvalsh(0.7 * g.adjacency + np.diag(0.3 * degrees))[::-1]
         assert_close(got[0], want, "degrees")
 
@@ -500,16 +510,18 @@ class TestAlphaEigenvalues:
         a = g.adjacency.copy()
         a[1, 2] += 1
         with pytest.raises(ValueError, match="not symmetric"):
-            _alpha_eigenvalues(a, g.degrees, (0.3,))
+            one_graph(a, g.degrees, (0.3,))
         with pytest.raises(ValueError, match="finite"):
-            _alpha_eigenvalues(g.adjacency, np.full(9, math.inf), (0.3,))
+            one_graph(g.adjacency, np.full(9, math.inf), (0.3,))
         with pytest.raises(ValueError, match="alpha"):
-            _alpha_eigenvalues(g.adjacency, g.degrees, (1.5,))
+            one_graph(g.adjacency, g.degrees, (1.5,))
 
 
 class TestComplementFromTheBaseFold:
     """With a true flag, _alpha_eigenvalues solves the complement from the
-    base graph's one fold, as J_chi - I - A_chi and n - 1 - d."""
+    base graph's one fold: its trivial block as J_0 - I - A_0 and n - 1 - d,
+    every other value reflected, c - lambda for c = alpha*(n - 1) - (1 -
+    alpha) and the graph's own values lambda."""
 
     ALPHAS = ALPHA_GRID + (1.0,)
 
@@ -518,12 +530,12 @@ class TestComplementFromTheBaseFold:
         for n in range(2, 302):
             g = build_uacg(n)
             h = complement(g)
-            base, comp = _alpha_eigenvalues(
+            base, comp = one_graph(
                 g.adjacency, g.degrees, self.ALPHAS, (False, True)
             ).reshape(2, len(self.ALPHAS), n)
             # the base rows are those of the base graph alone, bit for bit
-            assert np.array_equal(base, _alpha_eigenvalues(g.adjacency, g.degrees, self.ALPHAS)), n
-            direct = _alpha_eigenvalues(h.adjacency, h.degrees, self.ALPHAS)
+            assert np.array_equal(base, one_graph(g.adjacency, g.degrees, self.ALPHAS)), n
+            direct = one_graph(h.adjacency, h.degrees, self.ALPHAS)
             assert_close(comp, direct, n)
             plain = np.linalg.eigvalsh(np.stack([build_alpha_matrix(h, a) for a in self.ALPHAS]))
             assert_close(comp, plain[:, ::-1], n)
@@ -537,21 +549,122 @@ class TestComplementFromTheBaseFold:
     @pytest.mark.parametrize("n", [9, 60, 105, 128, 201])
     def test_rows_do_not_depend_on_the_other_family(self, n):
         g = build_uacg(n)
-        pair = _alpha_eigenvalues(g.adjacency, g.degrees, self.ALPHAS, (False, True))
-        alone = _alpha_eigenvalues(g.adjacency, g.degrees, self.ALPHAS, (True,))
-        swapped = _alpha_eigenvalues(g.adjacency, g.degrees, self.ALPHAS, (True, False))
+        pair = one_graph(g.adjacency, g.degrees, self.ALPHAS, (False, True))
+        alone = one_graph(g.adjacency, g.degrees, self.ALPHAS, (True,))
+        swapped = one_graph(g.adjacency, g.degrees, self.ALPHAS, (True, False))
         k = len(self.ALPHAS)
         assert np.array_equal(pair[k:], alone)
         assert np.array_equal(swapped, np.concatenate([pair[k:], pair[:k]]))
 
-    def test_one_eigvalsh_per_block_width_for_both_families(self, monkeypatch):
-        g = build_uacg(201)
-        widths = [w for w, *_ in _invariant_split(g.adjacency, 3, g.degrees)[-2]]
-        assert widths == [1, 2, 4]
+    @pytest.mark.parametrize("n", [105, 200, 201])
+    def test_one_eigvalsh_per_block_width_for_both_families(self, monkeypatch, n):
+        g = build_uacg(n)
+        split = _invariant_split(g.adjacency, 3, g.degrees)
+        reps, blocks = split[0], split[-2]
+        if n == 201:
+            assert [w for w, *_ in blocks] == [1, 2, 4]
         shapes = eigvalsh_shapes(monkeypatch)
-        _alpha_eigenvalues(g.adjacency, g.degrees, (0.0, 0.3, 1.0), (False, True))
-        # the 1- and 2-wide stacks are solved without eigvalsh
-        assert [(shape[0], shape[-1]) for shape in shapes] == [(6, w) for w in widths if w > 2]
+        one_graph(g.adjacency, g.degrees, (0.0, 0.3, 1.0), (False, True))
+        # Three alphas of the graph's blocks, one of each conjugate pair,
+        # and of the complement's trivial block alone, as wide as the
+        # orbits: one eigvalsh per width above 2, as one stack (every block
+        # is complex here); the 1- and 2-wide stacks take no eigvalsh.
+        want = Counter({w: 3 * count for w, count, _ in blocks if w > 2})
+        want[reps.size] += 3 * (reps.size > 2)
+        assert Counter({shape[-1]: shape[0] for shape in shapes}) == +want
+        assert len(shapes) == len(+want)
+
+    @pytest.mark.parametrize("n", [24, 60, 105, 128, 199, 200, 201, 243])
+    def test_the_trivial_block_holds_the_orbit_of_zero(self, n):
+        # J folds to zero outside the block the layout locates, as wide as
+        # the orbits and holding every one; its values sit at the located
+        # column, n and w - 1 zeros
+        split = _invariant_split(np.zeros((n, n)), len(self.ALPHAS))
+        reps, elems, *_, (row, column, entry), blocks, index = split
+        w = reps.size
+        assert elems.size > 1 and reps[0] == 0
+        assert sorted(index[row : row + w].tolist()) == list(range(w))
+        ones = _fold(np.ones((n, n)), split)
+        assert np.all(np.abs(np.delete(ones[0], np.s_[entry : entry + w * w])) <= 1e-12 * n)
+        vals = _unsorted([_values(s) for s in _stacks(ones, blocks)], blocks)[0]
+        assert np.all(np.abs(np.delete(vals, np.s_[column : column + w])) <= 1e-12 * n)
+        assert abs(vals[column : column + w].max() - n) <= 1e-12 * n
+
+    @pytest.mark.parametrize("n", [60, 201])
+    def test_a_base_block_fault_moves_both_families(self, monkeypatch, n):
+        # A nontrivial 1-wide block of the graph's fold raised by 1e-6 moves
+        # its value by (1 - alpha)*1e-6 in the graph's rows and the value
+        # reflected from it by -(1 - alpha)*1e-6 in the complement's, so the
+        # reflection cannot hide a fault in the graph's blocks.
+        g = build_uacg(n)
+        k = len(self.ALPHAS)
+        clean = one_graph(g.adjacency, g.degrees, self.ALPHAS, (False, True)).reshape(2, k, n)
+        split = _invariant_split(g.adjacency, k, g.degrees)
+        (w, _, twins), entry = split[-2][0], split[-3][2]
+        assert w == 1 and entry != 0  # the first block is 1 wide and not the trivial one
+        real = linalg_mod._fold
+
+        def raised(m, split):
+            flat = real(m, split).copy()
+            flat[:, 0] += 1e-6
+            return flat
+
+        monkeypatch.setattr(linalg_mod, "_fold", raised)
+        moved = one_graph(g.adjacency, g.degrees, self.ALPHAS, (False, True)).reshape(2, k, n) - clean
+        x = np.array(self.ALPHAS)
+        shift = (1 + (twins > 0)) * (1.0 - x) * 1e-6  # a twin's value is counted twice
+        assert np.allclose(moved.sum(axis=2), [shift, -shift], rtol=0, atol=1e-9)
+        assert np.all(np.abs(moved[:, x <= 0.9]).max(axis=2) > 0)
+
+
+class TestBatchedOrders:
+    """_alpha_eigenvalues holds the stacks of consecutive graphs and solves
+    each (width, dtype) of them with one call; every row is that of its
+    graph solved alone, bit for bit."""
+
+    # Every order from 25 on is split at eleven alphas into complex blocks
+    # (lambda(n) > 2); n = 8 and 12 take one real full solve, as wide as
+    # some of n = 200's blocks, and hold too few entries to end a chunk.
+    ORDERS = (8, 200, *range(25, 48), 12, 200)
+
+    @pytest.mark.parametrize("flags", [(False,), (False, True)])
+    def test_rows_equal_each_order_alone(self, monkeypatch, flags):
+        real, chunks = linalg_mod._solve_stacks, []
+
+        def spy(pieces):
+            chunks.append({(s.shape[-1], s.dtype) for piece in pieces for s in piece})
+            real(pieces)
+
+        monkeypatch.setattr(linalg_mod, "_solve_stacks", spy)
+        graphs = [build_uacg(n) for n in self.ORDERS]
+        rows = list(_alpha_eigenvalues(((g.adjacency, g.degrees) for g in graphs), ALPHA_GRID, flags))
+        batched = [chunk for chunk in chunks if chunk]
+        k = len(ALPHA_GRID)
+        assert [got.shape for got in rows] == [(len(flags) * k, g.n) for g in graphs]
+        for g, got in zip(graphs, rows):
+            for i, flag in enumerate(flags):
+                alone = one_graph(g.adjacency, g.degrees, ALPHA_GRID, (flag,))
+                assert np.array_equal(got[i * k : (i + 1) * k], alone), (g.n, flag)
+        # chunk boundaries inside the range, and width groups that hold a
+        # real full solve beside complex split blocks
+        assert len(batched) > 2
+        for w in (8, 12):
+            assert any({(w, np.dtype(float)), (w, np.dtype(complex))} <= chunk for chunk in batched)
+
+    def test_nothing_is_held_past_the_chunk_bound(self, monkeypatch):
+        real, sizes = linalg_mod._solve_stacks, []
+
+        def spy(pieces):
+            sizes.append([sum(s.size for s in piece) for piece in pieces])
+            real(pieces)
+
+        monkeypatch.setattr(linalg_mod, "_solve_stacks", spy)
+        graphs = [build_uacg(n) for n in range(2, 202)]
+        list(_alpha_eigenvalues(((g.adjacency, g.degrees) for g in graphs), ALPHA_GRID, (False, True)))
+        # every chunk but the last reached _HELD_ENTRIES with its last piece
+        assert all(sum(chunk) >= linalg_mod._HELD_ENTRIES for chunk in sizes[:-1])
+        assert all(sum(chunk[:-1]) < linalg_mod._HELD_ENTRIES for chunk in sizes)
+        assert all(size <= _BATCH_ELEMENTS for chunk in sizes for size in chunk)
 
 
 EPS = np.finfo(float).eps
@@ -619,7 +732,7 @@ class TestSmallBlocks:
         x = np.array(alphas)[:, None, None]
         for n in range(2, 302):
             g = build_uacg(n)
-            rows = _alpha_eigenvalues(g.adjacency, g.degrees, alphas, (False, True))
+            rows = one_graph(g.adjacency, g.degrees, alphas, (False, True))
             h = 1 - np.eye(n, dtype=int) - g.adjacency
             full = [
                 np.linalg.eigvalsh((1.0 - x) * a + x * np.eye(n) * d)[:, ::-1]

@@ -7,12 +7,15 @@ over nothing.
 """
 
 import math
+import weakref
+from collections import Counter
 
 import numpy as np
 import pytest
 
 import uacg.closedform as closedform_mod
 import uacg.graphs as graphs_mod
+import uacg.linalg as linalg_mod
 import uacg.verification as verification_mod
 from uacg.blocks import block_eigenvalues
 from uacg.closedform import ALPHA_GRID, build_alpha_matrix
@@ -22,6 +25,7 @@ from uacg.linalg import (
     _SPLIT_MIN_ENTRIES,
     _alpha_eigenvalues,
     _generators,
+    _invariant_split,
     _split,
 )
 from uacg.verification import (
@@ -222,14 +226,14 @@ def perturb_seam(monkeypatch, order, perturb, families=(False, True)):
     perturbed, for the families (complement flags) named."""
     real = verification_mod._alpha_eigenvalues
 
-    def perturbed(adjacency, degrees, alphas, flags):
-        rows = real(adjacency, degrees, alphas, flags)
-        if rows.shape[-1] == order:
-            per_flag = rows.reshape(len(flags), -1, order)
-            for k, flag in enumerate(flags):
-                if flag in families:
-                    per_flag[k] = perturb(per_flag[k])
-        return rows
+    def perturbed(graphs, alphas, flags):
+        for rows in real(graphs, alphas, flags):
+            if rows.shape[-1] == order:
+                per_flag = rows.reshape(len(flags), -1, order)
+                for k, flag in enumerate(flags):
+                    if flag in families:
+                        per_flag[k] = perturb(per_flag[k])
+            yield rows
 
     monkeypatch.setattr(verification_mod, "_alpha_eigenvalues", perturbed)
 
@@ -292,6 +296,44 @@ class TestPerturbedEigensolver:
         for res in results_of(check, 15):
             assert res.passed is False and math.isnan(res.worst), res
             assert res.detail.split()[0] == f"n={order}", res
+
+
+def drop_j(block, split):
+    """The complement's trivial block without its J term."""
+    reps, elems, _, _, root, (row, _, _), _, index = split
+    ys = index[row : row + reps.size]
+    return block - elems.size * np.outer(root[ys], root[ys]).ravel()
+
+
+def raise_last_entry(block, split):
+    """The complement's trivial block, its last diagonal entry off by 1e-6."""
+    block = block.copy()
+    block[-1] += 1e-6
+    return block
+
+
+class TestComplementTrivialBlock:
+    """A split order's complement solves one block of its own, the trivial
+    character's, and reflects every other value from the graph's blocks: a
+    fault in that block fails the checks on the complement family alone."""
+
+    @pytest.mark.parametrize("fault", [drop_j, raise_last_entry])
+    def test_a_fault_fails_on_the_complement_only(self, monkeypatch, fault):
+        clean = list(verification_mod._dense(range(2, 32), ALPHA_GRID))
+        real = linalg_mod._complement_trivial
+
+        def faulty_block(flat, split):
+            return fault(real(flat, split), split)
+
+        monkeypatch.setattr(linalg_mod, "_complement_trivial", faulty_block)
+        faulty = list(verification_mod._dense(range(2, 32), ALPHA_GRID))
+        for (spec, *_, want), (_, *_, got) in zip(clean, faulty):
+            # the graph's rows do not move; the complement's move at every
+            # order split at eleven alphas (n >= 24)
+            assert np.array_equal(got, want) == (not spec.complement or spec.n < 24), spec
+        for res in [*check_spectral_identities(31), check_prime_power_spectra(31)]:
+            assert res.passed is False, res
+            assert res.detail.split()[1] == "complement=True", res
 
 
 def flipped_complement(orders, i, j):
@@ -374,14 +416,16 @@ ALL_CHECKS = [
 ]
 
 
-def full_solve(adjacency, degrees, alphas, flags=(False,)):
-    """One np.linalg.eigvalsh per alpha matrix, as built by build_alpha_matrix,
-    of the graph (a false flag) or its complement (a true one), flag by flag."""
-    n, rows = len(degrees), []
-    for flag in flags:
-        a, d = (1 - np.eye(n, dtype=int) - adjacency, n - 1 - degrees) if flag else (adjacency, degrees)
-        rows += [np.linalg.eigvalsh((1.0 - x) * a + np.diag(x * d))[::-1] for x in alphas]
-    return np.stack(rows)
+def full_solve(graphs, alphas, flags=(False,)):
+    """For each (adjacency, degrees) pair, one np.linalg.eigvalsh per alpha
+    matrix, as built by build_alpha_matrix, of the graph (a false flag) or
+    its complement (a true one), flag by flag."""
+    for adjacency, degrees in graphs:
+        n, rows = len(degrees), []
+        for flag in flags:
+            a, d = (1 - np.eye(n, dtype=int) - adjacency, n - 1 - degrees) if flag else (adjacency, degrees)
+            rows += [np.linalg.eigvalsh((1.0 - x) * a + np.diag(x * d))[::-1] for x in alphas]
+        yield np.stack(rows)
 
 
 # The tolerance keyword of each check that is not called tol.
@@ -434,12 +478,18 @@ class TestCheckInputs:
         assert check_block_route(np.int64(9), alphas=(0.3,)).cases == 4 * 2
 
 
+def one_graph(adjacency, degrees, alphas, flags=(False,)):
+    """The rows of one graph through the batched seam."""
+    (rows,) = _alpha_eigenvalues([(adjacency, degrees)], alphas, flags)
+    return rows
+
+
 class TestStackedDenseSolves:
     def test_rows_and_order_match_one_solve_per_alpha(self, monkeypatch):
-        real, shapes = np.linalg.eigvalsh, []
+        real, calls = np.linalg.eigvalsh, []
 
         def spy(a):
-            shapes.append(a.shape)
+            calls.append((a.shape, a.dtype))
             return real(a)
 
         monkeypatch.setattr(np.linalg, "eigvalsh", spy)
@@ -459,21 +509,26 @@ class TestStackedDenseSolves:
                 ):
                     # one alpha of one family alone is split as the pair of
                     # families at eleven alphas is, through the same seam
-                    alone = _alpha_eigenvalues(
-                        base.adjacency, base.degrees, (alpha,), (spec.complement,)
-                    )[0]
-                    assert np.array_equal(row, alone), (spec, alpha)
-                full = full_solve(base.adjacency, base.degrees, (alpha,), (spec.complement,))[0]
-                assert np.max(np.abs(row - full)) <= 1e-12 * max(1.0, np.max(np.abs(full)))
-        # One order's two families and eleven alphas share one stack per
-        # block width: n = 5 one full stack of 2 x 11 matrices; n = 60 and 199
-        # one stack per block width of their groups <g> x H', the blocks at
-        # most 12 (n = 60) and 2 (n = 199) wide, so each holds every row
-        # within _BATCH_ELEMENTS block entries.
-        assert shapes[0] == (22, 1, 5, 5)
-        assert all(shape[0] == 22 for shape in shapes)
-        assert max(shape[-1] for shape in shapes[1:]) == 12
-        assert all(math.prod(shape) <= _BATCH_ELEMENTS for shape in shapes)
+                    alone = one_graph(base.adjacency, base.degrees, (alpha,), (spec.complement,))
+                    assert np.array_equal(row[None], alone), (spec, alpha)
+                (full,) = full_solve([(base.adjacency, base.degrees)], (alpha,), (spec.complement,))
+                assert np.max(np.abs(row - full[0])) <= 1e-12 * max(1.0, np.max(np.abs(full)))
+        # Each (width, dtype) takes one eigvalsh: n = 5 one real stack of its
+        # 2 x 11 full matrices; n = 60 (blocks at most 12 wide) and 199 (at
+        # most 2) their groups' complex blocks at eleven alphas, the
+        # complement adding its trivial block alone, as wide as its orbits.
+        want = Counter({(5, np.dtype(float)): 22})
+        for n in (60, 199):
+            g = build_graph(GraphSpec(FAMILY_UACG, n))
+            split = _invariant_split(g.adjacency, len(ALPHA_GRID), g.degrees)
+            for w, count, _ in split[-2]:
+                want[w, np.dtype(complex)] += count * len(ALPHA_GRID) * (w > 2)
+            want[len(split[0]), np.dtype(complex)] += len(ALPHA_GRID) * (len(split[0]) > 2)
+        assert all(len(shape) == 3 and shape[1] == shape[2] for shape, _ in calls)
+        assert Counter({(shape[-1], dtype): shape[0] for shape, dtype in calls}) == +want
+        assert len(calls) == len(+want)
+        assert max(shape[-1] for shape, dtype in calls if dtype == complex) == 12
+        assert all(math.prod(shape) <= _BATCH_ELEMENTS for shape, _ in calls)
 
     def test_checks_match_one_matrix_at_a_time(self, monkeypatch):
         split = [check(61) for check in ALL_CHECKS]
@@ -508,28 +563,52 @@ class TestOneBuildPerOrder:
             assert np.array_equal(degrees, want.degrees), spec
             assert vals.shape == (1, spec.n)
 
+    def test_no_adjacency_outlives_its_fold(self, monkeypatch):
+        refs = []
+
+        def building(spec):
+            g = build_graph(spec)
+            refs.append(weakref.ref(g.adjacency))
+            return g
+
+        monkeypatch.setattr(verification_mod, "build_graph", building)
+        # at each yielded row, no adjacency built so far is alive
+        alive = [sum(ref() is not None for ref in refs) for _ in verification_mod._dense(range(2, 80), ALPHA_GRID)]
+        assert len(refs) == 78 and alive == [0] * (2 * 78)
+
     @pytest.mark.parametrize("check", ALL_CHECKS, ids=[c.__name__ for c in ALL_CHECKS])
     def test_a_second_call_does_the_same_work(self, monkeypatch, check):
-        # nothing (graph, fold or eigenvalues) is kept from one call to the next
-        counts = {"build_graph": 0, "_alpha_eigenvalues": 0}
+        # nothing (graph, fold or eigenvalues) is kept from one call to the
+        # next; the graphs the seam takes are counted as it takes them
+        counts = {"build_graph": 0, "_alpha_eigenvalues": 0, "graphs": 0}
+        real_build, real_seam = verification_mod.build_graph, verification_mod._alpha_eigenvalues
 
-        def counting(name):
-            real = getattr(verification_mod, name)
+        def building(spec):
+            counts["build_graph"] += 1
+            return real_build(spec)
 
-            def wrapper(*args):
-                counts[name] += 1
-                return real(*args)
+        def seam(graphs, *args):
+            counts["_alpha_eigenvalues"] += 1
 
-            return wrapper
+            def taken():
+                for graph in graphs:
+                    counts["graphs"] += 1
+                    yield graph
 
-        for name in counts:
-            monkeypatch.setattr(verification_mod, name, counting(name))
+            return real_seam(taken(), *args)
+
+        monkeypatch.setattr(verification_mod, "build_graph", building)
+        monkeypatch.setattr(verification_mod, "_alpha_eigenvalues", seam)
         first = check(25)
         calls = dict(counts)
         assert check(25) == first
         assert {name: 2 * k for name, k in calls.items()} == counts
-        # one base graph per order each check walks
+        # one base graph per order each check walks, and every order a
+        # check solves goes through one seam call
         assert calls["build_graph"] == BUILDS_AT_25.get(check, 0)
+        solves = check in BUILDS_AT_25 and check is not check_complement_identity
+        assert calls["_alpha_eigenvalues"] == int(solves)
+        assert calls["graphs"] == (calls["build_graph"] if solves else 0)
 
 
 # Orders each check walks at nmax = 25: 10 odd prime powers, 12 even orders,
