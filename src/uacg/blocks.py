@@ -41,9 +41,8 @@ from .numtheory import euler_phi, factorize
 
 __all__ = ["block_eigenvalues", "unit_sum_blocks"]
 
-# Most orders whose blocks are cached.  A verify pass at nmax = 201 walks its
-# 100 odd orders in two checks, which a 64-order cache missed every time;
-# their blocks hold about 0.5 MB, those of n = 111546435 alone 17 MB.
+# Most orders whose blocks are cached; a verify pass at nmax = 201 walks 100
+# odd orders twice (CHANGES.md records their size).
 _BLOCK_ORDERS = 128
 
 
@@ -111,12 +110,8 @@ def _stack_layout(n: int) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
     """The identity matrix of each block width of unit_sum_blocks(n), and the
     multiplicity of each value _stacked_eigenvalues lists; read-only.
 
-    Cached beside the blocks because building them per call cost as much as
-    the alpha axis adds to a one-alpha call: block_eigenvalues at n = 105
-    (graph, complement) took 50.0, 59.8 us building them per call and 41.1,
-    50.9 us cached, against 40.3, 47.9 us for a solve with alpha as a Python
-    float (best of 7 x 3 x 400 calls, machine and settings as for
-    linalg._BATCH_ELEMENTS).
+    Cached beside the blocks: building them per call made a one-alpha call
+    about a fifth slower (timings recorded in CHANGES.md).
     """
     blocks = unit_sum_blocks(n)
     eyes = tuple(np.eye(lsum.shape[-1]) for lsum, *_ in blocks)

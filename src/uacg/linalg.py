@@ -34,9 +34,11 @@ other block of the complement's alpha matrix is c*I - B_chi, c = alpha*(n
 - 1) - (1 - alpha), B_chi the graph's own block, and its values are c -
 lambda for the graph's values lambda: _alpha_eigenvalues solves the
 graph's blocks and the complement's trivial block alone, from one check
-and one fold of the graph.  It takes many graphs at once and solves the
-blocks of consecutive graphs together, one call per block width and dtype
-(see _solve_stacks).
+and one fold of the graph.  That holds at every order: an unsplit graph's
+one block is the trivial group's, the whole matrix, so there the
+complement's trivial block is J - I - A and nothing is reflected.  It
+takes many graphs at once and solves the blocks of consecutive graphs
+together, one call per block width and dtype (see _solve_stacks).
 """
 
 from __future__ import annotations
@@ -110,49 +112,20 @@ def _check_alpha(alpha: float, *, allow_one: bool) -> float:
     return alpha
 
 
-# Fewest entries, k * n**2 for k alphas of one graph of order n, that are
-# split: its checks and fold are paid once per graph.  Time of the split
-# over one full solve, 1 BLAS thread, numpy 2.4.6 with OpenBLAS on a 2-core
-# Xeon VM, best of 15.  symmetric_eigenvalues, one uacg matrix at alpha =
-# 0.3: 1.76, 1.11 and 1.42 at n = 40, 50 and 60, then 0.64-1.16 at n = 70,
-# 78, 80, 90, 100, 120 and 150 (above 1 at 80).  _alpha_eigenvalues inside a
-# chunk, four consecutive uacg orders from n at a time, the graph's family
-# alone / both families: 1 alpha 1.2-1.9 / 1.1-2.2 up to n = 34, then
-# 0.53-1.21 / 0.39-1.00 (above 1 up to 46 / at 38); 3 alphas 1.01-1.69 /
-# 1.03-1.83 up to 26 / 22, then below 1; 11 alphas 1.10-1.39 / 1.13-1.35 at
-# 6 and 10, then below 1 from 14 on.  So the batched solve would split from
-# about 2,000 entries, but this bound also gates symmetric_eigenvalues, and
-# a lower one would move rows that are now those of one full solve.
+# Fewest entries, k * n**2 for k alphas of one order n, that are split rather
+# than solved whole; its timing sweeps are recorded in CHANGES.md.
 _SPLIT_MIN_ENTRIES = 6144
 
-# Most float64 entries one stacked eigvalsh input may hold: callers that solve
-# many matrices at once (_alpha_eigenvalues, blocks._stacked_eigenvalues) cut
-# their stacks into chunks of at most this many entries, or one matrix at a
-# time where one matrix holds more (_alpha_eigenvalues solves such a chunk
-# with less than _HELD_ENTRIES entries of the graphs before it).  _invariant's temporaries hold at most
-# this many entries too.  perfbench verify (seeds 101, 102; 1 BLAS
-# thread, numpy 2.4.6 with OpenBLAS, 2-core Xeon VM), with verify's blocks at
-# most 20,000 entries per alpha: wall_s 2.51-2.65 s at 2**16, 2.54-2.62 s at
-# 2**17 and 2.40-2.43 s at 2**18; peak RSS 44.3-44.9, 44.8-45.5 and 45.4-45.6
-# MB.  Block root scans at n = 111,546,435 in both families peak at 55.6, 55.4
-# and 56.2 MB at 2**16, 2**17 and 2**18.
+# Most float64 entries in one stacked eigvalsh input or _invariant temporary;
+# its verify and root-scan sweep is recorded in CHANGES.md.
 _BATCH_ELEMENTS = 2**17
 
-# Block entries at which _alpha_eigenvalues solves the stacks it holds: the
-# formed stacks of consecutive graphs are held until they reach this many,
-# then solved together (a chunk of one graph's alphas holds at most
-# _BATCH_ELEMENTS, or one alpha).  verify's ten benchmark checks at nmax =
-# 201 (1 BLAS thread, numpy 2.4.6 with OpenBLAS, 2-core Xeon VM), same
-# process, best of 7: 317, 309, 303 and 296 ms at 2**12, 2**13, 2**14 and
-# 2**15; fresh-process peak RSS 34.0-34.2 MB at 2**13 (as before batching),
-# 34.3-34.5 at 2**14, 34.8-34.9 at 2**15 and 45.7-46.0 with every graph
-# held.  The largest traced peak of one check is 0.67 MB at 2**13 and 0.86
-# at 2**14, against 0.76 with each graph solved on its own.
+# Block entries of consecutive graphs _alpha_eigenvalues holds before it
+# solves them together; its time and peak-RSS sweep is recorded in CHANGES.md.
 _HELD_ENTRIES = 2**13
 
-# Most orders whose layouts (_generators, _split) are cached.  A pass of
-# verify at nmax = 201 keeps 236 layouts and 178 generator sets; those of
-# one unit-sum graph of each order 2..201 hold 0.69 MB (tracemalloc).
+# Most orders whose layouts (_generators, _split) are cached; a verify pass
+# at nmax = 201 keeps 236 (CHANGES.md records their size).
 _LAYOUTS = 512
 
 
@@ -188,8 +161,9 @@ def _alpha_eigenvalues(
     J - I - adjacency and n - 1 - degrees, for a true one.
 
     Each graph is checked, split and folded once (len(alphas) * n**2
-    entries count towards _SPLIT_MIN_ENTRIES; see _prepare), and nothing of
-    it but its fold is held.  The formed stacks of consecutive graphs are
+    entries count towards _SPLIT_MIN_ENTRIES; see _prepare), split or not,
+    and both families are solved from that fold; nothing of the graph but
+    its fold is held.  The formed stacks of consecutive graphs are
     held up to _HELD_ENTRIES block entries and solved together, one _values
     call per block width and dtype (see _solve_stacks): each block is
     solved on its own, on the LAPACK routine its dtype takes alone, so a
@@ -222,40 +196,34 @@ def _prepare(adjacency: np.ndarray, degrees: np.ndarray, x: np.ndarray, flags: t
     or one alpha; rows(values) takes the values of every chunk's stacks
     (each stack's shape less its last axis) to the graph's rows.
 
-    A chunk's stacks are each block width's (families, chunk, count, w, w)
-    stack, an alpha's blocks (1 - alpha)*A_chi + alpha*diag(d_chi) formed
-    for every block at once from the flat fold and the cached diagonal
-    positions.  An unsplit graph folds each flag's matrix, the complement
-    as J - I - A in integers.  A split graph folds its own blocks alone;
-    for a true flag one more stack holds the complement's trivial block,
-    the one that holds the orbit of 0, J_0 - I - A_0, and every other
-    complement value is c - lambda, c = alpha*(n - 1) - (1 - alpha), for
-    the graph's values lambda outside that block.
+    A chunk's stacks are each block width's (chunk, count, w, w) stack, an
+    alpha's blocks (1 - alpha)*A_chi + alpha*diag(d_chi) formed for every
+    block at once from the flat fold and the cached diagonal positions.
+    The graph folds its own blocks alone; for a true flag one more stack
+    holds the complement's trivial block, the one that holds the orbit of
+    0, J_0 - I - A_0, and every other complement value is c - lambda, c =
+    alpha*(n - 1) - (1 - alpha), for the graph's values lambda outside that
+    block.  An unsplit graph's one block is the trivial one, so its
+    complement's stack is J - I - A, exact in floats, and no value is
+    reflected.
     """
     a, d = np.asarray(adjacency), np.asarray(degrees)
     _check_symmetric(a, d)
     split = _invariant_split(a, len(x), d)
-    reps, elems, *_, (row, column, _), blocks, index = split
+    reps, *_, (row, column, _), blocks, index = split
     n, r, w = a.shape[-1], _rows(blocks), reps.size
-    reflect = elems.size > 1 and True in flags
-    if elems.size > 1:
-        families, flat = (False,), _fold(a, split)
-    else:  # one block, the matrix itself or J - I - A, exact
-        families = flags
-        flat = np.stack([1.0 - np.eye(n) - a if flag else a for flag in flags]).reshape(len(flags), -1)
-    ds = np.stack([n - 1 - d if flag else d for flag in families])[:, None, reps[index[:r]]]
-    on_diagonal = index[r : 2 * r]
+    reflect, flat = True in flags, _fold(a, split)[0]
     if reflect:
-        trivial = _complement_trivial(flat[0], split)
+        trivial = _complement_trivial(flat, split)
         dt = (n - 1 - d)[reps[index[row : row + w]]]
-    flat = flat[:, None]
+    ds, on_diagonal = d[reps[index[:r]]], index[r : 2 * r]
     step = max(1, _BATCH_ELEMENTS // (flat.size + reflect * w * w))
 
     def pieces() -> Iterator[list]:
         for start in range(0, len(x), step):
             chunk = x[start : start + step]
-            s = (1.0 - chunk) * flat  # (family, alpha) pairs on the two leading axes
-            s[..., on_diagonal] += chunk * ds
+            s = (1.0 - chunk) * flat  # one row per alpha
+            s[:, on_diagonal] += chunk * ds
             stacks = _stacks(s, blocks)
             if reflect:
                 t = (1.0 - chunk) * trivial
@@ -264,12 +232,11 @@ def _prepare(adjacency: np.ndarray, degrees: np.ndarray, x: np.ndarray, flags: t
             yield stacks
 
     def rows(solved: list) -> np.ndarray:
-        vals = np.concatenate([_unsorted(v[: len(blocks)], blocks) for v in solved], axis=1)
+        vals = np.concatenate([_unsorted(v[: len(blocks)], blocks) for v in solved])
         if reflect:
-            comp = (x * (n - 1.0) - (1.0 - x)) - vals[0]
+            comp = (x * (n - 1.0) - (1.0 - x)) - vals
             comp[:, column : column + w] = np.concatenate([v[-1] for v in solved]).reshape(-1, w)
-            vals = np.stack([comp if flag else vals[0] for flag in flags])
-        return _descending(vals).reshape(-1, n)
+        return _descending(np.stack([comp if flag else vals for flag in flags])).reshape(-1, n)
 
     return pieces, rows
 
@@ -455,7 +422,8 @@ def _fold(m: np.ndarray, split: tuple) -> np.ndarray:
     G, flattened: a (1, entries) array holding each block's entries row by
     row, the blocks width by width (as _stacks reads them), complex
     Hermitian if lam > 1, else real.  One gather of the cached offsets
-    takes every block.
+    takes every block; the trivial group's one block is m as float, a copy
+    of an integer m, so no view of an adjacency outlives its fold.
 
     Block chi is B[x, y] = sum_h chi(h) * m[x, h*y] / sqrt(|S_x| * |S_y|)
     over the x, y whose stabilizers chi is 1 on: m in the orthonormal basis
@@ -463,8 +431,8 @@ def _fold(m: np.ndarray, split: tuple) -> np.ndarray:
     to rounding.
     """
     reps, elems, lam, chars, root, _, blocks, index = split
-    if elems.size == 1:  # one block, m itself (a view, not a copy)
-        return m.reshape(1, -1)
+    if elems.size == 1:  # one block, m itself
+        return np.asarray(m, dtype=float).reshape(1, -1)
     # t[h, y, x] = m[h * reps[y], reps[x]] * root[y] * root[x]
     images = np.outer(elems, reps) % m.shape[-1]
     t = np.take(m[:, reps], images, axis=0) * (root[:, None] * root)

@@ -230,11 +230,16 @@ class TestAdjacencyContract:
         strided = (1 - np.eye(4, dtype=np.int8))[::2, ::2]  # the path on 2 vertices
         with pytest.raises(ValueError, match="C-contiguous"):
             graphs_mod._finish(GraphSpec(FAMILY_COMPLETE, 2), strided)
-        wide = (1 - np.eye(3, dtype=np.int8)) * np.int8(2)
-        with pytest.raises(ValueError, match="0/1"):
-            graphs_mod._finish(spec, wide)
-        with pytest.raises(ValueError, match="0/1"):
-            graphs_mod._finish(spec, -(1 - np.eye(3, dtype=np.int8)))
+
+    @pytest.mark.parametrize("comp", [False, True])
+    def test_unit_sum_triangle_identity(self, comp):
+        # tr(A^3) = k(k - 1)(k - 2) at every odd order, k = phi(n) for the
+        # graph and n - phi(n) for its complement: a check on the builders
+        # that does not read their adjacencies through any runtime check
+        for n in range(3, 302, 2):
+            a = build_graph(GraphSpec(FAMILY_UACG, n, comp)).adjacency.astype(float)
+            k = n - euler_phi(n) if comp else euler_phi(n)
+            assert np.einsum("ij,ij->", a @ a, a) == k * (k - 1) * (k - 2), (n, comp)
 
 
 class TestDenseOrderLimit:
@@ -347,6 +352,12 @@ class TestSpecLabels:
         for n in (9.0, 15.0, True, "9", None):
             with pytest.raises(ValueError, match="integer"):
                 GraphSpec(FAMILY_UACG, n)
+
+    @pytest.mark.parametrize("flag", ["no", 1, 0, None, np.True_])
+    def test_rejects_a_complement_flag_that_is_not_a_bool(self, flag):
+        # "no" used to build the complement, as any truthy value did
+        with pytest.raises(ValueError, match="complement must be True or False"):
+            GraphSpec(FAMILY_UACG, 15, flag)
 
     def test_accepts_numpy_integer_order(self):
         spec = GraphSpec(FAMILY_UACG, np.int64(9))

@@ -313,9 +313,10 @@ def raise_last_entry(block, split):
 
 
 class TestComplementTrivialBlock:
-    """A split order's complement solves one block of its own, the trivial
-    character's, and reflects every other value from the graph's blocks: a
-    fault in that block fails the checks on the complement family alone."""
+    """Every order's complement solves one block of its own, the trivial
+    character's (the whole matrix at an unsplit order), and reflects every
+    other value from the graph's blocks: a fault in that block fails the
+    checks on the complement family alone."""
 
     @pytest.mark.parametrize("fault", [drop_j, raise_last_entry])
     def test_a_fault_fails_on_the_complement_only(self, monkeypatch, fault):
@@ -329,8 +330,8 @@ class TestComplementTrivialBlock:
         faulty = list(verification_mod._dense(range(2, 32), ALPHA_GRID))
         for (spec, *_, want), (_, *_, got) in zip(clean, faulty):
             # the graph's rows do not move; the complement's move at every
-            # order split at eleven alphas (n >= 24)
-            assert np.array_equal(got, want) == (not spec.complement or spec.n < 24), spec
+            # order, split (n >= 24 at eleven alphas) or not
+            assert np.array_equal(got, want) == (not spec.complement), spec
         for res in [*check_spectral_identities(31), check_prime_power_spectra(31)]:
             assert res.passed is False, res
             assert res.detail.split()[1] == "complement=True", res
