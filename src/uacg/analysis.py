@@ -385,11 +385,17 @@ def find_borderenergetic_alphas(spec: GraphSpec, tol: float = 1e-12) -> list[flo
 
     On the numeric route the same search first runs, with no eigensolve, on
     the gap of a convex lower bound of the energy (blocks._energy_floors),
-    lowered by a relative 1e-9: the floor's rounding is O(eps) relative to
-    the block entries, so this covers it many times over.  If that search
-    proves the gap above touch on all of [0, 1), so is the true gap and the
-    result is []; otherwise the search above runs unchanged.  The roots are
-    the same either way.
+    lowered by a relative 1e-9.  Against exact floors (rational terms,
+    square roots to 50 digits) at alpha = i/40, i < 40, and 1 - 2**-10,
+    the float floor is off by at most 1.0e-12 relative at the odd
+    non-prime-power orders up to 2001, 2.1e-12 at 255,255 and 4.6e-10 at
+    111,546,435 (the complement at alpha = 0.975).  Nearly all of it comes
+    from the width-1 terms, which keep the numeric route's rounding; the
+    wider blocks' terms are within 1e-15.  So the margin covers the worst
+    case about twice, not many times over.  If that search proves the gap
+    above touch on all of [0, 1), so is the true gap and the result is [];
+    otherwise the search above runs unchanged.  The roots are the same
+    either way.
 
     On the regular-shortcut route the gap is (1 - alpha)*(E_0 - 2*(n - 1)),
     with E_0 the adjacency energy: zero on all of [0, 1) or nowhere, so the

@@ -24,6 +24,15 @@ Kronecker product, with one unit and J = 0 unless every factor is 2x2; of
 the prod (p - 2) sign choices, one more gives + than -.  Every other block
 has L = J = 0 and a diagonal P, so it is listed as width-1 units and
 non-units.  No block is wider than 2**omega(n); no n x n matrix is formed.
+
+unit_sum_blocks builds each width's stack for all its sets of paired factors
+at once, with no np.kron: an entry is the product, over the factors in
+order, of the 2x2 entry or the scalar its factor picks, the same products
+the factor-by-factor Kronecker product takes, so it is bit-identical to
+that product.  The energy floor's terms for the wider blocks (_floor_terms)
+need no stack: traces and Frobenius inner products of Kronecker products are
+products of the factors' own, and r enters them only as r*r = p - 1, so
+they are exact integers from the factorization, rounded once to float.
 """
 
 from __future__ import annotations
@@ -55,6 +64,36 @@ def _check_unit_sum(spec: GraphSpec) -> None:
         raise ValueError(f"the block decomposition needs odd n >= 3, got {spec.n}")
 
 
+def _pair_sets(factors: tuple, size: int) -> list[tuple[int, tuple[int, ...], int, int]]:
+    """(index, pairs, sign, multiplicity) of each block of width 2**size, in
+    stack order: for each set of factors picking the 2x2 type (pairs, the
+    index-th in combinations order), + before -."""
+    out = []
+    for index, pairs in enumerate(combinations(range(len(factors)), size)):
+        choices = math.prod(p - 2 for i, (p, _) in enumerate(factors) if i not in pairs)
+        signed = ((1, (choices + 1) // 2), (-1, (choices - 1) // 2))
+        out += [(index, pairs, sign, mult) for sign, mult in signed if mult]
+    return out
+
+
+@lru_cache(maxsize=64)
+def _pair_codes(omega: int, size: int) -> np.ndarray:
+    """For each of omega factors, each set of size of them (combinations
+    order) and each entry (i, j) of a 2**size-wide block, the entry of the
+    factor's flattened 3x3 table that the block entry takes: 3 b(i) + b(j)
+    on the set's k-th pair factor, b the k-th most significant of size bits
+    (the order np.kron gives), and 8, the scalar, on the other factors.
+    Shape (omega, sets, 2**size, 2**size), uint8, read-only; 3.1 MB over
+    every size at omega = 8."""
+    sets = list(combinations(range(omega), size))
+    chosen = np.array([[i in pairs for i in range(omega)] for pairs in sets], dtype=bool)
+    shifts = np.maximum(size - np.cumsum(chosen, axis=1), 0).T
+    rows = np.where(chosen.T[:, :, None], (np.arange(2**size) >> shifts[:, :, None]) & 1, 2)
+    codes = (3 * rows[:, :, :, None] + rows[:, :, None, :]).astype(np.uint8)
+    codes.setflags(write=False)
+    return codes
+
+
 @lru_cache(maxsize=_BLOCK_ORDERS)
 def unit_sum_blocks(n: int) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray], ...]:
     """The blocks of (L, P, J) for odd n >= 3, stacked by width.
@@ -64,45 +103,50 @@ def unit_sum_blocks(n: int) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray, n
     One block per sign for each set of factors picking the 2x2 type, then the
     leftover width-1 units and non-units; sum(width * multiplicities) is n.
     The arrays are read-only because the result is cached.
+
+    No np.kron: each width's L and J start as ones, and each prime power in
+    turn multiplies every entry of every block of the width by the entry of
+    its 3x3 table that _pair_codes names: of q [[0, r], [r, p - 2]] (L) or
+    q [[1, r], [r, p - 1]] (J) on a pair factor, q (L) or 0 (J) on the
+    others.  The factors multiply in the Kronecker chain's order, so every
+    entry is bit-identical to the chain's; a sign then multiplies L, as it
+    did the chain.  P is 1 on the last diagonal entry and 0 elsewhere.
     """
     if n < 3 or n % 2 == 0:
         raise ValueError(f"the block decomposition needs odd n >= 3, got {n}")
     factors = factorize(n).factors
-    left_units = euler_phi(n)
-    left_others = n - left_units
-    zero, one = np.zeros((1, 1)), np.ones((1, 1))
+    tables = np.zeros((len(factors), 2, 3, 3))
+    for table, (p, e) in zip(tables, factors):
+        q, r = p ** (e - 1), math.sqrt(p - 1.0)
+        table[:, :2, :2] = q * np.array([[[0.0, r], [r, p - 2.0]], [[1.0, r], [r, p - 1.0]]])
+        table[0, 2, 2] = q
+    groups = [_pair_sets(factors, size) for size in range(len(factors) + 1)]
+    phi = euler_phi(n)
+    left_units = phi - sum(mult for group in groups for *_, mult in group)
+    left_others = n - phi - sum(
+        mult * (2**size - 1) for size, group in enumerate(groups) for *_, mult in group
+    )
     out = []
-    # Widest first, so the leftovers are known when the width-1 entry is built.
-    for size in reversed(range(len(factors) + 1)):
-        group = []
-        for pairs in combinations(range(len(factors)), size):
-            lsum = units = ones = one
-            # Scaling by q in factor order keeps every entry bit-identical
-            # to the factor-by-factor Kronecker product.
-            for i, (p, e) in enumerate(factors):
-                q = p ** (e - 1)
-                if i in pairs:
-                    r = math.sqrt(p - 1.0)
-                    lsum = np.kron(lsum, q * np.array([[0.0, r], [r, p - 2.0]]))
-                    units = np.kron(units, np.diag([0.0, 1.0]))
-                    ones = np.kron(ones, q * np.array([[1.0, r], [r, p - 1.0]]))
-                else:
-                    lsum = lsum * q
-                    ones = ones * 0.0
-            choices = math.prod(p - 2 for i, (p, _) in enumerate(factors) if i not in pairs)
-            for sign, mult in ((1.0, (choices + 1) // 2), (-1.0, (choices - 1) // 2)):
-                if mult:
-                    group.append((sign * lsum, units, ones, mult))
-                    left_units -= mult
-                    left_others -= mult * (2**size - 1)
+    for size, group in enumerate(groups):
+        codes = _pair_codes(len(factors), size)
+        prods = np.ones((2, *codes.shape[1:]))
+        for table, code in zip(tables.reshape(len(factors), 2, 9), codes):
+            prods *= table.take(code, axis=1)
+        index, _, signs, mults = map(list, zip(*group))
+        lsum, ones = np.array(signs, dtype=float)[:, None, None] * prods[0, index], prods[1, index]
+        units = np.zeros_like(lsum)
+        units[:, -1, -1] = 1.0
         if size == 0:
-            group += [(zero, u, zero, k) for u, k in ((one, left_units), (zero, left_others)) if k]
-        *blocks, mults = zip(*group)
-        arrays = [np.stack(b) for b in blocks] + [np.array(mults, dtype=np.int64)]
+            left = [(u, k) for u, k in ((1.0, left_units), (0.0, left_others)) if k]
+            zeros = np.zeros((len(left), 1, 1))
+            lsum, ones = np.concatenate((lsum, zeros)), np.concatenate((ones, zeros))
+            units = np.concatenate((units, np.array([u for u, _ in left]).reshape(-1, 1, 1)))
+            mults += [k for _, k in left]
+        arrays = (lsum, units, ones, np.array(mults, dtype=np.int64))
         for a in arrays:
             a.setflags(write=False)
-        out.append(tuple(arrays))
-    return tuple(reversed(out))
+        out.append(arrays)
+    return tuple(out)
 
 
 @lru_cache(maxsize=_BLOCK_ORDERS)
@@ -135,29 +179,59 @@ def _alpha_blocks(spec: GraphSpec, alphas: np.ndarray, block: tuple, eye: np.nda
 @lru_cache(maxsize=2 * _BLOCK_ORDERS)
 def _floor_terms(spec: GraphSpec) -> np.ndarray:
     """Rows multiplicity, t0, t1, rest, curve, vertex of _energy_floors, one
-    column per block wider than 1; read-only.
+    column per block wider than 1, in stack order; read-only.
 
     On a block, C = A_alpha - (2*alpha*m/n) I = C0 + alpha C1 has trace
     t0 + alpha t1, and u, the entries of C or (c11 - c22, 2 c12) at width 2,
-    has |u|**2 = rest + curve * (alpha - vertex)**2.  rest is summed from the
-    entries of u(vertex), so near its zero |u| is off by O(eps |C|), not the
-    O(sqrt(eps) |C|) of expanded polynomial coefficients.
+    has |u|**2 = rest + curve * (alpha - vertex)**2.
+
+    Built from the factorization, not the block stacks.  n C0 and n C1 are
+    integer combinations of X, P and I, with X = L for the graph and J - L
+    for its complement.  Traces and Frobenius inner products of Kronecker
+    products are products of the factors' ones, and r = sqrt(p - 1) enters
+    them only as r*r = p - 1, so every <u0, u1>-type sum is an exact
+    integer; |u|**2 at width 2 is 2 |C|_F**2 - (tr C)**2.  Each column is
+    its exact rational value rounded once to float.
     """
-    shift, ends = 2.0 * edge_count(spec) / spec.n, np.array([0.0, 1.0]).reshape(-1, 1, 1, 1)
+    n, phi, m2 = spec.n, euler_phi(spec.n), 2 * edge_count(spec)
+    factors = factorize(n).factors
+    # n C0 = n X + p0 P + i0 I and n C1 = -n X + i1 I on every block.
+    p0, i0, i1 = (n, -n, n * (n - phi) - m2) if spec.complement else (-n, 0, n * phi - m2)
+    qs = [(p ** (e - 1), p) for p, e in factors]
     columns = []
-    for block, eye in zip(unit_sum_blocks(spec.n)[1:], _stack_layout(spec.n)[0][1:]):
-        c0, c1 = _alpha_blocks(spec, ends, block, eye)
-        c1 = c1 - c0 - shift * eye
-        if eye.shape[0] == 2:
-            u0, u1 = (np.stack((c[:, 0, 0] - c[:, 1, 1], 2.0 * c[:, 0, 1]), -1) for c in (c0, c1))
-        else:
-            u0, u1 = c0.reshape(len(c0), -1), c1.reshape(len(c1), -1)
-        curve, slope = (u1 * u1).sum(axis=1), (u0 * u1).sum(axis=1)
-        vertex = np.divide(-slope, curve, out=np.zeros_like(curve), where=curve > 0)
-        rest = ((u0 + vertex[:, None] * u1) ** 2).sum(axis=1)
-        trace = (np.trace(c, axis1=1, axis2=2) for c in (c0, c1))
-        columns.append((block[3], *trace, rest, curve, vertex))
-    terms = np.concatenate([np.array(c, dtype=float) for c in columns], axis=1)
+    for size in range(1, len(factors) + 1):
+        width = 2**size
+        for _, pairs, sign, mult in _pair_sets(factors, size):
+            # xx = <L, L> and xi = tr L = <L, P>: a pair factor gives
+            # <q F, q F> = q*q (p*p - 2p + 2) and tr q F = q (p - 2), a
+            # scalar q gives q*q and q
+            xx, xi = 1, sign
+            for i, (q, p) in enumerate(qs):
+                on = i in pairs
+                xx *= q * q * (p * p - 2 * p + 2) if on else q * q
+                xi *= q * (p - 2) if on else q
+            xp = xi
+            if spec.complement and size == len(factors):
+                # X = J - L on the one block with every factor paired (sign
+                # +), J the Kronecker product of q [[1, r], [r, p - 1]]
+                jj = math.prod(q * q * p * p for q, p in qs)
+                lj = math.prod(q * q * p * (p - 1) for q, p in qs)
+                xx, xp, xi = (
+                    jj - 2 * lj + xx,
+                    math.prod(q * (p - 1) for q, p in qs) - xp,
+                    math.prod(q * p for q, p in qs) - xi,
+                )
+            elif spec.complement:
+                xp, xi = -xp, -xi
+            k00 = n * n * xx + p0 * p0 + i0 * i0 * width + 2 * n * (p0 * xp + i0 * xi) + 2 * p0 * i0
+            k01 = -n * n * xx + n * (i1 - i0) * xi - n * p0 * xp + p0 * i1 + i0 * i1 * width
+            k11 = n * n * xx - 2 * n * i1 * xi + i1 * i1 * width
+            t0, t1 = n * xi + p0 + i0 * width, -n * xi + i1 * width
+            if width == 2:
+                k00, k01, k11 = 2 * k00 - t0 * t0, 2 * k01 - t0 * t1, 2 * k11 - t1 * t1
+            rest = (k00 * k11 - k01 * k01) / (k11 * n * n) if k11 else k00 / (n * n)
+            columns.append((mult, t0 / n, t1 / n, rest, k11 / (n * n), -k01 / k11 if k11 else 0.0))
+    terms = np.array(columns, dtype=float).T.copy()
     terms.setflags(write=False)
     return terms
 
@@ -190,7 +264,8 @@ def _energy_floors(spec: GraphSpec, alphas: Sequence[float]) -> np.ndarray:
 def _stacked_eigenvalues(
     spec: GraphSpec, alphas: Sequence[float]
 ) -> tuple[np.ndarray, np.ndarray]:
-    """block_eigenvalues for a sequence of alphas at once.
+    """block_eigenvalues for a sequence of alphas in [0, 1] at once; the
+    alphas are not checked again (their public entry checks them).
 
     Returns (values, multiplicities): values has one row per alpha and the
     read-only multiplicities are shared.  One stacked eigvalsh per block
@@ -199,7 +274,7 @@ def _stacked_eigenvalues(
     bit-identical to the values of that alpha alone.
     """
     _check_unit_sum(spec)
-    alphas = np.array([_check_alpha(a, allow_one=True) for a in alphas]).reshape(-1, 1, 1, 1)
+    alphas = np.asarray(alphas, dtype=float).reshape(-1, 1, 1, 1)
     eyes, mults = _stack_layout(spec.n)
     values = np.empty((len(alphas), mults.size))
     col = 0
@@ -222,5 +297,5 @@ def block_eigenvalues(spec: GraphSpec, alpha: float) -> tuple[np.ndarray, np.nda
     One stacked eigvalsh per block width.  The values are unsorted and may
     repeat; the multiplicities sum to n.
     """
-    values, mults = _stacked_eigenvalues(spec, (alpha,))
+    values, mults = _stacked_eigenvalues(spec, (_check_alpha(alpha, allow_one=True),))
     return values[0], mults.copy()

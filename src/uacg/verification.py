@@ -196,7 +196,7 @@ def check_block_route(nmax: int, alphas=ALPHA_GRID, tol: float = 1e-9) -> CheckR
     nmax, tol = _check_nmax(nmax), _check_tol(tol)
     (alphas, x), rows = _alphas(alphas), []
     for spec, _, _, dense in _dense(range(3, nmax + 1, 2), alphas):
-        values, mults = _stacked_eigenvalues(spec, alphas)  # one stacked block solve
+        values, mults = _stacked_eigenvalues(spec, x)  # one stacked block solve
         blocks = np.sort(np.repeat(values, mults, axis=1), axis=1)[:, ::-1]
         resid = np.abs(blocks - dense).max(axis=1)
         if has_closed_spectrum(spec):

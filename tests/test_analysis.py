@@ -719,6 +719,17 @@ class TestRootFinderCrossCheck:
                 want = _convex_roots(gaps, 1e-12 * 2.0 * (n - 1.0), 1e-12)
                 assert find_borderenergetic_alphas(spec) == want, spec
 
+    def test_no_odd_non_prime_power_order_up_to_2001_has_a_root(self):
+        # The census: at every odd order with two or more distinct primes,
+        # both unit-sum families stay above the complete graph's energy on
+        # all of [0, 1).  The block caches hold 128 orders, so most of these
+        # orders' blocks and floor terms are built afresh here.
+        for n in range(15, 2002, 2):
+            if prime_power(n) is None:
+                for comp in (False, True):
+                    spec = GraphSpec(FAMILY_UACG, n, comp)
+                    assert find_borderenergetic_alphas(spec) == [], spec
+
     @pytest.mark.parametrize(
         "spec",
         [

@@ -8,7 +8,9 @@ second moment of A_alpha follow from the edge count and degrees.
 """
 
 import math
+from fractions import Fraction
 from functools import lru_cache
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -20,11 +22,12 @@ from uacg.analysis import _COARSE_ALPHAS, find_borderenergetic_alphas
 from uacg.blocks import (
     _BATCH_ELEMENTS,
     _energy_floors,
+    _floor_terms,
     _stacked_eigenvalues,
     block_eigenvalues,
     unit_sum_blocks,
 )
-from uacg.closedform import _route, energy_report, spectrum_for
+from uacg.closedform import _energy_reports, _route, energy_report, spectrum_for
 from uacg.graphs import (
     DENSE_ORDER_LIMIT,
     FAMILY_UACG,
@@ -33,6 +36,7 @@ from uacg.graphs import (
     edge_count,
 )
 from uacg.numtheory import euler_phi, factorize, prime_power
+from uacg.verification import check_block_route
 
 LARGE_ORDERS = (1155, 15015, 255255)
 ALPHAS = (0.0, 0.3, 0.7, 0.9999)
@@ -85,6 +89,95 @@ def reference_unit_sum_blocks(n):
         + (np.array([mult for _, mult in group], dtype=np.int64),)
         for group in (by_width[w] for w in sorted(by_width))
     )
+
+
+def kron_unit_sum_blocks(n):
+    """unit_sum_blocks as an np.kron chain per set of paired factors, widest
+    first: the build whose bytes unit_sum_blocks must reproduce."""
+    factors = factorize(n).factors
+    left_units = euler_phi(n)
+    left_others = n - left_units
+    zero, one = np.zeros((1, 1)), np.ones((1, 1))
+    out = []
+    for size in reversed(range(len(factors) + 1)):
+        group = []
+        for pairs in combinations(range(len(factors)), size):
+            lsum = units = ones = one
+            for i, (p, e) in enumerate(factors):
+                q = p ** (e - 1)
+                if i in pairs:
+                    r = math.sqrt(p - 1.0)
+                    lsum = np.kron(lsum, q * np.array([[0.0, r], [r, p - 2.0]]))
+                    units = np.kron(units, np.diag([0.0, 1.0]))
+                    ones = np.kron(ones, q * np.array([[1.0, r], [r, p - 1.0]]))
+                else:
+                    lsum = lsum * q
+                    ones = ones * 0.0
+            choices = math.prod(p - 2 for i, (p, _) in enumerate(factors) if i not in pairs)
+            for sign, mult in ((1.0, (choices + 1) // 2), (-1.0, (choices - 1) // 2)):
+                if mult:
+                    group.append((sign * lsum, units, ones, mult))
+                    left_units -= mult
+                    left_others -= mult * (2**size - 1)
+        if size == 0:
+            group += [(zero, u, zero, k) for u, k in ((one, left_units), (zero, left_others)) if k]
+        *blocks, mults = zip(*group)
+        out.append(tuple(np.stack(b) for b in blocks) + (np.array(mults, dtype=np.int64),))
+    return tuple(reversed(out))
+
+
+def exact_inner(x, y, weight):
+    """<u(x), u(y)> for blocks x, y with r dropped: u the entries, or
+    (c11 - c22, 2 c12) at width 2, each product weighted by its r*r."""
+    if x.shape[0] == 2:
+        return (x[0, 0] - x[1, 1]) * (y[0, 0] - y[1, 1]) + 4 * x[0, 1] * y[0, 1] * weight[0, 1]
+    return int((x * y * weight).sum())
+
+
+def exact_floor_terms(spec):
+    """_floor_terms by brute force in exact arithmetic, one column of
+    Fractions per block wider than 1, in stack order.
+
+    Each block is built as integer matrices with r = sqrt(p - 1) left out of
+    its off-diagonal entries, and every sum of entry products is weighted by
+    the r*r = p - 1 it drops.  n C0 = n A_0 and n C1 = n (A_1 - A_0) - 2m I
+    come from the definition of A_alpha; the sign counts from multiplying
+    out the other factors' choices of +-q.
+    """
+    n, phi, m = spec.n, euler_phi(spec.n), edge_count(spec)
+    factors = factorize(n).factors
+    columns = []
+    for size in range(1, len(factors) + 1):
+        for pairs in combinations(range(len(factors)), size):
+            lsum = units = ones = weight = np.ones((1, 1), dtype=object)
+            plus, minus = 1, 0
+            for i, (p, e) in enumerate(factors):
+                q = p ** (e - 1)
+                if i in pairs:
+                    lsum = np.kron(lsum, np.array([[0, q], [q, q * (p - 2)]], dtype=object))
+                    units = np.kron(units, np.array([[0, 0], [0, 1]], dtype=object))
+                    ones = np.kron(ones, np.array([[q, q], [q, q * (p - 1)]], dtype=object))
+                    weight = np.kron(weight, np.array([[1, p - 1], [p - 1, 1]], dtype=object))
+                else:
+                    lsum, ones = lsum * q, ones * 0
+                    up, down = (p - 1) // 2, (p - 3) // 2
+                    plus, minus = plus * up + minus * down, plus * down + minus * up
+            eye = np.eye(2**size, dtype=np.int64).astype(object)
+            for sign, mult in ((1, plus), (-1, minus)):
+                if not mult:
+                    continue
+                a0, a1 = sign * lsum - units, phi * eye - units
+                if spec.complement:
+                    a0, a1 = ones - eye - a0, (n - 1) * eye - a1
+                c0, c1 = n * a0, n * (a1 - a0) - 2 * m * eye
+                pairs_of = ((c0, c0), (c0, c1), (c1, c1))
+                k00, k01, k11 = (exact_inner(x, y, weight) for x, y in pairs_of)
+                nn = n * n
+                vertex = Fraction(-k01, k11) if k11 else Fraction(0)
+                rest = Fraction(k00, nn) - (Fraction(k01 * k01, k11 * nn) if k11 else 0)
+                trace = (Fraction(int(np.trace(c)), n) for c in (c0, c1))
+                columns.append((mult, *trace, rest, Fraction(k11, nn), vertex))
+    return columns
 
 
 def reference_block_eigenvalues(spec, alpha):
@@ -190,6 +283,16 @@ class TestUnitSumBlocks:
             assert np.array_equal(new, ref)
             assert abs(new_energy - ref_energy) <= 1e-15 * max(1.0, abs(ref_energy))
 
+    def test_equals_the_kron_build_bit_for_bit(self):
+        for n in (*range(3, 4002, 2), 15015, 255255, 4849845, 111_546_435):
+            got, want = unit_sum_blocks(n), kron_unit_sum_blocks(n)
+            assert len(got) == len(want), n
+            for got_width, want_width in zip(got, want):
+                for a, b in zip(got_width, want_width):
+                    assert (a.shape, a.dtype) == (b.shape, b.dtype), n
+                    assert a.tobytes() == b.tobytes(), n
+                    assert not a.flags.writeable, n
+
     def test_cached_arrays_are_read_only(self):
         lsum, _, _, mults = unit_sum_blocks(1155)[0]
         assert unit_sum_blocks(1155) is unit_sum_blocks(1155)
@@ -268,10 +371,14 @@ class TestStackedEigenvalues:
     @pytest.mark.parametrize("bad", [float("nan"), -0.1, 1.5])
     @pytest.mark.parametrize("where", [0, 5, 17])
     def test_rejects_any_bad_alpha(self, bad, where):
+        # The stacked solve takes alphas its callers have checked; the public
+        # entries that hand it a batch check every alpha of it.
         alphas = list(_COARSE_ALPHAS)
         alphas.insert(where, bad)
         with pytest.raises(ValueError):
-            _stacked_eigenvalues(GraphSpec(FAMILY_UACG, 105), alphas)
+            _energy_reports(GraphSpec(FAMILY_UACG, 105), alphas)
+        with pytest.raises(ValueError):
+            check_block_route(15, alphas)
 
     @pytest.mark.parametrize("comp", [False, True])
     def test_root_scan_keeps_each_stack_small(self, comp, monkeypatch):
@@ -334,6 +441,19 @@ class TestEnergyFloors:
             if prime_power(n) is not None:
                 assert np.abs(floors - energies).max() <= 1e-12 * energies.max(), n
             assert np.diff(floors, 2).min() >= -1e-12 * floors.max(), n
+
+    @pytest.mark.parametrize("comp", [False, True])
+    def test_terms_equal_exact_rationals(self, comp):
+        for n in (*range(3, 2002, 2), 15015, 255255, 4849845, 111_546_435):
+            spec = GraphSpec(FAMILY_UACG, n, comp)
+            want = exact_floor_terms(spec)
+            got = _floor_terms(spec)
+            assert got.shape == (6, len(want)), n
+            wide = np.concatenate([mults for *_, mults in unit_sum_blocks(n)[1:]])
+            assert np.array_equal(got[0], wide), n
+            for column, exact in zip(got.T, want):
+                for value, x in zip(column, exact):
+                    assert abs(value - float(x)) <= 4 * math.ulp(float(x)), (n, column, exact)
 
     def test_rejects_other_families(self):
         with pytest.raises(ValueError):
