@@ -19,7 +19,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .blocks import _check_unit_sum, _energy_floors, block_eigenvalues
+from .blocks import _check_unit_sum, _energy_floors, _stacked_eigenvalues
 from .closedform import (
     METHOD_NUMERIC,
     METHOD_REGULAR,
@@ -82,7 +82,8 @@ class ObservedBound(NamedTuple):
 
 
 def _odd_eigen_arrays(spec: GraphSpec, alpha: float) -> tuple[np.ndarray, np.ndarray]:
-    """(lower, upper) ends of the rank intervals of eigenvalue_intervals, as arrays.
+    """(lower, upper) ends of the rank intervals of eigenvalue_intervals, as
+    arrays, for an odd unit-sum spec and an alpha in [0, 1] its caller checked.
 
     The circulant part has symbol (1-alpha)*[gcd(j, n) = 1], or its
     complement, whose right-circulant eigenvalues are (1-alpha)*c(k, n), or
@@ -91,8 +92,6 @@ def _odd_eigen_arrays(spec: GraphSpec, alpha: float) -> tuple[np.ndarray, np.nda
     (1-alpha)*t, with t = phi(n) (n - phi(n) for the complement), plus
     +-(1-alpha)*|c(d, n)| taken phi(n/d)/2 times each for every divisor d < n.
     """
-    _check_unit_sum(spec)
-    alpha = _check_alpha(alpha, allow_one=True)
     sums, counts = _ramanujan_pairs(spec.n)
     top = spec.n - sums[-1] if spec.complement else sums[-1]  # sums[-1] = c(0, n) = phi(n)
     mags = (1.0 - alpha) * np.abs(sums[:-1])
@@ -120,7 +119,8 @@ def eigenvalue_intervals(spec: GraphSpec, alpha: float) -> tuple[IndexBound, ...
     anything is allocated, as for bound_report.
     """
     _check_dense_order(spec.n)
-    lower, upper = _odd_eigen_arrays(spec, alpha)
+    _check_unit_sum(spec)
+    lower, upper = _odd_eigen_arrays(spec, _check_alpha(alpha, allow_one=True))
     return tuple(map(IndexBound._make, zip(range(1, spec.n + 1), lower.tolist(), upper.tolist())))
 
 
@@ -138,7 +138,12 @@ def energy_bounds(spec: GraphSpec, alpha: float) -> tuple[dict[str, float], floa
     2*alpha*m.
     """
     _check_unit_sum(spec)
-    alpha = _check_alpha(alpha, allow_one=False)
+    return _energy_bounds(spec, _check_alpha(alpha, allow_one=False))
+
+
+def _energy_bounds(spec: GraphSpec, alpha: float) -> tuple[dict[str, float], float]:
+    """energy_bounds for an odd unit-sum spec and an alpha in [0, 1) its
+    caller checked."""
     n = spec.n
     phi = euler_phi(n)
     counts = {phi - 1: phi, phi: n - phi}
@@ -185,15 +190,16 @@ def bound_report(spec: GraphSpec, alpha: float) -> BoundReport:
     """Evaluate all bounds for an odd unit-sum spec against its block spectrum,
     up to DENSE_ORDER_LIMIT since per_index holds n entries."""
     _check_dense_order(spec.n)
+    _check_unit_sum(spec)
+    alpha = _check_alpha(alpha, allow_one=True)
     lower, upper = _odd_eigen_arrays(spec, alpha)
-    alpha = float(alpha)
-    values, mults = block_eigenvalues(spec, alpha)
+    (values,), mults = _stacked_eigenvalues(spec, (alpha,))
     observed = np.sort(np.repeat(values, mults))[::-1]
     satisfied = (lower - BOUND_SLACK <= observed) & (observed <= upper + BOUND_SLACK)
     columns = (lower.tolist(), upper.tolist(), observed.tolist(), satisfied.tolist())
     per_index = tuple(map(ObservedBound._make, zip(range(1, spec.n + 1), *columns)))
     if alpha < 1.0:
-        lowers, upper = energy_bounds(spec, alpha)
+        lowers, upper = _energy_bounds(spec, alpha)
         energy = float(mults @ np.abs(values - 2.0 * alpha * edge_count(spec) / spec.n))
     else:
         lowers, upper, energy = None, None, None

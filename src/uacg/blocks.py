@@ -264,8 +264,8 @@ def _energy_floors(spec: GraphSpec, alphas: Sequence[float]) -> np.ndarray:
 def _stacked_eigenvalues(
     spec: GraphSpec, alphas: Sequence[float]
 ) -> tuple[np.ndarray, np.ndarray]:
-    """block_eigenvalues for a sequence of alphas in [0, 1] at once; the
-    alphas are not checked again (their public entry checks them).
+    """block_eigenvalues for a sequence of alphas in [0, 1] at once; neither
+    the spec nor the alphas are checked again (their public entry checks them).
 
     Returns (values, multiplicities): values has one row per alpha and the
     read-only multiplicities are shared.  One stacked eigvalsh per block
@@ -273,7 +273,6 @@ def _stacked_eigenvalues(
     operations as for one alpha and solved on its own, so each row is
     bit-identical to the values of that alpha alone.
     """
-    _check_unit_sum(spec)
     alphas = np.asarray(alphas, dtype=float).reshape(-1, 1, 1, 1)
     eyes, mults = _stack_layout(spec.n)
     values = np.empty((len(alphas), mults.size))
@@ -297,5 +296,7 @@ def block_eigenvalues(spec: GraphSpec, alpha: float) -> tuple[np.ndarray, np.nda
     One stacked eigvalsh per block width.  The values are unsorted and may
     repeat; the multiplicities sum to n.
     """
-    values, mults = _stacked_eigenvalues(spec, (_check_alpha(alpha, allow_one=True),))
-    return values[0], mults.copy()
+    alpha = _check_alpha(alpha, allow_one=True)
+    _check_unit_sum(spec)
+    (values,), mults = _stacked_eigenvalues(spec, (alpha,))
+    return values, mults.copy()

@@ -10,11 +10,11 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import math
 import sys
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable
+from json.encoder import encode_basestring_ascii
+from typing import Any, Callable, Iterable, NamedTuple
 
 from . import __version__
 from .analysis import _classify_all, find_borderenergetic_alphas
@@ -65,15 +65,33 @@ def _fmt_dec12(x: float) -> str:
     return s if s else "0"
 
 
-def _round_floats(obj: Any) -> Any:
-    """Recursively normalize floats to 12 significant digits for JSON."""
+# json.dumps spells the non-finite floats this way.
+_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _json(obj: Any, indent: str = "\n") -> str:
+    """obj as json.dumps(obj, indent=2) writes it, each float first rounded
+    to 12 significant digits (_fmt12g), at indent (a line break and the
+    indentation of obj's line).  Keys are strings; tuples are written as lists."""
+    if isinstance(obj, str):
+        return encode_basestring_ascii(obj)
+    if obj is None:
+        return "null"
+    if obj is True or obj is False:
+        return "true" if obj else "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
     if isinstance(obj, float):
-        return float(_fmt12g(obj))
-    if isinstance(obj, dict):
-        return {k: _round_floats(v) for k, v in obj.items()}
+        text = _fmt12g(obj)
+        return _NON_FINITE.get(text) or repr(float(text))
+    inner = indent + "  "
     if isinstance(obj, (list, tuple)):
-        return [_round_floats(v) for v in obj]
-    return obj
+        items = [_json(v, inner) for v in obj]
+        return "[" + inner + ("," + inner).join(items) + indent + "]" if items else "[]"
+    if isinstance(obj, dict):
+        items = [encode_basestring_ascii(k) + ": " + _json(v, inner) for k, v in obj.items()]
+        return "{" + inner + ("," + inner).join(items) + indent + "}" if items else "{}"
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
 @dataclass(frozen=True)
@@ -86,13 +104,14 @@ class OutputRecord:
     version: str = __version__
 
     def to_json(self) -> str:
-        payload = {
+        """The record as json.dumps(..., indent=2) writes it, every float
+        rounded to 12 significant digits, in one pass (_json)."""
+        return _json({
             "command": self.command,
-            "inputs": _round_floats(self.inputs),
-            "results": _round_floats(self.results),
+            "inputs": self.inputs,
+            "results": self.results,
             "version": self.version,
-        }
-        return json.dumps(payload, indent=2)
+        })
 
 
 def _write(
@@ -250,14 +269,73 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 # Parser assembly and entry point.
 
 
+class _Option(NamedTuple):
+    """One --flag of a command, with the add_argument keywords it is declared by."""
+
+    flag: str
+    type: Callable[[str], Any] | None = None
+    choices: tuple | None = None
+    default: Any = None
+    required: bool = False
+    help: str | None = None
+
+    @property
+    def dest(self) -> str:
+        return self.flag[2:].replace("-", "_")
+
+
+class _Command(NamedTuple):
+    help: str
+    func: Callable[[argparse.Namespace], int]
+    options: tuple[_Option, ...]
+
+
+_FAMILY = _Option("--family", choices=FAMILY_CHOICES, required=True)
+_N = _Option("--n", type=int, required=True)
+_ALPHA = _Option("--alpha", type=float, required=True)
+_JSON = _Option("--format", choices=("json", "csv"), default="json")
+_CSV = _JSON._replace(default="csv")
+
+# Every command and its options, in declaration order: _build_parser builds
+# the argparse parser from it, and _parse_exact parses the plain form of an
+# argv from it.
+_COMMANDS = {
+    "spectrum": _Command("eigenvalues of the alpha matrix", _cmd_spectrum, (
+        _FAMILY,
+        _N,
+        _ALPHA,
+        _Option("--method", choices=("auto", "closed", "numeric"), default="auto"),
+        _JSON,
+        _Option("--group-tol", type=float, default=DEFAULT_GROUP_TOL,
+                help="tolerance for merging nearly equal eigenvalues"),
+    )),
+    "energy": _Command(
+        "alpha energy of a family member", _cmd_energy, (_FAMILY, _N, _ALPHA, _JSON)
+    ),
+    "verify": _Command("run the invariant suites", _cmd_verify, (
+        _Option("--scope", choices=SCOPES, default="all"),
+        _Option("--nmax", type=int, required=True),
+    )),
+    "table": _Command("regenerate a bundled reference table", _cmd_table, (
+        _Option("--which", type=int, choices=(1, 2, 3), required=True),
+        _CSV,
+    )),
+    "sweep": _Command("energy and verdict over an alpha range", _cmd_sweep, (
+        _FAMILY,
+        _N,
+        _Option("--alpha-start", type=float, required=True),
+        _Option("--alpha-end", type=float, required=True),
+        _Option("--step", type=float, required=True),
+        _CSV,
+    )),
+}
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built on the first call and shared after it.
-
-    Building it costs about ten times what one parse does.  Reuse is safe:
-    every parse fills a fresh namespace, the defaults and choices are
-    immutable, and help and errors are formatted when printed.
-    """
+    """The argparse parser of _COMMANDS, built on the first call and shared
+    after it: every parse fills a fresh namespace, the defaults and choices
+    are immutable, and help and errors are formatted when printed."""
     parser = argparse.ArgumentParser(
         prog="uacg",
         description="Spectra, energies and borderenergetic classification "
@@ -265,52 +343,65 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    sp = sub.add_parser("spectrum", help="eigenvalues of the alpha matrix")
-    sp.add_argument("--family", required=True, choices=FAMILY_CHOICES)
-    sp.add_argument("--n", required=True, type=int)
-    sp.add_argument("--alpha", required=True, type=float)
-    sp.add_argument("--method", default="auto", choices=("auto", "closed", "numeric"))
-    sp.add_argument("--format", default="json", choices=("json", "csv"))
-    sp.add_argument("--group-tol", default=DEFAULT_GROUP_TOL, type=float,
-                    help="tolerance for merging nearly equal eigenvalues")
-    sp.set_defaults(func=_cmd_spectrum)
-
-    en = sub.add_parser("energy", help="alpha energy of a family member")
-    en.add_argument("--family", required=True, choices=FAMILY_CHOICES)
-    en.add_argument("--n", required=True, type=int)
-    en.add_argument("--alpha", required=True, type=float)
-    en.add_argument("--format", default="json", choices=("json", "csv"))
-    en.set_defaults(func=_cmd_energy)
-
-    ve = sub.add_parser("verify", help="run the invariant suites")
-    ve.add_argument("--scope", default="all", choices=SCOPES)
-    ve.add_argument("--nmax", required=True, type=int)
-    ve.set_defaults(func=_cmd_verify)
-
-    ta = sub.add_parser("table", help="regenerate a bundled reference table")
-    ta.add_argument("--which", required=True, type=int, choices=(1, 2, 3))
-    ta.add_argument("--format", default="csv", choices=("json", "csv"))
-    ta.set_defaults(func=_cmd_table)
-
-    sw = sub.add_parser("sweep", help="energy and verdict over an alpha range")
-    sw.add_argument("--family", required=True, choices=FAMILY_CHOICES)
-    sw.add_argument("--n", required=True, type=int)
-    sw.add_argument("--alpha-start", required=True, type=float)
-    sw.add_argument("--alpha-end", required=True, type=float)
-    sw.add_argument("--step", required=True, type=float)
-    sw.add_argument("--format", default="csv", choices=("json", "csv"))
-    sw.set_defaults(func=_cmd_sweep)
-
+    for name, command in _COMMANDS.items():
+        cp = sub.add_parser(name, help=command.help)
+        for opt in command.options:
+            cp.add_argument(opt.flag, type=opt.type, choices=opt.choices, default=opt.default,
+                            required=opt.required, help=opt.help)
+        cp.set_defaults(func=command.func)
     return parser
+
+
+def _parse_exact(argv: list[str]) -> argparse.Namespace | None:
+    """The namespace _build_parser() parses argv into, when argv has the plain
+    form `command --flag value ...`; else None.
+
+    Plain means: each flag is one of the command's, spelled out in full and
+    given once, no value starts with "-", every value converts by its type
+    and is one of its choices, and every required flag is given.  The
+    namespace holds command, the options in declaration order, then func,
+    the order argparse sets them in.  Help, --version and every error take
+    the argparse parser.
+    """
+    command = _COMMANDS.get(argv[0]) if argv else None
+    if command is None or len(argv) % 2 == 0:
+        return None
+    given = dict(zip(argv[1::2], argv[2::2]))
+    if len(given) != len(argv) // 2:
+        return None
+    args = argparse.Namespace(command=argv[0])
+    for opt in command.options:
+        value = given.pop(opt.flag, None)
+        if value is None:
+            if opt.required:
+                return None
+            value = opt.default
+        else:
+            if value.startswith("-"):
+                return None
+            if opt.type is not None:
+                try:
+                    value = opt.type(value)
+                except (TypeError, ValueError):
+                    return None
+            if opt.choices is not None and value not in opt.choices:
+                return None
+        setattr(args, opt.dest, value)
+    if given:
+        return None
+    args.func = command.func
+    return args
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code) if exc.code is not None else EXIT_OK
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = _parse_exact(argv)
+    if args is None:
+        try:
+            args = parser.parse_args(argv)
+        except SystemExit as exc:
+            return int(exc.code) if exc.code is not None else EXIT_OK
     try:
         return args.func(args)
     except ClosedFormUnavailable as exc:

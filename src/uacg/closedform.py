@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blocks import _stack_layout, _stacked_eigenvalues, block_eigenvalues
+from .blocks import _stack_layout, _stacked_eigenvalues
 from .graphs import (
     FAMILY_COMPLETE,
     FAMILY_UNITARY_CAYLEY,
@@ -406,7 +406,7 @@ def _route(spec: GraphSpec) -> tuple[str, Callable, Callable[[Sequence[float]], 
         return (
             METHOD_REGULAR,
             lambda a: spectrum(n, a),
-            lambda xs: [float(regular_alpha_energy(e, a)) for e in (eps0(n),) for a in xs],
+            lambda xs: [(1.0 - a) * e for e in (float(eps0(n)),) for a in xs],
         )
     pp = prime_power(n)
     if pp is None:
@@ -422,7 +422,11 @@ def _route(spec: GraphSpec) -> tuple[str, Callable, Callable[[Sequence[float]], 
                 out += [float(weights @ row) for row in np.abs(vals - shifts[:, None])]
             return out
 
-        return METHOD_NUMERIC, lambda a: block_eigenvalues(spec, a), block_energies
+        def block_spectrum(alpha: float) -> tuple[np.ndarray, np.ndarray]:
+            (values,), mults = _stacked_eigenvalues(spec, (alpha,))
+            return values, mults
+
+        return METHOD_NUMERIC, block_spectrum, block_energies
     p, m = pp
     spectrum, energy = (
         (_complement_prime_power_pairs, _complement_prime_power_energy)

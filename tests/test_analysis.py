@@ -289,7 +289,7 @@ class TestBoundReport:
             raise AssertionError("computed above the dense limit")
 
         monkeypatch.setattr(uacg.analysis, "_odd_eigen_arrays", refuse)
-        monkeypatch.setattr(uacg.analysis, "block_eigenvalues", refuse)
+        monkeypatch.setattr(uacg.analysis, "_stacked_eigenvalues", refuse)
         for comp in (False, True):
             with pytest.raises(ValueError, match="DENSE_ORDER_LIMIT"):
                 bound_report(GraphSpec(FAMILY_UACG, DENSE_ORDER_LIMIT + 1, comp), 0.25)
@@ -345,18 +345,32 @@ class TestBoundReport:
                 assert len(rep.per_index) == n
                 assert all(b.satisfied for b in rep.per_index), (n, comp)
 
+    def test_checks_each_input_once(self, monkeypatch):
+        want = bound_report(GraphSpec(FAMILY_UACG, 105), 0.3)
+        calls = []
+        for module in (uacg.analysis, uacg.blocks):
+            for name in ("_check_alpha", "_check_unit_sum", "_check_dense_order"):
+                real = getattr(module, name, None)
+                if real is not None:
+                    monkeypatch.setattr(
+                        module, name,
+                        lambda *a, real=real, name=name, **k: calls.append(name) or real(*a, **k),
+                    )
+        assert bound_report(GraphSpec(FAMILY_UACG, 105), 0.3) == want
+        assert sorted(calls) == ["_check_alpha", "_check_dense_order", "_check_unit_sum"]
+
     def test_unsatisfied_interval_is_reported(self, monkeypatch):
         spec = GraphSpec(FAMILY_UACG, 15)
-        real = uacg.analysis.block_eigenvalues
+        real = uacg.analysis._stacked_eigenvalues
 
-        def shifted(spec, alpha):
+        def shifted(spec, alphas):
             # The fifth largest value is simple at this order; 0.15 moves it
             # past its interval's upper end but not past the fourth.
-            values, mults = real(spec, alpha)
+            (values,), mults = real(spec, alphas)
             fifth = np.sort(np.repeat(values, mults))[::-1][4]
-            return np.where(values == fifth, values + 0.15, values), mults
+            return np.where(values == fifth, values + 0.15, values)[None], mults
 
-        monkeypatch.setattr(uacg.analysis, "block_eigenvalues", shifted)
+        monkeypatch.setattr(uacg.analysis, "_stacked_eigenvalues", shifted)
         rep = bound_report(spec, 0.3)
         assert [b.index for b in rep.per_index if not b.satisfied] == [5]
 

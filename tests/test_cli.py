@@ -14,7 +14,10 @@ from contextlib import redirect_stderr, redirect_stdout
 from io import StringIO
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import uacg.cli as cli_mod
 from uacg.cli import (
@@ -47,6 +50,28 @@ def read_fixture(name: str) -> list[dict[str, str]]:
 def failing_suite(scope, nmax):
     """Stands in for run_suite: one check that fails."""
     return [CheckResult(name="stub", passed=False, worst=1.0, cases=1, detail="forced failure")]
+
+
+def namespace_items(args) -> list[tuple]:
+    """vars(args) in order, each value with its type; nan compares equal."""
+    return [(k, type(v), "nan" if v != v else v) for k, v in vars(args).items()]
+
+
+@pytest.fixture(autouse=True)
+def direct_parse_equals_argparse(monkeypatch):
+    """Every argv a test here hands main that _parse_exact takes parses to
+    the namespace a freshly built argparse parser gives, attribute order
+    included (JSON inputs are written in that order)."""
+    real = cli_mod._parse_exact
+
+    def checked(argv):
+        args = real(argv)
+        if args is not None:
+            fresh = cli_mod._build_parser.__wrapped__().parse_args(argv)
+            assert namespace_items(args) == namespace_items(fresh), argv
+        return args
+
+    monkeypatch.setattr(cli_mod, "_parse_exact", checked)
 
 
 def golden_calls() -> list[tuple[list[str], str, int]]:
@@ -552,3 +577,175 @@ class TestParserReuse:
         for argv, got in zip(calls, shared):
             cli_mod._build_parser.cache_clear()
             assert run_cli(argv) == got, argv
+
+
+def sample_values(opt) -> list[str]:
+    """Argument strings _parse_exact takes for opt: each choice, or one value."""
+    if opt.choices is not None:
+        return [str(c) for c in opt.choices]
+    return {int: ["15"], float: ["0.25"]}[opt.type]
+
+
+def plain_argvs() -> list[list[str]]:
+    """For every command: its required options alone, each other option
+    added with each of its values, and every option given in reverse order."""
+    argvs = []
+    for name, command in cli_mod._COMMANDS.items():
+        required = [[o.flag, sample_values(o)[0]] for o in command.options if o.required]
+        base = [name, *(tok for pair in required for tok in pair)]
+        argvs.append(base)
+        for opt in command.options:
+            if not opt.required:
+                argvs += [[*base, opt.flag, value] for value in sample_values(opt)]
+        every = [[o.flag, sample_values(o)[-1]] for o in reversed(command.options)]
+        argvs.append([name, *(tok for pair in every for tok in pair)])
+    return argvs
+
+
+def argparse_only(monkeypatch, argv) -> tuple[int, str, str]:
+    """run_cli(argv) with every argv parsed by a freshly built argparse parser."""
+    with monkeypatch.context() as m:
+        m.setattr(cli_mod, "_parse_exact", lambda argv: None)
+        cli_mod._build_parser.cache_clear()
+        try:
+            return run_cli(argv)
+        finally:
+            cli_mod._build_parser.cache_clear()
+
+
+class TestDirectParse:
+    """main parses the plain form `command --flag value ...` from _COMMANDS
+    without argparse; any other argv goes to the argparse parser."""
+
+    @pytest.mark.parametrize(
+        "argv", [argv for argv, _, _ in golden_calls()] + plain_argvs(), ids=" ".join
+    )
+    def test_namespace_equals_argparse(self, argv):
+        args = cli_mod._parse_exact(argv)
+        assert args is not None
+        fresh = cli_mod._build_parser.__wrapped__().parse_args(argv)
+        assert namespace_items(args) == namespace_items(fresh)
+        assert list(vars(args))[0] == "command" and list(vars(args))[-1] == "func"
+
+    def test_every_option_is_generated(self):
+        flags = {(argv[0], tok) for argv in plain_argvs() for tok in argv if tok.startswith("--")}
+        assert flags == {
+            (name, o.flag) for name, c in cli_mod._COMMANDS.items() for o in c.options
+        }
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["-h"],
+            ["--version"],
+            [],
+            ["energy", "-h"],
+            ["sweep", "--help"],
+            ["energy", "--family", "uacg", "--n=15", "--alpha", "0.3"],
+            ["energy", "--fam", "uacg", "--n", "15", "--alpha", "0.3"],
+            ["energy", "--family", "uacg", "--n", "15", "--alpha", "-0.3"],
+            ["energy", "--family", "uacg", "--n", "15", "--n", "9", "--alpha", "0.3"],
+            ["energy", "--family", "uacg", "--alpha", "0.3"],
+            ["energy", "--family", "uacg", "--n", "15", "--alpha", "0.3", "--bogus", "1"],
+            ["energy", "--family", "uacg", "--n", "15", "--alpha"],
+            ["energy", "--family", "petersen", "--n", "15", "--alpha", "0.3"],
+            ["energy", "--family", "uacg", "--n", "1.5", "--alpha", "0.3"],
+            ["table", "--which", "4"],
+            ["table", "--which", "1", "extra"],
+            ["bogus", "--n", "9"],
+        ],
+        ids=repr,
+    )
+    def test_other_forms_print_what_argparse_prints(self, monkeypatch, argv):
+        assert cli_mod._parse_exact(argv) is None
+        assert run_cli(argv) == argparse_only(monkeypatch, argv)
+
+    def test_fallback_forms_that_parse_run_the_command(self, monkeypatch):
+        plain = run_cli(["energy", "--family", "uacg", "--n", "15", "--alpha", "0.3"])
+        assert plain[0] == EXIT_OK
+        assert run_cli(["energy", "--family", "uacg", "--n=15", "--alpha", "0.3"]) == plain
+        assert run_cli(["energy", "--fam", "uacg", "--n", "15", "--alpha", "0.3"]) == plain
+        code, out, err = run_cli(["energy", "--family", "uacg", "--n", "15", "--alpha", "-0.3"])
+        assert (code, out) == (EXIT_BAD_ARGS, "") and "alpha must lie in" in err
+
+    def test_main_none_reads_sys_argv(self, monkeypatch):
+        argv = ["energy", "--family", "uacg", "--n", "9", "--alpha", "0.3"]
+        monkeypatch.setattr("sys.argv", ["uacg", *argv])
+        assert run_cli(None) == run_cli(argv)
+        monkeypatch.setattr("sys.argv", ["uacg", "--version"])
+        assert run_cli(None) == run_cli(["--version"])
+
+
+def old_round_floats(obj):
+    """The writer's former float rounding, applied before json.dumps."""
+    if isinstance(obj, float):
+        return float(f"{float(obj):.12g}")
+    if isinstance(obj, dict):
+        return {k: old_round_floats(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [old_round_floats(v) for v in obj]
+    return obj
+
+
+def json_oracle(record) -> str:
+    return json.dumps(
+        {
+            "command": record.command,
+            "inputs": old_round_floats(record.inputs),
+            "results": old_round_floats(record.results),
+            "version": record.version,
+        },
+        indent=2,
+    )
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda inner: (
+        st.lists(inner, max_size=4)
+        | st.lists(inner, max_size=4).map(tuple)
+        | st.dictionaries(st.text(max_size=5), inner, max_size=4)
+    ),
+    max_leaves=20,
+)
+
+
+class TestJsonWriter:
+    """OutputRecord.to_json writes, in one pass, the bytes json.dumps(...,
+    indent=2) wrote after rounding every float to 12 significant digits."""
+
+    @pytest.mark.parametrize(
+        "results",
+        [
+            {"x": float("nan"), "y": float("inf"), "z": -float("inf"), "w": -0.0},
+            {"flags": [True, False, None], "n": 10**30, "neg": -7, "zero": 0},
+            {"empty": [], "none": {}, "nested": [[], {}, [[]]]},
+            {"pairs": ((1.5, 2), (-0.25, 1)), "t": ()},
+            {"name": "K\u00e4fer \u2014 \U0001f600 \"q\" \\ \n\t\x00"},
+            {"rows": [{"alpha": 0.1 + 0.2, "energy": 1 / 3, "verdict": "neither"},
+                      {"alpha": 1e-300, "energy": 123456789012345.6, "verdict": "x"}]},
+            {"np": np.float64(2.0) / 3.0, "big": 1e20, "tiny": 5e-324, "round": 0.5},
+            {},
+        ],
+        ids=repr,
+    )
+    def test_equals_json_dumps_of_rounded_floats(self, results):
+        record = cli_mod.OutputRecord(
+            command="spectrum", inputs={"alpha": 0.3, "n": 9, "family": "uacg"}, results=results
+        )
+        assert record.to_json() == json_oracle(record)
+
+    @given(inputs=st.dictionaries(st.text(max_size=5), JSON_VALUES, max_size=4),
+           results=st.dictionaries(st.text(max_size=5), JSON_VALUES, max_size=4))
+    @settings(max_examples=300, deadline=None)
+    def test_equals_json_dumps_on_generated_values(self, inputs, results):
+        record = cli_mod.OutputRecord(command="sweep", inputs=inputs, results=results)
+        assert record.to_json() == json_oracle(record)
+
+    @pytest.mark.parametrize("bad", [np.int64(3), np.float32(0.5), {1, 2}, b"x"], ids=repr)
+    def test_rejects_what_json_dumps_rejects(self, bad):
+        record = cli_mod.OutputRecord(command="energy", inputs={}, results={"v": [bad]})
+        with pytest.raises(TypeError):
+            json_oracle(record)
+        with pytest.raises(TypeError, match="is not JSON serializable"):
+            record.to_json()

@@ -20,6 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import uacg.blocks as blocks_mod
 import uacg.closedform as closedform_mod
 from uacg.analysis import (
     bound_report,
@@ -702,6 +703,36 @@ class TestEnergyReport:
             monkeypatch.setattr(closedform_mod, name, lambda *a, name=name, **k: calls.append(name))
         assert _route(GraphSpec(FAMILY_UACG, 125, comp))[2](alphas) == want
         assert calls == []
+
+    @pytest.mark.parametrize(
+        "spec",
+        [GraphSpec(FAMILY_UACG, 10), GraphSpec(FAMILY_UACG, 12, True),
+         GraphSpec(FAMILY_UNITARY_CAYLEY, 15), GraphSpec(FAMILY_UNITARY_CAYLEY, 21, True)],
+        ids=str,
+    )
+    def test_regular_energies_check_nothing_again(self, monkeypatch, spec):
+        # each value is bit-identical to the public (1 - alpha) scaling
+        alphas = [i / 64 for i in range(64)] + [0.1, 1.0 - 1e-9]
+        base = energy_report(spec, 0.0).energy
+        want = [regular_alpha_energy(base, alpha) for alpha in alphas]
+        calls = []
+        monkeypatch.setattr(closedform_mod, "_check_alpha", lambda *a, **k: calls.append(a))
+        method, _, energies = _route(spec)
+        assert method == METHOD_REGULAR
+        got = energies(alphas)
+        assert got == want and all(type(e) is float for e in got)
+        assert calls == []
+
+    def test_numeric_spectrum_checks_alpha_once(self, monkeypatch):
+        want = spectrum_for(GraphSpec(FAMILY_UACG, 105, True), 0.3)
+        calls = []
+        for module in (closedform_mod, blocks_mod):
+            real = module._check_alpha
+            monkeypatch.setattr(
+                module, "_check_alpha", lambda *a, real=real, **k: calls.append(a) or real(*a, **k)
+            )
+        assert spectrum_for(GraphSpec(FAMILY_UACG, 105, True), 0.3) == want
+        assert len(calls) == 1
 
     def test_all_methods_agree_with_dense_route(self):
         # The complement's energy at odd prime-power orders follows the
