@@ -21,8 +21,8 @@ from .analysis import _classify_all, find_borderenergetic_alphas
 from .closedform import (
     ALPHA_GRID,
     ClosedFormUnavailable,
+    _complete_energy,
     _energy_reports,
-    complete_energy,
     energy_report,
     spectrum_for,
 )
@@ -216,7 +216,7 @@ def _cmd_table(args: argparse.Namespace) -> int:
     for n in ns:
         spec = parse_spec_label(family, n)
         for r in _energy_reports(spec, find_borderenergetic_alphas(spec)):
-            values = (r.alpha, r.energy, complete_energy(n, r.alpha))
+            values = (r.alpha, r.energy, _complete_energy(n, r.alpha))
             rows.append((n, *map(_fmt_dec12, values)))
     return _write(
         args,
@@ -333,9 +333,10 @@ _COMMANDS = {
 
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
-    """The argparse parser of _COMMANDS, built on the first call and shared
-    after it: every parse fills a fresh namespace, the defaults and choices
-    are immutable, and help and errors are formatted when printed."""
+    """The argparse parser of _COMMANDS, built on the first argv that
+    _parse_exact leaves to it and shared after it: every parse fills a fresh
+    namespace, the defaults and choices are immutable, and help and errors
+    are formatted when printed."""
     parser = argparse.ArgumentParser(
         prog="uacg",
         description="Spectra, energies and borderenergetic classification "
@@ -394,12 +395,11 @@ def _parse_exact(argv: list[str]) -> argparse.Namespace | None:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
     argv = sys.argv[1:] if argv is None else list(argv)
     args = _parse_exact(argv)
     if args is None:
         try:
-            args = parser.parse_args(argv)
+            args = _build_parser().parse_args(argv)
         except SystemExit as exc:
             return int(exc.code) if exc.code is not None else EXIT_OK
     try:

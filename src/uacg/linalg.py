@@ -17,15 +17,16 @@ involutions u*u % n == 1 outside <g> (the involutions alone when lambda(n)
 the character is 1 on (n/|G| units and a few non-units each), an exact
 unitary similarity, so the values are those of the full matrix to rounding.
 A character and its conjugate give conjugate blocks, so one of the two is
-solved and its values counted twice.  At n = 201 the blocks are 1, 2 and 4
-wide; at a prime, 1 wide but for one of width 2.  The invariance is checked
-exactly, entry by entry, for each generator of G; a matrix broken under any
-of them, or one of fewer than _SPLIT_MIN_ENTRIES entries, where the split
-costs more than it saves, takes one full solve.  The split reads the matrix
-alone and shares nothing with the block route (blocks.py: no Chinese
-remainder theorem, no Kronecker factors, nothing from numtheory): it finds
-g and the involutions by trying every residue, so the dense path stays an
-independent oracle for it.
+solved and its values counted twice.  The blocks are complex Hermitian when
+lambda(n) > 2.  At n = 201 (lambda = 66) they are 1, 2 and 4 wide; at a
+prime (lambda = n - 1), 1 wide but for one of width 2.  The invariance is
+checked exactly, entry by entry, for each generator of G; a matrix broken
+under any of them, or one of fewer than _SPLIT_MIN_ENTRIES entries (n < 79
+for one matrix), where the split costs more than it saves, takes one full
+solve.  The split reads the matrix alone and shares nothing with the block
+route (blocks.py: no Chinese remainder theorem, no Kronecker factors,
+nothing from numtheory): it finds g and the involutions by trying every
+residue, so the dense path stays an independent oracle for it.
 
 A graph's complement J - I - A is invariant whenever A is, and the fold is
 linear: I folds to I in every block, and J to |G| * root[x] * root[y] in
@@ -132,18 +133,18 @@ _LAYOUTS = 512
 def symmetric_eigenvalues(a: np.ndarray) -> np.ndarray:
     """All n eigenvalues of a real symmetric (n, n) matrix, sorted descending.
 
-    The matrix must be finite and exactly symmetric (as constructed by this
-    package), else ValueError.  One of at least _SPLIT_MIN_ENTRIES entries
-    that is exactly invariant under each generator of G is solved as the
-    blocks of G (see _invariant_split), one stacked eigvalsh per block
-    width above 2 and the narrower blocks in closed form (see _values); any
-    other takes one full solve.  Raises numpy.linalg.LinAlgError
-    if the underlying iteration fails to converge, which does not happen for
-    the dense sizes used here.
+    The matrix must be one non-empty matrix, not a stack, finite and exactly
+    symmetric (as constructed by this package), else ValueError.  One of at
+    least _SPLIT_MIN_ENTRIES entries that is exactly invariant under each
+    generator of G is solved as the blocks of G (see _invariant_split), one
+    stacked eigvalsh per block width above 2 and the narrower blocks in
+    closed form (see _values); any other takes one full solve.  Raises
+    numpy.linalg.LinAlgError if the underlying iteration fails to converge,
+    which does not happen for the dense sizes used here.
     """
     arr = np.asarray(a, dtype=float)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {arr.shape}")
+    if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.size == 0:
+        raise ValueError(f"expected a non-empty square matrix, got shape {arr.shape}")
     _check_symmetric(arr)
     split = _invariant_split(arr, 1)
     return _solve(_fold(arr, split)[0], split[-2])
@@ -200,22 +201,25 @@ def _prepare(adjacency: np.ndarray, degrees: np.ndarray, x: np.ndarray, flags: t
     alpha's blocks (1 - alpha)*A_chi + alpha*diag(d_chi) formed for every
     block at once from the flat fold and the cached diagonal positions.
     The graph folds its own blocks alone; for a true flag one more stack
-    holds the complement's trivial block, the one that holds the orbit of
-    0, J_0 - I - A_0, and every other complement value is c - lambda, c =
-    alpha*(n - 1) - (1 - alpha), for the graph's values lambda outside that
-    block.  An unsplit graph's one block is the trivial one, so its
-    complement's stack is J - I - A, exact in floats, and no value is
-    reflected.
+    holds the complement's trivial block, J_0 - I - A_0 at the position
+    the split records: A_0 read from the graph's fold, J folded to |G| *
+    root[x] * root[y] and I to I.  Every other complement value is c -
+    lambda, c = alpha*(n - 1) - (1 - alpha), for the graph's values lambda
+    outside that block.  An unsplit graph's one block is the trivial one,
+    so its complement's stack is J - I - A, exact in floats, and no value
+    is reflected.
     """
     a, d = np.asarray(adjacency), np.asarray(degrees)
     _check_symmetric(a, d)
     split = _invariant_split(a, len(x), d)
-    reps, *_, (row, column, _), blocks, index = split
+    reps, elems, _, _, root, (row, column, entry), blocks, index = split
     n, r, w = a.shape[-1], _rows(blocks), reps.size
     reflect, flat = True in flags, _fold(a, split)[0]
     if reflect:
-        trivial = _complement_trivial(flat, split)
-        dt = (n - 1 - d)[reps[index[row : row + w]]]
+        ys = index[row : row + w]  # the trivial block's rows: every orbit
+        trivial = elems.size * np.outer(root[ys], root[ys]).ravel() - flat[entry : entry + w * w]
+        trivial[:: w + 1] -= 1.0
+        dt = (n - 1 - d)[reps[ys]]
     ds, on_diagonal = d[reps[index[:r]]], index[r : 2 * r]
     step = max(1, _BATCH_ELEMENTS // (flat.size + reflect * w * w))
 
@@ -239,18 +243,6 @@ def _prepare(adjacency: np.ndarray, degrees: np.ndarray, x: np.ndarray, flags: t
         return _descending(np.stack([comp if flag else vals for flag in flags])).reshape(-1, n)
 
     return pieces, rows
-
-
-def _complement_trivial(flat: np.ndarray, split: tuple) -> np.ndarray:
-    """The complement's trivial block J_0 - I - A_0, its entries flattened,
-    from the graph's flat fold (see _fold): J folds to |G| * root[x] *
-    root[y] there, I to I."""
-    reps, elems, _, _, root, (row, _, entry), _, index = split
-    w = reps.size
-    ys = index[row : row + w]  # the trivial block's rows: every orbit
-    block = elems.size * np.outer(root[ys], root[ys]).ravel() - flat[entry : entry + w * w]
-    block[:: w + 1] -= 1.0
-    return block
 
 
 def _check_symmetric(m: np.ndarray, *also: np.ndarray) -> None:
@@ -337,16 +329,19 @@ def _split(n: int, gens: tuple[int, ...]) -> tuple:
     blocks' diagonal entries in their flattened entries (as many), and the
     offsets (k*r + y)*r + x of those entries in the flattened
     _character_sums (none for the trivial group, whose one block is the
-    matrix itself).  trivial locates the trivial character's block, the one
-    whose rows hold the orbit of 0 (reps[0] = 0), as its first row's
-    positions (row, column, entry) among the rows of index, among the
-    values _unsorted lays out, and among the flattened entries (see
-    _trivial_block); its width is reps.size.
+    matrix itself).  trivial locates the trivial character's block, the
+    only one whose rows hold the orbit of 0 (reps[0] = 0), as its first
+    row's positions (row, column, entry) among the rows of index, among the
+    values _unsorted lays out (each width's twins after its blocks), and
+    among the flattened entries; it is recorded as the widths are laid out,
+    character 0's place in its width added to the running offsets, (0, 0,
+    0) for the trivial group.  Its width is reps.size.
     """
     if not gens:  # the trivial group: one block, the whole matrix
         ys = np.arange(n)
         index = np.append(ys, ys * (n + 1))
-        return _read_only(ys, np.ones(1), 1, np.ones((1, 1)), np.ones(n), ((n, 1, 0),), index)
+        return _read_only(ys, np.ones(1), 1, np.ones((1, 1)), np.ones(n), (0, 0, 0), ((n, 1, 0),),
+                          index)
     elems, label, lam, chars = np.ones(1, dtype=np.int64), np.arange(n), 1, np.ones((1, 1))
     for u in gens:
         powers = [1]
@@ -369,42 +364,31 @@ def _split(n: int, gens: tuple[int, ...]) -> tuple:
     kept = _character_sums((images == reps).astype(float), lam, chars).real > stab / 2
     j = np.arange(kept.shape[0]) // chars.shape[0]
     paired = (j > 0) & (2 * j != lam)
-    widths, blocks, rows, diagonal, entries, at = kept.sum(axis=1), [], [], [], [], 0
+    widths, blocks, rows, diagonal, entries = kept.sum(axis=1), [], [], [], []
+    row = column = at = 0  # the rows, values and entries laid out so far
     for w in sorted(set(widths.tolist())):
         ks = np.flatnonzero(widths == w)  # the characters with w representatives
         ks = ks[np.argsort(~paired[ks], kind="stable")]  # pairs first
         ys = np.nonzero(kept[ks])[1].reshape(-1, w)
+        if w == r:  # character 0, 1 on every stabilizer, keeps every orbit
+            k = w * int(np.flatnonzero(ks == 0)[0])  # its first row in this width
+            trivial = (row + k, column + k, at + k * w)
         rows.append(ys.ravel())
         diagonal.append(at + np.arange(ys.size) * w + np.arange(ys.size) % w)
         entries.append((((ks[:, None] * r + ys) * r)[:, :, None] + ys[:, None, :]).ravel())
         blocks.append((w, len(ks), int(paired[ks].sum())))
-        at += ys.size * w
+        row, column, at = row + ys.size, column + ys.size + blocks[-1][2] * w, at + ys.size * w
     index = np.concatenate(rows + diagonal + entries)
-    return _read_only(reps, elems, lam, chars, 1.0 / np.sqrt(stab), tuple(blocks), index)
+    return _read_only(reps, elems, lam, chars, 1.0 / np.sqrt(stab), trivial, tuple(blocks), index)
 
 
-def _read_only(reps, elems, lam, chars, root, blocks, index):
-    """The split, its trivial block located and its arrays made read-only:
-    the cache hands them to every caller."""
+def _read_only(reps, elems, lam, chars, root, trivial, blocks, index):
+    """The split, its arrays made read-only: the cache hands them to every
+    caller."""
     index = index.astype(np.int32)
     for arr in (reps, elems, chars, root, index):
         arr.setflags(write=False)
-    return reps, elems, lam, chars, root, _trivial_block(blocks, index), blocks, index
-
-
-def _trivial_block(blocks: tuple, index: np.ndarray) -> tuple[int, int, int]:
-    """(row, column, entry) of the one block whose rows hold the orbit of 0,
-    index 0 into reps: where its rows start among the rows of index, where
-    its values start among those _unsorted lays out (each width's twins
-    after its blocks), and where its entries start in the flat fold."""
-    p = int(np.flatnonzero(index[: _rows(blocks)] == 0)[0])
-    row = column = entry = 0
-    for w, count, twins in blocks:
-        if p < row + count * w:
-            break
-        row, column, entry = row + count * w, column + (count + twins) * w, entry + count * w * w
-    k = (p - row) // w
-    return row + k * w, column + k * w, entry + k * w * w
+    return reps, elems, lam, chars, root, trivial, blocks, index
 
 
 def _character_sums(t: np.ndarray, lam: int, chars: np.ndarray) -> np.ndarray:

@@ -16,20 +16,20 @@ import numpy as np
 
 from .analysis import (
     VERDICT_BORDER,
+    _energy_bounds,
     _odd_eigen_arrays,
     classify,
-    energy_bounds,
     find_borderenergetic_alphas,
 )
 from .blocks import _energy_floors, _stacked_eigenvalues
 from .closedform import (
     ALPHA_GRID,
+    _complement_prime_power_energy,
+    _complete_energy,
     _route,
-    complement_prime_power_energy,
+    _uacg_prime_power_energy,
     complement_unitary_cayley_adjacency_energy,
-    complete_energy,
     has_closed_spectrum,
-    uacg_prime_power_energy,
     unitary_cayley_adjacency_energy,
 )
 from .graphs import (
@@ -283,10 +283,10 @@ def check_energy_consistency(nmax: int, alphas=ALPHA_GRID, tol: float = 1e-9) ->
         p, m = prime_power(q)
         spec, comp = GraphSpec(FAMILY_UACG, q), GraphSpec(FAMILY_UACG, q, complement=True)
         spectral = _energies(_closed_spectra(spec, x), q, edge_count(spec), x)
-        formula = [uacg_prime_power_energy(p, m, alpha) for alpha in x]
+        formula = [_uacg_prime_power_energy(p, m, alpha) for alpha in x.tolist()]
         uacg_rows.append(_row(np.abs(formula - spectral), 1, (q,), alphas))
         multiset = _energies(_tabulated_complement_values(p, m, x), q, edge_count(comp), x)
-        formula = [complement_prime_power_energy(p, m, alpha) for alpha in x]
+        formula = [_complement_prime_power_energy(p, m, alpha) for alpha in x.tolist()]
         comp_rows.append(_row(np.abs(formula - multiset), 1, (q,), alphas))
     return [
         _worst("prime-power energy vs spectrum", tol, uacg_rows, ("n", "alpha")),
@@ -340,7 +340,7 @@ def check_energy_sandwich(nmax: int, alphas=SANDWICH_ALPHAS, slack: float = 1e-8
     (alphas, x), rows = _alphas(alphas, allow_one=False), []
     for spec, m, _, vals in _dense(range(3, nmax + 1, 2), alphas):
         energy = _energies(vals, spec.n, m, x)
-        bounds = [energy_bounds(spec, alpha) for alpha in alphas]
+        bounds = [_energy_bounds(spec, alpha) for alpha in x.tolist()]
         lower = np.maximum([max(lowers.values()) for lowers, _ in bounds], _energy_floors(spec, alphas))
         upper = np.array([upper for _, upper in bounds])
         resid = np.maximum(lower - energy, energy - upper)
@@ -361,7 +361,7 @@ def check_roots(nmax: int, tol: float = 1e-8) -> CheckResult:
             spec = GraphSpec(family=FAMILY_UACG, n=q, complement=complement_flag)
             for root in find_borderenergetic_alphas(spec):
                 report = classify(spec, root, tol=1e-6)
-                resid = abs(report.energy - complete_energy(q, root))
+                resid = abs(report.energy - _complete_energy(q, root))
                 if report.verdict != VERDICT_BORDER:
                     resid = max(resid, 1.0)  # classification disagreement is a failure
                 rows.append((resid, 1, (q, complement_flag, root)))

@@ -546,12 +546,18 @@ class TestVersionFlag:
 
 class TestParserReuse:
     def test_parser_built_once_across_calls(self):
+        # plain argv never need the parser; the first fallback builds it, once
         cli_mod._build_parser.cache_clear()
         for _ in range(20):
             code, _, _ = run_cli(["energy", "--family", "uacg", "--n", "9", "--alpha", "0.3"])
             assert code == EXIT_OK
         info = cli_mod._build_parser.cache_info()
-        assert (info.misses, info.hits) == (1, 19)
+        assert (info.misses, info.hits) == (0, 0)
+        for _ in range(3):
+            code, _, _ = run_cli(["energy", "--family", "uacg", "--n=9", "--alpha", "0.3"])
+            assert code == EXIT_OK
+        info = cli_mod._build_parser.cache_info()
+        assert (info.misses, info.hits) == (1, 2)
 
     def test_shared_parser_matches_fresh_parser(self, monkeypatch):
         """An argument error, --version and a failed verify leave nothing behind

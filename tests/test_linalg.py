@@ -8,6 +8,7 @@ explicitly assembled matrices fed to the dense solver.
 """
 
 import ast
+import functools
 import math
 import tracemalloc
 from collections import Counter
@@ -42,6 +43,7 @@ from uacg.linalg import (
     _invariant,
     _invariant_split,
     _solve,
+    _split,
     _stacks,
     _unsorted,
     _values,
@@ -177,7 +179,7 @@ class TestSymmetricEigenvalues:
             symmetric_eigenvalues(np.zeros((2, 3)))
 
     # the last is a (k, n, n) stack: one matrix at a time only
-    @pytest.mark.parametrize("shape", [(2, 3, 3, 3), (3, 2, 3), (3,), (11, 9, 9)])
+    @pytest.mark.parametrize("shape", [(2, 3, 3, 3), (3, 2, 3), (3,), (11, 9, 9), (0, 0)])
     def test_rejects_other_shapes(self, shape):
         with pytest.raises(ValueError, match="square matrix"):
             symmetric_eigenvalues(np.zeros(shape))
@@ -295,6 +297,29 @@ def assert_close(got: np.ndarray, want: np.ndarray, what) -> None:
     """got within 1e-12 of the largest |value| (at least 1) of want, row by row."""
     scale = np.maximum(1.0, np.max(np.abs(want), axis=-1, keepdims=True))
     assert np.all(np.abs(got - want) <= 1e-12 * scale), what
+
+
+# The sweeps below share the plain references of the uacg graph and its
+# complement, so each is solved once.
+PLAIN_LABELS = ("uacg", "complement-uacg")
+PLAIN_ALPHAS = ALPHA_GRID + (1.0,)
+
+
+@functools.cache
+def plain_rows(n: int) -> np.ndarray:
+    """(len(PLAIN_LABELS), len(PLAIN_ALPHAS), n): the descending values of
+    one full np.linalg.eigvalsh of (1 - x)*A + x*I*d for each label and
+    alpha x, A and d the graph's integer adjacency and degrees, the matrix
+    formed here rather than by package code."""
+    g = build_uacg(n)
+    x = np.array(PLAIN_ALPHAS)[:, None, None]
+    h = 1 - np.eye(n, dtype=int) - g.adjacency
+    rows = np.stack([
+        np.linalg.eigvalsh((1.0 - x) * a + x * np.eye(n) * d)[:, ::-1]
+        for a, d in ((g.adjacency, g.degrees), (h, n - 1 - g.degrees))
+    ])
+    rows.setflags(write=False)
+    return rows
 
 
 class TestReflectionSplit:
@@ -477,7 +502,11 @@ class TestAlphaEigenvalues:
         for n in range(2, 261):
             g = build_graph(parse_spec_label(label, n))
             stack = np.stack([build_alpha_matrix(g, alpha) for alpha in alphas])
-            want = np.linalg.eigvalsh(stack)[:, ::-1]
+            if label in PLAIN_LABELS:  # the same matrices as the shared table's
+                at = [PLAIN_ALPHAS.index(alpha) for alpha in alphas]
+                want = plain_rows(n)[PLAIN_LABELS.index(label), at]
+            else:
+                want = np.linalg.eigvalsh(stack)[:, ::-1]
             assert_close(one_graph(g.adjacency, g.degrees, alphas), want, (label, n))
             assert_close(np.stack([symmetric_eigenvalues(a) for a in stack]), want, (label, n))
 
@@ -517,13 +546,29 @@ class TestAlphaEigenvalues:
             one_graph(g.adjacency, g.degrees, (1.5,))
 
 
+def searched_trivial_block(blocks: tuple, index: np.ndarray) -> tuple[int, int, int]:
+    """(row, column, entry) of the one block whose rows hold the orbit of 0,
+    found by searching the finished layout for index 0 into reps: where its
+    rows start among the rows of index, where its values start among those
+    _unsorted lays out (each width's twins after its blocks), and where its
+    entries start in the flat fold."""
+    p = int(np.flatnonzero(index[: sum(w * count for w, count, _ in blocks)] == 0)[0])
+    row = column = entry = 0
+    for w, count, twins in blocks:
+        if p < row + count * w:
+            break
+        row, column, entry = row + count * w, column + (count + twins) * w, entry + count * w * w
+    k = (p - row) // w
+    return row + k * w, column + k * w, entry + k * w * w
+
+
 class TestComplementFromTheBaseFold:
     """With a true flag, _alpha_eigenvalues solves the complement from the
     base graph's one fold: its trivial block as J_0 - I - A_0 and n - 1 - d,
     every other value reflected, c - lambda for c = alpha*(n - 1) - (1 -
     alpha) and the graph's own values lambda."""
 
-    ALPHAS = ALPHA_GRID + (1.0,)
+    ALPHAS = PLAIN_ALPHAS
 
     def test_both_families_up_to_301(self):
         trivial = []
@@ -536,9 +581,8 @@ class TestComplementFromTheBaseFold:
             # the base rows are those of the base graph alone, bit for bit
             assert np.array_equal(base, one_graph(g.adjacency, g.degrees, self.ALPHAS)), n
             direct = one_graph(h.adjacency, h.degrees, self.ALPHAS)
+            # (test_oracle_rows_up_to_301 holds comp to a plain solve at 1e-13)
             assert_close(comp, direct, n)
-            plain = np.linalg.eigvalsh(np.stack([build_alpha_matrix(h, a) for a in self.ALPHAS]))
-            assert_close(comp, plain[:, ::-1], n)
             if len(_invariant_split(g.adjacency, len(self.ALPHAS), g.degrees)[1]) == 1:
                 # under the trivial group the block is J - I - A in integers
                 trivial.append(n)
@@ -589,6 +633,12 @@ class TestComplementFromTheBaseFold:
         vals = _unsorted([_values(s) for s in _stacks(ones, blocks)], blocks)[0]
         assert np.all(np.abs(np.delete(vals, np.s_[column : column + w])) <= 1e-12 * n)
         assert abs(vals[column : column + w].max() - n) <= 1e-12 * n
+
+    def test_the_split_records_where_the_trivial_block_sits(self):
+        for n in range(2, 402):
+            for gens in (_generators(n), ()):
+                split = _split(n, gens)
+                assert split[5] == searched_trivial_block(split[-2], split[-1]), (n, gens)
 
     @pytest.mark.parametrize("n", [60, 201])
     def test_a_base_block_fault_moves_both_families(self, monkeypatch, n):
@@ -728,17 +778,10 @@ class TestSmallBlocks:
         assert np.all(np.abs(got - want) <= (8 if phases else 4) * EPS * fro)
 
     def test_oracle_rows_up_to_301(self):
-        alphas = ALPHA_GRID + (1.0,)
-        x = np.array(alphas)[:, None, None]
         for n in range(2, 302):
             g = build_uacg(n)
-            rows = one_graph(g.adjacency, g.degrees, alphas, (False, True))
-            h = 1 - np.eye(n, dtype=int) - g.adjacency
-            full = [
-                np.linalg.eigvalsh((1.0 - x) * a + x * np.eye(n) * d)[:, ::-1]
-                for a, d in ((g.adjacency, g.degrees), (h, n - 1 - g.degrees))
-            ]
-            want = np.concatenate(full)
+            rows = one_graph(g.adjacency, g.degrees, PLAIN_ALPHAS, (False, True))
+            want = plain_rows(n).reshape(-1, n)
             scale = np.maximum(1.0, np.abs(want).max(axis=1, keepdims=True))
             assert np.all(np.abs(rows - want) <= 1e-13 * scale), n
 

@@ -13,6 +13,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+import uacg.analysis as analysis_mod
 import uacg.closedform as closedform_mod
 import uacg.graphs as graphs_mod
 import uacg.linalg as linalg_mod
@@ -298,18 +299,19 @@ class TestPerturbedEigensolver:
             assert res.detail.split()[0] == f"n={order}", res
 
 
-def drop_j(block, split):
-    """The complement's trivial block without its J term."""
+def drop_j(t, x, split):
+    """The complement's trivial stack t at the alphas x without its J term."""
     reps, elems, _, _, root, (row, _, _), _, index = split
     ys = index[row : row + reps.size]
-    return block - elems.size * np.outer(root[ys], root[ys]).ravel()
+    return t - ((1.0 - x) * elems.size * np.outer(root[ys], root[ys]).ravel()).reshape(t.shape)
 
 
-def raise_last_entry(block, split):
-    """The complement's trivial block, its last diagonal entry off by 1e-6."""
-    block = block.copy()
-    block[-1] += 1e-6
-    return block
+def raise_last_entry(t, x, split):
+    """The complement's trivial stack t at the alphas x, the last diagonal
+    entry of its J_0 - I - A_0 off by 1e-6."""
+    t = t.copy()
+    t[..., -1, -1] += (1.0 - x) * 1e-6
+    return t
 
 
 class TestComplementTrivialBlock:
@@ -321,12 +323,25 @@ class TestComplementTrivialBlock:
     @pytest.mark.parametrize("fault", [drop_j, raise_last_entry])
     def test_a_fault_fails_on_the_complement_only(self, monkeypatch, fault):
         clean = list(verification_mod._dense(range(2, 32), ALPHA_GRID))
-        real = linalg_mod._complement_trivial
+        real = linalg_mod._prepare
 
-        def faulty_block(flat, split):
-            return fault(real(flat, split), split)
+        def faulty_prepare(adjacency, degrees, x, flags):
+            pieces, rows = real(adjacency, degrees, x, flags)
+            if True not in flags:
+                return pieces, rows
+            split = linalg_mod._invariant_split(np.asarray(adjacency), len(x), np.asarray(degrees))
 
-        monkeypatch.setattr(linalg_mod, "_complement_trivial", faulty_block)
+            def faulty_pieces():
+                at = 0
+                for stacks in pieces():  # the last stack is the complement's trivial block
+                    k = len(stacks[-1])
+                    stacks[-1] = fault(stacks[-1], x[at : at + k], split)
+                    at += k
+                    yield stacks
+
+            return faulty_pieces, rows
+
+        monkeypatch.setattr(linalg_mod, "_prepare", faulty_prepare)
         faulty = list(verification_mod._dense(range(2, 32), ALPHA_GRID))
         for (spec, *_, want), (_, *_, got) in zip(clean, faulty):
             # the graph's rows do not move; the complement's move at every
@@ -477,6 +492,27 @@ class TestCheckInputs:
 
     def test_accepts_a_numpy_integer_nmax(self):
         assert check_block_route(np.int64(9), alphas=(0.3,)).cases == 4 * 2
+
+    def test_checked_alphas_are_not_checked_again(self, monkeypatch):
+        # the checks take their alphas through _alphas once, and hand the
+        # checked floats to the energy bounds and formulas
+        calls = Counter()
+        for module, name in (
+            (analysis_mod, "_check_alpha"),
+            (analysis_mod, "_check_unit_sum"),
+            (closedform_mod, "_check_alpha"),
+            (closedform_mod, "_check_odd_prime_power"),
+        ):
+            real = getattr(module, name)
+
+            def spy(*args, real=real, key=f"{module.__name__}.{name}", **kwargs):
+                calls[key] += 1
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, spy)
+        assert check_energy_sandwich(31).passed
+        assert all(res.passed for res in check_energy_consistency(31))
+        assert calls == Counter()
 
 
 def one_graph(adjacency, degrees, alphas, flags=(False,)):
