@@ -33,6 +33,8 @@ from .linalg import (
     _check_alpha,
     _check_tol,
     _group,
+    _real,
+    _real_array,
     group_spectrum,
     symmetric_eigenvalues,
 )
@@ -123,7 +125,7 @@ def alpha_energy_from_values(
     """Energy sum |lambda_i - 2*alpha*m/n| from a full eigenvalue list."""
     n, m = _check_int(n, "n", 1), _check_int(m, "m", 0)
     alpha = _check_alpha(alpha, allow_one=False)
-    vals = np.asarray(values, dtype=float).ravel()
+    vals = _real_array(values, "values").astype(float, copy=False).ravel()
     if vals.size != n:
         raise ValueError(f"expected {n} eigenvalues, got {vals.size}")
     shift = 2.0 * alpha * m / n
@@ -133,7 +135,10 @@ def alpha_energy_from_values(
 def regular_alpha_energy(adjacency_energy: float, alpha: float) -> float:
     """For regular graphs the alpha energy is (1-alpha) times the adjacency energy."""
     alpha = _check_alpha(alpha, allow_one=False)
-    return (1.0 - alpha) * float(adjacency_energy)
+    energy = _real(adjacency_energy, "adjacency_energy")
+    if not (math.isfinite(energy) and energy >= 0.0):
+        raise ValueError(f"adjacency_energy must be finite and >= 0, got {energy}")
+    return (1.0 - alpha) * energy
 
 
 # ---------------------------------------------------------------------------

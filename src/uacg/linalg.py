@@ -1,10 +1,11 @@
 """Dense symmetric eigenvalues, circulant eigenvalue formulas, spectrum grouping.
 
 This is the numeric oracle for every closed form and bound in the package.
-The dense path takes one (n, n) matrix, splits it into blocks (below) and
-hands each width of blocks above 2 to LAPACK through numpy.linalg.eigvalsh;
-1- and 2-wide blocks, most of them at the orders verify reaches, are solved
-in closed form (see _values).  The FFT formula for the eigenvalues of a
+The dense path, _alpha_eigenvalues (symmetric_eigenvalues is its row at
+alpha = 0), splits each (n, n) matrix into blocks (below) and hands each
+width of blocks above 2 to LAPACK through numpy.linalg.eigvalsh; 1- and
+2-wide blocks, most of them at the orders verify reaches, are solved in
+closed form (see _values).  The FFT formula for the eigenvalues of a
 symmetric left circulant (left_circulant_eigenvalues) is the reference the
 interval tests compare against.
 
@@ -21,8 +22,7 @@ solved and its values counted twice.  The blocks are complex Hermitian when
 lambda(n) > 2.  At n = 201 (lambda = 66) they are 1, 2 and 4 wide; at a
 prime (lambda = n - 1), 1 wide but for one of width 2.  The invariance is
 checked exactly, entry by entry, for each generator of G; a matrix broken
-under any of them, or one of fewer than _SPLIT_MIN_ENTRIES entries (n < 79
-for one matrix), where the split costs more than it saves, takes one full
+under any of them, or of order n <= 2 (no unit but 1), takes one full
 solve.  The split reads the matrix alone and shares nothing with the block
 route (blocks.py: no Chinese remainder theorem, no Kronecker factors,
 nothing from numtheory): it finds g and the involutions by trying every
@@ -39,7 +39,8 @@ and one fold of the graph.  That holds at every order: an unsplit graph's
 one block is the trivial group's, the whole matrix, so there the
 complement's trivial block is J - I - A and nothing is reflected.  It
 takes many graphs at once and solves the blocks of consecutive graphs
-together, one call per block width and dtype (see _solve_stacks).
+together, one call per block width and dtype (see _solve_stacks); each
+row depends on its matrix and alpha alone.
 """
 
 from __future__ import annotations
@@ -88,11 +89,20 @@ class Spectrum:
 def _real(value: float, name: str) -> float:
     """A value that is not an exact float as a float; ValueError for a bool,
     a string or any other value that is not a real number, as
-    numtheory._check_int does for integers.  Callers test type(value) is
-    float first, so exact floats skip the slow Real check."""
+    numtheory._check_int does for integers.  Hot callers test type(value)
+    is float first, so exact floats skip the slow Real check."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ValueError(f"{name} must be a real number, got {value!r}")
     return float(value)
+
+
+def _real_array(values, name: str) -> np.ndarray:
+    """values as an array of its own integer or float dtype, every value
+    finite; else ValueError (no bool, str, complex or object, as _real)."""
+    arr = np.asarray(values)
+    if arr.dtype.kind not in "iuf" or not np.isfinite(arr).all():
+        raise ValueError(f"{name} must be finite real numbers")
+    return arr
 
 
 def _check_tol(tol: float) -> float:
@@ -113,10 +123,6 @@ def _check_alpha(alpha: float, *, allow_one: bool) -> float:
     return alpha
 
 
-# Fewest entries, k * n**2 for k alphas of one order n, that are split rather
-# than solved whole; its timing sweeps are recorded in CHANGES.md.
-_SPLIT_MIN_ENTRIES = 6144
-
 # Most float64 entries in one stacked eigvalsh input or _invariant temporary;
 # its verify and root-scan sweep is recorded in CHANGES.md.
 _BATCH_ELEMENTS = 2**17
@@ -126,28 +132,22 @@ _BATCH_ELEMENTS = 2**17
 _HELD_ENTRIES = 2**13
 
 # Most orders whose layouts (_generators, _split) are cached; a verify pass
-# at nmax = 201 keeps 236 (CHANGES.md records their size).
+# at nmax = 201 keeps 200 in each (CHANGES.md records their size).
 _LAYOUTS = 512
 
 
 def symmetric_eigenvalues(a: np.ndarray) -> np.ndarray:
-    """All n eigenvalues of a real symmetric (n, n) matrix, sorted descending.
+    """All n eigenvalues of a real symmetric (n, n) matrix, sorted descending:
+    the one row of _alpha_eigenvalues at alpha = 0 with zero degrees, whose
+    stack 1.0*m + 0.0*diag(0) is m.
 
-    The matrix must be one non-empty matrix, not a stack, finite and exactly
-    symmetric (as constructed by this package), else ValueError.  One of at
-    least _SPLIT_MIN_ENTRIES entries that is exactly invariant under each
-    generator of G is solved as the blocks of G (see _invariant_split), one
-    stacked eigvalsh per block width above 2 and the narrower blocks in
-    closed form (see _values); any other takes one full solve.  Raises
-    numpy.linalg.LinAlgError if the underlying iteration fails to converge,
-    which does not happen for the dense sizes used here.
+    The matrix must be one non-empty matrix, not a stack, of finite real
+    numbers (see _real_array), exactly symmetric, else ValueError.
     """
-    arr = np.asarray(a, dtype=float)
+    arr = np.asarray(a)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.size == 0:
         raise ValueError(f"expected a non-empty square matrix, got shape {arr.shape}")
-    _check_symmetric(arr)
-    split = _invariant_split(arr, 1)
-    return _solve(_fold(arr, split)[0], split[-2])
+    return next(_alpha_eigenvalues([(arr, np.zeros(arr.shape[0]))], (0.0,)))[0]
 
 
 def _alpha_eigenvalues(
@@ -156,19 +156,19 @@ def _alpha_eigenvalues(
     flags: Sequence[bool] = (False,),
 ) -> Iterator[np.ndarray]:
     """For each (adjacency, degrees) pair in graphs, in order, the
-    symmetric_eigenvalues of (1 - alpha)*A + alpha*diag(d) for each flag in
+    descending eigenvalues of (1 - alpha)*A + alpha*diag(d) for each flag in
     flags and each alpha, one row each, flag by flag: A and d are the
     graph's adjacency and degrees for a false flag, and its complement's,
     J - I - adjacency and n - 1 - degrees, for a true one.
 
-    Each graph is checked, split and folded once (len(alphas) * n**2
-    entries count towards _SPLIT_MIN_ENTRIES; see _prepare), split or not,
-    and both families are solved from that fold; nothing of the graph but
-    its fold is held.  The formed stacks of consecutive graphs are
-    held up to _HELD_ENTRIES block entries and solved together, one _values
+    Each graph is checked, split and folded once (see _prepare), split or
+    not, and both families are solved from that fold; nothing of the graph
+    but its fold is held.  The formed stacks of consecutive graphs are held
+    up to _HELD_ENTRIES block entries and solved together, one _values
     call per block width and dtype (see _solve_stacks): each block is
     solved on its own, on the LAPACK routine its dtype takes alone, so a
-    row does not depend on the other graphs or alphas of its chunk.
+    row depends on its matrix and alpha alone, not on the other graphs or
+    alphas of the call.
     """
     x = np.array([_check_alpha(v, allow_one=True) for v in alphas]).reshape(-1, 1)
     held, size, waiting = [], 0, deque()
@@ -205,13 +205,12 @@ def _prepare(adjacency: np.ndarray, degrees: np.ndarray, x: np.ndarray, flags: t
     the split records: A_0 read from the graph's fold, J folded to |G| *
     root[x] * root[y] and I to I.  Every other complement value is c -
     lambda, c = alpha*(n - 1) - (1 - alpha), for the graph's values lambda
-    outside that block.  An unsplit graph's one block is the trivial one,
-    so its complement's stack is J - I - A, exact in floats, and no value
-    is reflected.
+    outside that block (none for an unsplit graph: see the module).
     """
-    a, d = np.asarray(adjacency), np.asarray(degrees)
-    _check_symmetric(a, d)
-    split = _invariant_split(a, len(x), d)
+    a, d = _real_array(adjacency, "matrix"), _real_array(degrees, "degrees")
+    if not (a == a.T).all():
+        raise ValueError("matrix is not symmetric")
+    split = _invariant_split(a, d)
     reps, elems, _, _, root, (row, column, entry), blocks, index = split
     n, r, w = a.shape[-1], _rows(blocks), reps.size
     reflect, flat = True in flags, _fold(a, split)[0]
@@ -240,25 +239,19 @@ def _prepare(adjacency: np.ndarray, degrees: np.ndarray, x: np.ndarray, flags: t
         if reflect:
             comp = (x * (n - 1.0) - (1.0 - x)) - vals
             comp[:, column : column + w] = np.concatenate([v[-1] for v in solved]).reshape(-1, w)
-        return _descending(np.stack([comp if flag else vals for flag in flags])).reshape(-1, n)
+        out = np.stack([comp if flag else vals for flag in flags])
+        out.sort(axis=-1)
+        return out[..., ::-1].reshape(-1, n).copy()
 
     return pieces, rows
 
 
-def _check_symmetric(m: np.ndarray, *also: np.ndarray) -> None:
-    if not all(np.isfinite(x).all() for x in (m, *also)):
-        raise ValueError("matrix must be finite")
-    if not (m == m.swapaxes(-2, -1)).all():
-        raise ValueError("matrix is not symmetric")
-
-
-def _invariant_split(m: np.ndarray, count: int, d: np.ndarray | None = None) -> tuple:
-    """The _split by all of _generators(n) if count copies of the symmetric
-    (n, n) m hold at least _SPLIT_MIN_ENTRIES entries and m, and d if given,
-    are exactly invariant under each generator; else by the trivial group,
-    one full solve."""
+def _invariant_split(m: np.ndarray, d: np.ndarray | None = None) -> tuple:
+    """The _split by all of _generators(n) if the symmetric (n, n) m, and d
+    if given, are exactly invariant under each generator; else by the
+    trivial group, one full solve (as at n <= 2, which has none)."""
     n = m.shape[-1]
-    gens = _generators(n) if count * n * n >= _SPLIT_MIN_ENTRIES else ()
+    gens = _generators(n)
     return _split(n, gens if all(_invariant(m, d, u) for u in gens) else ())
 
 
@@ -429,13 +422,6 @@ def _rows(blocks: tuple) -> int:
     return sum(w * count for w, count, _ in blocks)
 
 
-def _solve(flat: np.ndarray, blocks: tuple) -> np.ndarray:
-    """Descending eigenvalues of each row of flat, the entries of the
-    split's blocks as _fold lays them out: the _values of each block
-    width's stack, one call each."""
-    return _descending(_unsorted([_values(s) for s in _stacks(flat, blocks)], blocks))
-
-
 def _stacks(flat: np.ndarray, blocks: tuple) -> list[np.ndarray]:
     """Each block width's (..., count, width, width) stack of the entries
     in flat, laid out as _fold lays them out (views, not copies)."""
@@ -455,12 +441,6 @@ def _unsorted(values: Sequence[np.ndarray], blocks: tuple) -> np.ndarray:
         v = v.reshape(*v.shape[:-2], -1)
         vals += [v, v[..., : twins * w]]
     return np.concatenate(vals, axis=-1)
-
-
-def _descending(vals: np.ndarray) -> np.ndarray:
-    """vals sorted in place along the last axis, then a descending copy."""
-    vals.sort(axis=-1)
-    return vals[..., ::-1].copy()
 
 
 def _values(s: np.ndarray) -> np.ndarray:
@@ -511,7 +491,7 @@ def left_circulant_eigenvalues(s: np.ndarray) -> np.ndarray:
     +/-|lambda_k| pair for 1 <= k <= (n-1)/2 when n is odd, and {lambda_0,
     lambda_{n/2}} plus the pairs for 1 <= k <= (n-2)/2 when n is even.
     """
-    arr = np.asarray(s, dtype=float)
+    arr = _real_array(s, "s").astype(float, copy=False)
     if arr.ndim != 1 or arr.size == 0:
         raise ValueError("expected a non-empty real sequence")
     # numpy's fft uses the conjugate kernel exp(-2*pi*i*j*k/n), which for
@@ -530,12 +510,11 @@ def group_spectrum(values: np.ndarray, tol: float = DEFAULT_GROUP_TOL) -> Spectr
     Adjacent values whose gap is at most tol are merged into one pair whose
     value is the mean of the merged cluster: the value itself when every
     member is equal, else their sum over their number k, to rounding (see
-    _group).  Rejects unsorted or non-finite input.
+    _group).  Rejects unsorted or non-finite input, and input that is not
+    real numbers (see _real_array).
     """
     tol = _check_tol(tol)
-    vals = np.asarray(values, dtype=float).ravel()
-    if not np.all(np.isfinite(vals)):
-        raise ValueError("values must be finite")
+    vals = _real_array(values, "values").astype(float, copy=False).ravel()
     if vals.size and np.any(np.diff(vals) > 0):
         raise ValueError("values must be sorted in descending order")
     return _group(vals, np.ones(vals.size, dtype=np.int64), tol)

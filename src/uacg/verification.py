@@ -16,9 +16,9 @@ import numpy as np
 
 from .analysis import (
     VERDICT_BORDER,
+    _classify_all,
     _energy_bounds,
     _odd_eigen_arrays,
-    classify,
     find_borderenergetic_alphas,
 )
 from .blocks import _energy_floors, _stacked_eigenvalues
@@ -359,12 +359,11 @@ def check_roots(nmax: int, tol: float = 1e-8) -> CheckResult:
     for q in odd_prime_powers(nmax):
         for complement_flag in (False, True):
             spec = GraphSpec(family=FAMILY_UACG, n=q, complement=complement_flag)
-            for root in find_borderenergetic_alphas(spec):
-                report = classify(spec, root, tol=1e-6)
-                resid = abs(report.energy - _complete_energy(q, root))
+            for report in _classify_all(spec, find_borderenergetic_alphas(spec), 1e-6):
+                resid = abs(report.energy - _complete_energy(q, report.alpha))
                 if report.verdict != VERDICT_BORDER:
                     resid = max(resid, 1.0)  # classification disagreement is a failure
-                rows.append((resid, 1, (q, complement_flag, root)))
+                rows.append((resid, 1, (q, complement_flag, report.alpha)))
     return _worst("borderenergetic root re-evaluation", tol, rows, ("n", "complement", "root"))
 
 

@@ -180,6 +180,26 @@ class TestEnergyFromValues:
         with pytest.raises(ValueError):
             alpha_energy_from_values(np.array([1.0, -1.0]), 2, 1, 1.0)
 
+    @pytest.mark.parametrize(
+        "values",
+        [
+            [math.nan, 1.0, 2.0],
+            [math.inf, 1.0, 2.0],
+            ["1", "2", "3"],
+            [1j, 1.0, 2.0],
+            [True, False, True],
+            [Fraction(1), 1.0, 2.0],
+        ],
+        ids=repr,
+    )
+    def test_rejects_values_that_are_not_finite_reals(self, values):
+        with pytest.raises(ValueError, match="values must be finite real numbers"):
+            alpha_energy_from_values(values, 3, 2, 0.3)
+
+    def test_accepts_integer_values(self):
+        want = alpha_energy_from_values([1.0, 2.0, 3.0], 3, 2, 0.3)
+        assert alpha_energy_from_values(np.array([1, 2, 3], dtype=np.int8), 3, 2, 0.3) == want
+
 
 class TestRegularShortcut:
     def test_examples(self):
@@ -196,6 +216,28 @@ class TestRegularShortcut:
     def test_rejects_alpha_one(self):
         with pytest.raises(ValueError):
             regular_alpha_energy(10.0, 1.0)
+
+    @pytest.mark.parametrize(
+        "energy, match",
+        [
+            ("4", "a real number"),
+            (True, "a real number"),
+            (None, "a real number"),
+            (4 + 0j, "a real number"),
+            (math.nan, "finite and >= 0"),
+            (math.inf, "finite and >= 0"),
+            (-3, "finite and >= 0"),
+            (-1e-300, "finite and >= 0"),
+        ],
+        ids=repr,
+    )
+    def test_rejects_an_energy_that_is_not_finite_and_nonnegative(self, energy, match):
+        with pytest.raises(ValueError, match=f"adjacency_energy must be {match}"):
+            regular_alpha_energy(energy, 0.5)
+
+    @pytest.mark.parametrize("energy", [4, np.int64(4), np.float32(4.0), Fraction(4)], ids=repr)
+    def test_accepts_every_real_type(self, energy):
+        assert regular_alpha_energy(energy, 0.5) == 2.0
 
 
 class TestPrimePowerSpectrum:
@@ -675,12 +717,12 @@ class TestEnergyReport:
             _energy_reports(GraphSpec(FAMILY_UACG, 15), (0.5, 1.0))
 
     def test_long_block_grid_holds_one_chunk_of_values(self):
-        # 5,000 alphas at n = 255,255 (1,362 block values each): all of
-        # them at once would be a 54 MB values array alone.  The energies
+        # 1,000 alphas at n = 255,255 (1,362 block values each): all of
+        # them at once would be a 10.9 MB values array alone.  The energies
         # walk the grid in chunks of _BATCH_ELEMENTS // 1,362 = 96 alphas,
         # about 1 MB of values each.
         energies = _route(GraphSpec(FAMILY_UACG, 255255))[2]
-        alphas = [i / 5000 for i in range(5000)]
+        alphas = [i / 1000 for i in range(1000)]
         first = energies(alphas[:1])  # the cached block layout, outside the trace
         tracemalloc.start()
         try:
@@ -689,7 +731,7 @@ class TestEnergyReport:
         finally:
             tracemalloc.stop()
         assert peak < 8 * 2**20
-        assert len(got) == 5000 and got[0] == first[0]
+        assert len(got) == 1000 and got[0] == first[0]
 
     @pytest.mark.parametrize("comp", [False, True])
     def test_closed_form_energies_check_nothing_again(self, monkeypatch, comp):

@@ -33,7 +33,6 @@ from uacg.graphs import (
 )
 from uacg.linalg import (
     _BATCH_ELEMENTS,
-    _SPLIT_MIN_ENTRIES,
     DEFAULT_GROUP_TOL,
     Spectrum,
     _alpha_eigenvalues,
@@ -42,7 +41,6 @@ from uacg.linalg import (
     _group,
     _invariant,
     _invariant_split,
-    _solve,
     _split,
     _stacks,
     _unsorted,
@@ -192,17 +190,36 @@ class TestSymmetricEigenvalues:
             with pytest.raises(ValueError, match="matrix must be finite"):
                 symmetric_eigenvalues(np.array(a))
 
+    @pytest.mark.parametrize(
+        "a",
+        [
+            [["0", "1"], ["1", "0"]],
+            [[False, True], [True, False]],
+            [[0.0, 1j], [1j, 0.0]],
+            [[Fraction(0), Fraction(1)], [Fraction(1), Fraction(0)]],
+        ],
+        ids=repr,
+    )
+    def test_rejects_entries_that_are_not_real_numbers(self, a):
+        # strings and bools used to be coerced to floats
+        with pytest.raises(ValueError, match="matrix must be finite real numbers"):
+            symmetric_eigenvalues(a)
+
+    def test_accepts_integer_entries(self):
+        a = build_uacg(15).adjacency
+        assert np.array_equal(symmetric_eigenvalues(a), symmetric_eigenvalues(a.astype(float)))
+
 
 LABELS = [prefix + family for family in FAMILIES for prefix in ("", "complement-")]
-# The smallest order one matrix is split at: its n**2 entries reach _SPLIT_MIN_ENTRIES.
-ONE_MATRIX_SPLIT = math.isqrt(_SPLIT_MIN_ENTRIES - 1) + 1
 SPLIT_ORDERS = (
     2,
     3,
+    5,
+    9,
     23,
     24,
-    ONE_MATRIX_SPLIT - 1,
-    ONE_MATRIX_SPLIT,
+    78,
+    79,
     99,
     105,
     120,
@@ -335,13 +352,13 @@ class TestReflectionSplit:
                 assert_close(got, np.linalg.eigvalsh(a)[::-1], (label, n, alpha))
                 assert np.all(np.diff(got) <= 0.0)
 
-    @pytest.mark.parametrize("n", [ONE_MATRIX_SPLIT, ONE_MATRIX_SPLIT + 1])
+    @pytest.mark.parametrize("n", [9, 15, 79, 80])
     @pytest.mark.parametrize("label", ["uacg", "complement-unitary-cayley"])
     def test_against_sturm_oracle(self, label, n):
-        # one matrix of these orders holds enough entries to be split
+        # every order above 2 is split, one matrix at a time too
         for alpha in (0.0, 0.3, 0.7, 1.0):
             a = alpha_matrix(label, n, alpha)
-            assert group_of(_invariant_split(a, 1)) != [1]
+            assert group_of(_invariant_split(a)) != [1]
             assert np.max(np.abs(symmetric_eigenvalues(a) - sturm_eigenvalues(a))) <= 1e-8
 
     @pytest.mark.parametrize("i, j", [(1, 5), (0, 5)])
@@ -364,7 +381,7 @@ class TestInvolutionSplit:
         # <g> holds one involution besides 1, so G holds all `order` of
         # them and |G| = lambda(n) * order / 2.
         assert len(involutions(n)) == order
-        split = _invariant_split(np.zeros((n, n)), 1)  # invariant under every map
+        split = _invariant_split(np.zeros((n, n)))  # invariant under every map
         group = group_of(split)
         assert len(set(group)) == len(group) == largest_order(n) * order // 2
         assert set(involutions(n)) <= set(group)
@@ -376,7 +393,7 @@ class TestInvolutionSplit:
         # G, S_x = {u in G : u*x = x}, the left-out block of each conjugate
         # pair counted: 0 and n/2 in one, the units in every one, and a
         # non-unit that some u fixes in fewer.
-        split = _invariant_split(np.zeros((n, n)), _SPLIT_MIN_ENTRIES)
+        split = _invariant_split(np.zeros((n, n)))
         reps = split[0]
         group = group_of(split)
         residues = []
@@ -405,19 +422,22 @@ class TestInvolutionSplit:
             # the other 65 keep the units alone.
             (201, {1: 65, 2: 66, 4: 1}),
             (200, {1: 32, 2: 22, 3: 2, 4: 19, 6: 1, 8: 3, 12: 1}),
-            (ONE_MATRIX_SPLIT - 1, {ONE_MATRIX_SPLIT - 1: 1}),
+            # 78 = 2 * 3 * 13: G is all 24 units (lambda = 12, four
+            # involutions), with one orbit per divisor of 78; the trivial
+            # character keeps all eight
+            (78, {2: 11, 4: 12, 8: 1}),
             # 199 is prime: G is all 198 units, with orbits {0} and the units
             (199, {1: 197, 2: 1}),
         ],
     )
-    def test_solves_the_blocks_above_the_crossover(self, monkeypatch, n, widths):
+    def test_solves_the_blocks_one_eigvalsh_per_wide_width(self, monkeypatch, n, widths):
         a = alpha_matrix("uacg", n, 0.3)
         want = np.linalg.eigvalsh(a)[::-1]
         shapes = eigvalsh_shapes(monkeypatch)
         got = symmetric_eigenvalues(a)
         assert_close(got, want, n)
         assert all(shape[-1] == shape[-2] for shape in shapes)
-        split = _invariant_split(a, 1)
+        split = _invariant_split(a)
         assert block_widths(split) == widths
         # one eigvalsh per width above 2, one block of each conjugate pair;
         # no 1- or 2-wide block reaches it
@@ -448,7 +468,7 @@ class TestInvolutionSplit:
         tracemalloc.start()
         try:
             start = tracemalloc.get_traced_memory()[0]
-            split = _invariant_split(m, 1)
+            split = _invariant_split(m)
             blocks = _fold(m, split)
             peak = tracemalloc.get_traced_memory()[1] - start
         finally:
@@ -469,11 +489,9 @@ class TestSplitContract:
             g = build_graph(parse_spec_label(label, n))
             whole = sorted(span(_generators(n), n))
             for alpha in (0.0, 0.3, 1.0):
-                want = whole if n * n >= _SPLIT_MIN_ENTRIES else [1]
-                assert sorted(group_of(_invariant_split(build_alpha_matrix(g, alpha), 1))) == want
-            # _alpha_eigenvalues' check: three alphas, the degrees too
-            want = whole if 3 * n * n >= _SPLIT_MIN_ENTRIES else [1]
-            assert sorted(group_of(_invariant_split(g.adjacency, 3, g.degrees))) == want, n
+                assert sorted(group_of(_invariant_split(build_alpha_matrix(g, alpha)))) == whole
+            # _alpha_eigenvalues' check: the degrees too
+            assert sorted(group_of(_invariant_split(g.adjacency, g.degrees))) == whole, n
 
     @pytest.mark.parametrize("n", [120, 200, 201])
     def test_broken_under_one_generator_takes_one_full_solve(self, monkeypatch, n):
@@ -509,6 +527,28 @@ class TestAlphaEigenvalues:
                 want = np.linalg.eigvalsh(stack)[:, ::-1]
             assert_close(one_graph(g.adjacency, g.degrees, alphas), want, (label, n))
             assert_close(np.stack([symmetric_eigenvalues(a) for a in stack]), want, (label, n))
+
+    @pytest.mark.parametrize("n", [45, 105])
+    def test_rows_depend_on_their_matrix_and_alpha_alone(self, n):
+        # both families of an order one alpha of which holds few entries
+        # and of a larger one: one alpha alone, the whole grid, and the grid
+        # among other orders give the same rows bit for bit
+        g, k, flags = build_uacg(n), len(ALPHA_GRID), (False, True)
+        grid = one_graph(g.adjacency, g.degrees, ALPHA_GRID, flags)
+        among = [build_uacg(m) for m in (9, n, 200)]
+        rows = list(_alpha_eigenvalues(((h.adjacency, h.degrees) for h in among), ALPHA_GRID, flags))
+        assert np.array_equal(rows[1], grid)
+        for i, alpha in enumerate(ALPHA_GRID):
+            alone = one_graph(g.adjacency, g.degrees, (alpha,), flags)
+            assert np.array_equal(alone, grid[i::k]), alpha
+
+    @pytest.mark.parametrize("n", [45, 105])
+    def test_one_matrix_within_1e_13_of_a_plain_solve(self, n):
+        g = build_uacg(n)
+        for family, h in enumerate((g, complement(g))):
+            for alpha, want in zip(PLAIN_ALPHAS, plain_rows(n)[family]):
+                got = symmetric_eigenvalues(build_alpha_matrix(h, alpha))
+                assert np.all(np.abs(got - want) <= 1e-13 * max(1.0, np.abs(want).max())), alpha
 
     def test_rows_do_not_depend_on_their_chunk(self, monkeypatch):
         # Broken under every unit but 1, a graph of order 199 takes one full
@@ -583,12 +623,12 @@ class TestComplementFromTheBaseFold:
             direct = one_graph(h.adjacency, h.degrees, self.ALPHAS)
             # (test_oracle_rows_up_to_301 holds comp to a plain solve at 1e-13)
             assert_close(comp, direct, n)
-            if len(_invariant_split(g.adjacency, len(self.ALPHAS), g.degrees)[1]) == 1:
+            if len(_invariant_split(g.adjacency, g.degrees)[1]) == 1:
                 # under the trivial group the block is J - I - A in integers
                 trivial.append(n)
                 assert np.array_equal(comp, direct), n
-        # twelve alphas split from 12 * n**2 >= _SPLIT_MIN_ENTRIES on
-        assert trivial == list(range(2, 23))
+        # every order above 2 is split
+        assert trivial == [2]
 
     @pytest.mark.parametrize("n", [9, 60, 105, 128, 201])
     def test_rows_do_not_depend_on_the_other_family(self, n):
@@ -603,7 +643,7 @@ class TestComplementFromTheBaseFold:
     @pytest.mark.parametrize("n", [105, 200, 201])
     def test_one_eigvalsh_per_block_width_for_both_families(self, monkeypatch, n):
         g = build_uacg(n)
-        split = _invariant_split(g.adjacency, 3, g.degrees)
+        split = _invariant_split(g.adjacency, g.degrees)
         reps, blocks = split[0], split[-2]
         if n == 201:
             assert [w for w, *_ in blocks] == [1, 2, 4]
@@ -623,7 +663,7 @@ class TestComplementFromTheBaseFold:
         # J folds to zero outside the block the layout locates, as wide as
         # the orbits and holding every one; its values sit at the located
         # column, n and w - 1 zeros
-        split = _invariant_split(np.zeros((n, n)), len(self.ALPHAS))
+        split = _invariant_split(np.zeros((n, n)))
         reps, elems, *_, (row, column, entry), blocks, index = split
         w = reps.size
         assert elems.size > 1 and reps[0] == 0
@@ -649,7 +689,7 @@ class TestComplementFromTheBaseFold:
         g = build_uacg(n)
         k = len(self.ALPHAS)
         clean = one_graph(g.adjacency, g.degrees, self.ALPHAS, (False, True)).reshape(2, k, n)
-        split = _invariant_split(g.adjacency, k, g.degrees)
+        split = _invariant_split(g.adjacency, g.degrees)
         (w, _, twins), entry = split[-2][0], split[-3][2]
         assert w == 1 and entry != 0  # the first block is 1 wide and not the trivial one
         real = linalg_mod._fold
@@ -672,10 +712,18 @@ class TestBatchedOrders:
     each (width, dtype) of them with one call; every row is that of its
     graph solved alone, bit for bit."""
 
-    # Every order from 25 on is split at eleven alphas into complex blocks
-    # (lambda(n) > 2); n = 8 and 12 take one real full solve, as wide as
-    # some of n = 200's blocks, and hold too few entries to end a chunk.
+    # Every order from 25 on is split into complex blocks (lambda(n) > 2);
+    # the orders 8 and 12, with the edge {1, 5} flipped, take one real full
+    # solve, as wide as some of n = 200's blocks, and hold too few entries
+    # to end a chunk.
     ORDERS = (8, 200, *range(25, 48), 12, 200)
+
+    @staticmethod
+    def graph(n: int) -> tuple[np.ndarray, np.ndarray]:
+        a = build_uacg(n).adjacency.copy()
+        if n in (8, 12):  # broken under a generator: the trivial group's one block
+            a[1, 5] = a[5, 1] = 1 - a[1, 5]
+        return a, a.sum(axis=1)
 
     @pytest.mark.parametrize("flags", [(False,), (False, True)])
     def test_rows_equal_each_order_alone(self, monkeypatch, flags):
@@ -686,15 +734,15 @@ class TestBatchedOrders:
             real(pieces)
 
         monkeypatch.setattr(linalg_mod, "_solve_stacks", spy)
-        graphs = [build_uacg(n) for n in self.ORDERS]
-        rows = list(_alpha_eigenvalues(((g.adjacency, g.degrees) for g in graphs), ALPHA_GRID, flags))
+        graphs = [self.graph(n) for n in self.ORDERS]
+        rows = list(_alpha_eigenvalues(graphs, ALPHA_GRID, flags))
         batched = [chunk for chunk in chunks if chunk]
         k = len(ALPHA_GRID)
-        assert [got.shape for got in rows] == [(len(flags) * k, g.n) for g in graphs]
-        for g, got in zip(graphs, rows):
+        assert [got.shape for got in rows] == [(len(flags) * k, n) for n in self.ORDERS]
+        for (a, d), got in zip(graphs, rows):
             for i, flag in enumerate(flags):
-                alone = one_graph(g.adjacency, g.degrees, ALPHA_GRID, (flag,))
-                assert np.array_equal(got[i * k : (i + 1) * k], alone), (g.n, flag)
+                alone = one_graph(a, d, ALPHA_GRID, (flag,))
+                assert np.array_equal(got[i * k : (i + 1) * k], alone), (len(d), flag)
         # chunk boundaries inside the range, and width groups that hold a
         # real full solve beside complex split blocks
         assert len(batched) > 2
@@ -749,9 +797,18 @@ def exact_pair(block: np.ndarray) -> list[float]:
     return [float((a + d) / 2 - r), float((a + d) / 2 + r)]
 
 
+def solved(flat: np.ndarray, blocks: tuple) -> np.ndarray:
+    """Descending values of each row of flat, the split's block entries as
+    _fold lays them out, solved by _solve_stacks as _alpha_eigenvalues
+    solves a chunk's stacks."""
+    piece = _stacks(flat, blocks)
+    linalg_mod._solve_stacks([piece])
+    return np.sort(_unsorted(piece, blocks))[..., ::-1]
+
+
 class TestSmallBlocks:
-    """_solve takes 1-wide blocks as their diagonal and 2-wide blocks by the
-    closed quadratic, so no stack of width <= 2 reaches eigvalsh."""
+    """_values takes 1-wide blocks as their diagonal and 2-wide blocks by
+    the closed quadratic, so no stack of width <= 2 reaches eigvalsh."""
 
     @pytest.mark.parametrize("dtype", [float, complex])
     def test_one_wide_blocks_are_lapacks_bit_for_bit(self, monkeypatch, dtype):
@@ -759,7 +816,7 @@ class TestSmallBlocks:
         want = np.linalg.eigvalsh(s).reshape(2, 3, -1)
         want = np.sort(np.concatenate([want, want[..., :7]], axis=-1))[..., ::-1]
         shapes = eigvalsh_shapes(monkeypatch)
-        assert np.array_equal(_solve(s.reshape(2, 3, 40), ((1, 40, 7),)), want)
+        assert np.array_equal(solved(s.reshape(2, 3, 40), ((1, 40, 7),)), want)
         assert shapes == []
 
     @pytest.mark.parametrize("phases", [False, True])
@@ -768,7 +825,7 @@ class TestSmallBlocks:
         want = np.linalg.eigvalsh(blocks)
         exact = np.array([exact_pair(b) for b in blocks])
         shapes = eigvalsh_shapes(monkeypatch)
-        got = _solve(blocks.reshape(-1, 4), ((2, 1, 0),))[:, ::-1]
+        got = solved(blocks.reshape(-1, 4), ((2, 1, 0),))[:, ::-1]
         assert shapes == []
         fro = np.sqrt((np.abs(blocks) ** 2).sum(axis=(1, 2)))[:, None]
         # within 2 eps * ||B||_F of the exact values (1.0 eps here), and of
@@ -828,6 +885,14 @@ class TestLeftCirculant:
     def test_constant_symbol(self):
         vals = left_circulant_eigenvalues(np.full(5, 2.0))
         assert np.allclose(vals, [10.0, 0.0, 0.0, 0.0, 0.0], atol=1e-12)
+
+    @pytest.mark.parametrize(
+        "s", [["1", "0", "1"], [True, False, True], [1j, 0, 1], [math.nan, 1.0, 1.0]], ids=repr
+    )
+    def test_rejects_entries_that_are_not_finite_real_numbers(self, s):
+        # these used to be coerced to floats, or come back as NaN values
+        with pytest.raises(ValueError, match="s must be finite real numbers"):
+            left_circulant_eigenvalues(s)
 
     def test_unit_indicator_gives_ramanujan_sums(self):
         # the right circulant's eigenvalues are c(k, n); the left one keeps
@@ -909,6 +974,14 @@ class TestGroupSpectrum:
         for tol in (0.0, -1.0, math.nan, math.inf):
             with pytest.raises(ValueError):
                 group_spectrum(np.array([1.0]), tol=tol)
+
+    @pytest.mark.parametrize(
+        "values", [["2", "1"], [True, False], [2 + 0j, 1], [Fraction(2), Fraction(1)]], ids=repr
+    )
+    def test_rejects_values_that_are_not_real_numbers(self, values):
+        # strings and bools used to be coerced to floats
+        with pytest.raises(ValueError, match="values must be finite real numbers"):
+            group_spectrum(values)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_rejects_non_finite_values(self, bad):

@@ -23,7 +23,6 @@ from uacg.closedform import ALPHA_GRID, build_alpha_matrix
 from uacg.graphs import DENSE_ORDER_LIMIT, FAMILY_UACG, GraphSpec, build_graph, complement
 from uacg.linalg import (
     _BATCH_ELEMENTS,
-    _SPLIT_MIN_ENTRIES,
     _alpha_eigenvalues,
     _generators,
     _invariant_split,
@@ -148,6 +147,21 @@ class TestIndividualChecks:
         res = check_roots(27)
         assert res.passed
         assert res.cases >= 9  # at least one root per odd prime power family
+
+    def test_roots_are_classified_without_the_public_classify(self, monkeypatch):
+        # one _classify_all call per spec takes its roots as the finder's
+        # checked floats; the public classify would check each one again
+        want, calls = check_roots(31), []
+        real = analysis_mod.classify
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        for module in (analysis_mod, verification_mod):
+            monkeypatch.setattr(module, "classify", spy, raising=False)
+        assert check_roots(31) == want
+        assert calls == []
 
     def test_block_route(self):
         res = check_block_route(27, alphas=(0.0, 0.5))
@@ -329,7 +343,7 @@ class TestComplementTrivialBlock:
             pieces, rows = real(adjacency, degrees, x, flags)
             if True not in flags:
                 return pieces, rows
-            split = linalg_mod._invariant_split(np.asarray(adjacency), len(x), np.asarray(degrees))
+            split = linalg_mod._invariant_split(np.asarray(adjacency), np.asarray(degrees))
 
             def faulty_pieces():
                 at = 0
@@ -345,7 +359,7 @@ class TestComplementTrivialBlock:
         faulty = list(verification_mod._dense(range(2, 32), ALPHA_GRID))
         for (spec, *_, want), (_, *_, got) in zip(clean, faulty):
             # the graph's rows do not move; the complement's move at every
-            # order, split (n >= 24 at eleven alphas) or not
+            # order, split (n > 2) or not
             assert np.array_equal(got, want) == (not spec.complement), spec
         for res in [*check_spectral_identities(31), check_prime_power_spectra(31)]:
             assert res.passed is False, res
@@ -539,25 +553,21 @@ class TestStackedDenseSolves:
         for spec, _, _, vals in rows:
             assert vals.shape == (len(ALPHA_GRID), spec.n)
             base = build_graph(GraphSpec(FAMILY_UACG, spec.n))
-            entries = spec.n * spec.n
             for alpha, row in zip(ALPHA_GRID, vals):
-                if (entries >= _SPLIT_MIN_ENTRIES) == (
-                    len(ALPHA_GRID) * entries >= _SPLIT_MIN_ENTRIES
-                ):
-                    # one alpha of one family alone is split as the pair of
-                    # families at eleven alphas is, through the same seam
-                    alone = one_graph(base.adjacency, base.degrees, (alpha,), (spec.complement,))
-                    assert np.array_equal(row[None], alone), (spec, alpha)
+                # one alpha of one family alone is solved as the pair of
+                # families at eleven alphas is, through the same seam
+                alone = one_graph(base.adjacency, base.degrees, (alpha,), (spec.complement,))
+                assert np.array_equal(row[None], alone), (spec, alpha)
                 (full,) = full_solve([(base.adjacency, base.degrees)], (alpha,), (spec.complement,))
                 assert np.max(np.abs(row - full[0])) <= 1e-12 * max(1.0, np.max(np.abs(full)))
-        # Each (width, dtype) takes one eigvalsh: n = 5 one real stack of its
-        # 2 x 11 full matrices; n = 60 (blocks at most 12 wide) and 199 (at
-        # most 2) their groups' complex blocks at eleven alphas, the
-        # complement adding its trivial block alone, as wide as its orbits.
-        want = Counter({(5, np.dtype(float)): 22})
-        for n in (60, 199):
+        # Each (width, dtype) takes one eigvalsh: the groups' complex blocks
+        # at eleven alphas, n = 5 (blocks at most 2 wide) none, 60 (at most
+        # 12) some and 199 (at most 2) none, the complement adding its
+        # trivial block alone, as wide as its orbits.
+        want = Counter()
+        for n in ns:
             g = build_graph(GraphSpec(FAMILY_UACG, n))
-            split = _invariant_split(g.adjacency, len(ALPHA_GRID), g.degrees)
+            split = _invariant_split(g.adjacency, g.degrees)
             for w, count, _ in split[-2]:
                 want[w, np.dtype(complex)] += count * len(ALPHA_GRID) * (w > 2)
             want[len(split[0]), np.dtype(complex)] += len(ALPHA_GRID) * (len(split[0]) > 2)
