@@ -1,11 +1,16 @@
 """Dense symmetric eigenvalues, circulant eigenvalue formulas, spectrum grouping.
 
 This is the numeric oracle for every closed form and bound in the package.
-The dense path, _alpha_eigenvalues (symmetric_eigenvalues is its row at
-alpha = 0), splits each (n, n) matrix into blocks (below) and hands each
-width of blocks above 2 to LAPACK through numpy.linalg.eigvalsh; 1- and
-2-wide blocks, most of them at the orders verify reaches, are solved in
-closed form (see _values).  The FFT formula for the eigenvalues of a
+The dense path has two parts.  _prepare does the work that does not depend
+on alpha, once per graph: it checks the matrix, splits it into blocks
+(below) and folds it, into a _Fold whose arrays are read-only, so a caller
+may keep it (verification keeps each order's fold for the process).
+_alpha_eigenvalues (symmetric_eigenvalues is its row at alpha = 0) takes
+folds and, on every call, forms each alpha's blocks from them and solves
+them: it hands each width of blocks above 2 to LAPACK through
+numpy.linalg.eigvalsh, and solves 1- and 2-wide blocks, most of them at the
+orders verify reaches, in closed form (see _values).  Nothing that depends
+on alpha is kept.  The FFT formula for the eigenvalues of a
 symmetric left circulant (left_circulant_eigenvalues) is the reference the
 interval tests compare against.
 
@@ -51,7 +56,6 @@ from collections import defaultdict, deque
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from functools import lru_cache, partial
-from itertools import starmap
 
 import numpy as np
 
@@ -132,14 +136,16 @@ _BATCH_ELEMENTS = 2**17
 _HELD_ENTRIES = 2**13
 
 # Most orders whose layouts (_generators, _split) are cached; a verify pass
-# at nmax = 201 keeps 200 in each (CHANGES.md records their size).
+# at nmax = 201 keeps 200 in each (CHANGES.md records their size).  The
+# folds made from them are kept by the caller, within its own budget
+# (verification._FOLD_ENTRIES), not here.
 _LAYOUTS = 512
 
 
 def symmetric_eigenvalues(a: np.ndarray) -> np.ndarray:
     """All n eigenvalues of a real symmetric (n, n) matrix, sorted descending:
-    the one row of _alpha_eigenvalues at alpha = 0 with zero degrees, whose
-    stack 1.0*m + 0.0*diag(0) is m.
+    the one row of _alpha_eigenvalues at alpha = 0 of its fold with zero
+    degrees, whose stack is the fold itself (see _alpha_stack).
 
     The matrix must be one non-empty matrix, not a stack, of finite real
     numbers (see _real_array), exactly symmetric, else ValueError.
@@ -147,32 +153,30 @@ def symmetric_eigenvalues(a: np.ndarray) -> np.ndarray:
     arr = np.asarray(a)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.size == 0:
         raise ValueError(f"expected a non-empty square matrix, got shape {arr.shape}")
-    return next(_alpha_eigenvalues([(arr, np.zeros(arr.shape[0]))], (0.0,)))[0]
+    return next(_alpha_eigenvalues([_prepare(arr, np.zeros(arr.shape[0]))], (0.0,)))[0]
 
 
 def _alpha_eigenvalues(
-    graphs: Iterable[tuple[np.ndarray, np.ndarray]],
-    alphas: Sequence[float],
-    flags: Sequence[bool] = (False,),
+    folds: Iterable[_Fold], alphas: Sequence[float], flags: Sequence[bool] = (False,)
 ) -> Iterator[np.ndarray]:
-    """For each (adjacency, degrees) pair in graphs, in order, the
+    """For each graph's fold in folds (see _prepare), in order, the
     descending eigenvalues of (1 - alpha)*A + alpha*diag(d) for each flag in
     flags and each alpha, one row each, flag by flag: A and d are the
     graph's adjacency and degrees for a false flag, and its complement's,
-    J - I - adjacency and n - 1 - degrees, for a true one.
+    J - I - adjacency and n - 1 - degrees, for a true one (which needs a
+    fold prepared with complement).
 
-    Each graph is checked, split and folded once (see _prepare), split or
-    not, and both families are solved from that fold; nothing of the graph
-    but its fold is held.  The formed stacks of consecutive graphs are held
-    up to _HELD_ENTRIES block entries and solved together, one _values
-    call per block width and dtype (see _solve_stacks): each block is
-    solved on its own, on the LAPACK routine its dtype takes alone, so a
-    row depends on its matrix and alpha alone, not on the other graphs or
-    alphas of the call.
+    Every stack is formed from the folds and solved on every call (see
+    _at_alphas); the folds are only read.  The formed stacks of consecutive
+    graphs are held up to _HELD_ENTRIES block entries and solved together,
+    one _values call per block width and dtype (see _solve_stacks): each
+    block is solved on its own, on the LAPACK routine its dtype takes alone,
+    so a row depends on its matrix and alpha alone, not on the other graphs
+    or alphas of the call.
     """
     x = np.array([_check_alpha(v, allow_one=True) for v in alphas]).reshape(-1, 1)
     held, size, waiting = [], 0, deque()
-    for pieces, rows in starmap(partial(_prepare, x=x, flags=tuple(flags)), graphs):
+    for pieces, rows in map(partial(_at_alphas, x=x, flags=tuple(flags)), folds):
         solved = []
         waiting.append((rows, solved))
         for stacks in pieces():
@@ -190,22 +194,39 @@ def _alpha_eigenvalues(
         yield rows(solved)
 
 
-def _prepare(adjacency: np.ndarray, degrees: np.ndarray, x: np.ndarray, flags: tuple) -> tuple:
-    """One graph of _alpha_eigenvalues checked, split and folded, as
-    (pieces, rows): pieces() yields the stacks to solve for each chunk of
-    the alphas in x (a (k, 1) array), at most _BATCH_ELEMENTS block entries
-    or one alpha; rows(values) takes the values of every chunk's stacks
-    (each stack's shape less its last axis) to the graph's rows.
+@dataclass(frozen=True)
+class _Fold:
+    """One graph's alpha-independent fold (see _prepare).  Its arrays are
+    read-only, so a cache can hand one fold to every caller; on_diagonal is
+    a view of the split's cached index, the others are the fold's own."""
 
-    A chunk's stacks are each block width's (chunk, count, w, w) stack, an
-    alpha's blocks (1 - alpha)*A_chi + alpha*diag(d_chi) formed for every
-    block at once from the flat fold and the cached diagonal positions.
-    The graph folds its own blocks alone; for a true flag one more stack
-    holds the complement's trivial block, J_0 - I - A_0 at the position
-    the split records: A_0 read from the graph's fold, J folded to |G| *
-    root[x] * root[y] and I to I.  Every other complement value is c -
-    lambda, c = alpha*(n - 1) - (1 - alpha), for the graph's values lambda
-    outside that block (none for an unsplit graph: see the module).
+    n: int
+    blocks: tuple  # the split's (width, count, twins) per block width
+    flat: np.ndarray  # every block's entries, laid out as _fold lays them out
+    on_diagonal: np.ndarray  # the positions of the blocks' diagonal entries in flat
+    ds: np.ndarray  # the degrees at those positions
+    column: int  # where the trivial block's values start among _unsorted's
+    trivial: np.ndarray | None  # the complement's trivial block, flattened
+    dt: np.ndarray | None  # the complement's degrees on its rows
+
+    def entries(self) -> int:
+        """How many entries the fold's own arrays hold."""
+        return sum(a.size for a in (self.flat, self.ds, self.trivial, self.dt) if a is not None)
+
+
+def _prepare(adjacency: np.ndarray, degrees: np.ndarray, complement: bool = False) -> _Fold:
+    """One graph checked, split and folded, the work of _alpha_eigenvalues
+    that does not depend on alpha: the symmetry and finiteness checks, the
+    split (_invariant_split), the fold (_fold) and the degrees at the
+    blocks' diagonal positions.
+
+    With complement, the fold also holds the complement's trivial block,
+    J_0 - I - A_0 at the position the split records: A_0 read from the
+    graph's fold, J folded to |G| * root[x] * root[y] and I to I, with the
+    complement's degrees n - 1 - d on its rows.  Every other complement
+    value is c - lambda, c = alpha*(n - 1) - (1 - alpha), for the graph's
+    values lambda outside that block (none for an unsplit graph: see the
+    module), so one fold serves both families.
     """
     a, d = _real_array(adjacency, "matrix"), _real_array(degrees, "degrees")
     if not (a == a.T).all():
@@ -213,24 +234,42 @@ def _prepare(adjacency: np.ndarray, degrees: np.ndarray, x: np.ndarray, flags: t
     split = _invariant_split(a, d)
     reps, elems, _, _, root, (row, column, entry), blocks, index = split
     n, r, w = a.shape[-1], _rows(blocks), reps.size
-    reflect, flat = True in flags, _fold(a, split)[0]
-    if reflect:
+    flat, trivial, dt = _fold(a, split)[0], None, None
+    if complement:
         ys = index[row : row + w]  # the trivial block's rows: every orbit
         trivial = elems.size * np.outer(root[ys], root[ys]).ravel() - flat[entry : entry + w * w]
         trivial[:: w + 1] -= 1.0
         dt = (n - 1 - d)[reps[ys]]
-    ds, on_diagonal = d[reps[index[:r]]], index[r : 2 * r]
-    step = max(1, _BATCH_ELEMENTS // (flat.size + reflect * w * w))
+    fold = _Fold(n, blocks, flat, index[r : 2 * r], d[reps[index[:r]]], column, trivial, dt)
+    for arr in (flat, fold.ds, trivial, dt):
+        if arr is not None:
+            arr.setflags(write=False)
+    return fold
+
+
+def _at_alphas(fold: _Fold, x: np.ndarray, flags: tuple) -> tuple:
+    """One fold of _alpha_eigenvalues at the alphas in x (a (k, 1) array),
+    as (pieces, rows): pieces() yields the stacks to solve for each chunk
+    of the alphas, at most _BATCH_ELEMENTS block entries or one alpha;
+    rows(values) takes the values of every chunk's stacks (each stack's
+    shape less its last axis) to the graph's rows.
+
+    A chunk's stacks are each block width's (chunk, count, w, w) stack, an
+    alpha's blocks (1 - alpha)*A_chi + alpha*diag(d_chi) formed for every
+    block at once from the flat fold (see _alpha_stack); for a true flag
+    one more stack holds the complement's trivial block, formed alike from
+    the fold's.  Nothing here is kept past the call.
+    """
+    n, blocks, column, reflect = fold.n, fold.blocks, fold.column, True in flags
+    w = fold.dt.size if reflect else 0
+    step = max(1, _BATCH_ELEMENTS // (fold.flat.size + w * w))
 
     def pieces() -> Iterator[list]:
         for start in range(0, len(x), step):
             chunk = x[start : start + step]
-            s = (1.0 - chunk) * flat  # one row per alpha
-            s[:, on_diagonal] += chunk * ds
-            stacks = _stacks(s, blocks)
+            stacks = _stacks(_alpha_stack(chunk, fold.flat, fold.on_diagonal, fold.ds), blocks)
             if reflect:
-                t = (1.0 - chunk) * trivial
-                t[:, :: w + 1] += chunk * dt
+                t = _alpha_stack(chunk, fold.trivial, np.s_[:: w + 1], fold.dt)
                 stacks.append(t.reshape(-1, 1, w, w))
             yield stacks
 
@@ -244,6 +283,19 @@ def _prepare(adjacency: np.ndarray, degrees: np.ndarray, x: np.ndarray, flags: t
         return out[..., ::-1].reshape(-1, n).copy()
 
     return pieces, rows
+
+
+def _alpha_stack(chunk: np.ndarray, entries: np.ndarray, diagonal, degrees: np.ndarray) -> np.ndarray:
+    """(1 - alpha)*entries with alpha*degrees added at the diagonal
+    positions, one row per alpha of the (k, 1) chunk.  When every alpha is
+    0, the read-only entries themselves, repeated by a view (equal to the
+    formed stack but for the sign of a zero): no copy of the fold is made,
+    and an unsplit fold is the whole matrix."""
+    if not chunk.any():
+        return np.broadcast_to(entries, (len(chunk), entries.size))
+    s = (1.0 - chunk) * entries  # one row per alpha
+    s[:, diagonal] += chunk * degrees
+    return s
 
 
 def _invariant_split(m: np.ndarray, d: np.ndarray | None = None) -> tuple:

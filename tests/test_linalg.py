@@ -41,6 +41,7 @@ from uacg.linalg import (
     _group,
     _invariant,
     _invariant_split,
+    _prepare,
     _split,
     _stacks,
     _unsorted,
@@ -209,6 +210,26 @@ class TestSymmetricEigenvalues:
         a = build_uacg(15).adjacency
         assert np.array_equal(symmetric_eigenvalues(a), symmetric_eigenvalues(a.astype(float)))
 
+    def test_a_matrix_broken_under_g_is_solved_without_a_copy(self):
+        # A seeded random matrix is broken under every unit but 1, so its one
+        # block is the whole matrix; at alpha = 0 the stack is that fold, a
+        # read-only view of the input, where forming (1 - alpha)*fold held
+        # one more n x n float copy (8*n**2 bytes, 32 MB here).
+        n = 2000
+        b = np.random.default_rng(2000).normal(size=(n, n))
+        a = b + b.T
+        del b
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            got = symmetric_eigenvalues(a)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * n * n  # the symmetry check's n x n bools and less
+        assert a.flags.writeable  # the fold's view is read-only, not the input
+        assert np.array_equal(got, np.linalg.eigvalsh(a)[::-1])
+
 
 LABELS = [prefix + family for family in FAMILIES for prefix in ("", "complement-")]
 SPLIT_ORDERS = (
@@ -304,9 +325,15 @@ def eigvalsh_shapes(monkeypatch) -> list[tuple[int, ...]]:
     return shapes
 
 
+def folds(graphs, flags=(False,)) -> list:
+    """The _prepare fold of each (adjacency, degrees) pair, with the
+    complement's trivial block if a flag is true."""
+    return [_prepare(a, d, complement=True in flags) for a, d in graphs]
+
+
 def one_graph(adjacency, degrees, alphas, flags=(False,)) -> np.ndarray:
     """_alpha_eigenvalues of one graph: its rows, flag by flag."""
-    (rows,) = _alpha_eigenvalues([(adjacency, degrees)], alphas, flags)
+    (rows,) = _alpha_eigenvalues(folds([(adjacency, degrees)], flags), alphas, flags)
     return rows
 
 
@@ -536,7 +563,7 @@ class TestAlphaEigenvalues:
         g, k, flags = build_uacg(n), len(ALPHA_GRID), (False, True)
         grid = one_graph(g.adjacency, g.degrees, ALPHA_GRID, flags)
         among = [build_uacg(m) for m in (9, n, 200)]
-        rows = list(_alpha_eigenvalues(((h.adjacency, h.degrees) for h in among), ALPHA_GRID, flags))
+        rows = list(_alpha_eigenvalues(folds(((h.adjacency, h.degrees) for h in among), flags), ALPHA_GRID, flags))
         assert np.array_equal(rows[1], grid)
         for i, alpha in enumerate(ALPHA_GRID):
             alone = one_graph(g.adjacency, g.degrees, (alpha,), flags)
@@ -549,6 +576,18 @@ class TestAlphaEigenvalues:
             for alpha, want in zip(PLAIN_ALPHAS, plain_rows(n)[family]):
                 got = symmetric_eigenvalues(build_alpha_matrix(h, alpha))
                 assert np.all(np.abs(got - want) <= 1e-13 * max(1.0, np.abs(want).max())), alpha
+
+    @pytest.mark.parametrize("n", [2, 45, 200])
+    def test_alphas_all_zero_solve_the_fold_itself(self, n):
+        # a chunk of zeros only, one alpha or more, solves the read-only fold
+        # (no stack formed); its rows are those of zeros among other alphas
+        g, flags = build_uacg(n), (False, True)
+        mixed = one_graph(g.adjacency, g.degrees, (0.0, 0.3, 0.0), flags).reshape(2, 3, n)
+        for zeros in [(0.0,), (0.0, 0.0)]:
+            got = one_graph(g.adjacency, g.degrees, zeros, flags).reshape(2, len(zeros), n)
+            for k in range(len(zeros)):
+                assert_close(got[:, k], mixed[:, 0], (n, zeros))
+                assert np.array_equal(got[:, k], got[:, 0])
 
     def test_rows_do_not_depend_on_their_chunk(self, monkeypatch):
         # Broken under every unit but 1, a graph of order 199 takes one full
@@ -735,7 +774,7 @@ class TestBatchedOrders:
 
         monkeypatch.setattr(linalg_mod, "_solve_stacks", spy)
         graphs = [self.graph(n) for n in self.ORDERS]
-        rows = list(_alpha_eigenvalues(graphs, ALPHA_GRID, flags))
+        rows = list(_alpha_eigenvalues(folds(graphs, flags), ALPHA_GRID, flags))
         batched = [chunk for chunk in chunks if chunk]
         k = len(ALPHA_GRID)
         assert [got.shape for got in rows] == [(len(flags) * k, n) for n in self.ORDERS]
@@ -758,7 +797,8 @@ class TestBatchedOrders:
 
         monkeypatch.setattr(linalg_mod, "_solve_stacks", spy)
         graphs = [build_uacg(n) for n in range(2, 202)]
-        list(_alpha_eigenvalues(((g.adjacency, g.degrees) for g in graphs), ALPHA_GRID, (False, True)))
+        flags = (False, True)
+        list(_alpha_eigenvalues(folds(((g.adjacency, g.degrees) for g in graphs), flags), ALPHA_GRID, flags))
         # every chunk but the last reached _HELD_ENTRIES with its last piece
         assert all(sum(chunk) >= linalg_mod._HELD_ENTRIES for chunk in sizes[:-1])
         assert all(sum(chunk[:-1]) < linalg_mod._HELD_ENTRIES for chunk in sizes)

@@ -26,6 +26,7 @@ from uacg.linalg import (
     _alpha_eigenvalues,
     _generators,
     _invariant_split,
+    _prepare,
     _split,
 )
 from uacg.verification import (
@@ -45,6 +46,16 @@ from uacg.verification import (
     odd_prime_powers,
     run_suite,
 )
+
+
+@pytest.fixture(autouse=True)
+def no_held_folds():
+    """Every test starts and ends with no fold held in _FOLDS: a test that
+    counts builds or folds starts cold, and no fold made under one test's
+    patches is read by another, whatever the order the tests run in."""
+    verification_mod._FOLDS.clear()
+    yield
+    verification_mod._FOLDS.clear()
 
 
 class TestOddPrimePowers:
@@ -337,13 +348,15 @@ class TestComplementTrivialBlock:
     @pytest.mark.parametrize("fault", [drop_j, raise_last_entry])
     def test_a_fault_fails_on_the_complement_only(self, monkeypatch, fault):
         clean = list(verification_mod._dense(range(2, 32), ALPHA_GRID))
-        real = linalg_mod._prepare
+        real = linalg_mod._at_alphas
 
-        def faulty_prepare(adjacency, degrees, x, flags):
-            pieces, rows = real(adjacency, degrees, x, flags)
+        # injected where each call forms its stacks from the held folds
+        def faulty_at_alphas(fold, x, flags):
+            pieces, rows = real(fold, x, flags)
             if True not in flags:
                 return pieces, rows
-            split = linalg_mod._invariant_split(np.asarray(adjacency), np.asarray(degrees))
+            g = build_graph(GraphSpec(FAMILY_UACG, fold.n))
+            split = linalg_mod._invariant_split(g.adjacency, g.degrees)
 
             def faulty_pieces():
                 at = 0
@@ -355,7 +368,8 @@ class TestComplementTrivialBlock:
 
             return faulty_pieces, rows
 
-        monkeypatch.setattr(linalg_mod, "_prepare", faulty_prepare)
+        monkeypatch.setattr(linalg_mod, "_at_alphas", faulty_at_alphas)
+        assert sorted(verification_mod._FOLDS) == list(range(2, 32))  # every fold is held
         faulty = list(verification_mod._dense(range(2, 32), ALPHA_GRID))
         for (spec, *_, want), (_, *_, got) in zip(clean, faulty):
             # the graph's rows do not move; the complement's move at every
@@ -446,11 +460,14 @@ ALL_CHECKS = [
 ]
 
 
-def full_solve(graphs, alphas, flags=(False,)):
-    """For each (adjacency, degrees) pair, one np.linalg.eigvalsh per alpha
-    matrix, as built by build_alpha_matrix, of the graph (a false flag) or
-    its complement (a true one), flag by flag."""
-    for adjacency, degrees in graphs:
+def full_solve(folds, alphas, flags=(False,)):
+    """For each fold, one np.linalg.eigvalsh per alpha matrix of the
+    unit-sum graph of its order (a false flag) or its complement (a true
+    one), flag by flag: the graph rebuilt here and its matrices formed as
+    build_alpha_matrix forms them, so no fold is read but for its order."""
+    for fold in folds:
+        g = build_graph(GraphSpec(FAMILY_UACG, fold.n))
+        adjacency, degrees = g.adjacency, g.degrees
         n, rows = len(degrees), []
         for flag in flags:
             a, d = (1 - np.eye(n, dtype=int) - adjacency, n - 1 - degrees) if flag else (adjacency, degrees)
@@ -530,8 +547,8 @@ class TestCheckInputs:
 
 
 def one_graph(adjacency, degrees, alphas, flags=(False,)):
-    """The rows of one graph through the batched seam."""
-    (rows,) = _alpha_eigenvalues([(adjacency, degrees)], alphas, flags)
+    """The rows of one graph, folded afresh, through the batched seam."""
+    (rows,) = _alpha_eigenvalues([_prepare(adjacency, degrees, complement=True)], alphas, flags)
     return rows
 
 
@@ -558,7 +575,7 @@ class TestStackedDenseSolves:
                 # families at eleven alphas is, through the same seam
                 alone = one_graph(base.adjacency, base.degrees, (alpha,), (spec.complement,))
                 assert np.array_equal(row[None], alone), (spec, alpha)
-                (full,) = full_solve([(base.adjacency, base.degrees)], (alpha,), (spec.complement,))
+                (full,) = full_solve([_prepare(base.adjacency, base.degrees)], (alpha,), (spec.complement,))
                 assert np.max(np.abs(row - full[0])) <= 1e-12 * max(1.0, np.max(np.abs(full)))
         # Each (width, dtype) takes one eigvalsh: the groups' complex blocks
         # at eleven alphas, n = 5 (blocks at most 2 wide) none, 60 (at most
@@ -587,7 +604,46 @@ class TestStackedDenseSolves:
                 assert abs(a.worst - b.worst) <= 1e-9, (a, b)
 
 
+def counting_dense_work(monkeypatch) -> Counter:
+    """Count, from now on, the graphs verification builds, the folds it
+    prepares, and the blocks (one per order, alpha and character, and one
+    per alpha for each complement's trivial block) handed to _solve_stacks."""
+    counts = Counter()
+    real_build, real_prepare, real_solve = (
+        verification_mod.build_graph,
+        verification_mod._prepare,
+        linalg_mod._solve_stacks,
+    )
+
+    def building(spec):
+        counts["build_graph"] += 1
+        return real_build(spec)
+
+    def preparing(*args, **kwargs):
+        counts["_prepare"] += 1
+        return real_prepare(*args, **kwargs)
+
+    def solving(pieces):
+        counts["blocks"] += sum(s.size // s.shape[-1] ** 2 for piece in pieces for s in piece)
+        real_solve(pieces)
+
+    monkeypatch.setattr(verification_mod, "build_graph", building)
+    monkeypatch.setattr(verification_mod, "_prepare", preparing)
+    monkeypatch.setattr(linalg_mod, "_solve_stacks", solving)
+    return counts
+
+
+def blocks_per_alpha(n: int, flags) -> int:
+    """The blocks one alpha of the unit-sum graph of order n takes: one per
+    kept character of its split, and the complement's trivial block."""
+    g = build_graph(GraphSpec(FAMILY_UACG, n))
+    return sum(count for _, count, _ in _invariant_split(g.adjacency, g.degrees)[-2]) + (True in flags)
+
+
 class TestOneBuildPerOrder:
+    """Each order is built and folded once per process (_FOLDS); every call
+    still forms and solves every (order, alpha)."""
+
     @pytest.mark.parametrize("flags", [(False, True), (False,), (True,)])
     def test_dense_graphs_equal_build_graph(self, monkeypatch, flags):
         built = []
@@ -598,6 +654,7 @@ class TestOneBuildPerOrder:
 
         monkeypatch.setattr(verification_mod, "build_graph", counting)
         monkeypatch.setattr(verification_mod, "complement", None)  # never taken
+        counts = counting_dense_work(monkeypatch)
         rows = list(verification_mod._dense(range(2, 40), (0.3,), flags))
         assert built == [GraphSpec(FAMILY_UACG, n) for n in range(2, 40)]
         assert [spec for spec, *_ in rows] == [
@@ -609,6 +666,17 @@ class TestOneBuildPerOrder:
             assert degrees.dtype == want.degrees.dtype, spec
             assert np.array_equal(degrees, want.degrees), spec
             assert vals.shape == (1, spec.n)
+        first = dict(counts)
+        assert first["_prepare"] == 38
+        assert first["blocks"] == sum(blocks_per_alpha(n, flags) for n in range(2, 40))
+        # a second call builds no graph and folds nothing, and solves every
+        # block again, giving the same values bit for bit
+        again = list(verification_mod._dense(range(2, 40), (0.3,), flags))
+        assert len(built) == 38
+        assert counts == Counter({**first, "blocks": 2 * first["blocks"]})
+        for (spec, m, degrees, vals), (spec2, m2, degrees2, vals2) in zip(rows, again, strict=True):
+            assert (spec, m) == (spec2, m2) and np.array_equal(degrees, degrees2), spec
+            assert np.array_equal(vals, vals2), spec
 
     def test_no_adjacency_outlives_its_fold(self, monkeypatch):
         refs = []
@@ -619,43 +687,96 @@ class TestOneBuildPerOrder:
             return g
 
         monkeypatch.setattr(verification_mod, "build_graph", building)
-        # at each yielded row, no adjacency built so far is alive
-        alive = [sum(ref() is not None for ref in refs) for _ in verification_mod._dense(range(2, 80), ALPHA_GRID)]
-        assert len(refs) == 78 and alive == [0] * (2 * 78)
+        # at each yielded row, no adjacency built so far is alive, and a
+        # second call builds none
+        for _ in range(2):
+            alive = [
+                sum(ref() is not None for ref in refs)
+                for _ in verification_mod._dense(range(2, 80), ALPHA_GRID)
+            ]
+            assert len(refs) == 78 and alive == [0] * (2 * 78)
 
     @pytest.mark.parametrize("check", ALL_CHECKS, ids=[c.__name__ for c in ALL_CHECKS])
-    def test_a_second_call_does_the_same_work(self, monkeypatch, check):
-        # nothing (graph, fold or eigenvalues) is kept from one call to the
-        # next; the graphs the seam takes are counted as it takes them
-        counts = {"build_graph": 0, "_alpha_eigenvalues": 0, "graphs": 0}
-        real_build, real_seam = verification_mod.build_graph, verification_mod._alpha_eigenvalues
+    def test_a_second_call_folds_nothing_and_solves_everything(self, monkeypatch, check):
+        # only the folds are kept from one call to the next: a second call
+        # builds no graph (but for the complement identity, which builds its
+        # own), folds nothing, and forms and solves every block again; the
+        # graphs the seam takes are counted as it takes them
+        counts = counting_dense_work(monkeypatch)
+        real_seam = verification_mod._alpha_eigenvalues
 
-        def building(spec):
-            counts["build_graph"] += 1
-            return real_build(spec)
-
-        def seam(graphs, *args):
+        def seam(folds, *args):
             counts["_alpha_eigenvalues"] += 1
 
             def taken():
-                for graph in graphs:
+                for fold in folds:
                     counts["graphs"] += 1
-                    yield graph
+                    yield fold
 
             return real_seam(taken(), *args)
 
-        monkeypatch.setattr(verification_mod, "build_graph", building)
         monkeypatch.setattr(verification_mod, "_alpha_eigenvalues", seam)
         first = check(25)
         calls = dict(counts)
         assert check(25) == first
-        assert {name: 2 * k for name, k in calls.items()} == counts
+        second = counts - Counter(calls)
+        solves = check in BUILDS_AT_25 and check is not check_complement_identity
         # one base graph per order each check walks, and every order a
         # check solves goes through one seam call
-        assert calls["build_graph"] == BUILDS_AT_25.get(check, 0)
-        solves = check in BUILDS_AT_25 and check is not check_complement_identity
-        assert calls["_alpha_eigenvalues"] == int(solves)
-        assert calls["graphs"] == (calls["build_graph"] if solves else 0)
+        assert calls.get("build_graph", 0) == BUILDS_AT_25.get(check, 0)
+        assert calls.get("_prepare", 0) == (calls["build_graph"] if solves else 0)
+        assert calls.get("_alpha_eigenvalues", 0) == int(solves)
+        assert calls.get("graphs", 0) == calls.get("_prepare", 0)
+        assert (calls.get("blocks", 0) > 0) == solves
+        rebuilt = calls["build_graph"] if check is check_complement_identity else 0
+        assert second == +Counter({**calls, "build_graph": rebuilt, "_prepare": 0})
+
+
+class TestHeldFolds:
+    """The folds _FOLDS keeps cannot hide a fault, and stay within their
+    budget."""
+
+    @pytest.mark.parametrize(
+        "check, order, perturb", PERTURBATIONS, ids=[c.__name__ for c, _, _ in PERTURBATIONS]
+    )
+    def test_a_fault_on_the_second_call_fails_the_check(self, monkeypatch, check, order, perturb):
+        assert all(res.passed for res in results_of(check, 15))
+        real = linalg_mod._values
+        # every block value of every order, solved from the held folds
+        monkeypatch.setattr(linalg_mod, "_values", lambda s: perturb(real(s)))
+        monkeypatch.setattr(verification_mod, "build_graph", None)  # every fold is held
+        for res in results_of(check, 15):
+            assert res.passed is False, res
+
+    def test_a_held_fold_cannot_be_written(self):
+        list(verification_mod._dense(range(2, 32), (0.3,)))
+        assert sorted(verification_mod._FOLDS) == list(range(2, 32))
+        for n, (_, degrees, fold) in verification_mod._FOLDS.items():
+            for arr in (degrees, fold.flat, fold.on_diagonal, fold.ds, fold.trivial, fold.dt):
+                with pytest.raises(ValueError, match="read-only"):
+                    arr[:1] = 0
+            assert fold.n == n
+
+    def test_a_pass_at_201_holds_every_order(self):
+        run_suite("all", 201)
+        assert sorted(verification_mod._FOLDS) == list(range(2, 202))
+        assert verification_mod._held() <= verification_mod._FOLD_ENTRIES
+
+    def test_a_sweep_past_the_budget_holds_no_more_than_it(self, monkeypatch):
+        budget = 10_000  # the orders 2..67 fit
+        monkeypatch.setattr(verification_mod, "_FOLD_ENTRIES", budget)
+        sweeps = []
+        for _ in range(2):
+            rows = []
+            for *_, vals in verification_mod._dense(range(2, 100), (0.0, 0.3)):
+                assert verification_mod._held() <= budget
+                rows.append(vals)
+            sweeps.append((sorted(verification_mod._FOLDS), rows))
+        (held, first), (held_again, second) = sweeps
+        # orders are kept while they fit, and none is evicted: a second sweep
+        # keeps the same orders and folds the rest again
+        assert held == held_again == list(range(2, 68))
+        assert all(np.array_equal(a, b) for a, b in zip(first, second, strict=True))
 
 
 # Orders each check walks at nmax = 25: 10 odd prime powers, 12 even orders,
