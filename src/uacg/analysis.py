@@ -54,8 +54,6 @@ VERDICT_BORDER = "borderenergetic"
 VERDICT_HYPER = "hyperenergetic"
 VERDICT_NEITHER = "neither"
 
-ENERGY_BOUND_NAMES = ("frobenius", "edge_count", "zagreb", "max_degree")
-
 # Slack used when testing whether an observed value satisfies its interval.
 BOUND_SLACK = 1e-8
 

@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from functools import lru_cache
+from functools import cache, lru_cache
 from itertools import combinations
 
 import numpy as np
@@ -76,7 +76,7 @@ def _pair_sets(factors: tuple, size: int) -> list[tuple[int, tuple[int, ...], in
     return out
 
 
-@lru_cache(maxsize=64)
+@cache
 def _pair_codes(omega: int, size: int) -> np.ndarray:
     """For each of omega factors, each set of size of them (combinations
     order) and each entry (i, j) of a 2**size-wide block, the entry of the
@@ -84,7 +84,8 @@ def _pair_codes(omega: int, size: int) -> np.ndarray:
     on the set's k-th pair factor, b the k-th most significant of size bits
     (the order np.kron gives), and 8, the scalar, on the other factors.
     Shape (omega, sets, 2**size, 2**size), uint8, read-only; 3.1 MB over
-    every size at omega = 8."""
+    every size at omega = 8.  Unbounded: omega <= 8 for odd n <= 10**9, so
+    there are at most 44 keys."""
     sets = list(combinations(range(omega), size))
     chosen = np.array([[i in pairs for i in range(omega)] for pairs in sets], dtype=bool)
     shifts = np.maximum(size - np.cumsum(chosen, axis=1), 0).T

@@ -4,7 +4,8 @@ This is the numeric oracle for every closed form and bound in the package.
 The dense path has two parts.  _prepare does the work that does not depend
 on alpha, once per graph: it checks the matrix, splits it into blocks
 (below) and folds it, into a _Fold whose arrays are read-only, so a caller
-may keep it (verification keeps each order's fold for the process).
+may keep it (verification keeps the fold of each order up to _LAYOUTS for
+the process).
 _alpha_eigenvalues (symmetric_eigenvalues is its row at alpha = 0) takes
 folds and, on every call, forms each alpha's blocks from them and solves
 them: it hands each width of blocks above 2 to LAPACK through
@@ -135,10 +136,10 @@ _BATCH_ELEMENTS = 2**17
 # solves them together; its time and peak-RSS sweep is recorded in CHANGES.md.
 _HELD_ENTRIES = 2**13
 
-# Most orders whose layouts (_generators, _split) are cached; a verify pass
-# at nmax = 201 keeps 200 in each (CHANGES.md records their size).  The
-# folds made from them are kept by the caller, within its own budget
-# (verification._FOLD_ENTRIES), not here.
+# Most orders whose layouts (_generators, _split) are cached, and the largest
+# order whose fold verification._order keeps for the process; a verify pass
+# at nmax = 201 keeps 200 of each.  The folds of every order up to 512 hold
+# 493,831 entries, about 6 MB (CHANGES.md records the layouts' size).
 _LAYOUTS = 512
 
 
@@ -197,10 +198,12 @@ def _alpha_eigenvalues(
 @dataclass(frozen=True)
 class _Fold:
     """One graph's alpha-independent fold (see _prepare).  Its arrays are
-    read-only, so a cache can hand one fold to every caller; on_diagonal is
-    a view of the split's cached index, the others are the fold's own."""
+    read-only, so a cache can hand one fold to every caller; degrees is a
+    view of the degrees _prepare was given and on_diagonal of the split's
+    cached index, the others are the fold's own."""
 
     n: int
+    degrees: np.ndarray  # the graph's degrees
     blocks: tuple  # the split's (width, count, twins) per block width
     flat: np.ndarray  # every block's entries, laid out as _fold lays them out
     on_diagonal: np.ndarray  # the positions of the blocks' diagonal entries in flat
@@ -208,10 +211,6 @@ class _Fold:
     column: int  # where the trivial block's values start among _unsorted's
     trivial: np.ndarray | None  # the complement's trivial block, flattened
     dt: np.ndarray | None  # the complement's degrees on its rows
-
-    def entries(self) -> int:
-        """How many entries the fold's own arrays hold."""
-        return sum(a.size for a in (self.flat, self.ds, self.trivial, self.dt) if a is not None)
 
 
 def _prepare(adjacency: np.ndarray, degrees: np.ndarray, complement: bool = False) -> _Fold:
@@ -240,8 +239,9 @@ def _prepare(adjacency: np.ndarray, degrees: np.ndarray, complement: bool = Fals
         trivial = elems.size * np.outer(root[ys], root[ys]).ravel() - flat[entry : entry + w * w]
         trivial[:: w + 1] -= 1.0
         dt = (n - 1 - d)[reps[ys]]
-    fold = _Fold(n, blocks, flat, index[r : 2 * r], d[reps[index[:r]]], column, trivial, dt)
-    for arr in (flat, fold.ds, trivial, dt):
+    ds = d[reps[index[:r]]]
+    fold = _Fold(n, d.view(), blocks, flat, index[r : 2 * r], ds, column, trivial, dt)
+    for arr in (fold.degrees, flat, fold.ds, trivial, dt):
         if arr is not None:
             arr.setflags(write=False)
     return fold

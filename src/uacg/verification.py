@@ -8,9 +8,9 @@ line per check; the test suite asserts on the same results.
 
 from __future__ import annotations
 
-from collections import deque
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
+from itertools import tee
 
 import numpy as np
 
@@ -43,6 +43,7 @@ from .graphs import (
 # symmetric_eigenvalues has no caller here; perfbench's tracer test looks it
 # up in this namespace.
 from .linalg import (  # noqa: F401
+    _LAYOUTS,
     _alpha_eigenvalues,
     _check_alpha,
     _check_tol,
@@ -127,36 +128,25 @@ def _alphas(alphas: Iterable[float], allow_one: bool = True) -> tuple[tuple, np.
     return alphas, np.array([_check_alpha(x, allow_one=allow_one) for x in alphas])
 
 
-# Most array entries the folds of _FOLDS hold together: 2**19 (8 MB of
-# complex entries) holds every order of a pass at nmax = 401 (CHANGES.md
-# records their size).  An order is kept only if it fits beside those kept,
-# and none is evicted, so an ascending sweep past the budget keeps its first
-# orders and folds the rest on every call, rather than thrashing.
-_FOLD_ENTRIES = 2**19
-
-# Each unit-sum order's (m, degrees, fold), kept for the process once built
-# (see _order): the only thing kept from one call of _dense to the next.
-_FOLDS: dict[int, tuple[int, np.ndarray, _Fold]] = {}
+# Each unit-sum order's fold, kept for the process once built (see _order):
+# the only thing kept from one call of _dense to the next.
+_FOLDS: dict[int, _Fold] = {}
 
 
-def _held() -> int:
-    """How many array entries _FOLDS holds: each order's degrees and its
-    fold's own arrays."""
-    return sum(degrees.size + fold.entries() for _, degrees, fold in _FOLDS.values())
-
-
-def _order(n: int) -> tuple[int, np.ndarray, _Fold]:
-    """(m, degrees, fold) of the unit-sum graph of order n, its fold holding
+def _order(n: int) -> _Fold:
+    """The fold of the unit-sum graph of order n, holding its degrees and
     the complement's trivial block too (linalg._prepare): from _FOLDS, or
-    built, checked and folded, and kept if _FOLDS stays within
-    _FOLD_ENTRIES.  The adjacency is dropped once folded."""
+    built, checked and folded, and kept for the process if n <= _LAYOUTS,
+    the orders whose layouts linalg caches.  None is evicted, so a sweep
+    past that bound keeps its first orders and folds the rest on every
+    call.  The adjacency is dropped once folded."""
     if n in _FOLDS:
         return _FOLDS[n]
     g = build_graph(GraphSpec(family=FAMILY_UACG, n=n))
-    order = g.m, g.degrees, _prepare(g.adjacency, g.degrees, complement=True)
-    if _held() + g.degrees.size + order[2].entries() <= _FOLD_ENTRIES:
-        _FOLDS[n] = order
-    return order
+    fold = _prepare(g.adjacency, g.degrees, complement=True)
+    if n <= _LAYOUTS:
+        _FOLDS[n] = fold
+    return fold
 
 
 def _dense(
@@ -169,21 +159,18 @@ def _dense(
     order's base graph is built, checked and folded into the blocks of the
     group G = <g> x H' it is invariant under (g a unit of largest
     multiplicative order, H' the involutions outside <g>) once per process
-    while _FOLDS has room (see _order), and its adjacency is dropped after
-    that fold.  J folds to zero outside the trivial character's block, so
-    the complement (degrees n - 1 - d) solves that block alone and reflects
-    the graph's other values.  Each row has the values of one full solve of
-    that alpha's matrix to rounding.  Every stack is formed and solved on
-    every call: no row, energy or result is kept."""
-    alphas, flags, taken = tuple(alphas), tuple(flags), deque()
-
-    def fold(n: int) -> _Fold:
-        taken.append(_order(n))
-        return taken[-1][2]
-
-    for rows in _alpha_eigenvalues(map(fold, ns), alphas, flags):
-        m, degrees, folded = taken.popleft()
-        n = folded.n
+    if its order is at most _LAYOUTS (see _order), and its adjacency is
+    dropped after that fold.  J folds to zero outside the trivial
+    character's block, so the complement (degrees n - 1 - d) solves that
+    block alone and reflects the graph's other values.  Each row has the
+    values of one full solve of that alpha's matrix to rounding.  Every
+    stack is formed and solved on every call: no row, energy or result is
+    kept."""
+    alphas, flags = tuple(alphas), tuple(flags)
+    ahead, folds = tee(map(_order, ns))
+    for rows, fold in zip(_alpha_eigenvalues(ahead, alphas, flags), folds):
+        n, degrees = fold.n, fold.degrees
+        m = int(degrees.sum()) // 2
         for flag, vals in zip(flags, rows.reshape(len(flags), len(alphas), n)):
             pair = (n * (n - 1) // 2 - m, n - 1 - degrees) if flag else (m, degrees)
             yield GraphSpec(FAMILY_UACG, n, flag), *pair, vals

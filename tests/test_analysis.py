@@ -25,7 +25,6 @@ from uacg.analysis import (
     _refine,
     _secant_floors,
     BOUND_SLACK,
-    ENERGY_BOUND_NAMES,
     IndexBound,
     ObservedBound,
     VERDICT_BORDER,
@@ -203,7 +202,7 @@ class TestEigenvalueIntervals:
 class TestEnergyBounds:
     def test_order_9_examples(self):
         lowers, upper = energy_bounds(GraphSpec(FAMILY_UACG, 9), 0.0)
-        assert set(lowers) == set(ENERGY_BOUND_NAMES)
+        assert set(lowers) == {"frobenius", "edge_count", "zagreb", "max_degree"}
         assert lowers["edge_count"] == pytest.approx(32.0 / 3.0, abs=1e-9)
         assert lowers["frobenius"] == pytest.approx(math.sqrt(96.0), abs=1e-9)
         assert upper == pytest.approx(math.sqrt(432.0), abs=1e-9)
@@ -257,7 +256,7 @@ class TestBoundReport:
         assert all(b.satisfied for b in rep.per_index)
         assert all(b.lower - BOUND_SLACK <= b.observed <= b.upper + BOUND_SLACK
                    for b in rep.per_index)
-        assert set(rep.energy_lowers) == set(ENERGY_BOUND_NAMES)
+        assert set(rep.energy_lowers) == {"frobenius", "edge_count", "zagreb", "max_degree"}
         assert rep.energy_observed is not None
         assert rep.energy_observed <= rep.energy_upper + BOUND_SLACK
 

@@ -613,6 +613,17 @@ class TestAlphaEigenvalues:
         want = np.linalg.eigvalsh(0.7 * g.adjacency + np.diag(0.3 * degrees))[::-1]
         assert_close(got[0], want, "degrees")
 
+    def test_a_fold_holds_a_read_only_view_of_the_callers_degrees(self):
+        g = build_uacg(45)
+        degrees = g.degrees.copy()
+        fold = _prepare(g.adjacency, degrees, complement=True)
+        assert np.shares_memory(fold.degrees, degrees) and fold.degrees.dtype == degrees.dtype
+        assert np.array_equal(fold.degrees, g.degrees)
+        with pytest.raises(ValueError, match="read-only"):
+            fold.degrees[:1] = 0
+        assert degrees.flags.writeable  # the caller's array keeps its flags
+        degrees[0] += 1
+
     def test_rejects_bad_input(self):
         g = build_graph(parse_spec_label("uacg", 9))
         a = g.adjacency.copy()

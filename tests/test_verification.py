@@ -733,8 +733,8 @@ class TestOneBuildPerOrder:
 
 
 class TestHeldFolds:
-    """The folds _FOLDS keeps cannot hide a fault, and stay within their
-    budget."""
+    """The folds _FOLDS keeps cannot hide a fault, and are those of the
+    orders up to _LAYOUTS, none evicted."""
 
     @pytest.mark.parametrize(
         "check, order, perturb", PERTURBATIONS, ids=[c.__name__ for c, _, _ in PERTURBATIONS]
@@ -751,8 +751,8 @@ class TestHeldFolds:
     def test_a_held_fold_cannot_be_written(self):
         list(verification_mod._dense(range(2, 32), (0.3,)))
         assert sorted(verification_mod._FOLDS) == list(range(2, 32))
-        for n, (_, degrees, fold) in verification_mod._FOLDS.items():
-            for arr in (degrees, fold.flat, fold.on_diagonal, fold.ds, fold.trivial, fold.dt):
+        for n, fold in verification_mod._FOLDS.items():
+            for arr in (fold.degrees, fold.flat, fold.on_diagonal, fold.ds, fold.trivial, fold.dt):
                 with pytest.raises(ValueError, match="read-only"):
                     arr[:1] = 0
             assert fold.n == n
@@ -760,21 +760,23 @@ class TestHeldFolds:
     def test_a_pass_at_201_holds_every_order(self):
         run_suite("all", 201)
         assert sorted(verification_mod._FOLDS) == list(range(2, 202))
-        assert verification_mod._held() <= verification_mod._FOLD_ENTRIES
+        assert all(n <= verification_mod._LAYOUTS for n in verification_mod._FOLDS)
+        # the degrees and fold arrays of the 200 orders
+        arrays = [(f.degrees, f.flat, f.ds, f.trivial, f.dt) for f in verification_mod._FOLDS.values()]
+        assert sum(a.size for held in arrays for a in held) == 79_076
 
-    def test_a_sweep_past_the_budget_holds_no_more_than_it(self, monkeypatch):
-        budget = 10_000  # the orders 2..67 fit
-        monkeypatch.setattr(verification_mod, "_FOLD_ENTRIES", budget)
+    def test_a_sweep_past_the_bound_holds_no_order_above_it(self, monkeypatch):
+        monkeypatch.setattr(verification_mod, "_LAYOUTS", 67)
         sweeps = []
         for _ in range(2):
             rows = []
             for *_, vals in verification_mod._dense(range(2, 100), (0.0, 0.3)):
-                assert verification_mod._held() <= budget
+                assert max(verification_mod._FOLDS) <= 67
                 rows.append(vals)
             sweeps.append((sorted(verification_mod._FOLDS), rows))
         (held, first), (held_again, second) = sweeps
-        # orders are kept while they fit, and none is evicted: a second sweep
-        # keeps the same orders and folds the rest again
+        # orders up to the bound are kept, and none is evicted: a second
+        # sweep keeps the same orders and folds the rest again
         assert held == held_again == list(range(2, 68))
         assert all(np.array_equal(a, b) for a, b in zip(first, second, strict=True))
 
