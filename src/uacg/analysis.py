@@ -24,7 +24,6 @@ from .closedform import (
     METHOD_NUMERIC,
     METHOD_REGULAR,
     _complete_energy,
-    _energy_reports,
     _ramanujan_pairs,
     _route,
 )
@@ -238,7 +237,7 @@ def classify(spec: GraphSpec, alpha: float, tol: float = 1e-6) -> Classification
 
     Equality within tol is borderenergetic; exceeding by more than tol is
     hyperenergetic; anything else is neither.  This is _classify_all for one
-    alpha.
+    alpha, so tol is checked before alpha.
     """
     return _classify_all(spec, (alpha,), tol)[0]
 
@@ -246,18 +245,20 @@ def classify(spec: GraphSpec, alpha: float, tol: float = 1e-6) -> Classification
 def _classify_all(
     spec: GraphSpec, alphas: Sequence[float], tol: float = 1e-6
 ) -> list[ClassificationReport]:
-    """classify for each of alphas, in order, from one _energy_reports call;
-    each report equals the one for its alpha alone."""
+    """classify for each of alphas, in order: tol and then each alpha are
+    checked once, and only then is the batch priced, by one call of
+    _route(spec)'s energies; each report equals the one for its alpha alone."""
     tol = _check_tol(tol)
+    alphas = [_check_alpha(a, allow_one=False) for a in alphas]
     out = []
-    for r in _energy_reports(spec, alphas):
-        reference = _complete_energy(spec.n, r.alpha)
-        diff = r.energy - reference
+    for alpha, energy in zip(alphas, _route(spec)[2](alphas)):
+        reference = _complete_energy(spec.n, alpha)
+        diff = energy - reference
         verdict = (
             VERDICT_BORDER if abs(diff) <= tol else VERDICT_HYPER if diff > tol else VERDICT_NEITHER
         )
-        meets = r.energy >= reference - tol
-        out.append(ClassificationReport(spec, r.alpha, r.energy, reference, verdict, tol, meets))
+        meets = energy >= reference - tol
+        out.append(ClassificationReport(spec, alpha, energy, reference, verdict, tol, meets))
     return out
 
 

@@ -247,9 +247,9 @@ def _energy_floors(spec: GraphSpec, alphas: Sequence[float]) -> np.ndarray:
     |u|), from cached coefficients: at width 2 that is exact, |mu1| + |mu2| =
     max(|mu1 + mu2|, hypot(c11 - c22, 2 c12)), and at width >= 4 it is
     max(|tr C|, |C|_F) <= |C|_*.  Each term is a norm of an affine function
-    of alpha, so the floor is convex in alpha.
+    of alpha, so the floor is convex in alpha.  Its callers have routed
+    spec, so it is not checked again.
     """
-    _check_unit_sum(spec)
     n = spec.n
     a = np.asarray(alphas, dtype=float)
     single = unit_sum_blocks(n)[0]

@@ -22,7 +22,7 @@ from .closedform import (
     ALPHA_GRID,
     ClosedFormUnavailable,
     _complete_energy,
-    _energy_reports,
+    _route,
     energy_report,
     spectrum_for,
 )
@@ -197,7 +197,7 @@ def _cmd_table(args: argparse.Namespace) -> int:
         for n in TABLE1_NS:
             for family in ("uacg", "complement-uacg", "complete"):
                 spec = parse_spec_label(family, n)
-                cells = [f"{r.energy:.3f}" for r in _energy_reports(spec, ALPHA_GRID)]
+                cells = [f"{e:.3f}" for e in _route(spec)[2](ALPHA_GRID)]
                 rows.append((family, n, cells))
         return _write(
             args,
@@ -215,9 +215,9 @@ def _cmd_table(args: argparse.Namespace) -> int:
     rows = []  # (n, alpha, energy, complete_energy), the last three to 12 decimals
     for n in ns:
         spec = parse_spec_label(family, n)
-        for r in _energy_reports(spec, find_borderenergetic_alphas(spec)):
-            values = (r.alpha, r.energy, _complete_energy(n, r.alpha))
-            rows.append((n, *map(_fmt_dec12, values)))
+        roots = find_borderenergetic_alphas(spec)
+        for a, e in zip(roots, _route(spec)[2](roots)):
+            rows.append((n, *map(_fmt_dec12, (a, e, _complete_energy(n, a)))))
     return _write(
         args,
         "n,alpha,energy,complete_energy",

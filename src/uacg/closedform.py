@@ -379,10 +379,11 @@ def _route(spec: GraphSpec) -> tuple[str, Callable, Callable[[Sequence[float]], 
     them.
 
     The energies callable maps a sequence of float alphas in [0, 1) to a
-    list of energies and checks nothing: _energy_reports checks each alpha
-    once, and the root finder generates its own.  The formula routes loop
-    the unchecked body of their scalar formula.  The numeric
-    route walks the alphas in chunks of at most
+    list of energies and checks nothing: energy_report and
+    analysis._classify_all check their alphas once, and the root finder and
+    the CLI's tables price alphas of their own (the roots, ALPHA_GRID).  The
+    formula routes loop the unchecked body of their scalar formula.  The
+    numeric route walks the alphas in chunks of at most
     max(1, _BATCH_ELEMENTS // values per alpha), one stacked block solve
     each, so a long grid holds one chunk of block values at a time; it sums
     multiplicity * |value - 2*alpha*m/n| over the blocks row by row.  Rows
@@ -502,20 +503,12 @@ def energy_report(spec: GraphSpec, alpha: float) -> EnergyReport:
 
     Regular families use the (1-alpha)-scaling shortcut on their known
     adjacency energies; odd prime-power unit-sum graphs and complements use
-    their exact formulas; every other spec uses the block eigensolver.  This
-    is _energy_reports for one alpha.
+    their exact formulas; every other spec uses the block eigensolver.  The
+    one place an EnergyReport is built: alpha is checked once, then priced
+    by one call of _route(spec)'s energies.
     """
-    return _energy_reports(spec, (alpha,))[0]
-
-
-def _energy_reports(spec: GraphSpec, alphas: Sequence[float]) -> list[EnergyReport]:
-    """energy_report for each of alphas, in order, from one _route, one
-    edge_count and one call of the route's energies callable; each report
-    equals the one for its alpha alone."""
-    alphas = [_check_alpha(a, allow_one=False) for a in alphas]
+    alpha = _check_alpha(alpha, allow_one=False)
     n, m = spec.n, edge_count(spec)
     method, _, energies = _route(spec)
-    return [
-        EnergyReport(spec=spec, alpha=a, n=n, m=m, shift=2.0 * a * m / n, energy=e, method=method)
-        for a, e in zip(alphas, energies(alphas))
-    ]
+    (energy,) = energies((alpha,))
+    return EnergyReport(spec, alpha, n, m, 2.0 * alpha * m / n, energy, method)

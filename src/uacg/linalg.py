@@ -162,7 +162,8 @@ def _alpha_eigenvalues(
 ) -> Iterator[np.ndarray]:
     """For each graph's fold in folds (see _prepare), in order, the
     descending eigenvalues of (1 - alpha)*A + alpha*diag(d) for each flag in
-    flags and each alpha, one row each, flag by flag: A and d are the
+    flags and each alpha (floats in [0, 1] the caller has checked; nothing
+    is checked again here), one row each, flag by flag: A and d are the
     graph's adjacency and degrees for a false flag, and its complement's,
     J - I - adjacency and n - 1 - degrees, for a true one (which needs a
     fold prepared with complement).
@@ -175,7 +176,7 @@ def _alpha_eigenvalues(
     so a row depends on its matrix and alpha alone, not on the other graphs
     or alphas of the call.
     """
-    x = np.array([_check_alpha(v, allow_one=True) for v in alphas]).reshape(-1, 1)
+    x = np.array(alphas, dtype=float).reshape(-1, 1)
     held, size, waiting = [], 0, deque()
     for pieces, rows in map(partial(_at_alphas, x=x, flags=tuple(flags)), folds):
         solved = []

@@ -154,18 +154,18 @@ def _dense(
 ) -> Iterator[tuple[GraphSpec, int, np.ndarray, np.ndarray]]:
     """(spec, m, degrees, rows) for the unit-sum spec at each order in ns and
     complement flag in flags, rows[k] the descending dense eigenvalues at
-    alphas[k].  Every order goes through one linalg._alpha_eigenvalues
-    call, which solves the blocks of consecutive orders together.  Each
-    order's base graph is built, checked and folded into the blocks of the
-    group G = <g> x H' it is invariant under (g a unit of largest
-    multiplicative order, H' the involutions outside <g>) once per process
-    if its order is at most _LAYOUTS (see _order), and its adjacency is
-    dropped after that fold.  J folds to zero outside the trivial
-    character's block, so the complement (degrees n - 1 - d) solves that
-    block alone and reflects the graph's other values.  Each row has the
-    values of one full solve of that alpha's matrix to rounding.  Every
-    stack is formed and solved on every call: no row, energy or result is
-    kept."""
+    alphas[k], floats the caller has checked (see _alphas).  Every order
+    goes through one linalg._alpha_eigenvalues call, which solves the
+    blocks of consecutive orders together.  Each order's base graph is
+    built, checked and folded into the blocks of the group G = <g> x H' it
+    is invariant under (g a unit of largest multiplicative order, H' the
+    involutions outside <g>) once per process if its order is at most
+    _LAYOUTS (see _order), and its adjacency is dropped after that fold.
+    J folds to zero outside the trivial character's block, so the
+    complement (degrees n - 1 - d) solves that block alone and reflects the
+    graph's other values.  Each row has the values of one full solve of
+    that alpha's matrix to rounding.  Every stack is formed and solved on
+    every call: no row, energy or result is kept."""
     alphas, flags = tuple(alphas), tuple(flags)
     ahead, folds = tee(map(_order, ns))
     for rows, fold in zip(_alpha_eigenvalues(ahead, alphas, flags), folds):
@@ -192,7 +192,7 @@ def _closed_spectra(spec: GraphSpec, x: np.ndarray) -> np.ndarray:
 def _closed_rows(ns: Iterable[int], alphas: Iterable[float]) -> list[tuple[float, int, tuple]]:
     """Rows comparing the route table's closed spectrum with the eigensolver."""
     (alphas, x), rows = _alphas(alphas), []
-    for spec, _, _, vals in _dense(ns, alphas):
+    for spec, _, _, vals in _dense(ns, x):
         resid = np.abs(_closed_spectra(spec, x) - vals).max(axis=1)
         rows.append(_row(resid, 1, (spec.n, spec.complement), alphas))
     return rows
@@ -217,7 +217,7 @@ def check_block_route(nmax: int, alphas=ALPHA_GRID, tol: float = 1e-9) -> CheckR
     vs the closed-form spectra on odd prime powers."""
     nmax, tol = _check_nmax(nmax), _check_tol(tol)
     (alphas, x), rows = _alphas(alphas), []
-    for spec, _, _, dense in _dense(range(3, nmax + 1, 2), alphas):
+    for spec, _, _, dense in _dense(range(3, nmax + 1, 2), x):
         values, mults = _stacked_eigenvalues(spec, x)  # one stacked block solve
         blocks = np.sort(np.repeat(values, mults, axis=1), axis=1)[:, ::-1]
         resid = np.abs(blocks - dense).max(axis=1)
@@ -237,7 +237,7 @@ def check_spectral_identities(
     """
     nmax, rtol = _check_nmax(nmax), _check_tol(rtol)
     (alphas, x), trace_rows, sq_rows = _alphas(alphas), [], []
-    for spec, m, degrees, vals in _dense(range(2, nmax + 1), alphas):
+    for spec, m, degrees, vals in _dense(range(2, nmax + 1), x):
         where = spec.n, spec.complement
         trace = 2.0 * x * m
         resid = np.abs(vals.sum(axis=1) - trace) / (1.0 + np.abs(trace))
@@ -321,7 +321,7 @@ def check_regular_shortcut(nmax: int, alphas=(0.3, 0.7), tol: float = 1e-8) -> C
     adjacency energy, and the adjacency energy must match its closed form."""
     nmax, tol = _check_nmax(nmax), _check_tol(tol)
     (alphas, x), rows = _alphas((0.0, *alphas), allow_one=False), []
-    for spec, m, _, vals in _dense(range(2, nmax + 1, 2), alphas, (False,)):
+    for spec, m, _, vals in _dense(range(2, nmax + 1, 2), x, (False,)):
         energy = _energies(vals, spec.n, m, x)
         resid = np.abs(energy - (1.0 - x) * energy[0])
         resid[0] = abs(energy[0] - unitary_cayley_adjacency_energy(spec.n))  # alpha = 0
@@ -345,7 +345,7 @@ def check_interval_containment(
     """Every numeric eigenvalue must fall in its rank interval (odd orders)."""
     nmax, slack = _check_nmax(nmax), _check_tol(slack)
     (alphas, x), rows = _alphas(alphas), []
-    for spec, _, _, observed in _dense(range(3, nmax + 1, 2), alphas):
+    for spec, _, _, observed in _dense(range(3, nmax + 1, 2), x):
         # the circulant part's sorted order does not depend on alpha, so the
         # upper ends are (1 - alpha)*U_0 + alpha*t, t = phi(n) (n - phi(n))
         t = spec.n - euler_phi(spec.n) if spec.complement else euler_phi(spec.n)
@@ -360,10 +360,10 @@ def check_energy_sandwich(nmax: int, alphas=SANDWICH_ALPHAS, slack: float = 1e-8
     upper bound (odd orders)."""
     nmax, slack = _check_nmax(nmax), _check_tol(slack)
     (alphas, x), rows = _alphas(alphas, allow_one=False), []
-    for spec, m, _, vals in _dense(range(3, nmax + 1, 2), alphas):
+    for spec, m, _, vals in _dense(range(3, nmax + 1, 2), x):
         energy = _energies(vals, spec.n, m, x)
         bounds = [_energy_bounds(spec, alpha) for alpha in x.tolist()]
-        lower = np.maximum([max(lowers.values()) for lowers, _ in bounds], _energy_floors(spec, alphas))
+        lower = np.maximum([max(lowers.values()) for lowers, _ in bounds], _energy_floors(spec, x))
         upper = np.array([upper for _, upper in bounds])
         resid = np.maximum(lower - energy, energy - upper)
         rows.append(_row(resid, 1, (spec.n, spec.complement), alphas))

@@ -15,10 +15,11 @@ from itertools import combinations
 import numpy as np
 import pytest
 
+import uacg.analysis as analysis_mod
 import uacg.blocks as blocks_mod
 import uacg.closedform as closedform_mod
 import uacg.graphs as graphs_mod
-from uacg.analysis import _COARSE_ALPHAS, find_borderenergetic_alphas
+from uacg.analysis import _COARSE_ALPHAS, _classify_all, find_borderenergetic_alphas
 from uacg.blocks import (
     _BATCH_ELEMENTS,
     _energy_floors,
@@ -27,7 +28,7 @@ from uacg.blocks import (
     block_eigenvalues,
     unit_sum_blocks,
 )
-from uacg.closedform import _energy_reports, _route, energy_report, spectrum_for
+from uacg.closedform import _route, energy_report, spectrum_for
 from uacg.graphs import (
     DENSE_ORDER_LIMIT,
     FAMILY_UACG,
@@ -376,7 +377,7 @@ class TestStackedEigenvalues:
         alphas = list(_COARSE_ALPHAS)
         alphas.insert(where, bad)
         with pytest.raises(ValueError):
-            _energy_reports(GraphSpec(FAMILY_UACG, 105), alphas)
+            _classify_all(GraphSpec(FAMILY_UACG, 105), alphas)
         with pytest.raises(ValueError):
             check_block_route(15, alphas)
 
@@ -455,6 +456,18 @@ class TestEnergyFloors:
                 for value, x in zip(column, exact):
                     assert abs(value - float(x)) <= 4 * math.ulp(float(x)), (n, column, exact)
 
-    def test_rejects_other_families(self):
-        with pytest.raises(ValueError):
-            _energy_floors(GraphSpec(FAMILY_UNITARY_CAYLEY, 15), (0.3,))
+    def test_rejects_other_families(self, monkeypatch):
+        # The floor checks no spec: its callers route the spec first, and
+        # the route table turns every other family away before the floor.
+        reached = []
+
+        def spy(spec, alphas):
+            reached.append(spec)
+            return _energy_floors(spec, alphas)
+
+        monkeypatch.setattr(analysis_mod, "_energy_floors", spy)
+        for comp in (False, True):
+            assert find_borderenergetic_alphas(GraphSpec(FAMILY_UNITARY_CAYLEY, 15, comp)) == []
+        assert reached == []
+        assert find_borderenergetic_alphas(GraphSpec(FAMILY_UACG, 105)) == []
+        assert reached == [GraphSpec(FAMILY_UACG, 105)]

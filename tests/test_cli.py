@@ -10,6 +10,7 @@ documented tolerances.
 
 import csv
 import json
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 from io import StringIO
 from pathlib import Path
@@ -20,6 +21,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import uacg.cli as cli_mod
+import uacg.closedform as closedform_mod
+import uacg.verification as verification_mod
 from uacg.cli import (
     EXIT_BAD_ARGS,
     EXIT_NO_CLOSED_FORM,
@@ -27,9 +30,10 @@ from uacg.cli import (
     EXIT_VERIFY_FAILED,
     main,
 )
-from uacg.analysis import classify, find_borderenergetic_alphas
+from uacg.analysis import _classify_all, classify, find_borderenergetic_alphas
+from uacg.blocks import _energy_floors
 from uacg.closedform import ALPHA_GRID, complete_energy, energy_report
-from uacg.graphs import DENSE_ORDER_LIMIT, parse_spec_label
+from uacg.graphs import DENSE_ORDER_LIMIT, GraphSpec, parse_spec_label
 from uacg.verification import CheckResult
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -509,6 +513,79 @@ class TestBatchedGrids:
             ]},
         )
         assert run_cli(argv) == (EXIT_OK, expected, "")
+
+
+@pytest.fixture
+def spied(monkeypatch):
+    """(calls, built): every validator call, as (name, value) in call order,
+    through every module's binding of _check_alpha, _check_tol and
+    _check_unit_sum, and the args of every EnergyReport built."""
+    calls, built = [], []
+
+    def spy(name, real):
+        return lambda x, *a, **k: calls.append((name, x)) or real(x, *a, **k)
+
+    modules = [m for name, m in sys.modules.items() if name.split(".")[0] == "uacg"]
+    for module in modules:
+        for name in ("_check_alpha", "_check_tol", "_check_unit_sum"):
+            if name in vars(module):
+                monkeypatch.setattr(module, name, spy(name, vars(module)[name]))
+    report = closedform_mod.EnergyReport
+    monkeypatch.setattr(
+        closedform_mod, "EnergyReport", lambda *a, **k: built.append((a, k)) or report(*a, **k)
+    )
+    return calls, built
+
+
+# A spec on each route: edgeless, complete, regular, closed form, blocks.
+ROUTED = [GraphSpec("complete", 9, True), GraphSpec("complete", 9), GraphSpec("uacg", 10, True),
+          GraphSpec("uacg", 9, True), GraphSpec("uacg", 15)]
+
+
+class TestOneCheckPerInput:
+    """An EnergyReport is built only where energy_report returns one, each
+    alpha is checked once by the public call it enters, and the private
+    solvers under those calls check nothing again."""
+
+    @pytest.mark.parametrize("which", ["1", "2", "3"])
+    def test_tables_build_no_report_and_check_no_alpha(self, spied, which):
+        # ALPHA_GRID and the root finder's own floats take no check
+        calls, built = spied
+        assert run_cli(["table", "--which", which, "--format", "csv"])[0] == EXIT_OK
+        assert built == []
+        assert [c for c in calls if c[0] != "_check_tol"] == []
+
+    @pytest.mark.parametrize("family, n", [("complement-uacg", 9), ("uacg", 15), ("uacg", 10)])
+    def test_sweeps_build_no_report_and_check_each_alpha_once(self, spied, family, n):
+        calls, built = spied
+        argv = ["sweep", "--family", family, "--n", str(n), "--alpha-start", "0",
+                "--alpha-end", "0.9", "--step", "0.1", "--format", "csv"]
+        code, out, _ = run_cli(argv)
+        assert code == EXIT_OK and built == []
+        rows = len(out.splitlines()) - 1
+        assert [name for name, _ in calls] == ["_check_tol"] + ["_check_alpha"] * rows
+
+    @pytest.mark.parametrize("spec", ROUTED, ids=str)
+    def test_each_public_call_checks_each_alpha_once(self, spied, spec):
+        calls, built = spied
+        energy_report(spec, 0.3)
+        assert calls == [("_check_alpha", 0.3)] and len(built) == 1
+        calls.clear()
+        classify(spec, 0.3)  # tol first, as before
+        assert calls == [("_check_tol", 1e-6), ("_check_alpha", 0.3)] and len(built) == 1
+        for batch in (ALPHA_GRID, (0.5, 0.25, 0.5), ()):
+            calls.clear()
+            _classify_all(spec, batch, 1e-3)
+            assert calls == [("_check_tol", 1e-3)] + [("_check_alpha", a) for a in batch]
+        assert len(built) == 1
+
+    def test_the_dense_oracle_and_the_floor_check_nothing(self, spied):
+        calls, _ = spied
+        rows = list(verification_mod._dense(range(2, 40), (0.0, 0.3, 1.0)))
+        assert len(rows) == 2 * 38
+        for comp in (False, True):
+            assert _energy_floors(GraphSpec("uacg", 105, comp), (0.0, 0.5, 0.9)).shape == (3,)
+        assert calls == []
 
 
 class TestWriter:

@@ -20,9 +20,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import uacg.analysis as analysis_mod
 import uacg.blocks as blocks_mod
 import uacg.closedform as closedform_mod
 from uacg.analysis import (
+    _classify_all,
     bound_report,
     classify,
     eigenvalue_intervals,
@@ -37,7 +39,6 @@ from uacg.closedform import (
     METHOD_CLOSED,
     METHOD_NUMERIC,
     METHOD_REGULAR,
-    _energy_reports,
     _ramanujan_pairs,
     _route,
     alpha_energy_from_values,
@@ -642,19 +643,21 @@ class TestRealInputs:
     def test_a_bad_alpha_anywhere_in_a_batch_stops_it_before_any_energy(
         self, monkeypatch, route, bad, where
     ):
-        real, solved = closedform_mod._route, []
+        # _classify_all is the batch entry of classify, sweep and check_roots;
+        # it reads _route through the analysis module's binding
+        real, solved = analysis_mod._route, []
 
         def spying(spec):
             method, spectrum, energies = real(spec)
             return method, spectrum, lambda xs: solved.append(xs) or energies(xs)
 
-        monkeypatch.setattr(closedform_mod, "_route", spying)
+        monkeypatch.setattr(analysis_mod, "_route", spying)
         alphas = list(GRID)
         alphas.insert(where, bad)
         with pytest.raises(ValueError, match="alpha must"):
-            _energy_reports(ROUTE_SPECS[route], alphas)
+            _classify_all(ROUTE_SPECS[route], alphas)
         assert solved == []
-        assert len(_energy_reports(ROUTE_SPECS[route], GRID)) == len(GRID)
+        assert len(_classify_all(ROUTE_SPECS[route], GRID)) == len(GRID)
         assert len(solved) == 1
 
     @pytest.mark.parametrize(
@@ -709,12 +712,19 @@ class TestEnergyReport:
 
     @pytest.mark.parametrize("spec", GRID_SPECS, ids=str)
     def test_batched_reports_equal_one_alpha_reports(self, spec):
-        assert _energy_reports(spec, GRID) == [energy_report(spec, alpha) for alpha in GRID]
-        assert _energy_reports(spec, ()) == []
+        # one batch priced by one energies call gives each alpha's own report
+        want = [(r.alpha, r.energy) for r in (energy_report(spec, alpha) for alpha in GRID)]
+        assert [(r.alpha, r.energy) for r in _classify_all(spec, GRID)] == want
+        assert _classify_all(spec, ()) == []
 
     def test_batched_reports_reject_alpha_one(self):
-        with pytest.raises(ValueError, match="alpha must lie in"):
-            _energy_reports(GraphSpec(FAMILY_UACG, 15), (0.5, 1.0))
+        spec = GraphSpec(FAMILY_UACG, 15)
+        with pytest.raises(ValueError, match="alpha must lie in") as batch:
+            _classify_all(spec, (0.5, 1.0))
+        energy_report(spec, 0.5)
+        with pytest.raises(ValueError) as one:
+            energy_report(spec, 1.0)
+        assert str(batch.value) == str(one.value)
 
     def test_long_block_grid_holds_one_chunk_of_values(self):
         # 1,000 alphas at n = 255,255 (1,362 block values each): all of
@@ -735,8 +745,9 @@ class TestEnergyReport:
 
     @pytest.mark.parametrize("comp", [False, True])
     def test_closed_form_energies_check_nothing_again(self, monkeypatch, comp):
-        # (p, m) comes from prime_power(n), and _energy_reports has checked
-        # each alpha (TestRealInputs), so the energies callable checks neither
+        # (p, m) comes from prime_power(n), and energy_report and
+        # _classify_all have checked each alpha (TestRealInputs), so the
+        # energies callable checks neither
         alphas = [i / 64 for i in range(64)]
         public = complement_prime_power_energy if comp else uacg_prime_power_energy
         want = [public(5, 3, alpha) for alpha in alphas]

@@ -51,6 +51,7 @@ from uacg.linalg import (
     symmetric_eigenvalues,
 )
 from uacg.numtheory import ramanujan_sum
+from uacg.verification import check_block_route
 
 
 # ---------------------------------------------------------------------------
@@ -632,8 +633,10 @@ class TestAlphaEigenvalues:
             one_graph(a, g.degrees, (0.3,))
         with pytest.raises(ValueError, match="finite"):
             one_graph(g.adjacency, np.full(9, math.inf), (0.3,))
+        # _alpha_eigenvalues takes alphas its caller has checked; verify's
+        # checks reject a bad one before any fold is solved
         with pytest.raises(ValueError, match="alpha"):
-            one_graph(g.adjacency, g.degrees, (1.5,))
+            check_block_route(9, alphas=(1.5,))
 
 
 def searched_trivial_block(blocks: tuple, index: np.ndarray) -> tuple[int, int, int]:
