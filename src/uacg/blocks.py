@@ -25,7 +25,7 @@ the prod (p - 2) sign choices, one more gives + than -.  Every other block
 has L = J = 0 and a diagonal P, so it is listed as width-1 units and
 non-units.  No block is wider than 2**omega(n); no n x n matrix is formed.
 
-unit_sum_blocks builds each width's stack for all its sets of paired factors
+_build_blocks builds each width's stack for all its sets of paired factors
 at once, with no np.kron: an entry is the product, over the factors in
 order, of the 2x2 entry or the scalar its factor picks, the same products
 the factor-by-factor Kronecker product takes, so it is bit-identical to
@@ -33,11 +33,13 @@ that product.  The energy floor's terms for the wider blocks (_floor_terms)
 need no stack: traces and Frobenius inner products of Kronecker products are
 products of the factors' own, and r enters them only as r*r = p - 1, so
 they are exact integers from the factorization, rounded once to float.
+Both are built on an order's first visit, into its one cached _record.
 """
 
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from collections.abc import Sequence
 from functools import cache, lru_cache
 from itertools import combinations
@@ -50,8 +52,8 @@ from .numtheory import euler_phi, factorize
 
 __all__ = ["block_eigenvalues", "unit_sum_blocks"]
 
-# Most orders whose blocks are cached; a verify pass at nmax = 201 walks 100
-# odd orders twice (CHANGES.md records their size).
+# Most orders whose _record is kept; a verify pass at nmax = 201 walks 100
+# odd orders twice, building each once (README, "Per-process state").
 _BLOCK_ORDERS = 128
 
 
@@ -95,7 +97,6 @@ def _pair_codes(omega: int, size: int) -> np.ndarray:
     return codes
 
 
-@lru_cache(maxsize=_BLOCK_ORDERS)
 def unit_sum_blocks(n: int) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray], ...]:
     """The blocks of (L, P, J) for odd n >= 3, stacked by width.
 
@@ -103,16 +104,20 @@ def unit_sum_blocks(n: int) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray, n
     J have shape (count, width, width) and multiplicities has shape (count,).
     One block per sign for each set of factors picking the 2x2 type, then the
     leftover width-1 units and non-units; sum(width * multiplicities) is n.
-    The arrays are read-only because the result is cached.
-
-    No np.kron: each width's L and J start as ones, and each prime power in
-    turn multiplies every entry of every block of the width by the entry of
-    its 3x3 table that _pair_codes names: of q [[0, r], [r, p - 2]] (L) or
-    q [[1, r], [r, p - 1]] (J) on a pair factor, q (L) or 0 (J) on the
-    others.  The factors multiply in the Kronecker chain's order, so every
-    entry is bit-identical to the chain's; a sign then multiplies L, as it
-    did the chain.  P is 1 on the last diagonal entry and 0 elsewhere.
+    Read-only: the order's _record holds it, and each call returns it.
     """
+    return _record(n).blocks
+
+
+def _build_blocks(n: int) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray], ...]:
+    """unit_sum_blocks(n), built with no np.kron: each width's L and J start
+    as ones, and each prime power in turn multiplies every entry of every
+    block of the width by the entry of its 3x3 table that _pair_codes names:
+    of q [[0, r], [r, p - 2]] (L) or q [[1, r], [r, p - 1]] (J) on a pair
+    factor, q (L) or 0 (J) on the others.  The factors multiply in the
+    Kronecker chain's order, so every entry is bit-identical to the chain's;
+    a sign then multiplies L, as it did the chain.  P is 1 on the last
+    diagonal entry and 0 elsewhere."""
     if n < 3 or n % 2 == 0:
         raise ValueError(f"the block decomposition needs odd n >= 3, got {n}")
     factors = factorize(n).factors
@@ -143,27 +148,25 @@ def unit_sum_blocks(n: int) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray, n
             lsum, ones = np.concatenate((lsum, zeros)), np.concatenate((ones, zeros))
             units = np.concatenate((units, np.array([u for u, _ in left]).reshape(-1, 1, 1)))
             mults += [k for _, k in left]
-        arrays = (lsum, units, ones, np.array(mults, dtype=np.int64))
-        for a in arrays:
-            a.setflags(write=False)
-        out.append(arrays)
+        out.append((lsum, units, ones, np.array(mults, dtype=np.int64)))
     return tuple(out)
 
 
-@lru_cache(maxsize=_BLOCK_ORDERS)
-def _stack_layout(n: int) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
-    """The identity matrix of each block width of unit_sum_blocks(n), and the
-    multiplicity of each value _stacked_eigenvalues lists; read-only.
+_Record = namedtuple("_Record", "blocks eyes mults floors")
 
-    Cached beside the blocks: building them per call made a one-alpha call
-    about a fifth slower (timings recorded in CHANGES.md).
-    """
-    blocks = unit_sum_blocks(n)
+
+@lru_cache(maxsize=_BLOCK_ORDERS)
+def _record(n: int) -> _Record:
+    """What the block route derives from odd n >= 3 alone, read-only: the
+    blocks, each width's identity, the multiplicity of each value
+    _stacked_eigenvalues lists and both families' floor terms."""
+    blocks = _build_blocks(n)
     eyes = tuple(np.eye(lsum.shape[-1]) for lsum, *_ in blocks)
     mults = np.concatenate([np.repeat(mult, lsum.shape[-1]) for lsum, _, _, mult in blocks])
-    for a in (*eyes, mults):
+    floors = tuple(_floor_terms(GraphSpec(FAMILY_UACG, n, comp)) for comp in (False, True))
+    for a in (*(a for block in blocks for a in block), *eyes, mults, *floors):
         a.setflags(write=False)
-    return eyes, mults
+    return _Record(blocks, eyes, mults, floors)
 
 
 def _alpha_blocks(spec: GraphSpec, alphas: np.ndarray, block: tuple, eye: np.ndarray) -> np.ndarray:
@@ -177,10 +180,9 @@ def _alpha_blocks(spec: GraphSpec, alphas: np.ndarray, block: tuple, eye: np.nda
     return a
 
 
-@lru_cache(maxsize=2 * _BLOCK_ORDERS)
 def _floor_terms(spec: GraphSpec) -> np.ndarray:
     """Rows multiplicity, t0, t1, rest, curve, vertex of _energy_floors, one
-    column per block wider than 1, in stack order; read-only.
+    column per block wider than 1, in stack order.
 
     On a block, C = A_alpha - (2*alpha*m/n) I = C0 + alpha C1 has trace
     t0 + alpha t1, and u, the entries of C or (c11 - c22, 2 c12) at width 2,
@@ -232,9 +234,7 @@ def _floor_terms(spec: GraphSpec) -> np.ndarray:
                 k00, k01, k11 = 2 * k00 - t0 * t0, 2 * k01 - t0 * t1, 2 * k11 - t1 * t1
             rest = (k00 * k11 - k01 * k01) / (k11 * n * n) if k11 else k00 / (n * n)
             columns.append((mult, t0 / n, t1 / n, rest, k11 / (n * n), -k01 / k11 if k11 else 0.0))
-    terms = np.array(columns, dtype=float).T.copy()
-    terms.setflags(write=False)
-    return terms
+    return np.array(columns, dtype=float).T.copy()
 
 
 def _energy_floors(spec: GraphSpec, alphas: Sequence[float]) -> np.ndarray:
@@ -250,13 +250,13 @@ def _energy_floors(spec: GraphSpec, alphas: Sequence[float]) -> np.ndarray:
     of alpha, so the floor is convex in alpha.  Its callers have routed
     spec, so it is not checked again.
     """
-    n = spec.n
+    record = _record(spec.n)
     a = np.asarray(alphas, dtype=float)
-    single = unit_sum_blocks(n)[0]
-    scalars = _alpha_blocks(spec, a.reshape(-1, 1, 1, 1), single, _stack_layout(n)[0][0])
-    shifts = 2.0 * a * edge_count(spec) / n
+    single = record.blocks[0]
+    scalars = _alpha_blocks(spec, a.reshape(-1, 1, 1, 1), single, record.eyes[0])
+    shifts = 2.0 * a * edge_count(spec) / spec.n
     floors = np.abs(scalars.reshape(len(a), -1) - shifts[:, None]) @ single[3].astype(float)
-    mult, t0, t1, rest, curve, vertex = _floor_terms(spec)
+    mult, t0, t1, rest, curve, vertex = record.floors[spec.complement]
     a = a[:, None]
     wide = np.maximum(np.abs(t0 + a * t1), np.sqrt(rest + curve * (a - vertex) ** 2))
     return floors + wide @ mult
@@ -275,10 +275,10 @@ def _stacked_eigenvalues(
     bit-identical to the values of that alpha alone.
     """
     alphas = np.asarray(alphas, dtype=float).reshape(-1, 1, 1, 1)
-    eyes, mults = _stack_layout(spec.n)
+    blocks, eyes, mults, _ = _record(spec.n)
     values = np.empty((len(alphas), mults.size))
     col = 0
-    for block, eye in zip(unit_sum_blocks(spec.n), eyes):
+    for block, eye in zip(blocks, eyes):
         count, width, _ = block[0].shape
         step = max(1, _BATCH_ELEMENTS // block[0].size)
         for start in range(0, len(alphas), step):

@@ -241,7 +241,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         raise ValueError(f"step {step} gives more than {MAX_SWEEP_POINTS} sweep steps")
     spec = parse_spec_label(args.family, args.n)
     alphas = []
-    while (a := start + len(alphas) * step) <= end + 1e-12:
+    # rounding slack past end, at most half a step so a tiny step cannot run on
+    while (a := start + len(alphas) * step) <= end + min(1e-12, step / 2):
         alphas.append(min(a, end))
     reports = _classify_all(spec, alphas)
     return _write(

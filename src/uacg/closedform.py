@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blocks import _stack_layout, _stacked_eigenvalues
+from .blocks import _record, _stacked_eigenvalues
 from .graphs import (
     FAMILY_COMPLETE,
     FAMILY_UNITARY_CAYLEY,
@@ -419,7 +419,7 @@ def _route(spec: GraphSpec) -> tuple[str, Callable, Callable[[Sequence[float]], 
         edges = edge_count(spec)
 
         def block_energies(alphas: Sequence[float]) -> list[float]:
-            weights = _stack_layout(n)[1].astype(float)
+            weights = _record(n).mults.astype(float)
             step, out = max(1, _BATCH_ELEMENTS // weights.size), []
             for start in range(0, len(alphas), step):
                 chunk = alphas[start : start + step]

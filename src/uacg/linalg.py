@@ -137,9 +137,7 @@ _BATCH_ELEMENTS = 2**17
 _HELD_ENTRIES = 2**13
 
 # Most orders whose layouts (_generators, _split) are cached, and the largest
-# order whose fold verification._order keeps for the process; a verify pass
-# at nmax = 201 keeps 200 of each.  The folds of every order up to 512 hold
-# 493,831 entries, about 6 MB (CHANGES.md records the layouts' size).
+# order whose fold verification._order keeps (README, "Per-process state").
 _LAYOUTS = 512
 
 

@@ -23,7 +23,7 @@ from uacg.analysis import _COARSE_ALPHAS, _classify_all, find_borderenergetic_al
 from uacg.blocks import (
     _BATCH_ELEMENTS,
     _energy_floors,
-    _floor_terms,
+    _record,
     _stacked_eigenvalues,
     block_eigenvalues,
     unit_sum_blocks,
@@ -266,12 +266,12 @@ class TestUnitSumBlocks:
     @pytest.mark.parametrize("n", [*range(3, 602, 2), 3375, 15015, 45045, 255255])
     def test_matches_kronecker_reference(self, n, monkeypatch):
         got = {}
-        for builder in (unit_sum_blocks, reference_unit_sum_blocks):
-            monkeypatch.setattr(blocks_mod, "unit_sum_blocks", builder)
-            # A fresh layout cache, so the identities and multiplicities
+        for builder in (blocks_mod._build_blocks, reference_unit_sum_blocks):
+            monkeypatch.setattr(blocks_mod, "_build_blocks", builder)
+            # A fresh record cache, so the identities and multiplicities
             # follow the swapped-in blocks.
-            layout = lru_cache(maxsize=64)(blocks_mod._stack_layout.__wrapped__)
-            monkeypatch.setattr(blocks_mod, "_stack_layout", layout)
+            record = lru_cache(maxsize=64)(blocks_mod._record.__wrapped__)
+            monkeypatch.setattr(blocks_mod, "_record", record)
             for comp in (False, True):
                 spec = GraphSpec(FAMILY_UACG, n, comp)
                 for alpha in (0.0, 0.3, 0.9999, 1.0):
@@ -301,6 +301,10 @@ class TestUnitSumBlocks:
             lsum[0, 0, 0] = 1.0
         with pytest.raises(ValueError):
             mults[0] = 1
+        blocks, eyes, mults, floors = _record(1155)
+        assert blocks is unit_sum_blocks(1155)
+        arrays = [*(a for block in blocks for a in block), *eyes, mults, *floors]
+        assert not any(a.flags.writeable for a in arrays)
 
     def test_block_eigenvalues_returns_its_own_multiplicities(self):
         spec = GraphSpec(FAMILY_UACG, 1155)
@@ -448,7 +452,7 @@ class TestEnergyFloors:
         for n in (*range(3, 2002, 2), 15015, 255255, 4849845, 111_546_435):
             spec = GraphSpec(FAMILY_UACG, n, comp)
             want = exact_floor_terms(spec)
-            got = _floor_terms(spec)
+            got = _record(n).floors[comp]
             assert got.shape == (6, len(want)), n
             wide = np.concatenate([mults for *_, mults in unit_sum_blocks(n)[1:]])
             assert np.array_equal(got[0], wide), n

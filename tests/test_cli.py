@@ -397,6 +397,28 @@ class TestSweepCommand:
         assert out == ""
         assert "more than 5 sweep steps" in err
 
+    @pytest.mark.parametrize(
+        "end, step, rows", [("0.10000000000000002", "1e-17", 3), ("0.1000000000001", "1e-14", 11)]
+    )
+    def test_tiny_step_adds_no_rows_past_the_guard(self, end, step, rows, monkeypatch):
+        # The loop's slack past alpha-end is at most half a step, not 1e-12,
+        # so a tiny step stops there; at 1e-17 two points round to alpha-end.
+        priced = []
+
+        def spy(spec, alphas):
+            priced.extend(alphas)
+            return _classify_all(spec, alphas)
+
+        monkeypatch.setattr(cli_mod, "_classify_all", spy)
+        code, out, _ = run_cli(
+            ["sweep", "--family", "complete", "--n", "5", "--alpha-start", "0.1",
+             "--alpha-end", end, "--step", step]
+        )
+        assert code == EXIT_OK
+        assert len(priced) == len(out.splitlines()) - 1 == rows
+        assert rows <= (float(end) - 0.1) / float(step) + 2
+        assert priced == sorted(priced) and priced[-1] == float(end)
+
     def test_end_at_one_rejected(self):
         code, _, _ = run_cli(
             ["sweep", "--family", "uacg", "--n", "9", "--alpha-start", "0",

@@ -733,7 +733,7 @@ class TestEnergyReport:
         # about 1 MB of values each.
         energies = _route(GraphSpec(FAMILY_UACG, 255255))[2]
         alphas = [i / 1000 for i in range(1000)]
-        first = energies(alphas[:1])  # the cached block layout, outside the trace
+        first = energies(alphas[:1])  # the order's cached record, outside the trace
         tracemalloc.start()
         try:
             got = energies(alphas)
