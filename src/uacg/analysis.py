@@ -21,9 +21,11 @@ import numpy as np
 
 from .blocks import _check_unit_sum, _energy_floors, _stacked_eigenvalues
 from .closedform import (
+    METHOD_CLOSED,
     METHOD_NUMERIC,
     METHOD_REGULAR,
     _complete_energy,
+    _prime_power_root_candidates,
     _ramanujan_pairs,
     _route,
 )
@@ -31,7 +33,7 @@ from .graphs import GraphSpec, _check_dense_order, edge_count
 # symmetric_eigenvalues has no caller here; perfbench's tracer test looks it
 # up in this namespace.
 from .linalg import _check_alpha, _check_tol, symmetric_eigenvalues  # noqa: F401
-from .numtheory import euler_phi
+from .numtheory import euler_phi, prime_power
 
 __all__ = [
     "BOUND_SLACK",
@@ -368,29 +370,36 @@ def find_borderenergetic_alphas(spec: GraphSpec, tol: float = 1e-12) -> list[flo
     The alpha energy is the trace norm of A_alpha - (2*alpha*m/n)*I, a matrix
     affine in alpha, so it is convex in alpha; the complete graph's energy is
     linear, so the gap between them is convex.  A convex gap has at most two
-    roots, or vanishes on a whole interval.
+    roots, or vanishes on a whole interval.  The gap counts as zero within
+    machine scale, touch = 1e-12 times the complete graph's energy at
+    alpha = 0, and is priced on the route that energy_report takes, so each
+    energy equals energy_report's for that alpha.  Results are ascending.
 
-    The gap counts as zero within machine scale, 1e-12 times the complete
-    graph's energy at alpha = 0.  It is sampled at the sixteenths of [0, 1)
-    and just under 1.  If every sample is zero the energies match identically
-    (the complete family itself, or orders where the graph is complete) and
-    the result is an empty list rather than a continuum.  While every sample
+    On the closed-form route (odd prime powers) the roots are solved, not
+    searched for: closedform._prime_power_root_candidates solves the linear
+    or quadratic equation of each piece of the gap exactly, and the
+    candidates at which the gap, priced in one batch, is within touch are
+    the roots, a candidate within tol of the one kept before it merged into
+    it.  They are the exact roots correctly rounded (2p/(3p - 2) for the
+    direct family at primes p >= 7), so tables 2 and 3 equal their bundled
+    fixtures to all 12 printed decimals.
+
+    On the numeric route the gap is searched.  It is sampled at the
+    sixteenths of [0, 1) and just under 1, in one batch, one stacked block
+    solve.  If every sample is zero the energies match identically and the
+    result is an empty list rather than a continuum.  While every sample
     is positive, the secants of neighbouring samples bound the gap from below
     on each interval between samples: if every bound is positive there is no
     root, and otherwise the intervals whose bound fails are halved and
-    sampled again.  This resolves tangent roots and two roots closer together
-    than any sample step, down to intervals of width tol.  Once a sample is
-    zero or negative, a zero sample is a root and each strict sign change is
-    bisected down to an interval of width tol.  Results are ascending.
+    sampled again, each round one more batch.  This resolves tangent roots
+    and two roots closer together than any sample step, down to intervals of
+    width tol.  Once a sample is zero or negative, a zero sample is a root
+    and each strict sign change is bisected down to an interval of width
+    tol.
 
-    The gap is evaluated a batch of alphas at a time, on the route that
-    energy_report takes: the coarse samples are one batch and each round of
-    midpoints is one more, so on the numeric route each is one stacked block
-    solve.  Each energy equals energy_report's for that alpha.
-
-    On the numeric route the same search first runs, with no eigensolve, on
-    the gap of a convex lower bound of the energy (blocks._energy_floors),
-    lowered by a relative 1e-9.  Against exact floors (rational terms,
+    That search first runs, with no eigensolve, on the gap of a convex
+    lower bound of the energy (blocks._energy_floors), lowered by a
+    relative 1e-9.  Against exact floors (rational terms,
     square roots to 50 digits) at alpha = i/40, i < 40, and 1 - 2**-10,
     the float floor is off by at most 1.0e-12 relative at the odd
     non-prime-power orders up to 2001, 2.1e-12 at 255,255 and 4.6e-10 at
@@ -399,12 +408,12 @@ def find_borderenergetic_alphas(spec: GraphSpec, tol: float = 1e-12) -> list[flo
     wider blocks' terms are within 1e-15.  So the margin covers the worst
     case about twice, not many times over.  If that search proves the gap
     above touch on all of [0, 1), so is the true gap and the result is [];
-    otherwise the search above runs unchanged.  The roots are the same
+    otherwise the search on the gap itself runs.  The roots are the same
     either way.
 
     On the regular-shortcut route the gap is (1 - alpha)*(E_0 - 2*(n - 1)),
     with E_0 the adjacency energy: zero on all of [0, 1) or nowhere, so the
-    result is [] unsampled (samples just under 1 fall within touch of zero).
+    result is [].
     """
     tol = _check_tol(tol)
     n = spec.n
@@ -416,8 +425,14 @@ def find_borderenergetic_alphas(spec: GraphSpec, tol: float = 1e-12) -> list[flo
     def gap_of(energies: Callable[[Sequence[float]], list[float]]) -> Callable:
         return lambda alphas: [e - _complete_energy(n, a) for e, a in zip(energies(alphas), alphas)]
 
-    if method == METHOD_NUMERIC:
-        floors = gap_of(lambda xs: (_energy_floors(spec, xs) * (1.0 - 1e-9)).tolist())
-        if _refine(floors, touch, tol)[2]:
-            return []
+    if method == METHOD_CLOSED:
+        alphas = _prime_power_root_candidates(*prime_power(n), spec.complement)
+        roots: list[float] = []
+        for alpha, gap in zip(alphas, gap_of(energies)(alphas)):
+            if abs(gap) <= touch and not (roots and alpha - roots[-1] <= tol):
+                roots.append(alpha)
+        return roots
+    floors = gap_of(lambda xs: (_energy_floors(spec, xs) * (1.0 - 1e-9)).tolist())
+    if _refine(floors, touch, tol)[2]:
+        return []
     return _convex_roots(gap_of(energies), touch, tol)

@@ -240,10 +240,14 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     if (end - start) / step > MAX_SWEEP_POINTS:
         raise ValueError(f"step {step} gives more than {MAX_SWEEP_POINTS} sweep steps")
     spec = parse_spec_label(args.family, args.n)
-    alphas = []
-    # rounding slack past end, at most half a step so a tiny step cannot run on
-    while (a := start + len(alphas) * step) <= end + min(1e-12, step / 2):
-        alphas.append(min(a, end))
+    alphas, k = [], 0
+    # rounding slack past end, at most half a step so a tiny step cannot run
+    # on; a step below the float spacing rounds onto the last alpha kept,
+    # which adds no row
+    while (a := start + k * step) <= end + min(1e-12, step / 2):
+        if not alphas or min(a, end) > alphas[-1]:
+            alphas.append(min(a, end))
+        k += 1
     reports = _classify_all(spec, alphas)
     return _write(
         args,

@@ -249,6 +249,59 @@ def _complement_prime_power_energy(p: int, m: int, alpha: float) -> float:
     return (p * n - n + alpha * (1.0 - p - 2.0 * q + 2.0 * n)) / p
 
 
+def _prime_power_root_candidates(p: int, m: int, complement: bool) -> list[float]:
+    """Sorted roots in [0, 1) of every piece of the prime-power gap
+    energy - 2*(1-alpha)*(n-1), on the formulas the route prices.
+
+    The gap is the largest of its pieces.  The tabulated complement is the
+    larger of its two lines (their slopes differ by 2*(n-1)/p > 0).
+    _uacg_prime_power_energy is lead + poly + (p-1)/(2p)*|M| +
+    max(y, |x - 2s|), with M = (n-p)*(1-alpha) - alpha, since
+    |low - s| + |high - s| = max(y, |x - 2s|) for the radical pair
+    (x -+ y)/2; its six pieces take one sign of M and one of y, x - 2s and
+    2s - x.  So every root of the gap is a root of a piece, and a root of a
+    piece is one of the gap only where that piece is the largest: the caller
+    keeps those by pricing the gap there.
+
+    Each piece has exact int coefficients (times p for the complement, 2p
+    for the direct family), so a line's root is one correctly rounded
+    int/int division.  The radical piece l0 + l1*alpha + 2p*y squares to an
+    integer quadratic, solved by the stable formula with an integer square
+    root carried 64 bits past the point; a root where l0 + l1*alpha > 0
+    belongs to no piece and fails the caller's test.
+    """
+    n = p**m
+    q = p ** (m - 1)
+    lines, quadratics = [], []
+    if complement:
+        lines += [(n * (1 - p), 2 * p * n - 3 * p - 2 * q + 3),
+                  (2 * p - n - p * n, 2 * p * n + 2 * n - 3 * p - 2 * q + 1)]
+    else:
+        g0 = p * (3 * n - 5 * q - p - 1) - 4 * p * (n - 1)
+        g1 = 9 * n - 3 * p * n - 4 * q + p * p - 2 * p + 1 + 4 * p * (n - 1)
+        x0, x1 = 2 * p * (n - 2 * q - 1), 2 * p * n - 4 * (n - 1) * (p - 1)
+        k = 4 * p * p  # (2p*y)**2 = k*((n*alpha + 1 - n)**2 + 4q*(1 - alpha))
+        for sign in (1, -1):
+            l0, l1 = g0 + sign * (p - 1) * (n - p), g1 - sign * (p - 1) * (n - p + 1)
+            lines += [(l0 + x0, l1 + x1), (l0 - x0, l1 - x1)]
+            quadratics.append((
+                k * n * n - l1 * l1,
+                k * (2 * n * (1 - n) - 4 * q) - 2 * l0 * l1,
+                k * ((n - 1) ** 2 + 4 * q) - l0 * l0,
+            ))
+    roots = [-c0 / c1 for c0, c1 in lines if c1]
+    for a, b, c in quadratics:
+        disc = b * b - 4 * a * c
+        if not a:
+            roots += [-c / b] if b else []
+        elif disc >= 0:
+            # u = -(b + sign(b)*sqrt(disc)) * 2**64 = 2t * 2**64: roots t/a and c/t
+            s = math.isqrt(disc << 128)
+            u = -((b << 64) + (s if b >= 0 else -s))
+            roots += [u / (a << 65), (c << 65) / u] if u else [0.0]
+    return sorted({r for r in roots if 0.0 <= r < 1.0})
+
+
 # ---------------------------------------------------------------------------
 # Regular cases: even-order unit-sum graphs and unitary Cayley graphs.
 

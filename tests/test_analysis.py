@@ -38,6 +38,7 @@ from uacg.analysis import (
 )
 from uacg.blocks import block_eigenvalues
 from uacg.closedform import (
+    METHOD_CLOSED,
     METHOD_REGULAR,
     _route,
     alpha_energy_from_values,
@@ -532,6 +533,49 @@ class TestRootFinder:
         assert 1 <= len(batches) <= 4
 
 
+# Every odd prime power up to 4097, then primes and prime powers up to 10**9.
+EXACT_ROOT_ORDERS = [q for q in range(3, 4098, 2) if prime_power(q) is not None] + [
+    1_000_003, 10_000_019, 100_000_007, 999_999_937, 3**18, 5**12, 7**10
+]
+
+
+class TestExactPrimePowerRoots:
+    """The closed-form route returns the exact root, correctly rounded,
+    within 4 ulps; each formula is one int/int division."""
+
+    @staticmethod
+    def assert_one_exact_root(spec, want):
+        roots = find_borderenergetic_alphas(spec)
+        assert len(roots) == 1, (spec, roots, want)
+        assert abs(roots[0] - want) <= 4 * math.ulp(want), (spec, roots, want)
+
+    def test_direct_family_at_primes(self):
+        primes = [p for p in EXACT_ROOT_ORDERS if p >= 7 and prime_power(p)[1] == 1]
+        assert len(primes) == 565
+        for p in primes:
+            self.assert_one_exact_root(GraphSpec(FAMILY_UACG, p), 2 * p / (3 * p - 2))
+
+    def test_tabulated_complement(self):
+        for n in EXACT_ROOT_ORDERS:
+            p, m = prime_power(n)
+            q = n // p
+            want = p / (2 * p + 1) if m == 1 else n * (p - 1) / (2 * p * n - 3 * p - 2 * q + 3)
+            self.assert_one_exact_root(GraphSpec(FAMILY_UACG, n, complement=True), want)
+
+    def test_candidates_are_priced_in_one_batch(self, monkeypatch):
+        batches = []
+        real = uacg.analysis._route
+
+        def spied(spec):
+            method, spectrum, energies = real(spec)
+            return method, spectrum, lambda xs: batches.append(list(xs)) or energies(xs)
+
+        monkeypatch.setattr(uacg.analysis, "_route", spied)
+        for comp in (False, True):
+            find_borderenergetic_alphas(GraphSpec(FAMILY_UACG, 27, comp))
+        assert len(batches) == 2 and all(0 < len(b) <= 8 for b in batches)
+
+
 def secant_floor(xs, vs, i):
     """_secant_floors for one interval, one line at a time: the reference."""
     lines = [
@@ -693,8 +737,11 @@ class TestRootFinderCrossCheck:
                 assert all(abs(g - w) <= 1e-9 for g, w in zip(got, want)), (spec, got, want)
 
     def test_batched_gap_matches_scalar_reference(self):
-        # _convex_roots fed one energy_report per alpha makes the same
-        # decisions, so the roots agree bit for bit.
+        # Off the closed-form route, _convex_roots fed one energy_report per
+        # alpha makes the same decisions, so the roots agree bit for bit.  The
+        # closed-form route solves its pieces instead of searching: the same
+        # number of roots, each within 2e-9 of the search's and a zero of the
+        # same gap within touch.
         specs = [
             GraphSpec(family, n, complement_flag)
             for family in (FAMILY_UACG, FAMILY_UNITARY_CAYLEY, FAMILY_COMPLETE)
@@ -713,8 +760,15 @@ class TestRootFinderCrossCheck:
             def scalar_gaps(alphas):
                 return [energy_report(spec, a).energy - complete_energy(n, a) for a in alphas]
 
-            want = _convex_roots(scalar_gaps, 1e-12 * max(1.0, 2.0 * (n - 1.0)), 1e-12)
-            assert find_borderenergetic_alphas(spec) == want, spec
+            touch = 1e-12 * max(1.0, 2.0 * (n - 1.0))
+            want = _convex_roots(scalar_gaps, touch, 1e-12)
+            got = find_borderenergetic_alphas(spec)
+            if _route(spec)[0] != METHOD_CLOSED:
+                assert got == want, spec
+                continue
+            assert len(got) == len(want), (spec, got, want)
+            assert all(abs(g - w) <= 2e-9 for g, w in zip(got, want)), (spec, got, want)
+            assert all(abs(gap) <= touch for gap in scalar_gaps(got)), (spec, got)
 
     def test_floor_certificate_keeps_every_root_list(self):
         # On every odd non-prime-power order the result equals the search on

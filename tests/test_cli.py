@@ -324,6 +324,17 @@ class TestTableCommand:
             assert float(row["alpha"]) == pytest.approx(float(want["alpha"]), abs=1e-9)
             assert float(row["energy"]) == pytest.approx(float(want["energy"]), abs=1e-8)
 
+    @pytest.mark.parametrize("which", [2, 3])
+    def test_root_table_equals_fixture_cell_for_cell(self, which):
+        # Every root is the exact one correctly rounded, so every printed
+        # cell, energies included, equals the reference's as a float.
+        _, out, _ = run_cli(["table", "--which", str(which)])
+        rows = [list(row.values()) for row in csv.DictReader(StringIO(out))]
+        want = [list(row.values()) for row in read_fixture(f"table{which}.csv")]
+        assert len(rows) == len(want)
+        for got_row, want_row in zip(rows, want):
+            assert list(map(float, got_row)) == list(map(float, want_row)), (got_row, want_row)
+
     def test_table_json_shape(self):
         code, out, _ = run_cli(["table", "--which", "3", "--format", "json"])
         assert code == EXIT_OK
@@ -398,11 +409,18 @@ class TestSweepCommand:
         assert "more than 5 sweep steps" in err
 
     @pytest.mark.parametrize(
-        "end, step, rows", [("0.10000000000000002", "1e-17", 3), ("0.1000000000001", "1e-14", 11)]
+        "end, step, rows",
+        [
+            ("0.10000000000000002", "1e-17", 2),
+            ("0.10000000000000002", "1e-20", 2),
+            ("0.1000000000001", "1e-14", 11),
+        ],
     )
     def test_tiny_step_adds_no_rows_past_the_guard(self, end, step, rows, monkeypatch):
         # The loop's slack past alpha-end is at most half a step, not 1e-12,
-        # so a tiny step stops there; at 1e-17 two points round to alpha-end.
+        # so a tiny step stops there.  A step below the float spacing rounds
+        # onto the alpha before it, which is priced once: one row for
+        # alpha-start and one for alpha-end, at 1e-17 and at 1e-20 alike.
         priced = []
 
         def spy(spec, alphas):
@@ -417,7 +435,7 @@ class TestSweepCommand:
         assert code == EXIT_OK
         assert len(priced) == len(out.splitlines()) - 1 == rows
         assert rows <= (float(end) - 0.1) / float(step) + 2
-        assert priced == sorted(priced) and priced[-1] == float(end)
+        assert priced == sorted(set(priced)) and priced[-1] == float(end)
 
     def test_end_at_one_rejected(self):
         code, _, _ = run_cli(
