@@ -97,18 +97,22 @@ def _check_odd_prime_power(p: int, m: int) -> tuple[int, int]:
 def _spectrum_from_pairs(
     values: np.ndarray, counts: np.ndarray, tol: float = _CLOSED_GROUP_TOL
 ) -> Spectrum:
-    """values[i] taken counts[i] times, grouped at tol without the repeats;
-    zero counts drop out."""
+    """values[0, i] taken counts[i] times, the first row of a route's
+    spectrum (see _route), grouped at tol without the repeats; zero counts
+    drop out."""
+    values = values[0]
     order = np.argsort(values)[::-1]
     order = order[counts[order] > 0]
     return _group(values[order], counts[order], tol)
 
 
-def _pairs(families: list[tuple[float, int]], n: int) -> tuple[np.ndarray, np.ndarray]:
-    """(values, counts) arrays of (value, count) families that count n."""
-    values, counts = zip(*families)
+def _pairs(families: Callable, xs: Sequence, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(values (k, F), counts (F,)) arrays of the F (value, count) pairs
+    families(alpha) gives at each alpha in xs, as a float; they count n."""
+    rows = [families(alpha) for alpha in map(float, xs)]
+    counts = [count for _, count in rows[0]]
     assert sum(counts) == n
-    return np.array(values, dtype=float), np.array(counts, dtype=np.int64)
+    return np.array([[value for value, _ in row] for row in rows]), np.array(counts, dtype=np.int64)
 
 
 def build_alpha_matrix(g: Graph, alpha: float) -> np.ndarray:
@@ -164,23 +168,28 @@ def uacg_prime_power_spectrum(p: int, m: int, alpha: float) -> Spectrum:
     the quadratic coming from the non-regular part of the graph.
     """
     p, m = _check_odd_prime_power(p, m)
-    return _spectrum_from_pairs(*_uacg_prime_power_pairs(p, m, _check_alpha(alpha, allow_one=True)))
+    alpha = _check_alpha(alpha, allow_one=True)
+    return _spectrum_from_pairs(*_uacg_prime_power_pairs(p, m, (alpha,)))
 
 
-def _uacg_prime_power_pairs(p: int, m: int, alpha: float) -> tuple[np.ndarray, np.ndarray]:
-    """uacg_prime_power_spectrum's families as ungrouped (values, counts), unchecked."""
+def _uacg_prime_power_pairs(p: int, m: int, xs: Sequence) -> tuple[np.ndarray, np.ndarray]:
+    """uacg_prime_power_spectrum's families at each alpha in xs as ungrouped
+    (values, counts), unchecked."""
     n = p**m
     q = p ** (m - 1)
-    low_root, high_root = _radical_pair(p, m, alpha)
-    families = [
-        (q * (p * alpha - 1.0) - 1.0, (p - 3) // 2),
-        (low_root, 1),
-        (q * (p - 1.0) * alpha - 1.0, (p - 1) * (q - 1)),
-        (alpha * (n - q), q - 1),
-        (q * ((p - 2.0) * alpha + 1.0) - 1.0, (p - 1) // 2),
-        (high_root, 1),
-    ]
-    return _pairs(families, n)
+
+    def families(alpha: float) -> list[tuple[float, int]]:
+        low_root, high_root = _radical_pair(p, m, alpha)
+        return [
+            (q * (p * alpha - 1.0) - 1.0, (p - 3) // 2),
+            (low_root, 1),
+            (q * (p - 1.0) * alpha - 1.0, (p - 1) * (q - 1)),
+            (alpha * (n - q), q - 1),
+            (q * ((p - 2.0) * alpha + 1.0) - 1.0, (p - 1) // 2),
+            (high_root, 1),
+        ]
+
+    return _pairs(families, xs, n)
 
 
 def uacg_prime_power_energy(p: int, m: int, alpha: float) -> float:
@@ -211,20 +220,24 @@ def complement_prime_power_spectrum(p: int, m: int, alpha: float) -> Spectrum:
     """
     p, m = _check_odd_prime_power(p, m)
     alpha = _check_alpha(alpha, allow_one=True)
-    return _spectrum_from_pairs(*_complement_prime_power_pairs(p, m, alpha))
+    return _spectrum_from_pairs(*_complement_prime_power_pairs(p, m, (alpha,)))
 
 
-def _complement_prime_power_pairs(p: int, m: int, alpha: float) -> tuple[np.ndarray, np.ndarray]:
-    """complement_prime_power_spectrum's families as (values, counts), unchecked."""
+def _complement_prime_power_pairs(p: int, m: int, xs: Sequence) -> tuple[np.ndarray, np.ndarray]:
+    """complement_prime_power_spectrum's families at each alpha in xs as
+    (values, counts), unchecked."""
     q = p ** (m - 1)
-    families = [
-        ((2.0 * alpha - 1.0) * q, (p - 1) // 2),
-        (alpha * q - 1.0, q - 1),
-        (alpha * q, (p - 1) * (q - 1)),
-        (q - 1.0, 1),
-        (float(q), (p - 1) // 2),
-    ]
-    return _pairs(families, p**m)
+
+    def families(alpha: float) -> list[tuple[float, int]]:
+        return [
+            ((2.0 * alpha - 1.0) * q, (p - 1) // 2),
+            (alpha * q - 1.0, q - 1),
+            (alpha * q, (p - 1) * (q - 1)),
+            (q - 1.0, 1),
+            (float(q), (p - 1) // 2),
+        ]
+
+    return _pairs(families, xs, p**m)
 
 
 def complement_prime_power_energy(p: int, m: int, alpha: float) -> float:
@@ -333,13 +346,14 @@ def _ramanujan_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
 def unitary_cayley_spectrum(n: int, alpha: float) -> Spectrum:
     """Alpha-matrix spectrum of the unitary Cayley graph: alpha*phi + (1-alpha)*c(k, n)."""
     n = _check_int(n, "n", 2)
-    return _spectrum_from_pairs(*_unitary_cayley_pairs(n, _check_alpha(alpha, allow_one=True)))
+    return _spectrum_from_pairs(*_unitary_cayley_pairs(n, (_check_alpha(alpha, allow_one=True),)))
 
 
-def _unitary_cayley_pairs(n: int, alpha: float) -> tuple[np.ndarray, np.ndarray]:
-    """unitary_cayley_spectrum as ungrouped (values, counts), unchecked."""
-    sums, counts = _ramanujan_pairs(n)
-    return alpha * euler_phi(n) + (1.0 - alpha) * sums, counts
+def _unitary_cayley_pairs(n: int, xs: Sequence) -> tuple[np.ndarray, np.ndarray]:
+    """unitary_cayley_spectrum at each alpha in xs as ungrouped (values,
+    counts), unchecked, from one _ramanujan_pairs."""
+    sums, counts, phi = *_ramanujan_pairs(n), euler_phi(n)
+    return np.array([alpha * phi + (1.0 - alpha) * sums for alpha in map(float, xs)]), counts
 
 
 def complement_unitary_cayley_spectrum(n: int, alpha: float) -> Spectrum:
@@ -352,15 +366,16 @@ def complement_unitary_cayley_spectrum(n: int, alpha: float) -> Spectrum:
     """
     n = _check_int(n, "n", 2)
     alpha = _check_alpha(alpha, allow_one=True)
-    return _spectrum_from_pairs(*_complement_unitary_cayley_pairs(n, alpha))
+    return _spectrum_from_pairs(*_complement_unitary_cayley_pairs(n, (alpha,)))
 
 
-def _complement_unitary_cayley_pairs(n: int, alpha: float) -> tuple[np.ndarray, np.ndarray]:
-    """complement_unitary_cayley_spectrum as ungrouped (values, counts), unchecked."""
-    phi = euler_phi(n)
-    sums, counts = _ramanujan_pairs(n)
-    rest = alpha * (n - phi) - (1.0 - alpha) * sums[:-1] - 1.0
-    return np.append(rest, n - 1.0 - phi), np.append(counts[:-1], 1)
+def _complement_unitary_cayley_pairs(n: int, xs: Sequence) -> tuple[np.ndarray, np.ndarray]:
+    """complement_unitary_cayley_spectrum at each alpha in xs as ungrouped
+    (values, counts), unchecked."""
+    sums, counts, phi = *_ramanujan_pairs(n), euler_phi(n)
+    values = np.array([alpha * (n - phi) - (1.0 - alpha) * sums - 1.0 for alpha in map(float, xs)])
+    values[:, -1] = n - 1.0 - phi
+    return values, np.append(counts[:-1], 1)
 
 
 def unitary_cayley_adjacency_energy(n: int) -> int:
@@ -390,12 +405,12 @@ def complement_unitary_cayley_adjacency_energy(n: int) -> int:
 
 def complete_spectrum(n: int, alpha: float) -> Spectrum:
     n = _check_int(n, "n", 2)
-    return _spectrum_from_pairs(*_complete_pairs(n, _check_alpha(alpha, allow_one=True)))
+    return _spectrum_from_pairs(*_complete_pairs(n, (_check_alpha(alpha, allow_one=True),)))
 
 
-def _complete_pairs(n: int, alpha: float) -> tuple[np.ndarray, np.ndarray]:
-    """complete_spectrum as ungrouped (values, counts), unchecked."""
-    return _pairs([(float(n - 1), 1), (alpha * n - 1.0, n - 1)], n)
+def _complete_pairs(n: int, xs: Sequence) -> tuple[np.ndarray, np.ndarray]:
+    """complete_spectrum at each alpha in xs as ungrouped (values, counts), unchecked."""
+    return _pairs(lambda alpha: [(float(n - 1), 1), (alpha * n - 1.0, n - 1)], xs, n)
 
 
 def complete_energy(n: int, alpha: float) -> float:
@@ -413,7 +428,7 @@ def _complete_energy(n: int, alpha: float) -> float:
 
 
 def _route(spec: GraphSpec) -> tuple[str, Callable, Callable[[Sequence[float]], list[float]]]:
-    """(method, spectrum(alpha), energies(alphas)) for the route that covers spec.
+    """(method, spectrum(alphas), energies(alphas)) for the route that covers spec.
 
     This is the one place that splits specs into routes.  Complete and
     unitary Cayley graphs are regular with known eigenvalues, and even-order
@@ -423,13 +438,15 @@ def _route(spec: GraphSpec) -> tuple[str, Callable, Callable[[Sequence[float]], 
     other spec is an odd-order unit-sum spec on the numeric route, solved by
     the block eigensolver.
 
-    The spectrum callable takes a float alpha in [0, 1], checked by the
-    caller, and returns the eigenvalues ungrouped on every route: arrays
-    (values, counts), values[i] taken counts[i] times, in no set order,
-    zero counts allowed.  The formula routes give their families, the
-    numeric route its blocks' values and multiplicities.  spectrum_for and
-    the public *_spectrum functions group these pairs; verification expands
-    them.
+    The spectrum callable takes a non-empty sequence of float alphas in
+    [0, 1], checked by the caller, and returns the eigenvalues ungrouped on
+    every route: arrays (values (k, F), counts (F,)), values[k, i] taken
+    counts[i] times at the k-th alpha, in no set order, zero counts
+    allowed.  The formula routes give their families alpha by alpha from
+    inputs built once per call (the regular route's Ramanujan pairs), the
+    numeric route one stacked block solve's values and multiplicities; each
+    row equals that alpha's alone.  spectrum_for and the public *_spectrum
+    functions group row 0; verification expands every row.
 
     The energies callable maps a sequence of float alphas in [0, 1) to a
     list of energies and checks nothing: energy_report and
@@ -448,12 +465,12 @@ def _route(spec: GraphSpec) -> tuple[str, Callable, Callable[[Sequence[float]], 
         if spec.complement:  # edgeless
             return (
                 METHOD_REGULAR,
-                lambda a: (np.zeros(1), np.array([n], dtype=np.int64)),
+                lambda xs: (np.zeros((len(xs), 1)), np.array([n], dtype=np.int64)),
                 lambda xs: [0.0] * len(xs),
             )
         return (
             METHOD_REGULAR,
-            lambda a: _complete_pairs(n, a),
+            lambda xs: _complete_pairs(n, xs),
             lambda xs: [_complete_energy(n, a) for a in xs],
         )
     if spec.family == FAMILY_UNITARY_CAYLEY or n % 2 == 0:
@@ -464,7 +481,7 @@ def _route(spec: GraphSpec) -> tuple[str, Callable, Callable[[Sequence[float]], 
         )
         return (
             METHOD_REGULAR,
-            lambda a: spectrum(n, a),
+            lambda xs: spectrum(n, xs),
             lambda xs: [(1.0 - a) * e for e in (float(eps0(n)),) for a in xs],
         )
     pp = prime_power(n)
@@ -481,11 +498,7 @@ def _route(spec: GraphSpec) -> tuple[str, Callable, Callable[[Sequence[float]], 
                 out += [float(weights @ row) for row in np.abs(vals - shifts[:, None])]
             return out
 
-        def block_spectrum(alpha: float) -> tuple[np.ndarray, np.ndarray]:
-            (values,), mults = _stacked_eigenvalues(spec, (alpha,))
-            return values, mults
-
-        return METHOD_NUMERIC, block_spectrum, block_energies
+        return METHOD_NUMERIC, lambda xs: _stacked_eigenvalues(spec, xs), block_energies
     p, m = pp
     spectrum, energy = (
         (_complement_prime_power_pairs, _complement_prime_power_energy)
@@ -494,7 +507,7 @@ def _route(spec: GraphSpec) -> tuple[str, Callable, Callable[[Sequence[float]], 
     )
     return (
         METHOD_CLOSED,
-        lambda a: spectrum(p, m, a),
+        lambda xs: spectrum(p, m, xs),
         lambda xs: [energy(p, m, a) for a in xs],
     )
 
@@ -530,12 +543,12 @@ def spectrum_for(
         return group_spectrum(vals, group_tol), "numeric"
     route, spectrum, _ = _route(spec)
     if route != METHOD_NUMERIC:
-        return _spectrum_from_pairs(*spectrum(alpha)), "closed"
+        return _spectrum_from_pairs(*spectrum((alpha,))), "closed"
     if method == "closed":
         raise ClosedFormUnavailable(
             f"no exact spectrum for {spec.label()} with n={spec.n} (odd, not a prime power)"
         )
-    return _spectrum_from_pairs(*spectrum(alpha), group_tol), "numeric"
+    return _spectrum_from_pairs(*spectrum((alpha,)), group_tol), "numeric"
 
 
 @dataclass(frozen=True)

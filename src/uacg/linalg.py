@@ -8,10 +8,11 @@ may keep it (verification keeps the fold of each order up to _LAYOUTS for
 the process).
 _alpha_eigenvalues (symmetric_eigenvalues is its row at alpha = 0) takes
 folds and, on every call, forms each alpha's blocks from them and solves
-them: it hands each width of blocks above 2 to LAPACK through
-numpy.linalg.eigvalsh, and solves 1- and 2-wide blocks, most of them at the
-orders verify reaches, in closed form (see _values).  Nothing that depends
-on alpha is kept.  The FFT formula for the eigenvalues of a
+them, a chunk of folds at a time (_solve_chunk): one call per block width
+and dtype, a (blocks, w, w) stack to LAPACK through numpy.linalg.eigvalsh
+for widths above 2, and 1- and 2-wide blocks, most of them at the orders
+verify reaches, in closed form (see _values).  Nothing that depends on
+alpha is kept.  The FFT formula for the eigenvalues of a
 symmetric left circulant (left_circulant_eigenvalues) is the reference the
 interval tests compare against.
 
@@ -43,20 +44,20 @@ lambda for the graph's values lambda: _alpha_eigenvalues solves the
 graph's blocks and the complement's trivial block alone, from one check
 and one fold of the graph.  That holds at every order: an unsplit graph's
 one block is the trivial group's, the whole matrix, so there the
-complement's trivial block is J - I - A and nothing is reflected.  It
-takes many graphs at once and solves the blocks of consecutive graphs
-together, one call per block width and dtype (see _solve_stacks); each
-row depends on its matrix and alpha alone.
+complement's trivial block is J - I - A and nothing is reflected.  Each
+block is solved on its own, so each row depends on its matrix and alpha
+alone.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
-from collections import defaultdict, deque
+from collections import defaultdict
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import lru_cache
+from itertools import accumulate
 
 import numpy as np
 
@@ -132,9 +133,9 @@ def _check_alpha(alpha: float, *, allow_one: bool) -> float:
 # its verify and root-scan sweep is recorded in CHANGES.md.
 _BATCH_ELEMENTS = 2**17
 
-# Block entries of consecutive graphs _alpha_eigenvalues holds before it
-# solves them together; its time and peak-RSS sweep is recorded in CHANGES.md.
-_HELD_ENTRIES = 2**13
+# Block entries, over every alpha, of the folds _alpha_eigenvalues forms and
+# solves as one chunk; its time and peak-RSS sweep is recorded in CHANGES.md.
+_HELD_ENTRIES = 2**15
 
 # Most orders whose layouts (_generators, _split) are cached, and the largest
 # order whose fold verification._order keeps (README, "Per-process state").
@@ -144,7 +145,7 @@ _LAYOUTS = 512
 def symmetric_eigenvalues(a: np.ndarray) -> np.ndarray:
     """All n eigenvalues of a real symmetric (n, n) matrix, sorted descending:
     the one row of _alpha_eigenvalues at alpha = 0 of its fold with zero
-    degrees, whose stack is the fold itself (see _alpha_stack).
+    degrees, whose stack is the fold itself (see _formed).
 
     The matrix must be one non-empty matrix, not a stack, of finite real
     numbers (see _real_array), exactly symmetric, else ValueError.
@@ -166,48 +167,46 @@ def _alpha_eigenvalues(
     J - I - adjacency and n - 1 - degrees, for a true one (which needs a
     fold prepared with complement).
 
-    Every stack is formed from the folds and solved on every call (see
-    _at_alphas); the folds are only read.  The formed stacks of consecutive
-    graphs are held up to _HELD_ENTRIES block entries and solved together,
-    one _values call per block width and dtype (see _solve_stacks): each
-    block is solved on its own, on the LAPACK routine its dtype takes alone,
-    so a row depends on its matrix and alpha alone, not on the other graphs
-    or alphas of the call.
+    Consecutive folds are held until their blocks at every alpha reach
+    _HELD_ENTRIES entries, then solved as one chunk (_solve_chunk); a fold
+    past that bound alone is a chunk of its own, solved for at most
+    _BATCH_ELEMENTS entries of alphas at a time.  The folds are only read.
+    Each block is solved on its own, on the LAPACK routine its dtype takes
+    alone, so a row depends on its matrix and alpha alone, not on the other
+    graphs or alphas of the call.
     """
-    x = np.array(alphas, dtype=float).reshape(-1, 1)
-    held, size, waiting = [], 0, deque()
-    for pieces, rows in map(partial(_at_alphas, x=x, flags=tuple(flags)), folds):
-        solved = []
-        waiting.append((rows, solved))
-        for stacks in pieces():
-            held.append(stacks)
-            solved.append(stacks)
-            size += sum(s.size for s in stacks)
-            if size >= _HELD_ENTRIES:
-                _solve_stacks(held)
-                held, size = [], 0
-        while waiting and not held:  # every graph taken so far is solved
-            rows, solved = waiting.popleft()
-            yield rows(solved)
-    _solve_stacks(held)
-    for rows, solved in waiting:
-        yield rows(solved)
+    x, flags = np.array(alphas, dtype=float).reshape(-1, 1), tuple(flags)
+    held, size, reflect = [], 0, True in flags
+    for fold in folds:
+        entries = len(x) * (fold.flat.size + (fold.dt.size**2 if reflect else 0))
+        if entries > _HELD_ENTRIES:
+            yield from _solve_chunk(held, x, flags)
+            held, size, step = [], 0, max(1, _BATCH_ELEMENTS * len(x) // entries)
+            parts = [_solve_chunk([fold], x[a : a + step], flags)[0]
+                     for a in range(0, len(x), step)]
+            rows = np.concatenate([p.reshape(len(flags), -1, fold.n) for p in parts], axis=1)
+            yield rows.reshape(-1, fold.n)
+            continue
+        held.append(fold)
+        size += entries
+        if size >= _HELD_ENTRIES:
+            yield from _solve_chunk(held, x, flags)
+            held, size = [], 0
+    yield from _solve_chunk(held, x, flags)
 
 
 @dataclass(frozen=True)
 class _Fold:
     """One graph's alpha-independent fold (see _prepare).  Its arrays are
     read-only, so a cache can hand one fold to every caller; degrees is a
-    view of the degrees _prepare was given and on_diagonal of the split's
-    cached index, the others are the fold's own."""
+    view of the degrees _prepare was given, the others are the fold's own."""
 
     n: int
     degrees: np.ndarray  # the graph's degrees
     blocks: tuple  # the split's (width, count, twins) per block width
     flat: np.ndarray  # every block's entries, laid out as _fold lays them out
-    on_diagonal: np.ndarray  # the positions of the blocks' diagonal entries in flat
-    ds: np.ndarray  # the degrees at those positions
-    column: int  # where the trivial block's values start among _unsorted's
+    ds: np.ndarray  # the degrees on the blocks' rows
+    column: int  # where the trivial block's values start among a row's unsorted values
     trivial: np.ndarray | None  # the complement's trivial block, flattened
     dt: np.ndarray | None  # the complement's degrees on its rows
 
@@ -215,8 +214,8 @@ class _Fold:
 def _prepare(adjacency: np.ndarray, degrees: np.ndarray, complement: bool = False) -> _Fold:
     """One graph checked, split and folded, the work of _alpha_eigenvalues
     that does not depend on alpha: the symmetry and finiteness checks, the
-    split (_invariant_split), the fold (_fold) and the degrees at the
-    blocks' diagonal positions.
+    split (_invariant_split), the fold (_fold) and the degrees on the
+    blocks' rows.
 
     With complement, the fold also holds the complement's trivial block,
     J_0 - I - A_0 at the position the split records: A_0 read from the
@@ -231,69 +230,73 @@ def _prepare(adjacency: np.ndarray, degrees: np.ndarray, complement: bool = Fals
         raise ValueError("matrix is not symmetric")
     split = _invariant_split(a, d)
     reps, elems, _, _, root, (row, column, entry), blocks, index = split
-    n, r, w = a.shape[-1], _rows(blocks), reps.size
+    n, w = a.shape[-1], reps.size
     flat, trivial, dt = _fold(a, split)[0], None, None
     if complement:
         ys = index[row : row + w]  # the trivial block's rows: every orbit
         trivial = elems.size * np.outer(root[ys], root[ys]).ravel() - flat[entry : entry + w * w]
         trivial[:: w + 1] -= 1.0
         dt = (n - 1 - d)[reps[ys]]
-    ds = d[reps[index[:r]]]
-    fold = _Fold(n, d.view(), blocks, flat, index[r : 2 * r], ds, column, trivial, dt)
+    fold = _Fold(n, d.view(), blocks, flat, d[reps[index[: _rows(blocks)]]], column, trivial, dt)
     for arr in (fold.degrees, flat, fold.ds, trivial, dt):
         if arr is not None:
             arr.setflags(write=False)
     return fold
 
 
-def _at_alphas(fold: _Fold, x: np.ndarray, flags: tuple) -> tuple:
-    """One fold of _alpha_eigenvalues at the alphas in x (a (k, 1) array),
-    as (pieces, rows): pieces() yields the stacks to solve for each chunk
-    of the alphas, at most _BATCH_ELEMENTS block entries or one alpha;
-    rows(values) takes the values of every chunk's stacks (each stack's
-    shape less its last axis) to the graph's rows.
-
-    A chunk's stacks are each block width's (chunk, count, w, w) stack, an
-    alpha's blocks (1 - alpha)*A_chi + alpha*diag(d_chi) formed for every
-    block at once from the flat fold (see _alpha_stack); for a true flag
-    one more stack holds the complement's trivial block, formed alike from
-    the fold's.  Nothing here is kept past the call.
-    """
-    n, blocks, column, reflect = fold.n, fold.blocks, fold.column, True in flags
-    w = fold.dt.size if reflect else 0
-    step = max(1, _BATCH_ELEMENTS // (fold.flat.size + w * w))
-
-    def pieces() -> Iterator[list]:
-        for start in range(0, len(x), step):
-            chunk = x[start : start + step]
-            stacks = _stacks(_alpha_stack(chunk, fold.flat, fold.on_diagonal, fold.ds), blocks)
-            if reflect:
-                t = _alpha_stack(chunk, fold.trivial, np.s_[:: w + 1], fold.dt)
-                stacks.append(t.reshape(-1, 1, w, w))
-            yield stacks
-
-    def rows(solved: list) -> np.ndarray:
-        vals = np.concatenate([_unsorted(v[: len(blocks)], blocks) for v in solved])
+def _solve_chunk(folds: list[_Fold], x: np.ndarray, flags: tuple) -> list[np.ndarray]:
+    """Each fold's rows at the alphas in x (a (k, 1) array), as
+    _alpha_eigenvalues yields them.  Every block of every fold, and for a
+    true flag each complement's trivial block, joins the group of its width
+    and dtype, formed at every alpha at once (_formed) and solved by one
+    _values call.  A fold's rows are laid out from its slices of the solved
+    values: width by width, each width's first twins blocks counted twice
+    after its blocks, the complement's other values reflected as c -
+    lambda, and each row sorted."""
+    reflect, groups = True in flags, defaultdict(list)
+    for fold in folds:
+        at = row = 0
+        for w, count, _ in fold.blocks:
+            entries, ds = fold.flat[at : at + count * w * w], fold.ds[row : row + count * w]
+            groups[w, fold.flat.dtype].append((entries, ds))
+            at, row = at + entries.size, row + ds.size
         if reflect:
-            comp = (x * (n - 1.0) - (1.0 - x)) - vals
-            comp[:, column : column + w] = np.concatenate([v[-1] for v in solved]).reshape(-1, w)
-        out = np.stack([comp if flag else vals for flag in flags])
-        out.sort(axis=-1)
-        return out[..., ::-1].reshape(-1, n).copy()
+            groups[fold.dt.size, fold.trivial.dtype].append((fold.trivial, fold.dt))
+    solved = {}  # each group's values, one (k, values) slice per member, in order
+    for (w, dtype), members in groups.items():
+        values = _values(_formed(members, w, x)).reshape(len(x), -1)
+        ends = list(accumulate(d.size for _, d in members))
+        solved[w, dtype] = iter([values[:, a:b] for a, b in zip([0, *ends], ends)])
+    out = []
+    for fold in folds:
+        vals = []
+        for w, _, twins in fold.blocks:
+            v = next(solved[w, fold.flat.dtype])
+            vals += [v, v[:, : twins * w]]
+        vals = np.concatenate(vals, axis=1)
+        if reflect:
+            comp, w = (x * (fold.n - 1.0) - (1.0 - x)) - vals, fold.dt.size
+            comp[:, fold.column : fold.column + w] = next(solved[w, fold.trivial.dtype])
+        rows = np.stack([comp if flag else vals for flag in flags])
+        rows.sort(axis=-1)
+        out.append(rows[..., ::-1].reshape(-1, fold.n).copy())
+    return out
 
-    return pieces, rows
 
-
-def _alpha_stack(chunk: np.ndarray, entries: np.ndarray, diagonal, degrees: np.ndarray) -> np.ndarray:
-    """(1 - alpha)*entries with alpha*degrees added at the diagonal
-    positions, one row per alpha of the (k, 1) chunk.  When every alpha is
-    0, the read-only entries themselves, repeated by a view (equal to the
-    formed stack but for the sign of a zero): no copy of the fold is made,
-    and an unsplit fold is the whole matrix."""
-    if not chunk.any():
-        return np.broadcast_to(entries, (len(chunk), entries.size))
-    s = (1.0 - chunk) * entries  # one row per alpha
-    s[:, diagonal] += chunk * degrees
+def _formed(members: list, w: int, x: np.ndarray) -> np.ndarray:
+    """(1 - alpha)*B + alpha*diag(d) for each (entries, degrees) member, B
+    its w-wide blocks flattened and d their rows' degrees, at each alpha of
+    the (k, 1) x: one (k * blocks, w, w) stack, alpha by alpha, from one
+    product and one diagonal add (every (w + 1)-th entry of each block).
+    When every alpha is 0, the joined entries, once per alpha (equal to the
+    formed stack but for the sign of a zero): at one alpha a lone member,
+    such as an unsplit fold's whole matrix, is not copied."""
+    entries = np.concatenate([e for e, _ in members]) if len(members) > 1 else members[0][0]
+    if not x.any():
+        return (entries if len(x) == 1 else np.tile(entries, len(x))).reshape(-1, w, w)
+    degrees = np.concatenate([d for _, d in members]) if len(members) > 1 else members[0][1]
+    s = ((1.0 - x) * entries).reshape(-1, w, w)  # alpha by alpha
+    s.reshape(len(x), -1, w * w)[:, :, :: w + 1] += x[:, :, None] * degrees.reshape(-1, w)
     return s
 
 
@@ -367,25 +370,23 @@ def _split(n: int, gens: tuple[int, ...]) -> tuple:
     Those of G are exp(-2*pi*i*j*a/lam) * chars[c, b]; j and lam - j give
     conjugate blocks with the same values, so only j <= lam/2 are kept.
     blocks holds (width, count, twins) per width, twins the leading blocks
-    that stand for a conjugate pair; index, one int32 array of three
-    parts, the blocks taken width by width in each: the indices y into reps
-    of each block's rows (_rows(blocks) of them), the positions of the
-    blocks' diagonal entries in their flattened entries (as many), and the
-    offsets (k*r + y)*r + x of those entries in the flattened
-    _character_sums (none for the trivial group, whose one block is the
-    matrix itself).  trivial locates the trivial character's block, the
-    only one whose rows hold the orbit of 0 (reps[0] = 0), as its first
-    row's positions (row, column, entry) among the rows of index, among the
-    values _unsorted lays out (each width's twins after its blocks), and
+    that stand for a conjugate pair; index, one int32 array of two parts,
+    the blocks taken width by width in each: the indices y into reps of
+    each block's rows (_rows(blocks) of them), and the offsets (k*r + y)*r
+    + x of their entries in the flattened _character_sums (none for the
+    trivial group, whose one block is the matrix itself).  trivial locates
+    the trivial character's block, the only one whose rows hold the orbit
+    of 0 (reps[0] = 0), as its first row's positions (row, column, entry)
+    among the rows of index, among a row's unsorted values (each width's
+    values, then its twins', as _solve_chunk lays them out), and
     among the flattened entries; it is recorded as the widths are laid out,
     character 0's place in its width added to the running offsets, (0, 0,
     0) for the trivial group.  Its width is reps.size.
     """
     if not gens:  # the trivial group: one block, the whole matrix
         ys = np.arange(n)
-        index = np.append(ys, ys * (n + 1))
         return _read_only(ys, np.ones(1), 1, np.ones((1, 1)), np.ones(n), (0, 0, 0), ((n, 1, 0),),
-                          index)
+                          ys)
     elems, label, lam, chars = np.ones(1, dtype=np.int64), np.arange(n), 1, np.ones((1, 1))
     for u in gens:
         powers = [1]
@@ -408,7 +409,7 @@ def _split(n: int, gens: tuple[int, ...]) -> tuple:
     kept = _character_sums((images == reps).astype(float), lam, chars).real > stab / 2
     j = np.arange(kept.shape[0]) // chars.shape[0]
     paired = (j > 0) & (2 * j != lam)
-    widths, blocks, rows, diagonal, entries = kept.sum(axis=1), [], [], [], []
+    widths, blocks, rows, entries = kept.sum(axis=1), [], [], []
     row = column = at = 0  # the rows, values and entries laid out so far
     for w in sorted(set(widths.tolist())):
         ks = np.flatnonzero(widths == w)  # the characters with w representatives
@@ -418,11 +419,10 @@ def _split(n: int, gens: tuple[int, ...]) -> tuple:
             k = w * int(np.flatnonzero(ks == 0)[0])  # its first row in this width
             trivial = (row + k, column + k, at + k * w)
         rows.append(ys.ravel())
-        diagonal.append(at + np.arange(ys.size) * w + np.arange(ys.size) % w)
         entries.append((((ks[:, None] * r + ys) * r)[:, :, None] + ys[:, None, :]).ravel())
         blocks.append((w, len(ks), int(paired[ks].sum())))
         row, column, at = row + ys.size, column + ys.size + blocks[-1][2] * w, at + ys.size * w
-    index = np.concatenate(rows + diagonal + entries)
+    index = np.concatenate(rows + entries)
     return _read_only(reps, elems, lam, chars, 1.0 / np.sqrt(stab), trivial, tuple(blocks), index)
 
 
@@ -448,7 +448,7 @@ def _character_sums(t: np.ndarray, lam: int, chars: np.ndarray) -> np.ndarray:
 def _fold(m: np.ndarray, split: tuple) -> np.ndarray:
     """The blocks of the (n, n) matrix m invariant under the split's group
     G, flattened: a (1, entries) array holding each block's entries row by
-    row, the blocks width by width (as _stacks reads them), complex
+    row, the blocks width by width (as _solve_chunk reads them), complex
     Hermitian if lam > 1, else real.  One gather of the cached offsets
     takes every block; the trivial group's one block is m as float, a copy
     of an integer m, so no view of an adjacency outlives its fold.
@@ -465,33 +465,12 @@ def _fold(m: np.ndarray, split: tuple) -> np.ndarray:
     images = np.outer(elems, reps) % m.shape[-1]
     t = np.take(m[:, reps], images, axis=0) * (root[:, None] * root)
     t = _character_sums(t.reshape(elems.size, -1), lam, chars)
-    return np.take(t.reshape(1, -1), index[2 * _rows(blocks) :], axis=1)
+    return np.take(t.reshape(1, -1), index[_rows(blocks) :], axis=1)
 
 
 def _rows(blocks: tuple) -> int:
     """How many rows the split's blocks hold, all widths together."""
     return sum(w * count for w, count, _ in blocks)
-
-
-def _stacks(flat: np.ndarray, blocks: tuple) -> list[np.ndarray]:
-    """Each block width's (..., count, width, width) stack of the entries
-    in flat, laid out as _fold lays them out (views, not copies)."""
-    stacks, at = [], 0
-    for w, count, _ in blocks:
-        stacks.append(flat[..., at : at + count * w * w].reshape(*flat.shape[:-1], count, w, w))
-        at += count * w * w
-    return stacks
-
-
-def _unsorted(values: Sequence[np.ndarray], blocks: tuple) -> np.ndarray:
-    """Each row's values from those of each width's (..., count, width)
-    stack: width by width, each width's first twins blocks counted twice,
-    after its blocks."""
-    vals = []
-    for v, (w, _, twins) in zip(values, blocks):
-        v = v.reshape(*v.shape[:-2], -1)
-        vals += [v, v[..., : twins * w]]
-    return np.concatenate(vals, axis=-1)
 
 
 def _values(s: np.ndarray) -> np.ndarray:
@@ -514,23 +493,6 @@ def _values(s: np.ndarray) -> np.ndarray:
         mean, r = (a + d) * 0.5, np.hypot((a - d) * 0.5, np.abs(s[..., 1, 0]))
         return np.stack([mean - r, mean + r], axis=-1)
     return np.linalg.eigvalsh(s)
-
-
-def _solve_stacks(pieces: list[list[np.ndarray]]) -> None:
-    """Replace each stack of (..., w, w) Hermitian blocks in each list of
-    pieces by its _values, (..., w): the stacks of one width and dtype are
-    solved with one call, so each block stays on the routine its dtype
-    takes alone."""
-    groups = defaultdict(list)
-    for piece in pieces:
-        for i, s in enumerate(piece):
-            groups[s.shape[-1], s.dtype].append((piece, i))
-    for (w, _), members in groups.items():
-        stacks = [piece[i].reshape(-1, w, w) for piece, i in members]
-        values, at = _values(np.concatenate(stacks) if len(stacks) > 1 else stacks[0]), 0
-        for (piece, i), s in zip(members, stacks):
-            piece[i] = values[at : at + len(s)].reshape(piece[i].shape[:-1])
-            at += len(s)
 
 
 def left_circulant_eigenvalues(s: np.ndarray) -> np.ndarray:

@@ -24,10 +24,8 @@ from .analysis import (
 from .blocks import _energy_floors, _stacked_eigenvalues
 from .closedform import (
     ALPHA_GRID,
-    _complement_prime_power_energy,
     _complete_energy,
     _route,
-    _uacg_prime_power_energy,
     complement_unitary_cayley_adjacency_energy,
     has_closed_spectrum,
     unitary_cayley_adjacency_energy,
@@ -123,8 +121,10 @@ def _row(resids: np.ndarray, count: int, where: tuple, alphas: Sequence) -> tupl
 
 
 def _alphas(alphas: Iterable[float], allow_one: bool = True) -> tuple[tuple, np.ndarray]:
-    """alphas as given, for locations, and as a checked float array."""
+    """alphas as given, for locations, and as a checked, non-empty float array."""
     alphas = tuple(alphas)
+    if not alphas:
+        raise ValueError("alphas must hold at least one alpha")
     return alphas, np.array([_check_alpha(x, allow_one=allow_one) for x in alphas])
 
 
@@ -181,34 +181,33 @@ def _energies(vals: np.ndarray, n: int, m: int, x: np.ndarray) -> np.ndarray:
     return np.abs(vals - (2.0 * x * m / n)[:, None]).sum(axis=1)
 
 
-def _closed_spectra(spec: GraphSpec, x: np.ndarray) -> np.ndarray:
-    """The closed spectrum of spec at each checked alpha in x, one
-    descending row each: the route's ungrouped (values, counts) expanded,
-    from one route lookup."""
-    spectrum = _route(spec)[1]
-    return np.sort([np.repeat(*spectrum(alpha)) for alpha in x])[:, ::-1]
+def _expanded(values: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """One descending row per alpha of ungrouped (values, counts), values[k,
+    i] taken counts[i] times: a route's spectrum at every alpha from one
+    call (closedform._route), or the block route's."""
+    return np.sort(np.repeat(values, counts, axis=1))[:, ::-1]
 
 
-def _closed_rows(ns: Iterable[int], alphas: Iterable[float]) -> list[tuple[float, int, tuple]]:
+def _closed_rows(ns: Iterable[int], alphas: tuple, x: np.ndarray) -> list[tuple[float, int, tuple]]:
     """Rows comparing the route table's closed spectrum with the eigensolver."""
-    (alphas, x), rows = _alphas(alphas), []
+    rows = []
     for spec, _, _, vals in _dense(ns, x):
-        resid = np.abs(_closed_spectra(spec, x) - vals).max(axis=1)
+        resid = np.abs(_expanded(*_route(spec)[1](x)) - vals).max(axis=1)
         rows.append(_row(resid, 1, (spec.n, spec.complement), alphas))
     return rows
 
 
 def check_prime_power_spectra(nmax: int, alphas=ALPHA_GRID, tol: float = 1e-8) -> CheckResult:
     """Closed-form spectra vs the eigensolver on odd prime-power orders."""
-    nmax, tol = _check_nmax(nmax), _check_tol(tol)
-    rows = _closed_rows(odd_prime_powers(nmax), alphas)
+    nmax, tol, alphas = _check_nmax(nmax), _check_tol(tol), _alphas(alphas)
+    rows = _closed_rows(odd_prime_powers(nmax), *alphas)
     return _worst("prime-power spectra vs eigensolver", tol, rows)
 
 
 def check_even_spectra(nmax: int, alphas=EVEN_ALPHAS, tol: float = 1e-8) -> CheckResult:
     """Character-sum spectra vs the eigensolver on even orders."""
-    nmax, tol = _check_nmax(nmax), _check_tol(tol)
-    rows = _closed_rows(range(2, nmax + 1, 2), alphas)
+    nmax, tol, alphas = _check_nmax(nmax), _check_tol(tol), _alphas(alphas)
+    rows = _closed_rows(range(2, nmax + 1, 2), *alphas)
     return _worst("even-order spectra vs eigensolver", tol, rows)
 
 
@@ -218,11 +217,10 @@ def check_block_route(nmax: int, alphas=ALPHA_GRID, tol: float = 1e-9) -> CheckR
     nmax, tol = _check_nmax(nmax), _check_tol(tol)
     (alphas, x), rows = _alphas(alphas), []
     for spec, _, _, dense in _dense(range(3, nmax + 1, 2), x):
-        values, mults = _stacked_eigenvalues(spec, x)  # one stacked block solve
-        blocks = np.sort(np.repeat(values, mults, axis=1), axis=1)[:, ::-1]
+        blocks = _expanded(*_stacked_eigenvalues(spec, x))  # one stacked block solve
         resid = np.abs(blocks - dense).max(axis=1)
         if has_closed_spectrum(spec):
-            resid = np.maximum(resid, np.abs(blocks - _closed_spectra(spec, x)).max(axis=1))
+            resid = np.maximum(resid, np.abs(blocks - _expanded(*_route(spec)[1](x))).max(axis=1))
         rows.append(_row(resid, 1, (spec.n, spec.complement), alphas))
     return _worst("block route vs eigensolver and closed forms", tol, rows)
 
@@ -251,6 +249,11 @@ def check_spectral_identities(
     ]
 
 
+# Diagonal entries, over every alpha, that check_complement_identity reduces
+# at once; larger bounds add to a pass's peak RSS (see CHANGES.md).
+_IDENTITY_ENTRIES = 2**13
+
+
 def check_complement_identity(nmax: int, alphas=ALPHA_GRID, rtol: float = 1e-8) -> CheckResult:
     """A_alpha(G) + A_alpha(complement) must be alpha*(n-1) on the diagonal
     and (1-alpha) off it.
@@ -260,24 +263,43 @@ def check_complement_identity(nmax: int, alphas=ALPHA_GRID, rtol: float = 1e-8) 
     whole matrix.  The diagonal residuals come from the two degree vectors
     and the off-diagonal ones from those pairs, all alphas at once, with the
     float operations of the summed alpha matrices, so each residual is the
-    one the full n x n sum gives, bit for bit."""
+    one the full n x n sum gives, bit for bit.  Consecutive orders are
+    reduced together (see _identity_rows), up to _IDENTITY_ENTRIES diagonal
+    entries of alphas at a time."""
     nmax, rtol = _check_nmax(nmax), _check_tol(rtol)
     alphas, x = _alphas(alphas)
-    x, rows = x[:, None], []
+    x, rows, held = x[:, None], [], []
     for n in range(2, nmax + 1):
         g = build_graph(GraphSpec(family=FAMILY_UACG, n=n))
         h = complement(g)
         # entries are 0/1 and the diagonal n (0, 0)s, so three counts give how
         # many off-diagonal entries hold each pair (a, b), numbered 2a + b
         both, ones_a, ones_b = map(np.count_nonzero, (g.adjacency & h.adjacency, g.adjacency, h.adjacency))
-        counts = np.array([n * n - n - ones_a - ones_b + both, ones_b - both, ones_a - both, both])
-        a, b = np.divmod(np.flatnonzero(counts).astype(float), 2.0)
-        dg, dh = g.degrees.astype(float), h.degrees.astype(float)
-        on = np.abs(x * dg + x * dh - x * (n - 1.0)).max(axis=1)
-        off = np.abs((1.0 - x) * a + (1.0 - x) * b - (1.0 - x)).max(axis=1)
-        scale = 1.0 + np.maximum(x * (n - 1.0), 1.0 - x)[:, 0]
-        rows.append(_row(np.maximum(on, off) / scale, 1, (n,), alphas))
+        counts = [n * n - n - ones_a - ones_b + both, ones_b - both, ones_a - both, both]
+        held.append((n, g.degrees, h.degrees, [c > 0 for c in counts]))
+        if len(x) * sum(order[0] for order in held) >= _IDENTITY_ENTRIES or n == nmax:
+            rows += _identity_rows(held, x, alphas)
+            held = []
     return _worst("complement matrix identity", rtol, rows, ("n", "alpha"))
+
+
+def _identity_rows(held: list[tuple], x: np.ndarray, alphas: tuple) -> list[tuple]:
+    """The _worst rows of the held (n, degrees, complement degrees, which
+    pairs occur) orders at the (k, 1) alphas x: every order's diagonal
+    residuals reduced by one np.maximum.reduceat, the four pairs' residuals
+    taken where they occur, then each order's largest over the alphas."""
+    ns, dg, dh, present = zip(*held)
+    ns = np.array(ns)
+    dg, dh = np.concatenate(dg).astype(float), np.concatenate(dh).astype(float)
+    m = np.repeat(ns - 1.0, ns)  # n - 1 at each diagonal entry of its order
+    on = np.maximum.reduceat(np.abs(x * dg + x * dh - x * m), np.cumsum([0, *ns[:-1]]), axis=1)
+    a, b = np.divmod(np.arange(4.0), 2.0)
+    pairs = np.abs((1.0 - x) * a + (1.0 - x) * b - (1.0 - x))
+    off = np.where(np.array(present), pairs[:, None], 0.0).max(axis=2)  # residuals are >= 0
+    resids = np.maximum(on, off) / (1.0 + np.maximum(x * (ns - 1.0), 1.0 - x))
+    first = np.argmax(resids, axis=0).tolist()  # the largest, or the first NaN
+    where = zip(ns.tolist(), first)
+    return [(float(resids[i, j]), len(alphas), (n, alphas[i])) for j, (n, i) in enumerate(where)]
 
 
 def _tabulated_complement_values(p: int, m: int, x: np.ndarray) -> np.ndarray:
@@ -304,11 +326,11 @@ def check_energy_consistency(nmax: int, alphas=ALPHA_GRID, tol: float = 1e-9) ->
     for q in odd_prime_powers(nmax):
         p, m = prime_power(q)
         spec, comp = GraphSpec(FAMILY_UACG, q), GraphSpec(FAMILY_UACG, q, complement=True)
-        spectral = _energies(_closed_spectra(spec, x), q, edge_count(spec), x)
-        formula = [_uacg_prime_power_energy(p, m, alpha) for alpha in x.tolist()]
+        spectral = _energies(_expanded(*_route(spec)[1](x)), q, edge_count(spec), x)
+        formula = _route(spec)[2](x.tolist())
         uacg_rows.append(_row(np.abs(formula - spectral), 1, (q,), alphas))
         multiset = _energies(_tabulated_complement_values(p, m, x), q, edge_count(comp), x)
-        formula = [_complement_prime_power_energy(p, m, alpha) for alpha in x.tolist()]
+        formula = _route(comp)[2](x.tolist())
         comp_rows.append(_row(np.abs(formula - multiset), 1, (q,), alphas))
     return [
         _worst("prime-power energy vs spectrum", tol, uacg_rows, ("n", "alpha")),

@@ -529,9 +529,9 @@ class TestDispatch:
 
     def test_every_route_returns_ungrouped_pairs(self):
         for spec in GRID_SPECS:
-            values, counts = _route(spec)[1](0.3)
+            values, counts = _route(spec)[1]((0.3,))
             assert values.dtype == float and counts.dtype.kind == "i", spec
-            assert values.shape == counts.shape and counts.ndim == 1, spec
+            assert values.shape == (1, *counts.shape) and counts.ndim == 1, spec
             assert counts.min() >= 0 and counts.sum() == spec.n, spec
 
     def test_spectrum_for_groups_the_public_pairs_exactly(self):
@@ -709,6 +709,30 @@ class TestEnergyReport:
                 got = _route(gspec)[2](alphas)
                 assert got == want, gspec
                 assert all(type(e) is float for e in got), gspec
+
+    def test_batched_spectra_match_one_alpha_on_every_route(self):
+        # one spectrum call over a grid gives each alpha's own row bit for
+        # bit, the sign of a zero too, and that row is the one the public
+        # spectrum of that alpha groups
+        alphas = (0.0, *ALPHA_GRID, 1.0 - 1e-6, 1.0)
+        for family in (FAMILY_UACG, FAMILY_UNITARY_CAYLEY, FAMILY_COMPLETE):
+            for n, comp in itertools.product((2, 9, 10, 15, 25, 105), (False, True)):
+                gspec = GraphSpec(family, n, comp)
+                spectrum = _route(gspec)[1]
+                values, counts = spectrum(alphas)
+                assert values.shape == (len(alphas), counts.size), gspec
+                for row, alpha in zip(values, alphas):
+                    (one,), one_counts = spectrum((alpha,))
+                    assert one.tobytes() == row.tobytes(), (gspec, alpha)
+                    assert np.array_equal(one_counts, counts), (gspec, alpha)
+                    if has_closed_spectrum(gspec):
+                        want = repr(public_spectrum(gspec, alpha))
+                        assert repr(closedform_mod._spectrum_from_pairs(row[None], counts)) == want
+                        assert repr(spectrum_for(gspec, alpha)[0]) == want, (gspec, alpha)
+                    else:
+                        blocks, mults = block_eigenvalues(gspec, alpha)
+                        assert blocks.tobytes() == row.tobytes(), (gspec, alpha)
+                        assert np.array_equal(mults, counts), (gspec, alpha)
 
     @pytest.mark.parametrize("spec", GRID_SPECS, ids=str)
     def test_batched_reports_equal_one_alpha_reports(self, spec):

@@ -43,8 +43,6 @@ from uacg.linalg import (
     _invariant_split,
     _prepare,
     _split,
-    _stacks,
-    _unsorted,
     _values,
     group_spectrum,
     left_circulant_eigenvalues,
@@ -723,9 +721,16 @@ class TestComplementFromTheBaseFold:
         assert sorted(index[row : row + w].tolist()) == list(range(w))
         ones = _fold(np.ones((n, n)), split)
         assert np.all(np.abs(np.delete(ones[0], np.s_[entry : entry + w * w])) <= 1e-12 * n)
-        vals = _unsorted([_values(s) for s in _stacks(ones, blocks)], blocks)[0]
+        vals = unsorted(ones, blocks)[0]
         assert np.all(np.abs(np.delete(vals, np.s_[column : column + w])) <= 1e-12 * n)
         assert abs(vals[column : column + w].max() - n) <= 1e-12 * n
+        # the oracle writes the complement's trivial values at that column:
+        # the complement of J (degrees 0) is -I, so no value of J's trivial
+        # block, reflected as -1 - n, is left in its rows
+        fold = _prepare(np.ones((n, n)), np.zeros(n), complement=True)
+        base, comp = linalg_mod._solve_chunk([fold], np.zeros((1, 1)), (False, True))[0]
+        assert abs(base[0] - n) <= 1e-12 * n and np.all(np.abs(base[1:]) <= 1e-12 * n)
+        assert np.all(np.abs(comp + 1.0) <= 1e-12 * n)
 
     def test_the_split_records_where_the_trivial_block_sits(self):
         for n in range(2, 402):
@@ -761,9 +766,9 @@ class TestComplementFromTheBaseFold:
 
 
 class TestBatchedOrders:
-    """_alpha_eigenvalues holds the stacks of consecutive graphs and solves
-    each (width, dtype) of them with one call; every row is that of its
-    graph solved alone, bit for bit."""
+    """_alpha_eigenvalues holds consecutive folds and forms and solves each
+    (width, dtype) group of a held chunk with one call; every row is that
+    of its graph solved alone, bit for bit."""
 
     # Every order from 25 on is split into complex blocks (lambda(n) > 2);
     # the orders 8 and 12, with the edge {1, 5} flipped, take one real full
@@ -780,13 +785,23 @@ class TestBatchedOrders:
 
     @pytest.mark.parametrize("flags", [(False,), (False, True)])
     def test_rows_equal_each_order_alone(self, monkeypatch, flags):
-        real, chunks = linalg_mod._solve_stacks, []
+        # each chunk's (width, dtype) groups, as _formed forms them
+        real_chunk, real_formed, chunks = linalg_mod._solve_chunk, linalg_mod._formed, []
 
-        def spy(pieces):
-            chunks.append({(s.shape[-1], s.dtype) for piece in pieces for s in piece})
-            real(pieces)
+        def chunk(folds, x, flags):
+            chunks.append(set())
+            return real_chunk(folds, x, flags)
 
-        monkeypatch.setattr(linalg_mod, "_solve_stacks", spy)
+        def formed(members, w, x):
+            s = real_formed(members, w, x)
+            chunks[-1].add((w, s.dtype))
+            return s
+
+        monkeypatch.setattr(linalg_mod, "_solve_chunk", chunk)
+        monkeypatch.setattr(linalg_mod, "_formed", formed)
+        # a bound well below the orders' 29,942 (41,756 with the complement)
+        # entries over the grid puts chunk boundaries inside the range
+        monkeypatch.setattr(linalg_mod, "_HELD_ENTRIES", 2**13)
         graphs = [self.graph(n) for n in self.ORDERS]
         rows = list(_alpha_eigenvalues(folds(graphs, flags), ALPHA_GRID, flags))
         batched = [chunk for chunk in chunks if chunk]
@@ -802,21 +817,59 @@ class TestBatchedOrders:
         for w in (8, 12):
             assert any({(w, np.dtype(float)), (w, np.dtype(complex))} <= chunk for chunk in batched)
 
+    def test_orders_2_to_301_equal_each_order_alone(self, monkeypatch):
+        # one call over n = 2..301, both families, held and solved chunk by
+        # chunk: every row equals its order's rows solved alone, bit for bit
+        # (the sign of a zero too); the first chunk joins the real blocks of
+        # orders with lambda(n) <= 2 and complex blocks of the same width
+        real_chunk, real_formed, chunks = linalg_mod._solve_chunk, linalg_mod._formed, []
+
+        def chunk(folds, x, flags):
+            chunks.append(set())
+            return real_chunk(folds, x, flags)
+
+        def formed(members, w, x):
+            s = real_formed(members, w, x)
+            chunks[-1].add((w, s.dtype))
+            return s
+
+        flags = (False, True)
+        graphs = [(g.adjacency, g.degrees) for g in map(build_uacg, range(2, 302))]
+        alone = [one_graph(a, d, ALPHA_GRID, flags) for a, d in graphs]
+        monkeypatch.setattr(linalg_mod, "_solve_chunk", chunk)
+        monkeypatch.setattr(linalg_mod, "_formed", formed)
+        rows = list(_alpha_eigenvalues(folds(graphs, flags), ALPHA_GRID, flags))
+        assert len(rows) == len(alone) == 300
+        for n, got, want in zip(range(2, 302), rows, alone):
+            assert got.shape == want.shape == (2 * len(ALPHA_GRID), n)
+            assert got.tobytes() == want.tobytes(), n
+        assert len(chunks) > 2
+        assert any((w, np.dtype(float)) in chunks[0] for w, dtype in chunks[0] if dtype == complex)
+
     def test_nothing_is_held_past_the_chunk_bound(self, monkeypatch):
-        real, sizes = linalg_mod._solve_stacks, []
+        # each chunk's formed entries per fold, and each formed stack's size
+        real_chunk, real_formed, sizes, stacks = linalg_mod._solve_chunk, linalg_mod._formed, [], []
 
-        def spy(pieces):
-            sizes.append([sum(s.size for s in piece) for piece in pieces])
-            real(pieces)
+        def chunk(folds, x, flags):
+            sizes.append([len(x) * (f.flat.size + f.trivial.size) for f in folds])
+            return real_chunk(folds, x, flags)
 
-        monkeypatch.setattr(linalg_mod, "_solve_stacks", spy)
+        def formed(members, w, x):
+            s = real_formed(members, w, x)
+            stacks.append(s.size)
+            return s
+
+        monkeypatch.setattr(linalg_mod, "_solve_chunk", chunk)
+        monkeypatch.setattr(linalg_mod, "_formed", formed)
         graphs = [build_uacg(n) for n in range(2, 202)]
         flags = (False, True)
         list(_alpha_eigenvalues(folds(((g.adjacency, g.degrees) for g in graphs), flags), ALPHA_GRID, flags))
-        # every chunk but the last reached _HELD_ENTRIES with its last piece
+        # every chunk but the last reached _HELD_ENTRIES with its last fold
+        assert len(sizes) > 2
         assert all(sum(chunk) >= linalg_mod._HELD_ENTRIES for chunk in sizes[:-1])
         assert all(sum(chunk[:-1]) < linalg_mod._HELD_ENTRIES for chunk in sizes)
         assert all(size <= _BATCH_ELEMENTS for chunk in sizes for size in chunk)
+        assert stacks and max(stacks) <= _BATCH_ELEMENTS
 
 
 EPS = np.finfo(float).eps
@@ -851,13 +904,30 @@ def exact_pair(block: np.ndarray) -> list[float]:
     return [float((a + d) / 2 - r), float((a + d) / 2 + r)]
 
 
+def unsorted(flat: np.ndarray, blocks: tuple) -> np.ndarray:
+    """Each row's values of flat, the split's block entries as _fold lays
+    them out, each width solved by one _values call, laid out as the oracle
+    lays out a row before it sorts it: width by width, each width's first
+    twins blocks counted twice after its blocks."""
+    vals, at = [], 0
+    for w, count, twins in blocks:
+        v = _values(flat[..., at : at + count * w * w].reshape(-1, w, w))
+        v = v.reshape(*flat.shape[:-1], count * w)
+        vals += [v, v[..., : twins * w]]
+        at += count * w * w
+    return np.concatenate(vals, axis=-1)
+
+
 def solved(flat: np.ndarray, blocks: tuple) -> np.ndarray:
     """Descending values of each row of flat, the split's block entries as
-    _fold lays them out, solved by _solve_stacks as _alpha_eigenvalues
-    solves a chunk's stacks."""
-    piece = _stacks(flat, blocks)
-    linalg_mod._solve_stacks([piece])
-    return np.sort(_unsorted(piece, blocks))[..., ::-1]
+    _fold lays them out, solved by _solve_chunk at alpha = 0 as one chunk
+    of folds, as _alpha_eigenvalues solves a chunk."""
+    rows = flat.reshape(-1, flat.shape[-1])
+    n = sum((count + twins) * w for w, count, twins in blocks)
+    ds = np.zeros(sum(count * w for w, count, _ in blocks))
+    held = [linalg_mod._Fold(n, ds, blocks, row, ds, 0, None, None) for row in rows]
+    got = linalg_mod._solve_chunk(held, np.zeros((1, 1)), (False,))
+    return np.concatenate(got).reshape(*flat.shape[:-1], n)
 
 
 class TestSmallBlocks:

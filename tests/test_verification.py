@@ -6,6 +6,7 @@ alongside pass flags to guard against checks that silently iterate
 over nothing.
 """
 
+import inspect
 import math
 import weakref
 from collections import Counter
@@ -348,28 +349,27 @@ class TestComplementTrivialBlock:
     @pytest.mark.parametrize("fault", [drop_j, raise_last_entry])
     def test_a_fault_fails_on_the_complement_only(self, monkeypatch, fault):
         clean = list(verification_mod._dense(range(2, 32), ALPHA_GRID))
-        real = linalg_mod._at_alphas
-
-        # injected where each call forms its stacks from the held folds
-        def faulty_at_alphas(fold, x, flags):
-            pieces, rows = real(fold, x, flags)
-            if True not in flags:
-                return pieces, rows
-            g = build_graph(GraphSpec(FAMILY_UACG, fold.n))
-            split = linalg_mod._invariant_split(g.adjacency, g.degrees)
-
-            def faulty_pieces():
-                at = 0
-                for stacks in pieces():  # the last stack is the complement's trivial block
-                    k = len(stacks[-1])
-                    stacks[-1] = fault(stacks[-1], x[at : at + k], split)
-                    at += k
-                    yield stacks
-
-            return faulty_pieces, rows
-
-        monkeypatch.setattr(linalg_mod, "_at_alphas", faulty_at_alphas)
         assert sorted(verification_mod._FOLDS) == list(range(2, 32))  # every fold is held
+        splits = {}
+        for n, fold in verification_mod._FOLDS.items():
+            g = build_graph(GraphSpec(FAMILY_UACG, n))
+            splits[id(fold.trivial)] = linalg_mod._invariant_split(g.adjacency, g.degrees)
+        real = linalg_mod._formed
+
+        # injected where each call forms its stacks from the held folds: a
+        # group's stack holds its members' blocks alpha by alpha, and a
+        # fold's complement trivial block is one member
+        def faulty_formed(members, w, x):
+            stack = np.array(real(members, w, x)).reshape(len(x), -1, w, w)
+            at = 0
+            for entries, _ in members:
+                if id(entries) in splits:
+                    block = stack[:, at : at + 1]
+                    stack[:, at : at + 1] = fault(block, x, splits[id(entries)])
+                at += entries.size // (w * w)
+            return stack.reshape(-1, w, w)
+
+        monkeypatch.setattr(linalg_mod, "_formed", faulty_formed)
         faulty = list(verification_mod._dense(range(2, 32), ALPHA_GRID))
         for (spec, *_, want), (_, *_, got) in zip(clean, faulty):
             # the graph's rows do not move; the complement's move at every
@@ -459,6 +459,9 @@ ALL_CHECKS = [
     check_roots,
 ]
 
+# The checks that take an alpha grid.
+ALPHA_CHECKS = [c for c in ALL_CHECKS if "alphas" in inspect.signature(c).parameters]
+
 
 def full_solve(folds, alphas, flags=(False,)):
     """For each fold, one np.linalg.eigvalsh per alpha matrix of the
@@ -520,6 +523,22 @@ class TestCheckInputs:
     def test_rejects_a_non_real_tolerance(self, check, bad):
         with pytest.raises(ValueError, match="tol must be a real number"):
             check(15, **{TOLERANCE_NAMES.get(check, "tol"): bad})
+
+    @pytest.mark.parametrize("check", ALPHA_CHECKS, ids=[c.__name__ for c in ALPHA_CHECKS])
+    @pytest.mark.parametrize("empty", [(), []], ids=["tuple", "list"])
+    def test_rejects_an_empty_alpha_grid(self, monkeypatch, check, empty):
+        if check is check_regular_shortcut:  # its grid always holds alpha = 0
+            res = check(15, alphas=empty)
+            assert res.passed and res.cases == 7, res  # 7 even orders at alpha = 0
+            return
+
+        def fail(*args, **kwargs):
+            raise AssertionError("the check started work")
+
+        monkeypatch.setattr(verification_mod, "build_graph", fail)
+        monkeypatch.setattr(verification_mod, "prime_power", fail)
+        with pytest.raises(ValueError, match="alphas must hold at least one alpha"):
+            check(15, alphas=empty)
 
     def test_accepts_a_numpy_integer_nmax(self):
         assert check_block_route(np.int64(9), alphas=(0.3,)).cases == 4 * 2
@@ -607,12 +626,12 @@ class TestStackedDenseSolves:
 def counting_dense_work(monkeypatch) -> Counter:
     """Count, from now on, the graphs verification builds, the folds it
     prepares, and the blocks (one per order, alpha and character, and one
-    per alpha for each complement's trivial block) handed to _solve_stacks."""
+    per alpha for each complement's trivial block) handed to _values."""
     counts = Counter()
     real_build, real_prepare, real_solve = (
         verification_mod.build_graph,
         verification_mod._prepare,
-        linalg_mod._solve_stacks,
+        linalg_mod._values,
     )
 
     def building(spec):
@@ -623,13 +642,13 @@ def counting_dense_work(monkeypatch) -> Counter:
         counts["_prepare"] += 1
         return real_prepare(*args, **kwargs)
 
-    def solving(pieces):
-        counts["blocks"] += sum(s.size // s.shape[-1] ** 2 for piece in pieces for s in piece)
-        real_solve(pieces)
+    def solving(s):
+        counts["blocks"] += s.size // s.shape[-1] ** 2
+        return real_solve(s)
 
     monkeypatch.setattr(verification_mod, "build_graph", building)
     monkeypatch.setattr(verification_mod, "_prepare", preparing)
-    monkeypatch.setattr(linalg_mod, "_solve_stacks", solving)
+    monkeypatch.setattr(linalg_mod, "_values", solving)
     return counts
 
 
@@ -752,7 +771,7 @@ class TestHeldFolds:
         list(verification_mod._dense(range(2, 32), (0.3,)))
         assert sorted(verification_mod._FOLDS) == list(range(2, 32))
         for n, fold in verification_mod._FOLDS.items():
-            for arr in (fold.degrees, fold.flat, fold.on_diagonal, fold.ds, fold.trivial, fold.dt):
+            for arr in (fold.degrees, fold.flat, fold.ds, fold.trivial, fold.dt):
                 with pytest.raises(ValueError, match="read-only"):
                     arr[:1] = 0
             assert fold.n == n
