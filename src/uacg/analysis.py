@@ -19,14 +19,13 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .blocks import _check_unit_sum, _energy_floors, _stacked_eigenvalues
+from .blocks import _check_unit_sum, _energy_floors, _record, _stacked_eigenvalues
 from .closedform import (
     METHOD_CLOSED,
     METHOD_NUMERIC,
     METHOD_REGULAR,
     _complete_energy,
     _prime_power_root_candidates,
-    _ramanujan_pairs,
     _route,
 )
 from .graphs import GraphSpec, _check_dense_order, edge_count
@@ -88,17 +87,15 @@ def _odd_eigen_arrays(spec: GraphSpec, alpha: float) -> tuple[np.ndarray, np.nda
     complement, whose right-circulant eigenvalues are (1-alpha)*c(k, n), or
     (1-alpha)*(n*[k = 0] - c(k, n)).  The symmetric left circulant keeps the
     k = 0 value and turns each pair k, n-k into +-|value|, so its spectrum is
-    (1-alpha)*t, with t = phi(n) (n - phi(n) for the complement), plus
-    +-(1-alpha)*|c(d, n)| taken phi(n/d)/2 times each for every divisor d < n.
+    (1-alpha)*U0, with U0 the sorted base of blocks._circulant_bases: t =
+    phi(n) (n - phi(n) for the complement) plus +-|c(d, n)| taken
+    phi(n/d)/2 times each for every divisor d < n.  The upper ends are
+    (1-alpha)*U0 + alpha*t, taken on the record's distinct values of U0 and
+    then repeated.
     """
-    sums, counts = _ramanujan_pairs(spec.n)
-    top = spec.n - sums[-1] if spec.complement else sums[-1]  # sums[-1] = c(0, n) = phi(n)
-    mags = (1.0 - alpha) * np.abs(sums[:-1])
-    half = counts[:-1] // 2
-    circulant = np.repeat(
-        np.concatenate([mags, -mags, [(1.0 - alpha) * top]]), np.concatenate([half, half, [1]])
-    )
-    upper = np.sort(circulant)[::-1] + alpha * top
+    values, counts = _record(spec.n).circulant[spec.complement]
+    t = spec.n - euler_phi(spec.n) if spec.complement else euler_phi(spec.n)
+    upper = np.repeat((1.0 - alpha) * values + alpha * t, counts)
     return upper - 1.0, upper
 
 
@@ -192,14 +189,14 @@ def bound_report(spec: GraphSpec, alpha: float) -> BoundReport:
     _check_unit_sum(spec)
     alpha = _check_alpha(alpha, allow_one=True)
     lower, upper = _odd_eigen_arrays(spec, alpha)
-    (values,), mults = _stacked_eigenvalues(spec, (alpha,))
-    observed = np.sort(np.repeat(values, mults))[::-1]
+    (centred,), mults = _stacked_eigenvalues(spec, (alpha,))
+    observed = np.sort(np.repeat(centred + 2.0 * alpha * edge_count(spec) / spec.n, mults))[::-1]
     satisfied = (lower - BOUND_SLACK <= observed) & (observed <= upper + BOUND_SLACK)
     columns = (lower.tolist(), upper.tolist(), observed.tolist(), satisfied.tolist())
     per_index = tuple(map(ObservedBound._make, zip(range(1, spec.n + 1), *columns)))
     if alpha < 1.0:
         lowers, upper = _energy_bounds(spec, alpha)
-        energy = float(mults @ np.abs(values - 2.0 * alpha * edge_count(spec) / spec.n))
+        energy = float(mults @ np.abs(centred))
     else:
         lowers, upper, energy = None, None, None
     return BoundReport(
@@ -401,13 +398,12 @@ def find_borderenergetic_alphas(spec: GraphSpec, tol: float = 1e-12) -> list[flo
     lower bound of the energy (blocks._energy_floors), lowered by a
     relative 1e-9.  Against exact floors (rational terms,
     square roots to 50 digits) at alpha = i/40, i < 40, and 1 - 2**-10,
-    the float floor is off by at most 1.0e-12 relative at the odd
-    non-prime-power orders up to 2001, 2.1e-12 at 255,255 and 4.6e-10 at
-    111,546,435 (the complement at alpha = 0.975).  Nearly all of it comes
-    from the width-1 terms, which keep the numeric route's rounding; the
-    wider blocks' terms are within 1e-15.  So the margin covers the worst
-    case about twice, not many times over.  If that search proves the gap
-    above touch on all of [0, 1), so is the true gap and the result is [];
+    the float floor is off by at most 2.3e-15 relative at the odd
+    non-prime-power orders up to 2001, 2.8e-16 at 255,255 and 5.2e-16 at
+    111,546,435: its width-1 terms read the route's centred pencils, so no
+    O(alpha phi(n)) term cancels in them.  So the 1e-9 margin covers the
+    worst case many times over.  If that search proves the gap above touch
+    on all of [0, 1), so is the true gap and the result is [];
     otherwise the search on the gap itself runs.  The roots are the same
     either way.
 

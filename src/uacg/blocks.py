@@ -33,7 +33,20 @@ that product.  The energy floor's terms for the wider blocks (_floor_terms)
 need no stack: traces and Frobenius inner products of Kronecker products are
 products of the factors' own, and r enters them only as r*r = p - 1, so
 they are exact integers from the factorization, rounded once to float.
-Both are built on an order's first visit, into its one cached _record.
+
+The route solves centred pencils, not A_alpha.  With s = 2 alpha m / n, the
+mean eigenvalue, every block of A_alpha(G) - s I is C0 + alpha C1 with
+C0 = L - P and C1 = (phi(n)/n) I - L: the O(alpha phi(n)) terms cancel in
+exact arithmetic before anything is rounded, so a value near 0 keeps its
+relative accuracy up to alpha = 1.  One fused C0 + alpha C1 forms a width at
+every alpha; a 1x1 block is its entry, a 2x2 block is solved by the
+quadratic formula, and wider blocks by eigvalsh.  A spectrum is the centred
+values plus s, and an energy is sum count |value|.  The complement needs
+one block of its own: s + s' = alpha (n - 1) for its mean s', so on every
+block with J = 0, all but the width-2**omega one, its centred values are
+(alpha - 1) - mu for the graph's centred values mu.
+The blocks, the pencils and the floor terms are built on an order's first
+visit, into its one cached _record.
 """
 
 from __future__ import annotations
@@ -117,7 +130,8 @@ def _build_blocks(n: int) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray, np.
     factor, q (L) or 0 (J) on the others.  The factors multiply in the
     Kronecker chain's order, so every entry is bit-identical to the chain's;
     a sign then multiplies L, as it did the chain.  P is 1 on the last
-    diagonal entry and 0 elsewhere."""
+    diagonal entry and 0 elsewhere.  Above width 1, P and every J but the
+    width-2**omega block's are read-only views of one block, not stacks."""
     if n < 3 or n % 2 == 0:
         raise ValueError(f"the block decomposition needs odd n >= 3, got {n}")
     factors = factorize(n).factors
@@ -135,13 +149,17 @@ def _build_blocks(n: int) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray, np.
     out = []
     for size, group in enumerate(groups):
         codes = _pair_codes(len(factors), size)
-        prods = np.ones((2, *codes.shape[1:]))
-        for table, code in zip(tables.reshape(len(factors), 2, 9), codes):
+        # J is 0 on a scalar factor, so only the block pairing every factor has J != 0
+        kinds = 2 if size == len(factors) else 1
+        prods = np.ones((kinds, *codes.shape[1:]))
+        for table, code in zip(tables[:, :kinds].reshape(len(factors), kinds, 9), codes):
             prods *= table.take(code, axis=1)
         index, _, signs, mults = map(list, zip(*group))
-        lsum, ones = np.array(signs, dtype=float)[:, None, None] * prods[0, index], prods[1, index]
-        units = np.zeros_like(lsum)
-        units[:, -1, -1] = 1.0
+        lsum = np.array(signs, dtype=float)[:, None, None] * prods[0, index]
+        unit = np.zeros(lsum.shape[1:])
+        unit[-1, -1] = 1.0
+        ones = prods[1, index] if kinds == 2 else _tiled(np.zeros_like(unit), len(index))
+        units = _tiled(unit, len(index))
         if size == 0:
             left = [(u, k) for u, k in ((1.0, left_units), (0.0, left_others)) if k]
             zeros = np.zeros((len(left), 1, 1))
@@ -152,32 +170,80 @@ def _build_blocks(n: int) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray, np.
     return tuple(out)
 
 
-_Record = namedtuple("_Record", "blocks eyes mults floors")
+def _tiled(block: np.ndarray, count: int) -> np.ndarray:
+    """A (count, w, w) stack of one block, holding it once (a view)."""
+    return np.ndarray((count, *block.shape), block.dtype, block, strides=(0, *block.strides))
+
+
+_Record = namedtuple("_Record", "blocks mults floors pencils j_pencil circulant")
 
 
 @lru_cache(maxsize=_BLOCK_ORDERS)
 def _record(n: int) -> _Record:
     """What the block route derives from odd n >= 3 alone, read-only: the
-    blocks, each width's identity, the multiplicity of each value
-    _stacked_eigenvalues lists and both families' floor terms."""
+    blocks, the multiplicity of each value _stacked_eigenvalues lists, both
+    families' floor terms, the graph's centred pencil (C0, C1) of each width,
+    the complement's of its width-2**omega block, and both families' sorted
+    circulant bases (analysis._odd_eigen_arrays)."""
     blocks = _build_blocks(n)
-    eyes = tuple(np.eye(lsum.shape[-1]) for lsum, *_ in blocks)
     mults = np.concatenate([np.repeat(mult, lsum.shape[-1]) for lsum, _, _, mult in blocks])
     floors = tuple(_floor_terms(GraphSpec(FAMILY_UACG, n, comp)) for comp in (False, True))
-    for a in (*(a for block in blocks for a in block), *eyes, mults, *floors):
+    # 2m = (n - 1) phi, so phi - 2m/n = phi/n and the complement's 1 - phi/n
+    phi = euler_phi(n)
+    pencils = tuple(
+        (lsum - units, phi / n * np.eye(lsum.shape[-1]) - lsum) for lsum, units, *_ in blocks
+    )
+    lsum, units, ones, _ = blocks[-1]
+    x, eye = ones - lsum, np.eye(lsum.shape[-1])
+    j_pencil = (x + (units - eye), (n - phi) / n * eye - x)
+    circulant = _circulant_bases(n)
+    arrays = (*(a for block in blocks for a in block), mults, *floors)
+    for a in (*arrays, *(a for pair in (*pencils, j_pencil, *circulant) for a in pair)):
         a.setflags(write=False)
-    return _Record(blocks, eyes, mults, floors)
+    return _Record(blocks, mults, floors, pencils, j_pencil, circulant)
 
 
-def _alpha_blocks(spec: GraphSpec, alphas: np.ndarray, block: tuple, eye: np.ndarray) -> np.ndarray:
-    """One width's stack of A_alpha blocks for alphas shaped (k, 1, 1, 1):
-    one float recipe for every caller, so their entries agree bit for bit."""
-    lsum, units, ones, _ = block
-    kept = 1.0 - alphas
-    a = kept * lsum + alphas * euler_phi(spec.n) * eye - units
-    if spec.complement:
-        a = (alphas * spec.n - 1.0) * eye + kept * ones - a
-    return a
+def _ramanujan_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(c(d, n) as floats, phi(n/d)) over the divisors d of n, ascending.
+
+    c(k, n) depends on k only through d = gcd(k, n), which phi(n/d) of the k
+    in 0..n-1 share; the last divisor, n, stands for k = 0 alone.  The sums
+    are integers far below 2**53, so the floats are exact.
+
+    Both factors are multiplicative over the prime powers p**e of n, so the
+    rows are built from n's factorization alone.  Where d takes p**i, n/d
+    keeps t = p**(e - i), which multiplies c by mobius(t) phi(p**e) / phi(t)
+    (phi(p**e) at t = 1, -p**(e - 1) at t = p, 0 above) and the count by
+    phi(t).
+    """
+    rows = [(1, 1, 1)]
+    for p, e in factorize(n).factors:
+        q = p ** (e - 1)
+        parts = [(p**e, q * (p - 1), 1), (q, -q, p - 1)]
+        parts += [(p**i, 0, p ** (e - i - 1) * (p - 1)) for i in range(e - 1)]
+        rows = [(d * dp, c * cp, m * mp) for d, c, m in rows for dp, cp, mp in parts]
+    rows.sort()
+    _, values, counts = zip(*rows)
+    return np.array(values, dtype=float), np.array(counts, dtype=np.int64)
+
+
+def _circulant_bases(n: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """The graph's and the complement's sorted circulant base U0, grouped:
+    (values, counts), values descending, each taken counts times.
+
+    The symmetric left circulant of symbol [gcd(j, n) = 1] has eigenvalue
+    t = phi(n) once and +-|c(d, n)| phi(n/d)/2 times each for every divisor
+    d < n; the complement's symbol gives the same pairs and t = n - phi(n).
+    At alpha its spectrum is (1 - alpha) U0, whose order does not depend on
+    alpha."""
+    sums, counts = _ramanujan_pairs(n)
+    mags, half = np.abs(sums[:-1]), counts[:-1] // 2
+    bases = []
+    for top in (sums[-1], n - sums[-1]):
+        values = np.concatenate([mags, -mags, [top]])
+        order = np.argsort(-values, kind="stable")
+        bases.append((values[order], np.concatenate([half, half, [1]])[order]))
+    return tuple(bases)
 
 
 def _floor_terms(spec: GraphSpec) -> np.ndarray:
@@ -242,7 +308,8 @@ def _energy_floors(spec: GraphSpec, alphas: Sequence[float]) -> np.ndarray:
     each of alphas (in [0, 1]): O(blocks) per alpha, no eigensolve.
 
     The energy is sum c |C|_* over the blocks, C = B(alpha) - (2*alpha*m/n) I
-    and c the block's multiplicity.  A width-1 block adds c |c11|, each term
+    and c the block's multiplicity.  A width-1 block adds c |c11|, read off
+    the record's pencils as _stacked_eigenvalues reads it, so each term is
     bit-identical to the numeric route's.  A wider block adds c max(|tr C|,
     |u|), from cached coefficients: at width 2 that is exact, |mu1| + |mu2| =
     max(|mu1 + mu2|, hypot(c11 - c22, 2 c12)), and at width >= 4 it is
@@ -251,53 +318,80 @@ def _energy_floors(spec: GraphSpec, alphas: Sequence[float]) -> np.ndarray:
     spec, so it is not checked again.
     """
     record = _record(spec.n)
-    a = np.asarray(alphas, dtype=float)
-    single = record.blocks[0]
-    scalars = _alpha_blocks(spec, a.reshape(-1, 1, 1, 1), single, record.eyes[0])
-    shifts = 2.0 * a * edge_count(spec) / spec.n
-    floors = np.abs(scalars.reshape(len(a), -1) - shifts[:, None]) @ single[3].astype(float)
+    a = np.asarray(alphas, dtype=float)[:, None]
+    c0, c1 = (c.reshape(-1) for c in record.pencils[0])
+    values = c0 + a * c1
+    if spec.complement:
+        values = (a - 1.0) - values
+    floors = np.abs(values) @ record.blocks[0][3].astype(float)
     mult, t0, t1, rest, curve, vertex = record.floors[spec.complement]
-    a = a[:, None]
     wide = np.maximum(np.abs(t0 + a * t1), np.sqrt(rest + curve * (a - vertex) ** 2))
     return floors + wide @ mult
+
+
+def _block_values(c: np.ndarray) -> np.ndarray:
+    """Eigenvalues of a stack of symmetric blocks c (..., w, w), shape (..., w):
+    a 1x1 block's entry, a 2x2 block's (a + d)/2 -+ hypot((a - d)/2, b), and
+    eigvalsh's above.  Each block is solved on its own, so a value does not
+    depend on what else is in the stack."""
+    width = c.shape[-1]
+    if width == 1:
+        return c[..., 0]
+    if width == 2:
+        a, b, d = c[..., 0, 0], c[..., 0, 1], c[..., 1, 1]
+        mid, radius = (a + d) / 2, np.hypot((a - d) / 2, b)
+        return np.stack((mid - radius, mid + radius), axis=-1)
+    return np.linalg.eigvalsh(c)
 
 
 def _stacked_eigenvalues(
     spec: GraphSpec, alphas: Sequence[float]
 ) -> tuple[np.ndarray, np.ndarray]:
-    """block_eigenvalues for a sequence of alphas in [0, 1] at once; neither
-    the spec nor the alphas are checked again (their public entry checks them).
+    """Centred block eigenvalues, of A_alpha - (2*alpha*m/n) I, for a sequence
+    of alphas in [0, 1] at once; neither the spec nor the alphas are checked
+    again (their public entry checks them).
 
     Returns (values, multiplicities): values has one row per alpha and the
-    read-only multiplicities are shared.  One stacked eigvalsh per block
-    width and chunk of alphas.  Each matrix is built by the same float
-    operations as for one alpha and solved on its own, so each row is
+    read-only multiplicities are shared.  Each width is formed at a chunk of
+    alphas by one C0 + alpha C1 and solved by _block_values; a complement
+    reflects the graph's values but on its width-2**omega block.  Every entry
+    takes the same float operations at any number of alphas, so each row is
     bit-identical to the values of that alpha alone.
     """
-    alphas = np.asarray(alphas, dtype=float).reshape(-1, 1, 1, 1)
-    blocks, eyes, mults, _ = _record(spec.n)
-    values = np.empty((len(alphas), mults.size))
+    x = np.asarray(alphas, dtype=float).reshape(-1, 1, 1, 1)
+    record = _record(spec.n)
+    pencils = (*record.pencils[:-1], record.j_pencil) if spec.complement else record.pencils
+    values = np.empty((len(x), record.mults.size))
     col = 0
-    for block, eye in zip(blocks, eyes):
-        count, width, _ = block[0].shape
-        step = max(1, _BATCH_ELEMENTS // block[0].size)
-        for start in range(0, len(alphas), step):
-            at = slice(start, start + step)
-            a = _alpha_blocks(spec, alphas[at], block, eye)
-            # LAPACK returns the entry of a 1x1 matrix unchanged.
-            vals = a if width == 1 else np.linalg.eigvalsh(a)
-            values[at, col : col + count * width] = vals.reshape(-1, count * width)
+    for i, (c0, c1) in enumerate(pencils):
+        count, width, _ = c0.shape
+        reflect = spec.complement and i < len(pencils) - 1
+        step = max(1, _BATCH_ELEMENTS // c0.size)
+        for start in range(0, len(x), step):
+            at = x[start : start + step]
+            vals = _block_values(c0 + at * c1)
+            if reflect:
+                vals = (at[..., 0] - 1.0) - vals
+            values[start : start + step, col : col + count * width] = vals.reshape(len(at), -1)
         col += count * width
-    return values, mults
+    return values, record.mults
+
+
+def _stacked_spectra(spec: GraphSpec, alphas: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
+    """_stacked_eigenvalues plus each alpha's shift 2*alpha*m/n: the block
+    eigenvalues of A_alpha itself, one row per alpha."""
+    values, mults = _stacked_eigenvalues(spec, alphas)
+    shifts = 2.0 * np.asarray(alphas, dtype=float) * edge_count(spec) / spec.n
+    return values + shifts[:, None], mults
 
 
 def block_eigenvalues(spec: GraphSpec, alpha: float) -> tuple[np.ndarray, np.ndarray]:
     """(eigenvalues, multiplicities) of A_alpha for an odd-order unit-sum spec.
 
-    One stacked eigvalsh per block width.  The values are unsorted and may
-    repeat; the multiplicities sum to n.
+    One fused pencil product per block width, solved blockwise.  The values
+    are unsorted and may repeat; the multiplicities sum to n.
     """
     alpha = _check_alpha(alpha, allow_one=True)
     _check_unit_sum(spec)
-    (values,), mults = _stacked_eigenvalues(spec, (alpha,))
+    (values,), mults = _stacked_spectra(spec, (alpha,))
     return values, mults.copy()

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blocks import _record, _stacked_eigenvalues
+from .blocks import _ramanujan_pairs, _record, _stacked_eigenvalues, _stacked_spectra
 from .graphs import (
     FAMILY_COMPLETE,
     FAMILY_UNITARY_CAYLEY,
@@ -319,30 +319,6 @@ def _prime_power_root_candidates(p: int, m: int, complement: bool) -> list[float
 # Regular cases: even-order unit-sum graphs and unitary Cayley graphs.
 
 
-def _ramanujan_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """(c(d, n) as floats, phi(n/d)) over the divisors d of n, ascending.
-
-    c(k, n) depends on k only through d = gcd(k, n), which phi(n/d) of the k
-    in 0..n-1 share; the last divisor, n, stands for k = 0 alone.  The sums
-    are integers far below 2**53, so the floats are exact.
-
-    Both factors are multiplicative over the prime powers p**e of n, so the
-    rows are built from n's factorization alone.  Where d takes p**i, n/d
-    keeps t = p**(e - i), which multiplies c by mobius(t) phi(p**e) / phi(t)
-    (phi(p**e) at t = 1, -p**(e - 1) at t = p, 0 above) and the count by
-    phi(t).
-    """
-    rows = [(1, 1, 1)]
-    for p, e in factorize(n).factors:
-        q = p ** (e - 1)
-        parts = [(p**e, q * (p - 1), 1), (q, -q, p - 1)]
-        parts += [(p**i, 0, p ** (e - i - 1) * (p - 1)) for i in range(e - 1)]
-        rows = [(d * dp, c * cp, m * mp) for d, c, m in rows for dp, cp, mp in parts]
-    rows.sort()
-    _, values, counts = zip(*rows)
-    return np.array(values, dtype=float), np.array(counts, dtype=np.int64)
-
-
 def unitary_cayley_spectrum(n: int, alpha: float) -> Spectrum:
     """Alpha-matrix spectrum of the unitary Cayley graph: alpha*phi + (1-alpha)*c(k, n)."""
     n = _check_int(n, "n", 2)
@@ -456,9 +432,10 @@ def _route(spec: GraphSpec) -> tuple[str, Callable, Callable[[Sequence[float]], 
     numeric route walks the alphas in chunks of at most
     max(1, _BATCH_ELEMENTS // values per alpha), one stacked block solve
     each, so a long grid holds one chunk of block values at a time; it sums
-    multiplicity * |value - 2*alpha*m/n| over the blocks row by row.  Rows
-    do not depend on each other, so each energy equals the one computed for
-    that alpha alone.
+    multiplicity * |value| over the blocks' centred values (those of
+    A_alpha - 2*alpha*m/n I, blocks._stacked_eigenvalues) row by row, and
+    its spectrum is those values plus 2*alpha*m/n.  Rows do not depend on
+    each other, so each energy equals the one computed for that alpha alone.
     """
     n = spec.n
     if spec.family == FAMILY_COMPLETE:
@@ -486,19 +463,16 @@ def _route(spec: GraphSpec) -> tuple[str, Callable, Callable[[Sequence[float]], 
         )
     pp = prime_power(n)
     if pp is None:
-        edges = edge_count(spec)
 
         def block_energies(alphas: Sequence[float]) -> list[float]:
             weights = _record(n).mults.astype(float)
             step, out = max(1, _BATCH_ELEMENTS // weights.size), []
             for start in range(0, len(alphas), step):
-                chunk = alphas[start : start + step]
-                vals, _ = _stacked_eigenvalues(spec, chunk)
-                shifts = 2.0 * np.array(chunk, dtype=float) * edges / n
-                out += [float(weights @ row) for row in np.abs(vals - shifts[:, None])]
+                vals, _ = _stacked_eigenvalues(spec, alphas[start : start + step])
+                out += [float(weights @ row) for row in np.abs(vals)]
             return out
 
-        return METHOD_NUMERIC, lambda xs: _stacked_eigenvalues(spec, xs), block_energies
+        return METHOD_NUMERIC, lambda xs: _stacked_spectra(spec, xs), block_energies
     p, m = pp
     spectrum, energy = (
         (_complement_prime_power_pairs, _complement_prime_power_energy)

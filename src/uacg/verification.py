@@ -21,7 +21,7 @@ from .analysis import (
     _odd_eigen_arrays,
     find_borderenergetic_alphas,
 )
-from .blocks import _energy_floors, _stacked_eigenvalues
+from .blocks import _energy_floors, _stacked_spectra
 from .closedform import (
     ALPHA_GRID,
     _complete_energy,
@@ -217,7 +217,7 @@ def check_block_route(nmax: int, alphas=ALPHA_GRID, tol: float = 1e-9) -> CheckR
     nmax, tol = _check_nmax(nmax), _check_tol(tol)
     (alphas, x), rows = _alphas(alphas), []
     for spec, _, _, dense in _dense(range(3, nmax + 1, 2), x):
-        blocks = _expanded(*_stacked_eigenvalues(spec, x))  # one stacked block solve
+        blocks = _expanded(*_stacked_spectra(spec, x))  # one stacked block solve
         resid = np.abs(blocks - dense).max(axis=1)
         if has_closed_spectrum(spec):
             resid = np.maximum(resid, np.abs(blocks - _expanded(*_route(spec)[1](x))).max(axis=1))

@@ -8,6 +8,7 @@ second moment of A_alpha follow from the edge count and degrees.
 """
 
 import math
+import random
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
@@ -19,7 +20,13 @@ import uacg.analysis as analysis_mod
 import uacg.blocks as blocks_mod
 import uacg.closedform as closedform_mod
 import uacg.graphs as graphs_mod
-from uacg.analysis import _COARSE_ALPHAS, _classify_all, find_borderenergetic_alphas
+import uacg.linalg as linalg_mod
+from uacg.analysis import (
+    _COARSE_ALPHAS,
+    _classify_all,
+    bound_report,
+    find_borderenergetic_alphas,
+)
 from uacg.blocks import (
     _BATCH_ELEMENTS,
     _energy_floors,
@@ -28,7 +35,7 @@ from uacg.blocks import (
     block_eigenvalues,
     unit_sum_blocks,
 )
-from uacg.closedform import _route, energy_report, spectrum_for
+from uacg.closedform import ALPHA_GRID, _route, energy_report, spectrum_for
 from uacg.graphs import (
     DENSE_ORDER_LIMIT,
     FAMILY_UACG,
@@ -182,8 +189,44 @@ def exact_floor_terms(spec):
 
 
 def reference_block_eigenvalues(spec, alpha):
-    """block_eigenvalues one alpha at a time, with alpha a Python float: the
-    per-alpha solve the stacked one must reproduce bit for bit."""
+    """The centred block values, of A_alpha - (2*alpha*m/n) I, one alpha at a
+    time with alpha a Python float: the per-alpha solve the stacked one must
+    reproduce bit for bit.
+
+    Each block is C0 + alpha C1 with C0 = L - P and C1 = (phi/n) I - L.  The
+    complement reflects the graph's values to (alpha - 1) - mu on every block
+    but the width-2**omega one, which is solved from its own C0 = X + (P - I)
+    and C1 = ((n - phi)/n) I - X, X = J - L.  1x1 blocks go to eigvalsh, which
+    returns their entry; 2x2 blocks take mid -+ hypot((a - d)/2, b)."""
+    n, phi = spec.n, euler_phi(spec.n)
+    blocks = unit_sum_blocks(n)
+    values, mults = [], []
+    for i, (lsum, units, ones, mult) in enumerate(blocks):
+        width = lsum.shape[-1]
+        eye = np.eye(width)
+        own = spec.complement and i == len(blocks) - 1
+        if own:
+            x = ones - lsum
+            c = x + (units - eye) + alpha * ((n - phi) / n * eye - x)
+        else:
+            c = lsum - units + alpha * (phi / n * eye - lsum)
+        if width == 2:
+            a, b, d = c[:, 0, 0], c[:, 0, 1], c[:, 1, 1]
+            mid, radius = (a + d) / 2, np.hypot((a - d) / 2, b)
+            vals = np.stack((mid - radius, mid + radius), axis=-1)
+        else:
+            vals = np.linalg.eigvalsh(c)
+        if spec.complement and not own:
+            vals = (alpha - 1.0) - vals
+        values.append(vals.ravel())
+        mults.append(np.repeat(mult, width))
+    return np.concatenate(values), np.concatenate(mults)
+
+
+def old_recipe_block_eigenvalues(spec, alpha):
+    """Block eigenvalues of A_alpha itself as the route formed them before it
+    centred its blocks: (1 - alpha) L + alpha phi I - P, the complement
+    (alpha n - 1) I + (1 - alpha) J minus that, every block to eigvalsh."""
     n = spec.n
     phi = euler_phi(n)
     values, mults = [], []
@@ -195,6 +238,17 @@ def reference_block_eigenvalues(spec, alpha):
         values.append(np.linalg.eigvalsh(a).ravel())
         mults.append(np.repeat(mult, lsum.shape[-1]))
     return np.concatenate(values), np.concatenate(mults)
+
+
+def assert_near_old_recipe(spec, alpha, centred, mults):
+    """The centred values plus the shift 2*alpha*m/n agree with the old
+    recipe's spectrum within 1e-12 * max(1, max |lambda|)."""
+    old, old_mults = old_recipe_block_eigenvalues(spec, alpha)
+    shift = 2.0 * alpha * edge_count(spec) / spec.n
+    got = np.sort(np.repeat(centred + shift, mults))
+    want = np.sort(np.repeat(old, old_mults))
+    tol = 1e-12 * max(1.0, np.abs(want).max())
+    assert np.abs(got - want).max() <= tol, (spec, alpha)
 
 
 def zagreb(n: int, complement: bool) -> int:
@@ -301,9 +355,15 @@ class TestUnitSumBlocks:
             lsum[0, 0, 0] = 1.0
         with pytest.raises(ValueError):
             mults[0] = 1
-        blocks, eyes, mults, floors = _record(1155)
-        assert blocks is unit_sum_blocks(1155)
-        arrays = [*(a for block in blocks for a in block), *eyes, mults, *floors]
+        record = _record(1155)
+        assert record.blocks is unit_sum_blocks(1155)
+        pairs = (*record.pencils, record.j_pencil, *record.circulant)
+        arrays = [
+            *(a for block in record.blocks for a in block),
+            record.mults,
+            *record.floors,
+            *(a for pair in pairs for a in pair),
+        ]
         assert not any(a.flags.writeable for a in arrays)
 
     def test_block_eigenvalues_returns_its_own_multiplicities(self):
@@ -354,23 +414,27 @@ class TestStackedEigenvalues:
         vals, mults = _stacked_eigenvalues(spec, STACKED_ALPHAS)
         assert vals.shape == (len(STACKED_ALPHAS), mults.size)
         for row, alpha in zip(vals, STACKED_ALPHAS):
+            shift = 2.0 * alpha * edge_count(spec) / n
             for one_vals, one_mults in (
-                block_eigenvalues(spec, alpha),
+                _stacked_eigenvalues(spec, (alpha,)),
                 reference_block_eigenvalues(spec, alpha),
             ):
-                assert np.array_equal(row, one_vals)
+                assert np.array_equal(row, np.ravel(one_vals))
                 assert np.array_equal(mults, one_mults)
+            one_vals, one_mults = block_eigenvalues(spec, alpha)
+            assert np.array_equal(row + shift, one_vals)
+            assert np.array_equal(mults, one_mults)
+            assert_near_old_recipe(spec, alpha, row, mults)
 
     @pytest.mark.parametrize("n", [15, 105, 15015])
     @pytest.mark.parametrize("comp", [False, True])
     def test_numeric_energies_sum_each_alpha_blocks(self, n, comp):
         spec = GraphSpec(FAMILY_UACG, n, comp)
         alphas = STACKED_ALPHAS[:-2]
-        m = edge_count(spec)
         want = []
         for alpha in alphas:
-            vals, mults = block_eigenvalues(spec, alpha)
-            want.append(float(mults @ np.abs(vals - 2.0 * alpha * m / n)))
+            vals, mults = reference_block_eigenvalues(spec, alpha)
+            want.append(float(mults @ np.abs(vals)))
         assert _route(spec)[2](alphas) == want
 
     @pytest.mark.parametrize("bad", [float("nan"), -0.1, 1.5])
@@ -412,25 +476,29 @@ class TestWidthOneBlocks:
     @pytest.mark.parametrize("comp", [False, True])
     def test_values_equal_eigvalsh_of_each_entry(self, comp):
         # _stacked_eigenvalues reads width-1 blocks without LAPACK, which
-        # returns a 1x1 matrix's entry unchanged.
+        # returns a 1x1 matrix's entry unchanged: the reference hands each
+        # centred entry to eigvalsh.
         for n in (*range(3, 1002, 2), 15015, 255255):
             spec = GraphSpec(FAMILY_UACG, n, comp)
             count = unit_sum_blocks(n)[0][0].shape[0]
-            vals, _ = _stacked_eigenvalues(spec, _COARSE_ALPHAS)
+            vals, mults = _stacked_eigenvalues(spec, _COARSE_ALPHAS)
             for row, alpha in zip(vals, _COARSE_ALPHAS):
                 want = reference_block_eigenvalues(spec, alpha)[0][:count]
                 assert np.array_equal(row[:count], want), (n, alpha)
+                old = old_recipe_block_eigenvalues(spec, alpha)[0]
+                shift = 2.0 * alpha * edge_count(spec) / n
+                tol = 1e-12 * max(1.0, np.abs(old).max())
+                assert np.abs(row[:count] + shift - old[:count]).max() <= tol, (n, alpha)
 
 
 FLOOR_ALPHAS = tuple(i / 40 for i in range(41))
 
 
 def block_energies(spec, alphas):
-    """sum over the block values of multiplicity * |value - 2*alpha*m/n|,
-    rounded as the numeric route rounds it."""
+    """sum over the centred block values of multiplicity * |value|, rounded
+    as the numeric route rounds it."""
     vals, mults = _stacked_eigenvalues(spec, alphas)
-    m, n = edge_count(spec), spec.n
-    return np.array([mults @ np.abs(v - 2.0 * a * m / n) for v, a in zip(vals, alphas)])
+    return np.array([mults @ np.abs(v) for v in vals])
 
 
 class TestEnergyFloors:
@@ -475,3 +543,70 @@ class TestEnergyFloors:
         assert reached == []
         assert find_borderenergetic_alphas(GraphSpec(FAMILY_UACG, 105)) == []
         assert reached == [GraphSpec(FAMILY_UACG, 105)]
+
+
+# Item 17's gate: every odd non-prime-power order up to 1001, and 40 seeded
+# ones up to 4095.
+_NUMERIC = [n for n in range(3, 4096, 2) if prime_power(n) is None]
+GATE_ORDERS = (
+    *(n for n in _NUMERIC if n <= 1001),
+    *sorted(random.Random(17).sample([n for n in _NUMERIC if n > 1001], 40)),
+)
+GATE_ALPHAS = (*ALPHA_GRID, 1.0 - 1e-6)
+
+
+class TestCentredRoute:
+    """The block route solves centred pencils on its own: 2-wide blocks by
+    formula, never by eigvalsh or the dense oracle's solver, and each energy
+    agrees with the spectrum the route reports."""
+
+    @staticmethod
+    def run_block_route(spec):
+        alphas = (*ALPHA_GRID, 1.0 - 1e-6, 1.0)
+        _stacked_eigenvalues(spec, alphas)
+        block_eigenvalues(spec, 0.3)
+        if prime_power(spec.n) is None:
+            _route(spec)[2](alphas[:-1])
+        if spec.n <= DENSE_ORDER_LIMIT:
+            bound_report(spec, 0.3)
+
+    def test_eigvalsh_sees_no_block_narrower_than_3(self, monkeypatch):
+        widths, real = [], np.linalg.eigvalsh
+
+        def spy(a):
+            widths.append(a.shape[-1])
+            return real(a)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+        for n in range(3, 302, 2):
+            for comp in (False, True):
+                self.run_block_route(GraphSpec(FAMILY_UACG, n, comp))
+        assert widths and min(widths) >= 3
+
+    def test_shares_no_solver_with_the_dense_oracle(self, monkeypatch):
+        assert not any(v is linalg_mod._values for v in vars(blocks_mod).values())
+
+        def refuse(s):
+            raise AssertionError("the block route reached linalg._values")
+
+        monkeypatch.setattr(linalg_mod, "_values", refuse)
+        for n in (15, 105, 1155, 15015, 255255):
+            for comp in (False, True):
+                self.run_block_route(GraphSpec(FAMILY_UACG, n, comp))
+
+    @pytest.mark.parametrize("comp", [False, True])
+    def test_energy_is_the_sum_over_its_own_spectrum(self, comp):
+        for n in GATE_ORDERS:
+            spec = GraphSpec(FAMILY_UACG, n, comp)
+            values, counts = _route(spec)[1](GATE_ALPHAS)
+            floors = _energy_floors(spec, GATE_ALPHAS)
+            for row, alpha, floor in zip(values, GATE_ALPHAS, floors):
+                report = energy_report(spec, alpha)
+                assert report.method == "numeric"
+                total = float(counts @ np.abs(row - report.shift))
+                # Each reported value is mu + s rounded once, so |v - s| can
+                # be off by an ulp of v: at n = 3649, alpha = 0.9999 that is
+                # 1.4e-12 of an energy of 249 against a shift of 3519.
+                rounding = float(counts @ np.spacing(np.abs(row)))
+                assert abs(report.energy - total) <= 1e-12 * total + rounding, (n, alpha)
+                assert floor <= report.energy * (1.0 + 1e-12), (n, alpha)

@@ -185,7 +185,7 @@ class TestIndividualChecks:
     def test_block_route_solves_each_spec_once(self, monkeypatch):
         # One stacked block solve per spec; its rows are bit-identical to
         # one solve per alpha, so the result is too.
-        real, calls = verification_mod._stacked_eigenvalues, []
+        real, calls = verification_mod._stacked_spectra, []
 
         def counting(spec, alphas):
             calls.append(spec)
@@ -195,10 +195,10 @@ class TestIndividualChecks:
             rows = [block_eigenvalues(spec, alpha) for alpha in alphas]
             return np.stack([vals for vals, _ in rows]), rows[0][1]
 
-        monkeypatch.setattr(verification_mod, "_stacked_eigenvalues", counting)
+        monkeypatch.setattr(verification_mod, "_stacked_spectra", counting)
         got = check_block_route(27)
         assert len(calls) == len(set(calls)) == 13 * 2
-        monkeypatch.setattr(verification_mod, "_stacked_eigenvalues", one_at_a_time)
+        monkeypatch.setattr(verification_mod, "_stacked_spectra", one_at_a_time)
         assert check_block_route(27) == got
 
     def test_block_route_compares_closed_forms(self, monkeypatch):
