@@ -20,19 +20,12 @@ from typing import NamedTuple
 import numpy as np
 
 from .blocks import _check_unit_sum, _energy_floors, _record, _stacked_eigenvalues
-from .closedform import (
-    METHOD_CLOSED,
-    METHOD_NUMERIC,
-    METHOD_REGULAR,
-    _complete_energy,
-    _prime_power_root_candidates,
-    _route,
-)
+from .closedform import _complete_energy, _route
 from .graphs import GraphSpec, _check_dense_order, edge_count
 # symmetric_eigenvalues has no caller here; perfbench's tracer test looks it
 # up in this namespace.
 from .linalg import _check_alpha, _check_tol, symmetric_eigenvalues  # noqa: F401
-from .numtheory import euler_phi, prime_power
+from .numtheory import euler_phi
 
 __all__ = [
     "BOUND_SLACK",
@@ -250,7 +243,7 @@ def _classify_all(
     tol = _check_tol(tol)
     alphas = [_check_alpha(a, allow_one=False) for a in alphas]
     out = []
-    for alpha, energy in zip(alphas, _route(spec)[2](alphas)):
+    for alpha, energy in zip(alphas, _route(spec).energies(alphas)):
         reference = _complete_energy(spec.n, alpha)
         diff = energy - reference
         verdict = (
@@ -372,14 +365,15 @@ def find_borderenergetic_alphas(spec: GraphSpec, tol: float = 1e-12) -> list[flo
     alpha = 0, and is priced on the route that energy_report takes, so each
     energy equals energy_report's for that alpha.  Results are ascending.
 
-    On the closed-form route (odd prime powers) the roots are solved, not
-    searched for: closedform._prime_power_root_candidates solves the linear
-    or quadratic equation of each piece of the gap exactly, and the
-    candidates at which the gap, priced in one batch, is within touch are
-    the roots, a candidate within tol of the one kept before it merged into
-    it.  They are the exact roots correctly rounded (2p/(3p - 2) for the
-    direct family at primes p >= 7), so tables 2 and 3 equal their bundled
-    fixtures to all 12 printed decimals.
+    Where the route (closedform._route) has root candidates, those at which
+    the gap, priced in one batch, is within touch are the roots, a candidate
+    within tol of the one kept before it merged into it.  On the closed-form
+    route (odd prime powers) they solve each piece of the gap exactly, so the
+    roots are exact, correctly rounded (2p/(3p - 2) for the direct family at
+    primes p >= 7), and tables 2 and 3 equal their bundled fixtures to all 12
+    printed decimals.  On the regular-shortcut route the gap, with E_0 the
+    adjacency energy, is (1 - alpha)*(E_0 - 2*(n - 1)): zero on all of [0, 1)
+    or nowhere, so the list is empty, nothing is priced and the result is [].
 
     On the numeric route the gap is searched.  It is sampled at the
     sixteenths of [0, 1) and just under 1, in one batch, one stacked block
@@ -406,29 +400,23 @@ def find_borderenergetic_alphas(spec: GraphSpec, tol: float = 1e-12) -> list[flo
     on all of [0, 1), so is the true gap and the result is [];
     otherwise the search on the gap itself runs.  The roots are the same
     either way.
-
-    On the regular-shortcut route the gap is (1 - alpha)*(E_0 - 2*(n - 1)),
-    with E_0 the adjacency energy: zero on all of [0, 1) or nowhere, so the
-    result is [].
     """
     tol = _check_tol(tol)
     n = spec.n
     touch = 1e-12 * max(1.0, 2.0 * (n - 1.0))
-    method, _, energies = _route(spec)
-    if method == METHOD_REGULAR:
-        return []
+    route = _route(spec)
 
     def gap_of(energies: Callable[[Sequence[float]], list[float]]) -> Callable:
         return lambda alphas: [e - _complete_energy(n, a) for e, a in zip(energies(alphas), alphas)]
 
-    if method == METHOD_CLOSED:
-        alphas = _prime_power_root_candidates(*prime_power(n), spec.complement)
-        roots: list[float] = []
-        for alpha, gap in zip(alphas, gap_of(energies)(alphas)):
+    if route.candidates is not None:
+        alphas, roots = route.candidates(), []
+        gaps = gap_of(route.energies)(alphas) if alphas else []
+        for alpha, gap in zip(alphas, gaps):
             if abs(gap) <= touch and not (roots and alpha - roots[-1] <= tol):
                 roots.append(alpha)
         return roots
     floors = gap_of(lambda xs: (_energy_floors(spec, xs) * (1.0 - 1e-9)).tolist())
     if _refine(floors, touch, tol)[2]:
         return []
-    return _convex_roots(gap_of(energies), touch, tol)
+    return _convex_roots(gap_of(route.energies), touch, tol)

@@ -197,7 +197,7 @@ def _cmd_table(args: argparse.Namespace) -> int:
         for n in TABLE1_NS:
             for family in ("uacg", "complement-uacg", "complete"):
                 spec = parse_spec_label(family, n)
-                cells = [f"{e:.3f}" for e in _route(spec)[2](ALPHA_GRID)]
+                cells = [f"{e:.3f}" for e in _route(spec).energies(ALPHA_GRID)]
                 rows.append((family, n, cells))
         return _write(
             args,
@@ -216,7 +216,7 @@ def _cmd_table(args: argparse.Namespace) -> int:
     for n in ns:
         spec = parse_spec_label(family, n)
         roots = find_borderenergetic_alphas(spec)
-        for a, e in zip(roots, _route(spec)[2](roots)):
+        for a, e in zip(roots, _route(spec).energies(roots)):
             rows.append((n, *map(_fmt_dec12, (a, e, _complete_energy(n, a)))))
     return _write(
         args,

@@ -12,6 +12,7 @@ adjacency eigenvalues); the other odd orders split into small exact blocks
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
@@ -80,6 +81,7 @@ _CLOSED_GROUP_TOL = 1e-9
 METHOD_CLOSED = "closed-form"
 METHOD_NUMERIC = "numeric"
 METHOD_REGULAR = "regular-shortcut"
+_Route = namedtuple("_Route", "method spectrum energies candidates")
 
 
 class ClosedFormUnavailable(RuntimeError):
@@ -403,16 +405,20 @@ def _complete_energy(n: int, alpha: float) -> float:
 # Dispatch over GraphSpec.
 
 
-def _route(spec: GraphSpec) -> tuple[str, Callable, Callable[[Sequence[float]], list[float]]]:
-    """(method, spectrum(alphas), energies(alphas)) for the route that covers spec.
+def _route(spec: GraphSpec) -> _Route:
+    """_Route(method, spectrum, energies, candidates) for the route that covers spec.
 
-    This is the one place that splits specs into routes.  Complete and
-    unitary Cayley graphs are regular with known eigenvalues, and even-order
-    unit-sum graphs coincide with unitary Cayley graphs, so all of them take
-    the (1-alpha)-scaling shortcut on a known adjacency energy.  Odd
-    prime-power unit-sum graphs and complements have exact formulas.  Every
-    other spec is an odd-order unit-sum spec on the numeric route, solved by
-    the block eigensolver.
+    This is the one place that splits specs into routes; callers read its
+    fields and decide none again.  Complete and unitary Cayley graphs are
+    regular with known eigenvalues, and even-order unit-sum graphs coincide
+    with unitary Cayley graphs: all take the (1-alpha)-scaling shortcut on a
+    known adjacency energy (METHOD_REGULAR), and candidates() is empty, as
+    their gap (1-alpha)*(E_0 - 2*(n-1)) has no isolated root.  Odd
+    prime-power unit-sum graphs and complements have exact formulas
+    (METHOD_CLOSED), and candidates() solves each piece of their gap from the
+    p and m found here.  Every other spec is an odd-order unit-sum spec
+    solved by the block eigensolver (METHOD_NUMERIC), and candidates is None:
+    analysis.find_borderenergetic_alphas searches its gap.
 
     The spectrum callable takes a non-empty sequence of float alphas in
     [0, 1], checked by the caller, and returns the eigenvalues ungrouped on
@@ -440,15 +446,17 @@ def _route(spec: GraphSpec) -> tuple[str, Callable, Callable[[Sequence[float]], 
     n = spec.n
     if spec.family == FAMILY_COMPLETE:
         if spec.complement:  # edgeless
-            return (
+            return _Route(
                 METHOD_REGULAR,
                 lambda xs: (np.zeros((len(xs), 1)), np.array([n], dtype=np.int64)),
                 lambda xs: [0.0] * len(xs),
+                lambda: [],
             )
-        return (
+        return _Route(
             METHOD_REGULAR,
             lambda xs: _complete_pairs(n, xs),
             lambda xs: [_complete_energy(n, a) for a in xs],
+            lambda: [],
         )
     if spec.family == FAMILY_UNITARY_CAYLEY or n % 2 == 0:
         spectrum, eps0 = (
@@ -456,10 +464,11 @@ def _route(spec: GraphSpec) -> tuple[str, Callable, Callable[[Sequence[float]], 
             if spec.complement
             else (_unitary_cayley_pairs, unitary_cayley_adjacency_energy)
         )
-        return (
+        return _Route(
             METHOD_REGULAR,
             lambda xs: spectrum(n, xs),
             lambda xs: [(1.0 - a) * e for e in (float(eps0(n)),) for a in xs],
+            lambda: [],
         )
     pp = prime_power(n)
     if pp is None:
@@ -472,23 +481,24 @@ def _route(spec: GraphSpec) -> tuple[str, Callable, Callable[[Sequence[float]], 
                 out += [float(weights @ row) for row in np.abs(vals)]
             return out
 
-        return METHOD_NUMERIC, lambda xs: _stacked_spectra(spec, xs), block_energies
+        return _Route(METHOD_NUMERIC, lambda xs: _stacked_spectra(spec, xs), block_energies, None)
     p, m = pp
     spectrum, energy = (
         (_complement_prime_power_pairs, _complement_prime_power_energy)
         if spec.complement
         else (_uacg_prime_power_pairs, _uacg_prime_power_energy)
     )
-    return (
+    return _Route(
         METHOD_CLOSED,
         lambda xs: spectrum(p, m, xs),
         lambda xs: [energy(p, m, a) for a in xs],
+        lambda: _prime_power_root_candidates(p, m, spec.complement),
     )
 
 
 def has_closed_spectrum(spec: GraphSpec) -> bool:
     """True when an exact spectrum formula covers the requested graph."""
-    return _route(spec)[0] != METHOD_NUMERIC
+    return _route(spec).method != METHOD_NUMERIC
 
 
 def spectrum_for(
@@ -515,14 +525,14 @@ def spectrum_for(
     if method == "numeric":
         vals = symmetric_eigenvalues(build_alpha_matrix(build_graph(spec), alpha))
         return group_spectrum(vals, group_tol), "numeric"
-    route, spectrum, _ = _route(spec)
-    if route != METHOD_NUMERIC:
-        return _spectrum_from_pairs(*spectrum((alpha,))), "closed"
+    route = _route(spec)
+    if route.method != METHOD_NUMERIC:
+        return _spectrum_from_pairs(*route.spectrum((alpha,))), "closed"
     if method == "closed":
         raise ClosedFormUnavailable(
             f"no exact spectrum for {spec.label()} with n={spec.n} (odd, not a prime power)"
         )
-    return _spectrum_from_pairs(*spectrum((alpha,)), group_tol), "numeric"
+    return _spectrum_from_pairs(*route.spectrum((alpha,)), group_tol), "numeric"
 
 
 @dataclass(frozen=True)
@@ -549,6 +559,6 @@ def energy_report(spec: GraphSpec, alpha: float) -> EnergyReport:
     """
     alpha = _check_alpha(alpha, allow_one=False)
     n, m = spec.n, edge_count(spec)
-    method, _, energies = _route(spec)
-    (energy,) = energies((alpha,))
-    return EnergyReport(spec, alpha, n, m, 2.0 * alpha * m / n, energy, method)
+    route = _route(spec)
+    (energy,) = route.energies((alpha,))
+    return EnergyReport(spec, alpha, n, m, 2.0 * alpha * m / n, energy, route.method)

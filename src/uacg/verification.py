@@ -24,10 +24,10 @@ from .analysis import (
 from .blocks import _energy_floors, _stacked_spectra
 from .closedform import (
     ALPHA_GRID,
+    METHOD_NUMERIC,
     _complete_energy,
     _route,
     complement_unitary_cayley_adjacency_energy,
-    has_closed_spectrum,
     unitary_cayley_adjacency_energy,
 )
 from .graphs import (
@@ -189,10 +189,10 @@ def _expanded(values: np.ndarray, counts: np.ndarray) -> np.ndarray:
 
 
 def _closed_rows(ns: Iterable[int], alphas: tuple, x: np.ndarray) -> list[tuple[float, int, tuple]]:
-    """Rows comparing the route table's closed spectrum with the eigensolver."""
+    """Rows comparing the route record's closed spectrum with the eigensolver."""
     rows = []
     for spec, _, _, vals in _dense(ns, x):
-        resid = np.abs(_expanded(*_route(spec)[1](x)) - vals).max(axis=1)
+        resid = np.abs(_expanded(*_route(spec).spectrum(x)) - vals).max(axis=1)
         rows.append(_row(resid, 1, (spec.n, spec.complement), alphas))
     return rows
 
@@ -219,8 +219,9 @@ def check_block_route(nmax: int, alphas=ALPHA_GRID, tol: float = 1e-9) -> CheckR
     for spec, _, _, dense in _dense(range(3, nmax + 1, 2), x):
         blocks = _expanded(*_stacked_spectra(spec, x))  # one stacked block solve
         resid = np.abs(blocks - dense).max(axis=1)
-        if has_closed_spectrum(spec):
-            resid = np.maximum(resid, np.abs(blocks - _expanded(*_route(spec)[1](x))).max(axis=1))
+        route = _route(spec)
+        if route.method != METHOD_NUMERIC:
+            resid = np.maximum(resid, np.abs(blocks - _expanded(*route.spectrum(x))).max(axis=1))
         rows.append(_row(resid, 1, (spec.n, spec.complement), alphas))
     return _worst("block route vs eigensolver and closed forms", tol, rows)
 
@@ -326,11 +327,12 @@ def check_energy_consistency(nmax: int, alphas=ALPHA_GRID, tol: float = 1e-9) ->
     for q in odd_prime_powers(nmax):
         p, m = prime_power(q)
         spec, comp = GraphSpec(FAMILY_UACG, q), GraphSpec(FAMILY_UACG, q, complement=True)
-        spectral = _energies(_expanded(*_route(spec)[1](x)), q, edge_count(spec), x)
-        formula = _route(spec)[2](x.tolist())
+        route = _route(spec)
+        spectral = _energies(_expanded(*route.spectrum(x)), q, edge_count(spec), x)
+        formula = route.energies(x.tolist())
         uacg_rows.append(_row(np.abs(formula - spectral), 1, (q,), alphas))
         multiset = _energies(_tabulated_complement_values(p, m, x), q, edge_count(comp), x)
-        formula = _route(comp)[2](x.tolist())
+        formula = _route(comp).energies(x.tolist())
         comp_rows.append(_row(np.abs(formula - multiset), 1, (q,), alphas))
     return [
         _worst("prime-power energy vs spectrum", tol, uacg_rows, ("n", "alpha")),

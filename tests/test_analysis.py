@@ -466,19 +466,28 @@ class TestRootFinder:
     def test_order_two(self):
         assert find_borderenergetic_alphas(GraphSpec(FAMILY_UACG, 2)) == []
 
-    def test_regular_route_has_no_roots(self):
+    def test_regular_route_has_no_roots(self, monkeypatch):
         # The gap there is (1 - alpha)*(E_0 - 2(n - 1)): never an isolated root.
         # Sampling it found one just under 1 on 943 of these specs, for
-        # example the unit-sum graph at n = 1006.
+        # example the unit-sum graph at n = 1006.  Its candidate list is
+        # empty, and the finder prices no energy for it.
         specs = [
             parse_spec_label(label, n)
             for label in ("uacg", "complement-uacg", "unitary-cayley",
                           "complement-unitary-cayley", "complete", "complement-complete")
             for n in range(2, 4097)
         ]
-        specs = [spec for spec in specs if uacg.closedform._route(spec)[0] == METHOD_REGULAR]
+        specs = [spec for spec in specs if uacg.closedform._route(spec).method == METHOD_REGULAR]
         assert len(specs) == 20_476
+        real, priced = uacg.analysis._route, []
+
+        def spied(spec):
+            route = real(spec)
+            return route._replace(energies=lambda xs: priced.append(spec) or route.energies(xs))
+
+        monkeypatch.setattr(uacg.analysis, "_route", spied)
         assert [spec for spec in specs if find_borderenergetic_alphas(spec)] == []
+        assert priced == []
 
     def test_roots_classify_as_borderenergetic(self):
         for spec in (
@@ -563,12 +572,14 @@ class TestExactPrimePowerRoots:
             self.assert_one_exact_root(GraphSpec(FAMILY_UACG, n, complement=True), want)
 
     def test_candidates_are_priced_in_one_batch(self, monkeypatch):
+        # Live invariant: the finder prices a route's root candidates in one
+        # energies call
         batches = []
         real = uacg.analysis._route
 
         def spied(spec):
-            method, spectrum, energies = real(spec)
-            return method, spectrum, lambda xs: batches.append(list(xs)) or energies(xs)
+            route = real(spec)
+            return route._replace(energies=lambda xs: batches.append(list(xs)) or route.energies(xs))
 
         monkeypatch.setattr(uacg.analysis, "_route", spied)
         for comp in (False, True):
@@ -763,7 +774,7 @@ class TestRootFinderCrossCheck:
             touch = 1e-12 * max(1.0, 2.0 * (n - 1.0))
             want = _convex_roots(scalar_gaps, touch, 1e-12)
             got = find_borderenergetic_alphas(spec)
-            if _route(spec)[0] != METHOD_CLOSED:
+            if _route(spec).method != METHOD_CLOSED:
                 assert got == want, spec
                 continue
             assert len(got) == len(want), (spec, got, want)
@@ -778,7 +789,7 @@ class TestRootFinderCrossCheck:
                 continue
             for comp in (False, True):
                 spec = GraphSpec(FAMILY_UACG, n, comp)
-                energies = _route(spec)[2]
+                energies = _route(spec).energies
 
                 def gaps(alphas):
                     return [e - complete_energy(n, a) for e, a in zip(energies(alphas), alphas)]

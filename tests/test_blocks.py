@@ -435,7 +435,7 @@ class TestStackedEigenvalues:
         for alpha in alphas:
             vals, mults = reference_block_eigenvalues(spec, alpha)
             want.append(float(mults @ np.abs(vals)))
-        assert _route(spec)[2](alphas) == want
+        assert _route(spec).energies(alphas) == want
 
     @pytest.mark.parametrize("bad", [float("nan"), -0.1, 1.5])
     @pytest.mark.parametrize("where", [0, 5, 17])
@@ -464,7 +464,7 @@ class TestStackedEigenvalues:
         # The energy floor certifies the order: the scan solves nothing.
         assert find_borderenergetic_alphas(spec) == []
         assert shapes == []
-        _route(spec)[2](_COARSE_ALPHAS)
+        _route(spec).energies(_COARSE_ALPHAS)
         for shape in shapes:
             one_alpha = math.prod(shape[1:])
             assert math.prod(shape) <= max(_BATCH_ELEMENTS, one_alpha), shape
@@ -566,7 +566,7 @@ class TestCentredRoute:
         _stacked_eigenvalues(spec, alphas)
         block_eigenvalues(spec, 0.3)
         if prime_power(spec.n) is None:
-            _route(spec)[2](alphas[:-1])
+            _route(spec).energies(alphas[:-1])
         if spec.n <= DENSE_ORDER_LIMIT:
             bound_report(spec, 0.3)
 
@@ -598,7 +598,7 @@ class TestCentredRoute:
     def test_energy_is_the_sum_over_its_own_spectrum(self, comp):
         for n in GATE_ORDERS:
             spec = GraphSpec(FAMILY_UACG, n, comp)
-            values, counts = _route(spec)[1](GATE_ALPHAS)
+            values, counts = _route(spec).spectrum(GATE_ALPHAS)
             floors = _energy_floors(spec, GATE_ALPHAS)
             for row, alpha, floor in zip(values, GATE_ALPHAS, floors):
                 report = energy_report(spec, alpha)

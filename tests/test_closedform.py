@@ -11,6 +11,7 @@ before the closed forms were written.
 
 import itertools
 import math
+import sys
 import tracemalloc
 from decimal import Decimal
 from fractions import Fraction
@@ -23,6 +24,7 @@ from hypothesis import strategies as st
 import uacg.analysis as analysis_mod
 import uacg.blocks as blocks_mod
 import uacg.closedform as closedform_mod
+import uacg.numtheory as numtheory_mod
 from uacg.analysis import (
     _classify_all,
     bound_report,
@@ -529,7 +531,7 @@ class TestDispatch:
 
     def test_every_route_returns_ungrouped_pairs(self):
         for spec in GRID_SPECS:
-            values, counts = _route(spec)[1]((0.3,))
+            values, counts = _route(spec).spectrum((0.3,))
             assert values.dtype == float and counts.dtype.kind == "i", spec
             assert values.shape == (1, *counts.shape) and counts.ndim == 1, spec
             assert counts.min() >= 0 and counts.sum() == spec.n, spec
@@ -550,6 +552,59 @@ class TestDispatch:
                         assert got == public_spectrum(spec, alpha), (spec, alpha)
                     checked.add((family, comp, n % 2 == 0))
         assert len(checked) == 12  # every family and complement at odd and even n
+
+
+# One spec of each route kind: complete, edgeless, even unit-sum, unitary
+# Cayley, and odd prime powers and numeric orders in both unit-sum families.
+DECISION_SPECS = [
+    GraphSpec(FAMILY_COMPLETE, 9),
+    GraphSpec(FAMILY_COMPLETE, 9, complement=True),
+    GraphSpec(FAMILY_UACG, 10),
+    GraphSpec(FAMILY_UNITARY_CAYLEY, 15),
+    *(GraphSpec(FAMILY_UACG, n, comp) for n in (27, 15) for comp in (False, True)),
+]
+
+# Every public entry that routes a spec, called once.
+ROUTED_ENTRIES = {
+    "energy_report": lambda spec: energy_report(spec, 0.3),
+    "spectrum_for": lambda spec: spectrum_for(spec, 0.3),
+    "classify": lambda spec: classify(spec, 0.3),
+    "has_closed_spectrum": has_closed_spectrum,
+    "find_borderenergetic_alphas": find_borderenergetic_alphas,
+}
+
+
+class TestOneRouteDecision:
+    """closedform._route is the one place that decides a route: the public
+    entries read its record and decide none again (a live invariant)."""
+
+    @pytest.mark.parametrize("spec", DECISION_SPECS, ids=str)
+    @pytest.mark.parametrize("entry", list(ROUTED_ENTRIES))
+    def test_only_the_route_factors_the_order(self, monkeypatch, spec, entry):
+        # every binding of prime_power in the package, numtheory's own too
+        real, callers = numtheory_mod.prime_power, []
+
+        def spy(n):
+            callers.append(sys._getframe(1).f_code)
+            return real(n)
+
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "uacg" and getattr(module, "prime_power", None) is real:
+                monkeypatch.setattr(module, "prime_power", spy)
+        ROUTED_ENTRIES[entry](spec)
+        # the route asks once on an odd unit-sum order and never on the others
+        asks = int(spec.family == FAMILY_UACG and spec.n % 2 == 1)
+        assert callers == [closedform_mod._route.__code__] * asks, [c.co_name for c in callers]
+
+    def test_only_the_numeric_route_has_no_root_candidates(self):
+        methods = set()
+        for family in FAMILIES:
+            for comp in (False, True):
+                for n in range(2, 302):
+                    route = _route(GraphSpec(family, n, comp))
+                    assert (route.candidates is None) == (route.method == METHOD_NUMERIC), route
+                    methods.add(route.method)
+        assert methods == {METHOD_CLOSED, METHOD_NUMERIC, METHOD_REGULAR}
 
 
 # One value of each type an alpha or tolerance must not be coerced from.
@@ -643,13 +698,15 @@ class TestRealInputs:
     def test_a_bad_alpha_anywhere_in_a_batch_stops_it_before_any_energy(
         self, monkeypatch, route, bad, where
     ):
-        # _classify_all is the batch entry of classify, sweep and check_roots;
-        # it reads _route through the analysis module's binding
+        # Live invariant, one check per input: the whole batch is checked
+        # before any energy.  _classify_all is the batch entry of classify,
+        # sweep and check_roots; it reads _route through the analysis
+        # module's binding
         real, solved = analysis_mod._route, []
 
         def spying(spec):
-            method, spectrum, energies = real(spec)
-            return method, spectrum, lambda xs: solved.append(xs) or energies(xs)
+            route = real(spec)
+            return route._replace(energies=lambda xs: solved.append(xs) or route.energies(xs))
 
         monkeypatch.setattr(analysis_mod, "_route", spying)
         alphas = list(GRID)
@@ -706,7 +763,7 @@ class TestEnergyReport:
             for n, comp in itertools.product((2, 9, 10, 15, 25, 105), (False, True)):
                 gspec = GraphSpec(family, n, comp)
                 want = [energy_report(gspec, alpha).energy for alpha in alphas]
-                got = _route(gspec)[2](alphas)
+                got = _route(gspec).energies(alphas)
                 assert got == want, gspec
                 assert all(type(e) is float for e in got), gspec
 
@@ -718,7 +775,7 @@ class TestEnergyReport:
         for family in (FAMILY_UACG, FAMILY_UNITARY_CAYLEY, FAMILY_COMPLETE):
             for n, comp in itertools.product((2, 9, 10, 15, 25, 105), (False, True)):
                 gspec = GraphSpec(family, n, comp)
-                spectrum = _route(gspec)[1]
+                spectrum = _route(gspec).spectrum
                 values, counts = spectrum(alphas)
                 assert values.shape == (len(alphas), counts.size), gspec
                 for row, alpha in zip(values, alphas):
@@ -755,7 +812,7 @@ class TestEnergyReport:
         # them at once would be a 10.9 MB values array alone.  The energies
         # walk the grid in chunks of _BATCH_ELEMENTS // 1,362 = 96 alphas,
         # about 1 MB of values each.
-        energies = _route(GraphSpec(FAMILY_UACG, 255255))[2]
+        energies = _route(GraphSpec(FAMILY_UACG, 255255)).energies
         alphas = [i / 1000 for i in range(1000)]
         first = energies(alphas[:1])  # the order's cached record, outside the trace
         tracemalloc.start()
@@ -778,7 +835,7 @@ class TestEnergyReport:
         calls = []
         for name in ("_check_odd_prime_power", "_check_alpha"):
             monkeypatch.setattr(closedform_mod, name, lambda *a, name=name, **k: calls.append(name))
-        assert _route(GraphSpec(FAMILY_UACG, 125, comp))[2](alphas) == want
+        assert _route(GraphSpec(FAMILY_UACG, 125, comp)).energies(alphas) == want
         assert calls == []
 
     @pytest.mark.parametrize(
@@ -788,15 +845,16 @@ class TestEnergyReport:
         ids=str,
     )
     def test_regular_energies_check_nothing_again(self, monkeypatch, spec):
-        # each value is bit-identical to the public (1 - alpha) scaling
+        # Live invariant: the route's energies check no alpha again.  Each
+        # value is bit-identical to the public (1 - alpha) scaling
         alphas = [i / 64 for i in range(64)] + [0.1, 1.0 - 1e-9]
         base = energy_report(spec, 0.0).energy
         want = [regular_alpha_energy(base, alpha) for alpha in alphas]
         calls = []
         monkeypatch.setattr(closedform_mod, "_check_alpha", lambda *a, **k: calls.append(a))
-        method, _, energies = _route(spec)
-        assert method == METHOD_REGULAR
-        got = energies(alphas)
+        route = _route(spec)
+        assert route.method == METHOD_REGULAR
+        got = route.energies(alphas)
         assert got == want and all(type(e) is float for e in got)
         assert calls == []
 
